@@ -4,7 +4,8 @@ Each shape supports exact distance, single-valued projection inside its tube
 of radius r, containment via the defining inequalities, normal-cone residual
 checks and seeded member sampling.  Convex shapes carry r = inf and bypass
 curvature terms entirely; the ball complement is the nonconvex primitive with
-r equal to its radius.
+r equal to its radius.  Polytopes project by a finite primal active-set solve
+whose result is accepted only after an explicit KKT check.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from .geometry import norm
 # so the catching-up containment invariant stays testable under rounding.
 CONTAINMENT_TOL = 1e-10
 
-DYKSTRA_TOL = 1e-13
-DYKSTRA_MAX_SWEEPS = 100_000
-
 SAMPLING_MAX_ATTEMPTS = 1_000_000
+
+# Relative rounding floor for the active-set step: a face whose rate along the
+# step is below this share of |y - x| is parallel to the working faces.
+_SPAN_EPS = 64 * np.finfo(float).eps
 
 
 class ProxSet:
@@ -75,10 +77,25 @@ class ProxSet:
         self._check_dim(y)
         if self.membership_defect(y) <= CONTAINMENT_TOL:
             return y.copy()
+        if math.isinf(self.r):
+            # The tube check cannot fire, so the distance is not needed.
+            return self._raw_project(y)
+        return self._raw_project_with_distance(y)[0]
+
+    def project_with_distance(self, y) -> tuple:
+        """(projection, distance) of y, with the same checks as project."""
+        y = np.asarray(y, dtype=float)
+        self._check_dim(y)
+        if self.membership_defect(y) <= CONTAINMENT_TOL:
+            return y.copy(), 0.0
+        return self._raw_project_with_distance(y)
+
+    def _raw_project_with_distance(self, y: np.ndarray) -> tuple:
+        # Distance first: the tube check must fire before a singular projection.
         d = self._raw_distance(y)
         if d >= self.r:
             self._tube_error(y, d)
-        return self._raw_project(y)
+        return self._raw_project(y), d
 
     def _tube_error(self, y, d):
         raise OutsideTube(
@@ -227,11 +244,19 @@ class Box(ProxSet):
 
 @dataclass(frozen=True)
 class Polytope(ProxSet):
-    """Intersection of half-spaces with a stored strictly feasible interior point."""
+    """Intersection of half-spaces with a stored strictly feasible interior point.
+
+    Projection is a primal active-set solve started at the interior point; the
+    result is returned only after the KKT conditions have been checked.
+    """
 
     faces: tuple
     interior: tuple
     _interior: np.ndarray = field(init=False, repr=False, compare=False)
+    _A: np.ndarray = field(init=False, repr=False, compare=False)
+    _b: np.ndarray = field(init=False, repr=False, compare=False)
+    _max_steps: int = field(init=False, repr=False, compare=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.faces) < 1:
@@ -239,15 +264,24 @@ class Polytope(ProxSet):
         dims = {f.dim for f in self.faces}
         if len(dims) != 1:
             raise ValueError("polytope faces must share a dimension")
+        dim = dims.pop()
         p = np.array(self.interior, dtype=float)
-        if p.shape != (dims.pop(),):
+        if p.shape != (dim,):
             raise ValueError("interior point has wrong dimension")
         worst = max(f.membership_defect(p) for f in self.faces)
         if worst >= 0:
             raise ValueError(f"interior point is not strictly feasible (defect {worst:.3e})")
+        m = len(self.faces)
+        # Step bound of the active-set solve: between two full steps it adds at
+        # most dim faces, and since the objective falls from one full step to
+        # the next, each working set (at most dim faces) ends one at most once.
+        working_sets = sum(math.comb(m, k) for k in range(min(m, dim) + 1))
         object.__setattr__(self, "faces", tuple(self.faces))
         object.__setattr__(self, "interior", tuple(float(x) for x in p))
         object.__setattr__(self, "_interior", _ro(p))
+        object.__setattr__(self, "_A", _ro([f._a for f in self.faces]))
+        object.__setattr__(self, "_b", _ro([f.offset for f in self.faces]))
+        object.__setattr__(self, "_max_steps", (dim + 1) * working_sets)
 
     @property
     def dim(self) -> int:
@@ -260,29 +294,91 @@ class Polytope(ProxSet):
     def membership_defect(self, y):
         return max(f.membership_defect(y) for f in self.faces)
 
-    def _dykstra(self, y):
-        """Cyclic projections with correction vectors: exact limit for convex intersections."""
-        x = y.copy()
-        corrections = [np.zeros_like(y) for _ in self.faces]
-        for _ in range(DYKSTRA_MAX_SWEEPS):
-            moved = 0.0
-            for i, f in enumerate(self.faces):
-                z = x + corrections[i]
-                x_new = f._raw_project(z)
-                corrections[i] = z - x_new
-                moved = max(moved, norm(x_new - x))
-                x = x_new
-            if moved < DYKSTRA_TOL and self.membership_defect(x) <= CONTAINMENT_TOL:
-                return x
+    def _solve(self, y):
+        """Nearest point to y: primal active-set method for min |x - y|^2, Ax <= b.
+
+        The iterate x stays feasible.  Each step heads for the nearest point
+        to y on the faces of the working set and stops at the first face it
+        would cross, which joins the set.  At that nearest point a face with
+        a negative multiplier leaves the set; when none has one, the KKT
+        conditions hold and are checked before x is returned.
+        """
+        A, b = self._A, self._b
+        x = self._interior
+        work: list = []
+        for _ in range(self._max_steps):
+            Aw, M, c = self._working_faces(tuple(work))
+            r = y - x
+            # Least-norm multipliers: the step r - Aw^T lam lies in the null
+            # space of the working faces, so x stays on them.
+            lam = M @ r
+            step = r - lam @ Aw
+            rate = A @ step
+            # A face whose normal lies in the span of the working faces sees
+            # only rounding in its rate and must not block.
+            floor = _SPAN_EPS * math.sqrt(float(r @ r))
+            alpha, blocking = 1.0, -1
+            for i, (rate_i, slack_i) in enumerate(zip(rate.tolist(), (b - A @ x).tolist())):
+                if rate_i > floor and i not in work:
+                    ratio = max(slack_i, 0.0) / rate_i
+                    if ratio < alpha:
+                        alpha, blocking = ratio, i
+            if blocking >= 0:
+                x = x + alpha * step
+                work.append(blocking)
+                continue
+            # A long step loses about eps * |y - x| to cancellation across the
+            # working faces; put x back on them.
+            x = x + step
+            x = x - (M @ x - c) @ Aw
+            if np.all(lam >= 0.0):
+                return self._certify(y, x, work, Aw, lam)
+            del work[int(np.argmin(lam))]
         raise DidNotConverge(
-            f"cyclic projection did not settle within {DYKSTRA_MAX_SWEEPS} sweeps"
+            f"active-set projection exceeded {self._max_steps} steps for {len(self.faces)} faces"
         )
 
+    def _working_faces(self, work: tuple):
+        """(A_W, G^-1 A_W, G^-1 b_W) for the faces W, with G = A_W A_W^T; cached per W."""
+        cached = self._factors.get(work)
+        if cached is None:
+            Aw = self._A[list(work)]
+            try:
+                inv = np.linalg.inv(Aw @ Aw.T)
+            except np.linalg.LinAlgError as err:
+                raise DidNotConverge(f"faces {list(work)} are numerically dependent") from err
+            cached = (Aw, inv @ Aw, inv @ self._b[list(work)])
+            self._factors[work] = cached
+        return cached
+
+    def _certify(self, y, x, work, Aw, lam):
+        """Check the KKT conditions of x as the projection of y, with multipliers
+        lam on the working faces; raise DidNotConverge when one fails."""
+        residual = self._A @ x - self._b
+        infeasible = float(residual.max())
+        off_face = float(np.abs(residual[work]).max(initial=0.0))
+        stationarity = norm(y - x - lam @ Aw)
+        if (
+            infeasible > CONTAINMENT_TOL
+            or off_face > CONTAINMENT_TOL
+            or not np.all(lam >= 0.0)
+            or stationarity > CONTAINMENT_TOL * max(1.0, norm(y - x))
+        ):
+            raise DidNotConverge(
+                f"projection failed its KKT check (infeasibility {infeasible:.3e}, "
+                f"off-face {off_face:.3e}, stationarity {stationarity:.3e})"
+            )
+        return x
+
     def _raw_distance(self, y):
-        return norm(y - self._dykstra(y))
+        return norm(y - self._solve(y))
 
     def _raw_project(self, y):
-        return self._dykstra(y)
+        return self._solve(y)
+
+    def _raw_project_with_distance(self, y):
+        p = self._solve(y)
+        return p, norm(y - p)
 
     def vertices_2d(self) -> list:
         """Vertices of a 2-D polytope via pairwise face intersections."""
@@ -401,6 +497,10 @@ class RigidImage(ProxSet):
 
     def _raw_project(self, y):
         return self._Q @ self.base._raw_project(self._pull(y)) + self._u
+
+    def _raw_project_with_distance(self, y):
+        p, d = self.base._raw_project_with_distance(self._pull(y))
+        return self._Q @ p + self._u, d
 
     def bounding_region(self, pad: float = 0.5):
         lo, hi = self.base.bounding_region(pad)

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationFailed, InitialInfeasible, OutOfRange, TubeViolation
+from .errors import (
+    CertificationFailed,
+    InitialInfeasible,
+    OutOfRange,
+    OutsideTube,
+    TubeViolation,
+)
 from .families import MovingFamily
 from .geometry import TimeGrid
 from .sets import NormalResidualReport, normal_residual, sample_points
@@ -93,10 +99,13 @@ def solve(
     y = y0
     for j, t in enumerate(grid.times[1:], start=1):
         slice_t = family.at(float(t))
-        d = slice_t.distance(y)
+        try:
+            y, d = slice_t.project_with_distance(y)
+        except OutsideTube as err:
+            # The family's r never exceeds the slice's, so this is a tube violation too.
+            raise TubeViolation(j, err.distance, family.r) from err
         if d >= family.r:
             raise TubeViolation(j, d, family.r)
-        y = slice_t.project(y)
         points[j] = y
     return DiscreteTrajectory(grid=grid, points=points, level=level, eps_level=eps_level)
 

@@ -41,6 +41,11 @@ def polytope_mask(X, Y, faces):
     return mask
 
 
+def polytope_member(faces):
+    """Pointwise membership in the intersection of the half-planes <a, x> <= b."""
+    return lambda c: all(a[0] * c[0] + a[1] * c[1] <= b for a, b in faces)
+
+
 def complement_mask(X, Y, c, R):
     return (X - c[0]) ** 2 + (Y - c[1]) ** 2 >= R * R
 

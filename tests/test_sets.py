@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from sweepsolve import sets as sets_mod
 from sweepsolve.errors import (
     AtSingularity,
+    DidNotConverge,
     DimensionMismatch,
     EmptyIntersection,
     NotAMember,
@@ -105,13 +107,54 @@ def test_polytope_requires_strict_interior():
         Polytope((halfspace((1.0, 0.0), 0.0),), (0.0, 0.0))
 
 
-def test_polytope_projection_budget(monkeypatch):
-    from sweepsolve import sets as sets_mod
-    from sweepsolve.errors import DidNotConverge
+def test_polytope_projection_budget():
+    # The active-set step bound is derived from the face count; a solve that
+    # exhausts it raises instead of returning an uncertified point.
+    poly = Polytope(TRIANGLE.faces, TRIANGLE.interior)
+    object.__setattr__(poly, "_max_steps", 1)
+    with pytest.raises(DidNotConverge, match="exceeded 1 steps"):
+        poly.project((1.0, 1.0))
 
-    monkeypatch.setattr(sets_mod, "DYKSTRA_MAX_SWEEPS", 1)
-    with pytest.raises(DidNotConverge):
+
+def test_polytope_projection_uncertified_raises(monkeypatch):
+    # With no face allowed to block, the solve walks straight to y; the KKT
+    # feasibility check rejects that point.
+    monkeypatch.setattr(sets_mod, "_SPAN_EPS", math.inf)
+    with pytest.raises(DidNotConverge, match="KKT"):
         TRIANGLE.project((1.0, 1.0))
+
+
+def test_polytope_projection_solves_once(monkeypatch):
+    calls = []
+    solve_once = Polytope._solve
+
+    def counting(self, y):
+        calls.append(tuple(y))
+        return solve_once(self, y)
+
+    monkeypatch.setattr(Polytope, "_solve", counting)
+    TRIANGLE.project((1.0, 1.0))
+    assert len(calls) == 1
+    calls.clear()
+    p, d = TRIANGLE.project_with_distance((1.0, 1.0))
+    assert len(calls) == 1
+    assert d == pytest.approx(SQRT2_INV, abs=1e-12)
+    assert np.allclose(p, (0.5, 0.5), atol=1e-12)
+    calls.clear()
+    RigidImage(TRIANGLE, rotation_matrix_2d(0.4), (0.1, 0.0)).project((2.0, 2.0))
+    assert len(calls) == 1
+
+
+def test_project_with_distance_matches_separate_calls():
+    for s in SHAPES:
+        y = np.array([1.7, 1.3])
+        p, d = s.project_with_distance(y)
+        assert np.array_equal(p, s.project(y))
+        assert d == pytest.approx(s.distance(y), abs=1e-14)
+    inside = TRIANGLE.project_with_distance((0.2, 0.2))
+    assert inside[1] == 0.0 and np.array_equal(inside[0], (0.2, 0.2))
+    with pytest.raises(AtSingularity):
+        BallComplement((0.0, 0.0), 1.0).project_with_distance((0.0, 0.0))
 
 
 def test_normal_residual_halfspace_exact_normal():
@@ -170,7 +213,7 @@ def test_sample_points_empty_intersection():
         sample_points(ball, ((5.0, 5.0), (6.0, 6.0)), 5, seed=0)
 
 
-def test_dykstra_agrees_with_box_closed_form():
+def test_polytope_agrees_with_box_closed_form():
     # A box expressed as four half-spaces projects identically to clipping.
     faces = (
         halfspace((1.0, 0.0), 1.0),
@@ -183,6 +226,35 @@ def test_dykstra_agrees_with_box_closed_form():
     rng = np.random.default_rng(12)
     for _ in range(25):
         y = rng.uniform(-3.0, 4.0, 2)
+        assert np.linalg.norm(poly.project(y) - box.project(y)) <= 1e-10
+
+
+def test_polytope_projection_drops_a_crossed_face():
+    # Two faces meet at about 166 degrees at (0, 0.5), far from the interior
+    # point.  The step toward y = (x, 2) crosses the slanted face first, so the
+    # solve must drop it again to reach (x, 0.5) on the top face.
+    faces = (
+        halfspace((0.0, 1.0), 0.5),
+        halfspace((-1.0, 4.0), 2.0),
+        halfspace((-1.0, 0.0), 2.0),
+        halfspace((1.0, 0.0), 2.0),
+        halfspace((0.0, -1.0), 2.0),
+    )
+    poly = Polytope(faces, (-1.8, -1.8))
+    for x in (0.1, 0.5, 1.0):
+        assert np.linalg.norm(poly.project((x, 2.0)) - (x, 0.5)) <= 1e-12
+
+
+def test_polytope_agrees_with_cube_closed_form():
+    # The same in 3-D: six half-spaces against the clipping box.
+    lo, hi = np.array([-0.5, 0.0, -1.0]), np.array([1.0, 2.0, 0.25])
+    faces = tuple(halfspace(tuple(e), h) for e, h in zip(np.eye(3), hi))
+    faces += tuple(halfspace(tuple(-e), -l) for e, l in zip(np.eye(3), lo))
+    poly = Polytope(faces, (0.2, 1.0, -0.3))
+    box = Box(tuple(lo), tuple(hi))
+    rng = np.random.default_rng(13)
+    for _ in range(25):
+        y = rng.uniform(-3.0, 4.0, 3)
         assert np.linalg.norm(poly.project(y) - box.project(y)) <= 1e-10
 
 
@@ -262,3 +334,55 @@ def test_step_size_equals_distance():
         if d == 0.0 or d >= s.r:
             continue
         assert np.linalg.norm(s.project(p) - p) == pytest.approx(d, abs=1e-10)
+
+
+# Polytopes the acceptance criteria never exercise: an unbounded quadrant, a
+# triangle with its hypotenuse repeated, and a triangle with a redundant face
+# touching it only at (1, 0).  The last two have vertices where more faces are
+# active than the dimension.
+_INV5 = 1 / math.sqrt(5)
+DEGENERATE = {
+    "quadrant": (
+        Polytope((halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0)), (1.0, 1.0)),
+        (((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0)),
+    ),
+    "duplicated_face": (
+        Polytope(TRIANGLE.faces + (halfspace((1.0, 1.0), 1.0),), (0.2, 0.2)),
+        oracles.TRIANGLE_FACES + (oracles.TRIANGLE_FACES[2],),
+    ),
+    "redundant_face": (
+        Polytope(TRIANGLE.faces + (halfspace((2.0, 1.0), 2.0),), (0.2, 0.2)),
+        oracles.TRIANGLE_FACES + (((2 * _INV5, _INV5), 2 * _INV5),),
+    ),
+}
+_DEGENERATE_GRID = oracles.grid(((-2.5, -2.5), (2.5, 2.5)), 201)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(DEGENERATE)),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+)
+@example("quadrant", -1.0, -1.0)  # nearest point is the corner
+@example("duplicated_face", 1.0, 1.0)  # onto the repeated face
+@example("duplicated_face", 2.0, -1.0)  # onto a vertex of the repeated face
+@example("redundant_face", 2.0, 0.5)  # along the redundant face's normal at (1, 0)
+@example("redundant_face", 1.5, -0.1)  # into the vertex where three faces meet
+def test_degenerate_polytope_projection_against_grid_oracle(name, x, y):
+    poly, faces = DEGENERATE[name]
+    target = np.array([x, y])
+    assume(not poly.contains(target))
+    p = poly.project(target)
+    assert poly.contains(p)
+    X, Y, h = _DEGENERATE_GRID
+    mask = oracles.polytope_mask(X, Y, faces)
+    members = np.stack([X[mask], Y[mask]], axis=1)
+    # Variational inequality: no member lies beyond the supporting line at p.
+    assert float(np.max((members - p) @ (target - p))) <= 1e-10
+    d, p_grid = oracles.grid_min_distance(mask, X, Y, target)
+    assert abs(d - np.linalg.norm(target - p)) <= 2 * h
+    # Boundary cells lost to rounding can put the grid argmin a few cells along
+    # a face from the nearest point, so the search window starts at 4h.
+    refined, _ = oracles.refine_local(oracles.polytope_member(faces), target, p_grid, 4 * h)
+    assert refined == pytest.approx(np.linalg.norm(target - p), abs=1e-7)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from sweepsolve.errors import InitialInfeasible, OutOfRange, TubeViolation
-from sweepsolve.families import RadiusFamily, StaticFamily, TranslateFamily
+from sweepsolve.families import RadiusFamily, RigidFamily, StaticFamily, TranslateFamily
 from sweepsolve.geometry import TimeGrid
 from sweepsolve.paths import ConstantPath, LinearPath
-from sweepsolve.sets import Ball, HalfSpace
+from sweepsolve.sets import Ball, HalfSpace, Polytope, halfspace
 from sweepsolve.solver import (
     DiscreteTrajectory,
     affine_interpolant,
@@ -28,6 +28,37 @@ def obstacle_family(horizon=2.0):
     return RadiusFamily(
         LinearPath((-1.0, 0.0), (1.0, 0.0)), ConstantPath(0.5), True, horizon
     )
+
+
+TRIANGLE = Polytope(
+    (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
+    (0.2, 0.2),
+)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        TranslateFamily(TRIANGLE, LinearPath((0.0, 0.0), (0.5, 0.0)), horizon=1.0),
+        RigidFamily(TRIANGLE, LinearPath(0.0, 1.0), (1.0 / 3, 1.0 / 3), horizon=1.0),
+    ],
+    ids=["translate", "rigid"],
+)
+def test_polytope_step_solves_once(family, monkeypatch):
+    # One catching-up step onto a polytope slice costs one active-set solve.
+    calls = []
+    solve_once = Polytope._solve
+
+    def counting(self, y):
+        calls.append(tuple(y))
+        return solve_once(self, y)
+
+    monkeypatch.setattr(Polytope, "_solve", counting)
+    y0 = (0.0, 0.9)
+    traj = solve(family, y0, TimeGrid.uniform(1.0, 1), eps_level=1.0)
+    assert len(calls) == 1
+    assert family.at(1.0).contains(traj.points[1])
+    assert traj.jump_norms[0] > 0.0
 
 
 def test_static_family_never_moves():
