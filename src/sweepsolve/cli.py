@@ -12,9 +12,9 @@ from pathlib import Path
 
 from .errors import InfeasibleInitialPoint, SchemaError, SweepError
 from .families import SamplingBudget, excess
-from .harness import effective_seed, run
+from .harness import check_constraint, check_normal, effective_seed, run
 from .scenarios import list_builtins, load_builtin, parse_scenario
-from .solver import certify_steps, solve
+from .solver import solve
 from . import families
 
 EXIT_OK = 0
@@ -34,6 +34,11 @@ def _load(spec: str):
         raise SchemaError("scenario", f"{spec!r} is neither a file nor a builtin name")
 
 
+def _print_check(check) -> None:
+    margin = "" if check.margin is None else f" margin={check.margin:.3e}"
+    print(f"  check {check.name}: {check.verdict}{margin}  {check.note}")
+
+
 def _print_report(report) -> None:
     print(f"scenario: {report.scenario}")
     for row in report.level_rows:
@@ -44,8 +49,7 @@ def _print_report(report) -> None:
             f"({d['wall_seconds']:.3f}s)"
         )
     for check in report.checks:
-        margin = "" if check.margin is None else f" margin={check.margin:.3e}"
-        print(f"  check {check.name}: {check.verdict}{margin}  {check.note}")
+        _print_check(check)
     for note in report.notes:
         print(f"  note: {note}")
 
@@ -70,7 +74,6 @@ def _cmd_excess(args) -> int:
 
 def _cmd_verify(args) -> int:
     scenario = _load(args.config)
-    seed = effective_seed(scenario)
     sp = scenario.schedule
     schedule = families.build_schedule(
         scenario.family, scenario.horizon, sp.eps0, sp.ratio,
@@ -80,19 +83,15 @@ def _cmd_verify(args) -> int:
         scenario.family, scenario.y0, schedule.grids[args.level],
         schedule.eps[args.level], level=args.level,
     )
-    residual = max(
-        scenario.family.at(float(t)).distance(traj.points[j])
-        for j, t in enumerate(traj.grid.times)
-    )
-    certs = certify_steps(scenario.family, traj, samples_per_step=60, seed=seed)
-    worst = max((c.normal_report.worst_residual for c in certs), default=0.0)
-    ok = residual <= 1e-9 and worst <= 1e-6
+    checks = [
+        check_constraint(traj.dist_to_set),
+        check_normal(scenario.family, traj, effective_seed(scenario)),
+    ]
     print(f"level {args.level}: eps={schedule.eps[args.level]:.6g} "
           f"intervals={schedule.grids[args.level].n_intervals}")
-    print(f"  constraint residual: {residual:.3e} ({'pass' if residual <= 1e-9 else 'fail'})")
-    print(f"  worst normal residual: {worst:.3e} over {len(certs)} moving steps "
-          f"({'pass' if worst <= 1e-6 else 'fail'})")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    for check in checks:
+        _print_check(check)
+    return EXIT_CHECK_FAILED if any(c.verdict == "fail" for c in checks) else EXIT_OK
 
 
 def _cmd_list(_args) -> int:
@@ -108,19 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run a scenario end to end and write artifacts")
+    p_solve = sub.add_parser(
+        "solve", aliases=["converge"], help="run a scenario end to end and write artifacts"
+    )
     p_solve.add_argument("config", help="builtin name or config file path")
     p_solve.add_argument("--out", default="out", help="output directory")
     p_solve.add_argument("--levels", type=int, default=None, help="override schedule level count")
     p_solve.add_argument("--svg", action="store_true", help="emit SVG plots")
     p_solve.set_defaults(fn=_cmd_run)
-
-    p_conv = sub.add_parser("converge", help="alias of solve focused on the convergence study")
-    p_conv.add_argument("config")
-    p_conv.add_argument("--out", default="out")
-    p_conv.add_argument("--levels", type=int, default=None)
-    p_conv.add_argument("--svg", action="store_true")
-    p_conv.set_defaults(fn=_cmd_run)
 
     p_exc = sub.add_parser("excess", help="one-sided excess between two scenario slices")
     p_exc.add_argument("config_a")
@@ -128,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exc.add_argument("--t", nargs=2, type=float, required=True, metavar=("S", "T"))
     p_exc.set_defaults(fn=_cmd_excess)
 
-    p_ver = sub.add_parser("verify", help="solve one level and check its step certificates")
+    p_ver = sub.add_parser("verify", help="solve one level, run the constraint and normal checks")
     p_ver.add_argument("config")
     p_ver.add_argument("--level", type=int, default=0)
     p_ver.set_defaults(fn=_cmd_verify)

@@ -52,10 +52,6 @@ class NoFeasibleEps(SweepError):
     pass
 
 
-class InitialInfeasible(SweepError):
-    pass
-
-
 class TubeViolation(SweepError):
     """A catching-up step found the previous iterate too far from the next set.
 
@@ -97,3 +93,7 @@ class InfeasibleInitialPoint(SweepError):
     def __init__(self, defect: float):
         super().__init__(f"initial point lies outside the t=0 set (containment defect {defect:.3e})")
         self.defect = defect
+
+
+# Former name, kept so existing imports keep working.
+InitialInfeasible = InfeasibleInitialPoint

@@ -43,7 +43,9 @@ JUMP_TOL = 1e-9
 TAU_MARGIN = 1e-9
 TAU_BISECTION_ITERS = 64
 
-# Large finite stand-in for r = inf, used only when validating schedules.
+# Large finite stand-in for r = inf, used when validating schedules and inside
+# the variation-bound formulas of convex scenarios (the bounds shrink as r
+# grows, so the cap is conservative).
 CONVEX_R_CAP = 1e9
 
 

@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import OutOfRange
 
-# Relative tolerance used by norm/zero checks on vectors.
-VECTOR_TOL = 1e-14
-
-
 def as_vector(x) -> np.ndarray:
     """Coerce to a read-only 1-D float64 array."""
     v = np.array(x, dtype=float, copy=True)

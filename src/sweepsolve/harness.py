@@ -22,13 +22,12 @@ from .errors import (
     NoFeasibleEps,
     NoPositiveTau,
 )
-from .families import InnerBallCert, build_schedule, verify_inner_ball
+from .families import CONVEX_R_CAP, InnerBallCert, MovingFamily, build_schedule, verify_inner_ball
 from .geometry import norm
 from .scenarios import Scenario
-from .solver import certify_steps, write_trajectory_csv
+from .solver import CERTIFICATION_TOL, DiscreteTrajectory, certify_steps, write_trajectory_csv
 from .svgplot import write_convergence_svg, write_trajectory_svg
 from .variation import (
-    BOUND_R_CAP,
     BallBoundParams,
     ball_alpha,
     ball_variation_bound,
@@ -38,7 +37,6 @@ from .variation import (
 from .variation import converge_study
 
 CONSTRAINT_TOL = 1e-9
-NORMAL_TOL = 1e-6
 INNER_BALL_TOL = 1e-9
 # Consecutive sup-norm gaps at or below this floor count as exactly converged:
 # scenarios whose discrete solutions are exact on every dyadic grid produce
@@ -95,8 +93,9 @@ def effective_seed(scenario: Scenario) -> int:
     return int(env) if env is not None else scenario.seed
 
 
-def _check_constraint(report) -> CheckResult:
-    worst = max(report.constraint_residuals)
+def check_constraint(residuals) -> CheckResult:
+    """Worst of the given node distances to their slices against CONSTRAINT_TOL."""
+    worst = float(max(residuals))
     ok = worst <= CONSTRAINT_TOL
     return CheckResult(
         "constraint",
@@ -106,17 +105,17 @@ def _check_constraint(report) -> CheckResult:
     )
 
 
-def _check_normal(scenario: Scenario, report, seed: int) -> CheckResult:
-    finest = report.trajectories[-1]
+def check_normal(family: MovingFamily, traj: DiscreteTrajectory, seed: int) -> CheckResult:
+    """Sampled normal-cone certificates of every moving step of traj."""
     try:
-        certs = certify_steps(scenario.family, finest, samples_per_step=60, seed=seed)
+        certs = certify_steps(family, traj, samples_per_step=60, seed=seed)
     except CertificationFailed as err:
-        return CheckResult("normal", "fail", NORMAL_TOL - err.residual, str(err))
+        return CheckResult("normal", "fail", CERTIFICATION_TOL - err.residual, str(err))
     worst = max((c.normal_report.worst_residual for c in certs), default=0.0)
     return CheckResult(
         "normal",
-        "pass" if worst <= NORMAL_TOL else "fail",
-        NORMAL_TOL - worst,
+        "pass" if worst <= CERTIFICATION_TOL else "fail",
+        CERTIFICATION_TOL - worst,
         f"worst step residual {worst:.3e} over {len(certs)} moving steps",
     )
 
@@ -125,7 +124,7 @@ def _check_ball_bound(scenario: Scenario, schedule, report, seed: int, bounds: d
     if scenario.ball_params is None:
         return CheckResult("ball_bound", "inapplicable", None, "no inner ball declared")
     w, rho = scenario.ball_params.w, scenario.ball_params.rho
-    r_eff = min(scenario.family.r, BOUND_R_CAP)
+    r_eff = min(scenario.family.r, CONVEX_R_CAP)
     cert = InnerBallCert(w, rho, 0.0, scenario.horizon)
     defect = verify_inner_ball(scenario.family, cert, seed=seed)
     if defect > INNER_BALL_TOL:
@@ -172,7 +171,7 @@ def _check_cone_bound(scenario: Scenario, schedule, report, bounds: dict) -> Che
     if scenario.cone_params is None:
         return CheckResult("cone_bound", "inapplicable", None, "no interior cone declared")
     R, d = scenario.cone_params.R, scenario.cone_params.d
-    r_eff = min(scenario.family.r, BOUND_R_CAP)
+    r_eff = min(scenario.family.r, CONVEX_R_CAP)
     omega = scenario.family.modulus()
     try:
         params = choose_cone_params(r_eff, R, d, omega, eps_candidates=schedule.eps)
@@ -258,7 +257,7 @@ def run(
 
     level_rows = []
     for n, traj in enumerate(report.trajectories):
-        write_trajectory_csv(traj, scenario.family, out / f"{scenario.name}_level{n}.csv")
+        write_trajectory_csv(traj, out / f"{scenario.name}_level{n}.csv")
         level_rows.append(
             {
                 "level": n,
@@ -276,9 +275,9 @@ def run(
     checks = []
     for name in scenario.checks:
         if name == "constraint":
-            checks.append(_check_constraint(report))
+            checks.append(check_constraint(report.constraint_residuals))
         elif name == "normal":
-            checks.append(_check_normal(scenario, report, seed))
+            checks.append(check_normal(scenario.family, report.trajectories[-1], seed))
         elif name == "ball_bound":
             checks.append(_check_ball_bound(scenario, schedule, report, seed, bounds))
         elif name == "cone_bound":

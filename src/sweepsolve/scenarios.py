@@ -367,9 +367,8 @@ def parse_scenario(text: str) -> Scenario:
             raise SchemaError("scenario.bound_params.cone", "R and d must be positive")
 
     initial = family.at(0.0)
-    defect = initial.membership_defect(np.array(y0))
-    if defect > 1e-10:
-        raise InfeasibleInitialPoint(defect)
+    if not initial.contains(y0):
+        raise InfeasibleInitialPoint(initial.membership_defect(np.array(y0)))
 
     return Scenario(
         name=name,

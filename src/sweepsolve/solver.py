@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (
     CertificationFailed,
-    InitialInfeasible,
+    InfeasibleInitialPoint,
     OutOfRange,
     OutsideTube,
     TubeViolation,
@@ -32,19 +32,30 @@ CERTIFICATION_TOL = 1e-6
 @dataclass(frozen=True, eq=False)
 class DiscreteTrajectory:
     """Catching-up output on a grid: points[j] lies in the slice at times[j]
-    and consecutive points differ by strictly less than eps_level."""
+    and consecutive points differ by strictly less than eps_level.
+
+    dist_to_set[j] is the distance from points[j] to the slice at times[j],
+    recorded by the solver at the slice it projected onto.
+    """
 
     grid: TimeGrid
     points: np.ndarray
     level: int
     eps_level: float
+    dist_to_set: np.ndarray
 
     def __post_init__(self):
+        nodes = len(self.grid.times)
         pts = np.array(self.points, dtype=float, copy=True)
-        if pts.ndim != 2 or pts.shape[0] != len(self.grid.times):
+        if pts.ndim != 2 or pts.shape[0] != nodes:
             raise ValueError("points must be a (nodes, dim) array matching the grid")
+        dist = np.array(self.dist_to_set, dtype=float, copy=True)
+        if dist.shape != (nodes,):
+            raise ValueError("dist_to_set must hold one value per grid node")
         pts.flags.writeable = False
+        dist.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "dist_to_set", dist)
         if self.eps_level <= 0:
             raise ValueError("eps_level must be positive")
         worst = float(np.max(self.jump_norms)) if len(self.jump_norms) else 0.0
@@ -80,7 +91,7 @@ def solve(
 ) -> DiscreteTrajectory:
     """Run the catching-up recursion y_j = P_{C(t_j)}(y_{j-1}) along the grid.
 
-    Raises InitialInfeasible when y0 lies outside the initial slice and
+    Raises InfeasibleInitialPoint when y0 lies outside the initial slice and
     TubeViolation(j) when an iterate is at distance >= r from the next slice
     (the grid is too coarse for this family; refinement is the caller's call).
     """
@@ -91,11 +102,11 @@ def solve(
         raise ValueError("the grid extends beyond the family horizon")
     first = family.at(grid.t_first)
     if not first.contains(y0):
-        raise InitialInfeasible(
-            f"y0 has containment defect {first.membership_defect(y0):.3e} at t=0"
-        )
+        raise InfeasibleInitialPoint(first.membership_defect(y0))
     points = np.empty((len(grid.times), len(y0)))
+    dist_to_set = np.empty(len(grid.times))
     points[0] = y0
+    dist_to_set[0] = first.distance(y0)
     y = y0
     for j, t in enumerate(grid.times[1:], start=1):
         slice_t = family.at(float(t))
@@ -107,7 +118,10 @@ def solve(
         if d >= family.r:
             raise TubeViolation(j, d, family.r)
         points[j] = y
-    return DiscreteTrajectory(grid=grid, points=points, level=level, eps_level=eps_level)
+        dist_to_set[j] = slice_t.distance(y)
+    return DiscreteTrajectory(
+        grid=grid, points=points, level=level, eps_level=eps_level, dist_to_set=dist_to_set
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,18 +222,17 @@ def certify_steps(
     return certificates
 
 
-def write_trajectory_csv(traj: DiscreteTrajectory, family: MovingFamily, path) -> None:
+def write_trajectory_csv(traj: DiscreteTrajectory, path) -> None:
     """Node table: t, coordinates, arriving jump norm, distance to the slice."""
     dim = traj.dim
     header = "t," + ",".join(f"x_{i}" for i in range(dim)) + ",jump_norm,dist_to_set"
     lines = [header]
     jump_norms = np.concatenate([[0.0], traj.jump_norms])
     for j, t in enumerate(traj.grid.times):
-        dist = family.at(float(t)).distance(traj.points[j])
         cells = [f"{float(t):.17g}"]
         cells += [f"{float(c):.17g}" for c in traj.points[j]]
         cells.append(f"{float(jump_norms[j]):.17g}")
-        cells.append(f"{dist:.17g}")
+        cells.append(f"{float(traj.dist_to_set[j]):.17g}")
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

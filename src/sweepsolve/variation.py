@@ -22,11 +22,6 @@ from .families import Modulus, MovingFamily, compute_tau
 from .geometry import RefinementSchedule, norm
 from .solver import DiscreteTrajectory, affine_interpolant, solve
 
-# Effective prox-regularity constant used inside bound formulas for convex
-# scenarios (the bounds shrink as r grows, so the cap is conservative).
-BOUND_R_CAP = 1e9
-
-
 def variation(traj: DiscreteTrajectory, t_from: float, t_to: float) -> float:
     """Sum of jump norms over grid nodes in (t_from, t_to]; exact for the
     right-continuous step output of the solver."""
@@ -230,13 +225,7 @@ def converge_study(
         wall.append(time.perf_counter() - start)
         trajectories.append(traj)
     variations = [t.variation_total for t in trajectories]
-    residuals = [
-        max(
-            family.at(float(t)).distance(traj.points[j])
-            for j, t in enumerate(traj.grid.times)
-        )
-        for traj in trajectories
-    ]
+    residuals = [float(traj.dist_to_set.max()) for traj in trajectories]
     sup_diffs, ratios = [], []
     for n in range(schedule.levels - 1):
         ts = union_sample_times(

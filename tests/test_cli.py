@@ -1,6 +1,8 @@
 import json
 
+from sweepsolve import harness
 from sweepsolve.cli import main
+from sweepsolve.errors import CertificationFailed
 from sweepsolve.scenarios import builtin_text
 
 
@@ -70,5 +72,14 @@ def test_excess_command(capsys):
 def test_verify_command(capsys):
     assert main(["verify", "sweep_halfspace", "--level", "1"]) == 0
     out = capsys.readouterr().out
-    assert "constraint residual" in out
-    assert "pass" in out
+    assert "check constraint: pass" in out
+    assert "check normal: pass" in out
+
+
+def test_verify_failed_certificate_exits_2(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise CertificationFailed(1, 1.0)
+
+    monkeypatch.setattr(harness, "certify_steps", failing)
+    assert main(["verify", "sweep_halfspace", "--level", "1"]) == 2
+    assert "check normal: fail" in capsys.readouterr().out

@@ -124,3 +124,23 @@ def test_report_values_reproducible_from_csvs(tmp_path):
         dists = [float(line.split(",")[dist_col]) for line in lines[1:]]
         assert sum(jumps) == pytest.approx(d["variation"], abs=1e-12)
         assert max(dists) == pytest.approx(d["constraint_residual"], abs=1e-12)
+
+
+def test_run_builds_each_slice_once(tmp_path, monkeypatch):
+    # Residuals and CSVs read the distances solve recorded, so with only the
+    # constraint and Cauchy checks every grid node's slice is built once.
+    doc = json.loads(builtin_text("sweep_halfspace"))
+    doc["checks"] = ["constraint", "cauchy"]
+    scenario = parse_scenario(json.dumps(doc))
+    family_type = type(scenario.family)
+    at = family_type.at
+    times = []
+
+    def counting(self, t):
+        times.append(t)
+        return at(self, t)
+
+    monkeypatch.setattr(family_type, "at", counting)
+    report = run(scenario, tmp_path, levels=4)
+    nodes = sum(dict(row)["intervals"] + 1 for row in report.level_rows)
+    assert len(times) == nodes

@@ -386,3 +386,21 @@ def test_degenerate_polytope_projection_against_grid_oracle(name, x, y):
     # a face from the nearest point, so the search window starts at 4h.
     refined, _ = oracles.refine_local(oracles.polytope_member(faces), target, p_grid, 4 * h)
     assert refined == pytest.approx(np.linalg.norm(target - p), abs=1e-7)
+    assert oracles.polygon_distance(faces, target) == pytest.approx(
+        np.linalg.norm(target - p), abs=1e-9
+    )
+
+
+@pytest.mark.parametrize(
+    "faces, y, expected",
+    [
+        # Slanted faces on which refine_local stops short of the nearest point.
+        ((((-1.0, 4.0), 2.0),), (-1.25, 2.0), 1.758383281513414),
+        ((((-0.2, 1.0), 0.5),), (-1.0, 2.0), 1.6669871486745644),
+        (oracles.TRIANGLE_FACES, (1.0, 1.0), SQRT2_INV),  # onto the hypotenuse
+        (oracles.TRIANGLE_FACES, (2.0, -1.0), math.sqrt(2.0)),  # onto the vertex (1, 0)
+        (oracles.TRIANGLE_FACES, (0.2, 0.2), 0.0),  # inside
+    ],
+)
+def test_polygon_distance_oracle(faces, y, expected):
+    assert oracles.polygon_distance(faces, y) == pytest.approx(expected, abs=1e-15)

@@ -61,6 +61,35 @@ def test_polytope_step_solves_once(family, monkeypatch):
     assert traj.jump_norms[0] > 0.0
 
 
+@pytest.mark.parametrize(
+    "family, y0, eps_level",
+    [
+        (obstacle_family(), (0.0, 0.1), 0.05),
+        (sweep_family(), (0.0, 0.0), 0.05),
+        (RigidFamily(TRIANGLE, LinearPath(0.0, 1.0), (1.0 / 3, 1.0 / 3), horizon=1.0),
+         (0.1, 0.8), 0.5),
+    ],
+    ids=["obstacle", "sweep", "rotating_triangle"],
+)
+def test_dist_to_set_matches_independent_recomputation(family, y0, eps_level):
+    # The solver records each node's distance at the slice it projected onto;
+    # rebuilding the slice from the family must give the same value exactly.
+    traj = solve(family, y0, TimeGrid.uniform(family.horizon, 64), eps_level=eps_level)
+    assert traj.dist_to_set.shape == (65,)
+    assert not traj.dist_to_set.flags.writeable
+    assert traj.variation_total > 0.0
+    for j, t in enumerate(traj.grid.times):
+        assert traj.dist_to_set[j] == family.at(float(t)).distance(traj.points[j])
+
+
+def test_dist_to_set_shape_checked():
+    grid = TimeGrid([0.0, 1.0])
+    with pytest.raises(ValueError, match="dist_to_set"):
+        DiscreteTrajectory(
+            grid=grid, points=np.zeros((2, 2)), level=0, eps_level=1.0, dist_to_set=np.zeros(3)
+        )
+
+
 def test_static_family_never_moves():
     fam = StaticFamily(Ball((0.0, 0.0), 1.0), 1.0)
     traj = solve(fam, (0.5, 0.0), TimeGrid.uniform(1.0, 8), eps_level=0.1)
@@ -160,7 +189,9 @@ class TestInterpolants:
     def make(self):
         grid = TimeGrid([0.0, 1.0, 2.0])
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-        return DiscreteTrajectory(grid=grid, points=pts, level=0, eps_level=1.5)
+        return DiscreteTrajectory(
+            grid=grid, points=pts, level=0, eps_level=1.5, dist_to_set=np.zeros(3)
+        )
 
     def test_step_values(self):
         y = step_interpolant(self.make())
@@ -220,8 +251,8 @@ def test_csv_format_and_determinism(tmp_path):
     traj = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 16), eps_level=0.25)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_trajectory_csv(traj, fam, p1)
-    write_trajectory_csv(traj, fam, p2)
+    write_trajectory_csv(traj, p1)
+    write_trajectory_csv(traj, p2)
     text = p1.read_text()
     lines = text.strip().split("\n")
     assert lines[0] == "t,x_0,x_1,jump_norm,dist_to_set"

@@ -49,7 +49,9 @@ class TestVariationWindow:
     def test_single_jump_in_window(self):
         grid = TimeGrid([0.0, 1.0, 2.0])
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.3, 0.0]])
-        traj = DiscreteTrajectory(grid=grid, points=pts, level=0, eps_level=0.5)
+        traj = DiscreteTrajectory(
+            grid=grid, points=pts, level=0, eps_level=0.5, dist_to_set=np.zeros(3)
+        )
         assert variation(traj, 0.5, 2.0) == pytest.approx(0.3)
         assert variation(traj, 0.0, 1.0) == 0.0
 
