@@ -73,11 +73,13 @@ def _cmd_excess(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.level < 0:
+        raise SchemaError("--level", f"expected a level index >= 0, got {args.level}")
     scenario = _load(args.config)
     sp = scenario.schedule
     schedule = families.build_schedule(
         scenario.family, scenario.horizon, sp.eps0, sp.ratio,
-        max(args.level + 1, 1), base_resolution=sp.base_resolution,
+        args.level + 1, base_resolution=sp.base_resolution,
     )
     traj = solve(
         scenario.family, scenario.y0, schedule.grids[args.level],

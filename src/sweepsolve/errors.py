@@ -69,10 +69,11 @@ class TubeViolation(SweepError):
 
 
 class CertificationFailed(SweepError):
-    def __init__(self, step: int, residual: float):
-        super().__init__(f"step {step}: normal-cone residual {residual:.3e} exceeds 1e-6")
+    def __init__(self, step: int, residual: float, tol: float):
+        super().__init__(f"step {step}: normal-cone residual {residual:.3e} exceeds {tol:.3e}")
         self.step = step
         self.residual = residual
+        self.tol = tol
 
 
 class InapplicableBound(SweepError):

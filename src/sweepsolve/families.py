@@ -3,9 +3,10 @@ continuity modulus, inner-ball persistence horizons and refinement schedules.
 
 The excess of A over B is sup_{a in A} d(a, B): zero iff A is contained in
 the closure of B, asymmetric otherwise.  Families built from the declared
-path forms carry an analytic linear modulus omega(delta) = rate * delta;
-everything else falls back to seeded sampling that reports honest lower
-bounds.
+path forms carry an analytic linear modulus omega(delta) = rate * delta, an
+upper bound that sets the schedule step lengths; a family with no analytic
+rate raises ModulusUnavailable.  Sampled excess and modulus estimates are
+lower bounds, used only as audits.
 """
 
 from __future__ import annotations
@@ -22,26 +23,15 @@ from .errors import (
     OutOfRange,
     OutsideTube,
 )
-from .geometry import RefinementSchedule, TimeGrid, norm
+from .geometry import RefinementSchedule, TimeGrid
 from .paths import Path
-from .sets import (
-    Ball,
-    BallComplement,
-    Box,
-    HalfSpace,
-    Polytope,
-    ProxSet,
-    RigidImage,
-    rotation_matrix_2d,
-    sample_points,
-)
+from .sets import Ball, BallComplement, ProxSet, RigidImage, rotation_matrix_2d, sample_points
 
 # Admissible discontinuities may only expand the set: the excess of the left
 # slice over the right slice must vanish to this tolerance.
 JUMP_TOL = 1e-9
 
 TAU_MARGIN = 1e-9
-TAU_BISECTION_ITERS = 64
 
 # Large finite stand-in for r = inf, used when validating schedules and inside
 # the variation-bound formulas of convex scenarios (the bounds shrink as r
@@ -66,44 +56,6 @@ class ExcessEstimate:
     witness: np.ndarray
     method: str  # "analytic" | "sampled"
     sample_count: int
-
-
-def _analytic_excess(A: ProxSet, B: ProxSet):
-    if isinstance(A, Ball) and isinstance(B, Ball):
-        gap = A._c - B._c
-        dist = norm(gap)
-        value = max(dist + A.radius - B.radius, 0.0)
-        direction = gap / dist if dist > 0 else np.eye(A.dim)[0]
-        if value > 0:
-            witness = A._c + A.radius * direction
-        else:
-            witness = A._c.copy()
-        return value, witness
-    if isinstance(A, HalfSpace) and isinstance(B, HalfSpace):
-        if float(A._a @ B._a) >= 1.0 - 1e-12:
-            value = max(A.offset - B.offset, 0.0)
-            return value, A.boundary_anchor()
-        return None
-    if isinstance(A, BallComplement) and isinstance(B, BallComplement):
-        gap = B._c - A._c
-        dist = norm(gap)
-        nearest = max(A.radius - dist, 0.0)
-        value = max(B.radius - nearest, 0.0)
-        if dist >= A.radius:
-            witness = B._c.copy()
-        else:
-            direction = gap / dist if dist > 0 else np.eye(A.dim)[0]
-            witness = A._c + A.radius * direction
-        return value, witness
-    if isinstance(A, Box) and isinstance(B, Box):
-        ext_a = np.array(A.hi) - np.array(A.lo)
-        ext_b = np.array(B.hi) - np.array(B.lo)
-        if norm(ext_a - ext_b) <= 1e-12:
-            shift = np.array(A.lo) - np.array(B.lo)
-            witness = np.where(shift >= 0, A._hi, A._lo).astype(float)
-            return norm(shift), witness
-        return None
-    return None
 
 
 def _sampled_excess(A: ProxSet, B: ProxSet, budget: SamplingBudget) -> ExcessEstimate:
@@ -136,7 +88,7 @@ def excess(A: ProxSet, B: ProxSet, budget: SamplingBudget | None = None) -> Exce
     bound (member sampling plus local hill-climbing) otherwise."""
     if A.dim != B.dim:
         raise DimensionMismatch(f"excess between dim {A.dim} and dim {B.dim}")
-    analytic = _analytic_excess(A, B)
+    analytic = A.analytic_excess(B) if type(A) is type(B) else None
     if analytic is not None:
         value, witness = analytic
         return ExcessEstimate(float(value), witness, "analytic", 0)
@@ -145,22 +97,31 @@ def excess(A: ProxSet, B: ProxSet, budget: SamplingBudget | None = None) -> Exce
 
 @dataclass(frozen=True)
 class Modulus:
-    """Nondecreasing bound omega(delta) on the excess over forward pairs at
-    most delta apart; analytic moduli are linear with the stored rate."""
+    """Linear upper bound omega(delta) = rate * min(delta, horizon) on the
+    excess over forward pairs at most delta apart."""
 
     horizon: float
-    analytic: bool
-    rate: float | None
-    fn: object = field(compare=False, repr=False)
+    rate: float
+
+    def __post_init__(self):
+        if not self.rate >= 0.0:
+            raise ModulusUnavailable(f"continuity rate {self.rate!r} is not a nonnegative number")
 
     def __call__(self, delta: float) -> float:
         if delta <= 0:
             return 0.0
-        return float(self.fn(min(delta, self.horizon)))
+        return float(self.rate * min(delta, self.horizon))
 
-
-def _linear_modulus(horizon: float, rate: float) -> Modulus:
-    return Modulus(horizon, True, rate, lambda d: rate * d)
+    def largest_delta_below(self, eps: float) -> float:
+        """The horizon when omega(horizon) < eps, else the largest float
+        x <= eps / rate with rate * x < eps: strictly below, as the schedule
+        and the persistence horizon both need omega(x) < eps."""
+        if self.rate * self.horizon < eps:
+            return self.horizon
+        x = eps / self.rate
+        while self.rate * x >= eps:
+            x = math.nextafter(x, 0.0)
+        return x
 
 
 class MovingFamily:
@@ -189,15 +150,14 @@ class MovingFamily:
         if t < 0.0 or t > self.horizon:
             raise OutOfRange(f"t={t} outside [0, {self.horizon}]")
 
-    def modulus(self, budget: SamplingBudget | None = None) -> Modulus:
+    def modulus(self) -> Modulus:
         rate = self.analytic_rate()
-        if rate is not None:
-            return _linear_modulus(self.horizon, rate)
-        fam = self
-        b = budget or SamplingBudget(count=48, hill_steps=20)
-        return Modulus(
-            self.horizon, False, None, lambda d: _sampled_omega(fam, d, b)
-        )
+        if rate is None:
+            raise ModulusUnavailable(
+                f"{type(self).__name__} has no analytic continuity rate; "
+                "sampled estimates are lower bounds and cannot set step lengths"
+            )
+        return Modulus(self.horizon, rate)
 
     def _validate_declared_r(self, declared_r, natural_r) -> float:
         if declared_r is None:
@@ -207,26 +167,6 @@ class MovingFamily:
                 f"declared r={declared_r} must lie in (0, natural r={natural_r}]"
             )
         return float(declared_r)
-
-
-def translate_shape(base: ProxSet, u: np.ndarray) -> ProxSet:
-    """The same shape moved by u."""
-    if isinstance(base, HalfSpace):
-        return HalfSpace(base.normal, base.offset + float(base._a @ u))
-    if isinstance(base, Ball):
-        return Ball(tuple(base._c + u), base.radius)
-    if isinstance(base, Box):
-        return Box(tuple(base._lo + u), tuple(base._hi + u))
-    if isinstance(base, BallComplement):
-        return BallComplement(tuple(base._c + u), base.radius)
-    if isinstance(base, Polytope):
-        faces = tuple(
-            HalfSpace(f.normal, f.offset + float(f._a @ u)) for f in base.faces
-        )
-        return Polytope(faces, tuple(base._interior + u))
-    if isinstance(base, RigidImage):
-        return RigidImage(base.base, base.rotation, tuple(base._u + u))
-    raise TypeError(f"unsupported shape {type(base).__name__}")
 
 
 @dataclass(frozen=True)
@@ -252,7 +192,7 @@ class TranslateFamily(MovingFamily):
 
     def at(self, t):
         self._check_time(t)
-        return translate_shape(self.base, np.atleast_1d(self.path(t)))
+        return self.base.translated(np.atleast_1d(self.path(t)))
 
     def analytic_rate(self):
         return self.path.max_speed()
@@ -330,28 +270,13 @@ class RigidFamily(MovingFamily):
             raise ValueError("horizon must be positive")
         object.__setattr__(self, "pivot", tuple(float(x) for x in self.pivot))
         object.__setattr__(self, "_r", self._validate_declared_r(self.declared_r, self.base.r))
-        object.__setattr__(self, "_circum", self._resolve_circumradius())
-
-    def _resolve_circumradius(self) -> float:
-        if self.circumradius is not None:
-            if self.circumradius <= 0:
-                raise ValueError("circumradius must be positive")
-            return float(self.circumradius)
-        p = np.array(self.pivot)
-        if isinstance(self.base, Ball):
-            return norm(self.base._c - p) + self.base.radius
-        if isinstance(self.base, Box):
-            corners = [
-                np.array([x, y])
-                for x in (self.base.lo[0], self.base.hi[0])
-                for y in (self.base.lo[1], self.base.hi[1])
-            ]
-            return max(norm(c - p) for c in corners)
-        if isinstance(self.base, Polytope):
-            verts = self.base.vertices_2d()
-            if verts:
-                return max(norm(v - p) for v in verts)
-        raise ValueError("circumradius must be declared for this base shape")
+        if self.circumradius is None:
+            circum = self.base.circumradius_about(np.array(self.pivot))
+        elif self.circumradius <= 0:
+            raise ValueError("circumradius must be positive")
+        else:
+            circum = float(self.circumradius)
+        object.__setattr__(self, "_circum", circum)
 
     @property
     def dim(self):
@@ -405,20 +330,13 @@ class PiecewiseFamily(MovingFamily):
         object.__setattr__(self, "pieces", pieces)
         natural = min(fam.r for _, fam in pieces)
         object.__setattr__(self, "_r", self._validate_declared_r(self.declared_r, natural))
-        for t_star, left, right in self._junctions():
+        for (t_star, left), (_, right) in zip(pieces, pieces[1:]):
             est = excess(left.at(min(t_star, left.horizon)), right.at(t_star),
                          self.jump_budget)
             if est.lower > JUMP_TOL:
                 raise ValueError(
                     f"inadmissible jump at t={t_star}: left slice sticks out by {est.lower:.3e}"
                 )
-
-    def _junctions(self):
-        out = []
-        for i in range(len(self.pieces) - 1):
-            t_star = self.pieces[i][0]
-            out.append((t_star, self.pieces[i][1], self.pieces[i + 1][1]))
-        return out
 
     @property
     def horizon(self):
@@ -529,8 +447,8 @@ def estimate_modulus(family: MovingFamily, deltas, budget: SamplingBudget | None
 
 def compute_tau(omega: Modulus, r: float, rho0: float, rho: float) -> float:
     """Persistence horizon: largest delta with omega(delta) < min{eta, rho} - margin,
-    eta = min{rho0 - rho, r}; over this horizon a ball of radius rho0 inside a
-    slice keeps radius rho inside all later slices."""
+    eta = min{rho0 - rho, r}, capped at the horizon; over it a ball of radius
+    rho0 inside a slice keeps radius rho inside all later slices."""
     if not (0.0 < rho < rho0):
         raise ValueError("require 0 < rho < rho0")
     if r <= 0:
@@ -539,36 +457,10 @@ def compute_tau(omega: Modulus, r: float, rho0: float, rho: float) -> float:
     threshold = min(eta, rho) - TAU_MARGIN
     if threshold <= 0:
         raise NoPositiveTau(f"threshold min(eta, rho)={min(eta, rho):.3e} leaves no room")
-    T = omega.horizon
-    if omega(T) < threshold:
-        return T
-    lo, hi = 0.0, T
-    for _ in range(TAU_BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        if omega(mid) < threshold:
-            lo = mid
-        else:
-            hi = mid
-    if lo <= 0.0:
+    tau = omega.largest_delta_below(threshold)
+    if tau <= 0.0:
         raise NoPositiveTau("the modulus exceeds the inner-ball threshold at every scale")
-    return lo
-
-
-def _largest_delta_below(omega: Modulus, eps: float, horizon: float) -> float:
-    if omega(horizon) < eps:
-        return horizon
-    lo, hi = 0.0, horizon
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if omega(mid) < eps:
-            lo = mid
-        else:
-            hi = mid
-    if lo <= horizon * 2.0**-55:
-        raise ModulusUnavailable(
-            f"no step length certifies excess below eps={eps:.3e}"
-        )
-    return lo
+    return tau
 
 
 def build_schedule(
@@ -578,14 +470,13 @@ def build_schedule(
     ratio: float,
     levels: int,
     base_resolution: int = 1,
-    budget: SamplingBudget | None = None,
 ) -> RefinementSchedule:
     """Nested dyadic refinement schedule for the family on [0, horizon].
 
     eps follows the geometric template eps0 * ratio**n; each step length
-    delta[n] is found by bisection against the modulus and halved once as a
-    safety margin (except when the whole horizon already certifies), and the
-    dyadic grid level is the coarsest one with mesh <= delta[n].
+    delta[n] is the largest one whose modulus stays below eps[n], halved once
+    as a safety margin (except when the whole horizon already certifies), and
+    the dyadic grid level is the coarsest one with mesh <= delta[n].
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -595,14 +486,13 @@ def build_schedule(
         raise ValueError("horizon must be positive and within the family horizon")
     if not (0.0 < eps0 < family.r):
         raise ValueError(f"eps0={eps0} violates 0 < eps0 < r={family.r}")
-    omega = family.modulus(budget)
+    omega = family.modulus()
     eps, deltas, ks = [], [], []
     for n in range(levels):
         e = eps0 * ratio**n
-        if omega(horizon) < e:
-            d = horizon
-        else:
-            d = _largest_delta_below(omega, e, horizon) / 2.0
+        d = omega.largest_delta_below(e)
+        # d >= horizon exactly when the whole horizon certifies.
+        d = horizon if d >= horizon else d / 2.0
         k = 0
         while horizon / 2**k > d:
             k += 1

@@ -22,7 +22,7 @@ from .families import (
     TranslateFamily,
 )
 from .paths import ConstantPath, LinearPath, Path, PiecewisePath
-from .sets import Ball, BallComplement, Box, HalfSpace, Polytope, ProxSet, RigidImage, halfspace
+from .sets import SHAPES, ProxSet
 
 KNOWN_CHECKS = ("constraint", "normal", "ball_bound", "cone_bound", "cauchy")
 
@@ -69,103 +69,87 @@ class Scenario:
         object.__setattr__(self, "checks", tuple(self.checks))
 
 
-def _req(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing required field")
-    return obj[key]
+class _Fields:
+    """One schema object and its field path: each reader returns a validated
+    field or raises SchemaError naming it.  Shape classes build themselves
+    from it in from_dict."""
 
+    def __init__(self, obj, where: str):
+        self.obj, self.where = obj, where
 
-def _num(obj: dict, key: str, path: str) -> float:
-    v = _req(obj, key, path)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise SchemaError(f"{path}.{key}", f"expected a number, got {type(v).__name__}")
-    return float(v)
+    def raw(self, key: str):
+        if key not in self.obj:
+            raise SchemaError(f"{self.where}.{key}", "missing required field")
+        return self.obj[key]
 
+    def optional(self, key: str, read):
+        """read(key), or None when the field is absent or null."""
+        return None if self.obj.get(key) is None else read(key)
 
-def _vec(obj: dict, key: str, path: str) -> tuple:
-    v = _req(obj, key, path)
-    if not isinstance(v, list) or not all(isinstance(x, (int, float)) for x in v):
-        raise SchemaError(f"{path}.{key}", "expected an array of numbers")
-    return tuple(float(x) for x in v)
+    def num(self, key: str) -> float:
+        v = self.raw(key)
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise SchemaError(f"{self.where}.{key}", f"expected a number, got {type(v).__name__}")
+        return float(v)
+
+    def count(self, key: str, default: int | None = None) -> int:
+        """A whole number read through num; default applies when the key is absent."""
+        v = float(default) if default is not None and key not in self.obj else self.num(key)
+        if not v.is_integer():
+            raise SchemaError(f"{self.where}.{key}", f"expected an integer, got {v!r}")
+        return int(v)
+
+    def vec(self, key: str) -> tuple:
+        v = self.raw(key)
+        if not isinstance(v, list) or not all(isinstance(x, (int, float)) for x in v):
+            raise SchemaError(f"{self.where}.{key}", "expected an array of numbers")
+        return tuple(float(x) for x in v)
+
+    def objects(self, key: str) -> list:
+        items = self.raw(key)
+        if not isinstance(items, list) or not items:
+            raise SchemaError(f"{self.where}.{key}", "expected a nonempty array of objects")
+        return [_Fields(item, f"{self.where}.{key}[{i}]") for i, item in enumerate(items)]
+
+    def shape(self, key: str) -> ProxSet:
+        return shape_from_dict(self.raw(key), f"{self.where}.{key}")
+
+    def path(self, key: str) -> Path:
+        return path_from_dict(self.raw(key), f"{self.where}.{key}")
+
+    def family(self, key: str) -> MovingFamily:
+        return family_from_dict(self.raw(key), f"{self.where}.{key}")
 
 
 def shape_from_dict(obj: dict, path: str) -> ProxSet:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected a shape object")
-    tag = _req(obj, "shape", path)
+    fields = _Fields(obj, path)
+    tag = fields.raw("shape")
+    cls = SHAPES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise UnknownShapeTag(path, f"unknown shape tag {tag!r}")
     try:
-        if tag == "halfspace":
-            return halfspace(_vec(obj, "normal", path), _num(obj, "offset", path))
-        if tag == "ball":
-            return Ball(_vec(obj, "center", path), _num(obj, "radius", path))
-        if tag == "box":
-            return Box(_vec(obj, "lo", path), _vec(obj, "hi", path))
-        if tag == "ball_complement":
-            return BallComplement(_vec(obj, "center", path), _num(obj, "radius", path))
-        if tag == "polytope":
-            faces = _req(obj, "faces", path)
-            if not isinstance(faces, list) or not faces:
-                raise SchemaError(f"{path}.faces", "expected a nonempty array of half-spaces")
-            built = tuple(
-                halfspace(_vec(f, "normal", f"{path}.faces[{i}]"),
-                          _num(f, "offset", f"{path}.faces[{i}]"))
-                for i, f in enumerate(faces)
-            )
-            return Polytope(built, _vec(obj, "interior", path))
-        if tag == "rigid_image":
-            base = shape_from_dict(_req(obj, "base", path), f"{path}.base")
-            rotation = _req(obj, "rotation", path)
-            return RigidImage(base, tuple(tuple(row) for row in rotation),
-                              _vec(obj, "translation", path))
+        return cls.from_dict(fields)
     except SchemaError:
         raise
     except (ValueError, TypeError) as err:
         raise SchemaError(path, str(err)) from err
-    raise UnknownShapeTag(path, f"unknown shape tag {tag!r}")
-
-
-def shape_to_dict(s: ProxSet) -> dict:
-    if isinstance(s, HalfSpace):
-        return {"shape": "halfspace", "normal": list(s.normal), "offset": s.offset}
-    if isinstance(s, Ball):
-        return {"shape": "ball", "center": list(s.center), "radius": s.radius}
-    if isinstance(s, Box):
-        return {"shape": "box", "lo": list(s.lo), "hi": list(s.hi)}
-    if isinstance(s, BallComplement):
-        return {"shape": "ball_complement", "center": list(s.center), "radius": s.radius}
-    if isinstance(s, Polytope):
-        return {
-            "shape": "polytope",
-            "faces": [{"normal": list(f.normal), "offset": f.offset} for f in s.faces],
-            "interior": list(s.interior),
-        }
-    if isinstance(s, RigidImage):
-        return {
-            "shape": "rigid_image",
-            "base": shape_to_dict(s.base),
-            "rotation": [list(row) for row in s.rotation],
-            "translation": list(s.translation),
-        }
-    raise TypeError(f"unsupported shape {type(s).__name__}")
 
 
 def path_from_dict(obj: dict, path: str) -> Path:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected a path object")
-    form = _req(obj, "form", path)
+    f = _Fields(obj, path)
+    form = f.raw("form")
     try:
         if form == "constant":
-            return ConstantPath(_req(obj, "value", path))
+            return ConstantPath(f.raw("value"))
         if form == "linear":
-            return LinearPath(_req(obj, "value", path), _req(obj, "rate", path))
+            return LinearPath(f.raw("value"), f.raw("rate"))
         if form == "piecewise":
-            pieces = _req(obj, "pieces", path)
-            built = tuple(
-                (_num(p, "until", f"{path}.pieces[{i}]"),
-                 path_from_dict(_req(p, "path", f"{path}.pieces[{i}]"), f"{path}.pieces[{i}].path"))
-                for i, p in enumerate(pieces)
-            )
-            return PiecewisePath(built)
+            pieces = tuple((p.num("until"), p.path("path")) for p in f.objects("pieces"))
+            return PiecewisePath(pieces)
     except SchemaError:
         raise
     except (ValueError, TypeError) as err:
@@ -192,52 +176,37 @@ def path_to_dict(p: Path) -> dict:
 def family_from_dict(obj: dict, path: str) -> MovingFamily:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected a family object")
-    kind = _req(obj, "kind", path)
-    declared_r = obj.get("declared_r")
-    if declared_r is not None:
-        declared_r = float(declared_r)
+    f = _Fields(obj, path)
+    kind = f.raw("kind")
+    declared_r = f.optional("declared_r", f.num)
     try:
         if kind == "translate":
             return TranslateFamily(
-                base=shape_from_dict(_req(obj, "base", path), f"{path}.base"),
-                path=path_from_dict(_req(obj, "path", path), f"{path}.path"),
-                horizon=_num(obj, "horizon", path),
+                base=f.shape("base"),
+                path=f.path("path"),
+                horizon=f.num("horizon"),
                 declared_r=declared_r,
             )
         if kind == "radius_schedule":
             return RadiusFamily(
-                center=path_from_dict(_req(obj, "center", path), f"{path}.center"),
-                radius=path_from_dict(_req(obj, "radius", path), f"{path}.radius"),
+                center=f.path("center"),
+                radius=f.path("radius"),
                 complement=bool(obj.get("complement", False)),
-                horizon=_num(obj, "horizon", path),
+                horizon=f.num("horizon"),
                 declared_r=declared_r,
             )
         if kind == "rigid":
-            translation = obj.get("translation")
-            circum = obj.get("circumradius")
             return RigidFamily(
-                base=shape_from_dict(_req(obj, "base", path), f"{path}.base"),
-                angle=path_from_dict(_req(obj, "angle", path), f"{path}.angle"),
-                pivot=_vec(obj, "pivot", path),
-                horizon=_num(obj, "horizon", path),
-                translation=(
-                    path_from_dict(translation, f"{path}.translation")
-                    if translation is not None
-                    else None
-                ),
-                circumradius=float(circum) if circum is not None else None,
+                base=f.shape("base"),
+                angle=f.path("angle"),
+                pivot=f.vec("pivot"),
+                horizon=f.num("horizon"),
+                translation=f.optional("translation", f.path),
+                circumradius=f.optional("circumradius", f.num),
                 declared_r=declared_r,
             )
         if kind == "piecewise":
-            pieces = _req(obj, "pieces", path)
-            if not isinstance(pieces, list) or not pieces:
-                raise SchemaError(f"{path}.pieces", "expected a nonempty array of pieces")
-            built = tuple(
-                (_num(p, "until", f"{path}.pieces[{i}]"),
-                 family_from_dict(_req(p, "family", f"{path}.pieces[{i}]"),
-                                  f"{path}.pieces[{i}].family"))
-                for i, p in enumerate(pieces)
-            )
+            built = tuple((p.num("until"), p.family("family")) for p in f.objects("pieces"))
             return PiecewiseFamily(pieces=built, declared_r=declared_r)
     except SchemaError:
         raise
@@ -251,7 +220,7 @@ def family_to_dict(f: MovingFamily) -> dict:
     if isinstance(f, TranslateFamily):
         out = {
             "kind": "translate",
-            "base": shape_to_dict(f.base),
+            "base": f.base.to_dict(),
             "path": path_to_dict(f.path),
             "horizon": f.horizon,
         }
@@ -266,7 +235,7 @@ def family_to_dict(f: MovingFamily) -> dict:
     elif isinstance(f, RigidFamily):
         out = {
             "kind": "rigid",
-            "base": shape_to_dict(f.base),
+            "base": f.base.to_dict(),
             "angle": path_to_dict(f.angle),
             "pivot": list(f.pivot),
             "horizon": f.horizon,
@@ -297,24 +266,25 @@ def parse_scenario(text: str) -> Scenario:
         raise SchemaError("document", f"invalid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise SchemaError("document", "expected a JSON object")
-    name = _req(doc, "name", "scenario")
+    f = _Fields(doc, "scenario")
+    name = f.raw("name")
     if not isinstance(name, str) or not name:
         raise SchemaError("scenario.name", "expected a nonempty string")
     description = doc.get("description", "")
-    dim = _req(doc, "dim", "scenario")
+    dim = f.raw("dim")
     if not isinstance(dim, int) or dim < 1:
         raise SchemaError("scenario.dim", "expected a positive integer")
-    horizon = _num(doc, "horizon", "scenario")
+    horizon = f.num("horizon")
     if horizon <= 0:
         raise SchemaError("scenario.horizon", "must be positive")
-    y0 = _vec(doc, "y0", "scenario")
+    y0 = f.vec("y0")
     if len(y0) != dim:
         raise SchemaError("scenario.y0", f"expected {dim} coordinates, got {len(y0)}")
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
         raise SchemaError("scenario.seed", "expected an integer")
 
-    family = family_from_dict(_req(doc, "family", "scenario"), "scenario.family")
+    family = f.family("family")
     if family.dim != dim:
         raise SchemaError("scenario.family", f"family dim {family.dim} != scenario dim {dim}")
     if abs(family.horizon - horizon) > 1e-12:
@@ -322,21 +292,23 @@ def parse_scenario(text: str) -> Scenario:
             "scenario.family", f"family horizon {family.horizon} != scenario horizon {horizon}"
         )
 
-    sched_doc = _req(doc, "schedule", "scenario")
+    sched = _Fields(f.raw("schedule"), "scenario.schedule")
     schedule = ScheduleParams(
-        eps0=_num(sched_doc, "eps0", "scenario.schedule"),
-        ratio=_num(sched_doc, "ratio", "scenario.schedule"),
-        levels=int(_num(sched_doc, "levels", "scenario.schedule")),
-        base_resolution=int(sched_doc.get("base_resolution", 1)),
+        eps0=sched.num("eps0"),
+        ratio=sched.num("ratio"),
+        levels=sched.count("levels"),
+        base_resolution=sched.count("base_resolution", default=1),
     )
     if not (0.0 < schedule.ratio < 1.0):
         raise SchemaError("scenario.schedule.ratio", "must lie in (0, 1)")
     if schedule.levels < 1:
         raise SchemaError("scenario.schedule.levels", "must be >= 1")
+    if schedule.base_resolution < 0:
+        raise SchemaError("scenario.schedule.base_resolution", "must be >= 0")
     if not (0.0 < schedule.eps0 < family.r):
         raise SchemaError("scenario.schedule.eps0", f"must lie in (0, r={family.r})")
 
-    checks_doc = _req(doc, "checks", "scenario")
+    checks_doc = f.raw("checks")
     if not isinstance(checks_doc, list):
         raise SchemaError("scenario.checks", "expected an array of check names")
     for c in checks_doc:
@@ -348,21 +320,15 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(bp, dict):
         raise SchemaError("scenario.bound_params", "expected an object")
     if "ball" in bp:
-        ball = bp["ball"]
-        ball_params = BallParams(
-            w=_vec(ball, "w", "scenario.bound_params.ball"),
-            rho=_num(ball, "rho", "scenario.bound_params.ball"),
-        )
+        ball = _Fields(bp["ball"], "scenario.bound_params.ball")
+        ball_params = BallParams(w=ball.vec("w"), rho=ball.num("rho"))
         if ball_params.rho <= 0:
             raise SchemaError("scenario.bound_params.ball.rho", "must be positive")
         if len(ball_params.w) != dim:
             raise SchemaError("scenario.bound_params.ball.w", "dimension mismatch")
     if "cone" in bp:
-        cone = bp["cone"]
-        cone_params = ConeParams(
-            R=_num(cone, "R", "scenario.bound_params.cone"),
-            d=_num(cone, "d", "scenario.bound_params.cone"),
-        )
+        cone = _Fields(bp["cone"], "scenario.bound_params.cone")
+        cone_params = ConeParams(R=cone.num("R"), d=cone.num("d"))
         if cone_params.R <= 0 or cone_params.d <= 0:
             raise SchemaError("scenario.bound_params.cone", "R and d must be positive")
 

@@ -6,6 +6,11 @@ checks and seeded member sampling.  Convex shapes carry r = inf and bypass
 curvature terms entirely; the ball complement is the nonconvex primitive with
 r equal to its radius.  Polytopes project by a finite primal active-set solve
 whose result is accepted only after an explicit KKT check.
+
+Each shape class also owns its schema document (a tag in SHAPES plus
+to_dict/from_dict), its translate, its closed-form excess over a shape of
+the same type where one is known, and its circumradius about a pivot where
+one can be derived.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ class ProxSet:
 
     dim: int
     r: float
+    tag: str  # the "shape" value of the schema document
 
     def membership_defect(self, y: np.ndarray) -> float:
         """Worst violation of the defining inequalities (<= 0 means inside)."""
@@ -55,6 +61,29 @@ class ProxSet:
     def bounding_region(self, pad: float = 0.5):
         """Axis-aligned window enclosing (a representative part of) the set."""
         raise NotImplementedError
+
+    def translated(self, u: np.ndarray) -> "ProxSet":
+        """The same shape moved by u."""
+        raise NotImplementedError
+
+    def to_dict(self) -> dict:
+        """Schema document, read back by SHAPES[self.tag].from_dict."""
+        raise NotImplementedError
+
+    @classmethod
+    def from_dict(cls, fields) -> "ProxSet":
+        """Build from a schema reader (scenarios._Fields) whose num, vec,
+        objects, shape and raw methods return validated fields by name."""
+        raise NotImplementedError
+
+    def analytic_excess(self, other: "ProxSet"):
+        """(value, witness) of the excess of self over other, a shape of the
+        same type, where a closed form is known; None otherwise."""
+        return None
+
+    def circumradius_about(self, p: np.ndarray) -> float:
+        """Largest distance from p to a point of the set."""
+        raise ValueError("circumradius must be declared for this base shape")
 
     def _check_dim(self, y: np.ndarray):
         if y.shape != (self.dim,):
@@ -115,6 +144,7 @@ def _ro(a: np.ndarray) -> np.ndarray:
 class HalfSpace(ProxSet):
     """{x : <normal, x> <= offset} with a unit normal."""
 
+    tag = "halfspace"
     normal: tuple
     offset: float
     _a: np.ndarray = field(init=False, repr=False, compare=False)
@@ -154,6 +184,22 @@ class HalfSpace(ProxSet):
         half = 1.0 + pad
         return anchor - half, anchor + half
 
+    def translated(self, u):
+        return HalfSpace(self.normal, self.offset + float(self._a @ u))
+
+    def to_dict(self):
+        return {"shape": self.tag, "normal": list(self.normal), "offset": self.offset}
+
+    @classmethod
+    def from_dict(cls, fields):
+        return halfspace(fields.vec("normal"), fields.num("offset"))
+
+    def analytic_excess(self, other):
+        # Only parallel half-spaces have a finite excess in closed form.
+        if float(self._a @ other._a) >= 1.0 - 1e-12:
+            return max(self.offset - other.offset, 0.0), self.boundary_anchor()
+        return None
+
 
 def halfspace(normal, offset: float) -> HalfSpace:
     """Build a half-space, normalizing the normal (and scaling the offset)."""
@@ -168,14 +214,17 @@ def halfspace(normal, offset: float) -> HalfSpace:
 
 
 @dataclass(frozen=True)
-class Ball(ProxSet):
+class _Round(ProxSet):
+    """Center and radius, shared by the ball and the excluded ball with their
+    schema document, translate and projection; subclasses set tag and noun."""
+
     center: tuple
     radius: float
     _c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+            raise ValueError(f"{self.noun} radius must be positive")
         c = np.array(self.center, dtype=float)
         object.__setattr__(self, "center", tuple(float(x) for x in c))
         object.__setattr__(self, "radius", float(self.radius))
@@ -184,6 +233,25 @@ class Ball(ProxSet):
     @property
     def dim(self) -> int:
         return len(self.center)
+
+    def _raw_project(self, y):
+        d = y - self._c
+        return self._c + self.radius * d / norm(d)
+
+    def translated(self, u):
+        return type(self)(tuple(self._c + u), self.radius)
+
+    def to_dict(self):
+        return {"shape": self.tag, "center": list(self.center), "radius": self.radius}
+
+    @classmethod
+    def from_dict(cls, fields):
+        return cls(fields.vec("center"), fields.num("radius"))
+
+
+class Ball(_Round):
+    tag = "ball"
+    noun = "ball"
 
     @property
     def r(self) -> float:
@@ -195,17 +263,28 @@ class Ball(ProxSet):
     def _raw_distance(self, y):
         return max(norm(y - self._c) - self.radius, 0.0)
 
-    def _raw_project(self, y):
-        d = y - self._c
-        return self._c + self.radius * d / norm(d)
-
     def bounding_region(self, pad: float = 0.5):
         half = self.radius + pad
         return self._c - half, self._c + half
 
+    def analytic_excess(self, other):
+        gap = self._c - other._c
+        dist = norm(gap)
+        value = max(dist + self.radius - other.radius, 0.0)
+        direction = gap / dist if dist > 0 else np.eye(self.dim)[0]
+        if value > 0:
+            witness = self._c + self.radius * direction
+        else:
+            witness = self._c.copy()
+        return value, witness
+
+    def circumradius_about(self, p):
+        return norm(self._c - p) + self.radius
+
 
 @dataclass(frozen=True)
 class Box(ProxSet):
+    tag = "box"
     lo: tuple
     hi: tuple
     _lo: np.ndarray = field(init=False, repr=False, compare=False)
@@ -241,6 +320,28 @@ class Box(ProxSet):
     def bounding_region(self, pad: float = 0.5):
         return self._lo - pad, self._hi + pad
 
+    def translated(self, u):
+        return Box(tuple(self._lo + u), tuple(self._hi + u))
+
+    def to_dict(self):
+        return {"shape": self.tag, "lo": list(self.lo), "hi": list(self.hi)}
+
+    @classmethod
+    def from_dict(cls, fields):
+        return cls(fields.vec("lo"), fields.vec("hi"))
+
+    def analytic_excess(self, other):
+        # Boxes of equal extents: the excess is the length of the shift.
+        if norm((self._hi - self._lo) - (other._hi - other._lo)) <= 1e-12:
+            shift = self._lo - other._lo
+            witness = np.where(shift >= 0, self._hi, self._lo).astype(float)
+            return norm(shift), witness
+        return None
+
+    def circumradius_about(self, p):
+        # The farthest corner takes the farther bound in every coordinate.
+        return norm(np.maximum(np.abs(self._lo - p), np.abs(self._hi - p)))
+
 
 @dataclass(frozen=True)
 class Polytope(ProxSet):
@@ -250,6 +351,7 @@ class Polytope(ProxSet):
     result is returned only after the KKT conditions have been checked.
     """
 
+    tag = "polytope"
     faces: tuple
     interior: tuple
     _interior: np.ndarray = field(init=False, repr=False, compare=False)
@@ -405,26 +507,33 @@ class Polytope(ProxSet):
         half = 1.0 + pad
         return self._interior - half, self._interior + half
 
+    def translated(self, u):
+        return Polytope(tuple(f.translated(u) for f in self.faces), tuple(self._interior + u))
 
-@dataclass(frozen=True)
-class BallComplement(ProxSet):
+    def to_dict(self):
+        return {
+            "shape": self.tag,
+            "faces": [{"normal": list(f.normal), "offset": f.offset} for f in self.faces],
+            "interior": list(self.interior),
+        }
+
+    @classmethod
+    def from_dict(cls, fields):
+        faces = tuple(halfspace(f.vec("normal"), f.num("offset")) for f in fields.objects("faces"))
+        return cls(faces, fields.vec("interior"))
+
+    def circumradius_about(self, p):
+        verts = self.vertices_2d()
+        if not verts:
+            return super().circumradius_about(p)
+        return max(norm(v - p) for v in verts)
+
+
+class BallComplement(_Round):
     """{x : |x - center| >= radius}; prox-regular with r equal to the radius."""
 
-    center: tuple
-    radius: float
-    _c: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("excluded-ball radius must be positive")
-        c = np.array(self.center, dtype=float)
-        object.__setattr__(self, "center", tuple(float(x) for x in c))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "_c", _ro(c))
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
+    tag = "ball_complement"
+    noun = "excluded-ball"
 
     @property
     def r(self) -> float:
@@ -435,10 +544,6 @@ class BallComplement(ProxSet):
 
     def _raw_distance(self, y):
         return max(self.radius - norm(y - self._c), 0.0)
-
-    def _raw_project(self, y):
-        d = y - self._c
-        return self._c + self.radius * d / norm(d)
 
     def _tube_error(self, y, d):
         if norm(y - self._c) == 0.0:
@@ -454,11 +559,24 @@ class BallComplement(ProxSet):
         half = 2.5 * self.radius + pad
         return self._c - half, self._c + half
 
+    def analytic_excess(self, other):
+        gap = other._c - self._c
+        dist = norm(gap)
+        nearest = max(self.radius - dist, 0.0)
+        value = max(other.radius - nearest, 0.0)
+        if dist >= self.radius:
+            witness = other._c.copy()
+        else:
+            direction = gap / dist if dist > 0 else np.eye(self.dim)[0]
+            witness = self._c + self.radius * direction
+        return value, witness
+
 
 @dataclass(frozen=True)
 class RigidImage(ProxSet):
     """Q*base + u for an orthogonal Q; inherits the base prox-regularity radius."""
 
+    tag = "rigid_image"
     base: ProxSet
     rotation: tuple
     translation: tuple
@@ -508,6 +626,27 @@ class RigidImage(ProxSet):
                             for k in range(2**self.dim)])
         moved = corners @ self._Q.T + self._u
         return moved.min(axis=0), moved.max(axis=0)
+
+    def translated(self, u):
+        return RigidImage(self.base, self.rotation, tuple(self._u + u))
+
+    def to_dict(self):
+        return {
+            "shape": self.tag,
+            "base": self.base.to_dict(),
+            "rotation": [list(row) for row in self.rotation],
+            "translation": list(self.translation),
+        }
+
+    @classmethod
+    def from_dict(cls, fields):
+        base = fields.shape("base")
+        rotation = tuple(tuple(row) for row in fields.raw("rotation"))
+        return cls(base, rotation, fields.vec("translation"))
+
+
+# Schema tag -> shape class: a new shape is one class plus one entry here.
+SHAPES = {cls.tag: cls for cls in (HalfSpace, Ball, Box, Polytope, BallComplement, RigidImage)}
 
 
 def rotation_matrix_2d(angle: float) -> tuple:

@@ -197,8 +197,8 @@ def certify_steps(
 
     Zero steps are skipped (the zero vector lies in every normal cone).  The
     residual uses the slice's finite r when it has one.  Raises
-    CertificationFailed when a residual exceeds 1e-6: that indicates a
-    projection bug, not a modeling problem.
+    CertificationFailed when a residual exceeds CERTIFICATION_TOL: that
+    indicates a projection bug, not a modeling problem.
     """
     rate = family.analytic_rate()
     certificates = []
@@ -217,7 +217,7 @@ def certify_steps(
         z = sample_points(slice_t, region, samples_per_step, seed + j)
         report = normal_residual(slice_t, x, n_vec, z)
         if report.worst_residual > CERTIFICATION_TOL:
-            raise CertificationFailed(j, report.worst_residual)
+            raise CertificationFailed(j, report.worst_residual, CERTIFICATION_TOL)
         certificates.append(StepCertificate(j, moved, bound, report))
     return certificates
 

@@ -1,9 +1,12 @@
 import json
 
+import pytest
+
 from sweepsolve import harness
 from sweepsolve.cli import main
 from sweepsolve.errors import CertificationFailed
 from sweepsolve.scenarios import builtin_text
+from sweepsolve.solver import CERTIFICATION_TOL
 
 
 def test_list(capsys):
@@ -78,8 +81,16 @@ def test_verify_command(capsys):
 
 def test_verify_failed_certificate_exits_2(monkeypatch, capsys):
     def failing(*args, **kwargs):
-        raise CertificationFailed(1, 1.0)
+        raise CertificationFailed(1, 1.0, CERTIFICATION_TOL)
 
     monkeypatch.setattr(harness, "certify_steps", failing)
     assert main(["verify", "sweep_halfspace", "--level", "1"]) == 2
     assert "check normal: fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("level", ["-1", "-3"])
+def test_verify_negative_level_is_config_error(level, capsys):
+    assert main(["verify", "sweep_halfspace", "--level", level]) == 3
+    captured = capsys.readouterr()
+    assert "--level" in captured.err
+    assert "check" not in captured.out

@@ -7,6 +7,7 @@ from sweepsolve.families import (
     Modulus,
     PiecewiseFamily,
     RadiusFamily,
+    TAU_MARGIN,
     SamplingBudget,
     StaticFamily,
     TranslateFamily,
@@ -91,15 +92,14 @@ class TestExcess:
 
     def test_triangle_inequality_on_sampled_triples(self):
         from sweepsolve.sets import Polytope, halfspace
-        from sweepsolve.families import translate_shape
 
         tri = Polytope(
             (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
             (0.2, 0.2),
         )
         A = tri
-        B = translate_shape(tri, np.array([0.1, 0.0]))
-        C = translate_shape(tri, np.array([0.2, 0.1]))
+        B = tri.translated(np.array([0.1, 0.0]))
+        C = tri.translated(np.array([0.2, 0.1]))
         budget = SamplingBudget(count=200, hill_steps=40, seed=9)
         eAC = excess(A, C, budget).lower
         eAB = excess(A, B, budget).lower
@@ -201,25 +201,28 @@ class TestModulus:
 
 class TestComputeTau:
     def test_linear_modulus_recipe(self):
-        omega = Modulus(2.0, True, 1.0, lambda d: d)
+        omega = Modulus(2.0, 1.0)
         tau = compute_tau(omega, r=1.0, rho0=0.5, rho=0.25)
         # eta = min(0.25, 1) = 0.25; threshold 0.25; tau just below it
         assert tau == pytest.approx(0.25, abs=1e-6)
         assert tau < 0.25
 
     def test_static_gives_horizon(self):
-        omega = Modulus(3.0, True, 0.0, lambda d: 0.0)
+        omega = Modulus(3.0, 0.0)
         assert compute_tau(omega, r=1.0, rho0=0.5, rho=0.25) == 3.0
 
     def test_rho_equals_rho0_rejected(self):
-        omega = Modulus(1.0, True, 0.0, lambda d: 0.0)
+        omega = Modulus(1.0, 0.0)
         with pytest.raises(ValueError):
             compute_tau(omega, r=1.0, rho0=0.5, rho=0.5)
 
     def test_no_positive_tau(self):
-        omega = Modulus(1.0, False, None, lambda d: 1.0)
+        # min(eta, rho) = rho = TAU_MARGIN leaves a threshold of 0.
         with pytest.raises(NoPositiveTau):
-            compute_tau(omega, r=1.0, rho0=0.5, rho=0.25)
+            compute_tau(Modulus(1.0, 1.0), r=1.0, rho0=0.5, rho=TAU_MARGIN)
+        # An infinite rate leaves no positive step below any threshold.
+        with pytest.raises(NoPositiveTau):
+            compute_tau(Modulus(1.0, float("inf")), r=1.0, rho0=0.5, rho=0.25)
 
 
 class TestBuildSchedule:
@@ -256,11 +259,29 @@ class TestBuildSchedule:
             def analytic_rate(self):
                 return None
 
-            def modulus(self, budget=None):
-                return Modulus(self.horizon, False, None, lambda d: 0.5)
-
         fam = Opaque(Ball((0.0, 0.0), 1.0), 1.0)
-        with pytest.raises(ModulusUnavailable):
+        with pytest.raises(ModulusUnavailable, match="no analytic continuity rate"):
+            build_schedule(fam, 1.0, 0.1, 0.5, 2)
+
+    def test_rate_must_be_a_nonnegative_number(self):
+        # A NaN rate would otherwise turn every step length into NaN.
+        for rate in (float("nan"), -1.0):
+            with pytest.raises(ModulusUnavailable):
+                Modulus(1.0, rate)
+
+    def test_tie_keeps_step_strictly_below_eps(self):
+        # omega(0.5) == eps0 exactly: the step must stay strictly below it,
+        # so the coarsest grid is 8 intervals, not 4.
+        fam = sweep_family(horizon=1.0)
+        sched = build_schedule(fam, 1.0, 0.5, 0.5, 2)
+        assert [g.n_intervals for g in sched.grids] == [8, 16]
+        assert sched.delta == (0.24999999999999997, 0.12499999999999999)
+
+    def test_fast_translation_needs_too_fine_a_grid(self):
+        fam = TranslateFamily(
+            HalfSpace((1.0, 0.0), 1.0), LinearPath((0.0, 0.0), (1e9, 0.0)), horizon=1.0
+        )
+        with pytest.raises(ModulusUnavailable, match="finer than 2\\^24 intervals"):
             build_schedule(fam, 1.0, 0.1, 0.5, 2)
 
 

@@ -1,0 +1,46 @@
+"""Golden trajectory CSVs: every level of the six bundled scenarios, solved at
+the scenario's own schedule, must stay byte-identical to the recorded SHA-256
+digests in data/csv_digests.json.  The checks are skipped; only the solver
+output is compared."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from sweepsolve.families import build_schedule
+from sweepsolve.scenarios import BUILTIN_NAMES, load_builtin
+from sweepsolve.solver import write_trajectory_csv
+from sweepsolve.variation import converge_study
+
+DIGESTS = Path(__file__).parent / "data" / "csv_digests.json"
+
+
+def csv_digests(name: str, out_dir: Path) -> dict:
+    """File name -> SHA-256 of each level CSV of the bundled scenario."""
+    scenario = load_builtin(name)
+    sp = scenario.schedule
+    schedule = build_schedule(
+        scenario.family, scenario.horizon, sp.eps0, sp.ratio, sp.levels,
+        base_resolution=sp.base_resolution,
+    )
+    report = converge_study(scenario.family, scenario.y0, schedule)
+    out = {}
+    for n, traj in enumerate(report.trajectories):
+        path = out_dir / f"{name}_level{n}.csv"
+        write_trajectory_csv(traj, path)
+        out[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def test_golden_set_covers_every_bundled_scenario():
+    recorded = json.loads(DIGESTS.read_text("utf-8"))
+    assert sorted(recorded) == sorted(BUILTIN_NAMES)
+    assert sum(len(files) for files in recorded.values()) == 34
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_csv_bytes_match_golden_digests(name, tmp_path):
+    recorded = json.loads(DIGESTS.read_text("utf-8"))
+    assert csv_digests(name, tmp_path) == recorded[name]

@@ -114,6 +114,23 @@ def test_missing_field_names_path():
         parse_scenario(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("family", "declared_r", "abc"),
+        ("schedule", "base_resolution", "abc"),
+        ("schedule", "levels", 2.5),
+        ("schedule", "base_resolution", -5),
+    ],
+)
+def test_bad_number_names_its_field(section, key, value):
+    doc = json.loads(builtin_text("static_ball"))
+    doc[section][key] = value
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(json.dumps(doc))
+    assert err.value.field == f"scenario.{section}.{key}"
+
+
 def test_serialization_is_deterministic():
     s = load_builtin("polytope_rotation")
     assert serialize_scenario(s) == serialize_scenario(s)

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -13,6 +15,8 @@ from sweepsolve.errors import (
     NotAMember,
     OutsideTube,
 )
+from sweepsolve.families import SamplingBudget, excess
+from sweepsolve.scenarios import shape_from_dict
 from sweepsolve.sets import (
     Ball,
     BallComplement,
@@ -404,3 +408,97 @@ def test_degenerate_polytope_projection_against_grid_oracle(name, x, y):
 )
 def test_polygon_distance_oracle(faces, y, expected):
     assert oracles.polygon_distance(faces, y) == pytest.approx(expected, abs=1e-15)
+
+
+# One instance of every registered shape class, keyed by its schema tag.
+SHAPE_BY_TAG = {
+    "halfspace": halfspace((1.0, 2.0), 0.5),
+    "ball": Ball((0.3, -0.2), 0.8),
+    "box": Box((-0.5, 0.0), (1.0, 0.4)),
+    "polytope": TRIANGLE,
+    "ball_complement": BallComplement((0.1, 0.2), 0.6),
+    "rigid_image": RigidImage(TRIANGLE, rotation_matrix_2d(0.7), (0.4, -0.1)),
+}
+TAGS = sorted(SHAPE_BY_TAG)
+CLOSED_FORM_EXCESS = ("ball", "ball_complement", "box", "halfspace")
+
+
+def test_every_registered_shape_has_a_case():
+    assert sorted(sets_mod.SHAPES) == TAGS
+    for tag, shape in SHAPE_BY_TAG.items():
+        assert type(shape) is sets_mod.SHAPES[tag]
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_to_dict_round_trip(tag):
+    shape = SHAPE_BY_TAG[tag]
+    doc = json.loads(json.dumps(shape.to_dict()))
+    assert doc["shape"] == tag
+    back = shape_from_dict(doc, "shape")
+    assert type(back) is type(shape)
+    assert back == shape
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_translated_moves_every_distance(tag):
+    shape = SHAPE_BY_TAG[tag]
+    u = np.array([0.7, -1.3])
+    moved = shape.translated(u)
+    assert type(moved) is type(shape)
+    rng = np.random.default_rng(11)
+    for y in rng.normal(scale=2.0, size=(50, 2)):
+        assert abs(moved.distance(y + u) - shape.distance(y)) <= 1e-12
+
+
+def _brute_circumradius(shape, p):
+    """Largest distance from p over the corners, vertices or a fine boundary sampling."""
+    if isinstance(shape, Box):
+        points = list(itertools.product(*zip(shape.lo, shape.hi)))
+    elif isinstance(shape, Polytope):
+        points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]  # the vertices of TRIANGLE
+    else:
+        angles = np.linspace(0.0, 2.0 * math.pi, 3600, endpoint=False)
+        points = np.array(shape.center) + shape.radius * np.column_stack(
+            [np.cos(angles), np.sin(angles)]
+        )
+    return max(float(np.linalg.norm(np.asarray(q) - p)) for q in points)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("pivot", [(0.25, -0.75), (0.9, 0.1)])
+def test_circumradius_about_against_brute_force(tag, pivot):
+    shape = SHAPE_BY_TAG[tag]
+    p = np.array(pivot)
+    if tag not in ("ball", "box", "polytope"):
+        with pytest.raises(ValueError, match="circumradius must be declared"):
+            shape.circumradius_about(p)
+        return
+    exact = shape.circumradius_about(p)
+    brute = _brute_circumradius(shape, p)
+    # Corners and vertices are exact; the sampled circle falls short by < R(1 - cos(pi/3600)).
+    assert brute - 1e-12 <= exact <= brute + 1e-6
+
+
+def test_circumradius_of_a_polytope_without_vertices():
+    half_plane = Polytope((halfspace((1.0, 0.0), 0.0),), (-1.0, 0.0))
+    with pytest.raises(ValueError, match="circumradius must be declared"):
+        half_plane.circumradius_about(np.zeros(2))
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_excess_method_for_same_type_pairs(tag):
+    shape = SHAPE_BY_TAG[tag]
+    # A translate keeps half-spaces parallel and boxes of equal extents.
+    other = shape.translated(np.array([0.2, 0.1]))
+    est = excess(shape, other, SamplingBudget(count=20, hill_steps=5, seed=3))
+    assert est.method == ("analytic" if tag in CLOSED_FORM_EXCESS else "sampled")
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [("ball", "box"), ("box", "polytope"), ("ball", "ball_complement"),
+     ("polytope", "rigid_image"), ("halfspace", "ball")],
+)
+def test_excess_is_sampled_for_mixed_pairs(a, b):
+    est = excess(SHAPE_BY_TAG[a], SHAPE_BY_TAG[b], SamplingBudget(count=20, hill_steps=5, seed=3))
+    assert est.method == "sampled"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sweepsolve.errors import InitialInfeasible, OutOfRange, TubeViolation
+from sweepsolve import solver as solver_mod
+from sweepsolve.errors import CertificationFailed, InitialInfeasible, OutOfRange, TubeViolation
 from sweepsolve.families import RadiusFamily, RigidFamily, StaticFamily, TranslateFamily
 from sweepsolve.geometry import TimeGrid
 from sweepsolve.paths import ConstantPath, LinearPath
@@ -244,6 +245,17 @@ class TestCertification:
         certs = certify_steps(fam, traj, samples_per_step=60, seed=3)
         assert certs
         assert max(c.normal_report.worst_residual for c in certs) <= 1e-8
+
+    def test_failure_message_shows_the_tolerance(self, monkeypatch):
+        # A tolerance far below every residual fails the first moving step; the
+        # message must carry the constant in force, not a copy of its value.
+        monkeypatch.setattr(solver_mod, "CERTIFICATION_TOL", -1e3)
+        fam = sweep_family()
+        traj = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 8), eps_level=0.5)
+        with pytest.raises(CertificationFailed) as err:
+            certify_steps(fam, traj, samples_per_step=10, seed=1)
+        assert err.value.tol == -1e3
+        assert "exceeds -1.000e+03" in str(err.value)
 
 
 def test_csv_format_and_determinism(tmp_path):

@@ -115,23 +115,23 @@ class TestConeBound:
 
 class TestChooseConeParams:
     def test_frozen_lambda(self):
-        omega = Modulus(1.0, True, 0.4, lambda d: 0.4 * d)
+        omega = Modulus(1.0, 0.4)
         p = choose_cone_params(1.0, 1.0, 0.6, omega)
         assert p.lam == pytest.approx(0.9 / 1.21, rel=1e-12)
         assert abs(p.lam - 0.7438) < 1e-4
 
     def test_lambda_clamped(self):
-        omega = Modulus(1.0, True, 0.001, lambda d: 0.001 * d)
+        omega = Modulus(1.0, 0.001)
         p = choose_cone_params(100.0, 10.0, 0.5, omega)
         assert p.lam == 0.99
 
     def test_static_tau_is_horizon(self):
-        omega = Modulus(3.0, True, 0.0, lambda d: 0.0)
+        omega = Modulus(3.0, 0.0)
         p = choose_cone_params(1.0, 1.0, 0.6, omega)
         assert p.tau == 3.0
 
     def test_candidates_selection(self):
-        omega = Modulus(1.0, True, 0.1, lambda d: 0.1 * d)
+        omega = Modulus(1.0, 0.1)
         eps = (0.4, 0.2, 0.08, 0.04, 0.02)
         p = choose_cone_params(1.0, 1.0, 0.6, omega, eps_candidates=eps)
         headroom = math.sqrt(p.lam * 1.0) - p.lam * 1.1
@@ -139,7 +139,7 @@ class TestChooseConeParams:
         assert p.eps_bar == 0.04
 
     def test_no_feasible_candidate(self):
-        omega = Modulus(1.0, True, 0.1, lambda d: 0.1 * d)
+        omega = Modulus(1.0, 0.1)
         with pytest.raises(NoFeasibleEps):
             choose_cone_params(1.0, 1.0, 0.6, omega, eps_candidates=(0.9,))
 
