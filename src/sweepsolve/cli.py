@@ -12,10 +12,9 @@ from pathlib import Path
 
 from .errors import InfeasibleInitialPoint, SchemaError, SweepError
 from .families import SamplingBudget, excess
-from .harness import check_constraint, check_normal, effective_seed, run
+from .harness import check_constraint, check_normal, effective_seed, run, scenario_schedule
 from .scenarios import list_builtins, load_builtin, parse_scenario
 from .solver import solve
-from . import families
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -76,11 +75,7 @@ def _cmd_verify(args) -> int:
     if args.level < 0:
         raise SchemaError("--level", f"expected a level index >= 0, got {args.level}")
     scenario = _load(args.config)
-    sp = scenario.schedule
-    schedule = families.build_schedule(
-        scenario.family, scenario.horizon, sp.eps0, sp.ratio,
-        args.level + 1, base_resolution=sp.base_resolution,
-    )
+    schedule = scenario_schedule(scenario, args.level + 1)
     traj = solve(
         scenario.family, scenario.y0, schedule.grids[args.level],
         schedule.eps[args.level], level=args.level,

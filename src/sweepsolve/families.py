@@ -7,6 +7,11 @@ path forms carry an analytic linear modulus omega(delta) = rate * delta, an
 upper bound that sets the schedule step lengths; a family with no analytic
 rate raises ModulusUnavailable.  Sampled excess and modulus estimates are
 lower bounds, used only as audits.
+
+Each schema family class owns its schema document (a kind tag in FAMILIES
+plus to_dict/from_dict): a new family kind is one class plus one entry there.
+The base class writes declared_r and stores r after checking the horizon and
+declared_r against the family's natural r.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import (
     OutsideTube,
 )
 from .geometry import RefinementSchedule, TimeGrid
-from .paths import Path
+from .paths import Path, piece_at
 from .sets import Ball, BallComplement, ProxSet, RigidImage, rotation_matrix_2d, sample_points
 
 # Admissible discontinuities may only expand the set: the excess of the left
@@ -128,6 +133,8 @@ class MovingFamily:
     """t -> C(t) on [0, horizon], uniformly r-prox-regular."""
 
     horizon: float
+    declared_r: float | None
+    kind: str  # the "kind" value of the schema document; schema families only
 
     @property
     def dim(self) -> int:
@@ -135,7 +142,19 @@ class MovingFamily:
 
     @property
     def r(self) -> float:
-        raise NotImplementedError
+        return self._r
+
+    def _set_r(self, natural_r: float):
+        """Check the horizon, then store r: natural_r, or declared_r when it
+        lies in (0, natural_r]."""
+        if self.horizon <= 0:
+            raise ValueError("horizon must be positive")
+        if self.declared_r is not None and not (0.0 < self.declared_r <= natural_r):
+            raise ValueError(
+                f"declared r={self.declared_r} must lie in (0, natural r={natural_r}]"
+            )
+        r = natural_r if self.declared_r is None else float(self.declared_r)
+        object.__setattr__(self, "_r", r)
 
     def at(self, t: float) -> ProxSet:
         raise NotImplementedError
@@ -159,36 +178,38 @@ class MovingFamily:
             )
         return Modulus(self.horizon, rate)
 
-    def _validate_declared_r(self, declared_r, natural_r) -> float:
-        if declared_r is None:
-            return natural_r
-        if not (0.0 < declared_r <= natural_r):
-            raise ValueError(
-                f"declared r={declared_r} must lie in (0, natural r={natural_r}]"
-            )
-        return float(declared_r)
+    def to_dict(self) -> dict:
+        """Schema document, read back by FAMILIES[self.kind].from_dict."""
+        doc = {**self._doc_fields(), "kind": self.kind}
+        if self.declared_r is not None:
+            doc["declared_r"] = self.declared_r
+        return doc
+
+    def _doc_fields(self) -> dict:
+        """The kind-specific fields of the schema document."""
+        raise TypeError(f"{type(self).__name__} has no schema document")
+
+    @classmethod
+    def from_dict(cls, fields) -> "MovingFamily":
+        """Build from a schema reader (scenarios._Fields) whose num, vec, flag,
+        objects, shape, path and family methods return validated fields."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class TranslateFamily(MovingFamily):
+    kind = "translate"
     base: ProxSet
     path: Path
     horizon: float
     declared_r: float | None = None
-    _r: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        object.__setattr__(self, "_r", self._validate_declared_r(self.declared_r, self.base.r))
+        self._set_r(self.base.r)
 
     @property
     def dim(self):
         return self.base.dim
-
-    @property
-    def r(self):
-        return self._r
 
     def at(self, t):
         self._check_time(t)
@@ -197,42 +218,38 @@ class TranslateFamily(MovingFamily):
     def analytic_rate(self):
         return self.path.max_speed()
 
+    def _doc_fields(self):
+        return {"base": self.base.to_dict(), "path": self.path.to_dict(), "horizon": self.horizon}
+
+    @classmethod
+    def from_dict(cls, fields):
+        return cls(fields.shape("base"), fields.path("path"), fields.num("horizon"),
+                   fields.optional("declared_r", fields.num))
+
 
 @dataclass(frozen=True)
 class RadiusFamily(MovingFamily):
     """Ball (or ball complement) with drifting center and scheduled radius."""
 
+    kind = "radius_schedule"
     center: Path
     radius: Path
     complement: bool
     horizon: float
     declared_r: float | None = None
-    _r: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
         if self._min_radius() <= 0:
             raise ValueError("radius schedule must stay positive on the horizon")
-        natural = self._min_radius() if self.complement else math.inf
-        object.__setattr__(self, "_r", self._validate_declared_r(self.declared_r, natural))
-
-    def _radius_knots(self):
-        ts = {0.0, self.horizon}
-        if hasattr(self.radius, "pieces"):
-            ts.update(u for u, _ in self.radius.pieces if 0.0 < u < self.horizon)
-        return sorted(ts)
+        self._set_r(self._min_radius() if self.complement else math.inf)
 
     def _min_radius(self):
-        return min(float(self.radius(t)) for t in self._radius_knots())
+        inner = (u for u in self.radius.knots() if 0.0 < u < self.horizon)
+        return min(float(self.radius(t)) for t in sorted({0.0, self.horizon, *inner}))
 
     @property
     def dim(self):
         return len(np.atleast_1d(self.center(0.0)))
-
-    @property
-    def r(self):
-        return self._r
 
     def at(self, t):
         self._check_time(t)
@@ -248,11 +265,22 @@ class RadiusFamily(MovingFamily):
             radial = max(0.0, -self.radius.min_signed_rate())
         return self.center.max_speed() + radial
 
+    def _doc_fields(self):
+        return {"center": self.center.to_dict(), "radius": self.radius.to_dict(),
+                "complement": self.complement, "horizon": self.horizon}
+
+    @classmethod
+    def from_dict(cls, fields):
+        return cls(fields.path("center"), fields.path("radius"),
+                   fields.flag("complement"), fields.num("horizon"),
+                   fields.optional("declared_r", fields.num))
+
 
 @dataclass(frozen=True)
 class RigidFamily(MovingFamily):
     """Planar rigid motion: rotation about a fixed pivot plus a drift."""
 
+    kind = "rigid"
     base: ProxSet
     angle: Path
     pivot: tuple
@@ -260,16 +288,13 @@ class RigidFamily(MovingFamily):
     translation: Path | None = None
     circumradius: float | None = None
     declared_r: float | None = None
-    _r: float = field(init=False, repr=False, compare=False)
     _circum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base.dim != 2:
             raise ValueError("rigid families are implemented for dim 2")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        self._set_r(self.base.r)
         object.__setattr__(self, "pivot", tuple(float(x) for x in self.pivot))
-        object.__setattr__(self, "_r", self._validate_declared_r(self.declared_r, self.base.r))
         if self.circumradius is None:
             circum = self.base.circumradius_about(np.array(self.pivot))
         elif self.circumradius <= 0:
@@ -281,10 +306,6 @@ class RigidFamily(MovingFamily):
     @property
     def dim(self):
         return 2
-
-    @property
-    def r(self):
-        return self._r
 
     def at(self, t):
         self._check_time(t)
@@ -302,16 +323,32 @@ class RigidFamily(MovingFamily):
             rate += self.translation.max_speed()
         return rate
 
+    def _doc_fields(self):
+        doc = {"base": self.base.to_dict(), "angle": self.angle.to_dict(),
+               "pivot": list(self.pivot), "horizon": self.horizon}
+        if self.translation is not None:
+            doc["translation"] = self.translation.to_dict()
+        if self.circumradius is not None:
+            doc["circumradius"] = self.circumradius
+        return doc
+
+    @classmethod
+    def from_dict(cls, fields):
+        return cls(fields.shape("base"), fields.path("angle"), fields.vec("pivot"),
+                   fields.num("horizon"), fields.optional("translation", fields.path),
+                   fields.optional("circumradius", fields.num),
+                   fields.optional("declared_r", fields.num))
+
 
 @dataclass(frozen=True)
 class PiecewiseFamily(MovingFamily):
     """Concatenation of families; slices are right-continuous at breakpoints
     and discontinuities must be expansions (left slice inside right slice)."""
 
+    kind = "piecewise"
     pieces: tuple  # ((until, family), ...), untils strictly increasing
     declared_r: float | None = None
     jump_budget: SamplingBudget | None = None
-    _r: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pieces) < 1:
@@ -328,8 +365,7 @@ class PiecewiseFamily(MovingFamily):
                 raise ValueError("piece family horizon does not cover its interval")
             last = until
         object.__setattr__(self, "pieces", pieces)
-        natural = min(fam.r for _, fam in pieces)
-        object.__setattr__(self, "_r", self._validate_declared_r(self.declared_r, natural))
+        self._set_r(min(fam.r for _, fam in pieces))
         for (t_star, left), (_, right) in zip(pieces, pieces[1:]):
             est = excess(left.at(min(t_star, left.horizon)), right.at(t_star),
                          self.jump_budget)
@@ -346,28 +382,26 @@ class PiecewiseFamily(MovingFamily):
     def dim(self):
         return self.pieces[0][1].dim
 
-    @property
-    def r(self):
-        return self._r
-
     def breakpoints(self):
         return tuple(u for u, _ in self.pieces[:-1])
 
-    def _piece_at(self, t):
-        for until, fam in self.pieces[:-1]:
-            if t < until:
-                return fam
-        return self.pieces[-1][1]
-
     def at(self, t):
         self._check_time(t)
-        return self._piece_at(t).at(t)
+        return piece_at(self.pieces, t).at(t)
 
     def analytic_rate(self):
         rates = [fam.analytic_rate() for _, fam in self.pieces]
         if any(rate is None for rate in rates):
             return None
         return max(rates)
+
+    def _doc_fields(self):
+        return {"pieces": [{"until": u, "family": fam.to_dict()} for u, fam in self.pieces]}
+
+    @classmethod
+    def from_dict(cls, fields):
+        pieces = tuple((p.num("until"), p.family("family")) for p in fields.objects("pieces"))
+        return cls(pieces, fields.optional("declared_r", fields.num))
 
 
 @dataclass(frozen=True)
@@ -377,20 +411,13 @@ class StaticFamily(MovingFamily):
     base: ProxSet
     horizon: float
     declared_r: float | None = None
-    _r: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        object.__setattr__(self, "_r", self._validate_declared_r(self.declared_r, self.base.r))
+        self._set_r(self.base.r)
 
     @property
     def dim(self):
         return self.base.dim
-
-    @property
-    def r(self):
-        return self._r
 
     def at(self, t):
         self._check_time(t)
@@ -398,6 +425,13 @@ class StaticFamily(MovingFamily):
 
     def analytic_rate(self):
         return 0.0
+
+
+# Schema kind -> family class: a new family kind is one class plus one entry
+# here.  StaticFamily has no schema document.
+FAMILIES = {
+    cls.kind: cls for cls in (TranslateFamily, RadiusFamily, RigidFamily, PiecewiseFamily)
+}
 
 
 def _sampled_omega(family: MovingFamily, delta: float, budget: SamplingBudget) -> float:

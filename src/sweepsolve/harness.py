@@ -23,7 +23,7 @@ from .errors import (
     NoPositiveTau,
 )
 from .families import CONVEX_R_CAP, InnerBallCert, MovingFamily, build_schedule, verify_inner_ball
-from .geometry import norm
+from .geometry import RefinementSchedule, norm
 from .scenarios import Scenario
 from .solver import CERTIFICATION_TOL, DiscreteTrajectory, certify_steps, write_trajectory_csv
 from .svgplot import write_convergence_svg, write_trajectory_svg
@@ -234,6 +234,14 @@ def _check_cauchy(report) -> CheckResult:
     return CheckResult("cauchy", verdict, 2.0 * head - tail, note)
 
 
+def scenario_schedule(scenario: Scenario, levels: int | None = None) -> RefinementSchedule:
+    """The scenario's refinement schedule, cut or extended to levels when given."""
+    sp = scenario.schedule
+    return build_schedule(scenario.family, scenario.horizon, sp.eps0, sp.ratio,
+                          sp.levels if levels is None else levels,
+                          base_resolution=sp.base_resolution)
+
+
 def run(
     scenario: Scenario,
     out_dir,
@@ -244,15 +252,7 @@ def run(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = effective_seed(scenario)
-    sp = scenario.schedule
-    schedule = build_schedule(
-        scenario.family,
-        scenario.horizon,
-        sp.eps0,
-        sp.ratio,
-        levels if levels is not None else sp.levels,
-        base_resolution=sp.base_resolution,
-    )
+    schedule = scenario_schedule(scenario, levels)
     report = converge_study(scenario.family, scenario.y0, schedule)
 
     level_rows = []

@@ -3,6 +3,9 @@
 Only constant, linear (a + b*t) and continuous piecewise-linear paths are
 supported, so every moving family built from them carries a certified
 one-sided continuity rate.
+
+Each path class also owns its schema document: a form tag in PATHS plus
+to_dict/from_dict, so a new path form is one class plus one entry there.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from .geometry import norm
 class Path:
     """Scalar- or vector-valued map of time; immutable descriptor."""
 
+    form: str  # the "form" value of the schema document
+
     def __call__(self, t: float):
         raise NotImplementedError
 
@@ -30,6 +35,20 @@ class Path:
     def min_signed_rate(self) -> float:
         raise NotImplementedError
 
+    def knots(self) -> tuple:
+        """Times where the path may change its rate; () for one analytic piece."""
+        return ()
+
+    def to_dict(self) -> dict:
+        """Schema document, read back by PATHS[self.form].from_dict."""
+        raise NotImplementedError
+
+    @classmethod
+    def from_dict(cls, fields) -> "Path":
+        """Build from a schema reader (scenarios._Fields) whose num, num_or_vec,
+        objects and path methods return validated fields by name."""
+        raise NotImplementedError
+
 
 def _value(v):
     if np.isscalar(v):
@@ -37,8 +56,23 @@ def _value(v):
     return tuple(float(x) for x in v)
 
 
+def _plain(v):
+    """A path value as JSON: a list for a vector, the float itself otherwise."""
+    return list(v) if isinstance(v, tuple) else v
+
+
+def piece_at(pieces: tuple, t: float):
+    """The item of ((until, item), ...) that applies at t: piece i covers
+    [until_{i-1}, until_i), and the last piece also its right endpoint."""
+    for until, item in pieces[:-1]:
+        if t < until:
+            return item
+    return pieces[-1][1]
+
+
 @dataclass(frozen=True)
 class ConstantPath(Path):
+    form = "constant"
     value: object
 
     def __post_init__(self):
@@ -58,11 +92,19 @@ class ConstantPath(Path):
     def min_signed_rate(self):
         return 0.0
 
+    def to_dict(self):
+        return {"form": self.form, "value": _plain(self.value)}
+
+    @classmethod
+    def from_dict(cls, fields):
+        return cls(fields.num_or_vec("value"))
+
 
 @dataclass(frozen=True)
 class LinearPath(Path):
     """t -> value + rate * t."""
 
+    form = "linear"
     value: object
     rate: object
 
@@ -95,6 +137,13 @@ class LinearPath(Path):
             raise ValueError("signed rate is defined for scalar paths only")
         return self.rate
 
+    def to_dict(self):
+        return {"form": self.form, "value": _plain(self.value), "rate": _plain(self.rate)}
+
+    @classmethod
+    def from_dict(cls, fields):
+        return cls(fields.num_or_vec("value"), fields.num_or_vec("rate"))
+
 
 @dataclass(frozen=True)
 class PiecewisePath(Path):
@@ -104,6 +153,7 @@ class PiecewisePath(Path):
     right endpoint.  Junction continuity is validated to 1e-9.
     """
 
+    form = "piecewise"
     pieces: tuple
 
     def __post_init__(self):
@@ -120,14 +170,8 @@ class PiecewisePath(Path):
                 raise ValueError(f"path discontinuity {norm(left - right):.3e} at t={t_star}")
         object.__setattr__(self, "pieces", pieces)
 
-    def _piece(self, t):
-        for until, p in self.pieces[:-1]:
-            if t < until:
-                return p
-        return self.pieces[-1][1]
-
     def __call__(self, t):
-        return self._piece(t)(t)
+        return piece_at(self.pieces, t)(t)
 
     def max_speed(self):
         return max(p.max_speed() for _, p in self.pieces)
@@ -137,3 +181,19 @@ class PiecewisePath(Path):
 
     def min_signed_rate(self):
         return min(p.min_signed_rate() for _, p in self.pieces)
+
+    def knots(self):
+        inner = (k for _, p in self.pieces for k in p.knots())
+        return tuple(sorted({u for u, _ in self.pieces}.union(inner)))
+
+    def to_dict(self):
+        pieces = [{"until": u, "path": p.to_dict()} for u, p in self.pieces]
+        return {"form": self.form, "pieces": pieces}
+
+    @classmethod
+    def from_dict(cls, fields):
+        return cls(tuple((p.num("until"), p.path("path")) for p in fields.objects("pieces")))
+
+
+# Schema form -> path class: a new path form is one class plus one entry here.
+PATHS = {cls.form: cls for cls in (ConstantPath, LinearPath, PiecewisePath)}

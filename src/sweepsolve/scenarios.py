@@ -1,27 +1,26 @@
 """Scenario configs: JSON-shaped documents describing a moving family, an
 initial point, a refinement schedule and the checks to run.
 
-Shape, path and family descriptors are tagged records; parsing validates
-every cross-field invariant eagerly and reports the offending field.
+Shape, path and family descriptors are tagged records read by one reader:
+the tag names a class in sets.SHAPES, paths.PATHS or families.FAMILIES, and
+that class builds itself from a _Fields reader.  Numbers must be finite and
+not booleans, flags must be JSON booleans, and parsing validates every
+cross-field invariant eagerly and reports the offending field.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .errors import InfeasibleInitialPoint, SchemaError, UnknownShapeTag
-from .families import (
-    MovingFamily,
-    PiecewiseFamily,
-    RadiusFamily,
-    RigidFamily,
-    TranslateFamily,
-)
-from .paths import ConstantPath, LinearPath, Path, PiecewisePath
+from .families import FAMILIES, MovingFamily
+from .paths import PATHS, Path
 from .sets import SHAPES, ProxSet
 
 KNOWN_CHECKS = ("constraint", "normal", "ball_bound", "cone_bound", "cauchy")
@@ -71,10 +70,12 @@ class Scenario:
 
 class _Fields:
     """One schema object and its field path: each reader returns a validated
-    field or raises SchemaError naming it.  Shape classes build themselves
-    from it in from_dict."""
+    field or raises SchemaError naming it.  Shape, path and family classes
+    build themselves from it in from_dict."""
 
     def __init__(self, obj, where: str):
+        if not isinstance(obj, dict):
+            raise SchemaError(where, "expected an object")
         self.obj, self.where = obj, where
 
     def raw(self, key: str):
@@ -86,24 +87,54 @@ class _Fields:
         """read(key), or None when the field is absent or null."""
         return None if self.obj.get(key) is None else read(key)
 
-    def num(self, key: str) -> float:
-        v = self.raw(key)
+    def _number(self, v, where: str) -> float:
+        """v as a finite float; booleans, NaN and infinities are rejected."""
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaError(f"{self.where}.{key}", f"expected a number, got {type(v).__name__}")
-        return float(v)
+            raise SchemaError(where, f"expected a number, got {type(v).__name__}")
+        # float() raises OverflowError on a JSON integer beyond the double range.
+        x = float(v) if isinstance(v, float) or abs(v) <= sys.float_info.max else math.inf
+        if not math.isfinite(x):
+            raise SchemaError(where, f"expected a finite number, got {x}")
+        return x
+
+    def num(self, key: str) -> float:
+        return self._number(self.raw(key), f"{self.where}.{key}")
 
     def count(self, key: str, default: int | None = None) -> int:
-        """A whole number read through num; default applies when the key is absent."""
-        v = float(default) if default is not None and key not in self.obj else self.num(key)
-        if not v.is_integer():
-            raise SchemaError(f"{self.where}.{key}", f"expected an integer, got {v!r}")
-        return int(v)
+        """A whole number checked through num, then read exactly (a large JSON
+        integer keeps every digit); default applies when the key is absent."""
+        if default is not None and key not in self.obj:
+            return default
+        x = self.num(key)
+        if not x.is_integer():
+            raise SchemaError(f"{self.where}.{key}", f"expected an integer, got {x!r}")
+        return int(self.obj[key])
+
+    def _vector(self, v, where: str) -> tuple:
+        if not isinstance(v, list):
+            raise SchemaError(where, "expected an array of numbers")
+        return tuple(self._number(x, f"{where}[{i}]") for i, x in enumerate(v))
 
     def vec(self, key: str) -> tuple:
-        v = self.raw(key)
-        if not isinstance(v, list) or not all(isinstance(x, (int, float)) for x in v):
-            raise SchemaError(f"{self.where}.{key}", "expected an array of numbers")
-        return tuple(float(x) for x in v)
+        return self._vector(self.raw(key), f"{self.where}.{key}")
+
+    def matrix(self, key: str) -> tuple:
+        """An array of rows, each read like vec."""
+        rows, where = self.raw(key), f"{self.where}.{key}"
+        if not isinstance(rows, list):
+            raise SchemaError(where, "expected an array of arrays of numbers")
+        return tuple(self._vector(row, f"{where}[{i}]") for i, row in enumerate(rows))
+
+    def num_or_vec(self, key: str):
+        """A number, or a tuple of numbers when the field is an array."""
+        return self.vec(key) if isinstance(self.raw(key), list) else self.num(key)
+
+    def flag(self, key: str) -> bool:
+        """A JSON boolean; false when the key is absent."""
+        v = self.obj.get(key, False)
+        if not isinstance(v, bool):
+            raise SchemaError(f"{self.where}.{key}", f"expected true or false, got {v!r}")
+        return v
 
     def objects(self, key: str) -> list:
         items = self.raw(key)
@@ -115,147 +146,32 @@ class _Fields:
         return shape_from_dict(self.raw(key), f"{self.where}.{key}")
 
     def path(self, key: str) -> Path:
-        return path_from_dict(self.raw(key), f"{self.where}.{key}")
+        return _read_tagged(self.raw(key), f"{self.where}.{key}", "form", PATHS)
 
     def family(self, key: str) -> MovingFamily:
-        return family_from_dict(self.raw(key), f"{self.where}.{key}")
+        return _read_tagged(self.raw(key), f"{self.where}.{key}", "kind", FAMILIES)
 
 
-def shape_from_dict(obj: dict, path: str) -> ProxSet:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected a shape object")
-    fields = _Fields(obj, path)
-    tag = fields.raw("shape")
-    cls = SHAPES.get(tag) if isinstance(tag, str) else None
+def _read_tagged(obj, where: str, key: str, registry: dict, unknown=SchemaError):
+    """Build the registry class that obj[key] names from obj's fields.  An
+    unknown tag raises unknown at the tag field; a ValueError or TypeError of
+    the class becomes a SchemaError at where."""
+    fields = _Fields(obj, where)
+    tag = fields.raw(key)
+    cls = registry.get(tag) if isinstance(tag, str) else None
     if cls is None:
-        raise UnknownShapeTag(path, f"unknown shape tag {tag!r}")
+        known = ", ".join(sorted(registry))
+        raise unknown(f"{where}.{key}", f"unknown {key} {tag!r}; expected one of {known}")
     try:
         return cls.from_dict(fields)
     except SchemaError:
         raise
     except (ValueError, TypeError) as err:
-        raise SchemaError(path, str(err)) from err
+        raise SchemaError(where, str(err)) from err
 
 
-def path_from_dict(obj: dict, path: str) -> Path:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected a path object")
-    f = _Fields(obj, path)
-    form = f.raw("form")
-    try:
-        if form == "constant":
-            return ConstantPath(f.raw("value"))
-        if form == "linear":
-            return LinearPath(f.raw("value"), f.raw("rate"))
-        if form == "piecewise":
-            pieces = tuple((p.num("until"), p.path("path")) for p in f.objects("pieces"))
-            return PiecewisePath(pieces)
-    except SchemaError:
-        raise
-    except (ValueError, TypeError) as err:
-        raise SchemaError(path, str(err)) from err
-    raise SchemaError(f"{path}.form", f"unknown path form {form!r}")
-
-
-def path_to_dict(p: Path) -> dict:
-    def plain(v):
-        return list(v) if isinstance(v, tuple) else v
-
-    if isinstance(p, ConstantPath):
-        return {"form": "constant", "value": plain(p.value)}
-    if isinstance(p, LinearPath):
-        return {"form": "linear", "value": plain(p.value), "rate": plain(p.rate)}
-    if isinstance(p, PiecewisePath):
-        return {
-            "form": "piecewise",
-            "pieces": [{"until": u, "path": path_to_dict(sub)} for u, sub in p.pieces],
-        }
-    raise TypeError(f"unsupported path {type(p).__name__}")
-
-
-def family_from_dict(obj: dict, path: str) -> MovingFamily:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected a family object")
-    f = _Fields(obj, path)
-    kind = f.raw("kind")
-    declared_r = f.optional("declared_r", f.num)
-    try:
-        if kind == "translate":
-            return TranslateFamily(
-                base=f.shape("base"),
-                path=f.path("path"),
-                horizon=f.num("horizon"),
-                declared_r=declared_r,
-            )
-        if kind == "radius_schedule":
-            return RadiusFamily(
-                center=f.path("center"),
-                radius=f.path("radius"),
-                complement=bool(obj.get("complement", False)),
-                horizon=f.num("horizon"),
-                declared_r=declared_r,
-            )
-        if kind == "rigid":
-            return RigidFamily(
-                base=f.shape("base"),
-                angle=f.path("angle"),
-                pivot=f.vec("pivot"),
-                horizon=f.num("horizon"),
-                translation=f.optional("translation", f.path),
-                circumradius=f.optional("circumradius", f.num),
-                declared_r=declared_r,
-            )
-        if kind == "piecewise":
-            built = tuple((p.num("until"), p.family("family")) for p in f.objects("pieces"))
-            return PiecewiseFamily(pieces=built, declared_r=declared_r)
-    except SchemaError:
-        raise
-    except (ValueError, TypeError) as err:
-        raise SchemaError(path, str(err)) from err
-    raise SchemaError(f"{path}.kind", f"unknown family kind {kind!r}")
-
-
-def family_to_dict(f: MovingFamily) -> dict:
-    out: dict
-    if isinstance(f, TranslateFamily):
-        out = {
-            "kind": "translate",
-            "base": f.base.to_dict(),
-            "path": path_to_dict(f.path),
-            "horizon": f.horizon,
-        }
-    elif isinstance(f, RadiusFamily):
-        out = {
-            "kind": "radius_schedule",
-            "center": path_to_dict(f.center),
-            "radius": path_to_dict(f.radius),
-            "complement": f.complement,
-            "horizon": f.horizon,
-        }
-    elif isinstance(f, RigidFamily):
-        out = {
-            "kind": "rigid",
-            "base": f.base.to_dict(),
-            "angle": path_to_dict(f.angle),
-            "pivot": list(f.pivot),
-            "horizon": f.horizon,
-        }
-        if f.translation is not None:
-            out["translation"] = path_to_dict(f.translation)
-        if f.circumradius is not None:
-            out["circumradius"] = f.circumradius
-    elif isinstance(f, PiecewiseFamily):
-        out = {
-            "kind": "piecewise",
-            "pieces": [
-                {"until": u, "family": family_to_dict(sub)} for u, sub in f.pieces
-            ],
-        }
-    else:
-        raise TypeError(f"unsupported family {type(f).__name__}")
-    if f.declared_r is not None:
-        out["declared_r"] = f.declared_r
-    return out
+def shape_from_dict(obj: dict, path: str) -> ProxSet:
+    return _read_tagged(obj, path, "shape", SHAPES, UnknownShapeTag)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -271,8 +187,8 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(name, str) or not name:
         raise SchemaError("scenario.name", "expected a nonempty string")
     description = doc.get("description", "")
-    dim = f.raw("dim")
-    if not isinstance(dim, int) or dim < 1:
+    dim = f.count("dim")
+    if dim < 1:
         raise SchemaError("scenario.dim", "expected a positive integer")
     horizon = f.num("horizon")
     if horizon <= 0:
@@ -280,9 +196,7 @@ def parse_scenario(text: str) -> Scenario:
     y0 = f.vec("y0")
     if len(y0) != dim:
         raise SchemaError("scenario.y0", f"expected {dim} coordinates, got {len(y0)}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise SchemaError("scenario.seed", "expected an integer")
+    seed = f.count("seed", default=0)
 
     family = f.family("family")
     if family.dim != dim:
@@ -316,18 +230,16 @@ def parse_scenario(text: str) -> Scenario:
             raise SchemaError("scenario.checks", f"unknown check {c!r}")
 
     ball_params = cone_params = None
-    bp = doc.get("bound_params", {})
-    if not isinstance(bp, dict):
-        raise SchemaError("scenario.bound_params", "expected an object")
-    if "ball" in bp:
-        ball = _Fields(bp["ball"], "scenario.bound_params.ball")
+    bp = _Fields(doc.get("bound_params", {}), "scenario.bound_params")
+    if "ball" in bp.obj:
+        ball = _Fields(bp.raw("ball"), "scenario.bound_params.ball")
         ball_params = BallParams(w=ball.vec("w"), rho=ball.num("rho"))
         if ball_params.rho <= 0:
             raise SchemaError("scenario.bound_params.ball.rho", "must be positive")
         if len(ball_params.w) != dim:
             raise SchemaError("scenario.bound_params.ball.w", "dimension mismatch")
-    if "cone" in bp:
-        cone = _Fields(bp["cone"], "scenario.bound_params.cone")
+    if "cone" in bp.obj:
+        cone = _Fields(bp.raw("cone"), "scenario.bound_params.cone")
         cone_params = ConeParams(R=cone.num("R"), d=cone.num("d"))
         if cone_params.R <= 0 or cone_params.d <= 0:
             raise SchemaError("scenario.bound_params.cone", "R and d must be positive")
@@ -360,7 +272,7 @@ def serialize_scenario(scenario: Scenario) -> str:
         "horizon": scenario.horizon,
         "y0": list(scenario.y0),
         "seed": scenario.seed,
-        "family": family_to_dict(scenario.family),
+        "family": scenario.family.to_dict(),
         "schedule": {
             "eps0": scenario.schedule.eps0,
             "ratio": scenario.schedule.ratio,

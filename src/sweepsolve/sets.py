@@ -73,7 +73,7 @@ class ProxSet:
     @classmethod
     def from_dict(cls, fields) -> "ProxSet":
         """Build from a schema reader (scenarios._Fields) whose num, vec,
-        objects, shape and raw methods return validated fields by name."""
+        matrix, objects and shape methods return validated fields by name."""
         raise NotImplementedError
 
     def analytic_excess(self, other: "ProxSet"):
@@ -640,9 +640,7 @@ class RigidImage(ProxSet):
 
     @classmethod
     def from_dict(cls, fields):
-        base = fields.shape("base")
-        rotation = tuple(tuple(row) for row in fields.raw("rotation"))
-        return cls(base, rotation, fields.vec("translation"))
+        return cls(fields.shape("base"), fields.matrix("rotation"), fields.vec("translation"))
 
 
 # Schema tag -> shape class: a new shape is one class plus one entry here.

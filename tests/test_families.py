@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sweepsolve.families import (
     Modulus,
     PiecewiseFamily,
     RadiusFamily,
+    RigidFamily,
     TAU_MARGIN,
     SamplingBudget,
     StaticFamily,
@@ -19,8 +22,8 @@ from sweepsolve.families import (
     validate_analytic_modulus,
     _sampled_omega,
 )
-from sweepsolve.paths import ConstantPath, LinearPath
-from sweepsolve.sets import Ball, BallComplement, HalfSpace
+from sweepsolve.paths import ConstantPath, LinearPath, PiecewisePath
+from sweepsolve.sets import Ball, BallComplement, HalfSpace, Polytope
 
 import oracles
 
@@ -299,3 +302,56 @@ class TestInnerBall:
     def test_cert_rejects_empty_window(self):
         with pytest.raises(ValueError):
             InnerBallCert((0.0, 0.0), 0.5, 1.0, 0.0)
+
+
+def _families_with(horizon=1.0, declared_r=None):
+    """One family of each class, with the given horizon and declared r."""
+    centre = ConstantPath((0.0, 0.0))
+    square = Polytope(
+        (HalfSpace((0.0, -1.0), 0.0), HalfSpace((-1.0, 0.0), 0.0), HalfSpace((1.0, 0.0), 1.0),
+         HalfSpace((0.0, 1.0), 1.0)),
+        (0.5, 0.5),
+    )
+    obstacle = RadiusFamily(centre, ConstantPath(0.5), True, max(horizon, 1.0))
+    return {
+        "translate": lambda: TranslateFamily(BallComplement((0.0, 0.0), 0.5), centre, horizon,
+                                             declared_r),
+        "radius_schedule": lambda: RadiusFamily(centre, ConstantPath(0.5), True, horizon,
+                                                declared_r),
+        "rigid": lambda: RigidFamily(square, LinearPath(0.0, 1.0), (0.5, 0.5), horizon,
+                                     declared_r=declared_r),
+        "piecewise": lambda: PiecewiseFamily(((1.0, obstacle),), declared_r=declared_r),
+        "static": lambda: StaticFamily(BallComplement((0.0, 0.0), 0.5), horizon, declared_r),
+    }
+
+
+FAMILY_CLASSES = sorted(_families_with())
+
+
+@pytest.mark.parametrize("kind", FAMILY_CLASSES)
+def test_every_family_checks_declared_r_against_its_natural_r(kind):
+    natural = _families_with()[kind]().r
+    assert natural == (math.inf if kind == "rigid" else 0.5)
+    assert _families_with(declared_r=0.25)[kind]().r == 0.25
+    above = (1.5 * natural,) if natural < math.inf else ()
+    for bad in (0.0, -1.0) + above:
+        with pytest.raises(ValueError, match="declared r="):
+            _families_with(declared_r=bad)[kind]()
+
+
+@pytest.mark.parametrize("kind", [k for k in FAMILY_CLASSES if k != "piecewise"])
+def test_every_family_rejects_a_nonpositive_horizon(kind):
+    for horizon in (0.0, -1.0):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            _families_with(horizon=horizon)[kind]()
+
+
+def test_min_radius_sees_the_knots_of_nested_pieces():
+    # The inner kink at t = 1 takes the radius to -0.5; the outer path has no knot there.
+    inner = PiecewisePath(((1.0, LinearPath(1.0, -1.5)), (2.0, LinearPath(-2.0, 1.5))))
+    radius = PiecewisePath(((2.0, inner),))
+    assert radius.knots() == (1.0, 2.0)
+    assert LinearPath(1.0, -1.5).knots() == ()
+    with pytest.raises(ValueError, match="radius schedule must stay positive"):
+        RadiusFamily(ConstantPath((0.0, 0.0)), radius, False, 2.0)
+

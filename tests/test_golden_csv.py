@@ -1,7 +1,8 @@
 """Golden trajectory CSVs: every level of the six bundled scenarios, solved at
 the scenario's own schedule, must stay byte-identical to the recorded SHA-256
 digests in data/csv_digests.json.  The checks are skipped; only the solver
-output is compared."""
+output is compared.  The canonical scenario documents written by
+serialize_scenario are pinned the same way in data/scenario_digests.json."""
 
 import hashlib
 import json
@@ -10,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from sweepsolve.families import build_schedule
-from sweepsolve.scenarios import BUILTIN_NAMES, load_builtin
+from sweepsolve.scenarios import BUILTIN_NAMES, load_builtin, serialize_scenario
 from sweepsolve.solver import write_trajectory_csv
 from sweepsolve.variation import converge_study
 
 DIGESTS = Path(__file__).parent / "data" / "csv_digests.json"
+SCENARIO_DIGESTS = Path(__file__).parent / "data" / "scenario_digests.json"
 
 
 def csv_digests(name: str, out_dir: Path) -> dict:
@@ -44,3 +46,10 @@ def test_golden_set_covers_every_bundled_scenario():
 def test_csv_bytes_match_golden_digests(name, tmp_path):
     recorded = json.loads(DIGESTS.read_text("utf-8"))
     assert csv_digests(name, tmp_path) == recorded[name]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_serialized_scenario_matches_golden_digest(name):
+    recorded = json.loads(SCENARIO_DIGESTS.read_text("utf-8"))
+    text = serialize_scenario(load_builtin(name))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == recorded[name]

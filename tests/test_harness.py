@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sweepsolve.harness import run
+from sweepsolve.harness import run, scenario_schedule
 from sweepsolve.scenarios import builtin_text, load_builtin, parse_scenario
 
 
@@ -144,3 +144,12 @@ def test_run_builds_each_slice_once(tmp_path, monkeypatch):
     report = run(scenario, tmp_path, levels=4)
     nodes = sum(dict(row)["intervals"] + 1 for row in report.level_rows)
     assert len(times) == nodes
+
+
+def test_scenario_schedule_honours_the_level_override():
+    scenario = load_builtin("jump_expansion")
+    full = scenario_schedule(scenario)
+    assert len(full.grids) == scenario.schedule.levels
+    two = scenario_schedule(scenario, 2)
+    assert two.eps == full.eps[:2] and two.delta == full.delta[:2]
+    assert [g.n_intervals for g in two.grids] == [g.n_intervals for g in full.grids[:2]]

@@ -1,9 +1,18 @@
 import json
+import math
 
 import pytest
 
+from sweepsolve import families, paths, scenarios
 from sweepsolve.errors import InfeasibleInitialPoint, SchemaError, UnknownShapeTag
-from sweepsolve.families import PiecewiseFamily, RadiusFamily, RigidFamily, TranslateFamily
+from sweepsolve.families import (
+    PiecewiseFamily,
+    RadiusFamily,
+    RigidFamily,
+    StaticFamily,
+    TranslateFamily,
+)
+from sweepsolve.paths import ConstantPath, LinearPath, PiecewisePath
 from sweepsolve.scenarios import (
     BUILTIN_NAMES,
     builtin_text,
@@ -11,8 +20,9 @@ from sweepsolve.scenarios import (
     load_builtin,
     parse_scenario,
     serialize_scenario,
+    shape_from_dict,
 )
-from sweepsolve.sets import HalfSpace
+from sweepsolve.sets import Ball, BallComplement, HalfSpace, Polytope, halfspace
 
 
 def test_list_builtins_has_required_entries():
@@ -88,6 +98,19 @@ def test_unknown_shape_tag():
         parse_scenario(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "where, tag",
+    [("family.base.shape", "torus"), ("family.path.form", "cubic"), ("family.kind", "warp")],
+)
+def test_unknown_tag_names_its_field_and_the_known_tags(where, tag):
+    doc = json.loads(builtin_text("static_ball"))
+    _set(doc, where, tag)
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(json.dumps(doc))
+    assert err.value.field == f"scenario.{where}"
+    assert f"unknown {where.rsplit('.', 1)[1]} {tag!r}; expected one of" in str(err.value)
+
+
 def test_unknown_check_rejected():
     text = _patched("static_ball", checks=["constraint", "vibes"])
     with pytest.raises(SchemaError, match="vibes"):
@@ -114,21 +137,150 @@ def test_missing_field_names_path():
         parse_scenario(json.dumps(doc))
 
 
+def _set(doc: dict, where: str, value) -> None:
+    """Set the field at the dotted path where of a scenario document."""
+    *parents, key = where.split(".")
+    for part in parents:
+        doc = doc[part]
+    doc[key] = value
+
+
 @pytest.mark.parametrize(
-    "section, key, value",
+    "name, where, value",
     [
-        ("family", "declared_r", "abc"),
-        ("schedule", "base_resolution", "abc"),
-        ("schedule", "levels", 2.5),
-        ("schedule", "base_resolution", -5),
+        pytest.param("static_ball", "family.declared_r", "abc", id="family-declared_r-abc"),
+        pytest.param("static_ball", "schedule.base_resolution", "abc",
+                     id="schedule-base_resolution-abc"),
+        pytest.param("static_ball", "schedule.levels", 2.5, id="schedule-levels-2.5"),
+        pytest.param("static_ball", "schedule.base_resolution", -5,
+                     id="schedule-base_resolution--5"),
+        pytest.param("static_ball", "horizon", math.nan, id="horizon-NaN"),
+        pytest.param("static_ball", "horizon", math.inf, id="horizon-Infinity"),
+        pytest.param("static_ball", "horizon", 10**400, id="horizon-huge-integer"),
+        pytest.param("polytope_rotation", "family.angle.rate", math.nan, id="path-rate-NaN"),
+        pytest.param("moving_obstacle", "family.radius.value", True, id="path-value-true"),
+        pytest.param("moving_obstacle", "family.complement", "false", id="complement-string"),
+        pytest.param("static_ball", "seed", True, id="seed-true"),
+        pytest.param("static_ball", "dim", True, id="dim-true"),
     ],
 )
-def test_bad_number_names_its_field(section, key, value):
-    doc = json.loads(builtin_text("static_ball"))
-    doc[section][key] = value
+def test_bad_number_names_its_field(name, where, value):
+    doc = json.loads(builtin_text(name))
+    _set(doc, where, value)
     with pytest.raises(SchemaError) as err:
         parse_scenario(json.dumps(doc))
-    assert err.value.field == f"scenario.{section}.{key}"
+    assert err.value.field == f"scenario.{where}"
+
+
+@pytest.mark.parametrize(
+    "name, where, value, field",
+    [
+        ("static_ball", "y0", [math.nan, 0.0], "y0[0]"),
+        ("sweep_halfspace", "family.path.rate", [-1.0, math.inf], "family.path.rate[1]"),
+        ("static_ball", "family.base.center", [0.0, False], "family.base.center[1]"),
+    ],
+)
+def test_bad_array_entry_names_its_index(name, where, value, field):
+    doc = json.loads(builtin_text(name))
+    _set(doc, where, value)
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(json.dumps(doc))
+    assert err.value.field == f"scenario.{field}"
+
+
+def test_rotation_entries_are_read_as_numbers():
+    base = {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0}
+    for rotation, field in (([[math.nan, 0.0], [0.0, 1.0]], "s.rotation[0][0]"),
+                            ([[True, False], [False, True]], "s.rotation[0][0]"),
+                            ([[1.0, 0.0], "row"], "s.rotation[1]")):
+        doc = {"shape": "rigid_image", "base": base, "rotation": rotation,
+               "translation": [0.0, 0.0]}
+        with pytest.raises(SchemaError) as err:
+            shape_from_dict(json.loads(json.dumps(doc)), "s")
+        assert err.value.field == field
+
+
+def test_complement_must_be_a_json_boolean():
+    doc = json.loads(builtin_text("shrinking_ball_inner_cert"))
+    del doc["family"]["complement"]
+    assert parse_scenario(json.dumps(doc)).family.complement is False
+    assert load_builtin("moving_obstacle").family.complement is True
+    doc = json.loads(builtin_text("moving_obstacle"))
+    doc["family"]["complement"] = 1
+    with pytest.raises(SchemaError, match="expected true or false"):
+        parse_scenario(json.dumps(doc))
+
+
+def test_large_integer_seed_is_read_exactly():
+    seed = 2**60 + 1
+    assert parse_scenario(_patched("static_ball", seed=seed)).seed == seed
+
+
+def test_non_object_section_is_schema_error():
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(_patched("static_ball", schedule=5))
+    assert err.value.field == "scenario.schedule"
+
+
+# One instance of every registered path form and family kind, keyed by tag.
+TRIANGLE = Polytope(
+    (halfspace((0.0, -1.0), 0.0), halfspace((-1.0, 0.0), 0.0), halfspace((1.0, 1.0), 1.0)),
+    (0.2, 0.2),
+)
+KINK = PiecewisePath(((1.0, LinearPath(1.0, -0.5)), (2.0, LinearPath(0.0, 0.5))))
+PATH_BY_FORM = {
+    "constant": ConstantPath((0.5, -1.0)),
+    "linear": LinearPath(0.25, -0.5),
+    "piecewise": KINK,
+}
+FAMILY_BY_KIND = {
+    "translate": TranslateFamily(Ball((0.0, 0.0), 1.0), LinearPath((0.0, 0.0), (1.0, 0.0)), 2.0),
+    "radius_schedule": RadiusFamily(ConstantPath((0.0, 0.0)), KINK, True, 2.0, declared_r=0.25),
+    "rigid": RigidFamily(
+        TRIANGLE, LinearPath(0.0, 0.5), (0.5, 0.5), 2.0,
+        translation=LinearPath((0.0, 0.0), (0.1, 0.0)), circumradius=3.0,
+    ),
+    "piecewise": PiecewiseFamily(
+        (
+            (1.0, RadiusFamily(ConstantPath((0.0, 0.0)), ConstantPath(1.0), False, 1.0)),
+            (2.0, RadiusFamily(ConstantPath((0.0, 0.0)), ConstantPath(1.5), False, 2.0)),
+        ),
+        declared_r=5.0,
+    ),
+}
+CASES = [("path", tag) for tag in sorted(PATH_BY_FORM)] + [
+    ("family", tag) for tag in sorted(FAMILY_BY_KIND)
+]
+
+
+def _case(noun: str, tag: str):
+    return (PATH_BY_FORM if noun == "path" else FAMILY_BY_KIND)[tag]
+
+
+def test_every_registered_path_and_family_has_a_case():
+    assert sorted(paths.PATHS) == sorted(PATH_BY_FORM)
+    assert sorted(families.FAMILIES) == sorted(FAMILY_BY_KIND)
+    for tag, path in PATH_BY_FORM.items():
+        assert type(path) is paths.PATHS[tag]
+    for tag, family in FAMILY_BY_KIND.items():
+        assert type(family) is families.FAMILIES[tag]
+
+
+@pytest.mark.parametrize("noun, tag", CASES)
+def test_path_and_family_to_dict_round_trip(noun, tag):
+    obj = _case(noun, tag)
+    doc = json.loads(json.dumps(obj.to_dict()))
+    assert doc["form" if noun == "path" else "kind"] == tag
+    # Read back through the scenario reader, as the field of a parent object.
+    back = getattr(scenarios._Fields({noun: doc}, "case"), noun)(noun)
+    assert type(back) is type(obj)
+    assert back == obj
+    assert back.to_dict() == obj.to_dict()
+
+
+def test_static_family_has_no_schema_document():
+    with pytest.raises(TypeError, match="no schema document"):
+        StaticFamily(Ball((0.0, 0.0), 1.0), 1.0).to_dict()
 
 
 def test_serialization_is_deterministic():
