@@ -69,10 +69,13 @@ class TubeViolation(SweepError):
 
 
 class CertificationFailed(SweepError):
-    def __init__(self, step: int, residual: float, tol: float):
-        super().__init__(f"step {step}: normal-cone residual {residual:.3e} exceeds {tol:.3e}")
+    """A step's normal-defect bound (or, in an audit, a sampled residual)
+    exceeds the limit tol it must stay within."""
+
+    def __init__(self, step: int, value: float, tol: float, what: str = "normal-defect bound"):
+        super().__init__(f"step {step}: {what} {value:.3e} exceeds {tol:.3e}")
         self.step = step
-        self.residual = residual
+        self.value = value
         self.tol = tol
 
 

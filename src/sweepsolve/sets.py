@@ -1,11 +1,13 @@
 """Static prox-regular set primitives.
 
 Each shape supports exact distance, single-valued projection inside its tube
-of radius r, containment via the defining inequalities, normal-cone residual
-checks and seeded member sampling.  Convex shapes carry r = inf and bypass
-curvature terms entirely; the ball complement is the nonconvex primitive with
-r equal to its radius.  Polytopes project by a finite primal active-set solve
-whose result is accepted only after an explicit KKT check.
+of radius r, containment via the defining inequalities, a closed-form upper
+bound of the normal-cone defect of a candidate normal (normal_defect), and
+seeded member sampling, which serves only the sampled residual that audits
+those bounds.  Convex shapes carry r = inf and bypass curvature terms
+entirely; the ball complement is the nonconvex primitive with r equal to its
+radius.  Polytopes project by a finite primal active-set solve whose result
+is accepted only after an explicit KKT check.
 
 Each shape class also owns its schema document (a tag in SHAPES plus
 to_dict/from_dict), its translate, its closed-form excess over a shape of
@@ -39,6 +41,15 @@ SAMPLING_MAX_ATTEMPTS = 1_000_000
 # Relative rounding floor for the active-set step: a face whose rate along the
 # step is below this share of |y - x| is parallel to the working faces.
 _SPAN_EPS = 64 * np.finfo(float).eps
+
+# Rounding allowance of a normal-defect bound, per dimension and per unit of
+# the magnitudes that enter it: each bound is a few dot products, norms and
+# differences, each off by at most about dim * eps times their size.
+_DEFECT_ROUNDING = 8 * np.finfo(float).eps
+
+
+def _rounding(dim: int, scale: float) -> float:
+    return _DEFECT_ROUNDING * (dim + 2) * scale
 
 
 class ProxSet:
@@ -84,6 +95,31 @@ class ProxSet:
     def circumradius_about(self, p: np.ndarray) -> float:
         """Largest distance from p to a point of the set."""
         raise ValueError("circumradius must be declared for this base shape")
+
+    def normal_defect(self, x, n, halfwidth: float) -> float:
+        """Sound upper bound of the normal-cone defect of n at x in the window:
+        sup over members z with |z - x|_inf <= halfwidth of
+        <n, z - x> - (|n|/(2r))|z - x|^2, the curvature term dropped when
+        r = inf.  A bound <= 0 proves n a proximal normal of the set at x as
+        far as the window reaches (Colombo & Thibault 2010).
+
+        Each shape's bound rests on an inequality that holds for every
+        multiplier >= 0, so it is sound however the multiplier was found, and
+        carries an explicit rounding allowance.  The window enters only through
+        the radius R = halfwidth*sqrt(dim) of the Euclidean ball around it, so
+        a rigid image passes it on to its base unchanged.  NaN in x or n gives
+        NaN.
+        """
+        x = np.asarray(x, dtype=float)
+        n = np.asarray(n, dtype=float)
+        self._check_dim(x)
+        self._check_dim(n)
+        if not (np.isfinite(x).all() and np.isfinite(n).all()):
+            return math.nan
+        return float(self._normal_defect(x, n, halfwidth * math.sqrt(self.dim)))
+
+    def _normal_defect(self, x: np.ndarray, n: np.ndarray, R: float) -> float:
+        raise NotImplementedError
 
     def _check_dim(self, y: np.ndarray):
         if y.shape != (self.dim,):
@@ -176,6 +212,12 @@ class HalfSpace(ProxSet):
         excess = max(float(self._a @ y) - self.offset, 0.0)
         return y - excess * self._a
 
+    def _normal_defect(self, x, n, R):
+        # <n, z-x> <= lam (offset - <a, x>) + |n - lam a| R for any lam >= 0.
+        lam = max(float(n @ self._a), 0.0)
+        value = lam * (self.offset - float(self._a @ x)) + norm(n - lam * self._a) * R
+        return value + _rounding(self.dim, norm(n) * (R + abs(self.offset) + norm(x)))
+
     def boundary_anchor(self) -> np.ndarray:
         return self.offset * self._a
 
@@ -267,6 +309,16 @@ class Ball(_Round):
         half = self.radius + pad
         return self._c - half, self._c + half
 
+    def _normal_defect(self, x, n, R):
+        # With u = (x-c)/|x-c|, every member has <u, z-x> <= radius - |x-c|, so
+        # <n, z-x> <= s (radius - |x-c|) + |n - s u| R for any s >= 0.
+        v = x - self._c
+        dist = norm(v)
+        u = v / dist if dist > 0 else np.zeros(self.dim)
+        s = max(float(n @ u), 0.0)
+        value = s * (self.radius - dist) + norm(n - s * u) * R
+        return value + _rounding(self.dim, norm(n) * (R + dist + self.radius))
+
     def analytic_excess(self, other):
         gap = self._c - other._c
         dist = norm(gap)
@@ -319,6 +371,13 @@ class Box(ProxSet):
 
     def bounding_region(self, pad: float = 0.5):
         return self._lo - pad, self._hi + pad
+
+    def _normal_defect(self, x, n, R):
+        # Coordinate by coordinate: n_i (z_i - x_i) is at most |n_i| times the
+        # room up to the face that n_i points at, and at most |n_i| R.
+        room = np.where(n >= 0.0, self._hi - x, x - self._lo)
+        value = float(np.abs(n) @ np.minimum(room, R))
+        return value + _rounding(self.dim, norm(n) * R * self.dim)
 
     def translated(self, u):
         return Box(tuple(self._lo + u), tuple(self._hi + u))
@@ -404,17 +463,19 @@ class Polytope(ProxSet):
         would cross, which joins the set.  At that nearest point a face with
         a negative multiplier leaves the set; when none has one, the KKT
         conditions hold and are checked before x is returned.
+
+        Returns (x, W, lam): the nearest point, the indices W of its working
+        faces and their multipliers lam >= 0, with y - x = A_W^T lam.
         """
         A, b = self._A, self._b
         x = self._interior
         work: list = []
         for _ in range(self._max_steps):
-            Aw, M, c = self._working_faces(tuple(work))
+            Aw, bw, N, M, P = self._working_faces(tuple(work))
             r = y - x
-            # Least-norm multipliers: the step r - Aw^T lam lies in the null
-            # space of the working faces, so x stays on them.
-            lam = M @ r
-            step = r - lam @ Aw
+            # The step drops the part of r in the span of the working faces,
+            # so x stays on them.
+            step = N @ r
             rate = A @ step
             # A face whose normal lies in the span of the working faces sees
             # only rounding in its rate and must not block.
@@ -432,28 +493,36 @@ class Polytope(ProxSet):
             # A long step loses about eps * |y - x| to cancellation across the
             # working faces; put x back on them.
             x = x + step
-            x = x - (M @ x - c) @ Aw
-            if np.all(lam >= 0.0):
-                return self._certify(y, x, work, Aw, lam)
+            x = x - P @ (Aw @ x - bw)
+            # Least-norm multipliers at the corrected x: y - x = A_W^T lam.
+            lam = M @ (y - x)
+            if (lam >= 0.0).all():
+                self._certify(y, x, work, Aw, lam)
+                return x, tuple(work), lam
             del work[int(np.argmin(lam))]
         raise DidNotConverge(
             f"active-set projection exceeded {self._max_steps} steps for {len(self.faces)} faces"
         )
 
     def _working_faces(self, work: tuple):
-        """(A_W, G^-1 A_W, G^-1 b_W) for the faces W, with G = A_W A_W^T; cached per W."""
+        """(A_W, b_W, N, M, P) for the faces W, cached per W.  From A_W^T = QR:
+        N = I - QQ^T projects onto their null space, M = R^-1 Q^T gives the
+        least-norm multipliers and P = QR^-T maps a face residual back onto
+        the faces.  QR, unlike inverting A_W A_W^T, does not square the
+        condition number, so faces 1e-9 rad apart still factor."""
         cached = self._factors.get(work)
         if cached is None:
             Aw = self._A[list(work)]
-            try:
-                inv = np.linalg.inv(Aw @ Aw.T)
-            except np.linalg.LinAlgError as err:
-                raise DidNotConverge(f"faces {list(work)} are numerically dependent") from err
-            cached = (Aw, inv @ Aw, inv @ self._b[list(work)])
+            Q, R = np.linalg.qr(Aw.T)
+            diag = np.abs(np.diag(R))
+            if len(work) and diag.min() <= _SPAN_EPS * diag.max():
+                raise DidNotConverge(f"faces {list(work)} are numerically dependent")
+            Rinv = np.linalg.inv(R)
+            cached = (Aw, self._b[list(work)], np.eye(self.dim) - Q @ Q.T, Rinv @ Q.T, Q @ Rinv.T)
             self._factors[work] = cached
         return cached
 
-    def _certify(self, y, x, work, Aw, lam):
+    def _certify(self, y, x, work, Aw, lam) -> None:
         """Check the KKT conditions of x as the projection of y, with multipliers
         lam on the working faces; raise DidNotConverge when one fails."""
         residual = self._A @ x - self._b
@@ -463,24 +532,37 @@ class Polytope(ProxSet):
         if (
             infeasible > CONTAINMENT_TOL
             or off_face > CONTAINMENT_TOL
-            or not np.all(lam >= 0.0)
+            or (lam < 0.0).any()
             or stationarity > CONTAINMENT_TOL * max(1.0, norm(y - x))
         ):
             raise DidNotConverge(
                 f"projection failed its KKT check (infeasibility {infeasible:.3e}, "
                 f"off-face {off_face:.3e}, stationarity {stationarity:.3e})"
             )
-        return x
 
     def _raw_distance(self, y):
-        return norm(y - self._solve(y))
+        return norm(y - self._solve(y)[0])
 
     def _raw_project(self, y):
-        return self._solve(y)
+        return self._solve(y)[0]
 
     def _raw_project_with_distance(self, y):
-        p = self._solve(y)
+        p = self._solve(y)[0]
         return p, norm(y - p)
+
+    def _normal_defect(self, x, n, R):
+        # For any lam >= 0 on faces W, every member has
+        # <n, z-x> <= lam^T (b_W - A_W x) + |n - A_W^T lam| R.  The multipliers
+        # of the projection of x + n serve: for a true normal it is x itself
+        # and n = A_W^T lam.  When x + n is a member, lam = 0.
+        y = x + n
+        work, lam = (), np.zeros(0)
+        if self.membership_defect(y) > CONTAINMENT_TOL:
+            _, work, lam = self._solve(y)
+        Aw, bw = self._A[list(work)], self._b[list(work)]
+        value = float(lam @ (bw - Aw @ x)) + norm(n - lam @ Aw) * R
+        scale = norm(n) * R + float(lam.sum()) * (R + norm(x) + float(np.abs(bw).sum()))
+        return value + _rounding(self.dim, scale)
 
     def vertices_2d(self) -> list:
         """Vertices of a 2-D polytope via pairwise face intersections."""
@@ -559,6 +641,27 @@ class BallComplement(_Round):
         half = 2.5 * self.radius + pad
         return self._c - half, self._c + half
 
+    def _normal_defect(self, x, n, R):
+        # With u = (c-x)/d, d = |c-x|, every member (|z-c| >= radius) has
+        # <u, z-x> <= |z-x|^2/(2d) + (d^2 - radius^2)/(2d); for any s >= 0 the
+        # defect is then at most s(d^2 - radius^2)/(2d) + |n - s u| R
+        # + max(s/(2d) - |n|/(2 radius), 0) R^2.
+        v = self._c - x
+        dist = norm(v)
+        n_norm = norm(n)
+        # sample_points projects rejected draws onto the sphere, up to
+        # dist + radius from x and possibly outside the window: R grows to
+        # cover them, so an audit compares the bound with members it covers.
+        R = max(R, dist + self.radius)
+        value = n_norm * R
+        if dist > 0:
+            u = v / dist
+            s = max(float(n @ u), 0.0)
+            curvature = max(s / (2.0 * dist) - n_norm / (2.0 * self.radius), 0.0)
+            value = (s * (dist - self.radius) * (dist + self.radius) / (2.0 * dist)
+                     + norm(n - s * u) * R + curvature * R * R)
+        return value + _rounding(self.dim, n_norm * R * (1.0 + R / self.radius))
+
     def analytic_excess(self, other):
         gap = other._c - self._c
         dist = norm(gap)
@@ -589,6 +692,8 @@ class RigidImage(ProxSet):
         d = self.base.dim
         if Q.shape != (d, d) or u.shape != (d,):
             raise ValueError("rotation/translation dimensions do not match the base")
+        if not (np.isfinite(Q).all() and np.isfinite(u).all()):
+            raise ValueError("rotation and translation must be finite")
         if norm((Q.T @ Q - np.eye(d)).ravel()) > 1e-10:
             raise ValueError("rotation matrix is not orthogonal")
         object.__setattr__(self, "rotation", tuple(tuple(float(x) for x in row) for row in Q))
@@ -619,6 +724,12 @@ class RigidImage(ProxSet):
     def _raw_project_with_distance(self, y):
         p, d = self.base._raw_project_with_distance(self._pull(y))
         return self._Q @ p + self._u, d
+
+    def _normal_defect(self, x, n, R):
+        # The rotation keeps inner products and the Euclidean window radius.
+        value = self.base._normal_defect(self._pull(x), self._Q.T @ n, R)
+        pulled = norm(n) * (R + norm(x - self._u)) * (1.0 + R / self.r)
+        return value + _rounding(self.dim, pulled)
 
     def bounding_region(self, pad: float = 0.5):
         lo, hi = self.base.bounding_region(pad)

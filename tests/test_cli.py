@@ -94,3 +94,9 @@ def test_verify_negative_level_is_config_error(level, capsys):
     captured = capsys.readouterr()
     assert "--level" in captured.err
     assert "check" not in captured.out
+
+
+def test_non_integer_seed_is_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("SWEEP_SEED", "abc")
+    assert main(["verify", "static_ball"]) == 3
+    assert "SWEEP_SEED" in capsys.readouterr().err

@@ -2,7 +2,12 @@ import json
 
 import pytest
 
-from sweepsolve.harness import run, scenario_schedule
+from sweepsolve.families import TranslateFamily
+from sweepsolve.geometry import TimeGrid
+from sweepsolve.harness import check_normal, run, scenario_schedule
+from sweepsolve.paths import LinearPath
+from sweepsolve.sets import HalfSpace
+from sweepsolve.solver import solve
 from sweepsolve.scenarios import builtin_text, load_builtin, parse_scenario
 
 
@@ -153,3 +158,28 @@ def test_scenario_schedule_honours_the_level_override():
     two = scenario_schedule(scenario, 2)
     assert two.eps == full.eps[:2] and two.delta == full.delta[:2]
     assert [g.n_intervals for g in two.grids] == [g.n_intervals for g in full.grids[:2]]
+
+
+def _sweep_trajectory():
+    fam = TranslateFamily(HalfSpace((1.0, 0.0), 1.0), LinearPath((0.0, 0.0), (-1.0, 0.0)), 2.0)
+    return fam, solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 64), eps_level=0.1)
+
+
+def test_normal_check_reports_bound_and_audit():
+    fam, traj = _sweep_trajectory()
+    check = check_normal(fam, traj, seed=0)
+    assert check.verdict == "pass"
+    assert 1e-6 - 1e-13 <= check.margin <= 1e-6
+    assert "over 32 moving steps" in check.note
+    assert "on 4 steps, 240 samples" in check.note
+
+
+def test_failed_audit_is_a_fail_naming_the_step(monkeypatch):
+    # A bound below the sampled residual is unsound: the audit must catch it.
+    monkeypatch.setattr(HalfSpace, "_normal_defect", lambda self, x, n, R: -1.0)
+    fam, traj = _sweep_trajectory()
+    check = check_normal(fam, traj, seed=0)
+    assert check.verdict == "fail"
+    assert check.note.startswith("step ")
+    assert "unsound" in check.note
+    assert check.margin < 0

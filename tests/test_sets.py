@@ -17,6 +17,7 @@ from sweepsolve.errors import (
 )
 from sweepsolve.families import SamplingBudget, excess
 from sweepsolve.scenarios import shape_from_dict
+from sweepsolve.solver import CERTIFICATION_TOL
 from sweepsolve.sets import (
     Ball,
     BallComplement,
@@ -502,3 +503,186 @@ def test_excess_method_for_same_type_pairs(tag):
 def test_excess_is_sampled_for_mixed_pairs(a, b):
     est = excess(SHAPE_BY_TAG[a], SHAPE_BY_TAG[b], SamplingBudget(count=20, hill_steps=5, seed=3))
     assert est.method == "sampled"
+
+
+def test_rigid_image_rejects_non_finite_motion():
+    with pytest.raises(ValueError, match="finite"):
+        RigidImage(Ball((0.0, 0.0), 1.0), ((math.nan, 0.0), (0.0, 1.0)), (0.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        RigidImage(Ball((0.0, 0.0), 1.0), rotation_matrix_2d(0.3), (math.inf, 0.0))
+
+
+# Two faces about 1e-9 rad apart meet at the origin; their Gram matrix is
+# singular in double precision, so the working faces are factored by QR.
+NEAR_PARALLEL = Polytope(
+    (halfspace((0.0, 1.0), 0.0), halfspace((1e-9, 1.0), 0.0), halfspace((-1.0, 0.0), 1.0)),
+    (-0.5, -0.5),
+)
+_SCALES = [10.0 ** k for k in range(-9, 7)]
+
+
+def _near_vertex_points(seed):
+    """Points above the origin, a few 1e-9 of their height to either side, so
+    that they project onto either face or onto the vertex between them."""
+    rng = np.random.default_rng(seed)
+    for scale in _SCALES:
+        for _ in range(75):
+            b = rng.uniform(0.1, 1.0) * scale
+            yield np.array([rng.uniform(-1.0, 2.0) * 1e-9 * b, b])
+
+
+def _surrounding_points(seed):
+    """Points in every direction around the origin at the same scales."""
+    rng = np.random.default_rng(seed)
+    for scale in _SCALES:
+        for _ in range(77):
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            yield rng.uniform(0.1, 1.0) * scale * np.array([math.cos(angle), math.sin(angle)])
+
+
+@pytest.mark.parametrize("points", [_near_vertex_points, _surrounding_points])
+def test_near_parallel_faces_project(points):
+    # Every point projects (the KKT check passed), and its distance matches the
+    # nearest point of the faces and their vertices computed in closed form.
+    a1 = np.array(NEAR_PARALLEL.faces[1].normal)
+    for y in points(0):
+        p = NEAR_PARALLEL.project(y)
+        if NEAR_PARALLEL.membership_defect(y) <= sets_mod.CONTAINMENT_TOL:
+            expected = y  # inside, or snapped to the set
+        elif y[0] < -1.0:
+            expected = np.array([-1.0, min(y[1], 0.0)])  # onto the left face or its corner
+        elif y[0] <= 0.0:
+            expected = np.array([y[0], 0.0])  # onto the top face
+        else:
+            on_slant = y - float(a1 @ y) * a1
+            expected = on_slant if on_slant[0] >= 0.0 else np.zeros(2)
+        # Where the faces meet, the position along them is ill-conditioned
+        # (a slack of 1e-20 moves the vertex by 1e-11); the distance is not.
+        assert NEAR_PARALLEL.contains(p)
+        gap = np.linalg.norm(y - p) - np.linalg.norm(y - expected)
+        assert abs(gap) <= 1e-12 * max(1.0, np.linalg.norm(y))
+
+
+# Six shapes, one per class, and their normal-defect bounds against the
+# sampled residual, a lower bound of the same supremum.
+DEFECT_SHAPES = [SHAPE_BY_TAG[tag] for tag in TAGS]
+
+
+def _boundary_normal(shape, y):
+    """(x, unit n): the projection x of y and the unit proximal normal there."""
+    x, d = shape.project_with_distance(y)
+    return x, (np.asarray(y) - x) / d
+
+
+def _rotated(n):
+    return np.array([-n[1], n[0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(TAGS),
+    st.floats(-2.5, 2.5),
+    st.floats(-2.5, 2.5),
+    st.floats(1e-3, 1.0),
+    st.floats(0.25, 3.0),
+    st.integers(0, 2**16),
+)
+def test_normal_defect_bounds_the_sampled_residual(tag, y0, y1, length, halfwidth, seed):
+    shape = SHAPE_BY_TAG[tag]
+    y = np.array([y0, y1])
+    d = shape.distance(y)
+    assume(1e-6 < d < shape.r)
+    x, unit = _boundary_normal(shape, y)
+    region = (x - halfwidth, x + halfwidth)
+    z = sample_points(shape, region, 30, seed)
+    true_n = length * unit
+    bound = shape.normal_defect(x, true_n, halfwidth)
+    assert bound <= CERTIFICATION_TOL
+    assert bound >= normal_residual(shape, x, true_n, z).worst_residual
+    # Wrong normals: the bound stays sound, and an inward vector fails.
+    for wrong in (-true_n, _rotated(true_n), -_rotated(true_n), true_n + 0.05 * _rotated(true_n)):
+        assert shape.normal_defect(x, wrong, halfwidth) >= normal_residual(
+            shape, x, wrong, z).worst_residual
+    assert shape.normal_defect(x, -true_n, halfwidth) > CERTIFICATION_TOL
+
+
+# Points whose projection lies inside a face (or on a smooth boundary), away
+# from every vertex, so no rotation of the normal is a normal.
+FACE_POINTS = {
+    "halfspace": (1.0, 1.0),
+    "ball": (2.0, 1.0),
+    "box": (0.25, 1.0),
+    "polytope": (1.0, 1.0),
+    "ball_complement": (0.2, 0.3),
+    "rigid_image": tuple(np.array(rotation_matrix_2d(0.7)) @ (1.0, 1.0) + (0.4, -0.1)),
+}
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("length", [1e-3, 0.1, 1.0])
+def test_normal_defect_rejects_wrong_normals(tag, length):
+    shape = SHAPE_BY_TAG[tag]
+    x, unit = _boundary_normal(shape, FACE_POINTS[tag])
+    n = length * unit
+    assert shape.normal_defect(x, n, 3.0) <= CERTIFICATION_TOL
+    for wrong in (-n, _rotated(n), -_rotated(n), n + 0.1 * length * _rotated(unit)):
+        assert shape.normal_defect(x, wrong, 3.0) > CERTIFICATION_TOL
+    assert math.isnan(shape.normal_defect(x, (math.nan, 0.0), 3.0))
+    assert shape.normal_defect(x, np.zeros(2), 3.0) <= CERTIFICATION_TOL
+
+
+def test_normal_defect_closed_forms():
+    # Half-space, ball and box bounds at exactly representable points.
+    hs = HalfSpace((1.0, 0.0), 0.0)
+    assert hs.normal_defect((0.0, 5.0), (2.0, 0.0), 1.0) == pytest.approx(0.0, abs=1e-13)
+    assert hs.normal_defect((0.0, 5.0), (0.0, 2.0), 1.0) == pytest.approx(2.0 * math.sqrt(2.0))
+    ball = Ball((0.0, 0.0), 1.0)
+    # x inside at depth 0.5 along n: the supremum is exactly 0.5 |n|.
+    assert ball.normal_defect((0.5, 0.0), (1.0, 0.0), 3.0) == pytest.approx(0.5)
+    box = Box((0.0, 0.0), (1.0, 2.0))
+    assert box.normal_defect((1.0, 1.0), (1.0, 0.0), 3.0) == pytest.approx(0.0, abs=1e-13)
+    assert box.normal_defect((1.0, 1.0), (0.0, 1.0), 3.0) == pytest.approx(1.0)
+    # Off the sphere of the excluded ball, the normal toward the center is
+    # short of a normal by the gap: (d^2 - radius^2)/(2d) per unit of n.
+    bc = BallComplement((0.0, 0.0), 1.0)
+    assert bc.normal_defect((2.0, 0.0), (-1.0, 0.0), 3.0) == pytest.approx(0.75)
+    # Inside the excluded ball (not a member), the curvature excess enters:
+    # (0.25 - 1)/1 + (1/1 - 1/2) R^2 with R^2 = 18.  The member (-1, 0) has
+    # residual 1.5 - 2.25/2 = 0.375, which the bound must cover.
+    assert bc.normal_defect((0.5, 0.0), (-1.0, 0.0), 3.0) == pytest.approx(8.25)
+
+
+def test_complement_bound_covers_samples_outside_the_window():
+    # Rejected draws project radially onto the sphere, some of them beyond the
+    # window and beyond its radius R; the audit compares the bound with their
+    # residuals, so the bound must cover them, for tilted normals too.
+    bc = BallComplement((0.0, 0.0), 2.0)
+    x = np.array([2.0, 0.0])
+    for halfwidth in (0.25, 1.0, 1.5):
+        z = sample_points(bc, (x - halfwidth, x + halfwidth), 200, seed=3)
+        assert max(np.abs(np.asarray(z) - x).max(axis=1)) > halfwidth
+        for tilt in (0.01, 0.05, 0.2):
+            n = 0.1 * np.array([-1.0, tilt])
+            residual = normal_residual(bc, x, n, z).worst_residual
+            assert bc.normal_defect(x, n, halfwidth) >= residual
+
+
+def test_polytope_normal_defect_uses_the_solve_multipliers(monkeypatch):
+    # At the vertex (1, 0) the normal cone is spanned by (0, -1) and (1, 1):
+    # their sum is a normal, certified by the two multipliers of one solve.
+    calls = []
+    solve_once = Polytope._solve
+
+    def counting(self, y):
+        calls.append(tuple(y))
+        return solve_once(self, y)
+
+    monkeypatch.setattr(Polytope, "_solve", counting)
+    n = np.array([0.0, -1.0]) + np.array([1.0, 1.0]) / math.sqrt(2.0)
+    assert TRIANGLE.normal_defect((1.0, 0.0), 0.01 * n, 3.0) <= 1e-14
+    assert len(calls) == 1
+    # x + n inside the set: lam = 0 and the bound is |n| R, with no solve.
+    calls.clear()
+    bound = TRIANGLE.normal_defect((0.5, 0.5), (-0.1, -0.1), 3.0)
+    assert bound == pytest.approx(0.1 * math.sqrt(2.0) * 3.0 * math.sqrt(2.0))
+    assert calls == []

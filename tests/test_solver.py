@@ -234,7 +234,8 @@ class TestCertification:
         certs = certify_steps(fam, traj, samples_per_step=40, seed=2)
         assert certs
         for c in certs:
-            assert c.normal_report.worst_residual <= 1e-9
+            assert c.defect_bound <= 1e-9
+            assert c.audit is None or c.audit.worst_residual <= c.defect_bound
             n = traj.points[c.j - 1] - traj.points[c.j]
             assert abs(n[1]) <= 1e-12  # aligned with the wall normal
             assert c.distance_moved <= c.excess_bound_used * (1 + 1e-12)
@@ -244,7 +245,31 @@ class TestCertification:
         traj = solve(fam, (0.0, 0.1), TimeGrid.uniform(2.0, 400), eps_level=0.01)
         certs = certify_steps(fam, traj, samples_per_step=60, seed=3)
         assert certs
-        assert max(c.normal_report.worst_residual for c in certs) <= 1e-8
+        assert max(c.defect_bound for c in certs) <= 1e-8
+        audits = [c for c in certs if c.audit is not None]
+        assert len(audits) == solver_mod.NORMAL_AUDIT_STEPS
+        assert all(c.audit.worst_residual <= c.defect_bound for c in audits)
+        assert all(c.audit.samples == 60 for c in audits)
+
+    def test_audit_covers_the_worst_bound_and_seeded_steps(self):
+        fam = sweep_family()
+        traj = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 100), eps_level=0.05)
+        certs = certify_steps(fam, traj, seed=5)
+        audited = [c.j for c in certs if c.audit is not None]
+        assert len(audited) == solver_mod.NORMAL_AUDIT_STEPS
+        worst = max(certs, key=lambda c: c.defect_bound)
+        assert worst.audit is not None
+        assert [c.j for c in certify_steps(fam, traj, seed=5) if c.audit] == audited
+        # With fewer moving steps than the audit size, every step is audited.
+        short = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 2), eps_level=1.5)
+        assert all(c.audit is not None for c in certify_steps(fam, short))
+
+    def test_nan_bound_fails(self, monkeypatch):
+        monkeypatch.setattr(HalfSpace, "_normal_defect", lambda self, x, n, R: float("nan"))
+        fam = sweep_family()
+        traj = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 8), eps_level=0.5)
+        with pytest.raises(CertificationFailed, match="normal-defect bound nan"):
+            certify_steps(fam, traj)
 
     def test_failure_message_shows_the_tolerance(self, monkeypatch):
         # A tolerance far below every residual fails the first moving step; the
