@@ -10,7 +10,6 @@ from .errors import (
     EmptyIntersection,
     InapplicableBound,
     InfeasibleInitialPoint,
-    InitialInfeasible,
     ModulusUnavailable,
     NoFeasibleEps,
     NoPositiveTau,
@@ -35,11 +34,10 @@ from .families import (
     TranslateFamily,
     build_schedule,
     compute_tau,
-    estimate_modulus,
     excess,
     verify_inner_ball,
 )
-from .geometry import RefinementSchedule, TimeGrid, as_vector, inner, norm
+from .geometry import RefinementSchedule, TimeGrid, norm
 from .harness import CheckResult, RunReport, run
 from .paths import ConstantPath, LinearPath, PiecewisePath
 from .scenarios import (
@@ -81,7 +79,6 @@ from .variation import (
     choose_cone_params,
     cone_variation_bound,
     converge_study,
-    sampled_variation,
     variation,
 )
 

@@ -97,7 +97,3 @@ class InfeasibleInitialPoint(SweepError):
     def __init__(self, defect: float):
         super().__init__(f"initial point lies outside the t=0 set (containment defect {defect:.3e})")
         self.defect = defect
-
-
-# Former name, kept so existing imports keep working.
-InitialInfeasible = InfeasibleInitialPoint

@@ -5,8 +5,8 @@ The excess of A over B is sup_{a in A} d(a, B): zero iff A is contained in
 the closure of B, asymmetric otherwise.  Families built from the declared
 path forms carry an analytic linear modulus omega(delta) = rate * delta, an
 upper bound that sets the schedule step lengths; a family with no analytic
-rate raises ModulusUnavailable.  Sampled excess and modulus estimates are
-lower bounds, used only as audits.
+rate raises ModulusUnavailable.  Sampled excess values are lower bounds,
+used only as audits.
 
 Each schema family class owns its schema document (a kind tag in FAMILIES
 plus to_dict/from_dict): a new family kind is one class plus one entry there.
@@ -17,7 +17,7 @@ declared_r against the family's natural r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class SamplingBudget:
     count: int = 160
     hill_steps: int = 40
     seed: int = 0
-    region: object = None
 
 
 @dataclass(frozen=True)
@@ -60,11 +59,10 @@ class ExcessEstimate:
     lower: float
     witness: np.ndarray
     method: str  # "analytic" | "sampled"
-    sample_count: int
 
 
 def _sampled_excess(A: ProxSet, B: ProxSet, budget: SamplingBudget) -> ExcessEstimate:
-    region = budget.region if budget.region is not None else A.bounding_region()
+    region = A.bounding_region()
     pts = sample_points(A, region, budget.count, budget.seed)
     dists = [B.distance(p) for p in pts]
     best_i = int(np.argmax(dists))
@@ -85,7 +83,7 @@ def _sampled_excess(A: ProxSet, B: ProxSet, budget: SamplingBudget) -> ExcessEst
             best, x = d, prop
         else:
             scale *= 0.9
-    return ExcessEstimate(float(best), x, "sampled", budget.count)
+    return ExcessEstimate(float(best), x, "sampled")
 
 
 def excess(A: ProxSet, B: ProxSet, budget: SamplingBudget | None = None) -> ExcessEstimate:
@@ -96,7 +94,7 @@ def excess(A: ProxSet, B: ProxSet, budget: SamplingBudget | None = None) -> Exce
     analytic = A.analytic_excess(B) if type(A) is type(B) else None
     if analytic is not None:
         value, witness = analytic
-        return ExcessEstimate(float(value), witness, "analytic", 0)
+        return ExcessEstimate(float(value), witness, "analytic")
     return _sampled_excess(A, B, budget or SamplingBudget())
 
 
@@ -348,7 +346,6 @@ class PiecewiseFamily(MovingFamily):
     kind = "piecewise"
     pieces: tuple  # ((until, family), ...), untils strictly increasing
     declared_r: float | None = None
-    jump_budget: SamplingBudget | None = None
 
     def __post_init__(self):
         if len(self.pieces) < 1:
@@ -367,8 +364,7 @@ class PiecewiseFamily(MovingFamily):
         object.__setattr__(self, "pieces", pieces)
         self._set_r(min(fam.r for _, fam in pieces))
         for (t_star, left), (_, right) in zip(pieces, pieces[1:]):
-            est = excess(left.at(min(t_star, left.horizon)), right.at(t_star),
-                         self.jump_budget)
+            est = excess(left.at(min(t_star, left.horizon)), right.at(t_star))
             if est.lower > JUMP_TOL:
                 raise ValueError(
                     f"inadmissible jump at t={t_star}: left slice sticks out by {est.lower:.3e}"
@@ -390,10 +386,7 @@ class PiecewiseFamily(MovingFamily):
         return piece_at(self.pieces, t).at(t)
 
     def analytic_rate(self):
-        rates = [fam.analytic_rate() for _, fam in self.pieces]
-        if any(rate is None for rate in rates):
-            return None
-        return max(rates)
+        return max(fam.modulus().rate for _, fam in self.pieces)
 
     def _doc_fields(self):
         return {"pieces": [{"until": u, "family": fam.to_dict()} for u, fam in self.pieces]}
@@ -432,51 +425,6 @@ class StaticFamily(MovingFamily):
 FAMILIES = {
     cls.kind: cls for cls in (TranslateFamily, RadiusFamily, RigidFamily, PiecewiseFamily)
 }
-
-
-def _sampled_omega(family: MovingFamily, delta: float, budget: SamplingBudget) -> float:
-    """Max sampled excess over forward pairs at most delta apart."""
-    T = family.horizon
-    worst = 0.0
-    pair_index = 0
-    for sub in (delta, delta / 2.0, delta / 4.0):
-        if sub <= 0:
-            continue
-        starts = list(np.linspace(0.0, max(T - sub, 0.0), 64))
-        for t_star in family.breakpoints():
-            starts.extend([t_star - sub, t_star - sub / 2.0, t_star])
-        for s in starts:
-            s = min(max(s, 0.0), T)
-            t = min(s + sub, T)
-            if t <= s:
-                continue
-            pair_budget = SamplingBudget(
-                count=budget.count,
-                hill_steps=budget.hill_steps,
-                seed=budget.seed + pair_index,
-                region=budget.region,
-            )
-            pair_index += 1
-            est = excess(family.at(s), family.at(t), pair_budget)
-            worst = max(worst, est.lower)
-    return worst
-
-
-def estimate_modulus(family: MovingFamily, deltas, budget: SamplingBudget | None = None):
-    """Nondecreasing estimates [(delta, omega_hat)], exact when analytic."""
-    ds = sorted(float(d) for d in deltas)
-    if any(d <= 0 or d > family.horizon for d in ds):
-        raise ValueError("deltas must be positive and at most the horizon")
-    rate = family.analytic_rate()
-    if rate is not None:
-        return [(d, rate * d) for d in ds]
-    b = budget or SamplingBudget(count=48, hill_steps=20)
-    out = []
-    running = 0.0
-    for d in ds:
-        running = max(running, _sampled_omega(family, d, b))
-        out.append((d, running))
-    return out
 
 
 def compute_tau(omega: Modulus, r: float, rho0: float, rho: float) -> float:
@@ -596,20 +544,27 @@ def validate_analytic_modulus(
     seed: int = 0,
     budget: SamplingBudget | None = None,
 ) -> float:
-    """Max of sampled_excess - omega(t-s)*(1+1e-6) over random forward pairs;
-    nonpositive values are consistent with the declared analytic modulus."""
-    rate = family.analytic_rate()
-    if rate is None:
-        raise ValueError("family has no analytic modulus to validate")
+    """Max of sampled excess - omega(t-s)*(1+1e-6) over forward pairs (s, t);
+    nonpositive values are consistent with the family's analytic modulus.
+
+    The pairs are `pairs` random ones drawn from seed, then, around each
+    breakpoint t* and for h in T/64, T/16, T/4, the pairs (t*-h, t*) and
+    (t*-h, t*+h) clipped to [0, T], where a jump could show.  Pair i samples
+    with seed budget.seed + i.
+    """
     omega = family.modulus()
+    T = family.horizon
     rng = np.random.default_rng(seed)
+    forward = [sorted(rng.random(2) * T) for _ in range(pairs)]
+    for t_star in family.breakpoints():
+        for h in (T / 64.0, T / 16.0, T / 4.0):
+            s = max(t_star - h, 0.0)
+            forward += [(s, t_star), (s, min(t_star + h, T))]
     b = budget or SamplingBudget(count=48, hill_steps=20)
     worst = -math.inf
-    for i in range(pairs):
-        s, t = sorted(rng.random(2) * family.horizon)
+    for i, (s, t) in enumerate(forward):
         if t <= s:
             continue
-        pair_budget = SamplingBudget(b.count, b.hill_steps, b.seed + i, b.region)
-        est = excess(family.at(s), family.at(t), pair_budget)
+        est = excess(family.at(s), family.at(t), replace(b, seed=b.seed + i))
         worst = max(worst, est.lower - omega(t - s) * (1.0 + 1e-6))
     return worst

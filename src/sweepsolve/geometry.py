@@ -1,4 +1,5 @@
-"""State-space primitives: vectors, time grids and nested refinement schedules.
+"""State-space primitives: the vector norm, time grids and nested refinement
+schedules.
 
 Vectors are plain 1-D float64 numpy arrays.  Time grids used by refinement
 schedules are dyadic subdivisions of [0, T] so that nestedness holds exactly
@@ -13,30 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange
-
-def as_vector(x) -> np.ndarray:
-    """Coerce to a read-only 1-D float64 array."""
-    v = np.array(x, dtype=float, copy=True)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    v.flags.writeable = False
-    return v
-
-
-def inner(u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.dot(u, v))
-
 
 def norm(u: np.ndarray) -> float:
     return float(np.linalg.norm(u))
-
-
-def unit(u: np.ndarray) -> np.ndarray:
-    n = norm(u)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return u / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,16 +63,6 @@ class TimeGrid:
     @property
     def n_intervals(self) -> int:
         return len(self.times) - 1
-
-    def anticipate(self, t: float) -> float:
-        """Smallest grid node >= t (and t_first at t_first).
-
-        Satisfies 0 <= anticipate(t) - t <= mesh on the whole span.
-        """
-        if t < self.t_first or t > self.t_last:
-            raise OutOfRange(f"t={t} outside [{self.t_first}, {self.t_last}]")
-        idx = int(np.searchsorted(self.times, t, side="left"))
-        return float(self.times[idx])
 
     def refines(self, coarser: "TimeGrid") -> bool:
         """True when every node of `coarser` is exactly a node of this grid."""
@@ -160,8 +130,3 @@ class RefinementSchedule:
     @property
     def horizon(self) -> float:
         return self.grids[0].t_last
-
-    @property
-    def summable(self) -> bool:
-        # Geometric with ratio < 1, enforced at construction.
-        return True

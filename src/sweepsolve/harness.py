@@ -23,7 +23,7 @@ from .errors import (
     NoPositiveTau,
     SchemaError,
 )
-from .families import CONVEX_R_CAP, InnerBallCert, MovingFamily, build_schedule, verify_inner_ball
+from .families import InnerBallCert, MovingFamily, build_schedule, verify_inner_ball
 from .geometry import RefinementSchedule, norm
 from .scenarios import Scenario
 from .solver import CERTIFICATION_TOL, DiscreteTrajectory, certify_steps, write_trajectory_csv
@@ -135,7 +135,6 @@ def _check_ball_bound(scenario: Scenario, schedule, report, seed: int, bounds: d
     if scenario.ball_params is None:
         return CheckResult("ball_bound", "inapplicable", None, "no inner ball declared")
     w, rho = scenario.ball_params.w, scenario.ball_params.rho
-    r_eff = min(scenario.family.r, CONVEX_R_CAP)
     cert = InnerBallCert(w, rho, 0.0, scenario.horizon)
     defect = verify_inner_ball(scenario.family, cert, seed=seed)
     if defect > INNER_BALL_TOL:
@@ -144,7 +143,7 @@ def _check_ball_bound(scenario: Scenario, schedule, report, seed: int, bounds: d
             f"declared inner ball leaves the set (defect {defect:.3e})",
         )
     gap = norm(np.array(scenario.y0) - np.array(w))
-    compat = 2.0 * r_eff * rho - (gap + rho) ** 2
+    compat = 2.0 * schedule.r * rho - (gap + rho) ** 2
     if compat <= 0:
         return CheckResult(
             "ball_bound", "inapplicable", compat,
@@ -156,14 +155,14 @@ def _check_ball_bound(scenario: Scenario, schedule, report, seed: int, bounds: d
         alpha = ball_alpha(scenario.y0, w, rho, eps)
         try:
             bound = ball_variation_bound(
-                BallBoundParams(r=r_eff, w=w, rho=rho, alpha=alpha, y0=scenario.y0)
+                BallBoundParams(r=schedule.r, w=w, rho=rho, alpha=alpha, y0=scenario.y0)
             )
         except InapplicableBound:
             per_level.append(None)
             continue
         per_level.append(bound)
         margins.append(bound - report.variations[n])
-    bounds["ball"] = {"per_level": per_level, "rho": rho, "w": list(w), "r": r_eff}
+    bounds["ball"] = {"per_level": per_level, "rho": rho, "w": list(w), "r": schedule.r}
     if not margins:
         return CheckResult(
             "ball_bound", "inapplicable", None,
@@ -182,10 +181,9 @@ def _check_cone_bound(scenario: Scenario, schedule, report, bounds: dict) -> Che
     if scenario.cone_params is None:
         return CheckResult("cone_bound", "inapplicable", None, "no interior cone declared")
     R, d = scenario.cone_params.R, scenario.cone_params.d
-    r_eff = min(scenario.family.r, CONVEX_R_CAP)
     omega = scenario.family.modulus()
     try:
-        params = choose_cone_params(r_eff, R, d, omega, eps_candidates=schedule.eps)
+        params = choose_cone_params(schedule.r, R, d, omega, eps_candidates=schedule.eps)
     except (NoPositiveTau, NoFeasibleEps) as err:
         return CheckResult("cone_bound", "inapplicable", None, str(err))
     n_bar = next(
@@ -215,7 +213,7 @@ def _check_cone_bound(scenario: Scenario, schedule, report, bounds: dict) -> Che
         "n_bar": n_bar,
         "R": R,
         "d": d,
-        "r": r_eff,
+        "r": schedule.r,
     }
     return CheckResult(
         "cone_bound",

@@ -800,11 +800,16 @@ def normal_residual(s: ProxSet, x, n, z_samples) -> NormalResidualReport:
 
 
 def sample_points(s: ProxSet, region, count: int, seed: int) -> list:
-    """Seeded member samples in an axis-aligned window.
+    """Seeded member samples drawn from an axis-aligned window.
 
-    Uniform draws that land in the set are kept as-is; rejected draws are
-    projected onto the set so boundaries are represented.  Raises
-    EmptyIntersection when rejection sampling finds no direct member.
+    Uniform draws in the window that land in the set are kept as-is; rejected
+    draws are projected onto the set so boundaries are represented, and a
+    projected sample can lie outside the window.  For a convex set whose
+    window center is a member, the projection is nonexpansive, so every
+    sample stays within halfwidth*sqrt(dim) of the center: the Euclidean
+    radius normal_defect uses.  A nonconvex set (a ball complement) has no
+    such bound.  Raises EmptyIntersection when rejection sampling finds no
+    direct member.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

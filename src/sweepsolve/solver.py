@@ -214,7 +214,7 @@ def certify_steps(
     audited residual above its step's bound means the bound is unsound and
     raises CertificationFailed naming the step.
     """
-    rate = family.analytic_rate()
+    omega = family.modulus()
     certificates, slices = [], []
     jump_norms = traj.jump_norms
     for j in range(1, len(traj.grid.times)):
@@ -223,7 +223,7 @@ def certify_steps(
             continue
         t = float(traj.grid.times[j])
         dt = t - float(traj.grid.times[j - 1])
-        excess = rate * dt if rate is not None else traj.eps_level
+        excess = omega(dt)
         slice_t = family.at(t)
         n_vec = traj.points[j - 1] - traj.points[j]
         bound = slice_t.normal_defect(traj.points[j], n_vec, region_halfwidth)

@@ -23,8 +23,8 @@ from sweepsolve.errors import InapplicableBound
 from sweepsolve.families import (
     SamplingBudget,
     build_schedule,
-    estimate_modulus,
-    _sampled_omega,
+    excess,
+    validate_analytic_modulus,
 )
 from sweepsolve.geometry import TimeGrid
 from sweepsolve.harness import CAUCHY_NOISE_FLOOR, run
@@ -38,14 +38,13 @@ from sweepsolve.sets import (
     halfspace,
     sample_points,
 )
-from sweepsolve.solver import affine_interpolant, certify_steps, solve
+from sweepsolve.solver import certify_steps, solve
 from sweepsolve.variation import (
     BallBoundParams,
     ball_alpha,
     ball_variation_bound,
     converge_study,
     sup_norm_gap,
-    union_sample_times,
 )
 
 import oracles
@@ -253,18 +252,26 @@ def test_criterion_8_novelty_jump_expansion():
     doc = json.loads(builtin_text("jump_expansion"))
     doc["family"]["pieces"][1]["family"]["radius"]["value"] = 1.15
     twin = parse_scenario(json.dumps(doc)).family
-    deltas = [0.05, 0.1, 0.2, 0.4]
-    with_jump = estimate_modulus(scenario.family, deltas)
-    without = estimate_modulus(twin, deltas)
-    worst_gap = max(abs(a[1] - b[1]) for a, b in zip(with_jump, without))
+    with_jump, without = scenario.family.modulus(), twin.modulus()
+    worst_gap = max(abs(with_jump(d) - without(d)) for d in (0.05, 0.1, 0.2, 0.4))
     assert worst_gap <= 1e-9
+    # On the pairs that straddle the jump, the outward jump adds no excess over
+    # the twin's, and the analytic modulus still bounds the jump family's.
+    T = scenario.horizon
     budget = SamplingBudget(count=32, hill_steps=10)
-    sampled_gap = abs(
-        _sampled_omega(scenario.family, 0.25, budget) - _sampled_omega(twin, 0.25, budget)
-    )
+    sampled_gap = -math.inf
+    for t_star in scenario.family.breakpoints():
+        for h in (T / 64.0, T / 16.0, T / 4.0):
+            for s, t in ((t_star - h, t_star), (t_star - h, t_star + h)):
+                jump = excess(scenario.family.at(s), scenario.family.at(t), budget).lower
+                cont = excess(twin.at(s), twin.at(t), budget).lower
+                sampled_gap = max(sampled_gap, jump - cont)
     assert sampled_gap <= 1e-9
+    audit = validate_analytic_modulus(scenario.family, pairs=0)
+    assert audit <= 1e-9
     report(8, f"finest residual {rep.constraint_residuals[-1]:.1e}; "
-              f"modulus jump-invariance: analytic gap {worst_gap:.1e}, sampled gap {sampled_gap:.1e}")
+              f"modulus jump-invariance: analytic gap {worst_gap:.1e}, sampled excess "
+              f"over the twin's {sampled_gap:.1e}, breakpoint audit {audit:.1e}")
 
 
 def test_criterion_9_refinement_consistency():
@@ -277,8 +284,7 @@ def test_criterion_9_refinement_consistency():
         assert sched_a.grids[-1].n_intervals != sched_b.grids[-1].n_intervals
         fin_a = solve(scenario.family, scenario.y0, sched_a.grids[-1], sched_a.eps[-1], level=5)
         fin_b = solve(scenario.family, scenario.y0, sched_b.grids[-1], sched_b.eps[-1], level=3)
-        ts = union_sample_times(fin_a.grid.times, fin_b.grid.times, oversample=10)
-        gap = sup_norm_gap(affine_interpolant(fin_a), affine_interpolant(fin_b), ts)
+        gap = sup_norm_gap(fin_a, fin_b)
         tol = 3.0 * max(sched_a.eps[-1], sched_b.eps[-1])
         assert gap <= tol, f"{name}: {gap} > {tol}"
         details.append(f"{name}: gap {gap:.2e} <= {tol:.2e}")

@@ -16,11 +16,9 @@ from sweepsolve.families import (
     TranslateFamily,
     build_schedule,
     compute_tau,
-    estimate_modulus,
     excess,
     verify_inner_ball,
     validate_analytic_modulus,
-    _sampled_omega,
 )
 from sweepsolve.paths import ConstantPath, LinearPath, PiecewisePath
 from sweepsolve.sets import Ball, BallComplement, HalfSpace, Polytope
@@ -156,34 +154,38 @@ class TestSlices:
 
 class TestModulus:
     def test_translate_unit_speed(self):
-        fam = sweep_family()
-        [(d, w)] = estimate_modulus(fam, [0.25])
-        assert (d, w) == (0.25, 0.25)
+        assert sweep_family().modulus()(0.25) == 0.25
 
     def test_static_zero(self):
-        fam = StaticFamily(Ball((0.0, 0.0), 1.0), 1.0)
-        assert estimate_modulus(fam, [0.1, 0.5]) == [(0.1, 0.0), (0.5, 0.0)]
+        omega = StaticFamily(Ball((0.0, 0.0), 1.0), 1.0).modulus()
+        assert (omega(0.1), omega(0.5)) == (0.0, 0.0)
 
     def test_jump_contributes_nothing(self):
-        jump = drift_jump_family()
-        cont = drift_nojump_family()
-        deltas = [0.1, 0.25, 0.5]
-        est_jump = estimate_modulus(jump, deltas)
-        est_cont = estimate_modulus(cont, deltas)
-        for (d1, w1), (d2, w2) in zip(est_jump, est_cont):
-            assert d1 == d2
-            assert abs(w1 - w2) <= 1e-9
+        jump = drift_jump_family().modulus()
+        cont = drift_nojump_family().modulus()
+        for d in (0.1, 0.25, 0.5):
+            assert abs(jump(d) - cont(d)) <= 1e-9
 
     def test_sampled_omega_matches_analytic_for_sweep(self):
         fam = sweep_family()
-        sampled = _sampled_omega(fam, 0.25, SamplingBudget(count=32, hill_steps=10))
-        assert sampled == pytest.approx(0.25, abs=1e-9)
+        budget = SamplingBudget(count=32, hill_steps=10)
+        sampled = max(excess(fam.at(s), fam.at(s + 0.25), budget).lower
+                      for s in np.linspace(0.0, 1.75, 64))
+        assert sampled == pytest.approx(fam.modulus()(0.25), abs=1e-9)
 
     def test_sampled_jump_equality(self):
-        b = SamplingBudget(count=32, hill_steps=10)
-        s_jump = _sampled_omega(drift_jump_family(), 0.25, b)
-        s_cont = _sampled_omega(drift_nojump_family(), 0.25, b)
-        assert abs(s_jump - s_cont) <= 1e-9
+        # Same pairs and seeds, the breakpoint pairs included: the outward
+        # jump leaves the worst sampled excess minus omega unchanged.
+        a_jump = validate_analytic_modulus(drift_jump_family(), pairs=50, seed=3)
+        a_cont = validate_analytic_modulus(drift_nojump_family(), pairs=50, seed=3)
+        assert abs(a_jump - a_cont) <= 1e-9
+
+    def test_audit_covers_pairs_straddling_a_jump(self, monkeypatch):
+        # With no random pairs only the breakpoint pairs are audited.
+        fam = drift_jump_family()
+        assert validate_analytic_modulus(fam, pairs=0) <= 1e-9
+        monkeypatch.setattr(PiecewiseFamily, "analytic_rate", lambda self: 0.0)
+        assert validate_analytic_modulus(fam, pairs=0) > 0.0
 
     def test_validate_analytic_modulus(self):
         # 200 random forward pairs per family; sampled excess never exceeds
@@ -255,7 +257,6 @@ class TestBuildSchedule:
         for n in range(3):
             assert sched.grids[n + 1].refines(sched.grids[n])
             assert sched.eps[n + 1] == pytest.approx(sched.eps[n] * 0.5)
-        assert sched.summable
 
     def test_modulus_unavailable(self):
         class Opaque(StaticFamily):

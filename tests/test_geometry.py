@@ -2,23 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sweepsolve.errors import OutOfRange
-from sweepsolve.geometry import RefinementSchedule, TimeGrid, as_vector, inner, norm
+from sweepsolve.geometry import RefinementSchedule, TimeGrid, norm
 
 
 def test_vector_basics():
-    v = as_vector([3.0, 4.0])
-    assert v.shape == (2,)
-    assert norm(v) == 5.0
-    assert inner(v, v) == 25.0
-    assert norm(as_vector([0.0, 0.0])) == 0.0
-    with pytest.raises(ValueError):
-        as_vector([[1.0, 2.0]])
+    assert norm(np.array([3.0, 4.0])) == 5.0
+    assert norm(np.array([0.0, 0.0])) == 0.0
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
 def test_norm_nonnegative_and_zero_iff_zero(coords):
-    v = as_vector(coords)
+    v = np.array(coords)
     n = norm(v)
     assert n >= 0.0
     scale = max(abs(c) for c in coords)
@@ -35,30 +29,6 @@ def test_grid_validation():
     assert g.t_first == 0.0 and g.t_last == 1.0
     assert g.mesh == 0.75
     assert g.n_intervals == 2
-
-
-def test_anticipate_examples():
-    g = TimeGrid([0.0, 0.5, 1.0])
-    assert g.anticipate(0.3) == 0.5
-    assert g.anticipate(0.5) == 0.5
-    assert g.anticipate(0.0) == 0.0
-    assert g.anticipate(1.0) == 1.0
-    with pytest.raises(OutOfRange):
-        g.anticipate(-0.1)
-    with pytest.raises(OutOfRange):
-        g.anticipate(1.1)
-
-
-@given(
-    st.integers(1, 40),
-    st.floats(0.1, 50.0),
-    st.floats(0.0, 1.0),
-)
-def test_anticipate_within_mesh(intervals, horizon, frac):
-    g = TimeGrid.uniform(horizon, intervals)
-    t = frac * horizon
-    theta = g.anticipate(t)
-    assert 0.0 <= theta - t <= g.mesh * (1.0 + 1e-12)
 
 
 @given(st.floats(0.25, 10.0), st.integers(0, 10))
@@ -80,7 +50,6 @@ def _schedule(eps0=0.1, ratio=0.5, levels=3, horizon=1.0, r=1.0):
 def test_schedule_valid():
     s = _schedule()
     assert s.levels == 3
-    assert s.summable
     assert s.horizon == 1.0
 
 

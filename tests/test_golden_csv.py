@@ -2,7 +2,9 @@
 the scenario's own schedule, must stay byte-identical to the recorded SHA-256
 digests in data/csv_digests.json.  The checks are skipped; only the solver
 output is compared.  The canonical scenario documents written by
-serialize_scenario are pinned the same way in data/scenario_digests.json."""
+serialize_scenario are pinned the same way in data/scenario_digests.json, and
+the report of a full run (every check's verdict, margin and note, and the
+convergence gaps, variations and ratios) in data/report_digests.json."""
 
 import hashlib
 import json
@@ -11,12 +13,14 @@ from pathlib import Path
 import pytest
 
 from sweepsolve.families import build_schedule
+from sweepsolve.harness import run
 from sweepsolve.scenarios import BUILTIN_NAMES, load_builtin, serialize_scenario
 from sweepsolve.solver import write_trajectory_csv
 from sweepsolve.variation import converge_study
 
 DIGESTS = Path(__file__).parent / "data" / "csv_digests.json"
 SCENARIO_DIGESTS = Path(__file__).parent / "data" / "scenario_digests.json"
+REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
 
 
 def csv_digests(name: str, out_dir: Path) -> dict:
@@ -53,3 +57,23 @@ def test_serialized_scenario_matches_golden_digest(name):
     recorded = json.loads(SCENARIO_DIGESTS.read_text("utf-8"))
     text = serialize_scenario(load_builtin(name))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == recorded[name]
+
+
+def report_verdicts(name: str, out_dir: Path) -> dict:
+    """The timing-free part of a full run's report.json: checks and the
+    consecutive gaps, variations and Cauchy ratios (NaN written as null)."""
+    payload = run(load_builtin(name), out_dir).to_json_dict()
+    convergence = json.loads((out_dir / "report.json").read_text("utf-8"))["convergence"]
+    return {
+        "checks": payload["checks"],
+        "sup_diffs": convergence["sup_diffs"],
+        "variations": convergence["variations"],
+        "cauchy_ratios": convergence["cauchy_ratios"],
+    }
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_report_verdicts_match_golden(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("SWEEP_SEED", raising=False)
+    recorded = json.loads(REPORT_DIGESTS.read_text("utf-8"))
+    assert report_verdicts(name, tmp_path) == recorded[name]

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from sweepsolve import solver as solver_mod
-from sweepsolve.errors import CertificationFailed, InitialInfeasible, OutOfRange, TubeViolation
+from sweepsolve.errors import (
+    CertificationFailed,
+    InfeasibleInitialPoint,
+    OutOfRange,
+    TubeViolation,
+)
 from sweepsolve.families import RadiusFamily, RigidFamily, StaticFamily, TranslateFamily
 from sweepsolve.geometry import TimeGrid
 from sweepsolve.paths import ConstantPath, LinearPath
@@ -134,7 +139,7 @@ def test_obstacle_against_fine_grid_oracle():
 
 def test_initial_infeasible():
     fam = StaticFamily(Ball((0.0, 0.0), 1.0), 1.0)
-    with pytest.raises(InitialInfeasible):
+    with pytest.raises(InfeasibleInitialPoint):
         solve(fam, (2.0, 0.0), TimeGrid.uniform(1.0, 4), eps_level=0.1)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sweepsolve.errors import InapplicableBound, NoFeasibleEps, TubeViolation
 from sweepsolve.families import (
@@ -23,7 +24,7 @@ from sweepsolve.variation import (
     choose_cone_params,
     cone_variation_bound,
     converge_study,
-    sampled_variation,
+    sup_norm_gap,
     variation,
 )
 
@@ -60,6 +61,34 @@ class TestVariationWindow:
         traj = solve(fam, (0.5, 0.0), TimeGrid.uniform(1.0, 4), eps_level=0.1)
         with pytest.raises(ValueError):
             variation(traj, -0.1, 0.5)
+
+
+@given(
+    st.floats(0.5, 10.0),
+    st.lists(st.floats(0.001, 0.999), max_size=10),
+    st.lists(st.floats(0.001, 0.999), max_size=10),
+    st.integers(0, 2**32 - 1),
+)
+def test_sup_norm_gap_is_the_supremum(horizon, cuts_a, cuts_b, seed):
+    # Two grids of [0, T] that need not be nested, with random points: the gap
+    # over the union of nodes matches a dense 50-per-interval sample.
+    rng = np.random.default_rng(seed)
+
+    def trajectory(cuts):
+        times = np.unique(np.concatenate([[0.0, horizon], np.array(cuts, float) * horizon]))
+        points = rng.uniform(-5.0, 5.0, (len(times), 2))
+        return DiscreteTrajectory(TimeGrid(times), points, 0, 1e3, np.zeros(len(times)))
+
+    a, b = trajectory(cuts_a), trajectory(cuts_b)
+    nodes = np.union1d(a.grid.times, b.grid.times)
+    frac = np.linspace(0.0, 1.0, 51)[:-1]
+    dense = np.append((nodes[:-1, None] + frac * np.diff(nodes)[:, None]).ravel(), horizon)
+    diff = affine_interpolant(a)(dense) - affine_interpolant(b)(dense)
+    sampled = float(np.max(np.linalg.norm(diff, axis=1)))
+    gap = sup_norm_gap(a, b)
+    scale = max(np.abs(a.points).max(), np.abs(b.points).max())
+    # Below the sample only by the rounding of interior evaluations.
+    assert sampled - 1e-12 * scale <= gap <= sampled + 1e-12 * scale
 
 
 class TestBallBound:
@@ -173,8 +202,9 @@ class TestConvergeStudy:
         sched = build_schedule(fam, 2.0, 0.1, 0.5, 3)
         rep = converge_study(fam, (0.0, 0.0), sched)
         finest = affine_interpolant(rep.trajectories[-1])
-        coarse_nodes = rep.trajectories[0].grid.times
-        assert sampled_variation(finest, coarse_nodes) <= rep.variations[-1] + 1e-12
+        along_coarse = finest(rep.trajectories[0].grid.times)
+        sampled = np.sum(np.linalg.norm(np.diff(along_coarse, axis=0), axis=1))
+        assert sampled <= rep.variations[-1] + 1e-12
 
     def test_tube_violation_carries_level(self):
         fam = RadiusFamiliy = RadiusFamily(
