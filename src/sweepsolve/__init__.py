@@ -23,14 +23,12 @@ from .errors import (
 )
 from .families import (
     ExcessEstimate,
-    InnerBallCert,
     Modulus,
     MovingFamily,
     PiecewiseFamily,
     RadiusFamily,
     RigidFamily,
     SamplingBudget,
-    StaticFamily,
     TranslateFamily,
     build_schedule,
     compute_tau,

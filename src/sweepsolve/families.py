@@ -1,12 +1,14 @@
 """Time-parametrized set families, the one-sided excess semidistance, its
-continuity modulus, inner-ball persistence horizons and refinement schedules.
+continuity modulus, inner-ball persistence horizons and checks, and
+refinement schedules.
 
 The excess of A over B is sup_{a in A} d(a, B): zero iff A is contained in
 the closure of B, asymmetric otherwise.  Families built from the declared
 path forms carry an analytic linear modulus omega(delta) = rate * delta, an
-upper bound that sets the schedule step lengths; a family with no analytic
-rate raises ModulusUnavailable.  Sampled excess values are lower bounds,
-used only as audits.
+upper bound that sets the schedule step lengths.  Sampled excess values are
+lower bounds, used only as audits.  An inner ball is checked by one exact
+depth evaluation per slice (a member's depth is minus its membership
+defect) at INNER_BALL_TIMES times; between them it is not checked.
 
 Each schema family class owns its schema document (a kind tag in FAMILIES
 plus to_dict/from_dict): a new family kind is one class plus one entry there.
@@ -22,11 +24,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    AtSingularity,
     DimensionMismatch,
     ModulusUnavailable,
     NoPositiveTau,
     OutOfRange,
-    OutsideTube,
 )
 from .geometry import RefinementSchedule, TimeGrid
 from .paths import Path, piece_at
@@ -37,6 +39,9 @@ from .sets import Ball, BallComplement, ProxSet, RigidImage, rotation_matrix_2d,
 JUMP_TOL = 1e-9
 
 TAU_MARGIN = 1e-9
+
+# Evenly spaced times of [0, horizon] at which verify_inner_ball checks depth.
+INNER_BALL_TIMES = 50
 
 # Large finite stand-in for r = inf, used when validating schedules and inside
 # the variation-bound formulas of convex scenarios (the bounds shrink as r
@@ -75,7 +80,7 @@ def _sampled_excess(A: ProxSet, B: ProxSet, budget: SamplingBudget) -> ExcessEst
         if not A.contains(prop):
             try:
                 prop = A.project(prop)
-            except OutsideTube:
+            except AtSingularity:
                 scale *= 0.7
                 continue
         d = B.distance(prop)
@@ -157,24 +162,18 @@ class MovingFamily:
     def at(self, t: float) -> ProxSet:
         raise NotImplementedError
 
-    def analytic_rate(self) -> float | None:
+    def analytic_rate(self) -> float:
         raise NotImplementedError
 
     def breakpoints(self) -> tuple:
         return ()
 
     def _check_time(self, t: float):
-        if t < 0.0 or t > self.horizon:
+        if not 0.0 <= t <= self.horizon:  # NaN fails too
             raise OutOfRange(f"t={t} outside [0, {self.horizon}]")
 
     def modulus(self) -> Modulus:
-        rate = self.analytic_rate()
-        if rate is None:
-            raise ModulusUnavailable(
-                f"{type(self).__name__} has no analytic continuity rate; "
-                "sampled estimates are lower bounds and cannot set step lengths"
-            )
-        return Modulus(self.horizon, rate)
+        return Modulus(self.horizon, self.analytic_rate())
 
     def to_dict(self) -> dict:
         """Schema document, read back by FAMILIES[self.kind].from_dict."""
@@ -185,7 +184,7 @@ class MovingFamily:
 
     def _doc_fields(self) -> dict:
         """The kind-specific fields of the schema document."""
-        raise TypeError(f"{type(self).__name__} has no schema document")
+        raise NotImplementedError
 
     @classmethod
     def from_dict(cls, fields) -> "MovingFamily":
@@ -397,31 +396,8 @@ class PiecewiseFamily(MovingFamily):
         return cls(pieces, fields.optional("declared_r", fields.num))
 
 
-@dataclass(frozen=True)
-class StaticFamily(MovingFamily):
-    """Constant family C(t) == base."""
-
-    base: ProxSet
-    horizon: float
-    declared_r: float | None = None
-
-    def __post_init__(self):
-        self._set_r(self.base.r)
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    def at(self, t):
-        self._check_time(t)
-        return self.base
-
-    def analytic_rate(self):
-        return 0.0
-
-
 # Schema kind -> family class: a new family kind is one class plus one entry
-# here.  StaticFamily has no schema document.
+# here.
 FAMILIES = {
     cls.kind: cls for cls in (TranslateFamily, RadiusFamily, RigidFamily, PiecewiseFamily)
 }
@@ -500,42 +476,13 @@ def build_schedule(
     )
 
 
-@dataclass(frozen=True)
-class InnerBallCert:
-    """Claim that the open ball B_rho(w) stays inside C(t) on a time window."""
-
-    w: tuple
-    rho: float
-    valid_from: float
-    valid_to: float
-
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.valid_to < self.valid_from:
-            raise ValueError("empty validity window")
-        object.__setattr__(self, "w", tuple(float(x) for x in self.w))
-
-
-def verify_inner_ball(
-    family: MovingFamily,
-    cert: InnerBallCert,
-    sphere_samples: int = 100,
-    time_samples: int = 50,
-    seed: int = 0,
-) -> float:
-    """Worst containment defect of sampled sphere points of B_rho(w) over the window."""
-    rng = np.random.default_rng(seed)
-    w = np.array(cert.w)
-    dirs = rng.standard_normal((sphere_samples, family.dim))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    times = np.linspace(cert.valid_from, cert.valid_to, time_samples)
-    worst = -math.inf
-    for t in times:
-        slice_t = family.at(float(t))
-        for u in dirs:
-            worst = max(worst, slice_t.membership_defect(w + cert.rho * u))
-    return worst
+def verify_inner_ball(family: MovingFamily, w, rho: float) -> float:
+    """Max of rho + membership_defect(w) over INNER_BALL_TIMES evenly spaced
+    times of [0, horizon].  Each term is exact in space: it is <= 0 iff the
+    open ball B_rho(w) lies in that slice."""
+    w = np.asarray(w, dtype=float)
+    times = np.linspace(0.0, family.horizon, INNER_BALL_TIMES)
+    return max(rho + family.at(float(t)).membership_defect(w) for t in times)
 
 
 def validate_analytic_modulus(

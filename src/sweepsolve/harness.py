@@ -23,7 +23,7 @@ from .errors import (
     NoPositiveTau,
     SchemaError,
 )
-from .families import InnerBallCert, MovingFamily, build_schedule, verify_inner_ball
+from .families import MovingFamily, build_schedule, verify_inner_ball
 from .geometry import RefinementSchedule, norm
 from .scenarios import Scenario
 from .solver import CERTIFICATION_TOL, DiscreteTrajectory, certify_steps, write_trajectory_csv
@@ -131,12 +131,11 @@ def check_normal(family: MovingFamily, traj: DiscreteTrajectory, seed: int) -> C
     return CheckResult("normal", "pass", CERTIFICATION_TOL - worst, note)
 
 
-def _check_ball_bound(scenario: Scenario, schedule, report, seed: int, bounds: dict) -> CheckResult:
+def _check_ball_bound(scenario: Scenario, schedule, report, bounds: dict) -> CheckResult:
     if scenario.ball_params is None:
         return CheckResult("ball_bound", "inapplicable", None, "no inner ball declared")
     w, rho = scenario.ball_params.w, scenario.ball_params.rho
-    cert = InnerBallCert(w, rho, 0.0, scenario.horizon)
-    defect = verify_inner_ball(scenario.family, cert, seed=seed)
+    defect = verify_inner_ball(scenario.family, w, rho)
     if defect > INNER_BALL_TOL:
         return CheckResult(
             "ball_bound", "fail", INNER_BALL_TOL - defect,
@@ -288,7 +287,7 @@ def run(
         elif name == "normal":
             checks.append(check_normal(scenario.family, report.trajectories[-1], seed))
         elif name == "ball_bound":
-            checks.append(_check_ball_bound(scenario, schedule, report, seed, bounds))
+            checks.append(_check_ball_bound(scenario, schedule, report, bounds))
         elif name == "cone_bound":
             checks.append(_check_cone_bound(scenario, schedule, report, bounds))
         elif name == "cauchy":

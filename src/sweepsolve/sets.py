@@ -1,7 +1,9 @@
 """Static prox-regular set primitives.
 
-Each shape supports exact distance, single-valued projection inside its tube
-of radius r, containment via the defining inequalities, a closed-form upper
+Each shape supports exact distance, single-valued projection (only the
+excluded-ball center has no unique nearest point, and projecting it raises
+AtSingularity), containment via the defining inequalities, whose defect at a
+member is exactly minus its distance to the complement, a closed-form upper
 bound of the normal-cone defect of a candidate normal (normal_defect), and
 seeded member sampling, which serves only the sampled residual that audits
 those bounds.  Convex shapes carry r = inf and bypass curvature terms
@@ -28,7 +30,6 @@ from .errors import (
     DimensionMismatch,
     EmptyIntersection,
     NotAMember,
-    OutsideTube,
 )
 from .geometry import norm
 
@@ -37,6 +38,9 @@ from .geometry import norm
 CONTAINMENT_TOL = 1e-10
 
 SAMPLING_MAX_ATTEMPTS = 1_000_000
+
+# Margin around the set of each shape's bounding_region.
+_REGION_PAD = 0.5
 
 # Relative rounding floor for the active-set step: a face whose rate along the
 # step is below this share of |y - x| is parallel to the working faces.
@@ -60,16 +64,24 @@ class ProxSet:
     tag: str  # the "shape" value of the schema document
 
     def membership_defect(self, y: np.ndarray) -> float:
-        """Worst violation of the defining inequalities (<= 0 means inside)."""
+        """Worst violation of the defining inequalities (<= 0 means inside).
+
+        At a member y it is exactly minus the distance from y to the
+        complement, so the open ball B_rho(y) lies in the set iff
+        rho + defect <= 0.
+        """
+        raise NotImplementedError
+
+    def _raw_project_with_distance(self, y: np.ndarray) -> tuple:
+        """(nearest point, distance) of a non-member y."""
         raise NotImplementedError
 
     def _raw_distance(self, y: np.ndarray) -> float:
-        raise NotImplementedError
+        """Distance of a non-member y; shapes override it where a closed form
+        is cheaper than the projection."""
+        return self._raw_project_with_distance(y)[1]
 
-    def _raw_project(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def bounding_region(self, pad: float = 0.5):
+    def bounding_region(self):
         """Axis-aligned window enclosing (a representative part of) the set."""
         raise NotImplementedError
 
@@ -125,10 +137,10 @@ class ProxSet:
         if y.shape != (self.dim,):
             raise DimensionMismatch(f"expected dim {self.dim}, got shape {y.shape}")
 
-    def contains(self, y, tol: float = CONTAINMENT_TOL) -> bool:
+    def contains(self, y) -> bool:
         y = np.asarray(y, dtype=float)
         self._check_dim(y)
-        return self.membership_defect(y) <= tol
+        return self.membership_defect(y) <= CONTAINMENT_TOL
 
     def distance(self, y) -> float:
         y = np.asarray(y, dtype=float)
@@ -138,36 +150,15 @@ class ProxSet:
         return self._raw_distance(y)
 
     def project(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        self._check_dim(y)
-        if self.membership_defect(y) <= CONTAINMENT_TOL:
-            return y.copy()
-        if math.isinf(self.r):
-            # The tube check cannot fire, so the distance is not needed.
-            return self._raw_project(y)
-        return self._raw_project_with_distance(y)[0]
+        return self.project_with_distance(y)[0]
 
     def project_with_distance(self, y) -> tuple:
-        """(projection, distance) of y, with the same checks as project."""
+        """(projection, distance) of y; a member is its own projection."""
         y = np.asarray(y, dtype=float)
         self._check_dim(y)
         if self.membership_defect(y) <= CONTAINMENT_TOL:
             return y.copy(), 0.0
         return self._raw_project_with_distance(y)
-
-    def _raw_project_with_distance(self, y: np.ndarray) -> tuple:
-        # Distance first: the tube check must fire before a singular projection.
-        d = self._raw_distance(y)
-        if d >= self.r:
-            self._tube_error(y, d)
-        return self._raw_project(y), d
-
-    def _tube_error(self, y, d):
-        raise OutsideTube(
-            f"distance {d:.6g} >= r {self.r:.6g}: projection not certified unique",
-            distance=d,
-            radius=self.r,
-        )
 
 
 def _ro(a: np.ndarray) -> np.ndarray:
@@ -205,12 +196,9 @@ class HalfSpace(ProxSet):
     def membership_defect(self, y):
         return float(self._a @ y) - self.offset
 
-    def _raw_distance(self, y):
-        return max(float(self._a @ y) - self.offset, 0.0)
-
-    def _raw_project(self, y):
+    def _raw_project_with_distance(self, y):
         excess = max(float(self._a @ y) - self.offset, 0.0)
-        return y - excess * self._a
+        return y - excess * self._a, excess
 
     def _normal_defect(self, x, n, R):
         # <n, z-x> <= lam (offset - <a, x>) + |n - lam a| R for any lam >= 0.
@@ -221,9 +209,9 @@ class HalfSpace(ProxSet):
     def boundary_anchor(self) -> np.ndarray:
         return self.offset * self._a
 
-    def bounding_region(self, pad: float = 0.5):
+    def bounding_region(self):
         anchor = self.boundary_anchor()
-        half = 1.0 + pad
+        half = 1.0 + _REGION_PAD
         return anchor - half, anchor + half
 
     def translated(self, u):
@@ -276,9 +264,19 @@ class _Round(ProxSet):
     def dim(self) -> int:
         return len(self.center)
 
-    def _raw_project(self, y):
+    def _raw_project_with_distance(self, y):
         d = y - self._c
-        return self._c + self.radius * d / norm(d)
+        dist = norm(d)
+        if dist == 0.0:
+            # Only the excluded ball projects its center: every sphere point is nearest.
+            raise AtSingularity(
+                "projection from the excluded-ball center is multi-valued",
+                distance=self.radius,
+                radius=self.r,
+            )
+        # A ball projects outside points, its complement inside ones: either
+        # way the distance is |dist - radius|.
+        return self._c + self.radius * d / dist, abs(dist - self.radius)
 
     def translated(self, u):
         return type(self)(tuple(self._c + u), self.radius)
@@ -305,8 +303,8 @@ class Ball(_Round):
     def _raw_distance(self, y):
         return max(norm(y - self._c) - self.radius, 0.0)
 
-    def bounding_region(self, pad: float = 0.5):
-        half = self.radius + pad
+    def bounding_region(self):
+        half = self.radius + _REGION_PAD
         return self._c - half, self._c + half
 
     def _normal_defect(self, x, n, R):
@@ -363,14 +361,12 @@ class Box(ProxSet):
     def membership_defect(self, y):
         return float(np.max(np.maximum(self._lo - y, y - self._hi)))
 
-    def _raw_distance(self, y):
-        return norm(y - np.clip(y, self._lo, self._hi))
+    def _raw_project_with_distance(self, y):
+        p = np.clip(y, self._lo, self._hi)
+        return p, norm(y - p)
 
-    def _raw_project(self, y):
-        return np.clip(y, self._lo, self._hi)
-
-    def bounding_region(self, pad: float = 0.5):
-        return self._lo - pad, self._hi + pad
+    def bounding_region(self):
+        return self._lo - _REGION_PAD, self._hi + _REGION_PAD
 
     def _normal_defect(self, x, n, R):
         # Coordinate by coordinate: n_i (z_i - x_i) is at most |n_i| times the
@@ -540,12 +536,6 @@ class Polytope(ProxSet):
                 f"off-face {off_face:.3e}, stationarity {stationarity:.3e})"
             )
 
-    def _raw_distance(self, y):
-        return norm(y - self._solve(y)[0])
-
-    def _raw_project(self, y):
-        return self._solve(y)[0]
-
     def _raw_project_with_distance(self, y):
         p = self._solve(y)[0]
         return p, norm(y - p)
@@ -581,12 +571,12 @@ class Polytope(ProxSet):
                     verts.append(v)
         return verts
 
-    def bounding_region(self, pad: float = 0.5):
+    def bounding_region(self):
         verts = self.vertices_2d() if self.dim == 2 else []
         if verts:
             vs = np.array(verts)
-            return vs.min(axis=0) - pad, vs.max(axis=0) + pad
-        half = 1.0 + pad
+            return vs.min(axis=0) - _REGION_PAD, vs.max(axis=0) + _REGION_PAD
+        half = 1.0 + _REGION_PAD
         return self._interior - half, self._interior + half
 
     def translated(self, u):
@@ -627,18 +617,8 @@ class BallComplement(_Round):
     def _raw_distance(self, y):
         return max(self.radius - norm(y - self._c), 0.0)
 
-    def _tube_error(self, y, d):
-        if norm(y - self._c) == 0.0:
-            # d == radius == r exactly: every sphere point is nearest.
-            raise AtSingularity(
-                "projection from the excluded-ball center is multi-valued",
-                distance=self.radius,
-                radius=self.r,
-            )
-        super()._tube_error(y, d)
-
-    def bounding_region(self, pad: float = 0.5):
-        half = 2.5 * self.radius + pad
+    def bounding_region(self):
+        half = 2.5 * self.radius + _REGION_PAD
         return self._c - half, self._c + half
 
     def _normal_defect(self, x, n, R):
@@ -718,9 +698,6 @@ class RigidImage(ProxSet):
     def _raw_distance(self, y):
         return self.base._raw_distance(self._pull(y))
 
-    def _raw_project(self, y):
-        return self._Q @ self.base._raw_project(self._pull(y)) + self._u
-
     def _raw_project_with_distance(self, y):
         p, d = self.base._raw_project_with_distance(self._pull(y))
         return self._Q @ p + self._u, d
@@ -731,8 +708,8 @@ class RigidImage(ProxSet):
         pulled = norm(n) * (R + norm(x - self._u)) * (1.0 + R / self.r)
         return value + _rounding(self.dim, pulled)
 
-    def bounding_region(self, pad: float = 0.5):
-        lo, hi = self.base.bounding_region(pad)
+    def bounding_region(self):
+        lo, hi = self.base.bounding_region()
         corners = np.array([[lo[i] if (k >> i) & 1 == 0 else hi[i] for i in range(self.dim)]
                             for k in range(2**self.dim)])
         moved = corners @ self._Q.T + self._u
@@ -768,7 +745,6 @@ class NormalResidualReport:
     """Worst hypo-monotonicity defect of a candidate normal over sampled members."""
 
     worst_residual: float
-    worst_witness: np.ndarray
     samples: int
 
 
@@ -790,13 +766,9 @@ def normal_residual(s: ProxSet, x, n, z_samples) -> NormalResidualReport:
         if not s.contains(zi):
             raise NotAMember(f"sample has containment defect {s.membership_defect(zi):.3e}")
     diffs = z - x
-    lin = diffs @ n
-    if math.isinf(s.r):
-        residuals = lin
-    else:
-        residuals = lin - (norm(n) / (2.0 * s.r)) * np.einsum("ij,ij->i", diffs, diffs)
-    worst = int(np.argmax(residuals))
-    return NormalResidualReport(float(residuals[worst]), z[worst].copy(), len(z))
+    # With r = inf the curvature term is exactly 0.
+    residuals = diffs @ n - (norm(n) / (2.0 * s.r)) * np.einsum("ij,ij->i", diffs, diffs)
+    return NormalResidualReport(float(residuals.max()), len(z))
 
 
 def sample_points(s: ProxSet, region, count: int, seed: int) -> list:
@@ -831,7 +803,7 @@ def sample_points(s: ProxSet, region, count: int, seed: int) -> list:
         else:
             try:
                 projected = s.project(p)
-            except OutsideTube:
+            except AtSingularity:
                 continue
             if len(points) < count:
                 points.append(projected)

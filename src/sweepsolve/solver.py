@@ -30,8 +30,12 @@ from .sets import NormalResidualReport, normal_residual, sample_points
 JUMP_EPS_SLACK = 1e-12
 
 CERTIFICATION_TOL = 1e-6
-# Moving steps whose defect bound is audited against sampled members.
+# Moving steps whose defect bound is audited against sampled members, the
+# members sampled per audited step, and the halfwidth of the window x +- it
+# around the new iterate x that bounds and audits cover.
 NORMAL_AUDIT_STEPS = 4
+NORMAL_AUDIT_SAMPLES = 60
+NORMAL_WINDOW = 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,22 +198,17 @@ class StepCertificate:
             )
 
 
-def certify_steps(
-    family: MovingFamily,
-    traj: DiscreteTrajectory,
-    samples_per_step: int = 60,
-    seed: int = 0,
-    region_halfwidth: float = 3.0,
-) -> list:
+def certify_steps(family: MovingFamily, traj: DiscreteTrajectory, seed: int = 0) -> list:
     """Certify -step_vector as a proximal normal of the slice at every nonzero step.
 
     Zero steps are skipped (the zero vector lies in every normal cone).  Each
     moving step's verdict comes from the slice's normal_defect, a sound
-    closed-form upper bound of the defect over members in the window x +- region_halfwidth, with
-    the slice's finite r when it has one; CertificationFailed is raised when a
-    bound is not <= CERTIFICATION_TOL (NaN included): that indicates a
-    projection bug, not a modeling problem.  The sampled residual over
-    samples_per_step members of the same window audits NORMAL_AUDIT_STEPS
+    closed-form upper bound of the defect over members in the window
+    x +- NORMAL_WINDOW, with the slice's finite r when it has one;
+    CertificationFailed is raised when a bound is not <= CERTIFICATION_TOL
+    (NaN included): that indicates a projection bug, not a modeling
+    problem.  The sampled residual over
+    NORMAL_AUDIT_SAMPLES members of the same window audits NORMAL_AUDIT_STEPS
     steps: the one with the largest bound and others drawn from seed.  An
     audited residual above its step's bound means the bound is unsound and
     raises CertificationFailed naming the step.
@@ -226,7 +225,7 @@ def certify_steps(
         excess = omega(dt)
         slice_t = family.at(t)
         n_vec = traj.points[j - 1] - traj.points[j]
-        bound = slice_t.normal_defect(traj.points[j], n_vec, region_halfwidth)
+        bound = slice_t.normal_defect(traj.points[j], n_vec, NORMAL_WINDOW)
         if not bound <= CERTIFICATION_TOL:
             raise CertificationFailed(j, bound, CERTIFICATION_TOL)
         certificates.append(StepCertificate(j, moved, excess, bound))
@@ -241,8 +240,8 @@ def certify_steps(
     for k in sorted({worst, *drawn.tolist()}):
         cert = certificates[k]
         x = traj.points[cert.j]
-        region = (x - region_halfwidth, x + region_halfwidth)
-        z = sample_points(slices[k], region, samples_per_step, seed + cert.j)
+        region = (x - NORMAL_WINDOW, x + NORMAL_WINDOW)
+        z = sample_points(slices[k], region, NORMAL_AUDIT_SAMPLES, seed + cert.j)
         audit = normal_residual(slices[k], x, traj.points[cert.j - 1] - x, z)
         if not audit.worst_residual <= cert.defect_bound:
             raise CertificationFailed(

@@ -42,8 +42,11 @@ def polytope_mask(X, Y, faces):
 
 
 def polytope_member(faces):
-    """Pointwise membership in the intersection of the half-planes <a, x> <= b."""
-    return lambda c: all(a[0] * c[0] + a[1] * c[1] <= b for a, b in faces)
+    """Pointwise membership in the intersection of the half-planes <a, x> <= b,
+    up to 1e-12.  Points a search steps along a face lie on it only up to
+    rounding; without the slack, refine_local on the face x + y <= 1 from
+    y = (1.58203125, 0.990234375) stalls 8e-7 above the exact distance."""
+    return lambda c: all(a[0] * c[0] + a[1] * c[1] <= b + 1e-12 for a, b in faces)
 
 
 def complement_mask(X, Y, c, R):

@@ -158,7 +158,7 @@ def test_criterion_4_discrete_inclusion_certificates():
             scenario.family, scenario.y0, schedule.grids[-1], schedule.eps[-1],
             level=schedule.levels - 1,
         )
-        certs = certify_steps(scenario.family, finest, samples_per_step=60, seed=0)
+        certs = certify_steps(scenario.family, finest, seed=0)
         worst = max((c.defect_bound for c in certs), default=0.0)
         assert worst <= 1e-6, f"{name}: worst defect bound {worst}"
         for c in certs:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -62,6 +63,14 @@ def test_runtime_error_exits_4(tmp_path, capsys):
     cfg3 = tmp_path / "static3.json"
     cfg3.write_text(json.dumps(doc))
     assert main(["excess", "static_ball", str(cfg3), "--t", "0.0", "0.5"]) == 4
+
+
+@pytest.mark.parametrize("times", [("0.0", "nan"), ("nan", "0.5")])
+def test_nan_time_exits_4_at_once(times, capsys):
+    start = time.perf_counter()
+    assert main(["excess", "sweep_halfspace", "moving_obstacle", "--t", *times]) == 4
+    assert time.perf_counter() - start < 5.0
+    assert "outside" in capsys.readouterr().err
 
 
 def test_excess_command(capsys):

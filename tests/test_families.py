@@ -5,14 +5,12 @@ import pytest
 
 from sweepsolve.errors import ModulusUnavailable, NoPositiveTau, OutOfRange
 from sweepsolve.families import (
-    InnerBallCert,
     Modulus,
     PiecewiseFamily,
     RadiusFamily,
     RigidFamily,
     TAU_MARGIN,
     SamplingBudget,
-    StaticFamily,
     TranslateFamily,
     build_schedule,
     compute_tau,
@@ -21,7 +19,7 @@ from sweepsolve.families import (
     validate_analytic_modulus,
 )
 from sweepsolve.paths import ConstantPath, LinearPath, PiecewisePath
-from sweepsolve.sets import Ball, BallComplement, HalfSpace, Polytope
+from sweepsolve.sets import Ball, BallComplement, Box, HalfSpace, Polytope
 
 import oracles
 
@@ -157,7 +155,7 @@ class TestModulus:
         assert sweep_family().modulus()(0.25) == 0.25
 
     def test_static_zero(self):
-        omega = StaticFamily(Ball((0.0, 0.0), 1.0), 1.0).modulus()
+        omega = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0).modulus()
         assert (omega(0.1), omega(0.5)) == (0.0, 0.0)
 
     def test_jump_contributes_nothing(self):
@@ -240,7 +238,7 @@ class TestBuildSchedule:
         assert sched.r == 1e9
 
     def test_static_delta_is_horizon(self):
-        fam = StaticFamily(Ball((0.0, 0.0), 1.0), 1.0)
+        fam = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
         sched = build_schedule(fam, 1.0, 0.1, 0.5, 3)
         assert sched.delta == (1.0, 1.0, 1.0)
 
@@ -257,15 +255,6 @@ class TestBuildSchedule:
         for n in range(3):
             assert sched.grids[n + 1].refines(sched.grids[n])
             assert sched.eps[n + 1] == pytest.approx(sched.eps[n] * 0.5)
-
-    def test_modulus_unavailable(self):
-        class Opaque(StaticFamily):
-            def analytic_rate(self):
-                return None
-
-        fam = Opaque(Ball((0.0, 0.0), 1.0), 1.0)
-        with pytest.raises(ModulusUnavailable, match="no analytic continuity rate"):
-            build_schedule(fam, 1.0, 0.1, 0.5, 2)
 
     def test_rate_must_be_a_nonnegative_number(self):
         # A NaN rate would otherwise turn every step length into NaN.
@@ -296,13 +285,13 @@ class TestInnerBall:
         )
         omega = fam.modulus()
         tau = compute_tau(omega, r=fam.r, rho0=1.0, rho=0.5)
-        cert = InnerBallCert((0.0, 0.0), 0.5, 0.0, min(tau, 1.0))
-        worst = verify_inner_ball(fam, cert, sphere_samples=100, time_samples=50, seed=4)
-        assert worst <= 1e-12
+        assert tau == 1.0  # the persistence horizon covers [0, 1]
+        assert verify_inner_ball(fam, (0.0, 0.0), 0.5) <= 1e-12
 
-    def test_cert_rejects_empty_window(self):
-        with pytest.raises(ValueError):
-            InnerBallCert((0.0, 0.0), 0.5, 1.0, 0.0)
+    def test_depth_is_exact_at_a_box_face(self):
+        # B_0.5((0.5001, 0)) crosses the face x = 1 of [-1, 1]^2 by 1e-4.
+        fam = TranslateFamily(Box((-1.0, -1.0), (1.0, 1.0)), ConstantPath((0.0, 0.0)), 1.0)
+        assert verify_inner_ball(fam, (0.5001, 0.0), 0.5) == pytest.approx(1e-4, abs=1e-12)
 
 
 def _families_with(horizon=1.0, declared_r=None):
@@ -322,7 +311,6 @@ def _families_with(horizon=1.0, declared_r=None):
         "rigid": lambda: RigidFamily(square, LinearPath(0.0, 1.0), (0.5, 0.5), horizon,
                                      declared_r=declared_r),
         "piecewise": lambda: PiecewiseFamily(((1.0, obstacle),), declared_r=declared_r),
-        "static": lambda: StaticFamily(BallComplement((0.0, 0.0), 0.5), horizon, declared_r),
     }
 
 
@@ -338,6 +326,12 @@ def test_every_family_checks_declared_r_against_its_natural_r(kind):
     for bad in (0.0, -1.0) + above:
         with pytest.raises(ValueError, match="declared r="):
             _families_with(declared_r=bad)[kind]()
+
+
+@pytest.mark.parametrize("kind", FAMILY_CLASSES)
+def test_every_family_rejects_a_nan_time(kind):
+    with pytest.raises(OutOfRange):
+        _families_with()[kind]().at(math.nan)
 
 
 @pytest.mark.parametrize("kind", [k for k in FAMILY_CLASSES if k != "piecewise"])

@@ -4,7 +4,7 @@ import pytest
 
 from sweepsolve.families import TranslateFamily
 from sweepsolve.geometry import TimeGrid
-from sweepsolve.harness import check_normal, run, scenario_schedule
+from sweepsolve.harness import INNER_BALL_TOL, check_normal, run, scenario_schedule
 from sweepsolve.paths import LinearPath
 from sweepsolve.sets import HalfSpace
 from sweepsolve.solver import solve
@@ -63,6 +63,17 @@ def test_bad_inner_ball_fails(tmp_path):
     report = run(scenario, tmp_path)
     assert report.check("ball_bound").verdict == "fail"
     assert report.failed
+
+
+def test_inner_ball_crossing_a_face_fails(tmp_path):
+    # B_0.5((0.5001, 0)) crosses the face x = 1 of the box [-1, 1]^2 by 1e-4.
+    doc = json.loads(builtin_text("static_ball"))
+    doc["family"]["base"] = {"shape": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+    doc["checks"] = ["ball_bound"]
+    doc["bound_params"] = {"ball": {"w": [0.5001, 0.0], "rho": 0.5}}
+    ball = run(parse_scenario(json.dumps(doc)), tmp_path).check("ball_bound")
+    assert ball.verdict == "fail"
+    assert ball.margin == pytest.approx(INNER_BALL_TOL - 1e-4, abs=1e-12)
 
 
 def test_cone_bound_scenarios(tmp_path):

@@ -9,7 +9,6 @@ from sweepsolve.families import (
     PiecewiseFamily,
     RadiusFamily,
     RigidFamily,
-    StaticFamily,
     TranslateFamily,
 )
 from sweepsolve.paths import ConstantPath, LinearPath, PiecewisePath
@@ -276,11 +275,6 @@ def test_path_and_family_to_dict_round_trip(noun, tag):
     assert type(back) is type(obj)
     assert back == obj
     assert back.to_dict() == obj.to_dict()
-
-
-def test_static_family_has_no_schema_document():
-    with pytest.raises(TypeError, match="no schema document"):
-        StaticFamily(Ball((0.0, 0.0), 1.0), 1.0).to_dict()
 
 
 def test_serialization_is_deterministic():

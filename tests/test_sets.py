@@ -88,6 +88,9 @@ def test_complement_center_is_singular():
         bc.project((0.0, 0.0))
     assert isinstance(err.value, OutsideTube)
     assert err.value.distance == 1.0
+    # Only the center itself is singular: a point within rounding of it projects.
+    p, d = bc.project_with_distance((1e-17, 0.0))
+    assert np.array_equal(p, (1.0, 0.0)) and d == 1.0
 
 
 def test_containment_snapping():
@@ -374,6 +377,7 @@ _DEGENERATE_GRID = oracles.grid(((-2.5, -2.5), (2.5, 2.5)), 201)
 @example("duplicated_face", 2.0, -1.0)  # onto a vertex of the repeated face
 @example("redundant_face", 2.0, 0.5)  # along the redundant face's normal at (1, 0)
 @example("redundant_face", 1.5, -0.1)  # into the vertex where three faces meet
+@example("duplicated_face", 1.58203125, 0.990234375)  # the oracle search slides along the face
 def test_degenerate_polytope_projection_against_grid_oracle(name, x, y):
     poly, faces = DEGENERATE[name]
     target = np.array([x, y])
@@ -561,6 +565,42 @@ def test_near_parallel_faces_project(points):
         assert NEAR_PARALLEL.contains(p)
         gap = np.linalg.norm(y - p) - np.linalg.norm(y - expected)
         assert abs(gap) <= 1e-12 * max(1.0, np.linalg.norm(y))
+
+
+# Each shape of SHAPE_BY_TAG as a grid mask built from its parameters alone.
+_Q07 = np.array(rotation_matrix_2d(0.7))
+DEPTH_MASKS = {
+    "halfspace": lambda X, Y: oracles.halfspace_mask(X, Y, (1.0, 2.0), 0.5),
+    "ball": lambda X, Y: oracles.ball_mask(X, Y, (0.3, -0.2), 0.8),
+    "box": lambda X, Y: oracles.box_mask(X, Y, (-0.5, 0.0), (1.0, 0.4)),
+    "polytope": lambda X, Y: oracles.polytope_mask(X, Y, oracles.TRIANGLE_FACES),
+    "ball_complement": lambda X, Y: oracles.complement_mask(X, Y, (0.1, 0.2), 0.6),
+    # Pull the grid back through x -> Q x + u onto the triangle.
+    "rigid_image": lambda X, Y: oracles.polytope_mask(
+        _Q07[0, 0] * (X - 0.4) + _Q07[1, 0] * (Y + 0.1),
+        _Q07[0, 1] * (X - 0.4) + _Q07[1, 1] * (Y + 0.1), oracles.TRIANGLE_FACES),
+}
+_DEPTH_GRID = oracles.grid(((-4.0, -4.0), (4.0, 4.0)), 801)
+_DEPTH_COMPLEMENTS: dict = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TAGS), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_depth_is_minus_the_membership_defect(tag, u, v):
+    # At a member w, -membership_defect(w) is the distance from w to the
+    # complement: verify_inner_ball rests on it.  The grid points outside the
+    # mask lie in the complement, so their distance is never below the depth,
+    # and one of them lies within a cell diagonal of the nearest point.
+    shape = SHAPE_BY_TAG[tag]
+    lo, hi = shape.bounding_region()
+    w = lo + np.array([u, v]) * (hi - lo)
+    depth = -shape.membership_defect(w)
+    assume(depth >= 0.0)
+    X, Y, h = _DEPTH_GRID
+    if tag not in _DEPTH_COMPLEMENTS:
+        _DEPTH_COMPLEMENTS[tag] = ~DEPTH_MASKS[tag](X, Y)
+    d_grid, _ = oracles.grid_min_distance(_DEPTH_COMPLEMENTS[tag], X, Y, w)
+    assert -1e-12 <= d_grid - depth <= math.sqrt(2.0) * h
 
 
 # Six shapes, one per class, and their normal-defect bounds against the

@@ -8,7 +8,7 @@ from sweepsolve.errors import (
     OutOfRange,
     TubeViolation,
 )
-from sweepsolve.families import RadiusFamily, RigidFamily, StaticFamily, TranslateFamily
+from sweepsolve.families import RadiusFamily, RigidFamily, TranslateFamily
 from sweepsolve.geometry import TimeGrid
 from sweepsolve.paths import ConstantPath, LinearPath
 from sweepsolve.sets import Ball, HalfSpace, Polytope, halfspace
@@ -97,7 +97,7 @@ def test_dist_to_set_shape_checked():
 
 
 def test_static_family_never_moves():
-    fam = StaticFamily(Ball((0.0, 0.0), 1.0), 1.0)
+    fam = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
     traj = solve(fam, (0.5, 0.0), TimeGrid.uniform(1.0, 8), eps_level=0.1)
     assert np.all(traj.points == traj.points[0])
     assert traj.variation_total == 0.0
@@ -138,7 +138,7 @@ def test_obstacle_against_fine_grid_oracle():
 
 
 def test_initial_infeasible():
-    fam = StaticFamily(Ball((0.0, 0.0), 1.0), 1.0)
+    fam = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
     with pytest.raises(InfeasibleInitialPoint):
         solve(fam, (2.0, 0.0), TimeGrid.uniform(1.0, 4), eps_level=0.1)
 
@@ -229,14 +229,14 @@ class TestInterpolants:
 
 class TestCertification:
     def test_static_trajectory_empty(self):
-        fam = StaticFamily(Ball((0.0, 0.0), 1.0), 1.0)
+        fam = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
         traj = solve(fam, (0.5, 0.0), TimeGrid.uniform(1.0, 8), eps_level=0.1)
         assert certify_steps(fam, traj) == []
 
     def test_sweep_normals_parallel_to_wall(self):
         fam = sweep_family()
         traj = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 100), eps_level=0.05)
-        certs = certify_steps(fam, traj, samples_per_step=40, seed=2)
+        certs = certify_steps(fam, traj, seed=2)
         assert certs
         for c in certs:
             assert c.defect_bound <= 1e-9
@@ -248,13 +248,13 @@ class TestCertification:
     def test_obstacle_finite_r_residuals(self):
         fam = obstacle_family()
         traj = solve(fam, (0.0, 0.1), TimeGrid.uniform(2.0, 400), eps_level=0.01)
-        certs = certify_steps(fam, traj, samples_per_step=60, seed=3)
+        certs = certify_steps(fam, traj, seed=3)
         assert certs
         assert max(c.defect_bound for c in certs) <= 1e-8
         audits = [c for c in certs if c.audit is not None]
         assert len(audits) == solver_mod.NORMAL_AUDIT_STEPS
         assert all(c.audit.worst_residual <= c.defect_bound for c in audits)
-        assert all(c.audit.samples == 60 for c in audits)
+        assert all(c.audit.samples == solver_mod.NORMAL_AUDIT_SAMPLES for c in audits)
 
     def test_audit_covers_the_worst_bound_and_seeded_steps(self):
         fam = sweep_family()
@@ -283,7 +283,7 @@ class TestCertification:
         fam = sweep_family()
         traj = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 8), eps_level=0.5)
         with pytest.raises(CertificationFailed) as err:
-            certify_steps(fam, traj, samples_per_step=10, seed=1)
+            certify_steps(fam, traj, seed=1)
         assert err.value.tol == -1e3
         assert "exceeds -1.000e+03" in str(err.value)
 

@@ -8,7 +8,6 @@ from sweepsolve.errors import InapplicableBound, NoFeasibleEps, TubeViolation
 from sweepsolve.families import (
     Modulus,
     RadiusFamily,
-    StaticFamily,
     TranslateFamily,
     build_schedule,
 )
@@ -37,7 +36,7 @@ def sweep_family(horizon=2.0):
 
 class TestVariationWindow:
     def test_static_zero(self):
-        fam = StaticFamily(Ball((0.0, 0.0), 1.0), 1.0)
+        fam = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
         traj = solve(fam, (0.5, 0.0), TimeGrid.uniform(1.0, 8), eps_level=0.1)
         assert variation(traj, 0.0, 1.0) == 0.0
 
@@ -57,7 +56,7 @@ class TestVariationWindow:
         assert variation(traj, 0.0, 1.0) == 0.0
 
     def test_window_validation(self):
-        fam = StaticFamily(Ball((0.0, 0.0), 1.0), 1.0)
+        fam = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
         traj = solve(fam, (0.5, 0.0), TimeGrid.uniform(1.0, 4), eps_level=0.1)
         with pytest.raises(ValueError):
             variation(traj, -0.1, 0.5)
@@ -175,7 +174,7 @@ class TestChooseConeParams:
 
 class TestConvergeStudy:
     def test_static_all_zero(self):
-        fam = StaticFamily(Ball((0.0, 0.0), 1.0), 1.0)
+        fam = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
         sched = build_schedule(fam, 1.0, 0.1, 0.5, 4)
         rep = converge_study(fam, (0.5, 0.0), sched)
         assert all(v == 0.0 for v in rep.variations)
@@ -231,7 +230,7 @@ class TestConvergeStudy:
         assert err.value.level == 0
 
     def test_json_dict_replaces_nan(self):
-        fam = StaticFamily(Ball((0.0, 0.0), 1.0), 1.0)
+        fam = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
         sched = build_schedule(fam, 1.0, 0.1, 0.5, 2)
         rep = converge_study(fam, (0.5, 0.0), sched)
         d = rep.to_json_dict()
