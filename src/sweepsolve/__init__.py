@@ -15,7 +15,6 @@ from .errors import (
     NoPositiveTau,
     NotAMember,
     OutOfRange,
-    OutsideTube,
     SchemaError,
     SweepError,
     TubeViolation,

@@ -54,6 +54,8 @@ def _print_report(report) -> None:
 
 
 def _cmd_run(args) -> int:
+    if args.levels is not None and args.levels < 1:
+        raise SchemaError("--levels", f"expected a level count >= 1, got {args.levels}")
     scenario = _load(args.config)
     report = run(scenario, args.out, levels=args.levels, svg=args.svg)
     _print_report(report)

@@ -15,16 +15,7 @@ class OutOfRange(SweepError):
     pass
 
 
-class OutsideTube(SweepError):
-    """Point is at distance >= r from the set, so the projection is not certified unique."""
-
-    def __init__(self, message: str, distance: float | None = None, radius: float | None = None):
-        super().__init__(message)
-        self.distance = distance
-        self.radius = radius
-
-
-class AtSingularity(OutsideTube):
+class AtSingularity(SweepError):
     """Degenerate projection target (e.g. the excluded-ball center): every boundary point is nearest."""
 
 

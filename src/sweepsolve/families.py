@@ -30,7 +30,7 @@ from .errors import (
     NoPositiveTau,
     OutOfRange,
 )
-from .geometry import RefinementSchedule, TimeGrid
+from .geometry import RefinementSchedule, Schema, TimeGrid, readonly
 from .paths import Path, piece_at
 from .sets import Ball, BallComplement, ProxSet, RigidImage, rotation_matrix_2d, sample_points
 
@@ -132,8 +132,9 @@ class Modulus:
         return x
 
 
-class MovingFamily:
-    """t -> C(t) on [0, horizon], uniformly r-prox-regular."""
+class MovingFamily(Schema):
+    """t -> C(t) on [0, horizon], uniformly r-prox-regular; equality compares
+    schema documents."""
 
     horizon: float
     declared_r: float | None
@@ -193,7 +194,7 @@ class MovingFamily:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TranslateFamily(MovingFamily):
     kind = "translate"
     base: ProxSet
@@ -224,7 +225,7 @@ class TranslateFamily(MovingFamily):
                    fields.optional("declared_r", fields.num))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadiusFamily(MovingFamily):
     """Ball (or ball complement) with drifting center and scheduled radius."""
 
@@ -250,7 +251,7 @@ class RadiusFamily(MovingFamily):
 
     def at(self, t):
         self._check_time(t)
-        c = tuple(np.atleast_1d(self.center(t)))
+        c = np.atleast_1d(self.center(t))
         rad = float(self.radius(t))
         return BallComplement(c, rad) if self.complement else Ball(c, rad)
 
@@ -273,27 +274,27 @@ class RadiusFamily(MovingFamily):
                    fields.optional("declared_r", fields.num))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidFamily(MovingFamily):
     """Planar rigid motion: rotation about a fixed pivot plus a drift."""
 
     kind = "rigid"
     base: ProxSet
     angle: Path
-    pivot: tuple
+    pivot: np.ndarray
     horizon: float
     translation: Path | None = None
     circumradius: float | None = None
     declared_r: float | None = None
-    _circum: float = field(init=False, repr=False, compare=False)
+    _circum: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.base.dim != 2:
             raise ValueError("rigid families are implemented for dim 2")
         self._set_r(self.base.r)
-        object.__setattr__(self, "pivot", tuple(float(x) for x in self.pivot))
+        object.__setattr__(self, "pivot", readonly(self.pivot))
         if self.circumradius is None:
-            circum = self.base.circumradius_about(np.array(self.pivot))
+            circum = self.base.circumradius_about(self.pivot)
         elif self.circumradius <= 0:
             raise ValueError("circumradius must be positive")
         else:
@@ -307,11 +308,10 @@ class RigidFamily(MovingFamily):
     def at(self, t):
         self._check_time(t)
         Q = np.array(rotation_matrix_2d(float(self.angle(t))))
-        p = np.array(self.pivot)
-        u = p - Q @ p
+        u = self.pivot - Q @ self.pivot
         if self.translation is not None:
             u = u + np.atleast_1d(self.translation(t))
-        return RigidImage(self.base, tuple(map(tuple, Q)), tuple(u))
+        return RigidImage(self.base, Q, u)
 
     def analytic_rate(self):
         # Chord length under rotation is at most angle * circumradius.
@@ -322,7 +322,7 @@ class RigidFamily(MovingFamily):
 
     def _doc_fields(self):
         doc = {"base": self.base.to_dict(), "angle": self.angle.to_dict(),
-               "pivot": list(self.pivot), "horizon": self.horizon}
+               "pivot": self.pivot.tolist(), "horizon": self.horizon}
         if self.translation is not None:
             doc["translation"] = self.translation.to_dict()
         if self.circumradius is not None:
@@ -337,7 +337,7 @@ class RigidFamily(MovingFamily):
                    fields.optional("declared_r", fields.num))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseFamily(MovingFamily):
     """Concatenation of families; slices are right-continuous at breakpoints
     and discontinuities must be expansions (left slice inside right slice)."""
@@ -452,16 +452,12 @@ def build_schedule(
         # d >= horizon exactly when the whole horizon certifies.
         d = horizon if d >= horizon else d / 2.0
         k = 0
-        while horizon / 2**k > d:
+        while k <= 24 and horizon / 2**k > d:
             k += 1
-            if k > 24:
-                raise ModulusUnavailable(
-                    "certified step length needs a dyadic grid finer than 2^24 intervals"
-                )
-        if n == 0:
-            k = max(k, base_resolution)
-        else:
-            k = max(k, ks[-1] + 1)
+        # Each level refines the last, so the cap is checked after nesting too.
+        k = max(k, base_resolution if n == 0 else ks[-1] + 1)
+        if k > 24:
+            raise ModulusUnavailable(f"level {n} needs a dyadic grid finer than 2^24 intervals")
         eps.append(e)
         deltas.append(d)
         ks.append(k)

@@ -1,5 +1,6 @@
-"""State-space primitives: the vector norm, time grids and nested refinement
-schedules.
+"""State-space primitives: the vector norm, read-only vector storage, the
+schema-document equality of shapes, paths and families, time grids and nested
+refinement schedules.
 
 Vectors are plain 1-D float64 numpy arrays.  Time grids used by refinement
 schedules are dyadic subdivisions of [0, T] so that nestedness holds exactly
@@ -16,7 +17,27 @@ import numpy as np
 
 
 def norm(u: np.ndarray) -> float:
-    return float(np.linalg.norm(u))
+    # What np.linalg.norm computes for a 1-D float array, without its overhead.
+    return math.sqrt(float(u @ u))
+
+
+def readonly(v, ndim: int = 1) -> np.ndarray:
+    """A read-only float copy of v, an ndim-dimensional array: how shapes,
+    paths and families store vectors (and a rigid image its rotation)."""
+    a = np.array(v, dtype=float)
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D array of numbers, got shape {a.shape}")
+    a.flags.writeable = False
+    return a
+
+
+class Schema:
+    """An immutable value whose identity is its schema document: two are equal
+    when they have the same type and equal to_dict() documents.  Their array
+    fields rule out a generated dataclass __eq__, and make them unhashable."""
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.to_dict() == other.to_dict()
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,12 +47,11 @@ class TimeGrid:
     times: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float, copy=True)
-        if t.ndim != 1 or t.size < 2:
+        t = readonly(self.times)
+        if t.size < 2:
             raise ValueError("a time grid needs at least two nodes")
         if not np.all(np.diff(t) > 0):
             raise ValueError("grid nodes must be strictly increasing")
-        t.flags.writeable = False
         object.__setattr__(self, "times", t)
 
     @staticmethod

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import norm
+from .geometry import Schema, norm, readonly
 
 
-class Path:
-    """Scalar- or vector-valued map of time; immutable descriptor."""
+class Path(Schema):
+    """Scalar- or vector-valued map of time; immutable descriptor.  A vector
+    value or rate is a read-only float array."""
 
     form: str  # the "form" value of the schema document
 
@@ -51,14 +52,12 @@ class Path:
 
 
 def _value(v):
-    if np.isscalar(v):
-        return float(v)
-    return tuple(float(x) for x in v)
+    return float(v) if np.isscalar(v) else readonly(v)
 
 
 def _plain(v):
     """A path value as JSON: a list for a vector, the float itself otherwise."""
-    return list(v) if isinstance(v, tuple) else v
+    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 def piece_at(pieces: tuple, t: float):
@@ -70,7 +69,7 @@ def piece_at(pieces: tuple, t: float):
     return pieces[-1][1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstantPath(Path):
     form = "constant"
     value: object
@@ -79,8 +78,6 @@ class ConstantPath(Path):
         object.__setattr__(self, "value", _value(self.value))
 
     def __call__(self, t):
-        if isinstance(self.value, tuple):
-            return np.array(self.value)
         return self.value
 
     def max_speed(self):
@@ -100,7 +97,7 @@ class ConstantPath(Path):
         return cls(fields.num_or_vec("value"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearPath(Path):
     """t -> value + rate * t."""
 
@@ -110,32 +107,26 @@ class LinearPath(Path):
 
     def __post_init__(self):
         v, r = _value(self.value), _value(self.rate)
-        if isinstance(v, tuple) != isinstance(r, tuple):
+        if isinstance(v, float) != isinstance(r, float):
             raise ValueError("value and rate must both be scalars or both vectors")
-        if isinstance(v, tuple) and len(v) != len(r):
+        if np.shape(v) != np.shape(r):
             raise ValueError("value and rate dimensions differ")
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "rate", r)
 
     def __call__(self, t):
-        if isinstance(self.value, tuple):
-            return np.array(self.value) + t * np.array(self.rate)
         return self.value + t * self.rate
 
     def max_speed(self):
-        if isinstance(self.rate, tuple):
-            return norm(np.array(self.rate))
-        return abs(self.rate)
+        return abs(self.rate) if isinstance(self.rate, float) else norm(self.rate)
 
     def max_signed_rate(self):
-        if isinstance(self.rate, tuple):
+        if not isinstance(self.rate, float):
             raise ValueError("signed rate is defined for scalar paths only")
         return self.rate
 
     def min_signed_rate(self):
-        if isinstance(self.rate, tuple):
-            raise ValueError("signed rate is defined for scalar paths only")
-        return self.rate
+        return self.max_signed_rate()
 
     def to_dict(self):
         return {"form": self.form, "value": _plain(self.value), "rate": _plain(self.rate)}
@@ -145,7 +136,7 @@ class LinearPath(Path):
         return cls(fields.num_or_vec("value"), fields.num_or_vec("rate"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewisePath(Path):
     """Continuous concatenation of paths; pieces listed as (until, path).
 

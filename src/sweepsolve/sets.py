@@ -31,7 +31,7 @@ from .errors import (
     EmptyIntersection,
     NotAMember,
 )
-from .geometry import norm
+from .geometry import Schema, norm, readonly
 
 # Absolute tolerance on the defining inequalities; distances below it snap to 0
 # so the catching-up containment invariant stays testable under rounding.
@@ -56,8 +56,9 @@ def _rounding(dim: int, scale: float) -> float:
     return _DEFECT_ROUNDING * (dim + 2) * scale
 
 
-class ProxSet:
-    """Common interface: immutable value, pure operations."""
+class ProxSet(Schema):
+    """Common interface: immutable value, pure operations.  Vector fields are
+    read-only float arrays; equality compares schema documents."""
 
     dim: int
     r: float
@@ -161,29 +162,21 @@ class ProxSet:
         return self._raw_project_with_distance(y)
 
 
-def _ro(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfSpace(ProxSet):
     """{x : <normal, x> <= offset} with a unit normal."""
 
     tag = "halfspace"
-    normal: tuple
+    normal: np.ndarray
     offset: float
-    _a: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.array(self.normal, dtype=float)
+        a = readonly(self.normal)
         n = norm(a)
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"half-space normal must be unit (|a|={n!r}); use halfspace()")
-        object.__setattr__(self, "normal", tuple(float(x) for x in a))
+        object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "_a", _ro(a))
 
     @property
     def dim(self) -> int:
@@ -194,20 +187,20 @@ class HalfSpace(ProxSet):
         return math.inf
 
     def membership_defect(self, y):
-        return float(self._a @ y) - self.offset
+        return float(self.normal @ y) - self.offset
 
     def _raw_project_with_distance(self, y):
-        excess = max(float(self._a @ y) - self.offset, 0.0)
-        return y - excess * self._a, excess
+        excess = max(float(self.normal @ y) - self.offset, 0.0)
+        return y - excess * self.normal, excess
 
     def _normal_defect(self, x, n, R):
         # <n, z-x> <= lam (offset - <a, x>) + |n - lam a| R for any lam >= 0.
-        lam = max(float(n @ self._a), 0.0)
-        value = lam * (self.offset - float(self._a @ x)) + norm(n - lam * self._a) * R
+        lam = max(float(n @ self.normal), 0.0)
+        value = lam * (self.offset - float(self.normal @ x)) + norm(n - lam * self.normal) * R
         return value + _rounding(self.dim, norm(n) * (R + abs(self.offset) + norm(x)))
 
     def boundary_anchor(self) -> np.ndarray:
-        return self.offset * self._a
+        return self.offset * self.normal
 
     def bounding_region(self):
         anchor = self.boundary_anchor()
@@ -215,10 +208,10 @@ class HalfSpace(ProxSet):
         return anchor - half, anchor + half
 
     def translated(self, u):
-        return HalfSpace(self.normal, self.offset + float(self._a @ u))
+        return HalfSpace(self.normal, self.offset + float(self.normal @ u))
 
     def to_dict(self):
-        return {"shape": self.tag, "normal": list(self.normal), "offset": self.offset}
+        return {"shape": self.tag, "normal": self.normal.tolist(), "offset": self.offset}
 
     @classmethod
     def from_dict(cls, fields):
@@ -226,7 +219,7 @@ class HalfSpace(ProxSet):
 
     def analytic_excess(self, other):
         # Only parallel half-spaces have a finite excess in closed form.
-        if float(self._a @ other._a) >= 1.0 - 1e-12:
+        if float(self.normal @ other.normal) >= 1.0 - 1e-12:
             return max(self.offset - other.offset, 0.0), self.boundary_anchor()
         return None
 
@@ -239,50 +232,43 @@ def halfspace(normal, offset: float) -> HalfSpace:
         raise ValueError("half-space normal must be nonzero")
     if abs(n - 1.0) <= 1e-12:
         # Already unit: avoid perturbing the stored floats (round-trip stability).
-        return HalfSpace(tuple(a), float(offset))
-    return HalfSpace(tuple(a / n), float(offset) / n)
+        return HalfSpace(a, float(offset))
+    return HalfSpace(a / n, float(offset) / n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Round(ProxSet):
     """Center and radius, shared by the ball and the excluded ball with their
     schema document, translate and projection; subclasses set tag and noun."""
 
-    center: tuple
+    center: np.ndarray
     radius: float
-    _c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError(f"{self.noun} radius must be positive")
-        c = np.array(self.center, dtype=float)
-        object.__setattr__(self, "center", tuple(float(x) for x in c))
+        object.__setattr__(self, "center", readonly(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "_c", _ro(c))
 
     @property
     def dim(self) -> int:
         return len(self.center)
 
     def _raw_project_with_distance(self, y):
-        d = y - self._c
+        d = y - self.center
         dist = norm(d)
         if dist == 0.0:
             # Only the excluded ball projects its center: every sphere point is nearest.
-            raise AtSingularity(
-                "projection from the excluded-ball center is multi-valued",
-                distance=self.radius,
-                radius=self.r,
-            )
+            raise AtSingularity("projection from the excluded-ball center is multi-valued")
         # A ball projects outside points, its complement inside ones: either
         # way the distance is |dist - radius|.
-        return self._c + self.radius * d / dist, abs(dist - self.radius)
+        return self.center + self.radius * d / dist, abs(dist - self.radius)
 
     def translated(self, u):
-        return type(self)(tuple(self._c + u), self.radius)
+        return type(self)(self.center + u, self.radius)
 
     def to_dict(self):
-        return {"shape": self.tag, "center": list(self.center), "radius": self.radius}
+        return {"shape": self.tag, "center": self.center.tolist(), "radius": self.radius}
 
     @classmethod
     def from_dict(cls, fields):
@@ -298,19 +284,19 @@ class Ball(_Round):
         return math.inf
 
     def membership_defect(self, y):
-        return norm(y - self._c) - self.radius
+        return norm(y - self.center) - self.radius
 
     def _raw_distance(self, y):
-        return max(norm(y - self._c) - self.radius, 0.0)
+        return max(norm(y - self.center) - self.radius, 0.0)
 
     def bounding_region(self):
         half = self.radius + _REGION_PAD
-        return self._c - half, self._c + half
+        return self.center - half, self.center + half
 
     def _normal_defect(self, x, n, R):
         # With u = (x-c)/|x-c|, every member has <u, z-x> <= radius - |x-c|, so
         # <n, z-x> <= s (radius - |x-c|) + |n - s u| R for any s >= 0.
-        v = x - self._c
+        v = x - self.center
         dist = norm(v)
         u = v / dist if dist > 0 else np.zeros(self.dim)
         s = max(float(n @ u), 0.0)
@@ -318,37 +304,32 @@ class Ball(_Round):
         return value + _rounding(self.dim, norm(n) * (R + dist + self.radius))
 
     def analytic_excess(self, other):
-        gap = self._c - other._c
+        gap = self.center - other.center
         dist = norm(gap)
         value = max(dist + self.radius - other.radius, 0.0)
         direction = gap / dist if dist > 0 else np.eye(self.dim)[0]
         if value > 0:
-            witness = self._c + self.radius * direction
+            witness = self.center + self.radius * direction
         else:
-            witness = self._c.copy()
+            witness = self.center.copy()
         return value, witness
 
     def circumradius_about(self, p):
-        return norm(self._c - p) + self.radius
+        return norm(self.center - p) + self.radius
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box(ProxSet):
     tag = "box"
-    lo: tuple
-    hi: tuple
-    _lo: np.ndarray = field(init=False, repr=False, compare=False)
-    _hi: np.ndarray = field(init=False, repr=False, compare=False)
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.array(self.lo, dtype=float)
-        hi = np.array(self.hi, dtype=float)
+        lo, hi = readonly(self.lo), readonly(self.hi)
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise ValueError("box requires lo < hi componentwise")
-        object.__setattr__(self, "lo", tuple(float(x) for x in lo))
-        object.__setattr__(self, "hi", tuple(float(x) for x in hi))
-        object.__setattr__(self, "_lo", _ro(lo))
-        object.__setattr__(self, "_hi", _ro(hi))
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def dim(self) -> int:
@@ -359,27 +340,27 @@ class Box(ProxSet):
         return math.inf
 
     def membership_defect(self, y):
-        return float(np.max(np.maximum(self._lo - y, y - self._hi)))
+        return float(np.max(np.maximum(self.lo - y, y - self.hi)))
 
     def _raw_project_with_distance(self, y):
-        p = np.clip(y, self._lo, self._hi)
+        p = np.clip(y, self.lo, self.hi)
         return p, norm(y - p)
 
     def bounding_region(self):
-        return self._lo - _REGION_PAD, self._hi + _REGION_PAD
+        return self.lo - _REGION_PAD, self.hi + _REGION_PAD
 
     def _normal_defect(self, x, n, R):
         # Coordinate by coordinate: n_i (z_i - x_i) is at most |n_i| times the
         # room up to the face that n_i points at, and at most |n_i| R.
-        room = np.where(n >= 0.0, self._hi - x, x - self._lo)
+        room = np.where(n >= 0.0, self.hi - x, x - self.lo)
         value = float(np.abs(n) @ np.minimum(room, R))
         return value + _rounding(self.dim, norm(n) * R * self.dim)
 
     def translated(self, u):
-        return Box(tuple(self._lo + u), tuple(self._hi + u))
+        return Box(self.lo + u, self.hi + u)
 
     def to_dict(self):
-        return {"shape": self.tag, "lo": list(self.lo), "hi": list(self.hi)}
+        return {"shape": self.tag, "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
     @classmethod
     def from_dict(cls, fields):
@@ -387,18 +368,18 @@ class Box(ProxSet):
 
     def analytic_excess(self, other):
         # Boxes of equal extents: the excess is the length of the shift.
-        if norm((self._hi - self._lo) - (other._hi - other._lo)) <= 1e-12:
-            shift = self._lo - other._lo
-            witness = np.where(shift >= 0, self._hi, self._lo).astype(float)
+        if norm((self.hi - self.lo) - (other.hi - other.lo)) <= 1e-12:
+            shift = self.lo - other.lo
+            witness = np.where(shift >= 0, self.hi, self.lo).astype(float)
             return norm(shift), witness
         return None
 
     def circumradius_about(self, p):
         # The farthest corner takes the farther bound in every coordinate.
-        return norm(np.maximum(np.abs(self._lo - p), np.abs(self._hi - p)))
+        return norm(np.maximum(np.abs(self.lo - p), np.abs(self.hi - p)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polytope(ProxSet):
     """Intersection of half-spaces with a stored strictly feasible interior point.
 
@@ -408,12 +389,11 @@ class Polytope(ProxSet):
 
     tag = "polytope"
     faces: tuple
-    interior: tuple
-    _interior: np.ndarray = field(init=False, repr=False, compare=False)
-    _A: np.ndarray = field(init=False, repr=False, compare=False)
-    _b: np.ndarray = field(init=False, repr=False, compare=False)
-    _max_steps: int = field(init=False, repr=False, compare=False)
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    interior: np.ndarray
+    _A: np.ndarray = field(init=False, repr=False)
+    _b: np.ndarray = field(init=False, repr=False)
+    _max_steps: int = field(init=False, repr=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.faces) < 1:
@@ -422,7 +402,7 @@ class Polytope(ProxSet):
         if len(dims) != 1:
             raise ValueError("polytope faces must share a dimension")
         dim = dims.pop()
-        p = np.array(self.interior, dtype=float)
+        p = readonly(self.interior)
         if p.shape != (dim,):
             raise ValueError("interior point has wrong dimension")
         worst = max(f.membership_defect(p) for f in self.faces)
@@ -434,10 +414,9 @@ class Polytope(ProxSet):
         # the next, each working set (at most dim faces) ends one at most once.
         working_sets = sum(math.comb(m, k) for k in range(min(m, dim) + 1))
         object.__setattr__(self, "faces", tuple(self.faces))
-        object.__setattr__(self, "interior", tuple(float(x) for x in p))
-        object.__setattr__(self, "_interior", _ro(p))
-        object.__setattr__(self, "_A", _ro([f._a for f in self.faces]))
-        object.__setattr__(self, "_b", _ro([f.offset for f in self.faces]))
+        object.__setattr__(self, "interior", p)
+        object.__setattr__(self, "_A", readonly([f.normal for f in self.faces], 2))
+        object.__setattr__(self, "_b", readonly([f.offset for f in self.faces]))
         object.__setattr__(self, "_max_steps", (dim + 1) * working_sets)
 
     @property
@@ -464,7 +443,7 @@ class Polytope(ProxSet):
         faces and their multipliers lam >= 0, with y - x = A_W^T lam.
         """
         A, b = self._A, self._b
-        x = self._interior
+        x = self.interior
         work: list = []
         for _ in range(self._max_steps):
             Aw, bw, N, M, P = self._working_faces(tuple(work))
@@ -562,7 +541,7 @@ class Polytope(ProxSet):
         m = len(self.faces)
         for i in range(m):
             for j in range(i + 1, m):
-                A = np.array([self.faces[i]._a, self.faces[j]._a])
+                A = np.array([self.faces[i].normal, self.faces[j].normal])
                 b = np.array([self.faces[i].offset, self.faces[j].offset])
                 if abs(np.linalg.det(A)) < 1e-12:
                     continue
@@ -577,16 +556,16 @@ class Polytope(ProxSet):
             vs = np.array(verts)
             return vs.min(axis=0) - _REGION_PAD, vs.max(axis=0) + _REGION_PAD
         half = 1.0 + _REGION_PAD
-        return self._interior - half, self._interior + half
+        return self.interior - half, self.interior + half
 
     def translated(self, u):
-        return Polytope(tuple(f.translated(u) for f in self.faces), tuple(self._interior + u))
+        return Polytope(tuple(f.translated(u) for f in self.faces), self.interior + u)
 
     def to_dict(self):
         return {
             "shape": self.tag,
-            "faces": [{"normal": list(f.normal), "offset": f.offset} for f in self.faces],
-            "interior": list(self.interior),
+            "faces": [{"normal": f.normal.tolist(), "offset": f.offset} for f in self.faces],
+            "interior": self.interior.tolist(),
         }
 
     @classmethod
@@ -612,21 +591,21 @@ class BallComplement(_Round):
         return self.radius
 
     def membership_defect(self, y):
-        return self.radius - norm(y - self._c)
+        return self.radius - norm(y - self.center)
 
     def _raw_distance(self, y):
-        return max(self.radius - norm(y - self._c), 0.0)
+        return max(self.radius - norm(y - self.center), 0.0)
 
     def bounding_region(self):
         half = 2.5 * self.radius + _REGION_PAD
-        return self._c - half, self._c + half
+        return self.center - half, self.center + half
 
     def _normal_defect(self, x, n, R):
         # With u = (c-x)/d, d = |c-x|, every member (|z-c| >= radius) has
         # <u, z-x> <= |z-x|^2/(2d) + (d^2 - radius^2)/(2d); for any s >= 0 the
         # defect is then at most s(d^2 - radius^2)/(2d) + |n - s u| R
         # + max(s/(2d) - |n|/(2 radius), 0) R^2.
-        v = self._c - x
+        v = self.center - x
         dist = norm(v)
         n_norm = norm(n)
         # sample_points projects rejected draws onto the sphere, up to
@@ -643,32 +622,29 @@ class BallComplement(_Round):
         return value + _rounding(self.dim, n_norm * R * (1.0 + R / self.radius))
 
     def analytic_excess(self, other):
-        gap = other._c - self._c
+        gap = other.center - self.center
         dist = norm(gap)
         nearest = max(self.radius - dist, 0.0)
         value = max(other.radius - nearest, 0.0)
         if dist >= self.radius:
-            witness = other._c.copy()
+            witness = other.center.copy()
         else:
             direction = gap / dist if dist > 0 else np.eye(self.dim)[0]
-            witness = self._c + self.radius * direction
+            witness = self.center + self.radius * direction
         return value, witness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidImage(ProxSet):
     """Q*base + u for an orthogonal Q; inherits the base prox-regularity radius."""
 
     tag = "rigid_image"
     base: ProxSet
-    rotation: tuple
-    translation: tuple
-    _Q: np.ndarray = field(init=False, repr=False, compare=False)
-    _u: np.ndarray = field(init=False, repr=False, compare=False)
+    rotation: np.ndarray
+    translation: np.ndarray
 
     def __post_init__(self):
-        Q = np.array(self.rotation, dtype=float)
-        u = np.array(self.translation, dtype=float)
+        Q, u = readonly(self.rotation, 2), readonly(self.translation)
         d = self.base.dim
         if Q.shape != (d, d) or u.shape != (d,):
             raise ValueError("rotation/translation dimensions do not match the base")
@@ -676,10 +652,8 @@ class RigidImage(ProxSet):
             raise ValueError("rotation and translation must be finite")
         if norm((Q.T @ Q - np.eye(d)).ravel()) > 1e-10:
             raise ValueError("rotation matrix is not orthogonal")
-        object.__setattr__(self, "rotation", tuple(tuple(float(x) for x in row) for row in Q))
-        object.__setattr__(self, "translation", tuple(float(x) for x in u))
-        object.__setattr__(self, "_Q", _ro(Q))
-        object.__setattr__(self, "_u", _ro(u))
+        object.__setattr__(self, "rotation", Q)
+        object.__setattr__(self, "translation", u)
 
     @property
     def dim(self) -> int:
@@ -690,7 +664,7 @@ class RigidImage(ProxSet):
         return self.base.r
 
     def _pull(self, y):
-        return self._Q.T @ (y - self._u)
+        return self.rotation.T @ (y - self.translation)
 
     def membership_defect(self, y):
         return self.base.membership_defect(self._pull(y))
@@ -700,30 +674,30 @@ class RigidImage(ProxSet):
 
     def _raw_project_with_distance(self, y):
         p, d = self.base._raw_project_with_distance(self._pull(y))
-        return self._Q @ p + self._u, d
+        return self.rotation @ p + self.translation, d
 
     def _normal_defect(self, x, n, R):
         # The rotation keeps inner products and the Euclidean window radius.
-        value = self.base._normal_defect(self._pull(x), self._Q.T @ n, R)
-        pulled = norm(n) * (R + norm(x - self._u)) * (1.0 + R / self.r)
+        value = self.base._normal_defect(self._pull(x), self.rotation.T @ n, R)
+        pulled = norm(n) * (R + norm(x - self.translation)) * (1.0 + R / self.r)
         return value + _rounding(self.dim, pulled)
 
     def bounding_region(self):
         lo, hi = self.base.bounding_region()
         corners = np.array([[lo[i] if (k >> i) & 1 == 0 else hi[i] for i in range(self.dim)]
                             for k in range(2**self.dim)])
-        moved = corners @ self._Q.T + self._u
+        moved = corners @ self.rotation.T + self.translation
         return moved.min(axis=0), moved.max(axis=0)
 
     def translated(self, u):
-        return RigidImage(self.base, self.rotation, tuple(self._u + u))
+        return RigidImage(self.base, self.rotation, self.translation + u)
 
     def to_dict(self):
         return {
             "shape": self.tag,
             "base": self.base.to_dict(),
-            "rotation": [list(row) for row in self.rotation],
-            "translation": list(self.translation),
+            "rotation": self.rotation.tolist(),
+            "translation": self.translation.tolist(),
         }
 
     @classmethod
@@ -800,13 +774,12 @@ def sample_points(s: ProxSet, region, count: int, seed: int) -> list:
             direct_hits += 1
             if len(points) < count:
                 points.append(p)
-        else:
+        elif len(points) < count:
+            # Past count, a draw matters only as a direct hit: no projection.
             try:
-                projected = s.project(p)
+                points.append(s.project(p))
             except AtSingularity:
                 continue
-            if len(points) < count:
-                points.append(projected)
     if direct_hits == 0:
         raise EmptyIntersection(
             f"no member found in the region after {attempts} rejection attempts"

@@ -16,14 +16,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    AtSingularity,
     CertificationFailed,
     InfeasibleInitialPoint,
     OutOfRange,
-    OutsideTube,
     TubeViolation,
 )
 from .families import MovingFamily
-from .geometry import TimeGrid
+from .geometry import TimeGrid, readonly
 from .sets import NormalResidualReport, normal_residual, sample_points
 
 # Strict jump bound is accepted up to eps * (1 + this slack) to absorb rounding.
@@ -55,14 +55,12 @@ class DiscreteTrajectory:
 
     def __post_init__(self):
         nodes = len(self.grid.times)
-        pts = np.array(self.points, dtype=float, copy=True)
-        if pts.ndim != 2 or pts.shape[0] != nodes:
+        pts = readonly(self.points, 2)
+        if pts.shape[0] != nodes:
             raise ValueError("points must be a (nodes, dim) array matching the grid")
-        dist = np.array(self.dist_to_set, dtype=float, copy=True)
+        dist = readonly(self.dist_to_set)
         if dist.shape != (nodes,):
             raise ValueError("dist_to_set must hold one value per grid node")
-        pts.flags.writeable = False
-        dist.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dist_to_set", dist)
         if self.eps_level <= 0:
@@ -121,9 +119,9 @@ def solve(
         slice_t = family.at(float(t))
         try:
             y, d = slice_t.project_with_distance(y)
-        except OutsideTube as err:
-            # The family's r never exceeds the slice's, so this is a tube violation too.
-            raise TubeViolation(j, err.distance, family.r) from err
+        except AtSingularity as err:
+            # Only an excluded-ball center gets here, at distance radius >= r.
+            raise TubeViolation(j, slice_t.distance(y), family.r) from err
         if d >= family.r:
             raise TubeViolation(j, d, family.r)
         points[j] = y

@@ -109,3 +109,29 @@ def test_non_integer_seed_is_config_error(monkeypatch, capsys):
     monkeypatch.setenv("SWEEP_SEED", "abc")
     assert main(["verify", "static_ball"]) == 3
     assert "SWEEP_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_nonpositive_level_count_is_config_error(levels, tmp_path, capsys):
+    assert main(["solve", "static_ball", "--out", str(tmp_path), "--levels", levels]) == 3
+    err = capsys.readouterr().err
+    assert "--levels" in err and "Traceback" not in err
+
+
+def _static_ball_with_30_levels(tmp_path) -> str:
+    doc = json.loads(builtin_text("static_ball"))
+    doc["schedule"]["levels"] = 30
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["solve", "static_ball", "--out", str(tmp), "--levels", "30"],
+    lambda tmp: ["verify", "static_ball", "--level", "30"],
+    lambda tmp: ["solve", _static_ball_with_30_levels(tmp), "--out", str(tmp / "out")],
+], ids=["solve-levels", "verify-level", "scenario-levels"])
+def test_levels_past_the_finest_grid_exit_4(argv, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 4
+    err = capsys.readouterr().err
+    assert "finer than 2^24 intervals" in err and "Traceback" not in err

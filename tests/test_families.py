@@ -277,6 +277,15 @@ class TestBuildSchedule:
         with pytest.raises(ModulusUnavailable, match="finer than 2\\^24 intervals"):
             build_schedule(fam, 1.0, 0.1, 0.5, 2)
 
+    @pytest.mark.parametrize("levels, base_resolution, level",
+                             [(25, 1, 24), (30, 1, 24), (2, 25, 0)])
+    def test_nesting_past_the_finest_grid_is_unavailable(self, levels, base_resolution, level):
+        # A static family certifies the whole horizon at every level, but each
+        # level must refine the last: from base resolution 1, level 24 needs 2^25.
+        fam = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
+        with pytest.raises(ModulusUnavailable, match=f"level {level} needs .* finer than 2\\^24"):
+            build_schedule(fam, 1.0, 0.1, 0.5, levels, base_resolution)
+
 
 class TestInnerBall:
     def test_persistence_on_shrinking_ball(self):

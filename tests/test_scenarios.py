@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sweepsolve import families, paths, scenarios
@@ -275,6 +276,38 @@ def test_path_and_family_to_dict_round_trip(noun, tag):
     assert type(back) is type(obj)
     assert back == obj
     assert back.to_dict() == obj.to_dict()
+
+
+@pytest.mark.parametrize("name, build, value", [
+    pytest.param("value", ConstantPath, (0.5, -1.0), id="constant"),
+    pytest.param("value", lambda v: LinearPath(v, (1.0, 0.0)), (0.5, -1.0), id="linear-value"),
+    pytest.param("rate", lambda v: LinearPath((0.0, 0.0), v), (0.5, -1.0), id="linear-rate"),
+    pytest.param("pivot", lambda v: RigidFamily(TRIANGLE, LinearPath(0.0, 0.5), v, 2.0),
+                 (0.5, 0.5), id="rigid-pivot"),
+])
+def test_vector_fields_are_read_only_copies(name, build, value):
+    given = np.array(value)
+    stored = getattr(build(given), name)
+    assert isinstance(stored, np.ndarray) and stored.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0] = 7.0
+    given[...] = 7.0
+    assert np.array_equal(stored, value)
+
+
+def test_paths_and_families_differing_in_one_coordinate_or_type_are_unequal():
+    assert ConstantPath((0.5, -1.0)) != ConstantPath((0.5, -1.5))
+    assert LinearPath((0.0, 0.0), (1.0, 0.0)) != LinearPath((0.0, 0.0), (1.0, 1.0))
+    assert ConstantPath(1.0) != LinearPath(1.0, 0.0)
+    rigid = FAMILY_BY_KIND["rigid"]
+    assert rigid != RigidFamily(rigid.base, rigid.angle, (0.5, 0.25), rigid.horizon,
+                                rigid.translation, rigid.circumradius)
+    doc = json.loads(builtin_text("polytope_rotation"))
+    doc["family"]["pivot"][1] = 0.25
+    assert parse_scenario(json.dumps(doc)) != load_builtin("polytope_rotation")
+    for obj in (*PATH_BY_FORM.values(), *FAMILY_BY_KIND.values()):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
 
 
 def test_serialization_is_deterministic():

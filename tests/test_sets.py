@@ -13,7 +13,6 @@ from sweepsolve.errors import (
     DimensionMismatch,
     EmptyIntersection,
     NotAMember,
-    OutsideTube,
 )
 from sweepsolve.families import SamplingBudget, excess
 from sweepsolve.scenarios import shape_from_dict
@@ -84,10 +83,8 @@ def test_complement_radius_is_its_prox_constant():
 
 def test_complement_center_is_singular():
     bc = BallComplement((0.0, 0.0), 1.0)
-    with pytest.raises(AtSingularity) as err:
+    with pytest.raises(AtSingularity):
         bc.project((0.0, 0.0))
-    assert isinstance(err.value, OutsideTube)
-    assert err.value.distance == 1.0
     # Only the center itself is singular: a point within rounding of it projects.
     p, d = bc.project_with_distance((1e-17, 0.0))
     assert np.array_equal(p, (1.0, 0.0)) and d == 1.0
@@ -98,6 +95,60 @@ def test_containment_snapping():
     assert hs.distance((1e-11, 0.0)) == 0.0
     assert hs.contains((1e-11, 0.0))
     assert not hs.contains((1e-9, 0.0))
+
+
+# (field, build from the caller's array, the array's values) per stored vector.
+VECTOR_FIELDS = [
+    pytest.param("normal", lambda v: HalfSpace(v, 1.0), (0.6, 0.8), id="halfspace"),
+    pytest.param("center", lambda v: Ball(v, 1.0), (0.5, -0.5), id="ball"),
+    pytest.param("center", lambda v: BallComplement(v, 1.0), (0.5, -0.5), id="complement"),
+    pytest.param("lo", lambda v: Box(v, (2.0, 2.0)), (0.0, 1.0), id="box-lo"),
+    pytest.param("hi", lambda v: Box((-1.0, -1.0), v), (0.0, 1.0), id="box-hi"),
+    pytest.param("interior", lambda v: Polytope(TRIANGLE.faces, v), (0.2, 0.3), id="polytope"),
+    pytest.param("rotation", lambda v: RigidImage(TRIANGLE, v, (0.0, 0.0)),
+                 ((0.0, -1.0), (1.0, 0.0)), id="rigid-rotation"),
+    pytest.param("translation", lambda v: RigidImage(TRIANGLE, np.eye(2), v), (1.0, -2.0),
+                 id="rigid-translation"),
+]
+
+
+@pytest.mark.parametrize("name, build, value", VECTOR_FIELDS)
+def test_vector_fields_are_read_only_copies(name, build, value):
+    given = np.array(value)
+    stored = getattr(build(given), name)
+    assert isinstance(stored, np.ndarray) and stored.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0] = 7.0
+    given[...] = 7.0
+    assert np.array_equal(stored, value)
+
+
+def test_vector_fields_must_have_their_dimension():
+    with pytest.raises(ValueError, match="expected a 1-D array"):
+        Box(((0.0, 0.0), (0.0, 0.0)), ((1.0, 1.0), (1.0, 1.0)))
+    with pytest.raises(ValueError, match="expected a 1-D array"):
+        Ball(0.0, 1.0)
+    with pytest.raises(ValueError, match="expected a 2-D array"):
+        RigidImage(TRIANGLE, (1.0, 0.0), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("a, b", [
+    (HalfSpace((1.0, 0.0), 0.5), HalfSpace((-1.0, 0.0), 0.5)),
+    (Ball((0.0, 0.0), 1.0), Ball((0.0, 0.5), 1.0)),
+    (BallComplement((0.0, 0.0), 1.0), BallComplement((0.5, 0.0), 1.0)),
+    (Box((0.0, 0.0), (1.0, 1.0)), Box((0.0, -1.0), (1.0, 1.0))),
+    (Box((0.0, 0.0), (1.0, 1.0)), Box((0.0, 0.0), (2.0, 1.0))),
+    (TRIANGLE, Polytope(TRIANGLE.faces, (0.2, 0.3))),
+    (RigidImage(TRIANGLE, np.eye(2), (0.0, 0.0)),
+     RigidImage(TRIANGLE, np.diag([1.0, -1.0]), (0.0, 0.0))),
+    (RigidImage(TRIANGLE, np.eye(2), (0.0, 0.0)), RigidImage(TRIANGLE, np.eye(2), (0.0, 1.0))),
+    (Ball((0.0, 0.0), 0.5), BallComplement((0.0, 0.0), 0.5)),
+])
+def test_equality_is_by_type_and_schema_document(a, b):
+    assert a != b and b != a
+    assert a == shape_from_dict(a.to_dict(), "a") and b == shape_from_dict(b.to_dict(), "b")
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
 
 
 def test_halfspace_normalization():

@@ -11,7 +11,7 @@ from sweepsolve.errors import (
 from sweepsolve.families import RadiusFamily, RigidFamily, TranslateFamily
 from sweepsolve.geometry import TimeGrid
 from sweepsolve.paths import ConstantPath, LinearPath
-from sweepsolve.sets import Ball, HalfSpace, Polytope, halfspace
+from sweepsolve.sets import Ball, BallComplement, HalfSpace, Polytope, halfspace
 from sweepsolve.solver import (
     DiscreteTrajectory,
     affine_interpolant,
@@ -152,6 +152,17 @@ def test_tube_violation_reports_step():
         solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 4), eps_level=0.6)
     assert err.value.step >= 1
     assert err.value.distance >= 0.2
+
+
+def test_iterate_on_the_excluded_center_is_a_tube_violation():
+    # At t=1 the excluded ball's center has moved onto the iterate: its
+    # projection is multi-valued and its distance is the radius, 0.5 = r.
+    fam = TranslateFamily(BallComplement((0.0, 0.0), 0.5), LinearPath((0.0, 0.0), (1.0, 0.0)), 1.0)
+    with pytest.raises(TubeViolation) as err:
+        solve(fam, (1.0, 0.0), TimeGrid.uniform(1.0, 1), eps_level=1.0)
+    assert err.value.step == 1
+    assert err.value.distance == 0.5
+    assert err.value.radius == 0.5
 
 
 def test_jump_bound_enforced():
