@@ -76,13 +76,11 @@ def _sampled_excess(A: ProxSet, B: ProxSet, budget: SamplingBudget) -> ExcessEst
     lo, hi = np.asarray(region[0], float), np.asarray(region[1], float)
     scale = float(np.mean(hi - lo)) / 8.0
     for _ in range(budget.hill_steps):
-        prop = x + scale * rng.standard_normal(A.dim)
-        if not A.contains(prop):
-            try:
-                prop = A.project(prop)
-            except AtSingularity:
-                scale *= 0.7
-                continue
+        try:
+            prop = A.project(x + scale * rng.standard_normal(A.dim))
+        except AtSingularity:
+            scale *= 0.7
+            continue
         d = B.distance(prop)
         if d > best:
             best, x = d, prop
@@ -293,13 +291,19 @@ class RigidFamily(MovingFamily):
             raise ValueError("rigid families are implemented for dim 2")
         self._set_r(self.base.r)
         object.__setattr__(self, "pivot", readonly(self.pivot))
-        if self.circumradius is None:
-            circum = self.base.circumradius_about(self.pivot)
-        elif self.circumradius <= 0:
+        circum = self.circumradius
+        if circum is not None and circum <= 0:
             raise ValueError("circumradius must be positive")
-        else:
-            circum = float(self.circumradius)
-        object.__setattr__(self, "_circum", circum)
+        try:
+            derived = self.base.circumradius_about(self.pivot)
+        except ValueError:
+            if circum is None:
+                raise
+            derived = circum  # nothing derivable: the declared value stands
+        # A declared value below the derivable one would understate the rate.
+        if circum is not None and circum < derived:
+            raise ValueError(f"declared circumradius {circum!r} is below the derivable {derived!r}")
+        object.__setattr__(self, "_circum", float(derived if circum is None else circum))
 
     @property
     def dim(self):

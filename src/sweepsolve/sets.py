@@ -428,7 +428,7 @@ class Polytope(ProxSet):
         return math.inf
 
     def membership_defect(self, y):
-        return max(f.membership_defect(y) for f in self.faces)
+        return float(np.max(self._A @ y - self._b))
 
     def _solve(self, y):
         """Nearest point to y: primal active-set method for min |x - y|^2, Ax <= b.
@@ -730,7 +730,6 @@ def normal_residual(s: ProxSet, x, n, z_samples) -> NormalResidualReport:
     """
     x = np.asarray(x, dtype=float)
     n = np.asarray(n, dtype=float)
-    s._check_dim(x)
     if not s.contains(x):
         raise NotAMember(f"x has containment defect {s.membership_defect(x):.3e}")
     z = np.asarray(z_samples, dtype=float)
@@ -750,12 +749,13 @@ def sample_points(s: ProxSet, region, count: int, seed: int) -> list:
 
     Uniform draws in the window that land in the set are kept as-is; rejected
     draws are projected onto the set so boundaries are represented, and a
-    projected sample can lie outside the window.  For a convex set whose
-    window center is a member, the projection is nonexpansive, so every
-    sample stays within halfwidth*sqrt(dim) of the center: the Euclidean
-    radius normal_defect uses.  A nonconvex set (a ball complement) has no
-    such bound.  Raises EmptyIntersection when rejection sampling finds no
-    direct member.
+    projected sample can lie outside the window.  One project_with_distance
+    call tests and projects a draw: a member alone is at distance 0.  For a
+    convex set whose window center is a member, the projection is
+    nonexpansive, so every sample stays within halfwidth*sqrt(dim) of the
+    center: the Euclidean radius normal_defect uses.  A nonconvex set (a ball
+    complement) has no such bound.  Raises EmptyIntersection when rejection
+    sampling finds no direct member.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -770,16 +770,16 @@ def sample_points(s: ProxSet, region, count: int, seed: int) -> list:
     while (len(points) < count or direct_hits == 0) and attempts < SAMPLING_MAX_ATTEMPTS:
         attempts += 1
         p = lo + rng.random(s.dim) * (hi - lo)
-        if s.contains(p):
-            direct_hits += 1
-            if len(points) < count:
-                points.append(p)
-        elif len(points) < count:
+        if len(points) == count:
             # Past count, a draw matters only as a direct hit: no projection.
-            try:
-                points.append(s.project(p))
-            except AtSingularity:
-                continue
+            direct_hits += s.contains(p)
+            continue
+        try:
+            q, d = s.project_with_distance(p)
+        except AtSingularity:
+            continue
+        direct_hits += d == 0.0
+        points.append(q)
     if direct_hits == 0:
         raise EmptyIntersection(
             f"no member found in the region after {attempts} rejection attempts"

@@ -11,7 +11,7 @@ the bounds on NORMAL_AUDIT_STEPS steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,7 +44,8 @@ class DiscreteTrajectory:
     and consecutive points differ by strictly less than eps_level.
 
     dist_to_set[j] is the distance from points[j] to the slice at times[j],
-    recorded by the solver at the slice it projected onto.
+    recorded by the solver at the slice it projected onto.  jump_norms[j-1]
+    is |points[j] - points[j-1]|, computed once here.
     """
 
     grid: TimeGrid
@@ -52,6 +53,7 @@ class DiscreteTrajectory:
     level: int
     eps_level: float
     dist_to_set: np.ndarray
+    jump_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nodes = len(self.grid.times)
@@ -61,11 +63,13 @@ class DiscreteTrajectory:
         dist = readonly(self.dist_to_set)
         if dist.shape != (nodes,):
             raise ValueError("dist_to_set must hold one value per grid node")
+        jumps = readonly(np.linalg.norm(np.diff(pts, axis=0), axis=1))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dist_to_set", dist)
+        object.__setattr__(self, "jump_norms", jumps)
         if self.eps_level <= 0:
             raise ValueError("eps_level must be positive")
-        worst = float(np.max(self.jump_norms)) if len(self.jump_norms) else 0.0
+        worst = float(np.max(jumps, initial=0.0))
         if worst >= self.eps_level * (1.0 + JUMP_EPS_SLACK):
             raise ValueError(
                 f"jump of norm {worst:.6g} violates the strict bound eps={self.eps_level:.6g}"
@@ -74,15 +78,6 @@ class DiscreteTrajectory:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def jumps(self) -> np.ndarray:
-        """Step vectors y_j - y_{j-1}, one per interval (index j-1)."""
-        return np.diff(self.points, axis=0)
-
-    @property
-    def jump_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.jumps, axis=1)
 
     @property
     def variation_total(self) -> float:
@@ -111,9 +106,8 @@ def solve(
     if not first.contains(y0):
         raise InfeasibleInitialPoint(first.membership_defect(y0))
     points = np.empty((len(grid.times), len(y0)))
-    dist_to_set = np.empty(len(grid.times))
+    dist_to_set = np.zeros(len(grid.times))  # 0 at members: y0 and every unmoved iterate
     points[0] = y0
-    dist_to_set[0] = first.distance(y0)
     y = y0
     for j, t in enumerate(grid.times[1:], start=1):
         slice_t = family.at(float(t))
@@ -125,10 +119,22 @@ def solve(
         if d >= family.r:
             raise TubeViolation(j, d, family.r)
         points[j] = y
-        dist_to_set[j] = slice_t.distance(y)
+        dist_to_set[j] = slice_t.distance(y) if d != 0.0 else 0.0
     return DiscreteTrajectory(
         grid=grid, points=points, level=level, eps_level=eps_level, dist_to_set=dist_to_set
     )
+
+
+def _evaluate(times: np.ndarray, t, last: int, value):
+    """value(ts, idx) at t, a time or an array of times within [times[0],
+    times[-1]]: ts is t as a 1-D array and idx[k] the last node at or before
+    ts[k], clipped to [0, last].  A scalar t gives a single value."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts < times[0]) or np.any(ts > times[-1]):
+        raise OutOfRange("evaluation outside the trajectory span")
+    idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, last)
+    out = value(ts, idx)
+    return out if np.ndim(t) else out[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,13 +146,7 @@ class StepFunction:
     values: np.ndarray
 
     def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < self.times[0]) or np.any(t_arr > self.times[-1]):
-            raise OutOfRange("evaluation outside the trajectory span")
-        idx = np.searchsorted(self.times, t_arr, side="right") - 1
-        idx = np.clip(idx, 0, len(self.times) - 1)
-        out = self.values[idx]
-        return out if np.asarray(t).ndim else out[0]
+        return _evaluate(self.times, t, len(self.times) - 1, lambda ts, idx: self.values[idx])
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,15 +157,11 @@ class AffineFunction:
     values: np.ndarray
 
     def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < self.times[0]) or np.any(t_arr > self.times[-1]):
-            raise OutOfRange("evaluation outside the trajectory span")
-        idx = np.searchsorted(self.times, t_arr, side="right") - 1
-        idx = np.clip(idx, 0, len(self.times) - 2)
-        h = self.times[idx + 1] - self.times[idx]
-        frac = (t_arr - self.times[idx]) / h
-        out = self.values[idx] + frac[:, None] * (self.values[idx + 1] - self.values[idx])
-        return out if np.asarray(t).ndim else out[0]
+        def value(ts, idx):
+            frac = (ts - self.times[idx]) / (self.times[idx + 1] - self.times[idx])
+            return self.values[idx] + frac[:, None] * (self.values[idx + 1] - self.values[idx])
+
+        return _evaluate(self.times, t, len(self.times) - 2, value)
 
 
 def step_interpolant(traj: DiscreteTrajectory) -> StepFunction:
@@ -190,9 +186,9 @@ class StepCertificate:
 
     def __post_init__(self):
         if self.distance_moved > self.excess_bound_used * (1.0 + 1e-12):
-            raise ValueError(
-                f"step {self.j} moved {self.distance_moved:.6g}, "
-                f"beyond the excess bound {self.excess_bound_used:.6g}"
+            raise CertificationFailed(
+                self.j, self.distance_moved, self.excess_bound_used,
+                what="distance moved (the modulus is unsound)",
             )
 
 
@@ -213,9 +209,8 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory, seed: int = 0)
     """
     omega = family.modulus()
     certificates, slices = [], []
-    jump_norms = traj.jump_norms
     for j in range(1, len(traj.grid.times)):
-        moved = float(jump_norms[j - 1])
+        moved = float(traj.jump_norms[j - 1])
         if moved == 0.0:
             continue
         t = float(traj.grid.times[j])
@@ -252,15 +247,11 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory, seed: int = 0)
 
 def write_trajectory_csv(traj: DiscreteTrajectory, path) -> None:
     """Node table: t, coordinates, arriving jump norm, distance to the slice."""
-    dim = traj.dim
-    header = "t," + ",".join(f"x_{i}" for i in range(dim)) + ",jump_norm,dist_to_set"
-    lines = [header]
-    jump_norms = np.concatenate([[0.0], traj.jump_norms])
-    for j, t in enumerate(traj.grid.times):
-        cells = [f"{float(t):.17g}"]
-        cells += [f"{float(c):.17g}" for c in traj.points[j]]
-        cells.append(f"{float(jump_norms[j]):.17g}")
-        cells.append(f"{float(traj.dist_to_set[j]):.17g}")
-        lines.append(",".join(cells))
+    header = "t," + ",".join(f"x_{i}" for i in range(traj.dim)) + ",jump_norm,dist_to_set"
+    arriving = np.concatenate(([0.0], traj.jump_norms))
+    table = np.column_stack((traj.grid.times, traj.points, arriving, traj.dist_to_set))
+    # %-formatting and format() share Python's float formatter: same bytes.
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [header] + [row % tuple(cells) for cells in table.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -46,13 +46,11 @@ def write_trajectory_svg(path, traj) -> None:
     if y_hi - y_lo < 1e-12:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     lines = _header(f"trajectory level {traj.level} ({traj.dim} coordinates)")
+    xs = _x_to_px(times, times[0], times[-1]).tolist()
     for i in range(traj.dim):
         color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(
-            f"{_f(_x_to_px(float(t), times[0], times[-1]))},"
-            f"{_f(_y_to_px(float(v), y_lo, y_hi))}"
-            for t, v in zip(times, pts[:, i])
-        )
+        ys = _y_to_px(pts[:, i], y_lo, y_hi).tolist()
+        coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in zip(xs, ys))
         lines.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         lines.append(
             f'<text x="{WIDTH - MARGIN + 4}" y="{MARGIN + 16 * i + 12}" font-family="monospace" '

@@ -123,12 +123,11 @@ def choose_cone_params(
     R: float,
     d: float,
     omega: Modulus,
-    eps_candidates=(),
+    eps_candidates,
 ) -> ConeBoundParams:
     """Pick lambda = 0.9*r*R/(d+R/2)^2 (capped below 1), tau from the
     inner-ball persistence recipe with rho0 = lam*R, rho = lam*R/2, and the
-    largest feasible tolerance among eps_candidates (a safe default without
-    candidates)."""
+    largest feasible tolerance among eps_candidates."""
     if min(r, R, d) <= 0:
         raise ValueError("r, R, d must be positive")
     lam = min(0.9 * r * R / (d + R / 2.0) ** 2, 0.99)
@@ -137,16 +136,10 @@ def choose_cone_params(
     eps_max = min(r / 2.0, headroom)
     if eps_max <= 0:
         raise NoFeasibleEps("no positive tolerance satisfies the smallness conditions")
-    if eps_candidates:
-        feasible = [e for e in eps_candidates if 0.0 < e < eps_max]
-        if not feasible:
-            raise NoFeasibleEps(
-                f"no candidate tolerance lies below the feasibility cap {eps_max:.6g}"
-            )
-        eps_bar = max(feasible)
-    else:
-        eps_bar = 0.9 * eps_max
-    return ConeBoundParams(r=r, R=R, d=d, lam=lam, tau=tau, eps_bar=eps_bar)
+    feasible = [e for e in eps_candidates if 0.0 < e < eps_max]
+    if not feasible:
+        raise NoFeasibleEps(f"no candidate tolerance lies below the feasibility cap {eps_max:.6g}")
+    return ConeBoundParams(r=r, R=R, d=d, lam=lam, tau=tau, eps_bar=max(feasible))
 
 
 @dataclass(frozen=True, eq=False)

@@ -135,3 +135,35 @@ def test_levels_past_the_finest_grid_exit_4(argv, tmp_path, capsys):
     assert main(argv(tmp_path)) == 4
     err = capsys.readouterr().err
     assert "finer than 2^24 intervals" in err and "Traceback" not in err
+
+
+def _unsound_modulus_case(tmp_path, case: str) -> str:
+    """A rigid scenario whose declared circumradius understates the rate:
+    below the derivable one of the polytope_rotation triangle, or set for a
+    rotating half-plane, which has none to derive."""
+    doc = json.loads(builtin_text("polytope_rotation"))
+    if case == "below_derivable":
+        doc["family"]["circumradius"] = 0.05
+    else:
+        doc["family"] = {
+            "kind": "rigid", "base": {"shape": "halfspace", "normal": [1.0, 0.0], "offset": 0.5},
+            "angle": {"form": "linear", "value": 0.0, "rate": 1.0}, "pivot": [0.5, 0.5],
+            "horizon": 1.0, "circumradius": 1.0,
+        }
+        doc.update(y0=[0.4, 3.0], checks=["constraint", "normal"])
+    cfg = tmp_path / f"{case}.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("case, code, shown", [
+    ("below_derivable", 3, "below the derivable"),
+    ("rotating_half_plane", 2, "the modulus is unsound"),
+])
+@pytest.mark.parametrize("command", [["solve", "--out", "out"], ["verify", "--level", "2"]])
+def test_unsound_modulus_exits_with_a_documented_code(case, code, shown, command, tmp_path,
+                                                      monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], _unsound_modulus_case(tmp_path, case), *command[1:]]) == code
+    captured = capsys.readouterr()
+    assert shown in captured.out + captured.err and "Traceback" not in captured.err

@@ -303,6 +303,23 @@ class TestInnerBall:
         assert verify_inner_ball(fam, (0.5001, 0.0), 0.5) == pytest.approx(1e-4, abs=1e-12)
 
 
+def test_rigid_family_rejects_a_circumradius_below_the_derivable_one():
+    unit_square = Box((0.0, 0.0), (1.0, 1.0))
+    derived = unit_square.circumradius_about(np.array([0.5, 0.5]))
+    for declared in (None, derived, 2.0):
+        fam = RigidFamily(unit_square, LinearPath(0.0, 1.0), (0.5, 0.5), 1.0,
+                          circumradius=declared)
+        assert fam.analytic_rate() == (derived if declared is None else declared)
+    with pytest.raises(ValueError, match="below the derivable"):
+        RigidFamily(unit_square, LinearPath(0.0, 1.0), (0.5, 0.5), 1.0,
+                    circumradius=0.99 * derived)
+    # Nothing is derivable for a half-plane: a declared value stands.
+    edge = HalfSpace((1.0, 0.0), 0.5)
+    for half_plane in (edge, Polytope((edge,), (0.0, 0.0))):
+        fam = RigidFamily(half_plane, LinearPath(0.0, 1.0), (0.5, 0.5), 1.0, circumradius=0.01)
+        assert fam.analytic_rate() == 0.01
+
+
 def _families_with(horizon=1.0, declared_r=None):
     """One family of each class, with the given horizon and declared r."""
     centre = ConstantPath((0.0, 0.0))

@@ -2,9 +2,10 @@
 the scenario's own schedule, must stay byte-identical to the recorded SHA-256
 digests in data/csv_digests.json.  The checks are skipped; only the solver
 output is compared.  The canonical scenario documents written by
-serialize_scenario are pinned the same way in data/scenario_digests.json, and
-the report of a full run (every check's verdict, margin and note, and the
-convergence gaps, variations and ratios) in data/report_digests.json."""
+serialize_scenario are pinned the same way in data/scenario_digests.json, the
+trajectory and convergence SVGs in data/svg_digests.json, and the report of a
+full run (every check's verdict, margin and note, and the convergence gaps,
+variations and ratios) in data/report_digests.json."""
 
 import hashlib
 import json
@@ -16,28 +17,46 @@ from sweepsolve.families import build_schedule
 from sweepsolve.harness import run
 from sweepsolve.scenarios import BUILTIN_NAMES, load_builtin, serialize_scenario
 from sweepsolve.solver import write_trajectory_csv
+from sweepsolve.svgplot import write_convergence_svg, write_trajectory_svg
 from sweepsolve.variation import converge_study
 
 DIGESTS = Path(__file__).parent / "data" / "csv_digests.json"
 SCENARIO_DIGESTS = Path(__file__).parent / "data" / "scenario_digests.json"
 REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
+SVG_DIGESTS = Path(__file__).parent / "data" / "svg_digests.json"
 
 
-def csv_digests(name: str, out_dir: Path) -> dict:
-    """File name -> SHA-256 of each level CSV of the bundled scenario."""
+def study(name: str):
+    """Convergence study of the bundled scenario at its own schedule."""
     scenario = load_builtin(name)
     sp = scenario.schedule
     schedule = build_schedule(
         scenario.family, scenario.horizon, sp.eps0, sp.ratio, sp.levels,
         base_resolution=sp.base_resolution,
     )
-    report = converge_study(scenario.family, scenario.y0, schedule)
-    out = {}
-    for n, traj in enumerate(report.trajectories):
-        path = out_dir / f"{name}_level{n}.csv"
-        write_trajectory_csv(traj, path)
-        out[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return out
+    return converge_study(scenario.family, scenario.y0, schedule)
+
+
+def digests(paths) -> dict:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+
+def csv_digests(name: str, out_dir: Path) -> dict:
+    """File name -> SHA-256 of each level CSV of the bundled scenario."""
+    paths = []
+    for n, traj in enumerate(study(name).trajectories):
+        paths.append(out_dir / f"{name}_level{n}.csv")
+        write_trajectory_csv(traj, paths[-1])
+    return digests(paths)
+
+
+def svg_digests(name: str, out_dir: Path) -> dict:
+    """File name -> SHA-256 of the two SVGs that run(..., svg=True) writes:
+    the finest trajectory and the convergence bars."""
+    report = study(name)
+    write_trajectory_svg(out_dir / "trajectory.svg", report.trajectories[-1])
+    write_convergence_svg(out_dir / "convergence.svg", report)
+    return digests([out_dir / "trajectory.svg", out_dir / "convergence.svg"])
 
 
 def test_golden_set_covers_every_bundled_scenario():
@@ -50,6 +69,13 @@ def test_golden_set_covers_every_bundled_scenario():
 def test_csv_bytes_match_golden_digests(name, tmp_path):
     recorded = json.loads(DIGESTS.read_text("utf-8"))
     assert csv_digests(name, tmp_path) == recorded[name]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_svg_bytes_match_golden_digests(name, tmp_path):
+    recorded = json.loads(SVG_DIGESTS.read_text("utf-8"))
+    assert sorted(recorded) == sorted(BUILTIN_NAMES)
+    assert svg_digests(name, tmp_path) == recorded[name]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

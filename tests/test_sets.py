@@ -266,6 +266,24 @@ def test_sample_points_triangle_edges_represented():
         assert min(dists) <= 1e-6, "an edge has no nearby sample"
 
 
+def test_sample_points_tests_each_draw_once(monkeypatch):
+    # One project_with_distance call both tests a draw and projects it when
+    # rejected: one membership test per draw, however many are rejected.
+    calls = []
+    defect = Ball.membership_defect
+
+    def counting(self, y):
+        calls.append(1)
+        return defect(self, y)
+
+    monkeypatch.setattr(Ball, "membership_defect", counting)
+    pts = sample_points(Ball((0.0, 0.0), 1.0), ((-2.0, -2.0), (2.0, 2.0)), 10, seed=7)
+    radii = [np.linalg.norm(p) for p in pts]
+    assert min(radii) < 1.0 - 1e-9, "no draw was a member"
+    assert max(radii) == pytest.approx(1.0), "no draw was rejected"
+    assert len(calls) == 10
+
+
 def test_sample_points_empty_intersection():
     ball = Ball((0.0, 0.0), 1.0)
     with pytest.raises(EmptyIntersection):

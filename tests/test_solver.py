@@ -88,6 +88,14 @@ def test_dist_to_set_matches_independent_recomputation(family, y0, eps_level):
         assert traj.dist_to_set[j] == family.at(float(t)).distance(traj.points[j])
 
 
+def test_jump_norms_are_stored_read_only():
+    traj = solve(obstacle_family(), (0.0, 0.1), TimeGrid.uniform(2.0, 64), eps_level=0.05)
+    assert traj.jump_norms is traj.jump_norms
+    assert not traj.jump_norms.flags.writeable
+    assert np.array_equal(traj.jump_norms, np.linalg.norm(np.diff(traj.points, axis=0), axis=1))
+    assert traj.variation_total == float(np.sum(traj.jump_norms)) > 0.0
+
+
 def test_dist_to_set_shape_checked():
     grid = TimeGrid([0.0, 1.0])
     with pytest.raises(ValueError, match="dist_to_set"):

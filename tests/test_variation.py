@@ -144,18 +144,18 @@ class TestConeBound:
 class TestChooseConeParams:
     def test_frozen_lambda(self):
         omega = Modulus(1.0, 0.4)
-        p = choose_cone_params(1.0, 1.0, 0.6, omega)
+        p = choose_cone_params(1.0, 1.0, 0.6, omega, eps_candidates=(0.01,))
         assert p.lam == pytest.approx(0.9 / 1.21, rel=1e-12)
         assert abs(p.lam - 0.7438) < 1e-4
 
     def test_lambda_clamped(self):
         omega = Modulus(1.0, 0.001)
-        p = choose_cone_params(100.0, 10.0, 0.5, omega)
+        p = choose_cone_params(100.0, 10.0, 0.5, omega, eps_candidates=(0.01,))
         assert p.lam == 0.99
 
     def test_static_tau_is_horizon(self):
         omega = Modulus(3.0, 0.0)
-        p = choose_cone_params(1.0, 1.0, 0.6, omega)
+        p = choose_cone_params(1.0, 1.0, 0.6, omega, eps_candidates=(0.01,))
         assert p.tau == 3.0
 
     def test_candidates_selection(self):
