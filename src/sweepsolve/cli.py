@@ -40,8 +40,7 @@ def _print_check(check) -> None:
 
 def _print_report(report) -> None:
     print(f"scenario: {report.scenario}")
-    for row in report.level_rows:
-        d = dict(row)
+    for d in report.level_rows:
         print(
             f"  level {d['level']}: eps={d['eps']:.6g} mesh={d['mesh']:.6g} "
             f"variation={d['variation']:.6g} residual={d['constraint_residual']:.3e} "

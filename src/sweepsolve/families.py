@@ -30,7 +30,7 @@ from .errors import (
     NoPositiveTau,
     OutOfRange,
 )
-from .geometry import RefinementSchedule, Schema, TimeGrid, readonly
+from .geometry import MAX_DYADIC_K, RefinementSchedule, Schema, TimeGrid, readonly
 from .paths import Path, piece_at
 from .sets import Ball, BallComplement, ProxSet, RigidImage, rotation_matrix_2d, sample_points
 
@@ -456,12 +456,13 @@ def build_schedule(
         # d >= horizon exactly when the whole horizon certifies.
         d = horizon if d >= horizon else d / 2.0
         k = 0
-        while k <= 24 and horizon / 2**k > d:
+        while k <= MAX_DYADIC_K and horizon / 2**k > d:
             k += 1
         # Each level refines the last, so the cap is checked after nesting too.
         k = max(k, base_resolution if n == 0 else ks[-1] + 1)
-        if k > 24:
-            raise ModulusUnavailable(f"level {n} needs a dyadic grid finer than 2^24 intervals")
+        if k > MAX_DYADIC_K:
+            raise ModulusUnavailable(
+                f"level {n} needs a dyadic grid finer than 2^{MAX_DYADIC_K} intervals")
         eps.append(e)
         deltas.append(d)
         ks.append(k)

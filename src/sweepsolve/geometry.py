@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_DYADIC_K = 24  # the finest supported dyadic grid has 2**MAX_DYADIC_K intervals
+
 
 def norm(u: np.ndarray) -> float:
     # What np.linalg.norm computes for a 1-D float array, without its overhead.
@@ -64,8 +66,8 @@ class TimeGrid:
     @staticmethod
     def dyadic(horizon: float, k: int) -> "TimeGrid":
         """Uniform grid with 2**k intervals; nodes j*(T/2**k) are exactly nested across k."""
-        if k < 0 or k > 24:
-            raise ValueError("dyadic resolution out of the supported range [0, 24]")
+        if k < 0 or k > MAX_DYADIC_K:
+            raise ValueError(f"dyadic resolution out of the supported range [0, {MAX_DYADIC_K}]")
         return TimeGrid.uniform(horizon, 2**k)
 
     @property

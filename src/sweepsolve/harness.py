@@ -1,5 +1,6 @@
 """Scenario runner: builds the refinement schedule, solves every level,
-evaluates the enabled checks and writes CSV / JSON / SVG artifacts.
+evaluates the checks that the scenario names (keys of CHECKS, the one table of
+check functions) and writes CSV / JSON / SVG artifacts.
 
 Check verdicts are "pass", "fail" or "inapplicable"; an inapplicable bound is
 never reported as a pass.  All sampling seeds derive from the scenario seed,
@@ -13,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .errors import (
 )
 from .families import MovingFamily, build_schedule, verify_inner_ball
 from .geometry import RefinementSchedule, norm
-from .scenarios import Scenario
 from .solver import CERTIFICATION_TOL, DiscreteTrajectory, certify_steps, write_trajectory_csv
 from .svgplot import write_convergence_svg, write_trajectory_svg
 from .variation import (
@@ -36,6 +37,9 @@ from .variation import (
     cone_variation_bound,
 )
 from .variation import converge_study
+
+if TYPE_CHECKING:
+    from .scenarios import Scenario
 
 CONSTRAINT_TOL = 1e-9
 INNER_BALL_TOL = 1e-9
@@ -63,7 +67,7 @@ class CheckResult:
 class RunReport:
     scenario: str
     horizon: float
-    level_rows: tuple
+    level_rows: tuple  # one dict per level
     checks: tuple
     bounds: dict = field(default_factory=dict)
     notes: tuple = ()
@@ -82,7 +86,7 @@ class RunReport:
         return {
             "scenario": self.scenario,
             "horizon": self.horizon,
-            "levels": [dict(row) for row in self.level_rows],
+            "levels": list(self.level_rows),
             "checks": [c.to_json_dict() for c in self.checks],
             "bounds": self.bounds,
             "notes": list(self.notes),
@@ -131,7 +135,7 @@ def check_normal(family: MovingFamily, traj: DiscreteTrajectory, seed: int) -> C
     return CheckResult("normal", "pass", CERTIFICATION_TOL - worst, note)
 
 
-def _check_ball_bound(scenario: Scenario, schedule, report, bounds: dict) -> CheckResult:
+def _check_ball_bound(scenario: Scenario, schedule, report, seed, bounds: dict) -> CheckResult:
     if scenario.ball_params is None:
         return CheckResult("ball_bound", "inapplicable", None, "no inner ball declared")
     w, rho = scenario.ball_params.w, scenario.ball_params.rho
@@ -148,8 +152,7 @@ def _check_ball_bound(scenario: Scenario, schedule, report, bounds: dict) -> Che
             "ball_bound", "inapplicable", compat,
             f"compatibility condition violated: (|y0-w|+rho)^2 exceeds 2*r*rho by {-compat:.3e}",
         )
-    margins = []
-    per_level = []
+    margins, per_level = [], []
     for n, eps in enumerate(schedule.eps):
         alpha = ball_alpha(scenario.y0, w, rho, eps)
         try:
@@ -169,14 +172,12 @@ def _check_ball_bound(scenario: Scenario, schedule, report, bounds: dict) -> Che
         )
     worst = min(margins)
     return CheckResult(
-        "ball_bound",
-        "pass" if worst >= 0 else "fail",
-        worst,
+        "ball_bound", "pass" if worst >= 0 else "fail", worst,
         f"min margin bound-minus-variation {worst:.3e} over {len(margins)} applicable levels",
     )
 
 
-def _check_cone_bound(scenario: Scenario, schedule, report, bounds: dict) -> CheckResult:
+def _check_cone_bound(scenario: Scenario, schedule, report, seed, bounds: dict) -> CheckResult:
     if scenario.cone_params is None:
         return CheckResult("cone_bound", "inapplicable", None, "no interior cone declared")
     R, d = scenario.cone_params.R, scenario.cone_params.d
@@ -215,9 +216,7 @@ def _check_cone_bound(scenario: Scenario, schedule, report, bounds: dict) -> Che
         "r": schedule.r,
     }
     return CheckResult(
-        "cone_bound",
-        "pass" if worst >= 0 else "fail",
-        worst,
+        "cone_bound", "pass" if worst >= 0 else "fail", worst,
         f"min margin {worst:.3e} over levels {n_bar}..{schedule.levels - 1}",
     )
 
@@ -240,6 +239,19 @@ def _check_cauchy(report) -> CheckResult:
         + (" (at roundoff floor)" if max(diffs) <= CAUCHY_NOISE_FLOOR else "")
     )
     return CheckResult("cauchy", verdict, 2.0 * head - tail, note)
+
+
+# Every check of a run: (scenario, schedule, convergence report, effective seed,
+# bounds to fill in report.json) -> CheckResult.
+CHECKS = {
+    "constraint": lambda scenario, schedule, report, seed, bounds: check_constraint(
+        report.constraint_residuals),
+    "normal": lambda scenario, schedule, report, seed, bounds: check_normal(
+        scenario.family, report.trajectories[-1], seed),
+    "ball_bound": _check_ball_bound,
+    "cone_bound": _check_cone_bound,
+    "cauchy": lambda scenario, schedule, report, seed, bounds: _check_cauchy(report),
+}
 
 
 def scenario_schedule(scenario: Scenario, levels: int | None = None) -> RefinementSchedule:
@@ -266,32 +278,19 @@ def run(
     level_rows = []
     for n, traj in enumerate(report.trajectories):
         write_trajectory_csv(traj, out / f"{scenario.name}_level{n}.csv")
-        level_rows.append(
-            {
-                "level": n,
-                "eps": schedule.eps[n],
-                "delta": schedule.delta[n],
-                "intervals": schedule.grids[n].n_intervals,
-                "mesh": schedule.grids[n].mesh,
-                "variation": report.variations[n],
-                "constraint_residual": report.constraint_residuals[n],
-                "wall_seconds": report.wall_seconds[n],
-            }
-        )
+        level_rows.append({
+            "level": n,
+            "eps": schedule.eps[n],
+            "delta": schedule.delta[n],
+            "intervals": schedule.grids[n].n_intervals,
+            "mesh": schedule.grids[n].mesh,
+            "variation": report.variations[n],
+            "constraint_residual": report.constraint_residuals[n],
+            "wall_seconds": report.wall_seconds[n],
+        })
 
     bounds: dict = {}
-    checks = []
-    for name in scenario.checks:
-        if name == "constraint":
-            checks.append(check_constraint(report.constraint_residuals))
-        elif name == "normal":
-            checks.append(check_normal(scenario.family, report.trajectories[-1], seed))
-        elif name == "ball_bound":
-            checks.append(_check_ball_bound(scenario, schedule, report, bounds))
-        elif name == "cone_bound":
-            checks.append(_check_cone_bound(scenario, schedule, report, bounds))
-        elif name == "cauchy":
-            checks.append(_check_cauchy(report))
+    checks = [CHECKS[name](scenario, schedule, report, seed, bounds) for name in scenario.checks]
 
     notes = []
     breakpoints = scenario.family.breakpoints()
@@ -305,7 +304,7 @@ def run(
     run_report = RunReport(
         scenario=scenario.name,
         horizon=scenario.horizon,
-        level_rows=tuple(tuple(row.items()) for row in level_rows),
+        level_rows=tuple(level_rows),
         checks=tuple(checks),
         bounds=bounds,
         notes=tuple(notes),

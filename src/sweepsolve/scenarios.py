@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import InfeasibleInitialPoint, SchemaError, UnknownShapeTag
 from .families import FAMILIES, MovingFamily
+from .harness import CHECKS
 from .paths import PATHS, Path
 from .sets import SHAPES, ProxSet
-
-KNOWN_CHECKS = ("constraint", "normal", "ball_bound", "cone_bound", "cauchy")
 
 
 @dataclass(frozen=True)
@@ -226,8 +225,9 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(checks_doc, list):
         raise SchemaError("scenario.checks", "expected an array of check names")
     for c in checks_doc:
-        if c not in KNOWN_CHECKS:
-            raise SchemaError("scenario.checks", f"unknown check {c!r}")
+        if not isinstance(c, str) or c not in CHECKS:
+            known = ", ".join(sorted(CHECKS))
+            raise SchemaError("scenario.checks", f"unknown check {c!r}; expected one of {known}")
 
     ball_params = cone_params = None
     bp = _Fields(doc.get("bound_params", {}), "scenario.bound_params")

@@ -26,7 +26,7 @@ from .families import MovingFamily
 from .geometry import TimeGrid, readonly
 from .sets import NormalResidualReport, normal_residual, sample_points
 
-# Strict jump bound is accepted up to eps * (1 + this slack) to absorb rounding.
+# Rounding slack of the strict jump bound eps and of each step's excess bound.
 JUMP_EPS_SLACK = 1e-12
 
 CERTIFICATION_TOL = 1e-6
@@ -69,11 +69,10 @@ class DiscreteTrajectory:
         object.__setattr__(self, "jump_norms", jumps)
         if self.eps_level <= 0:
             raise ValueError("eps_level must be positive")
-        worst = float(np.max(jumps, initial=0.0))
-        if worst >= self.eps_level * (1.0 + JUMP_EPS_SLACK):
-            raise ValueError(
-                f"jump of norm {worst:.6g} violates the strict bound eps={self.eps_level:.6g}"
-            )
+        worst = int(np.argmax(jumps))  # a grid has two nodes at least
+        if jumps[worst] >= self.eps_level * (1.0 + JUMP_EPS_SLACK):
+            raise CertificationFailed(worst + 1, float(jumps[worst]), self.eps_level,
+                                      what="jump norm (strict bound eps)")
 
     @property
     def dim(self) -> int:
@@ -185,7 +184,7 @@ class StepCertificate:
     audit: NormalResidualReport | None = None
 
     def __post_init__(self):
-        if self.distance_moved > self.excess_bound_used * (1.0 + 1e-12):
+        if self.distance_moved > self.excess_bound_used * (1.0 + JUMP_EPS_SLACK):
             raise CertificationFailed(
                 self.j, self.distance_moved, self.excess_bound_used,
                 what="distance moved (the modulus is unsound)",

@@ -140,7 +140,8 @@ def test_levels_past_the_finest_grid_exit_4(argv, tmp_path, capsys):
 def _unsound_modulus_case(tmp_path, case: str) -> str:
     """A rigid scenario whose declared circumradius understates the rate:
     below the derivable one of the polytope_rotation triangle, or set for a
-    rotating half-plane, which has none to derive."""
+    rotating half-plane, which has none to derive; at 0.05 the half-plane's
+    schedule lets a step jump past eps."""
     doc = json.loads(builtin_text("polytope_rotation"))
     if case == "below_derivable":
         doc["family"]["circumradius"] = 0.05
@@ -148,7 +149,7 @@ def _unsound_modulus_case(tmp_path, case: str) -> str:
         doc["family"] = {
             "kind": "rigid", "base": {"shape": "halfspace", "normal": [1.0, 0.0], "offset": 0.5},
             "angle": {"form": "linear", "value": 0.0, "rate": 1.0}, "pivot": [0.5, 0.5],
-            "horizon": 1.0, "circumradius": 1.0,
+            "horizon": 1.0, "circumradius": 0.05 if case == "jump_past_eps" else 1.0,
         }
         doc.update(y0=[0.4, 3.0], checks=["constraint", "normal"])
     cfg = tmp_path / f"{case}.json"
@@ -159,6 +160,7 @@ def _unsound_modulus_case(tmp_path, case: str) -> str:
 @pytest.mark.parametrize("case, code, shown", [
     ("below_derivable", 3, "below the derivable"),
     ("rotating_half_plane", 2, "the modulus is unsound"),
+    ("jump_past_eps", 4, "strict bound"),
 ])
 @pytest.mark.parametrize("command", [["solve", "--out", "out"], ["verify", "--level", "2"]])
 def test_unsound_modulus_exits_with_a_documented_code(case, code, shown, command, tmp_path,

@@ -12,6 +12,7 @@ from sweepsolve.families import (
     RigidFamily,
     TranslateFamily,
 )
+from sweepsolve.harness import CHECKS
 from sweepsolve.paths import ConstantPath, LinearPath, PiecewisePath
 from sweepsolve.scenarios import (
     BUILTIN_NAMES,
@@ -113,8 +114,18 @@ def test_unknown_tag_names_its_field_and_the_known_tags(where, tag):
 
 def test_unknown_check_rejected():
     text = _patched("static_ball", checks=["constraint", "vibes"])
-    with pytest.raises(SchemaError, match="vibes"):
+    with pytest.raises(SchemaError, match="vibes") as err:
         parse_scenario(text)
+    assert err.value.field == "scenario.checks"
+    assert "expected one of " + ", ".join(sorted(CHECKS)) in str(err.value)
+    # A name that is not a string is unknown too, not an unhashable-key crash.
+    with pytest.raises(SchemaError, match="unknown check"):
+        parse_scenario(_patched("static_ball", checks=[["constraint"]]))
+
+
+def test_every_harness_check_is_a_scenario_check():
+    scenario = parse_scenario(_patched("polytope_rotation", checks=list(CHECKS)))
+    assert scenario.checks == tuple(CHECKS)
 
 
 def test_dim_mismatch_rejected():

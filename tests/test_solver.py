@@ -176,7 +176,7 @@ def test_iterate_on_the_excluded_center_is_a_tube_violation():
 def test_jump_bound_enforced():
     fam = sweep_family()
     grid = TimeGrid.uniform(2.0, 10)  # jumps of 0.2 per step once engaged
-    with pytest.raises(ValueError, match="strict bound"):
+    with pytest.raises(CertificationFailed, match="strict bound"):
         solve(fam, (0.0, 0.0), grid, eps_level=0.1)
 
 
