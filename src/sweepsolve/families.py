@@ -274,7 +274,8 @@ class RadiusFamily(MovingFamily):
 
 @dataclass(frozen=True, eq=False)
 class RigidFamily(MovingFamily):
-    """Planar rigid motion: rotation about a fixed pivot plus a drift."""
+    """Planar rigid motion: rotation about a fixed pivot plus a drift, of a
+    base whose circumradius about the pivot is finite (a bounded one)."""
 
     kind = "rigid"
     base: ProxSet
@@ -282,7 +283,6 @@ class RigidFamily(MovingFamily):
     pivot: np.ndarray
     horizon: float
     translation: Path | None = None
-    circumradius: float | None = None
     declared_r: float | None = None
     _circum: float = field(init=False, repr=False)
 
@@ -291,19 +291,7 @@ class RigidFamily(MovingFamily):
             raise ValueError("rigid families are implemented for dim 2")
         self._set_r(self.base.r)
         object.__setattr__(self, "pivot", readonly(self.pivot))
-        circum = self.circumradius
-        if circum is not None and circum <= 0:
-            raise ValueError("circumradius must be positive")
-        try:
-            derived = self.base.circumradius_about(self.pivot)
-        except ValueError:
-            if circum is None:
-                raise
-            derived = circum  # nothing derivable: the declared value stands
-        # A declared value below the derivable one would understate the rate.
-        if circum is not None and circum < derived:
-            raise ValueError(f"declared circumradius {circum!r} is below the derivable {derived!r}")
-        object.__setattr__(self, "_circum", float(derived if circum is None else circum))
+        object.__setattr__(self, "_circum", self.base.circumradius_about(self.pivot))
 
     @property
     def dim(self):
@@ -311,7 +299,7 @@ class RigidFamily(MovingFamily):
 
     def at(self, t):
         self._check_time(t)
-        Q = np.array(rotation_matrix_2d(float(self.angle(t))))
+        Q = rotation_matrix_2d(float(self.angle(t)))
         u = self.pivot - Q @ self.pivot
         if self.translation is not None:
             u = u + np.atleast_1d(self.translation(t))
@@ -329,15 +317,12 @@ class RigidFamily(MovingFamily):
                "pivot": self.pivot.tolist(), "horizon": self.horizon}
         if self.translation is not None:
             doc["translation"] = self.translation.to_dict()
-        if self.circumradius is not None:
-            doc["circumradius"] = self.circumradius
         return doc
 
     @classmethod
     def from_dict(cls, fields):
         return cls(fields.shape("base"), fields.path("angle"), fields.vec("pivot"),
                    fields.num("horizon"), fields.optional("translation", fields.path),
-                   fields.optional("circumradius", fields.num),
                    fields.optional("declared_r", fields.num))
 
 

@@ -4,8 +4,8 @@ initial point, a refinement schedule and the checks to run.
 Shape, path and family descriptors are tagged records read by one reader:
 the tag names a class in sets.SHAPES, paths.PATHS or families.FAMILIES, and
 that class builds itself from a _Fields reader.  Numbers must be finite and
-not booleans, flags must be JSON booleans, and parsing validates every
-cross-field invariant eagerly and reports the offending field.
+not booleans, flags must be JSON booleans, unread keys are errors, and parsing
+validates every cross-field invariant eagerly and reports the offending field.
 """
 
 from __future__ import annotations
@@ -35,11 +35,8 @@ class ScheduleParams:
 
 @dataclass(frozen=True)
 class BallParams:
-    w: tuple
+    w: tuple  # floats, as _Fields.vec reads them
     rho: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", tuple(float(x) for x in self.w))
 
 
 @dataclass(frozen=True)
@@ -52,9 +49,7 @@ class ConeParams:
 class Scenario:
     name: str
     description: str
-    dim: int
-    horizon: float
-    y0: tuple
+    y0: tuple  # floats, as _Fields.vec reads them
     seed: int
     family: MovingFamily
     schedule: ScheduleParams
@@ -62,29 +57,48 @@ class Scenario:
     ball_params: BallParams | None = None
     cone_params: ConeParams | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "y0", tuple(float(x) for x in self.y0))
-        object.__setattr__(self, "checks", tuple(self.checks))
+    # The family's; parse_scenario checks the document's copies against them.
+    dim = property(lambda self: self.family.dim)
+    horizon = property(lambda self: self.family.horizon)
 
 
 class _Fields:
     """One schema object and its field path: each reader returns a validated
-    field or raises SchemaError naming it.  Shape, path and family classes
-    build themselves from it in from_dict."""
+    field or raises SchemaError naming it, and close rejects unread keys.
+    Shape, path and family classes build themselves from it in from_dict."""
 
     def __init__(self, obj, where: str):
         if not isinstance(obj, dict):
             raise SchemaError(where, "expected an object")
         self.obj, self.where = obj, where
+        self.used, self.parts = set(), []
+
+    def get(self, key: str, default):
+        self.used.add(key)
+        return self.obj.get(key, default)
 
     def raw(self, key: str):
         if key not in self.obj:
             raise SchemaError(f"{self.where}.{key}", "missing required field")
-        return self.obj[key]
+        return self.get(key, None)
 
     def optional(self, key: str, read):
         """read(key), or None when the field is absent or null."""
-        return None if self.obj.get(key) is None else read(key)
+        return None if self.get(key, None) is None else read(key)
+
+    def part(self, key: str, default=None) -> "_Fields":
+        """The object at key (default when absent) as a reader closed with this one."""
+        obj = self.raw(key) if default is None else self.get(key, default)
+        self.parts.append(_Fields(obj, f"{self.where}.{key}"))
+        return self.parts[-1]
+
+    def close(self):
+        """Raise SchemaError at the first unread key, here or in a part."""
+        for part in self.parts:
+            part.close()
+        for key in self.obj:
+            if key not in self.used:
+                raise SchemaError(f"{self.where}.{key}", "unknown field")
 
     def _number(self, v, where: str) -> float:
         """v as a finite float; booleans, NaN and infinities are rejected."""
@@ -130,7 +144,7 @@ class _Fields:
 
     def flag(self, key: str) -> bool:
         """A JSON boolean; false when the key is absent."""
-        v = self.obj.get(key, False)
+        v = self.get(key, False)
         if not isinstance(v, bool):
             raise SchemaError(f"{self.where}.{key}", f"expected true or false, got {v!r}")
         return v
@@ -139,7 +153,8 @@ class _Fields:
         items = self.raw(key)
         if not isinstance(items, list) or not items:
             raise SchemaError(f"{self.where}.{key}", "expected a nonempty array of objects")
-        return [_Fields(item, f"{self.where}.{key}[{i}]") for i, item in enumerate(items)]
+        self.parts += [_Fields(item, f"{self.where}.{key}[{i}]") for i, item in enumerate(items)]
+        return self.parts[-len(items):]
 
     def shape(self, key: str) -> ProxSet:
         return shape_from_dict(self.raw(key), f"{self.where}.{key}")
@@ -162,11 +177,13 @@ def _read_tagged(obj, where: str, key: str, registry: dict, unknown=SchemaError)
         known = ", ".join(sorted(registry))
         raise unknown(f"{where}.{key}", f"unknown {key} {tag!r}; expected one of {known}")
     try:
-        return cls.from_dict(fields)
+        built = cls.from_dict(fields)
     except SchemaError:
         raise
     except (ValueError, TypeError) as err:
         raise SchemaError(where, str(err)) from err
+    fields.close()
+    return built
 
 
 def shape_from_dict(obj: dict, path: str) -> ProxSet:
@@ -185,7 +202,7 @@ def parse_scenario(text: str) -> Scenario:
     name = f.raw("name")
     if not isinstance(name, str) or not name:
         raise SchemaError("scenario.name", "expected a nonempty string")
-    description = doc.get("description", "")
+    description = f.get("description", "")
     dim = f.count("dim")
     if dim < 1:
         raise SchemaError("scenario.dim", "expected a positive integer")
@@ -205,7 +222,7 @@ def parse_scenario(text: str) -> Scenario:
             "scenario.family", f"family horizon {family.horizon} != scenario horizon {horizon}"
         )
 
-    sched = _Fields(f.raw("schedule"), "scenario.schedule")
+    sched = f.part("schedule")
     schedule = ScheduleParams(
         eps0=sched.num("eps0"),
         ratio=sched.num("ratio"),
@@ -230,19 +247,20 @@ def parse_scenario(text: str) -> Scenario:
             raise SchemaError("scenario.checks", f"unknown check {c!r}; expected one of {known}")
 
     ball_params = cone_params = None
-    bp = _Fields(doc.get("bound_params", {}), "scenario.bound_params")
+    bp = f.part("bound_params", {})
     if "ball" in bp.obj:
-        ball = _Fields(bp.raw("ball"), "scenario.bound_params.ball")
+        ball = bp.part("ball")
         ball_params = BallParams(w=ball.vec("w"), rho=ball.num("rho"))
         if ball_params.rho <= 0:
             raise SchemaError("scenario.bound_params.ball.rho", "must be positive")
         if len(ball_params.w) != dim:
             raise SchemaError("scenario.bound_params.ball.w", "dimension mismatch")
     if "cone" in bp.obj:
-        cone = _Fields(bp.raw("cone"), "scenario.bound_params.cone")
+        cone = bp.part("cone")
         cone_params = ConeParams(R=cone.num("R"), d=cone.num("d"))
         if cone_params.R <= 0 or cone_params.d <= 0:
             raise SchemaError("scenario.bound_params.cone", "R and d must be positive")
+    f.close()
 
     initial = family.at(0.0)
     if not initial.contains(y0):
@@ -251,8 +269,6 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(
         name=name,
         description=description,
-        dim=dim,
-        horizon=horizon,
         y0=y0,
         seed=seed,
         family=family,

@@ -13,8 +13,8 @@ is accepted only after an explicit KKT check.
 
 Each shape class also owns its schema document (a tag in SHAPES plus
 to_dict/from_dict), its translate, its closed-form excess over a shape of
-the same type where one is known, and its circumradius about a pivot where
-one can be derived.
+the same type where one is known, and its circumradius about a pivot, which
+is finite only for a bounded shape.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ from .geometry import Schema, norm, readonly
 CONTAINMENT_TOL = 1e-10
 
 SAMPLING_MAX_ATTEMPTS = 1_000_000
+
+# Tolerance on |normal| - 1 for a half-space normal to count as unit.
+UNIT_NORMAL_TOL = 1e-12
 
 # Margin around the set of each shape's bounding_region.
 _REGION_PAD = 0.5
@@ -106,8 +109,10 @@ class ProxSet(Schema):
         return None
 
     def circumradius_about(self, p: np.ndarray) -> float:
-        """Largest distance from p to a point of the set."""
-        raise ValueError("circumradius must be declared for this base shape")
+        """Largest distance from p to a point of the set; ValueError when it
+        is infinite (a half-space, a ball complement) or not derived."""
+        raise ValueError(f"the {self.tag} base is unbounded or has no derived circumradius: "
+                         "no finite rigid-motion rate")
 
     def normal_defect(self, x, n, halfwidth: float) -> float:
         """Sound upper bound of the normal-cone defect of n at x in the window:
@@ -173,7 +178,7 @@ class HalfSpace(ProxSet):
     def __post_init__(self):
         a = readonly(self.normal)
         n = norm(a)
-        if abs(n - 1.0) > 1e-12:
+        if abs(n - 1.0) > UNIT_NORMAL_TOL:
             raise ValueError(f"half-space normal must be unit (|a|={n!r}); use halfspace()")
         object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", float(self.offset))
@@ -230,7 +235,7 @@ def halfspace(normal, offset: float) -> HalfSpace:
     n = norm(a)
     if n == 0.0:
         raise ValueError("half-space normal must be nonzero")
-    if abs(n - 1.0) <= 1e-12:
+    if abs(n - 1.0) <= UNIT_NORMAL_TOL:
         # Already unit: avoid perturbing the stored floats (round-trip stability).
         return HalfSpace(a, float(offset))
     return HalfSpace(a / n, float(offset) / n)
@@ -575,8 +580,11 @@ class Polytope(ProxSet):
 
     def circumradius_about(self, p):
         verts = self.vertices_2d()
-        if not verts:
-            return super().circumradius_about(p)
+        # A nonempty 2-D polytope is unbounded iff A d <= 0 for a face direction
+        # d = ±(-a_2, a_1); rounding counts as <= 0, erring toward unbounded.
+        rates = self._A @ (self._A[:, ::-1] * (-1.0, 1.0)).T  # column k: A d_k
+        if (rates <= _SPAN_EPS).all(axis=0).any() or (rates >= -_SPAN_EPS).all(axis=0).any():
+            raise ValueError("the polytope base is unbounded: no finite rigid-motion rate")
         return max(norm(v - p) for v in verts)
 
 
@@ -709,9 +717,9 @@ class RigidImage(ProxSet):
 SHAPES = {cls.tag: cls for cls in (HalfSpace, Ball, Box, Polytope, BallComplement, RigidImage)}
 
 
-def rotation_matrix_2d(angle: float) -> tuple:
+def rotation_matrix_2d(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
-    return ((c, -s), (s, c))
+    return np.array([[c, -s], [s, c]])
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sweepsolve import harness
 from sweepsolve.cli import main
 from sweepsolve.errors import CertificationFailed
+from sweepsolve.families import RigidFamily
 from sweepsolve.scenarios import builtin_text
 from sweepsolve.solver import CERTIFICATION_TOL
 
@@ -137,35 +143,116 @@ def test_levels_past_the_finest_grid_exit_4(argv, tmp_path, capsys):
     assert "finer than 2^24 intervals" in err and "Traceback" not in err
 
 
-def _unsound_modulus_case(tmp_path, case: str) -> str:
-    """A rigid scenario whose declared circumradius understates the rate:
-    below the derivable one of the polytope_rotation triangle, or set for a
-    rotating half-plane, which has none to derive; at 0.05 the half-plane's
-    schedule lets a step jump past eps."""
-    doc = json.loads(builtin_text("polytope_rotation"))
-    if case == "below_derivable":
-        doc["family"]["circumradius"] = 0.05
-    else:
-        doc["family"] = {
-            "kind": "rigid", "base": {"shape": "halfspace", "normal": [1.0, 0.0], "offset": 0.5},
-            "angle": {"form": "linear", "value": 0.0, "rate": 1.0}, "pivot": [0.5, 0.5],
-            "horizon": 1.0, "circumradius": 0.05 if case == "jump_past_eps" else 1.0,
-        }
-        doc.update(y0=[0.4, 3.0], checks=["constraint", "normal"])
-    cfg = tmp_path / f"{case}.json"
-    cfg.write_text(json.dumps(doc))
-    return str(cfg)
+# Factors that understate polytope_rotation's modulus rate: at half the rate
+# the steps outrun their normal certificates, at a tenth a step jumps past eps.
+_RATE_FACTOR = {"understated_rate": 0.5, "jump_past_eps": 0.1}
 
 
 @pytest.mark.parametrize("case, code, shown", [
-    ("below_derivable", 3, "below the derivable"),
-    ("rotating_half_plane", 2, "the modulus is unsound"),
+    ("understated_rate", 2, "the modulus is unsound"),
     ("jump_past_eps", 4, "strict bound"),
 ])
 @pytest.mark.parametrize("command", [["solve", "--out", "out"], ["verify", "--level", "2"]])
 def test_unsound_modulus_exits_with_a_documented_code(case, code, shown, command, tmp_path,
                                                       monkeypatch, capsys):
+    rate = RigidFamily.analytic_rate
+    monkeypatch.setattr(RigidFamily, "analytic_rate", lambda fam: _RATE_FACTOR[case] * rate(fam))
     monkeypatch.chdir(tmp_path)
-    assert main([command[0], _unsound_modulus_case(tmp_path, case), *command[1:]]) == code
+    assert main([command[0], "polytope_rotation", *command[1:]]) == code
     captured = capsys.readouterr()
     assert shown in captured.out + captured.err and "Traceback" not in captured.err
+
+
+_UNBOUNDED_BASES = {  # rigid bases with no finite rate
+    "halfspace": {"shape": "halfspace", "normal": [1.0, 0.0], "offset": 0.5},
+    "one_face": {"shape": "polytope", "faces": [{"normal": [1.0, 0.0], "offset": 0.5}],
+                 "interior": [0.0, 0.0]},
+    "wedge": {"shape": "polytope", "interior": [-1.0, -1.0],
+              "faces": [{"normal": [1.0, 0.0], "offset": 0.0},
+                        {"normal": [0.0, 1.0], "offset": 0.0}]},
+    "ball_complement": {"shape": "ball_complement", "center": [0.0, 0.0], "radius": 0.5},
+}
+
+
+@pytest.mark.parametrize("base", sorted(_UNBOUNDED_BASES))
+def test_rigid_motion_of_an_unbounded_base_exits_3(base, tmp_path, capsys):
+    doc = json.loads(builtin_text("polytope_rotation"))
+    doc["family"]["base"] = _UNBOUNDED_BASES[base]
+    doc.update(y0=[-0.4, -3.0], checks=["constraint", "normal"])
+    doc["family"].pop("declared_r")
+    doc.pop("bound_params")
+    cfg = tmp_path / f"{base}.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    tag = _UNBOUNDED_BASES[base]["shape"]
+    assert err.startswith(f"configuration error: scenario.family: the {tag} base is unbounded")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_horizon_within_rounding_of_the_family_runs_like_the_bundled_scenario(tmp_path):
+    doc = json.loads(builtin_text("sweep_halfspace"))
+    doc["horizon"] = 2.0000000000001
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    verdicts = []
+    for spec, out in ((str(cfg), "nudged"), ("sweep_halfspace", "bundled")):
+        assert main(["solve", spec, "--out", str(tmp_path / out)]) == 0
+        report = json.loads((tmp_path / out / "report.json").read_text())
+        verdicts.append([(c["name"], c["verdict"], c["margin"]) for c in report["checks"]])
+    assert verdicts[0] == verdicts[1]
+
+
+_TRIANGLE = {"shape": "polytope", "interior": [0.25, 0.25],
+             "faces": [{"normal": [-1.0, 0.0], "offset": 0.0},
+                       {"normal": [0.0, -1.0], "offset": 0.0},
+                       {"normal": [1.0, 1.0], "offset": 1.0}]}
+# Every base shape, bounded or not, with a member of it.
+_RIGID_BASES = {
+    "halfspace": (_UNBOUNDED_BASES["halfspace"], [0.0, 0.0]),
+    "ball": ({"shape": "ball", "center": [0.0, 0.0], "radius": 1.0}, [0.2, 0.0]),
+    "box": ({"shape": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}, [0.5, 0.5]),
+    "triangle": (_TRIANGLE, [0.25, 0.25]),
+    "wedge": (_UNBOUNDED_BASES["wedge"], [-0.5, -0.5]),
+    "strip": ({"shape": "polytope", "interior": [-0.5, 0.0],
+               "faces": [{"normal": [1.0, 0.0], "offset": 0.0},
+                         {"normal": [-1.0, 0.0], "offset": 1.0}]}, [-0.5, 0.0]),
+    "ball_complement": (_UNBOUNDED_BASES["ball_complement"], [2.0, 0.0]),
+    "rigid_image": ({"shape": "rigid_image", "base": _TRIANGLE,
+                     "rotation": [[1.0, 0.0], [0.0, 1.0]], "translation": [0.0, 0.0]},
+                    [0.25, 0.25]),
+}
+
+
+@st.composite
+def _rigid_motions(draw):
+    """(pivot, angle path, horizon, translation path or None, y0 offset)."""
+    coord = st.floats(-1.0, 1.0)
+    translation = None
+    if draw(st.booleans()):
+        translation = {"form": "linear", "value": [0.0, 0.0], "rate": [draw(coord), draw(coord)]}
+    return ([draw(coord), draw(coord)], {"form": "linear", "value": draw(coord), "rate": draw(coord)},
+            draw(st.floats(0.25, 2.0)), translation, draw(st.sampled_from([0.0, 0.0, 0.3, 3.0])))
+
+
+@pytest.mark.parametrize("base", sorted(_RIGID_BASES))
+@settings(max_examples=10, deadline=None)
+@given(motion=_rigid_motions())
+def test_generated_rigid_scenarios_exit_with_a_documented_code(base, motion):
+    """Random rigid motions of every base shape, from initial points inside or
+    outside C(0), end with exit 0, 2, 3 or 4 and no traceback."""
+    (shape, member), (pivot, angle, horizon, translation, offset) = _RIGID_BASES[base], motion
+    family = {"kind": "rigid", "base": shape, "pivot": pivot, "angle": angle, "horizon": horizon}
+    if translation is not None:
+        family["translation"] = translation
+    doc = {"name": "rigid_case", "dim": 2, "horizon": horizon, "family": family,
+           "y0": [member[0] + offset, member[1]],
+           "schedule": {"eps0": 0.1, "ratio": 0.5, "levels": 2},
+           "checks": ["constraint", "normal", "cauchy"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "rigid.json"
+        cfg.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["solve", str(cfg), "--out", str(Path(tmp) / "out"), "--levels", "2"])
+    assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sweepsolve.errors import ModulusUnavailable, NoPositiveTau, OutOfRange
 from sweepsolve.families import (
@@ -19,7 +20,7 @@ from sweepsolve.families import (
     validate_analytic_modulus,
 )
 from sweepsolve.paths import ConstantPath, LinearPath, PiecewisePath
-from sweepsolve.sets import Ball, BallComplement, Box, HalfSpace, Polytope
+from sweepsolve.sets import Ball, BallComplement, Box, HalfSpace, Polytope, halfspace
 
 import oracles
 
@@ -303,21 +304,81 @@ class TestInnerBall:
         assert verify_inner_ball(fam, (0.5001, 0.0), 0.5) == pytest.approx(1e-4, abs=1e-12)
 
 
-def test_rigid_family_rejects_a_circumradius_below_the_derivable_one():
+def test_rigid_family_derives_its_rate_and_rejects_unbounded_bases():
     unit_square = Box((0.0, 0.0), (1.0, 1.0))
-    derived = unit_square.circumradius_about(np.array([0.5, 0.5]))
-    for declared in (None, derived, 2.0):
-        fam = RigidFamily(unit_square, LinearPath(0.0, 1.0), (0.5, 0.5), 1.0,
-                          circumradius=declared)
-        assert fam.analytic_rate() == (derived if declared is None else declared)
-    with pytest.raises(ValueError, match="below the derivable"):
-        RigidFamily(unit_square, LinearPath(0.0, 1.0), (0.5, 0.5), 1.0,
-                    circumradius=0.99 * derived)
-    # Nothing is derivable for a half-plane: a declared value stands.
+    fam = RigidFamily(unit_square, LinearPath(0.0, 1.0), (0.5, 0.5), 1.0)
+    assert fam.analytic_rate() == unit_square.circumradius_about(np.array([0.5, 0.5]))
     edge = HalfSpace((1.0, 0.0), 0.5)
-    for half_plane in (edge, Polytope((edge,), (0.0, 0.0))):
-        fam = RigidFamily(half_plane, LinearPath(0.0, 1.0), (0.5, 0.5), 1.0, circumradius=0.01)
-        assert fam.analytic_rate() == 0.01
+    wedge = Polytope((HalfSpace((1.0, 0.0), 0.0), HalfSpace((0.0, 1.0), 0.0)), (-1.0, -1.0))
+    for base in (edge, Polytope((edge,), (0.0, 0.0)), wedge, BallComplement((0.0, 0.0), 0.5)):
+        with pytest.raises(ValueError, match=f"the {base.tag} base is unbounded"):
+            RigidFamily(base, LinearPath(0.0, 1.0), (0.0, 0.0), 1.0)
+
+
+def _rotated(points, angle: float, pivot, drift) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    q = np.array([[c, -s], [s, c]])
+    return (np.asarray(points, float) - pivot) @ q.T + pivot + drift
+
+
+def _ccw_faces(vertices) -> list:
+    """(outward normal, offset) of each edge of a counterclockwise polygon."""
+    nxt = np.roll(vertices, -1, axis=0)
+    return [((b[1] - a[1], a[0] - b[0]), (b[1] - a[1]) * a[0] + (a[0] - b[0]) * a[1])
+            for a, b in zip(vertices, nxt)]
+
+
+@st.composite
+def _rigid_bases(draw):
+    """(base, its vertices counterclockwise or None for a ball, the ball center)."""
+    coord = st.floats(-1.0, 1.0)
+    kind = draw(st.sampled_from(["ball", "box", "triangle"]))
+    if kind == "ball":
+        center = (draw(coord), draw(coord))
+        return Ball(center, draw(st.floats(0.1, 1.5))), None, np.array(center)
+    if kind == "box":
+        lo = np.array([draw(coord), draw(coord)])
+        hi = lo + (draw(st.floats(0.1, 1.5)), draw(st.floats(0.1, 1.5)))
+        corners = np.array([lo, (hi[0], lo[1]), hi, (lo[0], hi[1])])
+        return Box(lo, hi), corners, None
+    pts = np.array([[draw(coord), draw(coord)] for _ in range(3)])
+    a, b, c = pts
+    area = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    assume(abs(area) > 0.05)
+    if area < 0:
+        pts = pts[::-1]
+    faces = tuple(halfspace(n, off) for n, off in _ccw_faces(pts))
+    return Polytope(faces, pts.mean(axis=0)), pts, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _rigid_bases(),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.floats(-3.0, 3.0),
+    st.floats(-2.0, 2.0),
+    st.none() | st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+)
+def test_rigid_modulus_bounds_the_exact_excess(based, pivot, angle0, spin, drift, pairs):
+    """omega(t - s) bounds e(C(s), C(t)) over forward pairs: the vertices of a
+    convex polygon carry its excess over a convex set, and a ball's excess
+    over its own moved copy is the distance its center travels."""
+    base, vertices, center = based
+    fam = RigidFamily(base, LinearPath(angle0, spin), pivot, 1.0,
+                      translation=None if drift is None else LinearPath((0.0, 0.0), drift))
+    omega, pivot = fam.modulus(), np.array(pivot)
+    velocity = np.zeros(2) if drift is None else np.array(drift)
+    for s, t in pairs:
+        s, t = min(s, t), max(s, t)
+        if vertices is None:
+            moved = [_rotated([center], angle0 + spin * u, pivot, velocity * u)[0] for u in (s, t)]
+            exact = math.dist(*moved)
+        else:
+            later = _ccw_faces(_rotated(vertices, angle0 + spin * t, pivot, velocity * t))
+            exact = max(oracles.polygon_distance(later, v)
+                        for v in _rotated(vertices, angle0 + spin * s, pivot, velocity * s))
+        assert exact <= omega(t - s) + 1e-9
 
 
 def _families_with(horizon=1.0, declared_r=None):

@@ -199,6 +199,34 @@ def test_bad_array_entry_names_its_index(name, where, value, field):
     assert err.value.field == f"scenario.{field}"
 
 
+@pytest.mark.parametrize(
+    "name, where, key",
+    [
+        pytest.param("static_ball", "", "chekcs", id="top-level"),
+        pytest.param("static_ball", "schedule", "levles", id="schedule"),
+        pytest.param("polytope_rotation", "bound_params", "coen", id="bound_params"),
+        pytest.param("shrinking_ball_inner_cert", "bound_params.ball", "rh0", id="ball"),
+        pytest.param("polytope_rotation", "bound_params.cone", "D", id="cone"),
+        pytest.param("polytope_rotation", "family", "circumradus", id="family"),
+        pytest.param("polytope_rotation", "family", "circumradius", id="family-removed-option"),
+        pytest.param("polytope_rotation", "family.base", "interrior", id="shape"),
+        pytest.param("polytope_rotation", "family.base.faces[1]", "ofset", id="face"),
+        pytest.param("polytope_rotation", "family.angle", "rat", id="path"),
+        pytest.param("jump_expansion", "family.pieces[0]", "untill", id="piece"),
+        pytest.param("jump_expansion", "family.pieces[1].family", "complment", id="piece-family"),
+    ],
+)
+def test_unknown_key_is_rejected_at_its_path(name, where, key):
+    doc = json.loads(builtin_text(name))
+    obj = doc
+    for part in filter(None, where.replace("[", ".").replace("]", "").split(".")):
+        obj = obj[int(part)] if part.isdigit() else obj[part]
+    obj[key] = 1.0
+    with pytest.raises(SchemaError, match="unknown field") as err:
+        parse_scenario(json.dumps(doc))
+    assert err.value.field == ".".join(filter(None, ("scenario", where, key)))
+
+
 def test_rotation_entries_are_read_as_numbers():
     base = {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0}
     for rotation, field in (([[math.nan, 0.0], [0.0, 1.0]], "s.rotation[0][0]"),
@@ -249,7 +277,7 @@ FAMILY_BY_KIND = {
     "radius_schedule": RadiusFamily(ConstantPath((0.0, 0.0)), KINK, True, 2.0, declared_r=0.25),
     "rigid": RigidFamily(
         TRIANGLE, LinearPath(0.0, 0.5), (0.5, 0.5), 2.0,
-        translation=LinearPath((0.0, 0.0), (0.1, 0.0)), circumradius=3.0,
+        translation=LinearPath((0.0, 0.0), (0.1, 0.0)),
     ),
     "piecewise": PiecewiseFamily(
         (
@@ -312,7 +340,7 @@ def test_paths_and_families_differing_in_one_coordinate_or_type_are_unequal():
     assert ConstantPath(1.0) != LinearPath(1.0, 0.0)
     rigid = FAMILY_BY_KIND["rigid"]
     assert rigid != RigidFamily(rigid.base, rigid.angle, (0.5, 0.25), rigid.horizon,
-                                rigid.translation, rigid.circumradius)
+                                rigid.translation)
     doc = json.loads(builtin_text("polytope_rotation"))
     doc["family"]["pivot"][1] = 0.25
     assert parse_scenario(json.dumps(doc)) != load_builtin("polytope_rotation")

@@ -544,7 +544,7 @@ def test_circumradius_about_against_brute_force(tag, pivot):
     shape = SHAPE_BY_TAG[tag]
     p = np.array(pivot)
     if tag not in ("ball", "box", "polytope"):
-        with pytest.raises(ValueError, match="circumradius must be declared"):
+        with pytest.raises(ValueError, match=f"the {tag} base is unbounded or has no derived"):
             shape.circumradius_about(p)
         return
     exact = shape.circumradius_about(p)
@@ -555,8 +555,27 @@ def test_circumradius_about_against_brute_force(tag, pivot):
 
 def test_circumradius_of_a_polytope_without_vertices():
     half_plane = Polytope((halfspace((1.0, 0.0), 0.0),), (-1.0, 0.0))
-    with pytest.raises(ValueError, match="circumradius must be declared"):
+    with pytest.raises(ValueError, match="the polytope base is unbounded"):
         half_plane.circumradius_about(np.zeros(2))
+
+
+@pytest.mark.parametrize("faces, interior, bounded", [
+    pytest.param((((0, -1), 0), ((-1, 0), 0), ((1, 1), 1)), (0.2, 0.2), True, id="triangle"),
+    pytest.param((((0, -1), 0), ((-1, 0), 0), ((1, 0), 1), ((0, 1), 1)), (0.5, 0.5), True,
+                 id="square"),
+    pytest.param((((1, 0), 0), ((0, 1), 0)), (-1, -1), False, id="wedge"),
+    pytest.param((((1, 0), 0), ((-1, 0), 1)), (-0.5, 0), False, id="strip"),
+    pytest.param((((1, 0), 1), ((-1, 0), 1), ((0, 1), 1)), (0, 0), False, id="three-face-slab"),
+])
+def test_circumradius_is_finite_exactly_for_bounded_polytopes(faces, interior, bounded):
+    shape = Polytope(tuple(halfspace(a, b) for a, b in faces), interior)
+    pivot = np.array([0.5, 0.5])
+    if bounded:
+        corners = shape.vertices_2d()
+        assert shape.circumradius_about(pivot) == max(math.dist(v, pivot) for v in corners)
+    else:
+        with pytest.raises(ValueError, match="the polytope base is unbounded"):
+            shape.circumradius_about(pivot)
 
 
 @pytest.mark.parametrize("tag", TAGS)
