@@ -26,7 +26,10 @@ def _load(spec: str):
     """Scenario from a builtin name or a config file path."""
     p = Path(spec)
     if p.exists():
-        return parse_scenario(p.read_text("utf-8"))
+        try:
+            return parse_scenario(p.read_text("utf-8"))
+        except (OSError, UnicodeDecodeError) as err:
+            raise SchemaError("scenario", f"cannot read {spec!r} as a UTF-8 file: {err}") from err
     try:
         return load_builtin(spec)
     except KeyError:

@@ -34,8 +34,8 @@ from .geometry import MAX_DYADIC_K, RefinementSchedule, Schema, TimeGrid, readon
 from .paths import Path, piece_at
 from .sets import Ball, BallComplement, ProxSet, RigidImage, rotation_matrix_2d, sample_points
 
-# Admissible discontinuities may only expand the set: the excess of the left
-# slice over the right slice must vanish to this tolerance.
+# Admissible discontinuities may only expand the set: the exact excess of the
+# left slice over the right slice must vanish to this tolerance.
 JUMP_TOL = 1e-9
 
 TAU_MARGIN = 1e-9
@@ -329,7 +329,7 @@ class RigidFamily(MovingFamily):
 @dataclass(frozen=True, eq=False)
 class PiecewiseFamily(MovingFamily):
     """Concatenation of families; slices are right-continuous at breakpoints
-    and discontinuities must be expansions (left slice inside right slice)."""
+    and each jump must be an exact expansion (left slice inside right slice)."""
 
     kind = "piecewise"
     pieces: tuple  # ((until, family), ...), untils strictly increasing
@@ -352,10 +352,17 @@ class PiecewiseFamily(MovingFamily):
         object.__setattr__(self, "pieces", pieces)
         self._set_r(min(fam.r for _, fam in pieces))
         for (t_star, left), (_, right) in zip(pieces, pieces[1:]):
-            est = excess(left.at(min(t_star, left.horizon)), right.at(t_star))
-            if est.lower > JUMP_TOL:
+            # Only an exact excess admits a jump: a sampled one is a lower bound.
+            a, b = left.at(min(t_star, left.horizon)), right.at(t_star)
+            if a == b:
+                continue
+            closed = a.analytic_excess(b) if type(a) is type(b) else None
+            if closed is None:
+                raise ValueError(f"jump at t={t_star} from a {a.tag} slice to a {b.tag} slice: "
+                                 "no closed-form excess shows it to be an expansion")
+            if closed[0] > JUMP_TOL:
                 raise ValueError(
-                    f"inadmissible jump at t={t_star}: left slice sticks out by {est.lower:.3e}"
+                    f"inadmissible jump at t={t_star}: left slice sticks out by {closed[0]:.3e}"
                 )
 
     @property

@@ -270,7 +270,10 @@ def run(
 ) -> RunReport:
     """Run the full pipeline for one scenario and write its artifacts."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise SchemaError("--out", f"cannot create the output directory: {err}") from err
     seed = effective_seed(scenario)
     schedule = scenario_schedule(scenario, levels)
     report = converge_study(scenario.family, scenario.y0, schedule)

@@ -203,6 +203,8 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(name, str) or not name:
         raise SchemaError("scenario.name", "expected a nonempty string")
     description = f.get("description", "")
+    if not isinstance(description, str):
+        raise SchemaError("scenario.description", "expected a string")
     dim = f.count("dim")
     if dim < 1:
         raise SchemaError("scenario.dim", "expected a positive integer")

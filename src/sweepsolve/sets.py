@@ -5,10 +5,10 @@ excluded-ball center has no unique nearest point, and projecting it raises
 AtSingularity), containment via the defining inequalities, whose defect at a
 member is exactly minus its distance to the complement, a closed-form upper
 bound of the normal-cone defect of a candidate normal (normal_defect), and
-seeded member sampling, which serves only the sampled residual that audits
-those bounds.  Convex shapes carry r = inf and bypass curvature terms
-entirely; the ball complement is the nonconvex primitive with r equal to its
-radius.  Polytopes project by a finite primal active-set solve whose result
+seeded member sampling, which serves only the residual that audits those
+bounds and the sampled excess lower bounds.  Convex shapes carry r = inf and
+bypass curvature terms entirely; the ball complement is the nonconvex
+primitive with r equal to its radius.  Polytopes project by a finite primal active-set solve whose result
 is accepted only after an explicit KKT check.
 
 Each shape class also owns its schema document (a tag in SHAPES plus
@@ -36,8 +36,6 @@ from .geometry import Schema, norm, readonly
 # Absolute tolerance on the defining inequalities; distances below it snap to 0
 # so the catching-up containment invariant stays testable under rounding.
 CONTAINMENT_TOL = 1e-10
-
-SAMPLING_MAX_ATTEMPTS = 1_000_000
 
 # Tolerance on |normal| - 1 for a half-space normal to count as unit.
 UNIT_NORMAL_TOL = 1e-12
@@ -753,17 +751,17 @@ def normal_residual(s: ProxSet, x, n, z_samples) -> NormalResidualReport:
 
 
 def sample_points(s: ProxSet, region, count: int, seed: int) -> list:
-    """Seeded member samples drawn from an axis-aligned window.
+    """Seeded member samples, one per uniform draw in an axis-aligned window.
 
-    Uniform draws in the window that land in the set are kept as-is; rejected
-    draws are projected onto the set so boundaries are represented, and a
-    projected sample can lie outside the window.  One project_with_distance
-    call tests and projects a draw: a member alone is at distance 0.  For a
+    Each draw is projected once (a member is its own projection), so
+    boundaries are represented and a sample can lie outside the window; a
+    draw at the excluded-ball center is replaced by the next draw.  For a
     convex set whose window center is a member, the projection is
     nonexpansive, so every sample stays within halfwidth*sqrt(dim) of the
     center: the Euclidean radius normal_defect uses.  A nonconvex set (a ball
-    complement) has no such bound.  Raises EmptyIntersection when rejection
-    sampling finds no direct member.
+    complement) has no such bound.  Raises EmptyIntersection when no sample
+    lies in the closed window, as always when the window misses the set: a
+    sample there is a member in the window.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -773,25 +771,11 @@ def sample_points(s: ProxSet, region, count: int, seed: int) -> list:
         raise ValueError("region must be a nonempty axis-aligned box of matching dimension")
     rng = np.random.default_rng(seed)
     points: list = []
-    direct_hits = 0
-    attempts = 0
-    while (len(points) < count or direct_hits == 0) and attempts < SAMPLING_MAX_ATTEMPTS:
-        attempts += 1
-        p = lo + rng.random(s.dim) * (hi - lo)
-        if len(points) == count:
-            # Past count, a draw matters only as a direct hit: no projection.
-            direct_hits += s.contains(p)
-            continue
+    while len(points) < count:
         try:
-            q, d = s.project_with_distance(p)
+            points.append(s.project_with_distance(lo + rng.random(s.dim) * (hi - lo))[0])
         except AtSingularity:
             continue
-        direct_hits += d == 0.0
-        points.append(q)
-    if direct_hits == 0:
-        raise EmptyIntersection(
-            f"no member found in the region after {attempts} rejection attempts"
-        )
-    if len(points) < count:
-        raise EmptyIntersection("sampling budget exhausted before reaching the requested count")
-    return points[:count]
+    if not any(np.all((lo <= q) & (q <= hi)) for q in points):
+        raise EmptyIntersection(f"none of {count} samples lies in the window")
+    return points

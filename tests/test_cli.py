@@ -60,6 +60,18 @@ def test_config_error_exits_3(tmp_path, capsys):
     assert main(["solve", "no_such_builtin"]) == 3
 
 
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "out-is-a-file"])
+def test_unreadable_input_or_output_exits_3(case, tmp_path, capsys):
+    argv = {"directory": ["solve", str(tmp_path)],
+            "not-utf8": ["solve", str(tmp_path / "latin1.json")],
+            "out-is-a-file": ["solve", "static_ball", "--out", str(tmp_path / "taken")]}[case]
+    (tmp_path / "latin1.json").write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    (tmp_path / "taken").write_text("")
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
 def test_runtime_error_exits_4(tmp_path, capsys):
     doc = json.loads(builtin_text("static_ball"))
     doc["dim"] = 3

@@ -145,6 +145,24 @@ class TestSlices:
         with pytest.raises(ValueError, match="jump"):
             PiecewiseFamily(pieces=((1.0, p1), (2.0, p2)))
 
+    def test_jump_without_a_closed_form_rejected(self):
+        # The ball sticks out of the half-space by 1e-6, which sampling misses.
+        ball = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
+        plane = TranslateFamily(halfspace((1.0, 0.0), 1.0 - 1e-6), ConstantPath((0.0, 0.0)), 2.0)
+        with pytest.raises(ValueError, match="ball slice to a halfspace slice: no closed-form"):
+            PiecewiseFamily(((0.5, ball), (2.0, plane)))
+
+    def test_jump_between_equal_slices_admitted(self):
+        # Polytopes have no closed-form excess; equal slices need none.
+        triangle = Polytope(
+            (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
+            (0.2, 0.2),
+        )
+        p1 = TranslateFamily(triangle, LinearPath((0.0, 0.0), (0.5, -0.25)), 1.0)
+        p2 = TranslateFamily(triangle, ConstantPath((0.5, -0.25)), 2.0)
+        fam = PiecewiseFamily(((1.0, p1), (2.0, p2)))
+        assert fam.at(1.0) == p1.at(1.0)
+
     def test_out_of_range(self):
         fam = sweep_family()
         with pytest.raises(OutOfRange):

@@ -123,6 +123,20 @@ def test_unknown_check_rejected():
         parse_scenario(_patched("static_ball", checks=[["constraint"]]))
 
 
+@pytest.mark.parametrize("description", [[1, {"x": 2}], {"text": "a ball"}, 7, None],
+                         ids=["list", "object", "number", "null"])
+def test_description_must_be_a_string(description):
+    with pytest.raises(SchemaError, match="expected a string") as err:
+        parse_scenario(_patched("static_ball", description=description))
+    assert err.value.field == "scenario.description"
+
+
+def test_absent_description_is_empty():
+    doc = json.loads(builtin_text("static_ball"))
+    del doc["description"]
+    assert parse_scenario(json.dumps(doc)).description == ""
+
+
 def test_every_harness_check_is_a_scenario_check():
     scenario = parse_scenario(_patched("polytope_rotation", checks=list(CHECKS)))
     assert scenario.checks == tuple(CHECKS)

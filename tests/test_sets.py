@@ -282,6 +282,19 @@ def test_sample_points_tests_each_draw_once(monkeypatch):
     assert min(radii) < 1.0 - 1e-9, "no draw was a member"
     assert max(radii) == pytest.approx(1.0), "no draw was rejected"
     assert len(calls) == 10
+    # A window that misses the set fails after its count draws, not 10^6.
+    calls.clear()
+    with pytest.raises(EmptyIntersection):
+        sample_points(Ball((0.0, 0.0), 1.0), ((5.0, 5.0), (6.0, 6.0)), 10, seed=7)
+    assert len(calls) == 10
+
+
+def test_sample_points_window_meeting_the_set_on_an_edge():
+    # No draw is a member, but every projection (1, y) lies in the window.
+    box = Box((1.0, 0.0), (2.0, 1.0))
+    pts = sample_points(box, ((0.0, 0.0), (1.0, 1.0)), 20, seed=4)
+    assert len(pts) == 20
+    assert all(p[0] == 1.0 and 0.0 <= p[1] <= 1.0 for p in pts)
 
 
 def test_sample_points_empty_intersection():
