@@ -10,6 +10,13 @@ lower bounds, used only as audits.  An inner ball is checked by one exact
 depth evaluation per slice (a member's depth is minus its membership
 defect) at INNER_BALL_TIMES times; between them it is not checked.
 
+Every slice comes from one builder, MovingFamily.slices(times); at(t) is
+slices over one time.  It checks the times once, evaluates each path once on
+the whole array and builds each slice with ProxSet._from_valid, skipping the
+shape's checks: the family checked its base and paths once, and moving them
+keeps them valid (a half-space normal stays unit, a radius stays above the
+schedule's checked minimum, rotation_matrix_2d is orthogonal).
+
 Each schema family class owns its schema document (a kind tag in FAMILIES
 plus to_dict/from_dict): a new family kind is one class plus one entry there.
 The base class writes declared_r and stores r after checking the horizon and
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -31,7 +39,7 @@ from .errors import (
     OutOfRange,
 )
 from .geometry import MAX_DYADIC_K, RefinementSchedule, Schema, TimeGrid, readonly
-from .paths import Path, piece_at
+from .paths import Path, piece_index
 from .sets import Ball, BallComplement, ProxSet, RigidImage, rotation_matrix_2d, sample_points
 
 # Admissible discontinuities may only expand the set: the exact excess of the
@@ -159,6 +167,23 @@ class MovingFamily(Schema):
         object.__setattr__(self, "_r", r)
 
     def at(self, t: float) -> ProxSet:
+        return next(self.slices((t,)))
+
+    def slices(self, times):
+        """Generator of the slices at times, a nondecreasing 1-D array within
+        [0, horizon].  OutOfRange, for a time outside it (NaN included) or out
+        of order, is raised here, before any slice is built."""
+        ts = np.asarray(times, dtype=float)
+        inside = (ts >= 0.0) & (ts <= self.horizon)
+        if not inside.all():
+            raise OutOfRange(f"t={ts[~inside][0]} outside [0, {self.horizon}]")
+        if np.any(ts[1:] < ts[:-1]):
+            raise OutOfRange("slice times must be nondecreasing")
+        return self._slices(ts)
+
+    def _slices(self, times: np.ndarray):
+        """The slices at checked times: each path evaluated once on the whole
+        array, each slice built by ProxSet._from_valid."""
         raise NotImplementedError
 
     def analytic_rate(self) -> float:
@@ -166,10 +191,6 @@ class MovingFamily(Schema):
 
     def breakpoints(self) -> tuple:
         return ()
-
-    def _check_time(self, t: float):
-        if not 0.0 <= t <= self.horizon:  # NaN fails too
-            raise OutOfRange(f"t={t} outside [0, {self.horizon}]")
 
     def modulus(self) -> Modulus:
         return Modulus(self.horizon, self.analytic_rate())
@@ -207,9 +228,8 @@ class TranslateFamily(MovingFamily):
     def dim(self):
         return self.base.dim
 
-    def at(self, t):
-        self._check_time(t)
-        return self.base.translated(np.atleast_1d(self.path(t)))
+    def _slices(self, times):
+        return map(self.base.translated, np.reshape(self.path(times), (len(times), self.dim)))
 
     def analytic_rate(self):
         return self.path.max_speed()
@@ -247,11 +267,12 @@ class RadiusFamily(MovingFamily):
     def dim(self):
         return len(np.atleast_1d(self.center(0.0)))
 
-    def at(self, t):
-        self._check_time(t)
-        c = np.atleast_1d(self.center(t))
-        rad = float(self.radius(t))
-        return BallComplement(c, rad) if self.complement else Ball(c, rad)
+    def _slices(self, times):
+        shape = BallComplement if self.complement else Ball
+        centers = np.reshape(self.center(times), (len(times), self.dim))
+        centers.flags.writeable = False
+        for c, rad in zip(centers, self.radius(times)):
+            yield shape._from_valid(center=c, radius=float(rad))
 
     def analytic_rate(self):
         # Excess grows when a ball shrinks, or when an excluded ball grows.
@@ -297,13 +318,15 @@ class RigidFamily(MovingFamily):
     def dim(self):
         return 2
 
-    def at(self, t):
-        self._check_time(t)
-        Q = rotation_matrix_2d(float(self.angle(t)))
-        u = self.pivot - Q @ self.pivot
-        if self.translation is not None:
-            u = u + np.atleast_1d(self.translation(t))
-        return RigidImage(self.base, Q, u)
+    def _slices(self, times):
+        shifts = None if self.translation is None else self.translation(times)
+        for k, angle in enumerate(self.angle(times)):
+            Q = rotation_matrix_2d(angle)
+            u = self.pivot - Q @ self.pivot
+            if shifts is not None:
+                u = u + shifts[k]
+            yield RigidImage._from_valid(base=self.base, rotation=readonly(Q, 2),
+                                         translation=readonly(u))
 
     def analytic_rate(self):
         # Chord length under rotation is at most angle * circumradius.
@@ -376,9 +399,11 @@ class PiecewiseFamily(MovingFamily):
     def breakpoints(self):
         return tuple(u for u, _ in self.pieces[:-1])
 
-    def at(self, t):
-        self._check_time(t)
-        return piece_at(self.pieces, t).at(t)
+    def _slices(self, times):
+        # Each piece checks its times before the first slice is built.
+        which = piece_index(self.pieces, times)
+        return chain.from_iterable(
+            [fam.slices(times[which == i]) for i, (_, fam) in enumerate(self.pieces)])
 
     def analytic_rate(self):
         return max(fam.modulus().rate for _, fam in self.pieces)
@@ -475,7 +500,7 @@ def verify_inner_ball(family: MovingFamily, w, rho: float) -> float:
     open ball B_rho(w) lies in that slice."""
     w = np.asarray(w, dtype=float)
     times = np.linspace(0.0, family.horizon, INNER_BALL_TIMES)
-    return max(rho + family.at(float(t)).membership_defect(w) for t in times)
+    return max(rho + s.membership_defect(w) for s in family.slices(times))
 
 
 def validate_analytic_modulus(

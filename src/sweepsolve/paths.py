@@ -23,7 +23,9 @@ class Path(Schema):
 
     form: str  # the "form" value of the schema document
 
-    def __call__(self, t: float):
+    def __call__(self, t):
+        """The value at t, or at each time of t, a 1-D array, stacked along the
+        first axis by the same float operations as the scalar call."""
         raise NotImplementedError
 
     def max_speed(self) -> float:
@@ -60,13 +62,11 @@ def _plain(v):
     return v.tolist() if isinstance(v, np.ndarray) else v
 
 
-def piece_at(pieces: tuple, t: float):
-    """The item of ((until, item), ...) that applies at t: piece i covers
-    [until_{i-1}, until_i), and the last piece also its right endpoint."""
-    for until, item in pieces[:-1]:
-        if t < until:
-            return item
-    return pieces[-1][1]
+def piece_index(pieces: tuple, t):
+    """Index into ((until, item), ...) of the piece that applies at t, a time
+    or an array of times: piece i covers [until_{i-1}, until_i), and the last
+    piece also its right endpoint (and NaN)."""
+    return np.searchsorted([u for u, _ in pieces[:-1]], t, side="right")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +78,9 @@ class ConstantPath(Path):
         object.__setattr__(self, "value", _value(self.value))
 
     def __call__(self, t):
-        return self.value
+        if np.ndim(t) == 0:
+            return self.value
+        return np.broadcast_to(self.value, np.shape(t) + np.shape(self.value))
 
     def max_speed(self):
         return 0.0
@@ -115,7 +117,9 @@ class LinearPath(Path):
         object.__setattr__(self, "rate", r)
 
     def __call__(self, t):
-        return self.value + t * self.rate
+        values = np.multiply.outer(t, self.rate)
+        values += self.value  # in place: one array per call, as a + b == b + a
+        return values
 
     def max_speed(self):
         return abs(self.rate) if isinstance(self.rate, float) else norm(self.rate)
@@ -162,7 +166,14 @@ class PiecewisePath(Path):
         object.__setattr__(self, "pieces", pieces)
 
     def __call__(self, t):
-        return piece_at(self.pieces, t)(t)
+        which = piece_index(self.pieces, t)
+        if np.ndim(t) == 0:
+            return self.pieces[which][1](t)
+        parts = [np.flatnonzero(which == i) for i in range(len(self.pieces))]
+        values = np.concatenate([p(t[idx]) for idx, (_, p) in zip(parts, self.pieces)])
+        out = np.empty_like(values)
+        out[np.concatenate(parts)] = values
+        return out
 
     def max_speed(self):
         return max(p.max_speed() for _, p in self.pieces)

@@ -126,10 +126,7 @@ class ProxSet(Schema):
         a rigid image passes it on to its base unchanged.  NaN in x or n gives
         NaN.
         """
-        x = np.asarray(x, dtype=float)
-        n = np.asarray(n, dtype=float)
-        self._check_dim(x)
-        self._check_dim(n)
+        x, n = self._vector(x), self._vector(n)
         if not (np.isfinite(x).all() and np.isfinite(n).all()):
             return math.nan
         return float(self._normal_defect(x, n, halfwidth * math.sqrt(self.dim)))
@@ -137,18 +134,21 @@ class ProxSet(Schema):
     def _normal_defect(self, x: np.ndarray, n: np.ndarray, R: float) -> float:
         raise NotImplementedError
 
-    def _check_dim(self, y: np.ndarray):
+    def _vector(self, y) -> np.ndarray:
+        """y as a float array, checked to be a vector of this dimension: what
+        _distance and _project_with_distance take without a check."""
+        y = np.asarray(y, dtype=float)
         if y.shape != (self.dim,):
             raise DimensionMismatch(f"expected dim {self.dim}, got shape {y.shape}")
+        return y
 
     def contains(self, y) -> bool:
-        y = np.asarray(y, dtype=float)
-        self._check_dim(y)
-        return self.membership_defect(y) <= CONTAINMENT_TOL
+        return self.membership_defect(self._vector(y)) <= CONTAINMENT_TOL
 
     def distance(self, y) -> float:
-        y = np.asarray(y, dtype=float)
-        self._check_dim(y)
+        return self._distance(self._vector(y))
+
+    def _distance(self, y: np.ndarray) -> float:
         if self.membership_defect(y) <= CONTAINMENT_TOL:
             return 0.0
         return self._raw_distance(y)
@@ -158,11 +158,20 @@ class ProxSet(Schema):
 
     def project_with_distance(self, y) -> tuple:
         """(projection, distance) of y; a member is its own projection."""
-        y = np.asarray(y, dtype=float)
-        self._check_dim(y)
+        return self._project_with_distance(self._vector(y))
+
+    def _project_with_distance(self, y: np.ndarray) -> tuple:
         if self.membership_defect(y) <= CONTAINMENT_TOL:
             return y.copy(), 0.0
         return self._raw_project_with_distance(y)
+
+    @classmethod
+    def _from_valid(cls, **fields) -> "ProxSet":
+        """An instance of fields already valid, read-only and of their stored
+        types, made without __post_init__: how a family builds its slices."""
+        shape = object.__new__(cls)
+        shape.__dict__.update(fields)
+        return shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +220,8 @@ class HalfSpace(ProxSet):
         return anchor - half, anchor + half
 
     def translated(self, u):
-        return HalfSpace(self.normal, self.offset + float(self.normal @ u))
+        # The shared normal is still unit.
+        return self._from_valid(normal=self.normal, offset=self.offset + float(self.normal @ u))
 
     def to_dict(self):
         return {"shape": self.tag, "normal": self.normal.tolist(), "offset": self.offset}
@@ -268,7 +278,8 @@ class _Round(ProxSet):
         return self.center + self.radius * d / dist, abs(dist - self.radius)
 
     def translated(self, u):
-        return type(self)(self.center + u, self.radius)
+        # The radius, still positive, is kept.
+        return self._from_valid(center=readonly(self.center + u), radius=self.radius)
 
     def to_dict(self):
         return {"shape": self.tag, "center": self.center.tolist(), "radius": self.radius}
@@ -696,7 +707,8 @@ class RigidImage(ProxSet):
         return moved.min(axis=0), moved.max(axis=0)
 
     def translated(self, u):
-        return RigidImage(self.base, self.rotation, self.translation + u)
+        return self._from_valid(base=self.base, rotation=self.rotation,
+                                translation=readonly(self.translation + u))
 
     def to_dict(self):
         return {

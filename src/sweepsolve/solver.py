@@ -102,23 +102,25 @@ def solve(
     if grid.t_last > family.horizon:
         raise ValueError("the grid extends beyond the family horizon")
     first = family.at(grid.t_first)
-    if not first.contains(y0):
+    if not first.contains(y0):  # checks y0's dimension, and so every iterate's
         raise InfeasibleInitialPoint(first.membership_defect(y0))
+    r = family.r
     points = np.empty((len(grid.times), len(y0)))
     dist_to_set = np.zeros(len(grid.times))  # 0 at members: y0 and every unmoved iterate
     points[0] = y0
     y = y0
-    for j, t in enumerate(grid.times[1:], start=1):
-        slice_t = family.at(float(t))
+    for j, slice_t in enumerate(family.slices(grid.times[1:]), start=1):
         try:
-            y, d = slice_t.project_with_distance(y)
+            y, d = slice_t._project_with_distance(y)
         except AtSingularity as err:
             # Only an excluded-ball center gets here, at distance radius >= r.
-            raise TubeViolation(j, slice_t.distance(y), family.r) from err
-        if d >= family.r:
-            raise TubeViolation(j, d, family.r)
+            raise TubeViolation(j, slice_t._distance(y), r) from err
+        if d >= r:
+            raise TubeViolation(j, d, r)
         points[j] = y
-        dist_to_set[j] = slice_t.distance(y) if d != 0.0 else 0.0
+        dist_to_set[j] = slice_t._distance(y) if d != 0.0 else 0.0
+    # A slice may hold a view of a whole path array: free it before the copies below.
+    del slice_t
     return DiscreteTrajectory(
         grid=grid, points=points, level=level, eps_level=eps_level, dist_to_set=dist_to_set
     )
@@ -207,15 +209,12 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory, seed: int = 0)
     raises CertificationFailed naming the step.
     """
     omega = family.modulus()
+    times = traj.grid.times
+    moving = np.flatnonzero(traj.jump_norms) + 1
     certificates, slices = [], []
-    for j in range(1, len(traj.grid.times)):
+    for j, slice_t in zip(moving.tolist(), family.slices(times[moving])):
         moved = float(traj.jump_norms[j - 1])
-        if moved == 0.0:
-            continue
-        t = float(traj.grid.times[j])
-        dt = t - float(traj.grid.times[j - 1])
-        excess = omega(dt)
-        slice_t = family.at(t)
+        excess = omega(float(times[j]) - float(times[j - 1]))
         n_vec = traj.points[j - 1] - traj.points[j]
         bound = slice_t.normal_defect(traj.points[j], n_vec, NORMAL_WINDOW)
         if not bound <= CERTIFICATION_TOL:

@@ -455,3 +455,82 @@ def test_min_radius_sees_the_knots_of_nested_pieces():
     with pytest.raises(ValueError, match="radius schedule must stay positive"):
         RadiusFamily(ConstantPath((0.0, 0.0)), radius, False, 2.0)
 
+
+
+def _drifting_rigid():
+    triangle = Polytope((halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0),
+                         halfspace((1.0, 1.0), 1.0)), (0.25, 0.25))
+    drift = PiecewisePath(((0.5, LinearPath((0.0, 0.0), (1.0, 0.5))),
+                           (1.0, LinearPath((1.0, 0.5), (-1.0, -0.5)))))
+    return RigidFamily(triangle, LinearPath(0.1, 1.3), (0.3, 0.3), 1.0, translation=drift)
+
+
+# Every family kind, plus a piecewise family with a real jump and a rigid
+# motion with a drift whose knot is at t = 0.5.
+SLICE_FAMILIES = {**_families_with(), "piecewise_jump": drift_jump_family,
+                  "rigid_drift": _drifting_rigid}
+
+
+def _bits(doc):
+    """A schema document with each float replaced by its hex form, so that ==
+    compares floats bit for bit."""
+    if isinstance(doc, float):
+        return float.hex(doc)
+    if isinstance(doc, dict):
+        return {key: _bits(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_bits(value) for value in doc]
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(SLICE_FAMILIES))
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_slices_equal_the_slices_at_each_time(kind, draws):
+    fam = SLICE_FAMILIES[kind]()
+    T = fam.horizon
+    # Every breakpoint and the rigid drift's knot are hit exactly.
+    ts = np.sort([0.0, T / 2, T, *fam.breakpoints(), *(u * T for u in draws)])
+    built = list(fam.slices(ts))
+    assert [_bits(s.to_dict()) for s in built] == [_bits(fam.at(float(t)).to_dict()) for t in ts]
+    for s in built:
+        arrays = [v for v in vars(s).values() if isinstance(v, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("kind", sorted(SLICE_FAMILIES))
+def test_slices_check_every_time_before_building_one(kind):
+    fam = SLICE_FAMILIES[kind]()
+    T = fam.horizon
+    for times in ([0.0, T / 2, math.nan], [0.0, T / 2, 1.25 * T], [0.0, T, T / 2]):
+        built = []
+        with pytest.raises(OutOfRange):
+            for s in fam.slices(times):
+                built.append(s)
+        assert built == []
+
+
+PATH_FORMS = {
+    "constant_scalar": ConstantPath(0.5),
+    "constant_vector": ConstantPath((1.0, -2.0)),
+    "linear_scalar": LinearPath(0.3, -1.7),
+    "linear_vector": LinearPath((0.1, 0.2), (1.0 / 3.0, -0.7)),
+    "piecewise_scalar": PiecewisePath((
+        (1.0, PiecewisePath(((0.5, LinearPath(1.0, -1.0)), (1.0, LinearPath(0.0, 1.0))))),
+        (2.0, LinearPath(2.0, -1.0)))),
+    "piecewise_vector": PiecewisePath(((0.5, LinearPath((0.0, 0.0), (1.0, 0.5))),
+                                       (2.0, ConstantPath((0.5, 0.25))))),
+}
+
+
+@pytest.mark.parametrize("form", sorted(PATH_FORMS))
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-1.0, 3.0), max_size=10))
+def test_a_path_on_an_array_matches_each_time(form, draws):
+    path = PATH_FORMS[form]
+    # Unsorted times, the knots among them.
+    ts = np.array([*draws, 1.0, 0.5, 2.0])
+    values = path(ts)
+    assert values.shape == (len(ts),) + np.shape(path(0.0))
+    for t, v in zip(ts.tolist(), values):
+        assert np.asarray(v).tobytes() == np.asarray(path(t), dtype=float).tobytes()

@@ -144,22 +144,30 @@ def test_report_values_reproducible_from_csvs(tmp_path):
 
 def test_run_builds_each_slice_once(tmp_path, monkeypatch):
     # Residuals and CSVs read the distances solve recorded, so with only the
-    # constraint and Cauchy checks every grid node's slice is built once.
-    doc = json.loads(builtin_text("sweep_halfspace"))
-    doc["checks"] = ["constraint", "cauchy"]
-    scenario = parse_scenario(json.dumps(doc))
-    family_type = type(scenario.family)
-    at = family_type.at
-    times = []
+    # constraint and Cauchy checks every grid node's slice is built once; the
+    # normal check builds one more slice per moving step of the finest level.
+    for name, checks in (("sweep_halfspace", ["constraint", "cauchy"]),
+                         ("polytope_rotation", ["constraint", "cauchy", "normal"])):
+        doc = json.loads(builtin_text(name))
+        doc["checks"] = checks
+        scenario = parse_scenario(json.dumps(doc))
+        family_type = type(scenario.family)
+        slices = family_type.slices
+        built = []
 
-    def counting(self, t):
-        times.append(t)
-        return at(self, t)
+        def counting(self, times):
+            return (built.append(s) or s for s in slices(self, times))
 
-    monkeypatch.setattr(family_type, "at", counting)
-    report = run(scenario, tmp_path, levels=4)
-    nodes = sum(dict(row)["intervals"] + 1 for row in report.level_rows)
-    assert len(times) == nodes
+        monkeypatch.setattr(family_type, "slices", counting)
+        report = run(scenario, tmp_path / name, levels=4)
+        monkeypatch.undo()
+        expected = sum(dict(row)["intervals"] + 1 for row in report.level_rows)
+        if "normal" in checks:
+            finest = (tmp_path / name / f"{name}_level3.csv").read_text().splitlines()[1:]
+            moving = sum(float(line.split(",")[-2]) != 0.0 for line in finest)
+            assert moving > 0
+            expected += moving
+        assert len(built) == expected
 
 
 def test_scenario_schedule_honours_the_level_override():
