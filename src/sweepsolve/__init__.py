@@ -68,10 +68,8 @@ from .solver import (
     write_trajectory_csv,
 )
 from .variation import (
-    BallBoundParams,
     ConeBoundParams,
     ConvergenceReport,
-    ball_alpha,
     ball_variation_bound,
     choose_cone_params,
     cone_variation_bound,

@@ -1,6 +1,8 @@
 """Scenario runner: builds the refinement schedule, solves every level,
 evaluates the checks that the scenario names (keys of CHECKS, the one table of
-check functions) and writes CSV / JSON / SVG artifacts.
+check functions) and writes CSV / JSON / SVG artifacts.  Every per-level value
+comes from the study's ConvergenceReport: it is what each check reads, and it
+writes both the "levels" rows and the "convergence" arrays of report.json.
 
 Check verdicts are "pass", "fail" or "inapplicable"; an inapplicable bound is
 never reported as a pass.  All sampling seeds derive from the scenario seed,
@@ -30,13 +32,11 @@ from .geometry import RefinementSchedule, norm
 from .solver import CERTIFICATION_TOL, DiscreteTrajectory, certify_steps, write_trajectory_csv
 from .svgplot import write_convergence_svg, write_trajectory_svg
 from .variation import (
-    BallBoundParams,
-    ball_alpha,
     ball_variation_bound,
     choose_cone_params,
     cone_variation_bound,
+    converge_study,
 )
-from .variation import converge_study
 
 if TYPE_CHECKING:
     from .scenarios import Scenario
@@ -98,9 +98,12 @@ def effective_seed(scenario: Scenario) -> int:
     if env is None:
         return scenario.seed
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
-        raise SchemaError("SWEEP_SEED", f"expected an integer, got {env!r}") from None
+        seed = -1
+    if seed < 0:
+        raise SchemaError("SWEEP_SEED", f"expected a nonnegative integer, got {env!r}")
+    return seed
 
 
 def check_constraint(residuals) -> CheckResult:
@@ -135,7 +138,7 @@ def check_normal(family: MovingFamily, traj: DiscreteTrajectory, seed: int) -> C
     return CheckResult("normal", "pass", CERTIFICATION_TOL - worst, note)
 
 
-def _check_ball_bound(scenario: Scenario, schedule, report, seed, bounds: dict) -> CheckResult:
+def _check_ball_bound(scenario: Scenario, report, seed, bounds: dict) -> CheckResult:
     if scenario.ball_params is None:
         return CheckResult("ball_bound", "inapplicable", None, "no inner ball declared")
     w, rho = scenario.ball_params.w, scenario.ball_params.rho
@@ -145,6 +148,7 @@ def _check_ball_bound(scenario: Scenario, schedule, report, seed, bounds: dict) 
             "ball_bound", "fail", INNER_BALL_TOL - defect,
             f"declared inner ball leaves the set (defect {defect:.3e})",
         )
+    schedule = report.schedule
     gap = norm(np.array(scenario.y0) - np.array(w))
     compat = 2.0 * schedule.r * rho - (gap + rho) ** 2
     if compat <= 0:
@@ -152,18 +156,13 @@ def _check_ball_bound(scenario: Scenario, schedule, report, seed, bounds: dict) 
             "ball_bound", "inapplicable", compat,
             f"compatibility condition violated: (|y0-w|+rho)^2 exceeds 2*r*rho by {-compat:.3e}",
         )
-    margins, per_level = [], []
-    for n, eps in enumerate(schedule.eps):
-        alpha = ball_alpha(scenario.y0, w, rho, eps)
+    per_level = []
+    for eps in schedule.eps:
         try:
-            bound = ball_variation_bound(
-                BallBoundParams(r=schedule.r, w=w, rho=rho, alpha=alpha, y0=scenario.y0)
-            )
+            per_level.append(ball_variation_bound(schedule.r, scenario.y0, w, rho, eps))
         except InapplicableBound:
             per_level.append(None)
-            continue
-        per_level.append(bound)
-        margins.append(bound - report.variations[n])
+    margins = [b - v for b, v in zip(per_level, report.variations) if b is not None]
     bounds["ball"] = {"per_level": per_level, "rho": rho, "w": list(w), "r": schedule.r}
     if not margins:
         return CheckResult(
@@ -177,9 +176,10 @@ def _check_ball_bound(scenario: Scenario, schedule, report, seed, bounds: dict) 
     )
 
 
-def _check_cone_bound(scenario: Scenario, schedule, report, seed, bounds: dict) -> CheckResult:
+def _check_cone_bound(scenario: Scenario, report, seed, bounds: dict) -> CheckResult:
     if scenario.cone_params is None:
         return CheckResult("cone_bound", "inapplicable", None, "no interior cone declared")
+    schedule = report.schedule
     R, d = scenario.cone_params.R, scenario.cone_params.d
     omega = scenario.family.modulus()
     try:
@@ -222,10 +222,9 @@ def _check_cone_bound(scenario: Scenario, schedule, report, seed, bounds: dict) 
 
 
 def _check_cauchy(report) -> CheckResult:
-    diffs = [d for d in report.sup_diffs if not math.isnan(d)]
+    diffs, ratios = report.sup_diffs, report.cauchy_ratios
     if len(diffs) < 2:
         return CheckResult("cauchy", "inapplicable", None, "needs at least three levels")
-    ratios = [r for r in report.cauchy_ratios if not math.isnan(r)]
     k = min(3, len(ratios))
     head, tail = max(ratios[:k]), max(ratios[-k:])
     growth_ok = tail <= 2.0 * head
@@ -241,16 +240,16 @@ def _check_cauchy(report) -> CheckResult:
     return CheckResult("cauchy", verdict, 2.0 * head - tail, note)
 
 
-# Every check of a run: (scenario, schedule, convergence report, effective seed,
-# bounds to fill in report.json) -> CheckResult.
+# Every check of a run: (scenario, convergence report, effective seed, bounds to
+# fill in report.json) -> CheckResult.  The schedule is the report's own.
 CHECKS = {
-    "constraint": lambda scenario, schedule, report, seed, bounds: check_constraint(
+    "constraint": lambda scenario, report, seed, bounds: check_constraint(
         report.constraint_residuals),
-    "normal": lambda scenario, schedule, report, seed, bounds: check_normal(
+    "normal": lambda scenario, report, seed, bounds: check_normal(
         scenario.family, report.trajectories[-1], seed),
     "ball_bound": _check_ball_bound,
     "cone_bound": _check_cone_bound,
-    "cauchy": lambda scenario, schedule, report, seed, bounds: _check_cauchy(report),
+    "cauchy": lambda scenario, report, seed, bounds: _check_cauchy(report),
 }
 
 
@@ -275,25 +274,12 @@ def run(
     except OSError as err:
         raise SchemaError("--out", f"cannot create the output directory: {err}") from err
     seed = effective_seed(scenario)
-    schedule = scenario_schedule(scenario, levels)
-    report = converge_study(scenario.family, scenario.y0, schedule)
-
-    level_rows = []
+    report = converge_study(scenario.family, scenario.y0, scenario_schedule(scenario, levels))
     for n, traj in enumerate(report.trajectories):
         write_trajectory_csv(traj, out / f"{scenario.name}_level{n}.csv")
-        level_rows.append({
-            "level": n,
-            "eps": schedule.eps[n],
-            "delta": schedule.delta[n],
-            "intervals": schedule.grids[n].n_intervals,
-            "mesh": schedule.grids[n].mesh,
-            "variation": report.variations[n],
-            "constraint_residual": report.constraint_residuals[n],
-            "wall_seconds": report.wall_seconds[n],
-        })
 
     bounds: dict = {}
-    checks = [CHECKS[name](scenario, schedule, report, seed, bounds) for name in scenario.checks]
+    checks = [CHECKS[name](scenario, report, seed, bounds) for name in scenario.checks]
 
     notes = []
     breakpoints = scenario.family.breakpoints()
@@ -304,14 +290,9 @@ def run(
             f"continuity modulus (rate {rate:g}) is unaffected by them"
         )
 
-    run_report = RunReport(
-        scenario=scenario.name,
-        horizon=scenario.horizon,
-        level_rows=tuple(level_rows),
-        checks=tuple(checks),
-        bounds=bounds,
-        notes=tuple(notes),
-    )
+    run_report = RunReport(scenario=scenario.name, horizon=scenario.horizon,
+                           level_rows=report.rows(), checks=tuple(checks), bounds=bounds,
+                           notes=tuple(notes))
     payload = run_report.to_json_dict()
     payload["convergence"] = report.to_json_dict()
     with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:

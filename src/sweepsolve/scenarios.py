@@ -215,6 +215,8 @@ def parse_scenario(text: str) -> Scenario:
     if len(y0) != dim:
         raise SchemaError("scenario.y0", f"expected {dim} coordinates, got {len(y0)}")
     seed = f.count("seed", default=0)
+    if seed < 0:
+        raise SchemaError("scenario.seed", "must be >= 0")
 
     family = f.family("family")
     if family.dim != dim:

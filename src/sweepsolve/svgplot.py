@@ -74,11 +74,7 @@ def write_trajectory_svg(path, traj) -> None:
 def write_convergence_svg(path, report) -> None:
     """Paired log-scale bars: level tolerance eps_n next to the squared
     consecutive sup-norm gap."""
-    pairs = [
-        (eps, gap**2)
-        for eps, gap in zip(report.eps, report.sup_diffs)
-        if not math.isnan(gap)
-    ]
+    pairs = [(eps, gap**2) for eps, gap in zip(report.schedule.eps, report.sup_diffs)]
     lines = _header("eps (blue) vs squared consecutive gap (red), log scale")
     if pairs:
         floor = 1e-18

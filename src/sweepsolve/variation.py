@@ -5,7 +5,9 @@ The ball bound applies when a fixed ball B_rho(w) sits inside every slice and
 the compatibility margin 2*r*rho - alpha^2 is positive; the cone bound covers
 interior-cone families via the persistence horizon tau.  Convergence is
 checked empirically: squared sup-norm gaps between consecutive interpolants,
-divided by the level tolerance, must stay bounded.
+divided by the level tolerance, must stay bounded.  ConvergenceReport is the
+one per-level record: it stores the trajectories and the levels - 1 gaps, and
+derives every other per-level value.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,44 +36,21 @@ def variation(traj: DiscreteTrajectory, t_from: float, t_to: float) -> float:
     return float(np.sum(traj.jump_norms[mask]))
 
 
-@dataclass(frozen=True)
-class BallBoundParams:
-    """Inputs of the fixed-inner-ball variation bound."""
-
-    r: float
-    w: tuple
-    rho: float
-    alpha: float
-    y0: tuple
-
-    def __post_init__(self):
-        if self.r <= 0 or self.rho <= 0:
-            raise ValueError("r and rho must be positive")
-        object.__setattr__(self, "w", tuple(float(x) for x in self.w))
-        object.__setattr__(self, "y0", tuple(float(x) for x in self.y0))
-
-
-def ball_alpha(y0, w, rho: float, slack: float) -> float:
-    """alpha = slack + |y0 - w| + rho, slack covering the initial distance and
+def ball_variation_bound(r: float, y0, w, rho: float, slack: float) -> float:
+    """max{ r*(|y0-w|^2 - rho^2) / (2*r*rho - alpha^2), 0 } with
+    alpha = slack + |y0-w| + rho, the slack covering the initial distance and
     every one-step excess along the run (eps of the level suffices)."""
-    return slack + norm(np.asarray(y0, float) - np.asarray(w, float)) + rho
-
-
-def ball_variation_bound(params: BallBoundParams) -> float:
-    """max{ r*(|y0-w|^2 - rho^2) / (2*r*rho - alpha^2), 0 }."""
-    denom = 2.0 * params.r * params.rho - params.alpha**2
+    if r <= 0 or rho <= 0:
+        raise ValueError("r and rho must be positive")
+    dist = norm(np.asarray(y0, float) - np.asarray(w, float))
+    alpha = slack + dist + rho
+    denom = 2.0 * r * rho - alpha**2
     if denom <= 0:
-        raise InapplicableBound(
-            f"alpha^2={params.alpha**2:.6g} >= 2*r*rho={2 * params.r * params.rho:.6g}"
-        )
-    if denom < 1e-9 * 2.0 * params.r * params.rho:
-        warnings.warn(
-            "ball variation bound evaluated near its applicability pole",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    gap2 = norm(np.array(params.y0) - np.array(params.w)) ** 2 - params.rho**2
-    return max(params.r * gap2 / denom, 0.0)
+        raise InapplicableBound(f"alpha^2={alpha**2:.6g} >= 2*r*rho={2 * r * rho:.6g}")
+    if denom < 1e-9 * 2.0 * r * rho:
+        warnings.warn("ball variation bound evaluated near its applicability pole",
+                      RuntimeWarning, stacklevel=2)
+    return max(r * (dist**2 - rho**2) / denom, 0.0)
 
 
 @dataclass(frozen=True)
@@ -144,32 +124,51 @@ def choose_cone_params(
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    """Per-level convergence diagnostics.
+    """The one per-level record of a convergence study.
 
-    All arrays share the schedule length; sup_diffs[n] and cauchy_ratios[n]
-    compare level n against level n+1, so their last entry is NaN (there is
-    no successor level to compare against).
+    Stored: the schedule, one trajectory and one solve time per level, and
+    sup_diffs[n], the exact sup-norm gap between levels n and n+1 (levels - 1
+    entries, so no NaN pads them).  Derived once from these: variations,
+    constraint_residuals and cauchy_ratios (gap^2 / eps, levels - 1 entries).
+    rows() and to_json_dict() write the two per-level views of report.json;
+    only the JSON has the finest level's gap and ratio, as null.
     """
 
-    levels: tuple
-    eps: tuple
-    sup_diffs: tuple
-    variations: tuple
-    cauchy_ratios: tuple
-    constraint_residuals: tuple
-    wall_seconds: tuple
+    schedule: RefinementSchedule
     trajectories: tuple = field(repr=False)
+    sup_diffs: tuple
+    wall_seconds: tuple
+
+    @cached_property
+    def variations(self) -> tuple:
+        return tuple(traj.variation_total for traj in self.trajectories)
+
+    @cached_property
+    def constraint_residuals(self) -> tuple:
+        return tuple(float(traj.dist_to_set.max()) for traj in self.trajectories)
+
+    @cached_property
+    def cauchy_ratios(self) -> tuple:
+        return tuple(gap**2 / eps for gap, eps in zip(self.sup_diffs, self.schedule.eps))
+
+    def rows(self) -> tuple:
+        """One dict per level: the "levels" rows of report.json."""
+        s = self.schedule
+        return tuple({"level": n, "eps": s.eps[n], "delta": s.delta[n],
+                      "intervals": s.grids[n].n_intervals, "mesh": s.grids[n].mesh,
+                      "variation": self.variations[n],
+                      "constraint_residual": self.constraint_residuals[n],
+                      "wall_seconds": self.wall_seconds[n]} for n in range(s.levels))
 
     def to_json_dict(self) -> dict:
-        def clean(values):
-            return [None if (isinstance(v, float) and math.isnan(v)) else v for v in values]
-
+        """The "convergence" arrays of report.json, one entry per level; the
+        finest level has no successor, so its gap and ratio are null."""
         return {
-            "levels": list(self.levels),
-            "eps": list(self.eps),
-            "sup_diffs": clean(self.sup_diffs),
+            "levels": list(range(self.schedule.levels)),
+            "eps": list(self.schedule.eps),
+            "sup_diffs": [*self.sup_diffs, None],
             "variations": list(self.variations),
-            "cauchy_ratios": clean(self.cauchy_ratios),
+            "cauchy_ratios": [*self.cauchy_ratios, None],
             "constraint_residuals": list(self.constraint_residuals),
             "wall_seconds": list(self.wall_seconds),
         }
@@ -187,16 +186,12 @@ def sup_norm_gap(a: DiscreteTrajectory, b: DiscreteTrajectory) -> float:
     return float(np.max(np.linalg.norm(diff, axis=1)))
 
 
-def converge_study(
-    family: MovingFamily,
-    y0,
-    schedule: RefinementSchedule,
-) -> ConvergenceReport:
-    """Solve at every schedule level and report consecutive exact sup-norm gaps,
-    variations, squared-gap-to-tolerance ratios and worst node containment
-    residuals (the ratios staying bounded is the empirical convergence law)."""
-    trajectories = []
-    wall = []
+def converge_study(family: MovingFamily, y0, schedule: RefinementSchedule) -> ConvergenceReport:
+    """Solve at every schedule level and record each trajectory, its solve
+    time and the exact sup-norm gap to the next level; the report derives the
+    variations, node residuals and squared-gap-to-tolerance ratios (the ratios
+    staying bounded is the empirical convergence law)."""
+    trajectories, wall = [], []
     for n in range(schedule.levels):
         start = time.perf_counter()
         try:
@@ -206,22 +201,9 @@ def converge_study(
             raise
         wall.append(time.perf_counter() - start)
         trajectories.append(traj)
-    variations = [t.variation_total for t in trajectories]
-    residuals = [float(traj.dist_to_set.max()) for traj in trajectories]
-    sup_diffs, ratios = [], []
-    for n in range(schedule.levels - 1):
-        gap = sup_norm_gap(trajectories[n + 1], trajectories[n])
-        sup_diffs.append(gap)
-        ratios.append(gap**2 / schedule.eps[n])
-    sup_diffs.append(math.nan)
-    ratios.append(math.nan)
     return ConvergenceReport(
-        levels=tuple(range(schedule.levels)),
-        eps=tuple(schedule.eps),
-        sup_diffs=tuple(sup_diffs),
-        variations=tuple(variations),
-        cauchy_ratios=tuple(ratios),
-        constraint_residuals=tuple(residuals),
-        wall_seconds=tuple(wall),
+        schedule=schedule,
         trajectories=tuple(trajectories),
+        sup_diffs=tuple(sup_norm_gap(b, a) for a, b in zip(trajectories, trajectories[1:])),
+        wall_seconds=tuple(wall),
     )

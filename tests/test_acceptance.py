@@ -27,7 +27,7 @@ from sweepsolve.families import (
     validate_analytic_modulus,
 )
 from sweepsolve.geometry import TimeGrid
-from sweepsolve.harness import CAUCHY_NOISE_FLOOR, run
+from sweepsolve.harness import CAUCHY_NOISE_FLOOR, run, scenario_schedule
 from sweepsolve.scenarios import builtin_text, load_builtin, parse_scenario, serialize_scenario
 from sweepsolve.sets import (
     Ball,
@@ -39,13 +39,7 @@ from sweepsolve.sets import (
     sample_points,
 )
 from sweepsolve.solver import certify_steps, solve
-from sweepsolve.variation import (
-    BallBoundParams,
-    ball_alpha,
-    ball_variation_bound,
-    converge_study,
-    sup_norm_gap,
-)
+from sweepsolve.variation import ball_variation_bound, converge_study, sup_norm_gap
 
 import oracles
 
@@ -149,11 +143,7 @@ def test_criterion_4_discrete_inclusion_certificates():
     for name in ("static_ball", "sweep_halfspace", "shrinking_ball_inner_cert",
                  "moving_obstacle", "polytope_rotation", "jump_expansion"):
         scenario = load_builtin(name)
-        sp = scenario.schedule
-        schedule = build_schedule(
-            scenario.family, scenario.horizon, sp.eps0, sp.ratio, sp.levels,
-            base_resolution=sp.base_resolution,
-        )
+        schedule = scenario_schedule(scenario)
         finest = solve(
             scenario.family, scenario.y0, schedule.grids[-1], schedule.eps[-1],
             level=schedule.levels - 1,
@@ -184,9 +174,8 @@ def test_criterion_5_ball_variation_bound(tmp_path):
     doc["y0"] = [0.9, 0.0]
     doc["family"]["declared_r"] = 1.0
     bad = parse_scenario(json.dumps(doc))
-    alpha = ball_alpha(bad.y0, (0.0, 0.0), 0.5, 0.0)
     with pytest.raises(InapplicableBound):
-        ball_variation_bound(BallBoundParams(r=1.0, w=(0.0, 0.0), rho=0.5, alpha=alpha, y0=bad.y0))
+        ball_variation_bound(1.0, bad.y0, (0.0, 0.0), 0.5, 0.0)
     bad_result = run(bad, tmp_path / "bad")
     assert bad_result.check("ball_bound").verdict == "inapplicable"
     report(5, f"margin {ball.margin:.3f} on all levels; violating config gated as inapplicable")
@@ -219,17 +208,12 @@ def test_criterion_7_empirical_cauchy_law():
     details = []
     for name in ("sweep_halfspace", "moving_obstacle", "jump_expansion"):
         scenario = load_builtin(name)
-        sp = scenario.schedule
-        assert sp.levels == 6
-        schedule = build_schedule(
-            scenario.family, scenario.horizon, sp.eps0, sp.ratio, 6,
-            base_resolution=sp.base_resolution,
-        )
-        rep = converge_study(scenario.family, scenario.y0, schedule)
-        ratios = [x for x in rep.cauchy_ratios if not math.isnan(x)]
+        assert scenario.schedule.levels == 6
+        rep = converge_study(scenario.family, scenario.y0, scenario_schedule(scenario))
+        ratios = rep.cauchy_ratios
         head, tail = max(ratios[:3]), max(ratios[-3:])
         assert tail <= 2.0 * head, f"{name}: ratio growth {head} -> {tail}"
-        diffs = [x for x in rep.sup_diffs if not math.isnan(x)]
+        diffs = rep.sup_diffs
         for a, b in zip(diffs, diffs[1:]):
             assert b < a or max(a, b) <= CAUCHY_NOISE_FLOOR, f"{name}: gaps {a} !> {b}"
         status = "exact-zero gaps" if max(diffs) <= CAUCHY_NOISE_FLOOR else \
@@ -240,12 +224,8 @@ def test_criterion_7_empirical_cauchy_law():
 
 def test_criterion_8_novelty_jump_expansion():
     scenario = load_builtin("jump_expansion")
-    sp = scenario.schedule
-    schedule = build_schedule(
-        scenario.family, scenario.horizon, sp.eps0, sp.ratio, sp.levels,
-        base_resolution=sp.base_resolution,
-    )
-    rep = converge_study(scenario.family, scenario.y0, schedule)  # no TubeViolation
+    # No TubeViolation at any level.
+    rep = converge_study(scenario.family, scenario.y0, scenario_schedule(scenario))
     assert rep.constraint_residuals[-1] <= 1e-9
 
     # Jump-removed twin: same pieces, second radius continued from 0.6.

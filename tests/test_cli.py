@@ -129,6 +129,33 @@ def test_non_integer_seed_is_config_error(monkeypatch, capsys):
     assert "SWEEP_SEED" in capsys.readouterr().err
 
 
+def _negative_seed_scenario(tmp_path) -> str:
+    doc = json.loads(builtin_text("sweep_halfspace"))
+    doc["seed"] = -1
+    cfg = tmp_path / "negative_seed.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("argv, env_seed, field", [
+    (lambda tmp: ["solve", _negative_seed_scenario(tmp), "--out", str(tmp / "out")], None,
+     "scenario.seed"),
+    (lambda tmp: ["solve", "sweep_halfspace", "--out", str(tmp)], "-5", "SWEEP_SEED"),
+    (lambda tmp: ["verify", "sweep_halfspace"], "-5", "SWEEP_SEED"),
+    (lambda tmp: ["excess", "static_ball", "sweep_halfspace", "--t", "0", "1"], "-5",
+     "SWEEP_SEED"),
+], ids=["document", "solve", "verify", "excess"])
+def test_negative_seed_is_config_error(argv, env_seed, field, tmp_path, monkeypatch, capsys):
+    if env_seed is None:
+        monkeypatch.delenv("SWEEP_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SWEEP_SEED", env_seed)
+    assert main(argv(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert field in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("levels", ["0", "-2"])
 def test_nonpositive_level_count_is_config_error(levels, tmp_path, capsys):
     assert main(["solve", "static_ball", "--out", str(tmp_path), "--levels", levels]) == 3

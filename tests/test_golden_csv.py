@@ -13,8 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sweepsolve.families import build_schedule
-from sweepsolve.harness import run
+from sweepsolve.harness import run, scenario_schedule
 from sweepsolve.scenarios import BUILTIN_NAMES, load_builtin, serialize_scenario
 from sweepsolve.solver import write_trajectory_csv
 from sweepsolve.svgplot import write_convergence_svg, write_trajectory_svg
@@ -29,12 +28,7 @@ SVG_DIGESTS = Path(__file__).parent / "data" / "svg_digests.json"
 def study(name: str):
     """Convergence study of the bundled scenario at its own schedule."""
     scenario = load_builtin(name)
-    sp = scenario.schedule
-    schedule = build_schedule(
-        scenario.family, scenario.horizon, sp.eps0, sp.ratio, sp.levels,
-        base_resolution=sp.base_resolution,
-    )
-    return converge_study(scenario.family, scenario.y0, schedule)
+    return converge_study(scenario.family, scenario.y0, scenario_schedule(scenario))
 
 
 def digests(paths) -> dict:
@@ -87,7 +81,7 @@ def test_serialized_scenario_matches_golden_digest(name):
 
 def report_verdicts(name: str, out_dir: Path) -> dict:
     """The timing-free part of a full run's report.json: checks and the
-    consecutive gaps, variations and Cauchy ratios (NaN written as null)."""
+    consecutive gaps, variations and Cauchy ratios (null for the finest level)."""
     payload = run(load_builtin(name), out_dir).to_json_dict()
     convergence = json.loads((out_dir / "report.json").read_text("utf-8"))["convergence"]
     return {

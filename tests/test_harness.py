@@ -117,6 +117,26 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert not report.failed
 
 
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_level_count_edges_of_the_convergence_report(levels, tmp_path):
+    report = run(load_builtin("moving_obstacle"), tmp_path, levels=levels, svg=True)
+    cauchy = report.check("cauchy")
+    if levels < 3:
+        assert cauchy.verdict == "inapplicable"
+        assert cauchy.note == "needs at least three levels"
+    else:
+        assert cauchy.verdict == "pass"
+    convergence = json.loads((tmp_path / "report.json").read_text())["convergence"]
+    for key in ("sup_diffs", "cauchy_ratios"):
+        assert len(convergence[key]) == levels
+        assert convergence[key][-1] is None
+        assert None not in convergence[key][:-1]
+    svg = (tmp_path / "convergence.svg").read_text()
+    # Two frame rectangles, then one eps bar and one gap bar per level pair.
+    assert svg.count("<rect ") == 2 + 2 * (levels - 1)
+    assert svg.count(">n=") == levels - 1
+
+
 def test_jump_expansion_report_notes_modulus_invariance(tmp_path):
     report = run(load_builtin("jump_expansion"), tmp_path)
     assert not report.failed

@@ -16,9 +16,7 @@ from sweepsolve.paths import ConstantPath, LinearPath
 from sweepsolve.sets import Ball, HalfSpace
 from sweepsolve.solver import DiscreteTrajectory, affine_interpolant, solve
 from sweepsolve.variation import (
-    BallBoundParams,
     ConeBoundParams,
-    ball_alpha,
     ball_variation_bound,
     choose_cone_params,
     cone_variation_bound,
@@ -91,30 +89,28 @@ def test_sup_norm_gap_is_the_supremum(horizon, cuts_a, cuts_b, seed):
 
 
 class TestBallBound:
+    # alpha = slack + |y0-w| + rho in every case.
     def test_start_at_center_clamps_to_zero(self):
-        p = BallBoundParams(r=2.0, w=(0.0, 0.0), rho=0.5, alpha=0.6, y0=(0.0, 0.0))
-        assert ball_variation_bound(p) == 0.0
+        # alpha = 0.1 + 0 + 0.5 = 0.6
+        assert ball_variation_bound(2.0, (0.0, 0.0), (0.0, 0.0), 0.5, 0.1) == 0.0
 
     def test_frozen_arithmetic_example(self):
-        # r=2, rho=0.5, |y0-w|=0.8, alpha=1.4: 2*(0.64-0.25)/(2-1.96) = 19.5
-        p = BallBoundParams(r=2.0, w=(0.0, 0.0), rho=0.5, alpha=1.4, y0=(0.8, 0.0))
-        assert ball_variation_bound(p) == pytest.approx(19.5, rel=1e-9)
+        # r=2, rho=0.5, |y0-w|=0.8, slack=0.1 so alpha=1.4:
+        # 2*(0.64-0.25)/(2-1.96) = 19.5
+        bound = ball_variation_bound(2.0, (0.8, 0.0), (0.0, 0.0), 0.5, 0.1)
+        assert bound == pytest.approx(19.5, rel=1e-9)
 
     def test_near_pole_warns_but_returns(self):
         two_r_rho = 2.0 * 2.0 * 0.5
         alpha = math.sqrt(two_r_rho - 1e-12)
-        p = BallBoundParams(r=2.0, w=(0.0, 0.0), rho=0.5, alpha=alpha, y0=(0.8, 0.0))
         with pytest.warns(RuntimeWarning):
-            bound = ball_variation_bound(p)
+            bound = ball_variation_bound(2.0, (0.8, 0.0), (0.0, 0.0), 0.5, alpha - 1.3)
         assert bound > 1e9
 
     def test_inapplicable(self):
-        p = BallBoundParams(r=1.0, w=(0.0, 0.0), rho=0.5, alpha=1.5, y0=(0.9, 0.0))
+        # alpha = 0.1 + 0.9 + 0.5 = 1.5
         with pytest.raises(InapplicableBound):
-            ball_variation_bound(p)
-
-    def test_alpha_helper(self):
-        assert ball_alpha((0.8, 0.0), (0.0, 0.0), 0.5, 0.1) == pytest.approx(1.4)
+            ball_variation_bound(1.0, (0.9, 0.0), (0.0, 0.0), 0.5, 0.1)
 
 
 class TestConeBound:
@@ -178,10 +174,9 @@ class TestConvergeStudy:
         sched = build_schedule(fam, 1.0, 0.1, 0.5, 4)
         rep = converge_study(fam, (0.5, 0.0), sched)
         assert all(v == 0.0 for v in rep.variations)
-        assert all(d == 0.0 for d in rep.sup_diffs[:-1])
-        assert math.isnan(rep.sup_diffs[-1])
-        assert len(rep.levels) == len(rep.eps) == len(rep.sup_diffs)
-        assert len(rep.variations) == len(rep.cauchy_ratios) == len(rep.constraint_residuals)
+        assert all(d == 0.0 for d in rep.sup_diffs)
+        assert len(rep.sup_diffs) == len(rep.cauchy_ratios) == sched.levels - 1
+        assert len(rep.variations) == len(rep.constraint_residuals) == len(rep.wall_seconds) == 4
 
     def test_interpolant_gap_always_below_eps(self):
         fam = sweep_family()
@@ -245,6 +240,6 @@ class TestConvergeStudy:
         )
         sched = build_schedule(fam, 2.0, 0.1, 0.5, 6)
         rep = converge_study(fam, (0.0, 0.1), sched)
-        ratios = [x for x in rep.cauchy_ratios if not math.isnan(x)]
+        ratios = rep.cauchy_ratios
         for a, b in zip(ratios, ratios[1:]):
             assert max(a, b) / min(a, b) < 4.0
