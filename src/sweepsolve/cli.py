@@ -70,7 +70,8 @@ def _cmd_excess(args) -> int:
     s, t = args.t
     seed = effective_seed(sa)
     est = excess(sa.family.at(s), sb.family.at(t), SamplingBudget(seed=seed))
-    print(f"excess of A({s:g}) over B({t:g}): {est.lower:.12g} [{est.method}]")
+    print(f"excess of A({s:g}) over B({t:g}): {est.lower:.12g} <= e <= {est.upper:.12g} "
+          f"[{est.method}]")
     print("witness: [" + ", ".join(f"{float(x):.12g}" for x in est.witness) + "]")
     return EXIT_OK
 

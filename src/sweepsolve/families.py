@@ -3,10 +3,19 @@ continuity modulus, inner-ball persistence horizons and checks, and
 refinement schedules.
 
 The excess of A over B is sup_{a in A} d(a, B): zero iff A is contained in
-the closure of B, asymmetric otherwise.  Families built from the declared
-path forms carry an analytic linear modulus omega(delta) = rate * delta, an
-upper bound that sets the schedule step lengths.  Sampled excess values are
-lower bounds, used only as audits.  An inner ball is checked by one exact
+the closure of B, asymmetric otherwise.  excess gives it as an interval
+lower <= e(A, B) <= upper: exact for a same-type closed form, for any A over
+a ball complement, and over a convex B for a box, a bounded 2-D polytope, a
+ball whose center lies outside B, an unbounded set over a bounded one, and
+rigid images of these; a ball whose center lies in B gets a two-sided
+bound.  Only the pairs left (an unbounded polyhedron over an unbounded
+convex set, bar two half-spaces; a polytope in dimension 3 or more; a rigid
+image of a ball complement as B) are sampled, a lower bound with
+upper = inf.  Families
+built from the declared path forms carry an analytic linear modulus
+omega(delta) = rate * delta, an upper bound that sets the schedule step
+lengths; validate_analytic_modulus certifies it against excess upper
+bounds.  An inner ball is checked by one exact
 depth evaluation per slice (a member's depth is minus its membership
 defect) at INNER_BALL_TIMES times; between them it is not checked.
 
@@ -42,8 +51,8 @@ from .geometry import MAX_DYADIC_K, RefinementSchedule, Schema, TimeGrid, readon
 from .paths import Path, piece_index
 from .sets import Ball, BallComplement, ProxSet, RigidImage, rotation_matrix_2d, sample_points
 
-# Admissible discontinuities may only expand the set: the exact excess of the
-# left slice over the right slice must vanish to this tolerance.
+# Admissible discontinuities may only expand the set: an upper bound of the
+# excess of the left slice over the right slice must vanish to this tolerance.
 JUMP_TOL = 1e-9
 
 TAU_MARGIN = 1e-9
@@ -59,19 +68,30 @@ CONVEX_R_CAP = 1e9
 
 @dataclass(frozen=True)
 class SamplingBudget:
+    """Member draws and hill-climbing steps of a sampled excess, and its seed."""
+
     count: int = 160
     hill_steps: int = 40
     seed: int = 0
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"sampling count must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise ValueError(f"sampling seed must be >= 0, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class ExcessEstimate:
-    """Excess value with provenance: analytic values are exact, sampled ones
-    are lower bounds attained by the witness point."""
+    """lower <= e(A, B) <= upper, with a witness: a point of A at distance
+    lower from B (NaN where lower is inf).  method is "analytic" when
+    lower == upper, "interval" for a two-sided bound and "sampled" for a
+    sampled lower bound, whose upper is inf."""
 
     lower: float
+    upper: float
     witness: np.ndarray
-    method: str  # "analytic" | "sampled"
+    method: str
 
 
 def _sampled_excess(A: ProxSet, B: ProxSet, budget: SamplingBudget) -> ExcessEstimate:
@@ -94,18 +114,29 @@ def _sampled_excess(A: ProxSet, B: ProxSet, budget: SamplingBudget) -> ExcessEst
             best, x = d, prop
         else:
             scale *= 0.9
-    return ExcessEstimate(float(best), x, "sampled")
+    return ExcessEstimate(float(best), math.inf, x, "sampled")
 
 
 def excess(A: ProxSet, B: ProxSet, budget: SamplingBudget | None = None) -> ExcessEstimate:
-    """One-sided excess of A over B: exact for supported pairs, sampled lower
-    bound (member sampling plus local hill-climbing) otherwise."""
+    """One-sided excess of A over B as an interval: the same-type closed form,
+    else the shapes' rules (B.excess_of(A)), else a sampled lower bound
+    (member sampling plus local hill-climbing, as the budget sets).
+
+    The rules take distances with no CONTAINMENT_TOL snap (tol = 0.0): a point
+    is at distance 0 only where it meets every defining inequality, so upper
+    carries no containment allowance, and both ends are exact up to rounding.
+    """
     if A.dim != B.dim:
         raise DimensionMismatch(f"excess between dim {A.dim} and dim {B.dim}")
     analytic = A.analytic_excess(B) if type(A) is type(B) else None
     if analytic is not None:
         value, witness = analytic
-        return ExcessEstimate(float(value), witness, "analytic")
+        return ExcessEstimate(float(value), float(value), witness, "analytic")
+    bounds = B.excess_of(A)
+    if bounds is not None:
+        lower, upper, witness = bounds
+        method = "analytic" if lower == upper else "interval"
+        return ExcessEstimate(float(lower), float(upper), witness, method)
     return _sampled_excess(A, B, budget or SamplingBudget())
 
 
@@ -375,18 +406,15 @@ class PiecewiseFamily(MovingFamily):
         object.__setattr__(self, "pieces", pieces)
         self._set_r(min(fam.r for _, fam in pieces))
         for (t_star, left), (_, right) in zip(pieces, pieces[1:]):
-            # Only an exact excess admits a jump: a sampled one is a lower bound.
+            # Only an upper bound admits a jump: a sampled excess has none.
             a, b = left.at(min(t_star, left.horizon)), right.at(t_star)
             if a == b:
                 continue
-            closed = a.analytic_excess(b) if type(a) is type(b) else None
-            if closed is None:
-                raise ValueError(f"jump at t={t_star} from a {a.tag} slice to a {b.tag} slice: "
-                                 "no closed-form excess shows it to be an expansion")
-            if closed[0] > JUMP_TOL:
+            upper = excess(a, b).upper
+            if upper > JUMP_TOL:
                 raise ValueError(
-                    f"inadmissible jump at t={t_star}: left slice sticks out by {closed[0]:.3e}"
-                )
+                    f"inadmissible jump at t={t_star} from a {a.tag} slice to a {b.tag} slice: "
+                    f"its excess is bounded only by {upper:.3e}, above {JUMP_TOL:g}")
 
     @property
     def horizon(self):
@@ -509,13 +537,14 @@ def validate_analytic_modulus(
     seed: int = 0,
     budget: SamplingBudget | None = None,
 ) -> float:
-    """Max of sampled excess - omega(t-s)*(1+1e-6) over forward pairs (s, t);
-    nonpositive values are consistent with the family's analytic modulus.
+    """Max of the excess upper bound - omega(t-s)*(1+1e-6) over forward pairs
+    (s, t): a nonpositive value certifies the family's analytic modulus on
+    them, and a pair whose excess is only sampled (upper = inf) gives inf.
 
     The pairs are `pairs` random ones drawn from seed, then, around each
     breakpoint t* and for h in T/64, T/16, T/4, the pairs (t*-h, t*) and
-    (t*-h, t*+h) clipped to [0, T], where a jump could show.  Pair i samples
-    with seed budget.seed + i.
+    (t*-h, t*+h) clipped to [0, T], where a jump could show.  A sampled pair i
+    samples with seed budget.seed + i.
     """
     omega = family.modulus()
     T = family.horizon
@@ -531,5 +560,5 @@ def validate_analytic_modulus(
         if t <= s:
             continue
         est = excess(family.at(s), family.at(t), replace(b, seed=b.seed + i))
-        worst = max(worst, est.lower - omega(t - s) * (1.0 + 1e-6))
+        worst = max(worst, est.upper - omega(t - s) * (1.0 + 1e-6))
     return worst

@@ -8,17 +8,20 @@ bound of the normal-cone defect of a candidate normal (normal_defect), and
 seeded member sampling, which serves only the residual that audits those
 bounds and the sampled excess lower bounds.  Convex shapes carry r = inf and
 bypass curvature terms entirely; the ball complement is the nonconvex
-primitive with r equal to its radius.  Polytopes project by a finite primal active-set solve whose result
-is accepted only after an explicit KKT check.
+primitive with r equal to its radius.  Polytopes project by a finite primal
+active-set solve whose result is accepted only after an explicit KKT check.
 
 Each shape class also owns its schema document (a tag in SHAPES plus
 to_dict/from_dict), its translate, its closed-form excess over a shape of
-the same type where one is known, and its circumradius about a pivot, which
-is finite only for a bounded shape.
+the same type where one is known, its rules for bounds of the excess over a
+shape of another type (excess_of on the shape the excess is taken over,
+_excess_over_convex on the shape it is taken of), and its circumradius about
+a pivot, which is finite only for a bounded shape.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -64,6 +67,11 @@ class ProxSet(Schema):
     dim: int
     r: float
     tag: str  # the "shape" value of the schema document
+    # Whether the set is known to be bounded, or known to be unbounded; a
+    # polytope of dimension 3 or more with more faces than dimensions is
+    # neither.
+    bounded = False
+    unbounded = False
 
     def membership_defect(self, y: np.ndarray) -> float:
         """Worst violation of the defining inequalities (<= 0 means inside).
@@ -106,11 +114,45 @@ class ProxSet(Schema):
         same type, where a closed form is known; None otherwise."""
         return None
 
+    def vertices(self):
+        """(k, dim) array of finitely many points whose convex hull is the
+        set, or None when the set is not known to be one."""
+        return None
+
+    def face_normals(self) -> np.ndarray:
+        """(k, dim) array of the unit outward normals of the faces."""
+        return np.zeros((0, self.dim))
+
+    def excess_of(self, A: "ProxSet"):
+        """(lower, upper, witness) with lower <= e(A, self) <= upper and the
+        witness a point of A at distance lower from self (NaN when lower is
+        inf), or None when no rule applies.  Over a convex set, A's rule
+        (_excess_over_convex) applies."""
+        return A._excess_over_convex(self) if self.r == math.inf else None
+
+    def _excess_over_convex(self, other: "ProxSet"):
+        """excess_of's bounds of the excess of self over a convex other, or
+        None.  d(., other) is convex, so over the convex hull of vertices it
+        peaks at one of them; an unbounded set is infinitely far out of a
+        bounded one."""
+        verts = self.vertices()
+        if verts is not None:
+            dists = [other._distance(v, 0.0) for v in verts]
+            k = int(np.argmax(dists))
+            return dists[k], dists[k], verts[k]
+        if self.unbounded and other.bounded:
+            return math.inf, math.inf, np.full(self.dim, math.nan)
+        return None
+
     def circumradius_about(self, p: np.ndarray) -> float:
-        """Largest distance from p to a point of the set; ValueError when it
-        is infinite (a half-space, a ball complement) or not derived."""
-        raise ValueError(f"the {self.tag} base is unbounded or has no derived circumradius: "
-                         "no finite rigid-motion rate")
+        """Largest distance from p to a point of the set, attained at a
+        vertex; ValueError when it is infinite (a half-space, a ball
+        complement) or not derived."""
+        verts = self.vertices()
+        if verts is None:
+            raise ValueError(f"the {self.tag} base is unbounded or has no derived circumradius: "
+                             "no finite rigid-motion rate")
+        return max(norm(v - p) for v in verts)
 
     def normal_defect(self, x, n, halfwidth: float) -> float:
         """Sound upper bound of the normal-cone defect of n at x in the window:
@@ -148,8 +190,10 @@ class ProxSet(Schema):
     def distance(self, y) -> float:
         return self._distance(self._vector(y))
 
-    def _distance(self, y: np.ndarray) -> float:
-        if self.membership_defect(y) <= CONTAINMENT_TOL:
+    def _distance(self, y: np.ndarray, tol: float = CONTAINMENT_TOL) -> float:
+        """Distance of y, snapped to 0 where the membership defect is at most
+        tol; with tol = 0.0, 0 only where every defining inequality holds."""
+        if self.membership_defect(y) <= tol:
             return 0.0
         return self._raw_distance(y)
 
@@ -160,8 +204,10 @@ class ProxSet(Schema):
         """(projection, distance) of y; a member is its own projection."""
         return self._project_with_distance(self._vector(y))
 
-    def _project_with_distance(self, y: np.ndarray) -> tuple:
-        if self.membership_defect(y) <= CONTAINMENT_TOL:
+    def _project_with_distance(self, y: np.ndarray, tol: float = CONTAINMENT_TOL) -> tuple:
+        """(projection, distance) of y, y itself at distance 0 where the
+        membership defect is at most tol."""
+        if self.membership_defect(y) <= tol:
             return y.copy(), 0.0
         return self._raw_project_with_distance(y)
 
@@ -179,6 +225,7 @@ class HalfSpace(ProxSet):
     """{x : <normal, x> <= offset} with a unit normal."""
 
     tag = "halfspace"
+    unbounded = True
     normal: np.ndarray
     offset: float
 
@@ -211,6 +258,9 @@ class HalfSpace(ProxSet):
         value = lam * (self.offset - float(self.normal @ x)) + norm(n - lam * self.normal) * R
         return value + _rounding(self.dim, norm(n) * (R + abs(self.offset) + norm(x)))
 
+    def face_normals(self):
+        return self.normal[None, :]
+
     def boundary_anchor(self) -> np.ndarray:
         return self.offset * self.normal
 
@@ -231,9 +281,14 @@ class HalfSpace(ProxSet):
         return halfspace(fields.vec("normal"), fields.num("offset"))
 
     def analytic_excess(self, other):
-        # Only parallel half-spaces have a finite excess in closed form.
-        if float(self.normal @ other.normal) >= 1.0 - 1e-12:
+        # Equal normals: the offsets differ.  Normals apart by more than
+        # rounding: self holds the ray along n2 - <n1, n2> n1 (-n1 when
+        # n2 = -n1), which leaves other without bound.  Normals that differ
+        # by about rounding have no closed form: parallel or not is unknown.
+        if np.array_equal(self.normal, other.normal):
             return max(self.offset - other.offset, 0.0), self.boundary_anchor()
+        if float(self.normal @ other.normal) < 1.0 - 1e-12:
+            return math.inf, np.full(self.dim, math.nan)
         return None
 
 
@@ -292,6 +347,7 @@ class _Round(ProxSet):
 class Ball(_Round):
     tag = "ball"
     noun = "ball"
+    bounded = True
 
     @property
     def r(self) -> float:
@@ -331,10 +387,27 @@ class Ball(_Round):
     def circumradius_about(self, p):
         return norm(self.center - p) + self.radius
 
+    def _excess_over_convex(self, other):
+        c = self.center
+        p, d = other._project_with_distance(c, 0.0)
+        if d > 0.0:
+            # d(., other) grows at rate 1 along the outward normal (c - p)/d
+            # and at most at rate 1 anywhere: d(c, other) + radius is exact.
+            return d + self.radius, d + self.radius, c + (self.radius / d) * (c - p)
+        # The center is a member: probe the far points along other's face
+        # normals and +-e_i (a box's normals are among them); d(., other) is 0
+        # at c and 1-Lipschitz, so the radius bounds it above.
+        dirs = np.vstack([other.face_normals(), np.eye(self.dim), -np.eye(self.dim)])
+        far = c + self.radius * (dirs / np.linalg.norm(dirs, axis=1)[:, None])
+        dists = [other._distance(x, 0.0) for x in far]
+        k = int(np.argmax(dists))
+        return dists[k], self.radius, far[k]
+
 
 @dataclass(frozen=True, eq=False)
 class Box(ProxSet):
     tag = "box"
+    bounded = True
     lo: np.ndarray
     hi: np.ndarray
 
@@ -388,9 +461,8 @@ class Box(ProxSet):
             return norm(shift), witness
         return None
 
-    def circumradius_about(self, p):
-        # The farthest corner takes the farther bound in every coordinate.
-        return norm(np.maximum(np.abs(self.lo - p), np.abs(self.hi - p)))
+    def vertices(self):
+        return np.array(list(itertools.product(*zip(self.lo, self.hi))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -547,6 +619,33 @@ class Polytope(ProxSet):
         scale = norm(n) * R + float(lam.sum()) * (R + norm(x) + float(np.abs(bw).sum()))
         return value + _rounding(self.dim, scale)
 
+    def _recedes(self, slack: float) -> bool:
+        """Whether a nonempty 2-D polytope is unbounded: iff A d <= 0 for a face
+        direction d = ±(-a_2, a_1), each rate A d counted as <= 0 up to slack.
+        Elementwise products (a matrix product may fuse them) make the rate of
+        a face along its own direction, or its negation's, exactly 0."""
+        a1, a2 = self._A[:, 0], self._A[:, 1]
+        rates = np.outer(a2, a1) - np.outer(a1, a2)  # column k: A d_k
+        return bool((rates <= slack).all(axis=0).any() or (rates >= -slack).all(axis=0).any())
+
+    @property
+    def bounded(self) -> bool:
+        # Rounding counts as <= 0: a doubtful polytope is not known bounded.
+        return self.dim == 2 and not self._recedes(_SPAN_EPS)
+
+    @property
+    def unbounded(self) -> bool:
+        # At most dim faces always leave a recession direction; in 2-D the
+        # rates decide, and a doubtful polytope is not known unbounded.
+        return len(self.faces) <= self.dim or (self.dim == 2 and self._recedes(0.0))
+
+    def vertices(self):
+        verts = self.vertices_2d() if self.bounded else []
+        return np.array(verts) if verts else None
+
+    def face_normals(self):
+        return self._A
+
     def vertices_2d(self) -> list:
         """Vertices of a 2-D polytope via pairwise face intersections."""
         if self.dim != 2:
@@ -587,21 +686,13 @@ class Polytope(ProxSet):
         faces = tuple(halfspace(f.vec("normal"), f.num("offset")) for f in fields.objects("faces"))
         return cls(faces, fields.vec("interior"))
 
-    def circumradius_about(self, p):
-        verts = self.vertices_2d()
-        # A nonempty 2-D polytope is unbounded iff A d <= 0 for a face direction
-        # d = ±(-a_2, a_1); rounding counts as <= 0, erring toward unbounded.
-        rates = self._A @ (self._A[:, ::-1] * (-1.0, 1.0)).T  # column k: A d_k
-        if (rates <= _SPAN_EPS).all(axis=0).any() or (rates >= -_SPAN_EPS).all(axis=0).any():
-            raise ValueError("the polytope base is unbounded: no finite rigid-motion rate")
-        return max(norm(v - p) for v in verts)
-
 
 class BallComplement(_Round):
     """{x : |x - center| >= radius}; prox-regular with r equal to the radius."""
 
     tag = "ball_complement"
     noun = "excluded-ball"
+    unbounded = True
 
     @property
     def r(self) -> float:
@@ -637,6 +728,21 @@ class BallComplement(_Round):
             value = (s * (dist - self.radius) * (dist + self.radius) / (2.0 * dist)
                      + norm(n - s * u) * R + curvature * R * R)
         return value + _rounding(self.dim, n_norm * R * (1.0 + R / self.radius))
+
+    def excess_of(self, A):
+        # d(x, self) = (radius - |x - center|)^+ peaks at the point of A
+        # nearest the center: (radius - d(center, A))^+ is exact.
+        try:
+            x, d = A._project_with_distance(self.center, 0.0)
+        except AtSingularity:
+            return None  # the center of A's own excluded ball: no single witness
+        value = max(self.radius - d, 0.0)
+        return value, value, x
+
+    def _excess_over_convex(self, other):
+        # Every convex shape lies in a half-space <n, x> <= b, and the points
+        # center + t n, members for t >= radius, leave it without bound.
+        return math.inf, math.inf, np.full(self.dim, math.nan)
 
     def analytic_excess(self, other):
         gap = other.center - self.center
@@ -680,8 +786,27 @@ class RigidImage(ProxSet):
     def r(self) -> float:
         return self.base.r
 
+    @property
+    def bounded(self) -> bool:
+        return self.base.bounded
+
+    def face_normals(self):
+        return self.base.face_normals() @ self.rotation.T
+
     def _pull(self, y):
         return self.rotation.T @ (y - self.translation)
+
+    def _excess_over_convex(self, other):
+        # e(Q K + u, B) = e(K, Q^T (B - u)): the base's rule over other moved
+        # by the inverse motion, its witness moved back.
+        Q = self.rotation
+        pulled = RigidImage._from_valid(base=other, rotation=readonly(Q.T, 2),
+                                        translation=readonly(-(self.translation @ Q)))
+        bounds = self.base._excess_over_convex(pulled)
+        if bounds is None:
+            return None
+        lower, upper, witness = bounds
+        return lower, upper, Q @ witness + self.translation
 
     def membership_defect(self, y):
         return self.base.membership_defect(self._pull(y))
@@ -777,6 +902,8 @@ def sample_points(s: ProxSet, region, count: int, seed: int) -> list:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     lo = np.asarray(region[0], dtype=float)
     hi = np.asarray(region[1], dtype=float)
     if lo.shape != (s.dim,) or hi.shape != (s.dim,) or np.any(lo >= hi):

@@ -1,6 +1,7 @@
 """Brute-force oracles, independent of the library's projection and excess
-code paths: dense-grid distance minimization, local window refinement, the
-scalar play closed form, and boundary-sampling excess for ball pairs.
+code paths: dense-grid distance minimization, local window refinement, exact
+distances to polygons, balls and ball complements, the scalar play closed
+form, and boundary-sampling excess.
 
 Membership tests are re-implemented here directly from shape parameters so
 the oracles share nothing with the code under test.
@@ -96,22 +97,30 @@ def polygon_distance(faces, y):
     where two face lines cross, so the distance is the smallest over those
     candidates that satisfy every face up to rounding (1e-12, relative to the
     scale of the face and the candidate).
+
+    It computes in Python floats, which overflow to inf without a warning:
+    two nearly parallel face lines cross near 1e269 or beyond, and a crossing
+    that is not finite is no candidate.
     """
-    y = np.asarray(y, float)
-    lines = [(np.asarray(a, float), float(b)) for a, b in faces]
+    y = tuple(float(v) for v in y)
+    lines = [(tuple(float(v) for v in a), float(b)) for a, b in faces]
 
     def feasible(c):
-        return all(a @ c - b <= 1e-12 * (1.0 + abs(b) + np.linalg.norm(a) * np.linalg.norm(c))
+        return all(a[0] * c[0] + a[1] * c[1] - b
+                   <= 1e-12 * (1.0 + abs(b) + math.hypot(*a) * math.hypot(*c))
                    for a, b in lines)
 
     candidates = [y]
-    candidates += [y - (a @ y - b) / (a @ a) * a for a, b in lines]
+    for a, b in lines:
+        step = (a[0] * y[0] + a[1] * y[1] - b) / (a[0] * a[0] + a[1] * a[1])
+        candidates.append((y[0] - step * a[0], y[1] - step * a[1]))
     for i, (a1, b1) in enumerate(lines):
         for a2, b2 in lines[i + 1:]:
             det = a1[0] * a2[1] - a1[1] * a2[0]
             if det != 0.0:
-                candidates.append(np.array([b1 * a2[1] - b2 * a1[1], a1[0] * b2 - a2[0] * b1]) / det)
-    return min((math.dist(c, y) for c in candidates if feasible(c)), default=math.inf)
+                candidates.append(((b1 * a2[1] - b2 * a1[1]) / det, (a1[0] * b2 - a2[0] * b1) / det))
+    finite = (c for c in candidates if math.isfinite(c[0]) and math.isfinite(c[1]))
+    return min((math.dist(c, y) for c in finite if feasible(c)), default=math.inf)
 
 
 def play_sweep(t):
@@ -136,3 +145,36 @@ def complement_excess_grid_oracle(cA, RA, cB, RB, domain, n=801):
     depth = RB - np.sqrt((X - cB[0]) ** 2 + (Y - cB[1]) ** 2)
     depth = np.where(mask, np.maximum(depth, 0.0), 0.0)
     return float(np.max(depth))
+
+
+def ball_distance(c, R, y):
+    """Exact distance from y to the closed ball of center c and radius R."""
+    return max(math.dist(c, y) - R, 0.0)
+
+
+def complement_distance(c, R, y):
+    """Exact distance from y to the complement of the open ball B_R(c)."""
+    return max(R - math.dist(c, y), 0.0)
+
+
+def polygon_boundary(vertices, per_edge=64):
+    """Points along the closed polygon through vertices, the vertices included:
+    per_edge evenly spaced points on each edge, its start among them."""
+    v = np.asarray(vertices, float)
+    s = np.linspace(0.0, 1.0, per_edge, endpoint=False)[:, None]
+    return np.concatenate([a + s * (b - a) for a, b in zip(v, np.roll(v, -1, axis=0))])
+
+
+def circle(c, R, n=1440):
+    """n evenly spaced points on the circle of center c and radius R.  The
+    excess of the disk over a convex set is attained on the circle, so their
+    cloud_excess falls short of it by at most the gap pi*R/n to the nearest
+    point, distances being 1-Lipschitz."""
+    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return np.column_stack([c[0] + R * np.cos(angles), c[1] + R * np.sin(angles)])
+
+
+def cloud_excess(points, distance):
+    """Max of distance over points of A: a lower bound of the excess of A,
+    equal to it when the points include where the supremum is attained."""
+    return max(distance(p) for p in points)

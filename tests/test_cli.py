@@ -95,8 +95,10 @@ def test_excess_command(capsys):
     code = main(["excess", "sweep_halfspace", "sweep_halfspace", "--t", "0.0", "0.5"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "0.5" in out
-    assert "analytic" in out
+    assert "0.5 <= e <= 0.5 [analytic]" in out
+    # The ball's center lies in the half-space: a two-sided bound, radius above.
+    assert main(["excess", "static_ball", "sweep_halfspace", "--t", "0.0", "0.5"]) == 0
+    assert "0.5 <= e <= 1 [interval]" in capsys.readouterr().out
 
 
 def test_verify_command(capsys):

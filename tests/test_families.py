@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sweepsolve.errors import ModulusUnavailable, NoPositiveTau, OutOfRange
 from sweepsolve.families import (
@@ -20,7 +20,16 @@ from sweepsolve.families import (
     validate_analytic_modulus,
 )
 from sweepsolve.paths import ConstantPath, LinearPath, PiecewisePath
-from sweepsolve.sets import Ball, BallComplement, Box, HalfSpace, Polytope, halfspace
+from sweepsolve.sets import (
+    Ball,
+    BallComplement,
+    Box,
+    HalfSpace,
+    Polytope,
+    RigidImage,
+    halfspace,
+    rotation_matrix_2d,
+)
 
 import oracles
 
@@ -97,15 +106,19 @@ class TestExcess:
             (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
             (0.2, 0.2),
         )
-        A = tri
-        B = tri.translated(np.array([0.1, 0.0]))
-        C = tri.translated(np.array([0.2, 0.1]))
+        shifts = {"A": np.zeros(2), "B": np.array([0.1, 0.0]), "C": np.array([0.2, 0.1])}
         budget = SamplingBudget(count=200, hill_steps=40, seed=9)
-        eAC = excess(A, C, budget).lower
-        eAB = excess(A, B, budget).lower
-        eBC = excess(B, C, budget).lower
-        assert excess(A, C, budget).method == "sampled"
-        assert eAC <= eAB + eBC + 2e-3
+        e = {}
+        for x, y in ("AC", "AB", "BC"):
+            est = excess(tri.translated(shifts[x]), tri.translated(shifts[y]), budget)
+            # The vertex rule is exact: the oracle's largest vertex distance.
+            later = [(a, b + float(np.dot(a, shifts[y]))) for a, b in oracles.TRIANGLE_FACES]
+            corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) + shifts[x]
+            oracle = oracles.cloud_excess(corners, lambda v: oracles.polygon_distance(later, v))
+            assert est.method == "analytic"
+            assert est.lower == est.upper == pytest.approx(oracle, abs=1e-12)
+            e[x + y] = est.lower
+        assert e["AC"] <= e["AB"] + e["BC"] + 1e-12
 
     def test_sampled_lower_bound_is_honest(self):
         A, B = Ball((0.0, 0.0), 2.0), Ball((0.3, 0.1), 1.0)
@@ -146,11 +159,29 @@ class TestSlices:
             PiecewiseFamily(pieces=((1.0, p1), (2.0, p2)))
 
     def test_jump_without_a_closed_form_rejected(self):
-        # The ball sticks out of the half-space by 1e-6, which sampling misses.
+        # The ball sticks out of the half-space by 1e-6, which sampling misses;
+        # with its center inside, the excess is bounded only by its radius.
         ball = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
         plane = TranslateFamily(halfspace((1.0, 0.0), 1.0 - 1e-6), ConstantPath((0.0, 0.0)), 2.0)
-        with pytest.raises(ValueError, match="ball slice to a halfspace slice: no closed-form"):
+        with pytest.raises(ValueError, match="from a ball slice to a halfspace slice: its excess "
+                                             r"is bounded only by 1\.000e\+00"):
             PiecewiseFamily(((0.5, ball), (2.0, plane)))
+
+    def test_jump_from_a_triangle_into_a_ball_admitted_and_back_rejected(self):
+        triangle = Polytope(
+            (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
+            (0.2, 0.2),
+        )
+        # The circumscribed circle passes through all three vertices.
+        ball = Ball((0.5, 0.5), math.sqrt(0.5))
+        still = ConstantPath((0.0, 0.0))
+        fam = PiecewiseFamily(((1.0, TranslateFamily(triangle, still, 1.0)),
+                               (2.0, TranslateFamily(ball, still, 2.0))))
+        assert fam.at(1.0) == ball
+        with pytest.raises(ValueError, match="at t=1.0 from a ball slice to a polytope slice: "
+                                             r"its excess is bounded only by 7\.071e-01"):
+            PiecewiseFamily(((1.0, TranslateFamily(ball, still, 1.0)),
+                             (2.0, TranslateFamily(triangle, still, 2.0))))
 
     def test_jump_between_equal_slices_admitted(self):
         # Polytopes have no closed-form excess; equal slices need none.
@@ -203,6 +234,19 @@ class TestModulus:
         assert validate_analytic_modulus(fam, pairs=0) <= 1e-9
         monkeypatch.setattr(PiecewiseFamily, "analytic_rate", lambda self: 0.0)
         assert validate_analytic_modulus(fam, pairs=0) > 0.0
+
+    def test_modulus_certificate_needs_an_upper_bound_on_every_pair(self):
+        # A translating wedge over a later slice is left to sampling, whose
+        # upper bound is inf; the rotating triangle's pairs are all exact.
+        wedge = Polytope((HalfSpace((1.0, 0.0), 0.0), HalfSpace((0.0, 1.0), 0.0)), (-1.0, -1.0))
+        drift = TranslateFamily(wedge, LinearPath((0.0, 0.0), (1.0, 0.0)), 1.0)
+        assert validate_analytic_modulus(drift, pairs=3) == math.inf
+        triangle = Polytope(
+            (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
+            (0.2, 0.2),
+        )
+        spin = RigidFamily(triangle, LinearPath(0.0, 0.5), (1 / 3, 1 / 3), 1.0)
+        assert validate_analytic_modulus(spin, pairs=20) <= 0.0
 
     def test_validate_analytic_modulus(self):
         # 200 random forward pairs per family; sampled excess never exceeds
@@ -378,6 +422,12 @@ def _rigid_bases(draw):
     st.none() | st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6),
 )
+# Opposite faces of the square, turned by 7e-270 rad, cross near 1e269: the
+# oracle must skip that crossing without overflowing.
+@example(based=(Box((0.0, 0.0), (1.0, 1.0)),
+                np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), None),
+         pivot=(0.0, 0.0), angle0=7.227572319942872e-270, spin=0.0, drift=None,
+         pairs=[(0.0, 0.0)])
 def test_rigid_modulus_bounds_the_exact_excess(based, pivot, angle0, spin, drift, pairs):
     """omega(t - s) bounds e(C(s), C(t)) over forward pairs: the vertices of a
     convex polygon carry its excess over a convex set, and a ball's excess
@@ -397,6 +447,123 @@ def test_rigid_modulus_bounds_the_exact_excess(based, pivot, angle0, spin, drift
             exact = max(oracles.polygon_distance(later, v)
                         for v in _rotated(vertices, angle0 + spin * s, pivot, velocity * s))
         assert exact <= omega(t - s) + 1e-9
+
+
+@st.composite
+def _oracle_shapes(draw, rigid=False):
+    """(shape, the oracle's distance to it, points of it where a convex
+    function peaks, the cloud's shortfall): a polygon's vertices and edges,
+    or a disk's circle and center, short by at most pi*R/n."""
+    base, vertices, center = draw(_rigid_bases())
+    shape = base
+    if rigid:
+        Q = rotation_matrix_2d(draw(st.floats(-3.2, 3.2)))
+        u = np.array([draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+        shape = RigidImage(base, Q, u)
+        vertices = None if vertices is None else vertices @ Q.T + u
+        center = None if center is None else Q @ center + u
+    if vertices is None:
+        R = base.radius
+        circle = oracles.circle(center, R)
+        return (shape, lambda y: oracles.ball_distance(center, R, y),
+                np.vstack([circle, [center]]), math.pi * R / len(circle))
+    faces = _ccw_faces(vertices)
+    return shape, lambda y: oracles.polygon_distance(faces, y), oracles.polygon_boundary(vertices), 0.0
+
+
+@st.composite
+def _halfspaces(draw):
+    """A half-plane, with the oracle's distance to it, as _oracle_shapes has it."""
+    angle, offset = draw(st.floats(-3.2, 3.2)), draw(st.floats(-1.0, 1.0))
+    normal = (math.cos(angle), math.sin(angle))
+    return (halfspace(normal, offset), lambda y: oracles.polygon_distance([(normal, offset)], y),
+            None, None)
+
+
+_CONVEX = st.one_of(_oracle_shapes(), _oracle_shapes(rigid=True), _halfspaces())
+
+
+def _check_excess_over_convex(a, b):
+    """lower <= oracle <= upper, both ends the oracle's value where exact."""
+    (A, a_distance, cloud, shortfall), (B, distance, _, _) = a, b
+    est = excess(A, B)
+    oracle = oracles.cloud_excess(cloud, distance)
+    assert est.lower - shortfall - 1e-9 <= oracle <= est.upper + 1e-9
+    if est.method == "interval":
+        # Only a disk whose center lies in B gets a two-sided bound.
+        assert shortfall > 0.0 and distance(cloud[-1]) <= 1e-9
+    else:
+        assert est.method == "analytic" and est.lower == est.upper
+    assert a_distance(est.witness) <= 1e-9
+    assert distance(est.witness) == pytest.approx(est.lower, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_shapes(), _CONVEX)
+def test_excess_of_a_polygon_box_or_ball_over_a_convex_set_against_the_oracle(a, b):
+    _check_excess_over_convex(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_shapes(rigid=True), _CONVEX)
+def test_excess_of_a_rigid_image_over_a_convex_set_against_the_oracle(a, b):
+    _check_excess_over_convex(a, b)
+
+
+@st.composite
+def _unbounded_shapes(draw):
+    """(shape, the oracle's distance to it or None, t -> a member about t
+    from the origin): a half-plane, a ball complement, a moved wedge, or a
+    slab open on one side."""
+    kind = draw(st.sampled_from(["halfspace", "ball_complement", "wedge", "slab"]))
+    angle = draw(st.floats(-3.2, 3.2))
+    n = np.array([math.cos(angle), math.sin(angle)])
+    if kind == "halfspace":
+        shape, distance, _, _ = draw(_halfspaces())
+        return shape, distance, lambda t: shape.boundary_anchor() - t * shape.normal
+    if kind == "ball_complement":
+        c, R = np.array([draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))]), draw(st.floats(0.1, 2.0))
+        return BallComplement(c, R), None, lambda t: c + t * n
+    if kind == "wedge":
+        Q, u = rotation_matrix_2d(angle), np.array([draw(st.floats(-1.0, 1.0)), 0.5])
+        wedge = Polytope((HalfSpace((1.0, 0.0), 0.0), HalfSpace((0.0, 1.0), 0.0)), (-1.0, -1.0))
+        faces = [(tuple(Q @ a), float((Q @ a) @ u)) for a in np.eye(2)]
+        return (RigidImage(wedge, Q, u), lambda y: oracles.polygon_distance(faces, y),
+                lambda t: Q @ (-t * np.ones(2) / math.sqrt(2.0)) + u)
+    side = np.array([-n[1], n[0]])
+    faces = [(tuple(n), 1.0), (tuple(-n), 1.0), (tuple(side), 1.0)]
+    slab = Polytope(tuple(halfspace(a, b) for a, b in faces), (0.0, 0.0))
+    return slab, lambda y: oracles.polygon_distance(faces, y), lambda t: -t * side
+
+
+@settings(max_examples=40, deadline=None)
+@given(_unbounded_shapes(), st.one_of(_oracle_shapes(), _oracle_shapes(rigid=True)))
+def test_an_unbounded_set_over_a_bounded_one_is_infinitely_far(a, b):
+    (A, _, far), (B, distance, _, _) = a, b
+    est = excess(A, B)
+    assert est.method == "analytic" and est.lower == est.upper == math.inf
+    assert np.isnan(est.witness).all()
+    # B lies within 5 of the origin: members of A t away are about t from B.
+    for t in (1e3, 1e6):
+        assert A.contains(far(t)) and distance(far(t)) >= t - 10.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_oracle_shapes(), _oracle_shapes(rigid=True), _halfspaces(),
+                 _unbounded_shapes().filter(lambda a: a[1] is not None)),
+       st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), st.floats(0.1, 2.0))
+def test_any_shape_over_a_ball_complement_against_the_oracle(a, c, R):
+    A, a_distance, cloud = a[:3]
+    est = excess(A, BallComplement(c, R))
+    # The point of A nearest the excluded center lies deepest in the excluded ball.
+    oracle = max(R - a_distance(c), 0.0)
+    assert est.method == "analytic"
+    assert est.lower == est.upper == pytest.approx(oracle, abs=1e-9)
+    assert a_distance(est.witness) <= 1e-9
+    assert oracles.complement_distance(c, R, est.witness) == pytest.approx(est.lower, abs=1e-9)
+    if isinstance(cloud, np.ndarray):  # a bounded A: its boundary points
+        depth = oracles.cloud_excess(cloud, lambda y: oracles.complement_distance(c, R, y))
+        assert depth <= est.upper + 1e-9
 
 
 def _families_with(horizon=1.0, declared_r=None):

@@ -297,6 +297,18 @@ def test_sample_points_window_meeting_the_set_on_an_edge():
     assert all(p[0] == 1.0 and 0.0 <= p[1] <= 1.0 for p in pts)
 
 
+def test_sample_points_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sample_points(Ball((0.0, 0.0), 1.0), ((-1.0, -1.0), (1.0, 1.0)), 4, seed=-1)
+
+
+def test_sampling_budget_rejects_bad_inputs_at_construction():
+    with pytest.raises(ValueError, match="sampling seed must be >= 0, got -1"):
+        SamplingBudget(seed=-1)
+    with pytest.raises(ValueError, match="sampling count must be >= 1, got 0"):
+        SamplingBudget(count=0)
+
+
 def test_sample_points_empty_intersection():
     ball = Ball((0.0, 0.0), 1.0)
     with pytest.raises(EmptyIntersection):
@@ -507,7 +519,35 @@ SHAPE_BY_TAG = {
     "rigid_image": RigidImage(TRIANGLE, rotation_matrix_2d(0.7), (0.4, -0.1)),
 }
 TAGS = sorted(SHAPE_BY_TAG)
-CLOSED_FORM_EXCESS = ("ball", "ball_complement", "box", "halfspace")
+
+# The oracles' view of the polyhedral shapes above, from their parameters:
+# faces (a, b) of {<a, x> <= b} and, for the bounded ones, points along the
+# boundary with the vertices among them.
+_ROTATION, _SHIFT = rotation_matrix_2d(0.7), np.array([0.4, -0.1])
+_FACES = {
+    "halfspace": [((1.0, 2.0), 0.5)],
+    "box": [((-1.0, 0.0), 0.5), ((1.0, 0.0), 1.0), ((0.0, -1.0), 0.0), ((0.0, 1.0), 0.4)],
+    "polytope": list(oracles.TRIANGLE_FACES),
+    "rigid_image": [(tuple(_ROTATION @ a), b + float((_ROTATION @ a) @ _SHIFT))
+                    for a, b in oracles.TRIANGLE_FACES],
+}
+_TRIANGLE_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_BOUNDARY = {
+    "box": oracles.polygon_boundary([(-0.5, 0.0), (1.0, 0.0), (1.0, 0.4), (-0.5, 0.4)]),
+    "polytope": oracles.polygon_boundary(_TRIANGLE_VERTICES),
+    "rigid_image": oracles.polygon_boundary(_TRIANGLE_VERTICES @ _ROTATION.T + _SHIFT),
+    "ball": oracles.circle((0.3, -0.2), 0.8),
+}
+
+
+def _oracle_distance(tag, shift=(0.0, 0.0)):
+    """Exact distance to SHAPE_BY_TAG[tag] moved by shift, by the oracles."""
+    if tag in ("ball", "ball_complement"):
+        shape = SHAPE_BY_TAG[tag]
+        exact = oracles.ball_distance if tag == "ball" else oracles.complement_distance
+        return lambda y: exact(shape.center + shift, shape.radius, y)
+    faces = [(a, b + float(np.dot(a, shift))) for a, b in _FACES[tag]]
+    return lambda y: oracles.polygon_distance(faces, y)
 
 
 def test_every_registered_shape_has_a_case():
@@ -595,9 +635,15 @@ def test_circumradius_is_finite_exactly_for_bounded_polytopes(faces, interior, b
 def test_excess_method_for_same_type_pairs(tag):
     shape = SHAPE_BY_TAG[tag]
     # A translate keeps half-spaces parallel and boxes of equal extents.
-    other = shape.translated(np.array([0.2, 0.1]))
-    est = excess(shape, other, SamplingBudget(count=20, hill_steps=5, seed=3))
-    assert est.method == ("analytic" if tag in CLOSED_FORM_EXCESS else "sampled")
+    shift = np.array([0.2, 0.1])
+    est = excess(shape, shape.translated(shift), SamplingBudget(count=20, hill_steps=5, seed=3))
+    assert est.method == "analytic"
+    assert est.lower == est.upper
+    if tag in ("polytope", "rigid_image"):
+        # The vertex rule: a convex body sticks out of its translate by |shift|.
+        oracle = oracles.cloud_excess(_BOUNDARY[tag], _oracle_distance(tag, shift))
+        assert est.lower == pytest.approx(oracle, abs=1e-12)
+        assert oracle == pytest.approx(math.hypot(0.2, 0.1), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -606,8 +652,64 @@ def test_excess_method_for_same_type_pairs(tag):
      ("polytope", "rigid_image"), ("halfspace", "ball")],
 )
 def test_excess_is_sampled_for_mixed_pairs(a, b):
-    est = excess(SHAPE_BY_TAG[a], SHAPE_BY_TAG[b], SamplingBudget(count=20, hill_steps=5, seed=3))
-    assert est.method == "sampled"
+    """Mixed pairs that were once only sampled: each now has an exact value,
+    checked against the oracles."""
+    A, B = SHAPE_BY_TAG[a], SHAPE_BY_TAG[b]
+    est = excess(A, B, SamplingBudget(count=20, hill_steps=5, seed=3))
+    assert est.method == "analytic"
+    assert est.lower == est.upper
+    distance = _oracle_distance(b)
+    if a == "halfspace":
+        # Unbounded over bounded: members of A run arbitrarily far from B.
+        assert est.lower == math.inf and np.isnan(est.witness).all()
+        unit = A.normal / np.linalg.norm(A.normal)
+        assert distance(A.boundary_anchor() - 1e6 * unit) >= 1e6 - 2.0
+        return
+    assert distance(est.witness) == pytest.approx(est.lower, abs=1e-12)
+    if b == "ball_complement":
+        # The point of A nearest the excluded center lies deepest in the excluded ball.
+        oracle = B.radius - oracles.ball_distance(A.center, A.radius, B.center)
+        assert est.lower == pytest.approx(oracle, abs=1e-12)
+        assert oracles.cloud_excess(_BOUNDARY[a], distance) <= est.upper
+    elif a == "ball":
+        # The center lies outside the box: the farthest point is radius beyond it.
+        assert est.lower == pytest.approx(distance(A.center) + A.radius, abs=1e-12)
+        gap = math.pi * A.radius / len(_BOUNDARY[a])
+        assert est.lower - gap <= oracles.cloud_excess(_BOUNDARY[a], distance) <= est.upper
+    else:
+        assert est.lower == pytest.approx(oracles.cloud_excess(_BOUNDARY[a], distance), abs=1e-12)
+
+
+@pytest.mark.parametrize("normal", [(0.0, 1.0), (-1.0, 0.0), (1.0, 1e-5)])
+def test_half_spaces_that_are_not_parallel_are_infinitely_far(normal):
+    A, B = HalfSpace((1.0, 0.0), 0.0), halfspace(normal, 5.0)
+    est = excess(A, B)
+    assert est.method == "analytic" and est.lower == est.upper == math.inf
+    # A holds the ray along n2 - <n1, n2> n1 (along -n1 when n2 = -n1).
+    n2 = np.array(normal) / np.linalg.norm(normal)
+    ray = n2 - (n2 @ A.normal) * A.normal if n2 @ A.normal > -1.0 else -A.normal
+    far = 1e9 * ray / np.linalg.norm(ray)
+    assert A.contains(far)
+    assert oracles.polygon_distance([(normal, 5.0 * np.linalg.norm(normal))], far) > 1e2
+
+
+def test_half_spaces_parallel_only_up_to_rounding_have_no_closed_form():
+    # 1e-7 rad apart: once counted parallel, with excess 0 where it is inf.
+    est = excess(HalfSpace((1.0, 0.0), 0.0), halfspace((1.0, 1e-7), 5.0),
+                 SamplingBudget(count=20, hill_steps=5, seed=3))
+    assert est.method == "sampled" and est.upper == math.inf
+
+
+def test_leftover_pairs_are_sampled_lower_bounds():
+    # An unbounded polyhedron over an unbounded convex set, and a 3-D polytope.
+    wedge = Polytope((halfspace((1.0, 0.0), 0.0), halfspace((0.0, 1.0), 0.0)), (-1.0, -1.0))
+    cube = Polytope(tuple(halfspace(a, 1.0) for a in np.vstack([np.eye(3), -np.eye(3)])),
+                    (0.0, 0.0, 0.0))
+    budget = SamplingBudget(count=20, hill_steps=5, seed=3)
+    for A, B in ((wedge, halfspace((1.0, 1.0), 0.5)), (cube, Ball((0.0, 0.0, 0.0), 1.0))):
+        est = excess(A, B, budget)
+        assert est.method == "sampled"
+        assert 0.0 <= est.lower <= est.upper == math.inf
 
 
 def test_rigid_image_rejects_non_finite_motion():
