@@ -4,14 +4,16 @@ refinement schedules.
 
 The excess of A over B is sup_{a in A} d(a, B): zero iff A is contained in
 the closure of B, asymmetric otherwise.  excess gives it as an interval
-lower <= e(A, B) <= upper: exact for a same-type closed form, for any A over
-a ball complement, and over a convex B for a box, a bounded 2-D polytope, a
-ball whose center lies outside B, an unbounded set over a bounded one, and
-rigid images of these; a ball whose center lies in B gets a two-sided
-bound.  Only the pairs left (an unbounded polyhedron over an unbounded
-convex set, bar two half-spaces; a polytope in dimension 3 or more; a rigid
-image of a ball complement as B) are sampled, a lower bound with
-upper = inf.  Families
+lower <= e(A, B) <= upper from one rule call, B.excess_of(A).  It is exact
+for any A over a ball complement; for a ball, a box or a bounded 2-D
+polytope over a ball (from A's farthest point); for a half-space over a
+convex B that is bounded, has a face normal not parallel to its own, or has
+only its own; over any other convex B for a box, a bounded 2-D polytope, a
+ball whose center lies outside B and an unbounded set over a bounded one;
+and for rigid images of these.  A ball whose center lies in B gets a
+two-sided bound.  Only the pairs left (another unbounded polyhedron over an
+unbounded convex set; a polytope in dimension 3 or more; a rigid image of a
+ball complement as B) are sampled, a lower bound with upper = inf.  Families
 built from the declared path forms carry an analytic linear modulus
 omega(delta) = rate * delta, an upper bound that sets the schedule step
 lengths; validate_analytic_modulus certifies it against excess upper
@@ -118,9 +120,9 @@ def _sampled_excess(A: ProxSet, B: ProxSet, budget: SamplingBudget) -> ExcessEst
 
 
 def excess(A: ProxSet, B: ProxSet, budget: SamplingBudget | None = None) -> ExcessEstimate:
-    """One-sided excess of A over B as an interval: the same-type closed form,
-    else the shapes' rules (B.excess_of(A)), else a sampled lower bound
-    (member sampling plus local hill-climbing, as the budget sets).
+    """One-sided excess of A over B as an interval: the shapes' rules
+    (B.excess_of(A)), else a sampled lower bound (member sampling plus local
+    hill-climbing, as the budget sets).
 
     The rules take distances with no CONTAINMENT_TOL snap (tol = 0.0): a point
     is at distance 0 only where it meets every defining inequality, so upper
@@ -128,10 +130,6 @@ def excess(A: ProxSet, B: ProxSet, budget: SamplingBudget | None = None) -> Exce
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"excess between dim {A.dim} and dim {B.dim}")
-    analytic = A.analytic_excess(B) if type(A) is type(B) else None
-    if analytic is not None:
-        value, witness = analytic
-        return ExcessEstimate(float(value), float(value), witness, "analytic")
     bounds = B.excess_of(A)
     if bounds is not None:
         lower, upper, witness = bounds
@@ -327,7 +325,8 @@ class RadiusFamily(MovingFamily):
 @dataclass(frozen=True, eq=False)
 class RigidFamily(MovingFamily):
     """Planar rigid motion: rotation about a fixed pivot plus a drift, of a
-    base whose circumradius about the pivot is finite (a bounded one)."""
+    base with a farthest point from the pivot (a bounded one): its distance,
+    the circumradius about the pivot, sets the rate."""
 
     kind = "rigid"
     base: ProxSet
@@ -343,7 +342,11 @@ class RigidFamily(MovingFamily):
             raise ValueError("rigid families are implemented for dim 2")
         self._set_r(self.base.r)
         object.__setattr__(self, "pivot", readonly(self.pivot))
-        object.__setattr__(self, "_circum", self.base.circumradius_about(self.pivot))
+        far = self.base.farthest_from(self.pivot)
+        if far is None:
+            raise ValueError(f"the {self.base.tag} base is unbounded or has no derived "
+                             "circumradius: no finite rigid-motion rate")
+        object.__setattr__(self, "_circum", far[1])
 
     @property
     def dim(self):

@@ -12,11 +12,10 @@ primitive with r equal to its radius.  Polytopes project by a finite primal
 active-set solve whose result is accepted only after an explicit KKT check.
 
 Each shape class also owns its schema document (a tag in SHAPES plus
-to_dict/from_dict), its translate, its closed-form excess over a shape of
-the same type where one is known, its rules for bounds of the excess over a
-shape of another type (excess_of on the shape the excess is taken over,
-_excess_over_convex on the shape it is taken of), and its circumradius about
-a pivot, which is finite only for a bounded shape.
+to_dict/from_dict), its translate, its rules for bounds of the excess of one
+shape over another (excess_of on the shape the excess is taken over,
+_excess_over_convex on the shape it is taken of), and its farthest point
+from a given point (farthest_from), known only for a bounded shape.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -109,11 +109,6 @@ class ProxSet(Schema):
         matrix, objects and shape methods return validated fields by name."""
         raise NotImplementedError
 
-    def analytic_excess(self, other: "ProxSet"):
-        """(value, witness) of the excess of self over other, a shape of the
-        same type, where a closed form is known; None otherwise."""
-        return None
-
     def vertices(self):
         """(k, dim) array of finitely many points whose convex hull is the
         set, or None when the set is not known to be one."""
@@ -144,15 +139,16 @@ class ProxSet(Schema):
             return math.inf, math.inf, np.full(self.dim, math.nan)
         return None
 
-    def circumradius_about(self, p: np.ndarray) -> float:
-        """Largest distance from p to a point of the set, attained at a
-        vertex; ValueError when it is infinite (a half-space, a ball
-        complement) or not derived."""
+    def farthest_from(self, p: np.ndarray):
+        """(point, distance) of a point of the set farthest from p, attained
+        at a vertex; None where vertices() is None: an unbounded set has no
+        farthest point, and a rigid image's is not derived."""
         verts = self.vertices()
         if verts is None:
-            raise ValueError(f"the {self.tag} base is unbounded or has no derived circumradius: "
-                             "no finite rigid-motion rate")
-        return max(norm(v - p) for v in verts)
+            return None
+        dists = [norm(v - p) for v in verts]
+        k = int(np.argmax(dists))
+        return verts[k], dists[k]
 
     def normal_defect(self, x, n, halfwidth: float) -> float:
         """Sound upper bound of the normal-cone defect of n at x in the window:
@@ -280,15 +276,20 @@ class HalfSpace(ProxSet):
     def from_dict(cls, fields):
         return halfspace(fields.vec("normal"), fields.num("offset"))
 
-    def analytic_excess(self, other):
-        # Equal normals: the offsets differ.  Normals apart by more than
-        # rounding: self holds the ray along n2 - <n1, n2> n1 (-n1 when
-        # n2 = -n1), which leaves other without bound.  Normals that differ
-        # by about rounding have no closed form: parallel or not is unknown.
-        if np.array_equal(self.normal, other.normal):
-            return max(self.offset - other.offset, 0.0), self.boundary_anchor()
-        if float(self.normal @ other.normal) < 1.0 - 1e-12:
-            return math.inf, np.full(self.dim, math.nan)
+    def _excess_over_convex(self, other):
+        # A face normal m of other apart from n by more than rounding: self
+        # holds the ray along m - <n, m> n (-n when m = -n), which leaves
+        # that face's half-space, and so other, without bound.  Every face
+        # normal equal to n: other is {<n, x> <= min offset}, as far from
+        # the boundary anchor as from any point of self's boundary.  Normals
+        # that differ by about rounding: parallel or not is unknown.
+        normals = other.face_normals()
+        if other.bounded or (normals @ self.normal < 1.0 - 1e-12).any():
+            return math.inf, math.inf, np.full(self.dim, math.nan)
+        if len(normals) and (normals == self.normal).all():
+            anchor = self.boundary_anchor()
+            d = other._distance(anchor, 0.0)
+            return d, d, anchor
         return None
 
 
@@ -373,19 +374,21 @@ class Ball(_Round):
         value = s * (self.radius - dist) + norm(n - s * u) * R
         return value + _rounding(self.dim, norm(n) * (R + dist + self.radius))
 
-    def analytic_excess(self, other):
-        gap = self.center - other.center
+    def farthest_from(self, p):
+        gap = self.center - p
         dist = norm(gap)
-        value = max(dist + self.radius - other.radius, 0.0)
         direction = gap / dist if dist > 0 else np.eye(self.dim)[0]
-        if value > 0:
-            witness = self.center + self.radius * direction
-        else:
-            witness = self.center.copy()
-        return value, witness
+        return self.center + self.radius * direction, dist + self.radius
 
-    def circumradius_about(self, p):
-        return norm(self.center - p) + self.radius
+    def excess_of(self, A):
+        # d(x, self) = (|x - center| - radius)^+ peaks at the point of A
+        # farthest from the center: (far - radius)^+ is exact.
+        far = A.farthest_from(self.center)
+        if far is None:
+            return super().excess_of(A)
+        x, dist = far
+        value = max(dist - self.radius, 0.0)
+        return value, value, x
 
     def _excess_over_convex(self, other):
         c = self.center
@@ -452,14 +455,6 @@ class Box(ProxSet):
     @classmethod
     def from_dict(cls, fields):
         return cls(fields.vec("lo"), fields.vec("hi"))
-
-    def analytic_excess(self, other):
-        # Boxes of equal extents: the excess is the length of the shift.
-        if norm((self.hi - self.lo) - (other.hi - other.lo)) <= 1e-12:
-            shift = self.lo - other.lo
-            witness = np.where(shift >= 0, self.hi, self.lo).astype(float)
-            return norm(shift), witness
-        return None
 
     def vertices(self):
         return np.array(list(itertools.product(*zip(self.lo, self.hi))))
@@ -628,46 +623,43 @@ class Polytope(ProxSet):
         rates = np.outer(a2, a1) - np.outer(a1, a2)  # column k: A d_k
         return bool((rates <= slack).all(axis=0).any() or (rates >= -slack).all(axis=0).any())
 
-    @property
+    @cached_property
     def bounded(self) -> bool:
         # Rounding counts as <= 0: a doubtful polytope is not known bounded.
         return self.dim == 2 and not self._recedes(_SPAN_EPS)
 
-    @property
+    @cached_property
     def unbounded(self) -> bool:
         # At most dim faces always leave a recession direction; in 2-D the
         # rates decide, and a doubtful polytope is not known unbounded.
         return len(self.faces) <= self.dim or (self.dim == 2 and self._recedes(0.0))
 
+    @cached_property
+    def _corners(self) -> np.ndarray:
+        """Read-only (k, dim) array of the feasible pairwise face
+        intersections of a 2-D polytope, enumerated once (k = 0 in other
+        dimensions): its vertices when it is bounded."""
+        corners = []
+        if self.dim == 2:
+            for pair in itertools.combinations(range(len(self.faces)), 2):
+                A = self._A[list(pair)]
+                if abs(np.linalg.det(A)) < 1e-12:
+                    continue
+                v = np.linalg.solve(A, self._b[list(pair)])
+                if self.membership_defect(v) <= 1e-9:
+                    corners.append(v)
+        return readonly(np.reshape(corners, (-1, self.dim)), 2)
+
     def vertices(self):
-        verts = self.vertices_2d() if self.bounded else []
-        return np.array(verts) if verts else None
+        return self._corners if self.bounded and len(self._corners) else None
 
     def face_normals(self):
         return self._A
 
-    def vertices_2d(self) -> list:
-        """Vertices of a 2-D polytope via pairwise face intersections."""
-        if self.dim != 2:
-            raise ValueError("vertex enumeration is implemented for dim 2 only")
-        verts = []
-        m = len(self.faces)
-        for i in range(m):
-            for j in range(i + 1, m):
-                A = np.array([self.faces[i].normal, self.faces[j].normal])
-                b = np.array([self.faces[i].offset, self.faces[j].offset])
-                if abs(np.linalg.det(A)) < 1e-12:
-                    continue
-                v = np.linalg.solve(A, b)
-                if self.membership_defect(v) <= 1e-9:
-                    verts.append(v)
-        return verts
-
     def bounding_region(self):
-        verts = self.vertices_2d() if self.dim == 2 else []
-        if verts:
-            vs = np.array(verts)
-            return vs.min(axis=0) - _REGION_PAD, vs.max(axis=0) + _REGION_PAD
+        corners = self._corners
+        if len(corners):
+            return corners.min(axis=0) - _REGION_PAD, corners.max(axis=0) + _REGION_PAD
         half = 1.0 + _REGION_PAD
         return self.interior - half, self.interior + half
 
@@ -732,10 +724,15 @@ class BallComplement(_Round):
     def excess_of(self, A):
         # d(x, self) = (radius - |x - center|)^+ peaks at the point of A
         # nearest the center: (radius - d(center, A))^+ is exact.
+        c = self.center
         try:
-            x, d = A._project_with_distance(self.center, 0.0)
+            x, d = A._project_with_distance(c, 0.0)
         except AtSingularity:
-            return None  # the center of A's own excluded ball: no single witness
+            # c is the center of A's own excluded ball: d, its radius, has a
+            # closed form there, and every point of the sphere is nearest,
+            # so a step of d/2 off c, still inside that ball, picks one.
+            d = A._distance(c, 0.0)
+            x = A._project_with_distance(c + 0.5 * d * np.eye(self.dim)[0], 0.0)[0]
         value = max(self.radius - d, 0.0)
         return value, value, x
 
@@ -743,18 +740,6 @@ class BallComplement(_Round):
         # Every convex shape lies in a half-space <n, x> <= b, and the points
         # center + t n, members for t >= radius, leave it without bound.
         return math.inf, math.inf, np.full(self.dim, math.nan)
-
-    def analytic_excess(self, other):
-        gap = other.center - self.center
-        dist = norm(gap)
-        nearest = max(self.radius - dist, 0.0)
-        value = max(other.radius - nearest, 0.0)
-        if dist >= self.radius:
-            witness = other.center.copy()
-        else:
-            direction = gap / dist if dist > 0 else np.eye(self.dim)[0]
-            witness = self.center + self.radius * direction
-        return value, witness
 
 
 @dataclass(frozen=True, eq=False)

@@ -87,6 +87,19 @@ class TestExcess:
         assert abs(est.lower - oracle) <= 5e-3
         assert est.lower == pytest.approx(0.3)
 
+    @pytest.mark.parametrize("rA, rB", [(0.5, 1.25), (1.25, 0.5), (0.5, 0.5)])
+    def test_concentric_complements(self, rA, rB):
+        # The center of A's excluded ball has no single nearest point of A:
+        # any point of A's sphere, rA from the center, is deepest in B's ball.
+        c = (0.3, -0.7)
+        A, B = BallComplement(c, rA), BallComplement(c, rB)
+        est = excess(A, B)
+        assert est.method == "analytic"
+        assert est.lower == est.upper == pytest.approx(max(rB - rA, 0.0), abs=1e-15)
+        assert math.dist(est.witness, c) == pytest.approx(rA, abs=1e-15)
+        assert oracles.complement_distance(c, rB, est.witness) == pytest.approx(est.lower,
+                                                                                abs=1e-15)
+
     def test_asymmetry_witness(self):
         inner, outer = Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0), 2.0)
         assert excess(inner, outer).lower == 0.0
@@ -157,6 +170,18 @@ class TestSlices:
         p2 = RadiusFamily(ConstantPath((0.0, 0.0)), ConstantPath(0.5), False, 2.0)
         with pytest.raises(ValueError, match="jump"):
             PiecewiseFamily(pieces=((1.0, p1), (2.0, p2)))
+
+    def test_jump_to_a_smaller_concentric_excluded_ball_admitted(self):
+        # The excluded ball shrinks from radius 1 to 0.5 at t = 1: the set expands.
+        center = LinearPath((0.0, 0.0), (0.1, 0.0))
+        p1 = RadiusFamily(center, ConstantPath(1.0), True, 2.0)
+        p2 = RadiusFamily(center, ConstantPath(0.5), True, 2.0)
+        fam = PiecewiseFamily(((1.0, p1), (2.0, p2)))
+        assert fam.at(1.0) == BallComplement((0.1, 0.0), 0.5)
+        assert excess(p1.at(1.0), fam.at(1.0)).upper == 0.0
+        with pytest.raises(ValueError, match="from a ball_complement slice to a ball_complement "
+                                             r"slice: its excess is bounded only by 5\.000e-01"):
+            PiecewiseFamily(((1.0, p2), (2.0, p1)))
 
     def test_jump_without_a_closed_form_rejected(self):
         # The ball sticks out of the half-space by 1e-6, which sampling misses;
@@ -369,7 +394,10 @@ class TestInnerBall:
 def test_rigid_family_derives_its_rate_and_rejects_unbounded_bases():
     unit_square = Box((0.0, 0.0), (1.0, 1.0))
     fam = RigidFamily(unit_square, LinearPath(0.0, 1.0), (0.5, 0.5), 1.0)
-    assert fam.analytic_rate() == unit_square.circumradius_about(np.array([0.5, 0.5]))
+    pivot = np.array([0.5, 0.5])
+    point, distance = unit_square.farthest_from(pivot)
+    assert fam.analytic_rate() == distance
+    assert np.linalg.norm(point - pivot) == distance
     edge = HalfSpace((1.0, 0.0), 0.5)
     wedge = Polytope((HalfSpace((1.0, 0.0), 0.0), HalfSpace((0.0, 1.0), 0.0)), (-1.0, -1.0))
     for base in (edge, Polytope((edge,), (0.0, 0.0)), wedge, BallComplement((0.0, 0.0), 0.5)):
@@ -508,6 +536,24 @@ def test_excess_of_a_polygon_box_or_ball_over_a_convex_set_against_the_oracle(a,
 @given(_oracle_shapes(rigid=True), _CONVEX)
 def test_excess_of_a_rigid_image_over_a_convex_set_against_the_oracle(a, b):
     _check_excess_over_convex(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rigid_bases(), st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+       st.floats(0.1, 2.0))
+def test_a_ball_box_or_polygon_over_a_ball_against_the_oracle(based, c, rho):
+    # A's farthest point from the center is deepest outside the ball.
+    base, vertices, center = based
+    if vertices is None:
+        far = math.dist(center, c) + base.radius
+    else:
+        far = max(math.dist(v, c) for v in vertices)
+    B = Ball(c, rho)
+    est = excess(base, B)
+    assert est.method == "analytic" and est.lower == est.upper
+    assert est.lower == pytest.approx(max(far - rho, 0.0), abs=1e-12)
+    assert B.distance(est.witness) == pytest.approx(est.lower, abs=1e-12)
+    assert base.distance(est.witness) <= 1e-12
 
 
 @st.composite

@@ -596,11 +596,12 @@ def _brute_circumradius(shape, p):
 def test_circumradius_about_against_brute_force(tag, pivot):
     shape = SHAPE_BY_TAG[tag]
     p = np.array(pivot)
+    far = shape.farthest_from(p)
     if tag not in ("ball", "box", "polytope"):
-        with pytest.raises(ValueError, match=f"the {tag} base is unbounded or has no derived"):
-            shape.circumradius_about(p)
+        assert far is None
         return
-    exact = shape.circumradius_about(p)
+    point, exact = far
+    assert np.linalg.norm(point - p) == pytest.approx(exact, abs=1e-12)
     brute = _brute_circumradius(shape, p)
     # Corners and vertices are exact; the sampled circle falls short by < R(1 - cos(pi/3600)).
     assert brute - 1e-12 <= exact <= brute + 1e-6
@@ -608,8 +609,7 @@ def test_circumradius_about_against_brute_force(tag, pivot):
 
 def test_circumradius_of_a_polytope_without_vertices():
     half_plane = Polytope((halfspace((1.0, 0.0), 0.0),), (-1.0, 0.0))
-    with pytest.raises(ValueError, match="the polytope base is unbounded"):
-        half_plane.circumradius_about(np.zeros(2))
+    assert half_plane.farthest_from(np.zeros(2)) is None
 
 
 @pytest.mark.parametrize("faces, interior, bounded", [
@@ -623,12 +623,14 @@ def test_circumradius_of_a_polytope_without_vertices():
 def test_circumradius_is_finite_exactly_for_bounded_polytopes(faces, interior, bounded):
     shape = Polytope(tuple(halfspace(a, b) for a, b in faces), interior)
     pivot = np.array([0.5, 0.5])
+    far = shape.farthest_from(pivot)
     if bounded:
-        corners = shape.vertices_2d()
-        assert shape.circumradius_about(pivot) == max(math.dist(v, pivot) for v in corners)
+        corners = shape.vertices()
+        point, distance = far
+        assert distance == max(math.dist(v, pivot) for v in corners)
+        assert np.linalg.norm(point - pivot) == pytest.approx(distance, abs=1e-12)
     else:
-        with pytest.raises(ValueError, match="the polytope base is unbounded"):
-            shape.circumradius_about(pivot)
+        assert far is None
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -646,18 +648,27 @@ def test_excess_method_for_same_type_pairs(tag):
         assert oracle == pytest.approx(math.hypot(0.2, 0.1), abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "a, b",
-    [("ball", "box"), ("box", "polytope"), ("ball", "ball_complement"),
-     ("polytope", "rigid_image"), ("halfspace", "ball")],
-)
-def test_excess_is_sampled_for_mixed_pairs(a, b):
-    """Mixed pairs that were once only sampled: each now has an exact value,
-    checked against the oracles."""
+# Mixed pairs that were once only sampled, each checked against the oracles.
+_ORACLE_PAIRS = [("ball", "box"), ("box", "polytope"), ("ball", "ball_complement"),
+                 ("polytope", "rigid_image"), ("halfspace", "ball")]
+
+
+@pytest.mark.parametrize("a, b", itertools.product(TAGS, TAGS))
+def test_excess_method_for_every_pair(a, b):
+    """Every ordered pair has a rule: exact, bar a ball over a half-space whose
+    center lies inside it, which gets a two-sided bound.  None is sampled."""
     A, B = SHAPE_BY_TAG[a], SHAPE_BY_TAG[b]
     est = excess(A, B, SamplingBudget(count=20, hill_steps=5, seed=3))
-    assert est.method == "analytic"
-    assert est.lower == est.upper
+    if (a, b) == ("ball", "halfspace"):
+        assert est.method == "interval" and est.lower < est.upper
+    else:
+        assert est.method == "analytic"
+        assert est.lower == est.upper
+    if est.lower < math.inf:
+        assert A.distance(est.witness) <= 1e-12
+        assert B.distance(est.witness) == pytest.approx(est.lower, abs=1e-12)
+    if (a, b) not in _ORACLE_PAIRS:
+        return
     distance = _oracle_distance(b)
     if a == "halfspace":
         # Unbounded over bounded: members of A run arbitrarily far from B.
@@ -698,6 +709,31 @@ def test_half_spaces_parallel_only_up_to_rounding_have_no_closed_form():
     est = excess(HalfSpace((1.0, 0.0), 0.0), halfspace((1.0, 1e-7), 5.0),
                  SamplingBudget(count=20, hill_steps=5, seed=3))
     assert est.method == "sampled" and est.upper == math.inf
+
+
+@pytest.mark.parametrize("B, expected, far", [
+    pytest.param(Polytope((halfspace((1.0, 0.0), 0.0),), (-1.0, 0.0)), 0.3, None, id="one-face"),
+    # Members of A far from B: up the face x_2 <= 0, or left past x_1 >= -1.
+    pytest.param(Polytope((halfspace((1.0, 0.0), 0.0), halfspace((0.0, 1.0), 0.0)), (-1.0, -1.0)),
+                 math.inf, (0.0, 1e9), id="wedge"),
+    pytest.param(Polytope((halfspace((1.0, 0.0), 0.0), halfspace((-1.0, 0.0), 1.0)), (-0.5, 0.0)),
+                 math.inf, (-1e9, 0.0), id="strip"),
+    pytest.param(RigidImage(HalfSpace((1.0, 0.0), 0.0), rotation_matrix_2d(0.3), (0.0, 0.0)),
+                 math.inf, (0.0, 1e9), id="rotated-halfspace"),
+])
+def test_a_half_space_over_an_unbounded_convex_set_is_exact(B, expected, far):
+    A = HalfSpace((1.0, 0.0), 0.3)
+    est = excess(A, B, SamplingBudget(count=20, hill_steps=5, seed=3))
+    assert est.method == "analytic" and est.lower == est.upper
+    assert est.lower == pytest.approx(expected, abs=1e-12)
+    if far is not None:
+        assert np.isnan(est.witness).all()
+        assert A.contains(far) and B.distance(far) > 1e8
+    else:
+        # Every point of A's boundary x_1 = 0.3 is 0.3 from B.
+        assert A.distance(est.witness) == 0.0
+        assert oracles.polygon_distance([((1.0, 0.0), 0.0)], est.witness) == pytest.approx(
+            0.3, abs=1e-12)
 
 
 def test_leftover_pairs_are_sampled_lower_bounds():
