@@ -25,7 +25,8 @@ Every slice comes from one builder, MovingFamily.slices(times); at(t) is
 slices over one time.  It checks the times once, evaluates each path once on
 the whole array and builds each slice with ProxSet._from_valid, skipping the
 shape's checks: the family checked its base and paths once, and moving them
-keeps them valid (a half-space normal stays unit, a radius stays above the
+keeps them valid (a translate keeps a unit normal, a box's lo < hi and a
+polytope's strictly feasible interior point, a radius stays above the
 schedule's checked minimum, rotation_matrix_2d is orthogonal).
 
 Each schema family class owns its schema document (a kind tag in FAMILIES

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -284,7 +284,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical JSON document; parse(serialize(s)) == s."""
+    """Canonical JSON document, records written by their fields; parse(serialize(s)) == s."""
     doc: dict = {
         "name": scenario.name,
         "description": scenario.description,
@@ -293,19 +293,11 @@ def serialize_scenario(scenario: Scenario) -> str:
         "y0": list(scenario.y0),
         "seed": scenario.seed,
         "family": scenario.family.to_dict(),
-        "schedule": {
-            "eps0": scenario.schedule.eps0,
-            "ratio": scenario.schedule.ratio,
-            "levels": scenario.schedule.levels,
-            "base_resolution": scenario.schedule.base_resolution,
-        },
+        "schedule": asdict(scenario.schedule),
         "checks": list(scenario.checks),
     }
-    bp = {}
-    if scenario.ball_params is not None:
-        bp["ball"] = {"w": list(scenario.ball_params.w), "rho": scenario.ball_params.rho}
-    if scenario.cone_params is not None:
-        bp["cone"] = {"R": scenario.cone_params.R, "d": scenario.cone_params.d}
+    params = {"ball": scenario.ball_params, "cone": scenario.cone_params}
+    bp = {key: asdict(p) for key, p in params.items() if p is not None}
     if bp:
         doc["bound_params"] = bp
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -62,10 +62,12 @@ def _rounding(dim: int, scale: float) -> float:
 
 class ProxSet(Schema):
     """Common interface: immutable value, pure operations.  Vector fields are
-    read-only float arrays; equality compares schema documents."""
+    read-only float arrays; equality compares schema documents.  r is the
+    prox-regularity radius, inf (convex) unless a shape overrides it: only the
+    ball complement (its radius) and a rigid image (its base's) do."""
 
     dim: int
-    r: float
+    r = math.inf
     tag: str  # the "shape" value of the schema document
     # Whether the set is known to be bounded, or known to be unbounded; a
     # polytope of dimension 3 or more with more faces than dimensions is
@@ -237,10 +239,6 @@ class HalfSpace(ProxSet):
     def dim(self) -> int:
         return len(self.normal)
 
-    @property
-    def r(self) -> float:
-        return math.inf
-
     def membership_defect(self, y):
         return float(self.normal @ y) - self.offset
 
@@ -307,8 +305,8 @@ def halfspace(normal, offset: float) -> HalfSpace:
 
 @dataclass(frozen=True, eq=False)
 class _Round(ProxSet):
-    """Center and radius, shared by the ball and the excluded ball with their
-    schema document, translate and projection; subclasses set tag and noun."""
+    """Center and radius of the ball and the excluded ball, with their schema
+    document, translate, projection and distance; subclasses set tag and noun."""
 
     center: np.ndarray
     radius: float
@@ -333,6 +331,9 @@ class _Round(ProxSet):
         # way the distance is |dist - radius|.
         return self.center + self.radius * d / dist, abs(dist - self.radius)
 
+    def _raw_distance(self, y):
+        return max(self.membership_defect(y), 0.0)
+
     def translated(self, u):
         # The radius, still positive, is kept.
         return self._from_valid(center=readonly(self.center + u), radius=self.radius)
@@ -350,15 +351,8 @@ class Ball(_Round):
     noun = "ball"
     bounded = True
 
-    @property
-    def r(self) -> float:
-        return math.inf
-
     def membership_defect(self, y):
         return norm(y - self.center) - self.radius
-
-    def _raw_distance(self, y):
-        return max(norm(y - self.center) - self.radius, 0.0)
 
     def bounding_region(self):
         half = self.radius + _REGION_PAD
@@ -425,10 +419,6 @@ class Box(ProxSet):
     def dim(self) -> int:
         return len(self.lo)
 
-    @property
-    def r(self) -> float:
-        return math.inf
-
     def membership_defect(self, y):
         return float(np.max(np.maximum(self.lo - y, y - self.hi)))
 
@@ -447,7 +437,8 @@ class Box(ProxSet):
         return value + _rounding(self.dim, norm(n) * R * self.dim)
 
     def translated(self, u):
-        return Box(self.lo + u, self.hi + u)
+        # Both corners move by u, so lo < hi still holds.
+        return self._from_valid(lo=readonly(self.lo + u), hi=readonly(self.hi + u))
 
     def to_dict(self):
         return {"shape": self.tag, "lo": self.lo.tolist(), "hi": self.hi.tolist()}
@@ -503,10 +494,6 @@ class Polytope(ProxSet):
     @property
     def dim(self) -> int:
         return self.faces[0].dim
-
-    @property
-    def r(self) -> float:
-        return math.inf
 
     def membership_defect(self, y):
         return float(np.max(self._A @ y - self._b))
@@ -664,7 +651,11 @@ class Polytope(ProxSet):
         return self.interior - half, self.interior + half
 
     def translated(self, u):
-        return Polytope(tuple(f.translated(u) for f in self.faces), self.interior + u)
+        # Same normals, moved offsets and interior point: still strictly feasible.
+        faces = tuple(f.translated(u) for f in self.faces)
+        return self._from_valid(faces=faces, interior=readonly(self.interior + u), _A=self._A,
+                                _b=readonly([f.offset for f in faces]),
+                                _max_steps=self._max_steps, _factors={})
 
     def to_dict(self):
         return {
@@ -692,9 +683,6 @@ class BallComplement(_Round):
 
     def membership_defect(self, y):
         return self.radius - norm(y - self.center)
-
-    def _raw_distance(self, y):
-        return max(self.radius - norm(y - self.center), 0.0)
 
     def bounding_region(self):
         half = 2.5 * self.radius + _REGION_PAD
@@ -810,9 +798,7 @@ class RigidImage(ProxSet):
         return value + _rounding(self.dim, pulled)
 
     def bounding_region(self):
-        lo, hi = self.base.bounding_region()
-        corners = np.array([[lo[i] if (k >> i) & 1 == 0 else hi[i] for i in range(self.dim)]
-                            for k in range(2**self.dim)])
+        corners = np.array(list(itertools.product(*zip(*self.base.bounding_region()))))
         moved = corners @ self.rotation.T + self.translation
         return moved.min(axis=0), moved.max(axis=0)
 
@@ -856,17 +842,22 @@ def normal_residual(s: ProxSet, x, n, z_samples) -> NormalResidualReport:
     A nonpositive worst residual is consistent with n being a proximal normal
     at x.  Raises NotAMember when x (or any sample) fails containment.
     """
-    x = np.asarray(x, dtype=float)
-    n = np.asarray(n, dtype=float)
-    if not s.contains(x):
-        raise NotAMember(f"x has containment defect {s.membership_defect(x):.3e}")
     z = np.asarray(z_samples, dtype=float)
     if z.ndim == 1:
         z = z[None, :]
     for zi in z:
         if not s.contains(zi):
             raise NotAMember(f"sample has containment defect {s.membership_defect(zi):.3e}")
-    diffs = z - x
+    return _normal_residual(s, x, n, z)
+
+
+def _normal_residual(s: ProxSet, x, n, z) -> NormalResidualReport:
+    """normal_residual with the rows of z taken as members unchecked: x alone is tested."""
+    x = np.asarray(x, dtype=float)
+    n = np.asarray(n, dtype=float)
+    if not s.contains(x):
+        raise NotAMember(f"x has containment defect {s.membership_defect(x):.3e}")
+    diffs = np.asarray(z, dtype=float) - x
     # With r = inf the curvature term is exactly 0.
     residuals = diffs @ n - (norm(n) / (2.0 * s.r)) * np.einsum("ij,ij->i", diffs, diffs)
     return NormalResidualReport(float(residuals.max()), len(z))
@@ -897,7 +888,7 @@ def sample_points(s: ProxSet, region, count: int, seed: int) -> list:
     points: list = []
     while len(points) < count:
         try:
-            points.append(s.project_with_distance(lo + rng.random(s.dim) * (hi - lo))[0])
+            points.append(s._project_with_distance(lo + rng.random(s.dim) * (hi - lo))[0])
         except AtSingularity:
             continue
     if not any(np.all((lo <= q) & (q <= hi)) for q in points):

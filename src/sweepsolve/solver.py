@@ -24,7 +24,7 @@ from .errors import (
 )
 from .families import MovingFamily
 from .geometry import TimeGrid, readonly
-from .sets import NormalResidualReport, normal_residual, sample_points
+from .sets import NormalResidualReport, _normal_residual, sample_points
 
 # Rounding slack of the strict jump bound eps and of each step's excess bound.
 JUMP_EPS_SLACK = 1e-12
@@ -233,7 +233,7 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory, seed: int = 0)
         x = traj.points[cert.j]
         region = (x - NORMAL_WINDOW, x + NORMAL_WINDOW)
         z = sample_points(slices[k], region, NORMAL_AUDIT_SAMPLES, seed + cert.j)
-        audit = normal_residual(slices[k], x, traj.points[cert.j - 1] - x, z)
+        audit = _normal_residual(slices[k], x, traj.points[cert.j - 1] - x, z)
         if not audit.worst_residual <= cert.defect_bound:
             raise CertificationFailed(
                 cert.j, audit.worst_residual, cert.defect_bound,

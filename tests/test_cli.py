@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sweepsolve import harness
 from sweepsolve.cli import main
 from sweepsolve.errors import CertificationFailed
-from sweepsolve.families import RigidFamily
+from sweepsolve.families import RadiusFamily, RigidFamily
 from sweepsolve.scenarios import builtin_text
 from sweepsolve.solver import CERTIFICATION_TOL
 
@@ -202,6 +202,23 @@ def test_unsound_modulus_exits_with_a_documented_code(case, code, shown, command
     assert main([command[0], "polytope_rotation", *command[1:]]) == code
     captured = capsys.readouterr()
     assert shown in captured.out + captured.err and "Traceback" not in captured.err
+
+
+def test_tube_violation_exits_4(tmp_path, monkeypatch, capsys):
+    # A zero rate certifies the whole horizon as one step, on which the
+    # excluded ball grows from radius 0.5 (= r) to 2 past the iterate (1, 0).
+    doc = {"name": "growing_hole", "dim": 2, "horizon": 1.0, "y0": [1.0, 0.0],
+           "family": {"kind": "radius_schedule", "complement": True, "horizon": 1.0,
+                      "center": {"form": "constant", "value": [0.0, 0.0]},
+                      "radius": {"form": "linear", "value": 0.5, "rate": 1.5}},
+           "schedule": {"eps0": 0.4, "ratio": 0.5, "levels": 1, "base_resolution": 0},
+           "checks": ["constraint"]}
+    cfg = tmp_path / "growing_hole.json"
+    cfg.write_text(json.dumps(doc))
+    monkeypatch.setattr(RadiusFamily, "analytic_rate", lambda fam: 0.0)
+    assert main(["solve", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err == "runtime error: step 1: distance 1 >= tube radius 0.5\n"
 
 
 _UNBOUNDED_BASES = {  # rigid bases with no finite rate

@@ -279,6 +279,24 @@ class TestModulus:
         for fam in (sweep_family(), drift_jump_family()):
             assert validate_analytic_modulus(fam, pairs=200, seed=2) <= 1e-9
 
+    @pytest.mark.parametrize("fam, rate", [
+        # A ball shrinking, then growing, at 0.4: the shrinking piece sets the rate.
+        (RadiusFamily(ConstantPath((0.0, 0.0)),
+                      PiecewisePath(((0.5, LinearPath(1.0, -0.4)), (1.0, LinearPath(0.6, 0.4)))),
+                      False, 1.0), 0.4),
+        # An excluded ball growing, then shrinking, at 0.4: the growing piece does.
+        (RadiusFamily(ConstantPath((0.0, 0.0)),
+                      PiecewisePath(((0.5, LinearPath(0.5, 0.4)), (1.0, LinearPath(0.9, -0.4)))),
+                      True, 1.0), 0.4),
+        # A ball whose center turns a corner at t = 0.5 and speeds up from 1 to 2.
+        (TranslateFamily(Ball((0.0, 0.0), 1.0),
+                         PiecewisePath(((0.5, LinearPath((0.0, 0.0), (1.0, 0.0))),
+                                        (1.0, LinearPath((0.5, -1.0), (0.0, 2.0))))), 1.0), 2.0),
+    ], ids=["ball", "ball_complement", "translate"])
+    def test_rate_of_a_piecewise_path_is_its_fastest_piece(self, fam, rate):
+        assert fam.analytic_rate() == rate
+        assert validate_analytic_modulus(fam, pairs=50) <= 0.0
+
     def test_eps_delta_coupling(self):
         fam = sweep_family()
         sched = build_schedule(fam, 2.0, 0.1, 0.5, 3)

@@ -87,6 +87,33 @@ def test_cone_bound_scenarios(tmp_path):
         assert info["n_bar"] >= 0
 
 
+@pytest.mark.parametrize("name, fields, check, note", [
+    ("static_ball", {"checks": ["constraint", "cone_bound"]},
+     "cone_bound", "no interior cone declared"),
+    # A static ball certifies the whole horizon at every level: no step is
+    # shorter than half the persistence horizon.
+    ("static_ball", {"checks": ["constraint", "cone_bound"],
+                     "bound_params": {"cone": {"R": 0.5, "d": 0.5}}},
+     "cone_bound", "no schedule level satisfies the smallness conditions (eps and delta)"),
+    ("polytope_rotation", {"bound_params": {"cone": {"R": 0.25, "d": 0.05}}},
+     "cone_bound", "d must be at least lambda*R/2 for a nonnegative numerator"),
+    # A static excluded ball, r = 0.5: (|y0-w| + rho)^2 = 0.098^2 < 2*r*rho
+    # = 0.01, but the slack of the finest level, eps = 0.0125, breaks the
+    # condition at every level.
+    ("static_ball", {"y0": [2.0, 0.0], "checks": ["ball_bound"],
+                     "family": {"kind": "translate", "horizon": 1.0,
+                                "base": {"shape": "ball_complement", "center": [0.0, 0.0],
+                                         "radius": 0.5},
+                                "path": {"form": "constant", "value": [0.0, 0.0]}},
+                     "bound_params": {"ball": {"w": [2.088, 0.0], "rho": 0.01}}},
+     "ball_bound", "no schedule level satisfies the eps-augmented applicability condition"),
+], ids=["no_cone", "no_small_level", "cone_bound_raises", "no_ball_level"])
+def test_an_inapplicable_bound_never_reads_pass(name, fields, check, note, tmp_path):
+    doc = {**json.loads(builtin_text(name)), **fields}
+    result = run(parse_scenario(json.dumps(doc)), tmp_path).check(check)
+    assert (result.verdict, result.margin, result.note) == ("inapplicable", None, note)
+
+
 def test_svg_artifacts(tmp_path):
     import xml.etree.ElementTree as ET
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -566,15 +567,29 @@ def test_to_dict_round_trip(tag):
     assert back == shape
 
 
+def _refuse(self):
+    raise AssertionError("translated ran a shape constructor's checks")
+
+
 @pytest.mark.parametrize("tag", TAGS)
-def test_translated_moves_every_distance(tag):
+def test_translated_moves_every_distance(tag, monkeypatch):
     shape = SHAPE_BY_TAG[tag]
     u = np.array([0.7, -1.3])
-    moved = shape.translated(u)
+    # One slice builder: every translate skips the constructors' checks ...
+    with monkeypatch.context() as m:
+        for cls in sets_mod.SHAPES.values():
+            m.setattr(cls, "__post_init__", _refuse)
+        moved = shape.translated(u)
     assert type(moved) is type(shape)
+    # ... and still builds what the constructor builds from the moved fields.
+    fields = {f.name: getattr(moved, f.name) for f in dataclasses.fields(moved) if f.init}
+    rebuilt = type(shape)(**fields)
+    assert moved == rebuilt
     rng = np.random.default_rng(11)
     for y in rng.normal(scale=2.0, size=(50, 2)):
         assert abs(moved.distance(y + u) - shape.distance(y)) <= 1e-12
+        (p, d), (q, e) = moved.project_with_distance(y + u), rebuilt.project_with_distance(y + u)
+        assert p.tobytes() == q.tobytes() and d == e
 
 
 def _brute_circumradius(shape, p):

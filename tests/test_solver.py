@@ -9,9 +9,9 @@ from sweepsolve.errors import (
     TubeViolation,
 )
 from sweepsolve.families import RadiusFamily, RigidFamily, TranslateFamily
-from sweepsolve.geometry import TimeGrid
+from sweepsolve.geometry import RefinementSchedule, TimeGrid
 from sweepsolve.paths import ConstantPath, LinearPath
-from sweepsolve.sets import Ball, BallComplement, HalfSpace, Polytope, halfspace
+from sweepsolve.sets import Ball, BallComplement, HalfSpace, Polytope, ProxSet, halfspace
 from sweepsolve.solver import (
     DiscreteTrajectory,
     affine_interpolant,
@@ -20,6 +20,7 @@ from sweepsolve.solver import (
     step_interpolant,
     write_trajectory_csv,
 )
+from sweepsolve.variation import converge_study
 
 import oracles
 
@@ -173,6 +174,23 @@ def test_iterate_on_the_excluded_center_is_a_tube_violation():
     assert err.value.radius == 0.5
 
 
+def growing_hole():
+    # Excluded ball at the origin, radius 0.5 + 1.5t: the family r is 0.5.
+    return RadiusFamily(ConstantPath((0.0, 0.0)), LinearPath(0.5, 1.5), True, 1.0)
+
+
+def test_iterate_a_tube_radius_from_the_next_slice_is_a_tube_violation():
+    # On one interval the radius grows to 2: (1, 0) moves to (2, 0), 1.0 >= r.
+    with pytest.raises(TubeViolation) as err:
+        solve(growing_hole(), (1.0, 0.0), TimeGrid.uniform(1.0, 1), eps_level=0.4)
+    assert (err.value.step, err.value.distance, err.value.radius) == (1, 1.0, 0.5)
+    one_interval = RefinementSchedule(eps=(0.4,), delta=(1.0,), grids=(TimeGrid.dyadic(1.0, 0),),
+                                      r=0.5, eps0=0.4, ratio=0.5)
+    with pytest.raises(TubeViolation) as err:
+        converge_study(growing_hole(), (1.0, 0.0), one_interval)
+    assert err.value.level == 0
+
+
 def test_jump_bound_enforced():
     fam = sweep_family()
     grid = TimeGrid.uniform(2.0, 10)  # jumps of 0.2 per step once engaged
@@ -287,6 +305,18 @@ class TestCertification:
         # With fewer moving steps than the audit size, every step is audited.
         short = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 2), eps_level=1.5)
         assert all(c.audit is not None for c in certify_steps(fam, short))
+
+    def test_the_audit_tests_only_each_audited_iterate(self, monkeypatch):
+        # sample_points returns members: the audit tests x once per step.
+        fam = obstacle_family()
+        traj = solve(fam, (0.0, 0.1), TimeGrid.uniform(2.0, 400), eps_level=0.01)
+        tested = []
+        contains = ProxSet.contains
+        monkeypatch.setattr(ProxSet, "contains", lambda s, y: tested.append(1) or contains(s, y))
+        certs = certify_steps(fam, traj, seed=3)
+        audited = sum(c.audit is not None for c in certs)
+        assert audited == solver_mod.NORMAL_AUDIT_STEPS
+        assert len(tested) == audited
 
     def test_nan_bound_fails(self, monkeypatch):
         monkeypatch.setattr(HalfSpace, "_normal_defect", lambda self, x, n, R: float("nan"))
