@@ -8,8 +8,11 @@ bound of the normal-cone defect of a candidate normal (normal_defect), and
 seeded member sampling, which serves only the residual that audits those
 bounds and the sampled excess lower bounds.  Convex shapes carry r = inf and
 bypass curvature terms entirely; the ball complement is the nonconvex
-primitive with r equal to its radius.  Polytopes project by a finite primal
-active-set solve whose result is accepted only after an explicit KKT check.
+primitive with r equal to its radius.  The closed-form shapes (half-space,
+ball, ball complement) test a point and project it from one evaluation of
+their defining inequality; the others test it, then project it.  Polytopes
+project by a finite primal active-set solve whose result is accepted only
+after an explicit KKT check.
 
 Each shape class also owns its schema document (a tag in SHAPES plus
 to_dict/from_dict), its translate, its rules for bounds of the excess of one
@@ -204,7 +207,8 @@ class ProxSet(Schema):
 
     def _project_with_distance(self, y: np.ndarray, tol: float = CONTAINMENT_TOL) -> tuple:
         """(projection, distance) of y, y itself at distance 0 where the
-        membership defect is at most tol."""
+        membership defect is at most tol.  The closed-form shapes override it
+        to test and project from one evaluation of their defining inequality."""
         if self.membership_defect(y) <= tol:
             return y.copy(), 0.0
         return self._raw_project_with_distance(y)
@@ -242,9 +246,15 @@ class HalfSpace(ProxSet):
     def membership_defect(self, y):
         return float(self.normal @ y) - self.offset
 
-    def _raw_project_with_distance(self, y):
-        excess = max(float(self.normal @ y) - self.offset, 0.0)
+    def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
+        # One <normal, y> both tests y and projects it.
+        excess = float(self.normal @ y) - self.offset
+        if excess <= tol:
+            return y.copy(), 0.0
         return y - excess * self.normal, excess
+
+    def _raw_project_with_distance(self, y):
+        return self._project_with_distance(y, -math.inf)
 
     def _normal_defect(self, x, n, R):
         # <n, z-x> <= lam (offset - <a, x>) + |n - lam a| R for any lam >= 0.
@@ -306,7 +316,9 @@ def halfspace(normal, offset: float) -> HalfSpace:
 @dataclass(frozen=True, eq=False)
 class _Round(ProxSet):
     """Center and radius of the ball and the excluded ball, with their schema
-    document, translate, projection and distance; subclasses set tag and noun."""
+    document, translate, projection and distance; subclasses set tag, noun
+    and _sign, +1 for the ball and -1 for its complement: the membership
+    defect is _sign * (|y - center| - radius)."""
 
     center: np.ndarray
     radius: float
@@ -321,15 +333,24 @@ class _Round(ProxSet):
     def dim(self) -> int:
         return len(self.center)
 
-    def _raw_project_with_distance(self, y):
+    def membership_defect(self, y):
+        return self._sign * (norm(y - self.center) - self.radius)
+
+    def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
+        # One |y - c| both tests y and projects it.
         d = y - self.center
         dist = norm(d)
+        if self._sign * (dist - self.radius) <= tol:
+            return y.copy(), 0.0
         if dist == 0.0:
             # Only the excluded ball projects its center: every sphere point is nearest.
             raise AtSingularity("projection from the excluded-ball center is multi-valued")
         # A ball projects outside points, its complement inside ones: either
         # way the distance is |dist - radius|.
         return self.center + self.radius * d / dist, abs(dist - self.radius)
+
+    def _raw_project_with_distance(self, y):
+        return self._project_with_distance(y, -math.inf)
 
     def _raw_distance(self, y):
         return max(self.membership_defect(y), 0.0)
@@ -349,10 +370,8 @@ class _Round(ProxSet):
 class Ball(_Round):
     tag = "ball"
     noun = "ball"
+    _sign = 1.0
     bounded = True
-
-    def membership_defect(self, y):
-        return norm(y - self.center) - self.radius
 
     def bounding_region(self):
         half = self.radius + _REGION_PAD
@@ -675,14 +694,12 @@ class BallComplement(_Round):
 
     tag = "ball_complement"
     noun = "excluded-ball"
+    _sign = -1.0
     unbounded = True
 
     @property
     def r(self) -> float:
         return self.radius
-
-    def membership_defect(self, y):
-        return self.radius - norm(y - self.center)
 
     def bounding_region(self):
         half = 2.5 * self.radius + _REGION_PAD

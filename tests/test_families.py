@@ -559,6 +559,9 @@ def test_excess_of_a_rigid_image_over_a_convex_set_against_the_oracle(a, b):
 @settings(max_examples=80, deadline=None)
 @given(_rigid_bases(), st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
        st.floats(0.1, 2.0))
+# A ball 1e-12 off B's center: the excess, about 1e-12, is below the snap of
+# B.distance, so the witness is compared through the unsnapped distance.
+@example((Ball((0.0, 1e-12), 1.0), None, np.array([0.0, 1e-12])), (0.0, 0.0), 1.0)
 def test_a_ball_box_or_polygon_over_a_ball_against_the_oracle(based, c, rho):
     # A's farthest point from the center is deepest outside the ball.
     base, vertices, center = based
@@ -570,7 +573,7 @@ def test_a_ball_box_or_polygon_over_a_ball_against_the_oracle(based, c, rho):
     est = excess(base, B)
     assert est.method == "analytic" and est.lower == est.upper
     assert est.lower == pytest.approx(max(far - rho, 0.0), abs=1e-12)
-    assert B.distance(est.witness) == pytest.approx(est.lower, abs=1e-12)
+    assert B._distance(est.witness, 0.0) == pytest.approx(est.lower, abs=1e-12)
     assert base.distance(est.witness) <= 1e-12
 
 

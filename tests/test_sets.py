@@ -268,16 +268,16 @@ def test_sample_points_triangle_edges_represented():
 
 
 def test_sample_points_tests_each_draw_once(monkeypatch):
-    # One project_with_distance call both tests a draw and projects it when
+    # One _project_with_distance call both tests a draw and projects it when
     # rejected: one membership test per draw, however many are rejected.
     calls = []
-    defect = Ball.membership_defect
+    fused = Ball._project_with_distance
 
-    def counting(self, y):
+    def counting(self, y, *tol):
         calls.append(1)
-        return defect(self, y)
+        return fused(self, y, *tol)
 
-    monkeypatch.setattr(Ball, "membership_defect", counting)
+    monkeypatch.setattr(Ball, "_project_with_distance", counting)
     pts = sample_points(Ball((0.0, 0.0), 1.0), ((-2.0, -2.0), (2.0, 2.0)), 10, seed=7)
     radii = [np.linalg.norm(p) for p in pts]
     assert min(radii) < 1.0 - 1e-9, "no draw was a member"
@@ -288,6 +288,58 @@ def test_sample_points_tests_each_draw_once(monkeypatch):
     with pytest.raises(EmptyIntersection):
         sample_points(Ball((0.0, 0.0), 1.0), ((5.0, 5.0), (6.0, 6.0)), 10, seed=7)
     assert len(calls) == 10
+
+
+def _old_composition(shape, y, tol):
+    """(projection, distance) as a membership test followed by the raw
+    closed-form projection, each evaluating the defining inequality."""
+    if isinstance(shape, HalfSpace):
+        if float(shape.normal @ y) - shape.offset <= tol:
+            return y.copy(), 0.0
+        excess = max(float(shape.normal @ y) - shape.offset, 0.0)
+        return y - excess * shape.normal, excess
+    gap = sets_mod.norm(y - shape.center)
+    defect = gap - shape.radius if isinstance(shape, Ball) else shape.radius - gap
+    if defect <= tol:
+        return y.copy(), 0.0
+    d = y - shape.center
+    dist = sets_mod.norm(d)
+    if dist == 0.0:
+        raise AtSingularity("center")
+    return shape.center + shape.radius * d / dist, abs(dist - shape.radius)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["halfspace", "ball", "ball_complement"]),
+    st.sampled_from([sets_mod.CONTAINMENT_TOL, 0.0]),
+    st.floats(-3.2, 3.2),
+    st.floats(-2.0, 2.0),
+    st.floats(0.1, 3.0),
+    st.one_of(st.floats(-3.0, 3.0), st.floats(-2e-10, 2e-10)),
+)
+@example("halfspace", 0.0, 0.3, 0.5, 1.0, 0.0)
+@example("ball", sets_mod.CONTAINMENT_TOL, 1.0, -0.5, 2.0, 1e-10)
+@example("ball_complement", sets_mod.CONTAINMENT_TOL, -2.0, 0.25, 0.5, -1e-10)
+def test_closed_form_projection_is_the_old_test_then_project(tag, tol, angle, shift, size, off):
+    # One evaluation of the defining inequality gives, bit for bit, what the
+    # membership test and the separate projection gave, also within 1e-10 of
+    # the boundary where the tolerance decides.
+    u = np.array([math.cos(angle), math.sin(angle)])
+    if tag == "halfspace":
+        shape = HalfSpace(u, shift)
+        y = shape.boundary_anchor() + size * np.array([-u[1], u[0]]) + off * u
+    else:
+        center = np.array([shift, 0.5 * shift])
+        shape = (Ball if tag == "ball" else BallComplement)(center, size)
+        y = center + (size + off) * u
+    p, d = shape._project_with_distance(y, tol)
+    p_old, d_old = _old_composition(shape, y, tol)
+    assert np.array_equal(p, p_old) and p is not y
+    assert d == d_old and math.copysign(1.0, d) == math.copysign(1.0, d_old)
+    if tag == "ball_complement":
+        with pytest.raises(AtSingularity):
+            shape._project_with_distance(shape.center.copy(), tol)
 
 
 def test_sample_points_window_meeting_the_set_on_an_edge():

@@ -69,6 +69,25 @@ def test_polytope_step_solves_once(family, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "family, y0", [(sweep_family(), (0.0, 0.0)), (obstacle_family(), (0.0, 0.1))],
+    ids=["sweep", "obstacle"],
+)
+def test_a_moved_step_evaluates_membership_once(family, y0, monkeypatch):
+    # A closed-form slice tests and projects the iterate from one evaluation
+    # of its defining inequality, so the one membership_defect call per moved
+    # step is its recorded residual, and an unmoved step makes none; the
+    # extra call is y0's containment check.
+    cls = type(family.at(0.0))
+    calls = []
+    defect = cls.membership_defect
+    monkeypatch.setattr(cls, "membership_defect", lambda s, y: calls.append(1) or defect(s, y))
+    traj = solve(family, y0, TimeGrid.uniform(family.horizon, 64), eps_level=0.05)
+    moved = int(np.any(np.diff(traj.points, axis=0) != 0.0, axis=1).sum())
+    assert 0 < moved < 64
+    assert len(calls) == 1 + moved
+
+
+@pytest.mark.parametrize(
     "family, y0, eps_level",
     [
         (obstacle_family(), (0.0, 0.1), 0.05),

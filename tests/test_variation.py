@@ -11,7 +11,7 @@ from sweepsolve.families import (
     TranslateFamily,
     build_schedule,
 )
-from sweepsolve.geometry import TimeGrid
+from sweepsolve.geometry import RefinementSchedule, TimeGrid
 from sweepsolve.paths import ConstantPath, LinearPath
 from sweepsolve.sets import Ball, HalfSpace
 from sweepsolve.solver import DiscreteTrajectory, affine_interpolant, solve
@@ -200,22 +200,20 @@ class TestConvergeStudy:
         sampled = np.sum(np.linalg.norm(np.diff(along_coarse, axis=0), axis=1))
         assert sampled <= rep.variations[-1] + 1e-12
 
-    def test_tube_violation_carries_level(self):
-        fam = RadiusFamiliy = RadiusFamily(
+    def test_excluded_ball_center_violation_carries_level(self):
+        # The hole's center reaches y0 at t = 1: solve's excluded-ball-center branch.
+        fam = RadiusFamily(
             LinearPath((-1.0, 0.0), (1.0, 0.0)),
             ConstantPath(0.5),
             True,
             2.0,
             declared_r=0.05,
         )
-        sched = build_schedule(fam, 2.0, 0.04, 0.5, 2)
-        # force a coarse grid by replacing level 0 with a 2-interval grid
-        from sweepsolve.geometry import RefinementSchedule, TimeGrid as TG
-
+        # One level of two intervals, coarse enough to land on the center.
         coarse = RefinementSchedule(
             eps=(0.04,),
             delta=(1.0,),
-            grids=(TG.dyadic(2.0, 1),),
+            grids=(TimeGrid.dyadic(2.0, 1),),
             r=0.05,
             eps0=0.04,
             ratio=0.5,
