@@ -9,8 +9,9 @@ for any A over a ball complement; for a ball, a box or a bounded 2-D
 polytope over a ball (from A's farthest point); for a half-space over a
 convex B that is bounded, has a face normal not parallel to its own, or has
 only its own; over any other convex B for a box, a bounded 2-D polytope, a
-ball whose center lies outside B and an unbounded set over a bounded one;
-and for rigid images of these.  A ball whose center lies in B gets a
+ball whose center lies outside B, a ball inside a polyhedral B or with its
+center in a half-space, and an unbounded set over a bounded one; and for
+rigid images of these.  Any other ball whose center lies in B gets a
 two-sided bound.  Only the pairs left (another unbounded polyhedron over an
 unbounded convex set; a polytope in dimension 3 or more; a rigid image of a
 ball complement as B) are sampled, a lower bound with upper = inf.  Families
@@ -125,9 +126,9 @@ def excess(A: ProxSet, B: ProxSet, budget: SamplingBudget | None = None) -> Exce
     (B.excess_of(A)), else a sampled lower bound (member sampling plus local
     hill-climbing, as the budget sets).
 
-    The rules take distances with no CONTAINMENT_TOL snap (tol = 0.0): a point
-    is at distance 0 only where it meets every defining inequality, so upper
-    carries no containment allowance, and both ends are exact up to rounding.
+    The rules take each shape's one projection and distance with tol = 0.0,
+    no CONTAINMENT_TOL snap: a point is at distance 0 only where it meets every
+    defining inequality, so upper carries no containment allowance.
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"excess between dim {A.dim} and dim {B.dim}")

@@ -8,9 +8,9 @@ bound of the normal-cone defect of a candidate normal (normal_defect), and
 seeded member sampling, which serves only the residual that audits those
 bounds and the sampled excess lower bounds.  Convex shapes carry r = inf and
 bypass curvature terms entirely; the ball complement is the nonconvex
-primitive with r equal to its radius.  The closed-form shapes (half-space,
-ball, ball complement) test a point and project it from one evaluation of
-their defining inequality; the others test it, then project it.  Polytopes
+primitive with r equal to its radius.  Each shape tests a point and
+projects it in one method, the closed-form shapes (half-space, ball, ball
+complement) from one evaluation of their defining inequality.  Polytopes
 project by a finite primal active-set solve whose result is accepted only
 after an explicit KKT check.
 
@@ -87,15 +87,6 @@ class ProxSet(Schema):
         """
         raise NotImplementedError
 
-    def _raw_project_with_distance(self, y: np.ndarray) -> tuple:
-        """(nearest point, distance) of a non-member y."""
-        raise NotImplementedError
-
-    def _raw_distance(self, y: np.ndarray) -> float:
-        """Distance of a non-member y; shapes override it where a closed form
-        is cheaper than the projection."""
-        return self._raw_project_with_distance(y)[1]
-
     def bounding_region(self):
         """Axis-aligned window enclosing (a representative part of) the set."""
         raise NotImplementedError
@@ -120,7 +111,8 @@ class ProxSet(Schema):
         return None
 
     def face_normals(self) -> np.ndarray:
-        """(k, dim) array of the unit outward normals of the faces."""
+        """(k, dim) array of the unit outward normals of the faces, whose
+        half-spaces meet in the set when k >= 1."""
         return np.zeros((0, self.dim))
 
     def excess_of(self, A: "ProxSet"):
@@ -192,11 +184,9 @@ class ProxSet(Schema):
         return self._distance(self._vector(y))
 
     def _distance(self, y: np.ndarray, tol: float = CONTAINMENT_TOL) -> float:
-        """Distance of y, snapped to 0 where the membership defect is at most
-        tol; with tol = 0.0, 0 only where every defining inequality holds."""
-        if self.membership_defect(y) <= tol:
-            return 0.0
-        return self._raw_distance(y)
+        """The distance of _project_with_distance(y, tol); the closed-form
+        shapes override it to skip the projection."""
+        return self._project_with_distance(y, tol)[1]
 
     def project(self, y) -> np.ndarray:
         return self.project_with_distance(y)[0]
@@ -206,12 +196,10 @@ class ProxSet(Schema):
         return self._project_with_distance(self._vector(y))
 
     def _project_with_distance(self, y: np.ndarray, tol: float = CONTAINMENT_TOL) -> tuple:
-        """(projection, distance) of y, y itself at distance 0 where the
-        membership defect is at most tol.  The closed-form shapes override it
-        to test and project from one evaluation of their defining inequality."""
-        if self.membership_defect(y) <= tol:
-            return y.copy(), 0.0
-        return self._raw_project_with_distance(y)
+        """(projection, distance) of y, tested and projected by each shape: a
+        copy of y at distance 0 where the membership defect is at most tol
+        (with tol = 0.0, where every defining inequality holds), else above tol."""
+        raise NotImplementedError
 
     @classmethod
     def _from_valid(cls, **fields) -> "ProxSet":
@@ -253,8 +241,9 @@ class HalfSpace(ProxSet):
             return y.copy(), 0.0
         return y - excess * self.normal, excess
 
-    def _raw_project_with_distance(self, y):
-        return self._project_with_distance(y, -math.inf)
+    def _distance(self, y, tol=CONTAINMENT_TOL):
+        defect = self.membership_defect(y)  # a non-member's distance
+        return 0.0 if defect <= tol else defect  # NaN stays NaN
 
     def _normal_defect(self, x, n, R):
         # <n, z-x> <= lam (offset - <a, x>) + |n - lam a| R for any lam >= 0.
@@ -349,11 +338,9 @@ class _Round(ProxSet):
         # way the distance is |dist - radius|.
         return self.center + self.radius * d / dist, abs(dist - self.radius)
 
-    def _raw_project_with_distance(self, y):
-        return self._project_with_distance(y, -math.inf)
-
-    def _raw_distance(self, y):
-        return max(self.membership_defect(y), 0.0)
+    def _distance(self, y, tol=CONTAINMENT_TOL):
+        defect = self.membership_defect(y)  # a non-member's distance, also at the center
+        return 0.0 if defect <= tol else defect  # NaN stays NaN
 
     def translated(self, u):
         # The radius, still positive, is kept.
@@ -406,18 +393,22 @@ class Ball(_Round):
     def _excess_over_convex(self, other):
         c = self.center
         p, d = other._project_with_distance(c, 0.0)
-        if d > 0.0:
-            # d(., other) grows at rate 1 along the outward normal (c - p)/d
-            # and at most at rate 1 anywhere: d(c, other) + radius is exact.
-            return d + self.radius, d + self.radius, c + (self.radius / d) * (c - p)
-        # The center is a member: probe the far points along other's face
-        # normals and +-e_i (a box's normals are among them); d(., other) is 0
-        # at c and 1-Lipschitz, so the radius bounds it above.
-        dirs = np.vstack([other.face_normals(), np.eye(self.dim), -np.eye(self.dim)])
+        if d > CONTAINMENT_TOL:
+            # d(., other) grows at rate 1 along the outward normal (c - p)/|c - p|
+            # (not /d: p's rounding, as a rigid image moves it back, swamps a
+            # tiny d) and at most at rate 1 anywhere: d + radius is exact.
+            return d + self.radius, d + self.radius, c + (self.radius / norm(c - p)) * (c - p)
+        # The center is in other or within rounding of it: probe the far
+        # points along other's face normals and +-e_i; d(., other) is 1-Lipschitz,
+        # so d + radius bounds it above.  Exact for one face: (<n, c> + radius - b)^+;
+        # and 0 when every probe is a member, for then the ball lies in other.
+        normals = other.face_normals()
+        dirs = np.vstack([normals, np.eye(self.dim), -np.eye(self.dim)])
         far = c + self.radius * (dirs / np.linalg.norm(dirs, axis=1)[:, None])
         dists = [other._distance(x, 0.0) for x in far]
         k = int(np.argmax(dists))
-        return dists[k], self.radius, far[k]
+        exact = len(normals) == 1 or (len(normals) > 1 and dists[k] == 0.0)
+        return dists[k], dists[k] if exact else d + self.radius, far[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,7 +432,9 @@ class Box(ProxSet):
     def membership_defect(self, y):
         return float(np.max(np.maximum(self.lo - y, y - self.hi)))
 
-    def _raw_project_with_distance(self, y):
+    def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
+        if self.membership_defect(y) <= tol:
+            return y.copy(), 0.0
         p = np.clip(y, self.lo, self.hi)
         return p, norm(y - p)
 
@@ -468,6 +461,9 @@ class Box(ProxSet):
 
     def vertices(self):
         return np.array(list(itertools.product(*zip(self.lo, self.hi))))
+
+    def face_normals(self):
+        return np.vstack([np.eye(self.dim), -np.eye(self.dim)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -602,7 +598,9 @@ class Polytope(ProxSet):
                 f"off-face {off_face:.3e}, stationarity {stationarity:.3e})"
             )
 
-    def _raw_project_with_distance(self, y):
+    def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
+        if self.membership_defect(y) <= tol:
+            return y.copy(), 0.0
         p = self._solve(y)[0]
         return p, norm(y - p)
 
@@ -801,12 +799,13 @@ class RigidImage(ProxSet):
     def membership_defect(self, y):
         return self.base.membership_defect(self._pull(y))
 
-    def _raw_distance(self, y):
-        return self.base._raw_distance(self._pull(y))
+    def _distance(self, y, tol=CONTAINMENT_TOL):
+        return self.base._distance(self._pull(y), tol)
 
-    def _raw_project_with_distance(self, y):
-        p, d = self.base._raw_project_with_distance(self._pull(y))
-        return self.rotation @ p + self.translation, d
+    def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
+        p, d = self.base._project_with_distance(self._pull(y), tol)
+        # Every shape puts a non-member above tol >= 0: d = 0.0 is a member, kept bit for bit.
+        return (y.copy(), 0.0) if d == 0.0 else (self.rotation @ p + self.translation, d)
 
     def _normal_defect(self, x, n, R):
         # The rotation keeps inner products and the Euclidean window radius.

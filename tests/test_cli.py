@@ -96,9 +96,9 @@ def test_excess_command(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "0.5 <= e <= 0.5 [analytic]" in out
-    # The ball's center lies in the half-space: a two-sided bound, radius above.
+    # The ball's center lies in the half-space: exact from the probe along its normal.
     assert main(["excess", "static_ball", "sweep_halfspace", "--t", "0.0", "0.5"]) == 0
-    assert "0.5 <= e <= 1 [interval]" in capsys.readouterr().out
+    assert "0.5 <= e <= 0.5 [analytic]" in capsys.readouterr().out
 
 
 def test_verify_command(capsys):

@@ -183,14 +183,36 @@ class TestSlices:
                                              r"slice: its excess is bounded only by 5\.000e-01"):
             PiecewiseFamily(((1.0, p2), (2.0, p1)))
 
-    def test_jump_without_a_closed_form_rejected(self):
-        # The ball sticks out of the half-space by 1e-6, which sampling misses;
-        # with its center inside, the excess is bounded only by its radius.
+    def test_jump_out_of_a_half_space_by_1e_6_rejected(self):
+        # The ball sticks out of the half-space by 1e-6; with its center
+        # inside, the probe along the one face normal gives that excess exactly.
         ball = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
         plane = TranslateFamily(halfspace((1.0, 0.0), 1.0 - 1e-6), ConstantPath((0.0, 0.0)), 2.0)
         with pytest.raises(ValueError, match="from a ball slice to a halfspace slice: its excess "
-                                             r"is bounded only by 1\.000e\+00"):
+                                             r"is bounded only by 1\.000e-06"):
             PiecewiseFamily(((0.5, ball), (2.0, plane)))
+
+    def test_a_ball_inside_a_polyhedral_set_has_an_exact_excess(self):
+        # The unit ball jumps to the half-space {x_1 <= 2} that holds it.
+        ball, plane = Ball((0.0, 0.0), 1.0), halfspace((1.0, 0.0), 2.0)
+        still = ConstantPath((0.0, 0.0))
+        fam = PiecewiseFamily(((1.0, TranslateFamily(ball, still, 1.0)),
+                               (2.0, TranslateFamily(plane, still, 2.0))))
+        assert fam.at(1.0) == plane
+        # Every probe along a face normal is a member: the ball lies inside.
+        triangle = Polytope(
+            (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
+            (0.2, 0.2),
+        )
+        box = Box((-2.0, -1.5), (2.0, 1.5))
+        rotated = RigidImage(box, rotation_matrix_2d(0.6), (0.3, -0.2))
+        for A, B in ((ball, plane), (Ball((0.25, 0.25), 0.1), triangle), (ball, box),
+                     (ball, rotated)):
+            est = excess(A, B)
+            assert (est.lower, est.upper, est.method) == (0.0, 0.0, "analytic")
+        # A ball that pokes out of the box keeps the interval up to its radius.
+        est = excess(Ball((1.5, 1.0), 1.0), box)
+        assert (est.lower, est.upper, est.method) == (0.5, 1.0, "interval")
 
     def test_jump_from_a_triangle_into_a_ball_admitted_and_back_rejected(self):
         triangle = Polytope(
@@ -554,6 +576,18 @@ def test_excess_of_a_polygon_box_or_ball_over_a_convex_set_against_the_oracle(a,
 @given(_oracle_shapes(rigid=True), _CONVEX)
 def test_excess_of_a_rigid_image_over_a_convex_set_against_the_oracle(a, b):
     _check_excess_over_convex(a, b)
+
+
+@pytest.mark.parametrize("angle, height", [(2.0, 1.0), (0.3, -0.7), (2.9, 0.25)])
+def test_a_rigid_ball_centered_on_a_half_plane_has_its_witness_on_the_far_side(angle, height):
+    # Rotated by the half-plane's own angle, the center lands on its boundary
+    # up to rounding: the excess is the radius, reached at center + normal.
+    normal = (math.cos(angle), math.sin(angle))
+    A = RigidImage(Ball((0.0, height), 1.0), rotation_matrix_2d(angle), (0.0, 0.0))
+    est = excess(A, halfspace(normal, 0.0))
+    assert est.method == "analytic" and est.lower == est.upper == pytest.approx(1.0, abs=1e-12)
+    assert A.distance(est.witness) <= 1e-12
+    assert oracles.polygon_distance([(normal, 0.0)], est.witness) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=80, deadline=None)

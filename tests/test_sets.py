@@ -290,28 +290,80 @@ def test_sample_points_tests_each_draw_once(monkeypatch):
     assert len(calls) == 10
 
 
-def _old_composition(shape, y, tol):
-    """(projection, distance) as a membership test followed by the raw
-    closed-form projection, each evaluating the defining inequality."""
+def _old_project(shape, y, tol):
+    """(projection, distance) as the membership test followed by the separate
+    projection of a non-member, which evaluates the defining inequality, or
+    pulls y back, once more; tol = -inf skips the test."""
+    if shape.membership_defect(y) <= tol:
+        return y.copy(), 0.0
+    if isinstance(shape, RigidImage):
+        p, d = _old_project(shape.base, shape.rotation.T @ (y - shape.translation), -math.inf)
+        return shape.rotation @ p + shape.translation, d
     if isinstance(shape, HalfSpace):
-        if float(shape.normal @ y) - shape.offset <= tol:
-            return y.copy(), 0.0
         excess = max(float(shape.normal @ y) - shape.offset, 0.0)
         return y - excess * shape.normal, excess
-    gap = sets_mod.norm(y - shape.center)
-    defect = gap - shape.radius if isinstance(shape, Ball) else shape.radius - gap
-    if defect <= tol:
-        return y.copy(), 0.0
-    d = y - shape.center
-    dist = sets_mod.norm(d)
-    if dist == 0.0:
-        raise AtSingularity("center")
-    return shape.center + shape.radius * d / dist, abs(dist - shape.radius)
+    if isinstance(shape, (Ball, BallComplement)):
+        d = y - shape.center
+        dist = sets_mod.norm(d)
+        if dist == 0.0:
+            raise AtSingularity("center")
+        return shape.center + shape.radius * d / dist, abs(dist - shape.radius)
+    p = np.clip(y, shape.lo, shape.hi) if isinstance(shape, Box) else shape._solve(y)[0]
+    return p, sets_mod.norm(y - p)
 
 
-@settings(max_examples=300, deadline=None)
+def _old_distance(shape, y, tol):
+    """The distance as the membership test followed by the separate distance
+    of a non-member: a round shape's defect, else its projection's."""
+    if shape.membership_defect(y) <= tol:
+        return 0.0
+    if isinstance(shape, RigidImage):
+        return _old_distance(shape.base, shape.rotation.T @ (y - shape.translation), -math.inf)
+    if isinstance(shape, (Ball, BallComplement)):
+        return max(shape.membership_defect(y), 0.0)
+    return _old_project(shape, y, -math.inf)[1]
+
+
+_BIT_TAGS = ["halfspace", "ball", "ball_complement", "box", "polytope", "rigid_halfspace",
+             "rigid_ball_complement", "rigid_polytope"]
+_BIT_ROTATION = rotation_matrix_2d(0.9)
+
+
+def _bit_case(tag, angle, shift, size, off):
+    """A shape of the tag and a point off its boundary by off along the
+    outward normal there (for the round shapes, off along the radius)."""
+    u = np.array([math.cos(angle), math.sin(angle)])
+    center = np.array([shift, 0.5 * shift])
+    if tag == "halfspace":
+        shape = HalfSpace(u, shift)
+        return shape, shape.boundary_anchor() + size * np.array([-u[1], u[0]]) + off * u
+    if tag in ("ball", "ball_complement"):
+        shape = (Ball if tag == "ball" else BallComplement)(center, size)
+        return shape, center + (size + off) * u
+    # y0 is a non-member; its projection q lies on the boundary.
+    if tag == "box":
+        shape, y0 = Box(center, center + (size, 1.0)), center + 5.0 * u
+    elif tag == "polytope":
+        faces = (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0),
+                 halfspace((1.0, 1.0), size))
+        shape = Polytope(faces, (0.2 * size, 0.2 * size)).translated(center)
+        y0 = center + 5.0 * u
+    elif tag == "rigid_halfspace":
+        base = HalfSpace(u, shift)
+        shape = RigidImage(base, _BIT_ROTATION, center)
+        y0 = _BIT_ROTATION @ (base.boundary_anchor() + size * np.array([-u[1], u[0]]) + u) + center
+    elif tag == "rigid_ball_complement":
+        shape = RigidImage(BallComplement(center, size), _BIT_ROTATION, (0.3, -0.4))
+        y0 = _BIT_ROTATION @ (center + 0.5 * size * u) + shape.translation
+    else:
+        shape, y0 = RigidImage(TRIANGLE, _BIT_ROTATION, center), center + 5.0 * u
+    q, d = shape.project_with_distance(y0)
+    return shape, q + off * (y0 - q) / d
+
+
+@settings(max_examples=400, deadline=None)
 @given(
-    st.sampled_from(["halfspace", "ball", "ball_complement"]),
+    st.sampled_from(_BIT_TAGS),
     st.sampled_from([sets_mod.CONTAINMENT_TOL, 0.0]),
     st.floats(-3.2, 3.2),
     st.floats(-2.0, 2.0),
@@ -321,25 +373,100 @@ def _old_composition(shape, y, tol):
 @example("halfspace", 0.0, 0.3, 0.5, 1.0, 0.0)
 @example("ball", sets_mod.CONTAINMENT_TOL, 1.0, -0.5, 2.0, 1e-10)
 @example("ball_complement", sets_mod.CONTAINMENT_TOL, -2.0, 0.25, 0.5, -1e-10)
+@example("box", sets_mod.CONTAINMENT_TOL, 0.2, 0.5, 1.0, 1.5e-10)
+@example("polytope", 0.0, 0.8, -0.5, 2.0, 1e-12)
+@example("rigid_halfspace", sets_mod.CONTAINMENT_TOL, -1.0, 1.0, 0.5, 5e-11)
+@example("rigid_ball_complement", 0.0, 2.0, 0.0, 1.0, -1e-10)
+@example("rigid_ball_complement", sets_mod.CONTAINMENT_TOL, 0.0, 0.0, 0.109375, 0.109375)
+@example("rigid_polytope", sets_mod.CONTAINMENT_TOL, 0.8, 0.3, 1.0, -1e-10)
 def test_closed_form_projection_is_the_old_test_then_project(tag, tol, angle, shift, size, off):
-    # One evaluation of the defining inequality gives, bit for bit, what the
-    # membership test and the separate projection gave, also within 1e-10 of
-    # the boundary where the tolerance decides.
-    u = np.array([math.cos(angle), math.sin(angle)])
-    if tag == "halfspace":
-        shape = HalfSpace(u, shift)
-        y = shape.boundary_anchor() + size * np.array([-u[1], u[0]]) + off * u
-    else:
-        center = np.array([shift, 0.5 * shift])
-        shape = (Ball if tag == "ball" else BallComplement)(center, size)
-        y = center + (size + off) * u
-    p, d = shape._project_with_distance(y, tol)
-    p_old, d_old = _old_composition(shape, y, tol)
-    assert np.array_equal(p, p_old) and p is not y
-    assert d == d_old and math.copysign(1.0, d) == math.copysign(1.0, d_old)
-    if tag == "ball_complement":
+    # Each shape's one projection gives, bit for bit, what the membership
+    # test and the separate projection gave, also within 1e-10 of the
+    # boundary where the tolerance decides; so does its distance.
+    shape, y = _bit_case(tag, angle, shift, size, off)
+    try:
+        p_old, d_old = _old_project(shape, y, tol)
+    except AtSingularity:
+        # y landed on the excluded-ball center.
         with pytest.raises(AtSingularity):
-            shape._project_with_distance(shape.center.copy(), tol)
+            shape._project_with_distance(y, tol)
+    else:
+        p, d = shape._project_with_distance(y, tol)
+        assert p.tobytes() == p_old.tobytes() and p is not y
+        assert d == d_old and math.copysign(1.0, d) == math.copysign(1.0, d_old)
+    dist, dist_old = shape._distance(y, tol), _old_distance(shape, y, tol)
+    assert dist == dist_old and math.copysign(1.0, dist) == math.copysign(1.0, dist_old)
+
+
+@pytest.mark.parametrize("tag", _BIT_TAGS)
+def test_projection_of_nan_is_at_distance_nan(tag):
+    shape, _ = _bit_case(tag, 0.3, 0.5, 1.0, 0.0)
+    y = np.array([math.nan, 0.2])
+    for tol in (sets_mod.CONTAINMENT_TOL, 0.0):
+        assert math.isnan(shape._distance(y, tol)) and math.isnan(_old_distance(shape, y, tol))
+        assert math.isnan(shape._project_with_distance(y, tol)[1])
+
+
+def test_rigid_image_returns_a_member_with_its_own_bits():
+    moved = RigidImage(TRIANGLE, _BIT_ROTATION, (0.3, -0.4))
+    rng = np.random.default_rng(5)
+    # Members whose pull-back and push-forward round away from their bits.
+    members = [y for y in rng.uniform(-0.5, 1.5, (200, 2)) if moved.membership_defect(y) <= 0.0]
+    moved_bits = [y for y in members
+                  if (_BIT_ROTATION @ moved._pull(y) + moved.translation).tobytes() != y.tobytes()]
+    assert moved_bits
+    for y in moved_bits:
+        for tol in (sets_mod.CONTAINMENT_TOL, 0.0):
+            p, d = moved._project_with_distance(y, tol)
+            assert d == 0.0 and p.tobytes() == y.tobytes() and p is not y
+
+
+def test_excluded_ball_center_has_a_distance_but_no_projection():
+    bc = BallComplement((0.0, 0.0), 0.7)
+    moved = RigidImage(bc, rotation_matrix_2d(0.4), (0.3, -0.2))
+    # The rigid image pulls its translation back to the base's center exactly.
+    for shape, center in ((bc, bc.center.copy()), (moved, moved.translation.copy())):
+        for tol in (sets_mod.CONTAINMENT_TOL, 0.0):
+            assert shape._distance(center, tol) == 0.7
+            with pytest.raises(AtSingularity):
+                shape._project_with_distance(center, tol)
+
+
+@pytest.mark.parametrize("shape, y", [
+    (Ball((0.0, 0.0), 1.0), (2.0, 0.5)),
+    (BallComplement((0.0, 0.0), 1.0), (0.3, 0.1)),
+    (Box((0.0, 0.0), (1.0, 1.0)), (2.0, 0.5)),
+    (TRIANGLE, (1.0, 1.0)),
+], ids=["ball", "ball_complement", "box", "polytope"])
+def test_distance_of_a_non_member_evaluates_its_inequality_once(shape, y, monkeypatch):
+    calls = []
+    defect = type(shape).membership_defect
+
+    def counting(self, z):
+        calls.append(1)
+        return defect(self, z)
+
+    monkeypatch.setattr(type(shape), "membership_defect", counting)
+    assert shape._distance(np.array(y)) > 0.0
+    assert len(calls) == 1
+
+
+def test_rigid_image_pulls_a_non_member_back_once(monkeypatch):
+    calls = []
+    pull = RigidImage._pull
+
+    def counting(self, y):
+        calls.append(1)
+        return pull(self, y)
+
+    monkeypatch.setattr(RigidImage, "_pull", counting)
+    y = np.array([3.0, 2.0])
+    for base in (Ball((0.0, 0.0), 1.0), TRIANGLE):
+        moved = RigidImage(base, rotation_matrix_2d(0.4), (0.3, -0.2))
+        for call in (lambda: moved._project_with_distance(y)[1], lambda: moved._distance(y)):
+            calls.clear()
+            assert call() > 0.0
+            assert len(calls) == 1
 
 
 def test_sample_points_window_meeting_the_set_on_an_edge():
@@ -609,6 +736,26 @@ def test_every_registered_shape_has_a_case():
         assert type(shape) is sets_mod.SHAPES[tag]
 
 
+# The hooks ProxSet leaves abstract, with the number of arguments after self.
+_ABSTRACT_HOOKS = {"membership_defect": 1, "_project_with_distance": 1, "_normal_defect": 3,
+                   "bounding_region": 0, "translated": 1, "to_dict": 0, "from_dict": 0}
+
+
+def test_every_registered_shape_defines_every_abstract_hook():
+    # A shape that inherited one would raise NotImplementedError at its first
+    # use, say its first projection in solve.
+    for hook, count in _ABSTRACT_HOOKS.items():
+        with pytest.raises(NotImplementedError):
+            if hook == "from_dict":
+                sets_mod.ProxSet.from_dict(None)
+            else:
+                getattr(sets_mod.ProxSet, hook)(None, *[None] * count)
+    for cls in sets_mod.SHAPES.values():
+        for hook in _ABSTRACT_HOOKS:
+            owner = next(k for k in cls.__mro__ if hook in vars(k))
+            assert owner is not sets_mod.ProxSet, f"{cls.__name__} inherits ProxSet.{hook}"
+
+
 @pytest.mark.parametrize("tag", TAGS)
 def test_to_dict_round_trip(tag):
     shape = SHAPE_BY_TAG[tag]
@@ -722,15 +869,15 @@ _ORACLE_PAIRS = [("ball", "box"), ("box", "polytope"), ("ball", "ball_complement
 
 @pytest.mark.parametrize("a, b", itertools.product(TAGS, TAGS))
 def test_excess_method_for_every_pair(a, b):
-    """Every ordered pair has a rule: exact, bar a ball over a half-space whose
-    center lies inside it, which gets a two-sided bound.  None is sampled."""
+    """Every ordered pair has an exact rule; none is sampled."""
     A, B = SHAPE_BY_TAG[a], SHAPE_BY_TAG[b]
     est = excess(A, B, SamplingBudget(count=20, hill_steps=5, seed=3))
+    assert est.method == "analytic"
+    assert est.lower == est.upper
     if (a, b) == ("ball", "halfspace"):
-        assert est.method == "interval" and est.lower < est.upper
-    else:
-        assert est.method == "analytic"
-        assert est.lower == est.upper
+        # The center lies in the half-space: the probe along its normal.
+        assert est.lower == pytest.approx(
+            float(B.normal @ A.center) + A.radius - B.offset, abs=1e-12)
     if est.lower < math.inf:
         assert A.distance(est.witness) <= 1e-12
         assert B.distance(est.witness) == pytest.approx(est.lower, abs=1e-12)
