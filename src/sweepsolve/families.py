@@ -22,13 +22,14 @@ bounds.  An inner ball is checked by one exact
 depth evaluation per slice (a member's depth is minus its membership
 defect) at INNER_BALL_TIMES times; between them it is not checked.
 
-Every slice comes from one builder, MovingFamily.slices(times); at(t) is
-slices over one time.  It checks the times once, evaluates each path once on
-the whole array and builds each slice with ProxSet._from_valid, skipping the
-shape's checks: the family checked its base and paths once, and moving them
-keeps them valid (a translate keeps a unit normal, a box's lo < hi and a
-polytope's strictly feasible interior point, a radius stays above the
-schedule's checked minimum, rotation_matrix_2d is orthogonal).
+Every slice comes from one field table, MovingFamily.slice_fields(times),
+which checks the times once and evaluates each path once on the whole
+array; slices(times) builds a slice from each row with ProxSet._from_rows,
+and at(t) is slices over one time.  No shape's checks run: the family
+checked its base and paths once, and moving them keeps them valid (a
+translate keeps a unit normal, a box's lo < hi and a polytope's strictly
+feasible interior point, a radius stays above the schedule's checked
+minimum, rotation_matrix_2d is orthogonal).
 
 Each schema family class owns its schema document (a kind tag in FAMILIES
 plus to_dict/from_dict): a new family kind is one class plus one entry there.
@@ -201,20 +202,26 @@ class MovingFamily(Schema):
         return next(self.slices((t,)))
 
     def slices(self, times):
-        """Generator of the slices at times, a nondecreasing 1-D array within
-        [0, horizon].  OutOfRange, for a time outside it (NaN included) or out
-        of order, is raised here, before any slice is built."""
+        """Generator of the slices at times, built from slice_fields(times),
+        which checks the times before any slice is built."""
+        return chain.from_iterable(cls._from_rows(rows) for cls, rows in self.slice_fields(times))
+
+    def slice_fields(self, times) -> list:
+        """The slices at times, a nondecreasing 1-D array within [0, horizon],
+        as (shape class, rows) for each piece of the family in time order,
+        rows mapping each field name to its values, one per time in the
+        piece.  OutOfRange, for a time outside the horizon (NaN included) or
+        out of order, is raised here."""
         ts = np.asarray(times, dtype=float)
         inside = (ts >= 0.0) & (ts <= self.horizon)
         if not inside.all():
             raise OutOfRange(f"t={ts[~inside][0]} outside [0, {self.horizon}]")
-        if np.any(ts[1:] < ts[:-1]):
+        if (ts[1:] < ts[:-1]).any():
             raise OutOfRange("slice times must be nondecreasing")
-        return self._slices(ts)
+        return self._slice_fields(ts)
 
-    def _slices(self, times: np.ndarray):
-        """The slices at checked times: each path evaluated once on the whole
-        array, each slice built by ProxSet._from_valid."""
+    def _slice_fields(self, times: np.ndarray) -> list:
+        """slice_fields at checked times, each path evaluated on the whole array."""
         raise NotImplementedError
 
     def analytic_rate(self) -> float:
@@ -259,8 +266,9 @@ class TranslateFamily(MovingFamily):
     def dim(self):
         return self.base.dim
 
-    def _slices(self, times):
-        return map(self.base.translated, np.reshape(self.path(times), (len(times), self.dim)))
+    def _slice_fields(self, times):
+        U = np.reshape(self.path(times), (len(times), self.dim))
+        return [(type(self.base), self.base._moved(U))]
 
     def analytic_rate(self):
         return self.path.max_speed()
@@ -298,12 +306,10 @@ class RadiusFamily(MovingFamily):
     def dim(self):
         return len(np.atleast_1d(self.center(0.0)))
 
-    def _slices(self, times):
-        shape = BallComplement if self.complement else Ball
-        centers = np.reshape(self.center(times), (len(times), self.dim))
-        centers.flags.writeable = False
-        for c, rad in zip(centers, self.radius(times)):
-            yield shape._from_valid(center=c, radius=float(rad))
+    def _slice_fields(self, times):
+        centers = readonly(np.reshape(self.center(times), (len(times), self.dim)), 2)
+        return [(BallComplement if self.complement else Ball,
+                 {"center": centers, "radius": self.radius(times).tolist()})]
 
     def analytic_rate(self):
         # Excess grows when a ball shrinks, or when an excluded ball grows.
@@ -354,15 +360,13 @@ class RigidFamily(MovingFamily):
     def dim(self):
         return 2
 
-    def _slices(self, times):
-        shifts = None if self.translation is None else self.translation(times)
-        for k, angle in enumerate(self.angle(times)):
-            Q = rotation_matrix_2d(angle)
-            u = self.pivot - Q @ self.pivot
-            if shifts is not None:
-                u = u + shifts[k]
-            yield RigidImage._from_valid(base=self.base, rotation=readonly(Q, 2),
-                                         translation=readonly(u))
+    def _slice_fields(self, times):
+        Qs = [readonly(rotation_matrix_2d(a), 2) for a in self.angle(times)]
+        U = [self.pivot - Q @ self.pivot for Q in Qs]
+        if self.translation is not None:
+            U = [u + shift for u, shift in zip(U, self.translation(times))]
+        return [(RigidImage, {"base": [self.base] * len(Qs), "rotation": Qs,
+                              "translation": [readonly(u) for u in U]})]
 
     def analytic_rate(self):
         # Chord length under rotation is at most angle * circumradius.
@@ -415,11 +419,12 @@ class PiecewiseFamily(MovingFamily):
             a, b = left.at(min(t_star, left.horizon)), right.at(t_star)
             if a == b:
                 continue
-            upper = excess(a, b).upper
-            if upper > JUMP_TOL:
+            est = excess(a, b)
+            if est.upper > JUMP_TOL:
+                known = "is" if est.lower == est.upper else "is bounded only by"
                 raise ValueError(
                     f"inadmissible jump at t={t_star} from a {a.tag} slice to a {b.tag} slice: "
-                    f"its excess is bounded only by {upper:.3e}, above {JUMP_TOL:g}")
+                    f"its excess {known} {est.upper:.3e}, above {JUMP_TOL:g}")
 
     @property
     def horizon(self):
@@ -432,11 +437,11 @@ class PiecewiseFamily(MovingFamily):
     def breakpoints(self):
         return tuple(u for u, _ in self.pieces[:-1])
 
-    def _slices(self, times):
-        # Each piece checks its times before the first slice is built.
+    def _slice_fields(self, times):
+        # Each piece checks its own times.
         which = piece_index(self.pieces, times)
-        return chain.from_iterable(
-            [fam.slices(times[which == i]) for i, (_, fam) in enumerate(self.pieces)])
+        return [piece for i, (_, fam) in enumerate(self.pieces)
+                for piece in fam.slice_fields(times[which == i])]
 
     def analytic_rate(self):
         return max(fam.modulus().rate for _, fam in self.pieces)

@@ -20,7 +20,7 @@ MAX_DYADIC_K = 24  # the finest supported dyadic grid has 2**MAX_DYADIC_K interv
 
 def norm(u: np.ndarray) -> float:
     # What np.linalg.norm computes for a 1-D float array, without its overhead.
-    return math.sqrt(float(u @ u))
+    return math.sqrt(u.dot(u))
 
 
 def readonly(v, ndim: int = 1) -> np.ndarray:

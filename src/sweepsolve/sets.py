@@ -10,15 +10,18 @@ bounds and the sampled excess lower bounds.  Convex shapes carry r = inf and
 bypass curvature terms entirely; the ball complement is the nonconvex
 primitive with r equal to its radius.  Each shape tests a point and
 projects it in one method, the closed-form shapes (half-space, ball, ball
-complement) from one evaluation of their defining inequality.  Polytopes
-project by a finite primal active-set solve whose result is accepted only
-after an explicit KKT check.
+complement) from one evaluation of their defining inequality, in a class
+function of their fields with which solve also steps through a family's
+field table, building no slice object.  Polytopes project by a finite
+primal active-set solve whose result is accepted only after an explicit
+KKT check.
 
 Each shape class also owns its schema document (a tag in SHAPES plus
-to_dict/from_dict), its translate, its rules for bounds of the excess of one
-shape over another (excess_of on the shape the excess is taken over,
-_excess_over_convex on the shape it is taken of), and its farthest point
-from a given point (farthest_from), known only for a bounded shape.
+to_dict/from_dict), its translates by the rows of an array (_moved), its
+rules for bounds of the excess of one shape over another (excess_of on the
+shape the excess is taken over, _excess_over_convex on the shape it is
+taken of), and its farthest point from a given point (farthest_from), known
+only for a bounded shape.
 """
 
 from __future__ import annotations
@@ -92,7 +95,12 @@ class ProxSet(Schema):
         raise NotImplementedError
 
     def translated(self, u: np.ndarray) -> "ProxSet":
-        """The same shape moved by u."""
+        """The same shape moved by u: the one row of _moved."""
+        return next(self._from_rows(self._moved(np.reshape(u, (1, self.dim)))))
+
+    def _moved(self, U: np.ndarray) -> dict:
+        """The fields of the shape moved by each row u of U: field name ->
+        sequence of values, one per u and each computed as for that u alone."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -202,19 +210,56 @@ class ProxSet(Schema):
         raise NotImplementedError
 
     @classmethod
-    def _from_valid(cls, **fields) -> "ProxSet":
-        """An instance of fields already valid, read-only and of their stored
-        types, made without __post_init__: how a family builds its slices."""
+    def _from_valid(cls, fields) -> "ProxSet":
+        """An instance of fields (a mapping, or (name, value) pairs) already
+        valid, read-only and of their stored types, made without
+        __post_init__: how a family builds its slices."""
         shape = object.__new__(cls)
         shape.__dict__.update(fields)
         return shape
 
+    @classmethod
+    def _from_rows(cls, rows: dict):
+        """Generator of instances, one per row of rows (field name -> one
+        value per row), each built by _from_valid."""
+        for values in zip(*rows.values()):
+            yield cls._from_valid(zip(rows, values))
+
+    @classmethod
+    def _stepping(cls, rows: dict) -> tuple:
+        """(steps, project, distance) of solve over the slices of rows:
+        project(fields, y, tol) and distance(fields, y, tol) act as the
+        _project_with_distance and _distance of the slice with a step's
+        fields, which here is that slice, built."""
+        return cls._from_rows(rows), cls._project_with_distance, cls._distance
+
+
+class _ClosedForm(ProxSet):
+    """A shape that tests and projects a point from one evaluation of its
+    defining inequality, in _project_fields(fields, y, tol), a class function
+    of the tuple of its fields named in _fields: its _project_with_distance,
+    and the step and distance of solve, which builds no slice object."""
+
+    _fields: tuple
+
+    def _distance(self, y, tol=CONTAINMENT_TOL):
+        defect = self.membership_defect(y)  # a non-member's distance, also at a center
+        return 0.0 if defect <= tol else defect  # NaN stays NaN
+
+    @classmethod
+    def _stepping(cls, rows):
+        # The distance of _project_fields is _distance's, at the center too.
+        project = cls._project_fields
+        steps = zip(*[rows[name] for name in cls._fields])
+        return steps, project, lambda fields, y, tol: project(fields, y, tol)[1]
+
 
 @dataclass(frozen=True, eq=False)
-class HalfSpace(ProxSet):
+class HalfSpace(_ClosedForm):
     """{x : <normal, x> <= offset} with a unit normal."""
 
     tag = "halfspace"
+    _fields = ("normal", "offset")
     unbounded = True
     normal: np.ndarray
     offset: float
@@ -235,15 +280,18 @@ class HalfSpace(ProxSet):
         return float(self.normal @ y) - self.offset
 
     def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
-        # One <normal, y> both tests y and projects it.
-        excess = float(self.normal @ y) - self.offset
+        return self._project_fields((self.normal, self.offset), y, tol)
+
+    @staticmethod
+    def _project_fields(fields, y, tol):
+        # One <normal, y> (ndarray.dot: the product of @, called with less
+        # overhead) both tests y and projects it; a non-member's distance is
+        # its defect, NaN included.
+        normal, offset = fields
+        excess = float(normal.dot(y)) - offset
         if excess <= tol:
             return y.copy(), 0.0
-        return y - excess * self.normal, excess
-
-    def _distance(self, y, tol=CONTAINMENT_TOL):
-        defect = self.membership_defect(y)  # a non-member's distance
-        return 0.0 if defect <= tol else defect  # NaN stays NaN
+        return y - excess * normal, excess
 
     def _normal_defect(self, x, n, R):
         # <n, z-x> <= lam (offset - <a, x>) + |n - lam a| R for any lam >= 0.
@@ -262,9 +310,10 @@ class HalfSpace(ProxSet):
         half = 1.0 + _REGION_PAD
         return anchor - half, anchor + half
 
-    def translated(self, u):
-        # The shared normal is still unit.
-        return self._from_valid(normal=self.normal, offset=self.offset + float(self.normal @ u))
+    def _moved(self, U):
+        # The shared normal is still unit.  A per-row <normal, u>: U @ normal rounds differently.
+        return {"normal": [self.normal] * len(U),
+                "offset": [self.offset + float(self.normal.dot(u)) for u in U]}
 
     def to_dict(self):
         return {"shape": self.tag, "normal": self.normal.tolist(), "offset": self.offset}
@@ -303,7 +352,7 @@ def halfspace(normal, offset: float) -> HalfSpace:
 
 
 @dataclass(frozen=True, eq=False)
-class _Round(ProxSet):
+class _Round(_ClosedForm):
     """Center and radius of the ball and the excluded ball, with their schema
     document, translate, projection and distance; subclasses set tag, noun
     and _sign, +1 for the ball and -1 for its complement: the membership
@@ -311,6 +360,7 @@ class _Round(ProxSet):
 
     center: np.ndarray
     radius: float
+    _fields = ("center", "radius")
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -326,25 +376,30 @@ class _Round(ProxSet):
         return self._sign * (norm(y - self.center) - self.radius)
 
     def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
+        p, d = self._project_fields((self.center, self.radius), y, tol)
+        if p is None:
+            raise AtSingularity("projection from the excluded-ball center is multi-valued")
+        return p, d
+
+    @classmethod
+    def _project_fields(cls, fields, y, tol):
         # One |y - c| both tests y and projects it.
-        d = y - self.center
+        center, radius = fields
+        d = y - center
         dist = norm(d)
-        if self._sign * (dist - self.radius) <= tol:
+        if cls._sign * (dist - radius) <= tol:
             return y.copy(), 0.0
         if dist == 0.0:
-            # Only the excluded ball projects its center: every sphere point is nearest.
-            raise AtSingularity("projection from the excluded-ball center is multi-valued")
+            # Only the excluded ball gets its center here: every sphere point
+            # is nearest, so no projection, and the distance is the radius.
+            return None, radius
         # A ball projects outside points, its complement inside ones: either
-        # way the distance is |dist - radius|.
-        return self.center + self.radius * d / dist, abs(dist - self.radius)
+        # way the distance is |dist - radius| (the defect; NaN stays NaN).
+        return center + radius * d / dist, abs(dist - radius)
 
-    def _distance(self, y, tol=CONTAINMENT_TOL):
-        defect = self.membership_defect(y)  # a non-member's distance, also at the center
-        return 0.0 if defect <= tol else defect  # NaN stays NaN
-
-    def translated(self, u):
+    def _moved(self, U):
         # The radius, still positive, is kept.
-        return self._from_valid(center=readonly(self.center + u), radius=self.radius)
+        return {"center": readonly(self.center + U, 2), "radius": [self.radius] * len(U)}
 
     def to_dict(self):
         return {"shape": self.tag, "center": self.center.tolist(), "radius": self.radius}
@@ -448,9 +503,9 @@ class Box(ProxSet):
         value = float(np.abs(n) @ np.minimum(room, R))
         return value + _rounding(self.dim, norm(n) * R * self.dim)
 
-    def translated(self, u):
+    def _moved(self, U):
         # Both corners move by u, so lo < hi still holds.
-        return self._from_valid(lo=readonly(self.lo + u), hi=readonly(self.hi + u))
+        return {"lo": readonly(self.lo + U, 2), "hi": readonly(self.hi + U, 2)}
 
     def to_dict(self):
         return {"shape": self.tag, "lo": self.lo.tolist(), "hi": self.hi.tolist()}
@@ -667,12 +722,12 @@ class Polytope(ProxSet):
         half = 1.0 + _REGION_PAD
         return self.interior - half, self.interior + half
 
-    def translated(self, u):
+    def _moved(self, U):
         # Same normals, moved offsets and interior point: still strictly feasible.
-        faces = tuple(f.translated(u) for f in self.faces)
-        return self._from_valid(faces=faces, interior=readonly(self.interior + u), _A=self._A,
-                                _b=readonly([f.offset for f in faces]),
-                                _max_steps=self._max_steps, _factors={})
+        faces, n = [tuple(f.translated(u) for f in self.faces) for u in U], len(U)
+        return {"faces": faces, "interior": readonly(self.interior + U, 2), "_A": [self._A] * n,
+                "_b": [readonly([f.offset for f in row]) for row in faces],
+                "_max_steps": [self._max_steps] * n, "_factors": [{} for _ in U]}
 
     def to_dict(self):
         return {
@@ -788,8 +843,8 @@ class RigidImage(ProxSet):
         # e(Q K + u, B) = e(K, Q^T (B - u)): the base's rule over other moved
         # by the inverse motion, its witness moved back.
         Q = self.rotation
-        pulled = RigidImage._from_valid(base=other, rotation=readonly(Q.T, 2),
-                                        translation=readonly(-(self.translation @ Q)))
+        pulled = RigidImage._from_valid({"base": other, "rotation": readonly(Q.T, 2),
+                                         "translation": readonly(-(self.translation @ Q))})
         bounds = self.base._excess_over_convex(pulled)
         if bounds is None:
             return None
@@ -818,9 +873,9 @@ class RigidImage(ProxSet):
         moved = corners @ self.rotation.T + self.translation
         return moved.min(axis=0), moved.max(axis=0)
 
-    def translated(self, u):
-        return self._from_valid(base=self.base, rotation=self.rotation,
-                                translation=readonly(self.translation + u))
+    def _moved(self, U):
+        return {"base": [self.base] * len(U), "rotation": [self.rotation] * len(U),
+                "translation": readonly(self.translation + U, 2)}
 
     def to_dict(self):
         return {

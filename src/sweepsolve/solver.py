@@ -2,7 +2,9 @@
 
 Each step projects the previous iterate onto the next slice, so the step
 vector is (minus) a proximal normal there and its length equals the distance
-to the slice.  Certification re-checks that normal-cone membership a
+to the slice.  solve reads the slices as the family's field table, and the
+closed-form shapes project from each row's fields, with no slice object.
+Certification re-checks that normal-cone membership a
 posteriori: each slice bounds the hypo-monotonicity defect of the step vector
 from above in closed form (ProxSet.normal_defect), and the verdict rests on
 that bound.  Sampled residuals, lower bounds of the same defect, only audit
@@ -24,7 +26,7 @@ from .errors import (
 )
 from .families import MovingFamily
 from .geometry import TimeGrid, readonly
-from .sets import NormalResidualReport, _normal_residual, sample_points
+from .sets import CONTAINMENT_TOL, NormalResidualReport, _normal_residual, sample_points
 
 # Rounding slack of the strict jump bound eps and of each step's excess bound.
 JUMP_EPS_SLACK = 1e-12
@@ -90,7 +92,8 @@ def solve(
     eps_level: float,
     level: int = 0,
 ) -> DiscreteTrajectory:
-    """Run the catching-up recursion y_j = P_{C(t_j)}(y_{j-1}) along the grid.
+    """Run the catching-up recursion y_j = P_{C(t_j)}(y_{j-1}) along the grid,
+    through each piece of family.slice_fields as its shape class steps it.
 
     Raises InfeasibleInitialPoint when y0 lies outside the initial slice and
     TubeViolation(j) when an iterate is at distance >= r from the next slice
@@ -108,19 +111,21 @@ def solve(
     points = np.empty((len(grid.times), len(y0)))
     dist_to_set = np.zeros(len(grid.times))  # 0 at members: y0 and every unmoved iterate
     points[0] = y0
-    y = y0
-    for j, slice_t in enumerate(family.slices(grid.times[1:]), start=1):
-        try:
-            y, d = slice_t._project_with_distance(y)
-        except AtSingularity as err:
-            # Only an excluded-ball center gets here, at distance radius >= r.
-            raise TubeViolation(j, slice_t._distance(y), r) from err
-        if d >= r:
-            raise TubeViolation(j, d, r)
-        points[j] = y
-        dist_to_set[j] = slice_t._distance(y) if d != 0.0 else 0.0
-    # A slice may hold a view of a whole path array: free it before the copies below.
-    del slice_t
+    y, j = y0, 0
+    for shape, rows in family.slice_fields(grid.times[1:]):
+        steps, project, distance = shape._stepping(rows)
+        for fields in steps:
+            j += 1
+            try:
+                p, d = project(fields, y, CONTAINMENT_TOL)
+            except AtSingularity as err:
+                # Only an excluded-ball center gets here, at distance radius >= r.
+                raise TubeViolation(j, distance(fields, y, CONTAINMENT_TOL), r) from err
+            if d >= r:  # also at an excluded-ball center that projects to no point
+                raise TubeViolation(j, d, r)
+            y = points[j] = p
+            if d != 0.0:
+                dist_to_set[j] = distance(fields, y, CONTAINMENT_TOL)
     return DiscreteTrajectory(
         grid=grid, points=points, level=level, eps_level=eps_level, dist_to_set=dist_to_set
     )

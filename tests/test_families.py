@@ -180,7 +180,7 @@ class TestSlices:
         assert fam.at(1.0) == BallComplement((0.1, 0.0), 0.5)
         assert excess(p1.at(1.0), fam.at(1.0)).upper == 0.0
         with pytest.raises(ValueError, match="from a ball_complement slice to a ball_complement "
-                                             r"slice: its excess is bounded only by 5\.000e-01"):
+                                             r"slice: its excess is 5\.000e-01"):
             PiecewiseFamily(((1.0, p2), (2.0, p1)))
 
     def test_jump_out_of_a_half_space_by_1e_6_rejected(self):
@@ -189,7 +189,7 @@ class TestSlices:
         ball = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
         plane = TranslateFamily(halfspace((1.0, 0.0), 1.0 - 1e-6), ConstantPath((0.0, 0.0)), 2.0)
         with pytest.raises(ValueError, match="from a ball slice to a halfspace slice: its excess "
-                                             r"is bounded only by 1\.000e-06"):
+                                             r"is 1\.000e-06, above"):
             PiecewiseFamily(((0.5, ball), (2.0, plane)))
 
     def test_a_ball_inside_a_polyhedral_set_has_an_exact_excess(self):
@@ -213,6 +213,10 @@ class TestSlices:
         # A ball that pokes out of the box keeps the interval up to its radius.
         est = excess(Ball((1.5, 1.0), 1.0), box)
         assert (est.lower, est.upper, est.method) == (0.5, 1.0, "interval")
+        # A jump rejected on such an interval names its upper bound as a bound.
+        with pytest.raises(ValueError, match=r"its excess is bounded only by 1\.000e\+00"):
+            PiecewiseFamily(((1.0, TranslateFamily(Ball((1.5, 1.0), 1.0), still, 1.0)),
+                             (2.0, TranslateFamily(box, still, 2.0))))
 
     def test_jump_from_a_triangle_into_a_ball_admitted_and_back_rejected(self):
         triangle = Polytope(
@@ -226,7 +230,7 @@ class TestSlices:
                                (2.0, TranslateFamily(ball, still, 2.0))))
         assert fam.at(1.0) == ball
         with pytest.raises(ValueError, match="at t=1.0 from a ball slice to a polytope slice: "
-                                             r"its excess is bounded only by 7\.071e-01"):
+                                             r"its excess is 7\.071e-01"):
             PiecewiseFamily(((1.0, TranslateFamily(ball, still, 1.0)),
                              (2.0, TranslateFamily(triangle, still, 2.0))))
 
@@ -764,6 +768,53 @@ def test_slices_equal_the_slices_at_each_time(kind, draws):
     for s in built:
         arrays = [v for v in vars(s).values() if isinstance(v, np.ndarray)]
         assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+_SLANTED = LinearPath((0.1, -0.2), (1.0 / 3.0, -0.7))
+_TRIANGLE = Polytope((halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0),
+                      halfspace((1.0, 1.0), 1.0)), (0.25, 0.25))
+# Every family kind, and a translate of every shape along a slanted path, on
+# which a matrix product over the rows would round some offsets differently.
+FIELD_FAMILIES = {
+    **SLICE_FAMILIES,
+    **{f"translate_{s.tag}": (lambda s=s: TranslateFamily(s, _SLANTED, 1.0)) for s in (
+        halfspace((0.6, 0.8), 0.3), Ball((0.2, 0.1), 0.7), Box((0.0, 0.0), (1.0, 2.0)),
+        _TRIANGLE, RigidImage(_TRIANGLE, rotation_matrix_2d(0.4), (0.1, 0.2)))},
+}
+
+
+def _same_bits(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same_bits(x, y) for x, y in zip(a, b))
+    if hasattr(a, "to_dict"):
+        return _bits(a.to_dict()) == _bits(b.to_dict())
+    return _bits(a) == _bits(b)
+
+
+@pytest.mark.parametrize("kind", sorted(FIELD_FAMILIES))
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_slice_fields_rows_equal_the_slices_at_each_time(kind, draws):
+    fam = FIELD_FAMILIES[kind]()
+    T = fam.horizon
+    ts = np.sort([0.0, T / 2, T, *fam.breakpoints(), *(u * T for u in draws)])
+    slices = []  # (shape class, fields) per time, from one (shape, rows) pair per piece
+    for shape, rows in fam.slice_fields(ts):
+        n = len(next(iter(rows.values())))
+        assert all(len(values) == n for values in rows.values())
+        slices += [(shape, {name: values[k] for name, values in rows.items()}) for k in range(n)]
+    assert len(slices) == len(ts)
+    for t, (shape, fields) in zip(ts.tolist(), slices):
+        at_t = fam.at(t)
+        assert type(at_t) is shape
+        assert sorted(fields) == sorted(vars(at_t))
+        assert all(_same_bits(value, vars(at_t)[name]) for name, value in fields.items())
+        if kind == "translate_halfspace":
+            # Each offset rounds as the per-row <normal, u> of a translate does.
+            base, u = fam.base, np.asarray(fam.path(t))
+            assert _same_bits(fields["offset"], base.offset + float(base.normal @ u))
 
 
 @pytest.mark.parametrize("kind", sorted(SLICE_FAMILIES))

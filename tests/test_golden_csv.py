@@ -1,7 +1,9 @@
 """Golden trajectory CSVs: every level of the six bundled scenarios, solved at
 the scenario's own schedule, must stay byte-identical to the recorded SHA-256
 digests in data/csv_digests.json.  The checks are skipped; only the solver
-output is compared.  The canonical scenario documents written by
+output is compared.  The nine-level CSVs of the half-space sweep and the
+moving obstacle are compared with the deep_refinement digests of the
+benchmark, bench/csv_digests.json, which the tests only read.  The canonical scenario documents written by
 serialize_scenario are pinned the same way in data/scenario_digests.json, the
 trajectory and convergence SVGs in data/svg_digests.json, and the report of a
 full run (every check's verdict, margin and note, and the convergence gaps,
@@ -23,22 +25,25 @@ DIGESTS = Path(__file__).parent / "data" / "csv_digests.json"
 SCENARIO_DIGESTS = Path(__file__).parent / "data" / "scenario_digests.json"
 REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
 SVG_DIGESTS = Path(__file__).parent / "data" / "svg_digests.json"
+BENCH_DIGESTS = Path(__file__).parent.parent / "bench" / "csv_digests.json"
+DEEP_LEVELS = 9
 
 
-def study(name: str):
-    """Convergence study of the bundled scenario at its own schedule."""
+def study(name: str, levels: int | None = None):
+    """Convergence study of the bundled scenario at its own schedule, cut or
+    extended to levels when given."""
     scenario = load_builtin(name)
-    return converge_study(scenario.family, scenario.y0, scenario_schedule(scenario))
+    return converge_study(scenario.family, scenario.y0, scenario_schedule(scenario, levels))
 
 
 def digests(paths) -> dict:
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
 
 
-def csv_digests(name: str, out_dir: Path) -> dict:
+def csv_digests(name: str, out_dir: Path, levels: int | None = None) -> dict:
     """File name -> SHA-256 of each level CSV of the bundled scenario."""
     paths = []
-    for n, traj in enumerate(study(name).trajectories):
+    for n, traj in enumerate(study(name, levels).trajectories):
         paths.append(out_dir / f"{name}_level{n}.csv")
         write_trajectory_csv(traj, paths[-1])
     return digests(paths)
@@ -63,6 +68,14 @@ def test_golden_set_covers_every_bundled_scenario():
 def test_csv_bytes_match_golden_digests(name, tmp_path):
     recorded = json.loads(DIGESTS.read_text("utf-8"))
     assert csv_digests(name, tmp_path) == recorded[name]
+
+
+@pytest.mark.parametrize("name", ["sweep_halfspace", "moving_obstacle"])
+def test_nine_level_csv_bytes_match_the_benchmark_digests(name, tmp_path):
+    recorded = json.loads(BENCH_DIGESTS.read_text("utf-8"))["deep_refinement"]
+    expected = {file: digest for file, digest in recorded.items() if file.startswith(name)}
+    assert len(expected) == DEEP_LEVELS
+    assert csv_digests(name, tmp_path, DEEP_LEVELS) == expected
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

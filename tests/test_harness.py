@@ -6,7 +6,7 @@ from sweepsolve.families import TranslateFamily
 from sweepsolve.geometry import TimeGrid
 from sweepsolve.harness import INNER_BALL_TOL, check_normal, run, scenario_schedule
 from sweepsolve.paths import LinearPath
-from sweepsolve.sets import HalfSpace
+from sweepsolve.sets import HalfSpace, ProxSet
 from sweepsolve.solver import solve
 from sweepsolve.scenarios import builtin_text, load_builtin, parse_scenario
 
@@ -190,25 +190,28 @@ def test_report_values_reproducible_from_csvs(tmp_path):
 
 
 def test_run_builds_each_slice_once(tmp_path, monkeypatch):
-    # Residuals and CSVs read the distances solve recorded, so with only the
-    # constraint and Cauchy checks every grid node's slice is built once; the
-    # normal check builds one more slice per moving step of the finest level.
+    # Residuals and CSVs read the distances solve recorded.  A closed-form
+    # shape steps through the rows of its slice fields, so with only the
+    # constraint and Cauchy checks solve builds one slice per level, the
+    # initial one that tests y0; a rigid polytope's steps build every grid
+    # node's slice once, and the normal check one more slice per moving step
+    # of the finest level.
     for name, checks in (("sweep_halfspace", ["constraint", "cauchy"]),
                          ("polytope_rotation", ["constraint", "cauchy", "normal"])):
         doc = json.loads(builtin_text(name))
         doc["checks"] = checks
         scenario = parse_scenario(json.dumps(doc))
-        family_type = type(scenario.family)
-        slices = family_type.slices
+        from_rows = ProxSet._from_rows.__func__
         built = []
 
-        def counting(self, times):
-            return (built.append(s) or s for s in slices(self, times))
+        def counting(cls, rows):
+            return (built.append(s) or s for s in from_rows(cls, rows))
 
-        monkeypatch.setattr(family_type, "slices", counting)
+        monkeypatch.setattr(ProxSet, "_from_rows", classmethod(counting))
         report = run(scenario, tmp_path / name, levels=4)
         monkeypatch.undo()
-        expected = sum(dict(row)["intervals"] + 1 for row in report.level_rows)
+        nodes = [dict(row)["intervals"] + 1 for row in report.level_rows]
+        expected = len(nodes) if name == "sweep_halfspace" else sum(nodes)
         if "normal" in checks:
             finest = (tmp_path / name / f"{name}_level3.csv").read_text().splitlines()[1:]
             moving = sum(float(line.split(",")[-2]) != 0.0 for line in finest)

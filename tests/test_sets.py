@@ -738,7 +738,7 @@ def test_every_registered_shape_has_a_case():
 
 # The hooks ProxSet leaves abstract, with the number of arguments after self.
 _ABSTRACT_HOOKS = {"membership_defect": 1, "_project_with_distance": 1, "_normal_defect": 3,
-                   "bounding_region": 0, "translated": 1, "to_dict": 0, "from_dict": 0}
+                   "bounding_region": 0, "_moved": 1, "to_dict": 0, "from_dict": 0}
 
 
 def test_every_registered_shape_defines_every_abstract_hook():

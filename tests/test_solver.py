@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sweepsolve import solver as solver_mod
 from sweepsolve.errors import (
@@ -73,18 +76,19 @@ def test_polytope_step_solves_once(family, monkeypatch):
     ids=["sweep", "obstacle"],
 )
 def test_a_moved_step_evaluates_membership_once(family, y0, monkeypatch):
-    # A closed-form slice tests and projects the iterate from one evaluation
-    # of its defining inequality, so the one membership_defect call per moved
-    # step is its recorded residual, and an unmoved step makes none; the
-    # extra call is y0's containment check.
+    # A closed-form shape tests and projects the iterate from one evaluation
+    # of its defining inequality, in _project_fields: one call per step, and
+    # one more per moved step, its recorded residual; an unmoved step makes
+    # none.  y0's containment check calls membership_defect instead.
     cls = type(family.at(0.0))
     calls = []
-    defect = cls.membership_defect
-    monkeypatch.setattr(cls, "membership_defect", lambda s, y: calls.append(1) or defect(s, y))
+    project = cls._project_fields
+    monkeypatch.setattr(cls, "_project_fields",
+                        staticmethod(lambda *args: calls.append(1) or project(*args)))
     traj = solve(family, y0, TimeGrid.uniform(family.horizon, 64), eps_level=0.05)
     moved = int(np.any(np.diff(traj.points, axis=0) != 0.0, axis=1).sum())
     assert 0 < moved < 64
-    assert len(calls) == 1 + moved
+    assert len(calls) == 64 + moved
 
 
 @pytest.mark.parametrize(
@@ -208,6 +212,97 @@ def test_iterate_a_tube_radius_from_the_next_slice_is_a_tube_violation():
     with pytest.raises(TubeViolation) as err:
         converge_study(growing_hole(), (1.0, 0.0), one_interval)
     assert err.value.level == 0
+
+
+def _outcomes(family, y0, grid) -> list:
+    """solve's outcome, bit for bit, with the closed-form shapes stepping
+    their slice fields and stepping slice objects, as ProxSet does by
+    default: the points and distances, or the TubeViolation's step,
+    distance and radius."""
+    outcomes = []
+    for default in (False, True):
+        with pytest.MonkeyPatch.context() as m:
+            if default:
+                for cls in (HalfSpace, Ball, BallComplement):
+                    m.setattr(cls, "_stepping", ProxSet.__dict__["_stepping"])
+            try:
+                traj = solve(family, y0, grid, eps_level=1e9)
+                outcomes.append((traj.points.tobytes(), traj.dist_to_set.tobytes()))
+            except TubeViolation as err:
+                outcomes.append((err.step, float.hex(err.distance), float.hex(err.radius)))
+    return outcomes
+
+
+_coords = st.floats(-2.0, 2.0)
+_vectors = st.tuples(_coords, _coords)
+
+
+@st.composite
+def closed_form_families(draw):
+    """A half-space (with a declared r, finite or not), ball or ball
+    complement moving on [0, 1]; its initial point, a member; and a grid."""
+    path = LinearPath(draw(_vectors), draw(_vectors))
+    kind = draw(st.sampled_from(["halfspace", "ball", "ball_complement"]))
+    if kind == "halfspace":
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        declared = draw(st.none() | st.floats(0.05, 2.0))
+        family = TranslateFamily(halfspace((math.cos(angle), math.sin(angle)), draw(_coords)),
+                                 path, 1.0, declared)
+    else:
+        radius = LinearPath(draw(st.floats(0.2, 1.5)), draw(st.floats(-0.15, 1.0)))
+        family = RadiusFamily(path, radius, kind == "ball_complement", 1.0)
+    offset = draw(_vectors)
+    assume(math.hypot(*offset) > 1e-3)  # the excluded ball's center projects nowhere
+    point = np.add(path(0.0), offset)
+    return family, family.at(0.0).project(point), TimeGrid.uniform(1.0, draw(st.integers(1, 40)))
+
+
+@st.composite
+def pushing_families(draw):
+    """A half-space with a finite declared r, or a growing excluded ball with
+    a declared r or not, moving straight at its initial point on or near its
+    boundary, or with its center landing on that point at a grid node; and a
+    grid, coarse enough to leave the tube."""
+    u = np.array(draw(st.sampled_from([(0.6, 0.8), (-1.0, 0.0)]) | _vectors))
+    assume(math.hypot(*u) > 1e-3)
+    u /= math.hypot(*u)
+    c0, speed, gap = np.array(draw(_vectors)), draw(st.floats(0.1, 3.0)), draw(st.floats(0.0, 0.5))
+    grid = TimeGrid.uniform(1.0, draw(st.integers(1, 8)))
+    if draw(st.booleans()):
+        family = TranslateFamily(halfspace(u, float(u @ c0)), LinearPath((0.0, 0.0), -speed * u),
+                                 1.0, draw(st.floats(0.05, 1.0)))
+        point = c0 - gap * u
+    else:
+        radius = draw(st.floats(0.2, 1.5))
+        center = LinearPath(c0, speed * u)
+        family = RadiusFamily(center, LinearPath(radius, draw(st.floats(0.0, 2.0))), True, 1.0,
+                              draw(st.none() | st.floats(0.05, radius)))
+        point = c0 + (radius + gap) * u
+        if draw(st.booleans()):
+            point = center(grid.times[draw(st.integers(1, len(grid.times) - 1))])
+    return family, family.at(0.0).project(point), grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_form_families() | pushing_families())
+def test_closed_form_steppers_match_the_default_loop(case):
+    family, y0, grid = case
+    with_kernel, with_slices = _outcomes(family, y0, grid)
+    assert with_kernel == with_slices
+
+
+@pytest.mark.parametrize("family, y0, grid", [
+    # The excluded ball's center lands on the iterate: AtSingularity in the default loop.
+    (TranslateFamily(BallComplement((0.0, 0.0), 0.5), LinearPath((0.0, 0.0), (1.0, 0.0)), 1.0),
+     (1.0, 0.0), TimeGrid.uniform(1.0, 1)),
+    (growing_hole(), (1.0, 0.0), TimeGrid.uniform(1.0, 1)),
+    # A half-space moving 0.5 per step, with r declared 0.3.
+    (TranslateFamily(halfspace((0.6, 0.8), 0.0), LinearPath((0.0, 0.0), (-3.0, -4.0)), 1.0,
+                     0.3), (0.0, 0.0), TimeGrid.uniform(1.0, 10)),
+], ids=["excluded_center", "growing_hole", "halfspace_declared_r"])
+def test_tube_violations_match_the_default_loop(family, y0, grid):
+    with_kernel, with_slices = _outcomes(family, y0, grid)
+    assert len(with_kernel) == 3 and with_kernel == with_slices
 
 
 def test_jump_bound_enforced():
