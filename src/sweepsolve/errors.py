@@ -16,7 +16,11 @@ class OutOfRange(SweepError):
 
 
 class AtSingularity(SweepError):
-    """Degenerate projection target (e.g. the excluded-ball center): every boundary point is nearest."""
+    """Degenerate projection target (the excluded-ball center): every boundary point is nearest."""
+
+    def __init__(self, distance: float):
+        super().__init__(f"the excluded-ball center has no unique projection ({distance:.6g} away)")
+        self.distance = distance
 
 
 class DidNotConverge(SweepError):

@@ -23,13 +23,15 @@ depth evaluation per slice (a member's depth is minus its membership
 defect) at INNER_BALL_TIMES times; between them it is not checked.
 
 Every slice comes from one field table, MovingFamily.slice_fields(times),
-which checks the times once and evaluates each path once on the whole
-array; slices(times) builds a slice from each row with ProxSet._from_rows,
-and at(t) is slices over one time.  No shape's checks run: the family
-checked its base and paths once, and moving them keeps them valid (a
-translate keeps a unit normal, a box's lo < hi and a polytope's strictly
-feasible interior point, a radius stays above the schedule's checked
-minimum, rotation_matrix_2d is orthogonal).
+which checks the times once and evaluates each path once on the whole array.
+Its rows list the fields in the shape's dataclass order, the order in which
+ProxSet._from_valid builds a slice from a row (slices(times) does so for
+each row, and at(t) is slices over one time) and solve passes a row to the
+shape's _project_fields.  No shape's checks run: the family checked its base
+and paths once, and moving them keeps them valid (a translate keeps a unit
+normal, a box's lo < hi and a polytope's strictly feasible interior point, a
+radius stays above the schedule's checked minimum, rotation_matrix_2d is
+orthogonal).
 
 Each schema family class owns its schema document (a kind tag in FAMILIES
 plus to_dict/from_dict): a new family kind is one class plus one entry there.
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
@@ -61,6 +62,9 @@ from .sets import Ball, BallComplement, ProxSet, RigidImage, rotation_matrix_2d,
 JUMP_TOL = 1e-9
 
 TAU_MARGIN = 1e-9
+
+# Slack of a family's horizon against the end of its piece or its scenario's horizon.
+HORIZON_TOL = 1e-12
 
 # Evenly spaced times of [0, horizon] at which verify_inner_ball checks depth.
 INNER_BALL_TIMES = 50
@@ -204,7 +208,8 @@ class MovingFamily(Schema):
     def slices(self, times):
         """Generator of the slices at times, built from slice_fields(times),
         which checks the times before any slice is built."""
-        return chain.from_iterable(cls._from_rows(rows) for cls, rows in self.slice_fields(times))
+        return (cls._from_valid(row) for cls, rows in self.slice_fields(times)
+                for row in zip(*rows.values()))
 
     def slice_fields(self, times) -> list:
         """The slices at times, a nondecreasing 1-D array within [0, horizon],
@@ -409,7 +414,7 @@ class PiecewiseFamily(MovingFamily):
         for until, fam in pieces:
             if until <= last:
                 raise ValueError("piece breakpoints must be strictly increasing")
-            if fam.horizon < until - 1e-12:
+            if fam.horizon < until - HORIZON_TOL:
                 raise ValueError("piece family horizon does not cover its interval")
             last = until
         object.__setattr__(self, "pieces", pieces)

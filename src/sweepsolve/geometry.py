@@ -19,8 +19,13 @@ MAX_DYADIC_K = 24  # the finest supported dyadic grid has 2**MAX_DYADIC_K interv
 
 
 def norm(u: np.ndarray) -> float:
-    # What np.linalg.norm computes for a 1-D float array, without its overhead.
-    return math.sqrt(u.dot(u))
+    # What np.linalg.norm computes for a 1-D float array, without its overhead,
+    # but 0 only at 0: a u whose squares all underflow is scaled by its max first.
+    s = math.sqrt(u.dot(u))
+    if s or not any(u.tolist()):
+        return s
+    m = float(np.abs(u).max())
+    return m * norm(u / m)
 
 
 def readonly(v, ndim: int = 1) -> np.ndarray:

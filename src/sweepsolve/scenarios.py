@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import InfeasibleInitialPoint, SchemaError, UnknownShapeTag
-from .families import FAMILIES, MovingFamily
+from .families import FAMILIES, HORIZON_TOL, MovingFamily
 from .harness import CHECKS
 from .paths import PATHS, Path
 from .sets import SHAPES, ProxSet
@@ -221,7 +221,7 @@ def parse_scenario(text: str) -> Scenario:
     family = f.family("family")
     if family.dim != dim:
         raise SchemaError("scenario.family", f"family dim {family.dim} != scenario dim {dim}")
-    if abs(family.horizon - horizon) > 1e-12:
+    if abs(family.horizon - horizon) > HORIZON_TOL:
         raise SchemaError(
             "scenario.family", f"family horizon {family.horizon} != scenario horizon {horizon}"
         )

@@ -8,13 +8,13 @@ bound of the normal-cone defect of a candidate normal (normal_defect), and
 seeded member sampling, which serves only the residual that audits those
 bounds and the sampled excess lower bounds.  Convex shapes carry r = inf and
 bypass curvature terms entirely; the ball complement is the nonconvex
-primitive with r equal to its radius.  Each shape tests a point and
-projects it in one method, the closed-form shapes (half-space, ball, ball
-complement) from one evaluation of their defining inequality, in a class
-function of their fields with which solve also steps through a family's
-field table, building no slice object.  Polytopes project by a finite
-primal active-set solve whose result is accepted only after an explicit
-KKT check.
+primitive with r equal to its radius.  Each shape tests a point and projects
+it in one method, the closed-form shapes (half-space, ball, ball complement)
+from one evaluation of their defining inequality.  solve projects onto the
+slice of each row of a family's field table with _project_fields, which
+builds that slice only for a box or a polytope.  Polytopes project by a
+finite primal active-set solve whose result is accepted only after an
+explicit KKT check.
 
 Each shape class also owns its schema document (a tag in SHAPES plus
 to_dict/from_dict), its translates by the rows of an array (_moved), its
@@ -96,7 +96,8 @@ class ProxSet(Schema):
 
     def translated(self, u: np.ndarray) -> "ProxSet":
         """The same shape moved by u: the one row of _moved."""
-        return next(self._from_rows(self._moved(np.reshape(u, (1, self.dim)))))
+        moved = self._moved(np.reshape(u, (1, self.dim)))
+        return self._from_valid([values[0] for values in moved.values()])
 
     def _moved(self, U: np.ndarray) -> dict:
         """The fields of the shape moved by each row u of U: field name ->
@@ -211,47 +212,27 @@ class ProxSet(Schema):
 
     @classmethod
     def _from_valid(cls, fields) -> "ProxSet":
-        """An instance of fields (a mapping, or (name, value) pairs) already
-        valid, read-only and of their stored types, made without
-        __post_init__: how a family builds its slices."""
+        """The instance whose field values are fields, in dataclass field order
+        (one row of slice_fields), already valid, read-only and of their stored
+        types, made without __post_init__: how a family builds its slices."""
         shape = object.__new__(cls)
-        shape.__dict__.update(fields)
+        shape.__dict__.update(zip(cls.__dataclass_fields__, fields))
         return shape
 
     @classmethod
-    def _from_rows(cls, rows: dict):
-        """Generator of instances, one per row of rows (field name -> one
-        value per row), each built by _from_valid."""
-        for values in zip(*rows.values()):
-            yield cls._from_valid(zip(rows, values))
-
-    @classmethod
-    def _stepping(cls, rows: dict) -> tuple:
-        """(steps, project, distance) of solve over the slices of rows:
-        project(fields, y, tol) and distance(fields, y, tol) act as the
-        _project_with_distance and _distance of the slice with a step's
-        fields, which here is that slice, built."""
-        return cls._from_rows(rows), cls._project_with_distance, cls._distance
+    def _project_fields(cls, fields, y: np.ndarray, tol: float) -> tuple:
+        """_project_with_distance(y, tol) of the slice whose field values are
+        fields, one row of slice_fields: solve's one call per step.  It builds
+        that slice; the closed-form shapes and rigid images build none."""
+        return cls._from_valid(fields)._project_with_distance(y, tol)
 
 
 class _ClosedForm(ProxSet):
-    """A shape that tests and projects a point from one evaluation of its
-    defining inequality, in _project_fields(fields, y, tol), a class function
-    of the tuple of its fields named in _fields: its _project_with_distance,
-    and the step and distance of solve, which builds no slice object."""
-
-    _fields: tuple
+    """A shape that tests, projects and measures a point from one defining-inequality evaluation."""
 
     def _distance(self, y, tol=CONTAINMENT_TOL):
         defect = self.membership_defect(y)  # a non-member's distance, also at a center
         return 0.0 if defect <= tol else defect  # NaN stays NaN
-
-    @classmethod
-    def _stepping(cls, rows):
-        # The distance of _project_fields is _distance's, at the center too.
-        project = cls._project_fields
-        steps = zip(*[rows[name] for name in cls._fields])
-        return steps, project, lambda fields, y, tol: project(fields, y, tol)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +240,6 @@ class HalfSpace(_ClosedForm):
     """{x : <normal, x> <= offset} with a unit normal."""
 
     tag = "halfspace"
-    _fields = ("normal", "offset")
     unbounded = True
     normal: np.ndarray
     offset: float
@@ -360,7 +340,6 @@ class _Round(_ClosedForm):
 
     center: np.ndarray
     radius: float
-    _fields = ("center", "radius")
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -376,10 +355,7 @@ class _Round(_ClosedForm):
         return self._sign * (norm(y - self.center) - self.radius)
 
     def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
-        p, d = self._project_fields((self.center, self.radius), y, tol)
-        if p is None:
-            raise AtSingularity("projection from the excluded-ball center is multi-valued")
-        return p, d
+        return self._project_fields((self.center, self.radius), y, tol)
 
     @classmethod
     def _project_fields(cls, fields, y, tol):
@@ -391,8 +367,8 @@ class _Round(_ClosedForm):
             return y.copy(), 0.0
         if dist == 0.0:
             # Only the excluded ball gets its center here: every sphere point
-            # is nearest, so no projection, and the distance is the radius.
-            return None, radius
+            # is nearest, so no projection, at distance radius.
+            raise AtSingularity(radius)
         # A ball projects outside points, its complement inside ones: either
         # way the distance is |dist - radius| (the defect; NaN stays NaN).
         return center + radius * d / dist, abs(dist - radius)
@@ -785,11 +761,11 @@ class BallComplement(_Round):
         c = self.center
         try:
             x, d = A._project_with_distance(c, 0.0)
-        except AtSingularity:
-            # c is the center of A's own excluded ball: d, its radius, has a
-            # closed form there, and every point of the sphere is nearest,
-            # so a step of d/2 off c, still inside that ball, picks one.
-            d = A._distance(c, 0.0)
+        except AtSingularity as err:
+            # c is the center of A's own excluded ball: d is its radius, and
+            # every point of the sphere is nearest, so a step of d/2 off c,
+            # still inside that ball, picks one.
+            d = err.distance
             x = A._project_with_distance(c + 0.5 * d * np.eye(self.dim)[0], 0.0)[0]
         value = max(self.radius - d, 0.0)
         return value, value, x
@@ -836,15 +812,16 @@ class RigidImage(ProxSet):
     def face_normals(self):
         return self.base.face_normals() @ self.rotation.T
 
-    def _pull(self, y):
-        return self.rotation.T @ (y - self.translation)
+    @staticmethod
+    def _pull(rotation, translation, y):
+        return rotation.T @ (y - translation)
 
     def _excess_over_convex(self, other):
         # e(Q K + u, B) = e(K, Q^T (B - u)): the base's rule over other moved
         # by the inverse motion, its witness moved back.
         Q = self.rotation
-        pulled = RigidImage._from_valid({"base": other, "rotation": readonly(Q.T, 2),
-                                         "translation": readonly(-(self.translation @ Q))})
+        pulled = RigidImage._from_valid((other, readonly(Q.T, 2),
+                                         readonly(-(self.translation @ Q))))
         bounds = self.base._excess_over_convex(pulled)
         if bounds is None:
             return None
@@ -852,19 +829,25 @@ class RigidImage(ProxSet):
         return lower, upper, Q @ witness + self.translation
 
     def membership_defect(self, y):
-        return self.base.membership_defect(self._pull(y))
+        return self.base.membership_defect(self._pull(self.rotation, self.translation, y))
 
     def _distance(self, y, tol=CONTAINMENT_TOL):
-        return self.base._distance(self._pull(y), tol)
+        return self.base._distance(self._pull(self.rotation, self.translation, y), tol)
 
     def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
-        p, d = self.base._project_with_distance(self._pull(y), tol)
+        return self._project_fields((self.base, self.rotation, self.translation), y, tol)
+
+    @staticmethod
+    def _project_fields(fields, y, tol):
+        base, rotation, translation = fields
+        p, d = base._project_with_distance(RigidImage._pull(rotation, translation, y), tol)
         # Every shape puts a non-member above tol >= 0: d = 0.0 is a member, kept bit for bit.
-        return (y.copy(), 0.0) if d == 0.0 else (self.rotation @ p + self.translation, d)
+        return (y.copy(), 0.0) if d == 0.0 else (rotation @ p + translation, d)
 
     def _normal_defect(self, x, n, R):
         # The rotation keeps inner products and the Euclidean window radius.
-        value = self.base._normal_defect(self._pull(x), self.rotation.T @ n, R)
+        value = self.base._normal_defect(self._pull(self.rotation, self.translation, x),
+                                         self.rotation.T @ n, R)
         pulled = norm(n) * (R + norm(x - self.translation)) * (1.0 + R / self.r)
         return value + _rounding(self.dim, pulled)
 

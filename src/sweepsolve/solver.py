@@ -2,13 +2,13 @@
 
 Each step projects the previous iterate onto the next slice, so the step
 vector is (minus) a proximal normal there and its length equals the distance
-to the slice.  solve reads the slices as the family's field table, and the
-closed-form shapes project from each row's fields, with no slice object.
-Certification re-checks that normal-cone membership a
-posteriori: each slice bounds the hypo-monotonicity defect of the step vector
-from above in closed form (ProxSet.normal_defect), and the verdict rests on
-that bound.  Sampled residuals, lower bounds of the same defect, only audit
-the bounds on NORMAL_AUDIT_STEPS steps.
+to the slice.  solve projects from each row of the family's field table,
+building a slice object only for a box or a polytope.  Certification
+re-checks that normal-cone membership a posteriori: each slice bounds the
+hypo-monotonicity defect of the step vector from above in closed form
+(ProxSet.normal_defect), and the verdict rests on that bound.  Sampled
+residuals, lower bounds of the same defect, only audit the bounds on
+NORMAL_AUDIT_STEPS steps.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def solve(
     level: int = 0,
 ) -> DiscreteTrajectory:
     """Run the catching-up recursion y_j = P_{C(t_j)}(y_{j-1}) along the grid,
-    through each piece of family.slice_fields as its shape class steps it.
+    one shape._project_fields call per row of family.slice_fields.
 
     Raises InfeasibleInitialPoint when y0 lies outside the initial slice and
     TubeViolation(j) when an iterate is at distance >= r from the next slice
@@ -113,19 +113,19 @@ def solve(
     points[0] = y0
     y, j = y0, 0
     for shape, rows in family.slice_fields(grid.times[1:]):
-        steps, project, distance = shape._stepping(rows)
-        for fields in steps:
+        project = shape._project_fields  # looked up once: a classmethod binds on each access
+        for fields in zip(*rows.values()):
             j += 1
             try:
                 p, d = project(fields, y, CONTAINMENT_TOL)
             except AtSingularity as err:
                 # Only an excluded-ball center gets here, at distance radius >= r.
-                raise TubeViolation(j, distance(fields, y, CONTAINMENT_TOL), r) from err
-            if d >= r:  # also at an excluded-ball center that projects to no point
+                raise TubeViolation(j, err.distance, r) from err
+            if d >= r:
                 raise TubeViolation(j, d, r)
             y = points[j] = p
             if d != 0.0:
-                dist_to_set[j] = distance(fields, y, CONTAINMENT_TOL)
+                dist_to_set[j] = project(fields, y, CONTAINMENT_TOL)[1]
     return DiscreteTrajectory(
         grid=grid, points=points, level=level, eps_level=eps_level, dist_to_set=dist_to_set
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -802,6 +803,8 @@ def test_slice_fields_rows_equal_the_slices_at_each_time(kind, draws):
     ts = np.sort([0.0, T / 2, T, *fam.breakpoints(), *(u * T for u in draws)])
     slices = []  # (shape class, fields) per time, from one (shape, rows) pair per piece
     for shape, rows in fam.slice_fields(ts):
+        # solve reads each row positionally, in the shape's dataclass field order.
+        assert list(rows) == [f.name for f in dataclasses.fields(shape)]
         n = len(next(iter(rows.values())))
         assert all(len(values) == n for values in rows.values())
         slices += [(shape, {name: values[k] for name, values in rows.items()}) for k in range(n)]

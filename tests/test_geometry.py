@@ -8,13 +8,17 @@ from sweepsolve.geometry import RefinementSchedule, TimeGrid, norm
 def test_vector_basics():
     assert norm(np.array([3.0, 4.0])) == 5.0
     assert norm(np.array([0.0, 0.0])) == 0.0
+    # Only the zero vector has norm 0, also where every square underflows.
+    assert norm(np.array([1e-200, 0.0])) == 1e-200
+    assert norm(np.array([-3e-200, 4e-200])) == pytest.approx(5e-200, rel=1e-15)
+    assert norm(np.array([5e-324])) == 5e-324
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
 def test_norm_nonnegative_and_zero_iff_zero(coords):
     v = np.array(coords)
     n = norm(v)
-    assert n >= 0.0
+    assert n >= 0.0 and (n == 0.0) == (not v.any())
     scale = max(abs(c) for c in coords)
     if n <= 1e-14 * max(scale, 1.0):
         assert np.allclose(v, 0.0, atol=1e-8 * max(scale, 1.0))

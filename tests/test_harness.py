@@ -190,28 +190,28 @@ def test_report_values_reproducible_from_csvs(tmp_path):
 
 
 def test_run_builds_each_slice_once(tmp_path, monkeypatch):
-    # Residuals and CSVs read the distances solve recorded.  A closed-form
-    # shape steps through the rows of its slice fields, so with only the
+    # Residuals and CSVs read the distances solve recorded.  solve steps
+    # through the rows of each family's field table, and neither a closed-form
+    # shape nor a rigid image builds a slice object for a row, so with the
     # constraint and Cauchy checks solve builds one slice per level, the
-    # initial one that tests y0; a rigid polytope's steps build every grid
-    # node's slice once, and the normal check one more slice per moving step
-    # of the finest level.
+    # initial one that tests y0; the normal check builds one more slice per
+    # moving step of the finest level.  Every slice is made by _from_valid.
     for name, checks in (("sweep_halfspace", ["constraint", "cauchy"]),
                          ("polytope_rotation", ["constraint", "cauchy", "normal"])):
         doc = json.loads(builtin_text(name))
         doc["checks"] = checks
         scenario = parse_scenario(json.dumps(doc))
-        from_rows = ProxSet._from_rows.__func__
+        from_valid = ProxSet._from_valid.__func__
         built = []
 
-        def counting(cls, rows):
-            return (built.append(s) or s for s in from_rows(cls, rows))
+        def counting(cls, fields):
+            built.append(cls)
+            return from_valid(cls, fields)
 
-        monkeypatch.setattr(ProxSet, "_from_rows", classmethod(counting))
+        monkeypatch.setattr(ProxSet, "_from_valid", classmethod(counting))
         report = run(scenario, tmp_path / name, levels=4)
         monkeypatch.undo()
-        nodes = [dict(row)["intervals"] + 1 for row in report.level_rows]
-        expected = len(nodes) if name == "sweep_halfspace" else sum(nodes)
+        expected = len(report.level_rows)
         if "normal" in checks:
             finest = (tmp_path / name / f"{name}_level3.csv").read_text().splitlines()[1:]
             moving = sum(float(line.split(",")[-2]) != 0.0 for line in finest)

@@ -84,11 +84,16 @@ def test_complement_radius_is_its_prox_constant():
 
 def test_complement_center_is_singular():
     bc = BallComplement((0.0, 0.0), 1.0)
-    with pytest.raises(AtSingularity):
+    with pytest.raises(AtSingularity) as err:
         bc.project((0.0, 0.0))
-    # Only the center itself is singular: a point within rounding of it projects.
-    p, d = bc.project_with_distance((1e-17, 0.0))
-    assert np.array_equal(p, (1.0, 0.0)) and d == 1.0
+    assert err.value.distance == 1.0
+    # Only the center itself is singular: a point within rounding of it
+    # projects, also where |y - c| underflows to 0.
+    for offset in (1e-17, 1e-200, -1e-200):
+        p, d = bc.project_with_distance((offset, 0.0))
+        assert np.array_equal(p, (math.copysign(1.0, offset), 0.0)) and d == 1.0
+    p, d = bc.project_with_distance((3e-200, -4e-200))
+    assert np.allclose(p, (0.6, -0.8), rtol=0.0, atol=1e-15) and d == 1.0
 
 
 def test_containment_snapping():
@@ -306,7 +311,7 @@ def _old_project(shape, y, tol):
         d = y - shape.center
         dist = sets_mod.norm(d)
         if dist == 0.0:
-            raise AtSingularity("center")
+            raise AtSingularity(shape.radius)
         return shape.center + shape.radius * d / dist, abs(dist - shape.radius)
     p = np.clip(y, shape.lo, shape.hi) if isinstance(shape, Box) else shape._solve(y)[0]
     return p, sets_mod.norm(y - p)
@@ -379,22 +384,34 @@ def _bit_case(tag, angle, shift, size, off):
 @example("rigid_ball_complement", 0.0, 2.0, 0.0, 1.0, -1e-10)
 @example("rigid_ball_complement", sets_mod.CONTAINMENT_TOL, 0.0, 0.0, 0.109375, 0.109375)
 @example("rigid_polytope", sets_mod.CONTAINMENT_TOL, 0.8, 0.3, 1.0, -1e-10)
+# The pull-back lands within underflow of the excluded-ball center, not on it.
+@example("rigid_ball_complement", sets_mod.CONTAINMENT_TOL, 0.0, 4.084586445182003e-191,
+         0.109375, 0.109375)
+# A non-member whose distance to the base polytope underflows when squared.
+@example("rigid_polytope", 0.0, -1.0, 0.0, 1.0, 7.123514596902229e-172)
 def test_closed_form_projection_is_the_old_test_then_project(tag, tol, angle, shift, size, off):
-    # Each shape's one projection gives, bit for bit, what the membership
+    # Each shape's one projection, and its class's _project_fields on the
+    # shape's fields (solve's step), give, bit for bit, what the membership
     # test and the separate projection gave, also within 1e-10 of the
     # boundary where the tolerance decides; so does its distance.
     shape, y = _bit_case(tag, angle, shift, size, off)
+    fields = tuple(getattr(shape, f.name) for f in dataclasses.fields(shape))
+    projections = (lambda: shape._project_with_distance(y, tol),
+                   lambda: type(shape)._project_fields(fields, y, tol))
+    dist, dist_old = shape._distance(y, tol), _old_distance(shape, y, tol)
     try:
         p_old, d_old = _old_project(shape, y, tol)
     except AtSingularity:
-        # y landed on the excluded-ball center.
-        with pytest.raises(AtSingularity):
-            shape._project_with_distance(y, tol)
+        # y landed on the excluded-ball center, at the distance _distance gives.
+        for project in projections:
+            with pytest.raises(AtSingularity) as err:
+                project()
+            assert err.value.distance == dist
     else:
-        p, d = shape._project_with_distance(y, tol)
-        assert p.tobytes() == p_old.tobytes() and p is not y
-        assert d == d_old and math.copysign(1.0, d) == math.copysign(1.0, d_old)
-    dist, dist_old = shape._distance(y, tol), _old_distance(shape, y, tol)
+        for project in projections:
+            p, d = project()
+            assert p.tobytes() == p_old.tobytes() and p is not y
+            assert d == d_old and math.copysign(1.0, d) == math.copysign(1.0, d_old)
     assert dist == dist_old and math.copysign(1.0, dist) == math.copysign(1.0, dist_old)
 
 
@@ -413,7 +430,8 @@ def test_rigid_image_returns_a_member_with_its_own_bits():
     # Members whose pull-back and push-forward round away from their bits.
     members = [y for y in rng.uniform(-0.5, 1.5, (200, 2)) if moved.membership_defect(y) <= 0.0]
     moved_bits = [y for y in members
-                  if (_BIT_ROTATION @ moved._pull(y) + moved.translation).tobytes() != y.tobytes()]
+                  if (_BIT_ROTATION @ moved._pull(moved.rotation, moved.translation, y)
+                      + moved.translation).tobytes() != y.tobytes()]
     assert moved_bits
     for y in moved_bits:
         for tol in (sets_mod.CONTAINMENT_TOL, 0.0):
@@ -455,15 +473,17 @@ def test_rigid_image_pulls_a_non_member_back_once(monkeypatch):
     calls = []
     pull = RigidImage._pull
 
-    def counting(self, y):
+    def counting(rotation, translation, y):
         calls.append(1)
-        return pull(self, y)
+        return pull(rotation, translation, y)
 
-    monkeypatch.setattr(RigidImage, "_pull", counting)
+    monkeypatch.setattr(RigidImage, "_pull", staticmethod(counting))
     y = np.array([3.0, 2.0])
     for base in (Ball((0.0, 0.0), 1.0), TRIANGLE):
         moved = RigidImage(base, rotation_matrix_2d(0.4), (0.3, -0.2))
-        for call in (lambda: moved._project_with_distance(y)[1], lambda: moved._distance(y)):
+        fields = (moved.base, moved.rotation, moved.translation)
+        for call in (lambda: moved._project_with_distance(y)[1], lambda: moved._distance(y),
+                     lambda: RigidImage._project_fields(fields, y, sets_mod.CONTAINMENT_TOL)[1]):
             calls.clear()
             assert call() > 0.0
             assert len(calls) == 1

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sweepsolve import solver as solver_mod
 from sweepsolve.errors import (
+    AtSingularity,
     CertificationFailed,
     InfeasibleInitialPoint,
     OutOfRange,
@@ -14,7 +15,18 @@ from sweepsolve.errors import (
 from sweepsolve.families import RadiusFamily, RigidFamily, TranslateFamily
 from sweepsolve.geometry import RefinementSchedule, TimeGrid
 from sweepsolve.paths import ConstantPath, LinearPath
-from sweepsolve.sets import Ball, BallComplement, HalfSpace, Polytope, ProxSet, halfspace
+from sweepsolve.sets import (
+    CONTAINMENT_TOL,
+    Ball,
+    BallComplement,
+    Box,
+    HalfSpace,
+    Polytope,
+    ProxSet,
+    RigidImage,
+    halfspace,
+    rotation_matrix_2d,
+)
 from sweepsolve.solver import (
     DiscreteTrajectory,
     affine_interpolant,
@@ -214,22 +226,41 @@ def test_iterate_a_tube_radius_from_the_next_slice_is_a_tube_violation():
     assert err.value.level == 0
 
 
+def _solved(family, y0, grid) -> tuple:
+    traj = solve(family, y0, grid, eps_level=1e9)
+    return traj.points, traj.dist_to_set
+
+
+def _slice_loop(family, y0, grid) -> tuple:
+    """The catching-up loop over slice objects: each step projects with the
+    _project_with_distance of the slice that family.slices builds at its
+    node, and a moved step records that slice's _distance of the new
+    iterate; at an excluded-ball center the tube violation's distance is the
+    slice's _distance too."""
+    points, dists, r = [np.asarray(y0, dtype=float)], [0.0], family.r
+    for j, slice_j in enumerate(family.slices(grid.times[1:]), start=1):
+        try:
+            p, d = slice_j._project_with_distance(points[-1], CONTAINMENT_TOL)
+        except AtSingularity:
+            raise TubeViolation(j, slice_j._distance(points[-1], CONTAINMENT_TOL), r)
+        if d >= r:
+            raise TubeViolation(j, d, r)
+        points.append(p)
+        dists.append(0.0 if d == 0.0 else slice_j._distance(p, CONTAINMENT_TOL))
+    return np.array(points), np.array(dists)
+
+
 def _outcomes(family, y0, grid) -> list:
-    """solve's outcome, bit for bit, with the closed-form shapes stepping
-    their slice fields and stepping slice objects, as ProxSet does by
-    default: the points and distances, or the TubeViolation's step,
-    distance and radius."""
+    """The outcomes of solve, which steps the rows of the family's field
+    table, and of _slice_loop, bit for bit: the points and distances, or the
+    TubeViolation's step, distance and radius."""
     outcomes = []
-    for default in (False, True):
-        with pytest.MonkeyPatch.context() as m:
-            if default:
-                for cls in (HalfSpace, Ball, BallComplement):
-                    m.setattr(cls, "_stepping", ProxSet.__dict__["_stepping"])
-            try:
-                traj = solve(family, y0, grid, eps_level=1e9)
-                outcomes.append((traj.points.tobytes(), traj.dist_to_set.tobytes()))
-            except TubeViolation as err:
-                outcomes.append((err.step, float.hex(err.distance), float.hex(err.radius)))
+    for stepper in (_solved, _slice_loop):
+        try:
+            points, dists = stepper(family, y0, grid)
+            outcomes.append((points.tobytes(), dists.tobytes()))
+        except TubeViolation as err:
+            outcomes.append((err.step, float.hex(err.distance), float.hex(err.radius)))
     return outcomes
 
 
@@ -251,9 +282,8 @@ def closed_form_families(draw):
     else:
         radius = LinearPath(draw(st.floats(0.2, 1.5)), draw(st.floats(-0.15, 1.0)))
         family = RadiusFamily(path, radius, kind == "ball_complement", 1.0)
-    offset = draw(_vectors)
-    assume(math.hypot(*offset) > 1e-3)  # the excluded ball's center projects nowhere
-    point = np.add(path(0.0), offset)
+    point = np.add(path(0.0), draw(_vectors))
+    assume((point != path(0.0)).any())  # the excluded ball's center projects nowhere
     return family, family.at(0.0).project(point), TimeGrid.uniform(1.0, draw(st.integers(1, 40)))
 
 
@@ -283,23 +313,71 @@ def pushing_families(draw):
     return family, family.at(0.0).project(point), grid
 
 
+@st.composite
+def polygon_translates(draw):
+    """A box or a triangle moving on [0, 1]; its initial point, a member; and
+    a grid."""
+    shape = draw(st.sampled_from([Box((-0.5, 0.0), (1.0, 0.5)), TRIANGLE]))
+    family = TranslateFamily(shape, LinearPath(draw(_vectors), draw(_vectors)), 1.0)
+    point = family.at(0.0).project(draw(_vectors))
+    return family, point, TimeGrid.uniform(1.0, draw(st.integers(1, 40)))
+
+
+@st.composite
+def rigid_triangles(draw):
+    """The triangle turning about a pivot, with a drift or not; its initial
+    point, a member; and a grid."""
+    drift = draw(st.none() | st.builds(LinearPath, _vectors, _vectors))
+    family = RigidFamily(TRIANGLE, LinearPath(draw(_coords), draw(st.floats(-4.0, 4.0))),
+                         draw(_vectors), 1.0, drift)
+    point = family.at(0.0).project(draw(_vectors))
+    return family, point, TimeGrid.uniform(1.0, draw(st.integers(1, 40)))
+
+
+@st.composite
+def rigid_hole_translates(draw):
+    """A translate of a rigid image of a ball complement centered at the
+    origin, with a declared r or not; its initial point, off the hole's
+    center or on the moved center at a later grid node, where the pull-back
+    lands on the base's center exactly; and a grid."""
+    radius = draw(st.floats(0.2, 1.5))
+    hole = RigidImage(BallComplement((0.0, 0.0), radius),
+                      rotation_matrix_2d(draw(st.floats(-3.2, 3.2))), draw(_vectors))
+    family = TranslateFamily(hole, LinearPath((0.0, 0.0), draw(_vectors)), 1.0,
+                             draw(st.none() | st.floats(0.05, radius)))
+    grid = TimeGrid.uniform(1.0, draw(st.integers(1, 8)))
+    if draw(st.booleans()):
+        point = family.at(float(grid.times[draw(st.integers(1, len(grid.times) - 1))])).translation
+    else:
+        point = hole.translation + draw(_vectors)
+    assume((point != hole.translation).any())  # the center at t = 0 projects nowhere
+    return family, family.at(0.0).project(point), grid
+
+
 @settings(max_examples=200, deadline=None)
-@given(closed_form_families() | pushing_families())
+@given(closed_form_families() | pushing_families() | polygon_translates() | rigid_triangles()
+       | rigid_hole_translates())
 def test_closed_form_steppers_match_the_default_loop(case):
     family, y0, grid = case
     with_kernel, with_slices = _outcomes(family, y0, grid)
     assert with_kernel == with_slices
 
 
+# A turned excluded ball moving by (1, 0) onto its center's t = 1 position.
+RIGID_HOLE = TranslateFamily(RigidImage(BallComplement((0.0, 0.0), 0.5), rotation_matrix_2d(0.7),
+                                        (0.3, -0.2)), LinearPath((0.0, 0.0), (1.0, 0.0)), 1.0)
+
+
 @pytest.mark.parametrize("family, y0, grid", [
-    # The excluded ball's center lands on the iterate: AtSingularity in the default loop.
+    # The excluded ball's center lands on the iterate: AtSingularity in both loops.
     (TranslateFamily(BallComplement((0.0, 0.0), 0.5), LinearPath((0.0, 0.0), (1.0, 0.0)), 1.0),
      (1.0, 0.0), TimeGrid.uniform(1.0, 1)),
     (growing_hole(), (1.0, 0.0), TimeGrid.uniform(1.0, 1)),
     # A half-space moving 0.5 per step, with r declared 0.3.
     (TranslateFamily(halfspace((0.6, 0.8), 0.0), LinearPath((0.0, 0.0), (-3.0, -4.0)), 1.0,
                      0.3), (0.0, 0.0), TimeGrid.uniform(1.0, 10)),
-], ids=["excluded_center", "growing_hole", "halfspace_declared_r"])
+    (RIGID_HOLE, RIGID_HOLE.at(1.0).translation, TimeGrid.uniform(1.0, 1)),
+], ids=["excluded_center", "growing_hole", "halfspace_declared_r", "rigid_excluded_center"])
 def test_tube_violations_match_the_default_loop(family, y0, grid):
     with_kernel, with_slices = _outcomes(family, y0, grid)
     assert len(with_kernel) == 3 and with_kernel == with_slices
