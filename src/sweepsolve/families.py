@@ -570,10 +570,12 @@ def validate_analytic_modulus(
             s = max(t_star - h, 0.0)
             forward += [(s, t_star), (s, min(t_star + h, T))]
     b = budget or SamplingBudget(count=48, hill_steps=20)
+    times = np.unique(np.ravel(forward))  # every slice built once, by one slice_fields call
+    at = dict(zip(times.tolist(), family.slices(times)))
     worst = -math.inf
     for i, (s, t) in enumerate(forward):
         if t <= s:
             continue
-        est = excess(family.at(s), family.at(t), replace(b, seed=b.seed + i))
+        est = excess(at[s], at[t], replace(b, seed=b.seed + i))
         worst = max(worst, est.upper - omega(t - s) * (1.0 + 1e-6))
     return worst

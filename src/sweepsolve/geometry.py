@@ -28,6 +28,15 @@ def norm(u: np.ndarray) -> float:
     return m * norm(u / m)
 
 
+def norms(U: np.ndarray) -> np.ndarray:
+    # norm of each row, bit for bit: np.vecdot is each row's u.dot(u), as U @ u
+    # is not, and rows whose squares all underflow go through norm.
+    s = np.sqrt(np.vecdot(U, U))
+    for i in np.flatnonzero((s == 0.0) & U.any(axis=1)):
+        s[i] = norm(U[i])
+    return s
+
+
 def readonly(v, ndim: int = 1) -> np.ndarray:
     """A read-only float copy of v, an ndim-dimensional array: how shapes,
     paths and families store vectors (and a rigid image its rotation)."""

@@ -12,9 +12,9 @@ primitive with r equal to its radius.  Each shape tests a point and projects
 it in one method, the closed-form shapes (half-space, ball, ball complement)
 from one evaluation of their defining inequality.  solve projects onto the
 slice of each row of a family's field table with _project_fields, which
-builds that slice only for a box or a polytope.  Polytopes project by a
-finite primal active-set solve whose result is accepted only after an
-explicit KKT check.
+builds that slice only for a box or a polytope, as certify_steps'
+_normal_defects does.  Polytopes project by a finite primal active-set
+solve whose result is accepted only after an explicit KKT check.
 
 Each shape class also owns its schema document (a tag in SHAPES plus
 to_dict/from_dict), its translates by the rows of an array (_moved), its
@@ -40,7 +40,7 @@ from .errors import (
     EmptyIntersection,
     NotAMember,
 )
-from .geometry import Schema, norm, readonly
+from .geometry import Schema, norm, norms, readonly
 
 # Absolute tolerance on the defining inequalities; distances below it snap to 0
 # so the catching-up containment invariant stays testable under rounding.
@@ -64,6 +64,10 @@ _DEFECT_ROUNDING = 8 * np.finfo(float).eps
 
 def _rounding(dim: int, scale: float) -> float:
     return _DEFECT_ROUNDING * (dim + 2) * scale
+
+
+def _max(a, b):
+    return np.where(b > a, b, a)  # max(a, b) elementwise, NaN and -0.0 as max returns them
 
 
 class ProxSet(Schema):
@@ -178,6 +182,13 @@ class ProxSet(Schema):
     def _normal_defect(self, x: np.ndarray, n: np.ndarray, R: float) -> float:
         raise NotImplementedError
 
+    @classmethod
+    def _normal_defects(cls, rows, X: np.ndarray, N: np.ndarray, R: float):
+        """_normal_defect(x, n, R) at the rows x, n of X, N of the slice of each row
+        of slice_fields' rows, each made when iterated to; here by building it."""
+        return (cls._from_valid(row)._normal_defect(x, n, R)
+                for row, x, n in zip(zip(*rows.values()), X, N))
+
     def _vector(self, y) -> np.ndarray:
         """y as a float array, checked to be a vector of this dimension: what
         _distance and _project_with_distance take without a check."""
@@ -234,6 +245,11 @@ class _ClosedForm(ProxSet):
         defect = self.membership_defect(y)  # a non-member's distance, also at a center
         return 0.0 if defect <= tol else defect  # NaN stays NaN
 
+    def _normal_defect(self, x, n, R):
+        # The one-row _normal_defects: each bound is written once, over rows.
+        row = {name: [getattr(self, name)] for name in self.__dataclass_fields__}
+        return float(next(iter(self._normal_defects(row, x[None], n[None], R))))
+
 
 @dataclass(frozen=True, eq=False)
 class HalfSpace(_ClosedForm):
@@ -273,11 +289,14 @@ class HalfSpace(_ClosedForm):
             return y.copy(), 0.0
         return y - excess * normal, excess
 
-    def _normal_defect(self, x, n, R):
+    @classmethod
+    def _normal_defects(cls, rows, X, N, R):
         # <n, z-x> <= lam (offset - <a, x>) + |n - lam a| R for any lam >= 0.
-        lam = max(float(n @ self.normal), 0.0)
-        value = lam * (self.offset - float(self.normal @ x)) + norm(n - lam * self.normal) * R
-        return value + _rounding(self.dim, norm(n) * (R + abs(self.offset) + norm(x)))
+        A, b = np.reshape(rows["normal"], X.shape), np.array(rows["offset"])
+        with np.errstate(all="ignore"):  # as the scalar bound, inf and NaN propagate
+            lam = _max(np.vecdot(N, A), 0.0)
+            value = lam * (b - np.vecdot(A, X)) + norms(N - lam[:, None] * A) * R
+            return value + _rounding(A.shape[1], norms(N) * (R + np.abs(b) + norms(X)))
 
     def face_normals(self):
         return self.normal[None, :]
@@ -395,15 +414,17 @@ class Ball(_Round):
         half = self.radius + _REGION_PAD
         return self.center - half, self.center + half
 
-    def _normal_defect(self, x, n, R):
+    @classmethod
+    def _normal_defects(cls, rows, X, N, R):
         # With u = (x-c)/|x-c|, every member has <u, z-x> <= radius - |x-c|, so
         # <n, z-x> <= s (radius - |x-c|) + |n - s u| R for any s >= 0.
-        v = x - self.center
-        dist = norm(v)
-        u = v / dist if dist > 0 else np.zeros(self.dim)
-        s = max(float(n @ u), 0.0)
-        value = s * (self.radius - dist) + norm(n - s * u) * R
-        return value + _rounding(self.dim, norm(n) * (R + dist + self.radius))
+        V, radius = X - np.reshape(rows["center"], X.shape), np.array(rows["radius"])
+        with np.errstate(all="ignore"):  # u = 0 at the center; inf and NaN propagate
+            dist = norms(V)
+            U = np.where(dist[:, None] > 0, V / dist[:, None], 0.0)
+            s = _max(np.vecdot(N, U), 0.0)
+            value = s * (radius - dist) + norms(N - s[:, None] * U) * R
+            return value + _rounding(V.shape[1], norms(N) * (R + dist + radius))
 
     def farthest_from(self, p):
         gap = self.center - p
@@ -734,26 +755,25 @@ class BallComplement(_Round):
         half = 2.5 * self.radius + _REGION_PAD
         return self.center - half, self.center + half
 
-    def _normal_defect(self, x, n, R):
+    @classmethod
+    def _normal_defects(cls, rows, X, N, R):
         # With u = (c-x)/d, d = |c-x|, every member (|z-c| >= radius) has
         # <u, z-x> <= |z-x|^2/(2d) + (d^2 - radius^2)/(2d); for any s >= 0 the
         # defect is then at most s(d^2 - radius^2)/(2d) + |n - s u| R
-        # + max(s/(2d) - |n|/(2 radius), 0) R^2.
-        v = self.center - x
-        dist = norm(v)
-        n_norm = norm(n)
-        # sample_points projects rejected draws onto the sphere, up to
-        # dist + radius from x and possibly outside the window: R grows to
-        # cover them, so an audit compares the bound with members it covers.
-        R = max(R, dist + self.radius)
-        value = n_norm * R
-        if dist > 0:
-            u = v / dist
-            s = max(float(n @ u), 0.0)
-            curvature = max(s / (2.0 * dist) - n_norm / (2.0 * self.radius), 0.0)
-            value = (s * (dist - self.radius) * (dist + self.radius) / (2.0 * dist)
-                     + norm(n - s * u) * R + curvature * R * R)
-        return value + _rounding(self.dim, n_norm * R * (1.0 + R / self.radius))
+        # + max(s/(2d) - |n|/(2 radius), 0) R^2.  At d = 0 (no u) it is |n| R.
+        V, radius = np.reshape(rows["center"], X.shape) - X, np.array(rows["radius"])
+        with np.errstate(all="ignore"):  # d = 0 ends as NaN, then replaced
+            dist, n_norm = norms(V), norms(N)
+            # sample_points projects rejected draws onto the sphere, up to
+            # dist + radius from x and possibly outside the window: R grows to
+            # cover them, so an audit compares the bound with members it covers.
+            R = _max(R, dist + radius)
+            U = V / dist[:, None]
+            s = _max(np.vecdot(N, U), 0.0)
+            curvature = _max(s / (2.0 * dist) - n_norm / (2.0 * radius), 0.0)
+            value = np.where(dist > 0, s * (dist - radius) * (dist + radius) / (2.0 * dist)
+                             + norms(N - s[:, None] * U) * R + curvature * R * R, n_norm * R)
+            return value + _rounding(V.shape[1], n_norm * R * (1.0 + R / radius))
 
     def excess_of(self, A):
         # d(x, self) = (radius - |x - center|)^+ peaks at the point of A
@@ -844,12 +864,16 @@ class RigidImage(ProxSet):
         # Every shape puts a non-member above tol >= 0: d = 0.0 is a member, kept bit for bit.
         return (y.copy(), 0.0) if d == 0.0 else (rotation @ p + translation, d)
 
-    def _normal_defect(self, x, n, R):
-        # The rotation keeps inner products and the Euclidean window radius.
-        value = self.base._normal_defect(self._pull(self.rotation, self.translation, x),
-                                         self.rotation.T @ n, R)
-        pulled = norm(n) * (R + norm(x - self.translation)) * (1.0 + R / self.r)
-        return value + _rounding(self.dim, pulled)
+    @classmethod
+    def _normal_defects(cls, rows, X, N, R):
+        # The rotation keeps inner products and the Euclidean window radius:
+        # each row's bound is its base's at the pulled-back x and n.
+        for (base, rotation, translation), x, n in zip(zip(*rows.values()), X, N):
+            value = base._normal_defect(cls._pull(rotation, translation, x), rotation.T @ n, R)
+            pulled = norm(n) * (R + norm(x - translation)) * (1.0 + R / base.r)
+            yield value + _rounding(base.dim, pulled)
+
+    _normal_defect = _ClosedForm._normal_defect  # the one-row call
 
     def bounding_region(self):
         corners = np.array(list(itertools.product(*zip(*self.base.bounding_region()))))

@@ -6,9 +6,9 @@ to the slice.  solve projects from each row of the family's field table,
 building a slice object only for a box or a polytope.  Certification
 re-checks that normal-cone membership a posteriori: each slice bounds the
 hypo-monotonicity defect of the step vector from above in closed form
-(ProxSet.normal_defect), and the verdict rests on that bound.  Sampled
-residuals, lower bounds of the same defect, only audit the bounds on
-NORMAL_AUDIT_STEPS steps.
+(ProxSet.normal_defect, over each piece of the same table at once), and the
+verdict rests on that bound.  Sampled residuals, lower bounds of the same
+defect, only audit the bounds on NORMAL_AUDIT_STEPS steps, the only slices built.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     AtSingularity,
     CertificationFailed,
+    DimensionMismatch,
     InfeasibleInitialPoint,
     OutOfRange,
     TubeViolation,
@@ -204,28 +205,34 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory, seed: int = 0)
     Zero steps are skipped (the zero vector lies in every normal cone).  Each
     moving step's verdict comes from the slice's normal_defect, a sound
     closed-form upper bound of the defect over members in the window
-    x +- NORMAL_WINDOW, with the slice's finite r when it has one;
-    CertificationFailed is raised when a bound is not <= CERTIFICATION_TOL
-    (NaN included): that indicates a projection bug, not a modeling
-    problem.  The sampled residual over
-    NORMAL_AUDIT_SAMPLES members of the same window audits NORMAL_AUDIT_STEPS
-    steps: the one with the largest bound and others drawn from seed.  An
-    audited residual above its step's bound means the bound is unsound and
-    raises CertificationFailed naming the step.
+    x +- NORMAL_WINDOW with the slice's finite r (NaN at a non-finite x or n),
+    from one shape._normal_defects call per piece of family.slice_fields.
+    Step by step, CertificationFailed is raised when a bound is not <=
+    CERTIFICATION_TOL (NaN included), a projection bug, then when the step
+    moved beyond the modulus.  The sampled residual over NORMAL_AUDIT_SAMPLES
+    members of the same window audits NORMAL_AUDIT_STEPS steps, the only
+    slices built: the one with the largest bound and others drawn from seed.
+    An audited residual above its bound raises CertificationFailed too.
     """
+    if traj.dim != family.dim:
+        raise DimensionMismatch(f"expected dim {family.dim}, got shape {(traj.dim,)}")
     omega = family.modulus()
     times = traj.grid.times
     moving = np.flatnonzero(traj.jump_norms) + 1
-    certificates, slices = [], []
-    for j, slice_t in zip(moving.tolist(), family.slices(times[moving])):
-        moved = float(traj.jump_norms[j - 1])
-        excess = omega(float(times[j]) - float(times[j - 1]))
-        n_vec = traj.points[j - 1] - traj.points[j]
-        bound = slice_t.normal_defect(traj.points[j], n_vec, NORMAL_WINDOW)
-        if not bound <= CERTIFICATION_TOL:
-            raise CertificationFailed(j, bound, CERTIFICATION_TOL)
-        certificates.append(StepCertificate(j, moved, excess, bound))
-        slices.append(slice_t)
+    X, N = traj.points[moving], traj.points[moving - 1] - traj.points[moving]
+    stop = int(np.argmin(np.append(np.isfinite(np.hstack((X, N))).all(axis=1), False)))
+    R = NORMAL_WINDOW * np.sqrt(traj.dim)  # as normal_defect's halfwidth * math.sqrt(dim)
+    certificates = []
+    for shape, rows in family.slice_fields(times[moving[:stop]]):
+        piece = slice(len(certificates), len(certificates) + len(next(iter(rows.values()))))
+        bounds = shape._normal_defects(rows, X[piece], N[piece], R)
+        for j, bound in zip(moving[piece].tolist(), bounds):  # each bound made when reached
+            if not (bound := float(bound)) <= CERTIFICATION_TOL:
+                raise CertificationFailed(j, bound, CERTIFICATION_TOL)
+            excess = omega(float(times[j]) - float(times[j - 1]))
+            certificates.append(StepCertificate(j, float(traj.jump_norms[j - 1]), excess, bound))
+    if stop < len(moving):  # the first step with a non-finite x or n: its bound is NaN
+        raise CertificationFailed(int(moving[stop]), np.nan, CERTIFICATION_TOL)
     if not certificates:
         return certificates
     worst = max(range(len(certificates)), key=lambda k: certificates[k].defect_bound)
@@ -233,12 +240,13 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory, seed: int = 0)
     drawn = np.random.default_rng(seed).choice(
         others, size=min(NORMAL_AUDIT_STEPS - 1, len(others)), replace=False
     )
-    for k in sorted({worst, *drawn.tolist()}):
+    audited = sorted({worst, *drawn.tolist()})
+    for k, slice_t in zip(audited, family.slices(times[moving[audited]])):
         cert = certificates[k]
         x = traj.points[cert.j]
         region = (x - NORMAL_WINDOW, x + NORMAL_WINDOW)
-        z = sample_points(slices[k], region, NORMAL_AUDIT_SAMPLES, seed + cert.j)
-        audit = _normal_residual(slices[k], x, traj.points[cert.j - 1] - x, z)
+        z = sample_points(slice_t, region, NORMAL_AUDIT_SAMPLES, seed + cert.j)
+        audit = _normal_residual(slice_t, x, traj.points[cert.j - 1] - x, z)
         if not audit.worst_residual <= cert.defect_bound:
             raise CertificationFailed(
                 cert.j, audit.worst_residual, cert.defect_bound,

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from sweepsolve.families import TranslateFamily
@@ -7,7 +8,7 @@ from sweepsolve.geometry import TimeGrid
 from sweepsolve.harness import INNER_BALL_TOL, check_normal, run, scenario_schedule
 from sweepsolve.paths import LinearPath
 from sweepsolve.sets import HalfSpace, ProxSet
-from sweepsolve.solver import solve
+from sweepsolve.solver import NORMAL_AUDIT_STEPS, solve
 from sweepsolve.scenarios import builtin_text, load_builtin, parse_scenario
 
 
@@ -194,9 +195,12 @@ def test_run_builds_each_slice_once(tmp_path, monkeypatch):
     # through the rows of each family's field table, and neither a closed-form
     # shape nor a rigid image builds a slice object for a row, so with the
     # constraint and Cauchy checks solve builds one slice per level, the
-    # initial one that tests y0; the normal check builds one more slice per
-    # moving step of the finest level.  Every slice is made by _from_valid.
+    # initial one that tests y0.  The normal check bounds the moving steps of
+    # the finest level from the same table, again building no slice on either
+    # scenario; only the audit builds the slices of its NORMAL_AUDIT_STEPS
+    # steps.  Every slice is made by _from_valid.
     for name, checks in (("sweep_halfspace", ["constraint", "cauchy"]),
+                         ("sweep_halfspace", ["constraint", "cauchy", "normal"]),
                          ("polytope_rotation", ["constraint", "cauchy", "normal"])):
         doc = json.loads(builtin_text(name))
         doc["checks"] = checks
@@ -209,14 +213,15 @@ def test_run_builds_each_slice_once(tmp_path, monkeypatch):
             return from_valid(cls, fields)
 
         monkeypatch.setattr(ProxSet, "_from_valid", classmethod(counting))
-        report = run(scenario, tmp_path / name, levels=4)
+        out = tmp_path / f"{name}_{len(checks)}"
+        report = run(scenario, out, levels=4)
         monkeypatch.undo()
         expected = len(report.level_rows)
         if "normal" in checks:
-            finest = (tmp_path / name / f"{name}_level3.csv").read_text().splitlines()[1:]
+            finest = (out / f"{name}_level3.csv").read_text().splitlines()[1:]
             moving = sum(float(line.split(",")[-2]) != 0.0 for line in finest)
-            assert moving > 0
-            expected += moving
+            assert moving > NORMAL_AUDIT_STEPS
+            expected += NORMAL_AUDIT_STEPS
         assert len(built) == expected
 
 
@@ -245,7 +250,8 @@ def test_normal_check_reports_bound_and_audit():
 
 def test_failed_audit_is_a_fail_naming_the_step(monkeypatch):
     # A bound below the sampled residual is unsound: the audit must catch it.
-    monkeypatch.setattr(HalfSpace, "_normal_defect", lambda self, x, n, R: -1.0)
+    monkeypatch.setattr(HalfSpace, "_normal_defects",
+                        classmethod(lambda cls, rows, X, N, R: np.full(len(X), -1.0)))
     fam, traj = _sweep_trajectory()
     check = check_normal(fam, traj, seed=0)
     assert check.verdict == "fail"

@@ -15,7 +15,9 @@ from sweepsolve.errors import (
     EmptyIntersection,
     NotAMember,
 )
-from sweepsolve.families import SamplingBudget, excess
+from sweepsolve.families import RigidFamily, SamplingBudget, TranslateFamily, excess
+from sweepsolve.geometry import norm
+from sweepsolve.paths import LinearPath
 from sweepsolve.scenarios import shape_from_dict
 from sweepsolve.solver import CERTIFICATION_TOL
 from sweepsolve.sets import (
@@ -1199,3 +1201,119 @@ def test_polytope_normal_defect_uses_the_solve_multipliers(monkeypatch):
     bound = TRIANGLE.normal_defect((0.5, 0.5), (-0.1, -0.1), 3.0)
     assert bound == pytest.approx(0.1 * math.sqrt(2.0) * 3.0 * math.sqrt(2.0))
     assert calls == []
+
+
+# The scalar bounds that _normal_defects evaluates over rows, one row at a
+# time, written as plain per-step code: the reference the rows must match
+# bit for bit.
+def _halfspace_defect(normal, offset, x, n, R):
+    lam = max(float(n @ normal), 0.0)
+    value = lam * (offset - float(normal @ x)) + norm(n - lam * normal) * R
+    return value + sets_mod._rounding(len(x), norm(n) * (R + abs(offset) + norm(x)))
+
+
+def _ball_defect(center, radius, x, n, R):
+    v = x - center
+    dist = norm(v)
+    u = v / dist if dist > 0 else np.zeros(len(x))
+    s = max(float(n @ u), 0.0)
+    value = s * (radius - dist) + norm(n - s * u) * R
+    return value + sets_mod._rounding(len(x), norm(n) * (R + dist + radius))
+
+
+def _complement_defect(center, radius, x, n, R):
+    v = center - x
+    dist = norm(v)
+    n_norm = norm(n)
+    R = max(R, dist + radius)
+    value = n_norm * R
+    if dist > 0:
+        u = v / dist
+        s = max(float(n @ u), 0.0)
+        curvature = max(s / (2.0 * dist) - n_norm / (2.0 * radius), 0.0)
+        value = (s * (dist - radius) * (dist + radius) / (2.0 * dist)
+                 + norm(n - s * u) * R + curvature * R * R)
+    return value + sets_mod._rounding(len(x), n_norm * R * (1.0 + R / radius))
+
+
+_SCALAR_DEFECTS = {HalfSpace: _halfspace_defect, Ball: _ball_defect,
+                   BallComplement: _complement_defect}
+
+# Components over exponents 10^-8..10^8, near 1e-160 (squares that underflow
+# in norm), signed zeros and non-finite values.
+_COMPONENT = st.one_of(
+    st.floats(-1e8, 1e8, allow_subnormal=False).filter(lambda v: v == 0.0 or abs(v) >= 1e-8),
+    st.floats(1e-162, 1e-158).flatmap(lambda v: st.sampled_from((v, -v))),
+    st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf)),
+)
+
+
+@st.composite
+def _defect_rows(draw):
+    """(shape class, rows, X, N, R): rows of one closed-form shape's fields,
+    some with x at a center or within about 1e-160 of it."""
+    cls = draw(st.sampled_from(sorted(_SCALAR_DEFECTS, key=lambda c: c.tag)))
+    dim, k = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    vec = st.lists(_COMPONENT, min_size=dim, max_size=dim).map(np.array)
+    finite = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim).map(np.array)
+    X, N, rows = [], [], {}
+    for _ in range(k):
+        anchor = draw(finite)
+        offset = draw(st.one_of(vec, st.just(np.zeros(dim))))
+        X.append(anchor + offset)
+        N.append(draw(vec))
+        if cls is HalfSpace:
+            normal = draw(finite.filter(lambda a: norm(a) > 1e-3))
+            shape = halfspace(normal, float(normal @ anchor))
+        else:
+            shape = cls(anchor, draw(st.floats(1e-3, 1e3)))
+        for name in shape.__dataclass_fields__:
+            rows.setdefault(name, []).append(getattr(shape, name))
+    return cls, rows, np.array(X), np.array(N), draw(st.sampled_from((0.5, 3.0 * math.sqrt(dim))))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(np.isnan(a), np.isnan(b)) and np.array_equal(
+        np.where(np.isnan(a), 0.0, a).view(np.int64), np.where(np.isnan(b), 0.0, b).view(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_defect_rows())
+@example((Ball, {"center": [np.array([1e-160, 0.0])], "radius": [1.0]},
+          np.array([[0.0, 0.0]]), np.array([[1.0, -0.0]]), 3.0))
+@example((BallComplement, {"center": [np.array([0.5, 0.5])], "radius": [0.25]},
+          np.array([[0.5, 0.5]]), np.array([[-0.0, 1e-160]]), 3.0))
+def test_closed_form_normal_defects_match_the_scalar_bounds_bit_for_bit(case):
+    # On non-finite rows too, which certify_steps keeps from the hook: the
+    # rows must still propagate inf and NaN as the scalar bound does.
+    cls, rows, X, N, R = case
+    with np.errstate(all="ignore"):  # the scalar bounds warn on inf - inf
+        expected = [_SCALAR_DEFECTS[cls](*row, x, n, R)
+                    for row, x, n in zip(zip(*rows.values()), X, N)]
+    assert _same_bits(list(cls._normal_defects(rows, X, N, R)), expected)
+
+
+def _defect_families():
+    # One family of each registered shape (a rigid motion of the triangle too).
+    path = LinearPath((0.0, 0.0), (0.3, -0.2))
+    yield from (TranslateFamily(shape, path, 2.0) for shape in SHAPE_BY_TAG.values())
+    yield RigidFamily(TRIANGLE, LinearPath(0.0, 0.8), (0.2, 0.2), 2.0)
+
+
+@pytest.mark.parametrize("family", list(_defect_families()), ids=lambda f: f.kind)
+def test_normal_defects_equal_the_per_slice_bounds(family):
+    # certify_steps' one call per piece against each slice's normal_defect:
+    # the default hook (box, polytope, rigid image) loops over the slices, and
+    # the closed forms evaluate their one formula over the rows.
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 2.0, 9)
+    X, N = rng.normal(size=(9, 2)), 0.1 * rng.normal(size=(9, 2))
+    X[1] = family.at(times[1]).project(X[1])
+    [(cls, rows)] = family.slice_fields(times)
+    bounds = list(cls._normal_defects(rows, X, N, 3.0 * math.sqrt(2.0)))
+    expected = [s.normal_defect(x, n, 3.0) for s, x, n in zip(family.slices(times), X, N)]
+    assert _same_bits(bounds, expected)
+    # A piece of a piecewise family may hold no moving step.
+    [(cls, rows)] = family.slice_fields(times[:0])
+    assert list(cls._normal_defects(rows, X[:0], N[:0], 3.0)) == []

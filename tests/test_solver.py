@@ -8,11 +8,12 @@ from sweepsolve import solver as solver_mod
 from sweepsolve.errors import (
     AtSingularity,
     CertificationFailed,
+    DimensionMismatch,
     InfeasibleInitialPoint,
     OutOfRange,
     TubeViolation,
 )
-from sweepsolve.families import RadiusFamily, RigidFamily, TranslateFamily
+from sweepsolve.families import PiecewiseFamily, RadiusFamily, RigidFamily, TranslateFamily
 from sweepsolve.geometry import RefinementSchedule, TimeGrid
 from sweepsolve.paths import ConstantPath, LinearPath
 from sweepsolve.sets import (
@@ -511,11 +512,86 @@ class TestCertification:
         assert len(tested) == audited
 
     def test_nan_bound_fails(self, monkeypatch):
-        monkeypatch.setattr(HalfSpace, "_normal_defect", lambda self, x, n, R: float("nan"))
+        monkeypatch.setattr(HalfSpace, "_normal_defects",
+                            classmethod(lambda cls, rows, X, N, R: np.full(len(X), np.nan)))
         fam = sweep_family()
         traj = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 8), eps_level=0.5)
         with pytest.raises(CertificationFailed, match="normal-defect bound nan"):
             certify_steps(fam, traj)
+
+    def test_a_piece_without_moving_steps(self):
+        # The iterate stays put while the first piece stands still, so its
+        # piece of the field table has no rows.
+        wall = HalfSpace((1.0, 0.0), 1.0)
+        still = TranslateFamily(wall, ConstantPath((0.0, 0.0)), 2.0)
+        sweep = TranslateFamily(wall, LinearPath((1.0, 0.0), (-1.0, 0.0)), 2.0)
+        fam = PiecewiseFamily(((1.0, still), (2.0, sweep)))
+        traj = solve(fam, (0.5, 0.0), TimeGrid.uniform(2.0, 16), eps_level=0.5)
+        certs = certify_steps(fam, traj)
+        assert [c.j for c in certs] == list(range(13, 17))
+
+    def test_failures_name_the_first_failing_step_bound_first(self, monkeypatch):
+        # The bounds of a piece come from one call, but each step is still
+        # checked in order, its bound before its distance moved.  Step 5 moves
+        # 0.4, beyond omega(0.25) = 0.25; the other steps move 0.1.
+        fam = sweep_family()
+        x = np.cumsum([0.0, 0.1, 0.1, 0.1, 0.1, 0.4, 0.1, 0.1, 0.1])
+        traj = DiscreteTrajectory(TimeGrid.uniform(2.0, 8), np.column_stack((-x, 0.0 * x)),
+                                  0, 0.5, np.zeros(9))
+        for nan_steps, step, what in (((), 5, "distance moved"),
+                                      ((3,), 3, "normal-defect bound nan"),
+                                      ((5,), 5, "normal-defect bound nan")):
+            def bounds(cls, rows, X, N, R, nan_steps=nan_steps):
+                return np.where(np.isin(np.arange(1, len(X) + 1), nan_steps), np.nan, 0.0)
+
+            monkeypatch.setattr(HalfSpace, "_normal_defects", classmethod(bounds))
+            with pytest.raises(CertificationFailed, match=what) as err:
+                certify_steps(fam, traj)
+            assert err.value.step == step
+        # A polytope's bound solves for its multipliers at each step; a solve
+        # that raises at step 6 must not hide the failure of step 5, whose
+        # x5 = -0.4 lies inside C(t5) = {x1 <= -0.25}, so that its bound is
+        # positive: the bounds of a piece are made one step at a time.
+        wall = Polytope((HalfSpace((1.0, 0.0), 1.0),), (0.0, 0.0))
+        fam = TranslateFamily(wall, LinearPath((0.0, 0.0), (-1.0, 0.0)), 2.0)
+        x = np.array([1.0, 0.75, 0.5, 0.25, 0.0, -0.4, -0.5, -0.75, -1.0])
+        traj = DiscreteTrajectory(TimeGrid.uniform(2.0, 8), np.column_stack((x, 0.0 * x)),
+                                  0, 0.5, np.zeros(9))
+        solved, polytope_solve = [], Polytope._solve
+
+        def solve_until_step_5(self, y):
+            solved.append(y)
+            if len(solved) > 5:
+                raise ArithmeticError("the active-set solve did not converge")
+            return polytope_solve(self, y)
+
+        monkeypatch.setattr(Polytope, "_solve", solve_until_step_5)
+        with pytest.raises(CertificationFailed, match="normal-defect bound") as err:
+            certify_steps(fam, traj)
+        assert err.value.step == 5
+        assert len(solved) == 5
+
+    def test_a_non_finite_step_fails_on_a_nan_bound(self, monkeypatch):
+        # No bound is evaluated at a non-finite x or n (a polytope would solve
+        # for multipliers there): the first such step fails with a NaN bound.
+        x = 1.0 - np.linspace(0.0, 2.0, 9)  # on the boundary of C(t) = {x1 <= 1 - t}
+        x[6] = np.nan
+        points = np.column_stack((x, 0.0 * x))
+        traj = DiscreteTrajectory(TimeGrid.uniform(2.0, 8), points, 0, 0.5, np.zeros(9))
+        wall = Polytope((HalfSpace((1.0, 0.0), 1.0),), (0.0, 0.0))
+        seen, polytope_bound = [], Polytope._normal_defect
+        monkeypatch.setattr(Polytope, "_normal_defect", lambda self, x, n, R: seen.append(
+            np.isfinite((x, n)).all()) or polytope_bound(self, x, n, R))
+        path = LinearPath((0.0, 0.0), (-1.0, 0.0))
+        for fam in (sweep_family(), TranslateFamily(wall, path, 2.0)):
+            with pytest.raises(CertificationFailed, match="normal-defect bound nan") as err:
+                certify_steps(fam, traj)
+            assert err.value.step == 6
+            flat = DiscreteTrajectory(traj.grid, np.column_stack((points, np.zeros(9))), 0, 0.5,
+                                      np.zeros(9))
+            with pytest.raises(DimensionMismatch):
+                certify_steps(fam, flat)
+        assert seen == [True] * 5
 
     def test_failure_message_shows_the_tolerance(self, monkeypatch):
         # A tolerance far below every residual fails the first moving step; the
