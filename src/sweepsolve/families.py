@@ -13,24 +13,26 @@ ball whose center lies outside B, a ball inside a polyhedral B or with its
 center in a half-space, and an unbounded set over a bounded one; and for
 rigid images of these.  Any other ball whose center lies in B gets a
 two-sided bound.  Only the pairs left (another unbounded polyhedron over an
-unbounded convex set; a polytope in dimension 3 or more; a rigid image of a
-ball complement as B) are sampled, a lower bound with upper = inf.  Families
-built from the declared path forms carry an analytic linear modulus
+unbounded convex set; a half-space over a B whose face normals agree with
+its own only up to rounding; a polytope in dimension 3 or more; a rigid
+image of a ball complement as B) are sampled, a lower bound with upper = inf.
+Families built from the declared path forms carry an analytic linear modulus
 omega(delta) = rate * delta, an upper bound that sets the schedule step
-lengths; validate_analytic_modulus certifies it against excess upper
-bounds.  An inner ball is checked by one exact
-depth evaluation per slice (a member's depth is minus its membership
-defect) at INNER_BALL_TIMES times; between them it is not checked.
+lengths; validate_analytic_modulus certifies it against excess upper bounds.
+An inner ball is checked by one exact depth evaluation per slice (a member's
+depth is minus its membership defect) at INNER_BALL_TIMES times; between
+them it is not checked.
 
 Every slice comes from one field table, MovingFamily.slice_fields(times),
 which checks the times once and evaluates each path once on the whole array.
 Its rows list the fields in the shape's dataclass order, the order in which
 ProxSet._from_valid builds a slice from a row (slices(times) does so for
-each row, and at(t) is slices over one time) and solve passes a row to the
-shape's _project_fields.  No shape's checks run: the family checked its base
-and paths once, and moving them keeps them valid (a translate keeps a unit
-normal, a box's lo < hi and a polytope's strictly feasible interior point, a
-radius stays above the schedule's checked minimum, rotation_matrix_2d is
+each row, and at(t) is slices over one time), and in which the shape's
+_project_fields and _normal_defects, which solve and certify_steps call,
+read a row.  No shape's checks run: the family checked its base and paths
+once, and moving them keeps them valid (a translate keeps a unit normal, a
+box's lo < hi and a polytope's strictly feasible interior point, a radius
+stays above the schedule's checked minimum, rotation_matrix_2d is
 orthogonal).
 
 Each schema family class owns its schema document (a kind tag in FAMILIES

@@ -8,13 +8,12 @@ bound of the normal-cone defect of a candidate normal (normal_defect), and
 seeded member sampling, which serves only the residual that audits those
 bounds and the sampled excess lower bounds.  Convex shapes carry r = inf and
 bypass curvature terms entirely; the ball complement is the nonconvex
-primitive with r equal to its radius.  Each shape tests a point and projects
-it in one method, the closed-form shapes (half-space, ball, ball complement)
-from one evaluation of their defining inequality.  solve projects onto the
-slice of each row of a family's field table with _project_fields, which
-builds that slice only for a box or a polytope, as certify_steps'
-_normal_defects does.  Polytopes project by a finite primal active-set
-solve whose result is accepted only after an explicit KKT check.
+primitive with r equal to its radius.  Each shape writes its projection,
+which also tests the point, and its normal-defect bound once, over one row
+of a family's field table (_project_fields, _normal_defects); a slice object
+uses its own row, so solve and certify_steps build no slice for any shape.
+Polytopes project by a finite primal active-set solve whose result is
+accepted only after an explicit KKT check.
 
 Each shape class also owns its schema document (a tag in SHAPES plus
 to_dict/from_dict), its translates by the rows of an array (_moved), its
@@ -180,14 +179,16 @@ class ProxSet(Schema):
         return float(self._normal_defect(x, n, halfwidth * math.sqrt(self.dim)))
 
     def _normal_defect(self, x: np.ndarray, n: np.ndarray, R: float) -> float:
-        raise NotImplementedError
+        """The one-row _normal_defects, on this slice's row."""
+        rows = dict(zip(self.__dataclass_fields__, ([value] for value in self._row)))
+        return float(next(iter(self._normal_defects(rows, x[None], n[None], R))))
 
     @classmethod
     def _normal_defects(cls, rows, X: np.ndarray, N: np.ndarray, R: float):
-        """_normal_defect(x, n, R) at the rows x, n of X, N of the slice of each row
-        of slice_fields' rows, each made when iterated to; here by building it."""
-        return (cls._from_valid(row)._normal_defect(x, n, R)
-                for row, x, n in zip(zip(*rows.values()), X, N))
+        """Iterable of normal_defect's bounds (R the window's radius) at x, n, the
+        rows of X, N, on the slice of each row of slice_fields' rows: certify_steps'
+        one call per piece.  A bound that can raise is made when iterated to."""
+        raise NotImplementedError
 
     def _vector(self, y) -> np.ndarray:
         """y as a float array, checked to be a vector of this dimension: what
@@ -204,9 +205,12 @@ class ProxSet(Schema):
         return self._distance(self._vector(y))
 
     def _distance(self, y: np.ndarray, tol: float = CONTAINMENT_TOL) -> float:
-        """The distance of _project_with_distance(y, tol); the closed-form
-        shapes override it to skip the projection."""
-        return self._project_with_distance(y, tol)[1]
+        """The distance of _project_with_distance(y, tol), and at an
+        excluded-ball center, which has no projection, its radius."""
+        try:
+            return self._project_with_distance(y, tol)[1]
+        except AtSingularity as err:
+            return err.distance
 
     def project(self, y) -> np.ndarray:
         return self.project_with_distance(y)[0]
@@ -216,10 +220,12 @@ class ProxSet(Schema):
         return self._project_with_distance(self._vector(y))
 
     def _project_with_distance(self, y: np.ndarray, tol: float = CONTAINMENT_TOL) -> tuple:
-        """(projection, distance) of y, tested and projected by each shape: a
-        copy of y at distance 0 where the membership defect is at most tol
-        (with tol = 0.0, where every defining inequality holds), else above tol."""
-        raise NotImplementedError
+        return self._project_fields(self._row, y, tol)
+
+    @cached_property
+    def _row(self) -> tuple:
+        """The field values in dataclass field order: the slice's row of slice_fields."""
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
     @classmethod
     def _from_valid(cls, fields) -> "ProxSet":
@@ -232,27 +238,15 @@ class ProxSet(Schema):
 
     @classmethod
     def _project_fields(cls, fields, y: np.ndarray, tol: float) -> tuple:
-        """_project_with_distance(y, tol) of the slice whose field values are
-        fields, one row of slice_fields: solve's one call per step.  It builds
-        that slice; the closed-form shapes and rigid images build none."""
-        return cls._from_valid(fields)._project_with_distance(y, tol)
-
-
-class _ClosedForm(ProxSet):
-    """A shape that tests, projects and measures a point from one defining-inequality evaluation."""
-
-    def _distance(self, y, tol=CONTAINMENT_TOL):
-        defect = self.membership_defect(y)  # a non-member's distance, also at a center
-        return 0.0 if defect <= tol else defect  # NaN stays NaN
-
-    def _normal_defect(self, x, n, R):
-        # The one-row _normal_defects: each bound is written once, over rows.
-        row = {name: [getattr(self, name)] for name in self.__dataclass_fields__}
-        return float(next(iter(self._normal_defects(row, x[None], n[None], R))))
+        """(projection, distance) of y on the slice of fields, one row of
+        slice_fields (solve's one call per step): a copy of y at distance 0
+        where the membership defect is at most tol (with tol = 0.0, where every
+        defining inequality holds), else above tol."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True, eq=False)
-class HalfSpace(_ClosedForm):
+class HalfSpace(ProxSet):
     """{x : <normal, x> <= offset} with a unit normal."""
 
     tag = "halfspace"
@@ -274,9 +268,6 @@ class HalfSpace(_ClosedForm):
 
     def membership_defect(self, y):
         return float(self.normal @ y) - self.offset
-
-    def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
-        return self._project_fields((self.normal, self.offset), y, tol)
 
     @staticmethod
     def _project_fields(fields, y, tol):
@@ -351,7 +342,7 @@ def halfspace(normal, offset: float) -> HalfSpace:
 
 
 @dataclass(frozen=True, eq=False)
-class _Round(_ClosedForm):
+class _Round(ProxSet):
     """Center and radius of the ball and the excluded ball, with their schema
     document, translate, projection and distance; subclasses set tag, noun
     and _sign, +1 for the ball and -1 for its complement: the membership
@@ -372,9 +363,6 @@ class _Round(_ClosedForm):
 
     def membership_defect(self, y):
         return self._sign * (norm(y - self.center) - self.radius)
-
-    def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
-        return self._project_fields((self.center, self.radius), y, tol)
 
     @classmethod
     def _project_fields(cls, fields, y, tol):
@@ -484,21 +472,25 @@ class Box(ProxSet):
     def membership_defect(self, y):
         return float(np.max(np.maximum(self.lo - y, y - self.hi)))
 
-    def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
-        if self.membership_defect(y) <= tol:
+    @staticmethod
+    def _project_fields(fields, y, tol):
+        lo, hi = fields
+        if float(np.max(np.maximum(lo - y, y - hi))) <= tol:
             return y.copy(), 0.0
-        p = np.clip(y, self.lo, self.hi)
+        p = np.clip(y, lo, hi)
         return p, norm(y - p)
 
     def bounding_region(self):
         return self.lo - _REGION_PAD, self.hi + _REGION_PAD
 
-    def _normal_defect(self, x, n, R):
+    @classmethod
+    def _normal_defects(cls, rows, X, N, R):
         # Coordinate by coordinate: n_i (z_i - x_i) is at most |n_i| times the
         # room up to the face that n_i points at, and at most |n_i| R.
-        room = np.where(n >= 0.0, self.hi - x, x - self.lo)
-        value = float(np.abs(n) @ np.minimum(room, R))
-        return value + _rounding(self.dim, norm(n) * R * self.dim)
+        lo, hi, dim = np.reshape(rows["lo"], X.shape), np.reshape(rows["hi"], X.shape), X.shape[1]
+        with np.errstate(all="ignore"):  # as the scalar bound, inf and NaN propagate
+            room = np.where(N >= 0.0, hi - X, X - lo)
+            return np.vecdot(np.abs(N), np.minimum(room, R)) + _rounding(dim, norms(N) * R * dim)
 
     def _moved(self, U):
         # Both corners move by u, so lo < hi still holds.
@@ -565,7 +557,8 @@ class Polytope(ProxSet):
     def membership_defect(self, y):
         return float(np.max(self._A @ y - self._b))
 
-    def _solve(self, y):
+    @classmethod
+    def _solve(cls, fields, y):
         """Nearest point to y: primal active-set method for min |x - y|^2, Ax <= b.
 
         The iterate x stays feasible.  Each step heads for the nearest point
@@ -577,11 +570,10 @@ class Polytope(ProxSet):
         Returns (x, W, lam): the nearest point, the indices W of its working
         faces and their multipliers lam >= 0, with y - x = A_W^T lam.
         """
-        A, b = self._A, self._b
-        x = self.interior
+        _, x, A, b, max_steps, _ = fields
         work: list = []
-        for _ in range(self._max_steps):
-            Aw, bw, N, M, P = self._working_faces(tuple(work))
+        for _ in range(max_steps):
+            Aw, bw, N, M, P = cls._working_faces(fields, tuple(work))
             r = y - x
             # The step drops the part of r in the span of the working faces,
             # so x stays on them.
@@ -607,35 +599,36 @@ class Polytope(ProxSet):
             # Least-norm multipliers at the corrected x: y - x = A_W^T lam.
             lam = M @ (y - x)
             if (lam >= 0.0).all():
-                self._certify(y, x, work, Aw, lam)
+                cls._certify(A, b, y, x, work, Aw, lam)
                 return x, tuple(work), lam
             del work[int(np.argmin(lam))]
-        raise DidNotConverge(
-            f"active-set projection exceeded {self._max_steps} steps for {len(self.faces)} faces"
-        )
+        raise DidNotConverge(f"active-set projection exceeded {max_steps} steps for {len(A)} faces")
 
-    def _working_faces(self, work: tuple):
+    @staticmethod
+    def _working_faces(fields, work: tuple):
         """(A_W, b_W, N, M, P) for the faces W, cached per W.  From A_W^T = QR:
         N = I - QQ^T projects onto their null space, M = R^-1 Q^T gives the
         least-norm multipliers and P = QR^-T maps a face residual back onto
         the faces.  QR, unlike inverting A_W A_W^T, does not square the
         condition number, so faces 1e-9 rad apart still factor."""
-        cached = self._factors.get(work)
+        _, _, A, b, _, factors = fields
+        cached = factors.get(work)
         if cached is None:
-            Aw = self._A[list(work)]
+            Aw = A[list(work)]
             Q, R = np.linalg.qr(Aw.T)
             diag = np.abs(np.diag(R))
             if len(work) and diag.min() <= _SPAN_EPS * diag.max():
                 raise DidNotConverge(f"faces {list(work)} are numerically dependent")
             Rinv = np.linalg.inv(R)
-            cached = (Aw, self._b[list(work)], np.eye(self.dim) - Q @ Q.T, Rinv @ Q.T, Q @ Rinv.T)
-            self._factors[work] = cached
+            cached = (Aw, b[list(work)], np.eye(A.shape[1]) - Q @ Q.T, Rinv @ Q.T, Q @ Rinv.T)
+            factors[work] = cached
         return cached
 
-    def _certify(self, y, x, work, Aw, lam) -> None:
+    @staticmethod
+    def _certify(A, b, y, x, work, Aw, lam) -> None:
         """Check the KKT conditions of x as the projection of y, with multipliers
         lam on the working faces; raise DidNotConverge when one fails."""
-        residual = self._A @ x - self._b
+        residual = A @ x - b
         infeasible = float(residual.max())
         off_face = float(np.abs(residual[work]).max(initial=0.0))
         stationarity = norm(y - x - lam @ Aw)
@@ -650,25 +643,31 @@ class Polytope(ProxSet):
                 f"off-face {off_face:.3e}, stationarity {stationarity:.3e})"
             )
 
-    def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
-        if self.membership_defect(y) <= tol:
+    @classmethod
+    def _project_fields(cls, fields, y, tol):
+        _, _, A, b, _, _ = fields
+        if float(np.max(A @ y - b)) <= tol:
             return y.copy(), 0.0
-        p = self._solve(y)[0]
+        p = cls._solve(fields, y)[0]
         return p, norm(y - p)
 
-    def _normal_defect(self, x, n, R):
+    @classmethod
+    def _normal_defects(cls, rows, X, N, R):
         # For any lam >= 0 on faces W, every member has
         # <n, z-x> <= lam^T (b_W - A_W x) + |n - A_W^T lam| R.  The multipliers
         # of the projection of x + n serve: for a true normal it is x itself
-        # and n = A_W^T lam.  When x + n is a member, lam = 0.
-        y = x + n
-        work, lam = (), np.zeros(0)
-        if self.membership_defect(y) > CONTAINMENT_TOL:
-            _, work, lam = self._solve(y)
-        Aw, bw = self._A[list(work)], self._b[list(work)]
-        value = float(lam @ (bw - Aw @ x)) + norm(n - lam @ Aw) * R
-        scale = norm(n) * R + float(lam.sum()) * (R + norm(x) + float(np.abs(bw).sum()))
-        return value + _rounding(self.dim, scale)
+        # and n = A_W^T lam.  When x + n is a member, lam = 0.  A generator:
+        # each row's solve waits until its bound is reached.
+        for fields, x, n in zip(zip(*rows.values()), X, N):
+            _, _, A, b, _, _ = fields
+            y = x + n
+            work, lam = (), np.zeros(0)
+            if float(np.max(A @ y - b)) > CONTAINMENT_TOL:
+                _, work, lam = cls._solve(fields, y)
+            Aw, bw = A[list(work)], b[list(work)]
+            value = float(lam @ (bw - Aw @ x)) + norm(n - lam @ Aw) * R
+            scale = norm(n) * R + float(lam.sum()) * (R + norm(x) + float(np.abs(bw).sum()))
+            yield value + _rounding(len(x), scale)
 
     def _recedes(self, slack: float) -> bool:
         """Whether a nonempty 2-D polytope is unbounded: iff A d <= 0 for a face
@@ -854,9 +853,6 @@ class RigidImage(ProxSet):
     def _distance(self, y, tol=CONTAINMENT_TOL):
         return self.base._distance(self._pull(self.rotation, self.translation, y), tol)
 
-    def _project_with_distance(self, y, tol=CONTAINMENT_TOL):
-        return self._project_fields((self.base, self.rotation, self.translation), y, tol)
-
     @staticmethod
     def _project_fields(fields, y, tol):
         base, rotation, translation = fields
@@ -872,8 +868,6 @@ class RigidImage(ProxSet):
             value = base._normal_defect(cls._pull(rotation, translation, x), rotation.T @ n, R)
             pulled = norm(n) * (R + norm(x - translation)) * (1.0 + R / base.r)
             yield value + _rounding(base.dim, pulled)
-
-    _normal_defect = _ClosedForm._normal_defect  # the one-row call
 
     def bounding_region(self):
         corners = np.array(list(itertools.product(*zip(*self.base.bounding_region()))))

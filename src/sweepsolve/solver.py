@@ -2,9 +2,9 @@
 
 Each step projects the previous iterate onto the next slice, so the step
 vector is (minus) a proximal normal there and its length equals the distance
-to the slice.  solve projects from each row of the family's field table,
-building a slice object only for a box or a polytope.  Certification
-re-checks that normal-cone membership a posteriori: each slice bounds the
+to the slice.  solve projects from each row of the family's field table:
+no shape builds a slice object for a step.  Certification re-checks that
+normal-cone membership a posteriori: each slice bounds the
 hypo-monotonicity defect of the step vector from above in closed form
 (ProxSet.normal_defect, over each piece of the same table at once), and the
 verdict rests on that bound.  Sampled residuals, lower bounds of the same
@@ -48,7 +48,7 @@ class DiscreteTrajectory:
 
     dist_to_set[j] is the distance from points[j] to the slice at times[j],
     recorded by the solver at the slice it projected onto.  jump_norms[j-1]
-    is |points[j] - points[j-1]|, computed once here.
+    is |points[j] - points[j-1]|, computed once here.  Every point is finite.
     """
 
     grid: TimeGrid
@@ -66,6 +66,9 @@ class DiscreteTrajectory:
         dist = readonly(self.dist_to_set)
         if dist.shape != (nodes,):
             raise ValueError("dist_to_set must hold one value per grid node")
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"point {int(np.argmin(finite))} is not finite")
         jumps = readonly(np.linalg.norm(np.diff(pts, axis=0), axis=1))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dist_to_set", dist)
@@ -96,15 +99,18 @@ def solve(
     """Run the catching-up recursion y_j = P_{C(t_j)}(y_{j-1}) along the grid,
     one shape._project_fields call per row of family.slice_fields.
 
-    Raises InfeasibleInitialPoint when y0 lies outside the initial slice and
-    TubeViolation(j) when an iterate is at distance >= r from the next slice
-    (the grid is too coarse for this family; refinement is the caller's call).
+    Raises ValueError for a non-finite y0, InfeasibleInitialPoint when y0
+    lies outside the initial slice and TubeViolation(j) when an iterate is at
+    distance >= r from the next slice (the grid is too coarse for this
+    family; refinement is the caller's call).
     """
     y0 = np.asarray(y0, dtype=float)
     if grid.t_first != 0.0:
         raise ValueError("the grid must start at t=0")
     if grid.t_last > family.horizon:
         raise ValueError("the grid extends beyond the family horizon")
+    if not np.isfinite(y0).all():
+        raise ValueError("the initial point must be finite")
     first = family.at(grid.t_first)
     if not first.contains(y0):  # checks y0's dimension, and so every iterate's
         raise InfeasibleInitialPoint(first.membership_defect(y0))
@@ -205,8 +211,8 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory, seed: int = 0)
     Zero steps are skipped (the zero vector lies in every normal cone).  Each
     moving step's verdict comes from the slice's normal_defect, a sound
     closed-form upper bound of the defect over members in the window
-    x +- NORMAL_WINDOW with the slice's finite r (NaN at a non-finite x or n),
-    from one shape._normal_defects call per piece of family.slice_fields.
+    x +- NORMAL_WINDOW with the slice's finite r, from one
+    shape._normal_defects call per piece of family.slice_fields.
     Step by step, CertificationFailed is raised when a bound is not <=
     CERTIFICATION_TOL (NaN included), a projection bug, then when the step
     moved beyond the modulus.  The sampled residual over NORMAL_AUDIT_SAMPLES
@@ -220,10 +226,9 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory, seed: int = 0)
     times = traj.grid.times
     moving = np.flatnonzero(traj.jump_norms) + 1
     X, N = traj.points[moving], traj.points[moving - 1] - traj.points[moving]
-    stop = int(np.argmin(np.append(np.isfinite(np.hstack((X, N))).all(axis=1), False)))
     R = NORMAL_WINDOW * np.sqrt(traj.dim)  # as normal_defect's halfwidth * math.sqrt(dim)
     certificates = []
-    for shape, rows in family.slice_fields(times[moving[:stop]]):
+    for shape, rows in family.slice_fields(times[moving]):
         piece = slice(len(certificates), len(certificates) + len(next(iter(rows.values()))))
         bounds = shape._normal_defects(rows, X[piece], N[piece], R)
         for j, bound in zip(moving[piece].tolist(), bounds):  # each bound made when reached
@@ -231,8 +236,6 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory, seed: int = 0)
                 raise CertificationFailed(j, bound, CERTIFICATION_TOL)
             excess = omega(float(times[j]) - float(times[j - 1]))
             certificates.append(StepCertificate(j, float(traj.jump_norms[j - 1]), excess, bound))
-    if stop < len(moving):  # the first step with a non-finite x or n: its bound is NaN
-        raise CertificationFailed(int(moving[stop]), np.nan, CERTIFICATION_TOL)
     if not certificates:
         return certificates
     worst = max(range(len(certificates)), key=lambda k: certificates[k].defect_bound)

@@ -178,6 +178,8 @@ def test_polytope_projection_budget():
     # The active-set step bound is derived from the face count; a solve that
     # exhausts it raises instead of returning an uncertified point.
     poly = Polytope(TRIANGLE.faces, TRIANGLE.interior)
+    # The projection reads _max_steps from the cached row, made at its first use.
+    assert "_row" not in vars(poly)
     object.__setattr__(poly, "_max_steps", 1)
     with pytest.raises(DidNotConverge, match="exceeded 1 steps"):
         poly.project((1.0, 1.0))
@@ -195,11 +197,11 @@ def test_polytope_projection_solves_once(monkeypatch):
     calls = []
     solve_once = Polytope._solve
 
-    def counting(self, y):
+    def counting(fields, y):
         calls.append(tuple(y))
-        return solve_once(self, y)
+        return solve_once(fields, y)
 
-    monkeypatch.setattr(Polytope, "_solve", counting)
+    monkeypatch.setattr(Polytope, "_solve", staticmethod(counting))
     TRIANGLE.project((1.0, 1.0))
     assert len(calls) == 1
     calls.clear()
@@ -297,6 +299,11 @@ def test_sample_points_tests_each_draw_once(monkeypatch):
     assert len(calls) == 10
 
 
+def _fields(shape):
+    """The shape's field values in dataclass field order: its row."""
+    return tuple(getattr(shape, f.name) for f in dataclasses.fields(shape))
+
+
 def _old_project(shape, y, tol):
     """(projection, distance) as the membership test followed by the separate
     projection of a non-member, which evaluates the defining inequality, or
@@ -315,7 +322,10 @@ def _old_project(shape, y, tol):
         if dist == 0.0:
             raise AtSingularity(shape.radius)
         return shape.center + shape.radius * d / dist, abs(dist - shape.radius)
-    p = np.clip(y, shape.lo, shape.hi) if isinstance(shape, Box) else shape._solve(y)[0]
+    if isinstance(shape, Box):
+        p = np.clip(y, shape.lo, shape.hi)
+    else:
+        p = Polytope._solve(_fields(shape), y)[0]
     return p, sets_mod.norm(y - p)
 
 
@@ -397,7 +407,7 @@ def test_closed_form_projection_is_the_old_test_then_project(tag, tol, angle, sh
     # test and the separate projection gave, also within 1e-10 of the
     # boundary where the tolerance decides; so does its distance.
     shape, y = _bit_case(tag, angle, shift, size, off)
-    fields = tuple(getattr(shape, f.name) for f in dataclasses.fields(shape))
+    fields = _fields(shape)
     projections = (lambda: shape._project_with_distance(y, tol),
                    lambda: type(shape)._project_fields(fields, y, tol))
     dist, dist_old = shape._distance(y, tol), _old_distance(shape, y, tol)
@@ -459,14 +469,16 @@ def test_excluded_ball_center_has_a_distance_but_no_projection():
     (TRIANGLE, (1.0, 1.0)),
 ], ids=["ball", "ball_complement", "box", "polytope"])
 def test_distance_of_a_non_member_evaluates_its_inequality_once(shape, y, monkeypatch):
+    # The distance is its one projection's, which tests y and projects it
+    # from one evaluation of the defining inequality.
     calls = []
-    defect = type(shape).membership_defect
+    project = type(shape)._project_fields
 
-    def counting(self, z):
+    def counting(fields, z, tol):
         calls.append(1)
-        return defect(self, z)
+        return project(fields, z, tol)
 
-    monkeypatch.setattr(type(shape), "membership_defect", counting)
+    monkeypatch.setattr(type(shape), "_project_fields", staticmethod(counting))
     assert shape._distance(np.array(y)) > 0.0
     assert len(calls) == 1
 
@@ -758,24 +770,38 @@ def test_every_registered_shape_has_a_case():
         assert type(shape) is sets_mod.SHAPES[tag]
 
 
-# The hooks ProxSet leaves abstract, with the number of arguments after self.
-_ABSTRACT_HOOKS = {"membership_defect": 1, "_project_with_distance": 1, "_normal_defect": 3,
-                   "bounding_region": 0, "_moved": 1, "to_dict": 0, "from_dict": 0}
+# The hooks ProxSet leaves abstract, with the number of arguments after self
+# (or cls, for a class method).
+_ABSTRACT_HOOKS = {"membership_defect": 1, "_project_fields": 3, "_normal_defects": 4,
+                   "bounding_region": 0, "_moved": 1, "to_dict": 0, "from_dict": 1}
+
+# The operations ProxSet writes once over a slice's own row, and the classes
+# allowed to define each: a rigid image measures through its base, sparing
+# the excess rules a push-forward per vertex.
+_ROW_OPERATIONS = {"_project_with_distance": {sets_mod.ProxSet},
+                   "_normal_defect": {sets_mod.ProxSet},
+                   "_distance": {sets_mod.ProxSet, RigidImage}}
 
 
 def test_every_registered_shape_defines_every_abstract_hook():
     # A shape that inherited one would raise NotImplementedError at its first
     # use, say its first projection in solve.
     for hook, count in _ABSTRACT_HOOKS.items():
+        bound = isinstance(vars(sets_mod.ProxSet)[hook], classmethod)
         with pytest.raises(NotImplementedError):
-            if hook == "from_dict":
-                sets_mod.ProxSet.from_dict(None)
-            else:
-                getattr(sets_mod.ProxSet, hook)(None, *[None] * count)
+            getattr(sets_mod.ProxSet, hook)(*[None] * (count + (not bound)))
     for cls in sets_mod.SHAPES.values():
         for hook in _ABSTRACT_HOOKS:
             owner = next(k for k in cls.__mro__ if hook in vars(k))
             assert owner is not sets_mod.ProxSet, f"{cls.__name__} inherits ProxSet.{hook}"
+
+
+def test_each_operation_on_a_slice_has_one_implementation():
+    # No shape, nor any class between it and ProxSet, brings back a second
+    # projection, distance or bound beside the one over its row.
+    for hook, allowed in _ROW_OPERATIONS.items():
+        owners = {k for cls in sets_mod.SHAPES.values() for k in cls.__mro__ if hook in vars(k)}
+        assert owners == allowed, hook
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -1188,11 +1214,11 @@ def test_polytope_normal_defect_uses_the_solve_multipliers(monkeypatch):
     calls = []
     solve_once = Polytope._solve
 
-    def counting(self, y):
+    def counting(fields, y):
         calls.append(tuple(y))
-        return solve_once(self, y)
+        return solve_once(fields, y)
 
-    monkeypatch.setattr(Polytope, "_solve", counting)
+    monkeypatch.setattr(Polytope, "_solve", staticmethod(counting))
     n = np.array([0.0, -1.0]) + np.array([1.0, 1.0]) / math.sqrt(2.0)
     assert TRIANGLE.normal_defect((1.0, 0.0), 0.01 * n, 3.0) <= 1e-14
     assert len(calls) == 1
@@ -1236,8 +1262,26 @@ def _complement_defect(center, radius, x, n, R):
     return value + sets_mod._rounding(len(x), n_norm * R * (1.0 + R / radius))
 
 
+def _box_defect(lo, hi, x, n, R):
+    room = np.where(n >= 0.0, hi - x, x - lo)
+    value = float(np.abs(n) @ np.minimum(room, R))
+    return value + sets_mod._rounding(len(x), norm(n) * R * len(x))
+
+
+def _polytope_defect(faces, interior, A, b, max_steps, factors, x, n, R):
+    y = x + n
+    work, lam = (), np.zeros(0)
+    if float(np.max(A @ y - b)) > sets_mod.CONTAINMENT_TOL:
+        _, work, lam = Polytope._solve((faces, interior, A, b, max_steps, factors), y)
+    Aw, bw = A[list(work)], b[list(work)]
+    value = float(lam @ (bw - Aw @ x)) + norm(n - lam @ Aw) * R
+    scale = norm(n) * R + float(lam.sum()) * (R + norm(x) + float(np.abs(bw).sum()))
+    return value + sets_mod._rounding(len(x), scale)
+
+
 _SCALAR_DEFECTS = {HalfSpace: _halfspace_defect, Ball: _ball_defect,
-                   BallComplement: _complement_defect}
+                   BallComplement: _complement_defect, Box: _box_defect,
+                   Polytope: _polytope_defect}
 
 # Components over exponents 10^-8..10^8, near 1e-160 (squares that underflow
 # in norm), signed zeros and non-finite values.
@@ -1246,15 +1290,25 @@ _COMPONENT = st.one_of(
     st.floats(1e-162, 1e-158).flatmap(lambda v: st.sampled_from((v, -v))),
     st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf)),
 )
+# Finite components for the polytope, whose active-set solve certifies its
+# multipliers to an absolute tolerance: trajectories are finite.
+_FINITE_COMPONENT = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(1e-162, 1e-158).flatmap(lambda v: st.sampled_from((v, -v))),
+    st.sampled_from((0.0, -0.0)),
+)
 
 
 @st.composite
 def _defect_rows(draw):
-    """(shape class, rows, X, N, R): rows of one closed-form shape's fields,
-    some with x at a center or within about 1e-160 of it."""
+    """(shape class, rows, X, N, R): rows of one shape's fields (triangle
+    translates for the polytope), some with x at a center or within about
+    1e-160 of it."""
     cls = draw(st.sampled_from(sorted(_SCALAR_DEFECTS, key=lambda c: c.tag)))
-    dim, k = draw(st.integers(1, 3)), draw(st.integers(1, 6))
-    vec = st.lists(_COMPONENT, min_size=dim, max_size=dim).map(np.array)
+    dim = 2 if cls is Polytope else draw(st.integers(1, 3))
+    k = draw(st.integers(1, 6))
+    component = _FINITE_COMPONENT if cls is Polytope else _COMPONENT
+    vec = st.lists(component, min_size=dim, max_size=dim).map(np.array)
     finite = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim).map(np.array)
     X, N, rows = [], [], {}
     for _ in range(k):
@@ -1265,6 +1319,11 @@ def _defect_rows(draw):
         if cls is HalfSpace:
             normal = draw(finite.filter(lambda a: norm(a) > 1e-3))
             shape = halfspace(normal, float(normal @ anchor))
+        elif cls is Box:
+            widths = st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim).map(np.array)
+            shape = Box(anchor - draw(widths), anchor + draw(widths))
+        elif cls is Polytope:
+            shape = TRIANGLE.translated(anchor)
         else:
             shape = cls(anchor, draw(st.floats(1e-3, 1e3)))
         for name in shape.__dataclass_fields__:
@@ -1284,9 +1343,13 @@ def _same_bits(a, b):
           np.array([[0.0, 0.0]]), np.array([[1.0, -0.0]]), 3.0))
 @example((BallComplement, {"center": [np.array([0.5, 0.5])], "radius": [0.25]},
           np.array([[0.5, 0.5]]), np.array([[-0.0, 1e-160]]), 3.0))
+# A normal at the vertex (1, 0), certified by two multipliers of one solve.
+@example((Polytope, {name: [getattr(TRIANGLE, name)] for name in TRIANGLE.__dataclass_fields__},
+          np.array([[1.0, 0.0]]), np.array([[0.01 * SQRT2_INV, 0.01 * (SQRT2_INV - 1.0)]]), 3.0))
 def test_closed_form_normal_defects_match_the_scalar_bounds_bit_for_bit(case):
-    # On non-finite rows too, which certify_steps keeps from the hook: the
-    # rows must still propagate inf and NaN as the scalar bound does.
+    # Every shape's bound over rows against its per-step body.  The closed
+    # forms get non-finite rows too, and must propagate inf and NaN as the
+    # scalar bound does; the polytope's rows are finite.
     cls, rows, X, N, R = case
     with np.errstate(all="ignore"):  # the scalar bounds warn on inf - inf
         expected = [_SCALAR_DEFECTS[cls](*row, x, n, R)
@@ -1303,9 +1366,9 @@ def _defect_families():
 
 @pytest.mark.parametrize("family", list(_defect_families()), ids=lambda f: f.kind)
 def test_normal_defects_equal_the_per_slice_bounds(family):
-    # certify_steps' one call per piece against each slice's normal_defect:
-    # the default hook (box, polytope, rigid image) loops over the slices, and
-    # the closed forms evaluate their one formula over the rows.
+    # certify_steps' one call per piece against each slice's normal_defect,
+    # the same hook on the slice's own row: a bound may not depend on the
+    # other rows of its piece.
     rng = np.random.default_rng(5)
     times = np.linspace(0.0, 2.0, 9)
     X, N = rng.normal(size=(9, 2)), 0.1 * rng.normal(size=(9, 2))

@@ -72,11 +72,11 @@ def test_polytope_step_solves_once(family, monkeypatch):
     calls = []
     solve_once = Polytope._solve
 
-    def counting(self, y):
+    def counting(fields, y):
         calls.append(tuple(y))
-        return solve_once(self, y)
+        return solve_once(fields, y)
 
-    monkeypatch.setattr(Polytope, "_solve", counting)
+    monkeypatch.setattr(Polytope, "_solve", staticmethod(counting))
     y0 = (0.0, 0.9)
     traj = solve(family, y0, TimeGrid.uniform(1.0, 1), eps_level=1.0)
     assert len(calls) == 1
@@ -530,6 +530,41 @@ class TestCertification:
         certs = certify_steps(fam, traj)
         assert [c.j for c in certs] == list(range(13, 17))
 
+    @pytest.mark.parametrize("family, y0", [
+        (TranslateFamily(Box((0.0, 0.0), (1.0, 1.0)), LinearPath((0.0, 0.0), (0.5, 0.25)), 2.0),
+         (0.0, 0.5)),
+        (TranslateFamily(TRIANGLE, LinearPath((0.0, 0.0), (0.5, 0.0)), 2.0), (0.0, 0.9)),
+        # The triangle at t = 1 lies in the box the family jumps to.
+        (PiecewiseFamily((
+            (1.0, TranslateFamily(TRIANGLE, LinearPath((0.0, 0.0), (0.5, 0.0)), 1.0)),
+            (2.0, TranslateFamily(Box((0.4, -0.1), (1.6, 1.1)),
+                                  LinearPath((-0.5, 0.0), (0.5, 0.0)), 2.0)))), (0.0, 0.9)),
+    ], ids=["box", "polytope", "piecewise"])
+    def test_steps_and_bounds_build_no_slice(self, family, y0, monkeypatch):
+        # solve steps, and certify_steps bounds, from the rows of the field
+        # table on every shape: solve builds only its initial slice, which
+        # tests y0, and certify_steps only the slices of its audited steps.
+        # A polytope translate's row holds its moved faces, which the table
+        # builds as half-spaces: fields of the row, not slices.
+        from_valid = ProxSet._from_valid.__func__
+        built = []
+        monkeypatch.setattr(ProxSet, "_from_valid", classmethod(
+            lambda cls, fields: built.append(cls) or from_valid(cls, fields)))
+
+        def slices_built():
+            slices = [cls for cls in built if cls is not HalfSpace]
+            built.clear()
+            return len(slices)
+
+        traj = solve(family, y0, TimeGrid.uniform(2.0, 64), eps_level=0.5)
+        assert slices_built() == 1
+        certs = certify_steps(family, traj)
+        audited = sum(c.audit is not None for c in certs)
+        assert len(certs) > audited == solver_mod.NORMAL_AUDIT_STEPS
+        assert slices_built() == audited
+        if isinstance(family, PiecewiseFamily):
+            assert {type(family.at(float(traj.grid.times[c.j]))) for c in certs} == {Polytope, Box}
+
     def test_failures_name_the_first_failing_step_bound_first(self, monkeypatch):
         # The bounds of a piece come from one call, but each step is still
         # checked in order, its bound before its distance moved.  Step 5 moves
@@ -559,39 +594,41 @@ class TestCertification:
                                   0, 0.5, np.zeros(9))
         solved, polytope_solve = [], Polytope._solve
 
-        def solve_until_step_5(self, y):
+        def solve_until_step_5(fields, y):
             solved.append(y)
             if len(solved) > 5:
                 raise ArithmeticError("the active-set solve did not converge")
-            return polytope_solve(self, y)
+            return polytope_solve(fields, y)
 
-        monkeypatch.setattr(Polytope, "_solve", solve_until_step_5)
+        monkeypatch.setattr(Polytope, "_solve", staticmethod(solve_until_step_5))
         with pytest.raises(CertificationFailed, match="normal-defect bound") as err:
             certify_steps(fam, traj)
         assert err.value.step == 5
         assert len(solved) == 5
 
-    def test_a_non_finite_step_fails_on_a_nan_bound(self, monkeypatch):
-        # No bound is evaluated at a non-finite x or n (a polytope would solve
-        # for multipliers there): the first such step fails with a NaN bound.
+    def test_a_non_finite_point_is_rejected_before_certification(self):
+        # A trajectory holds finite points only, so no bound ever sees a
+        # non-finite x or n: the first non-finite node is named at construction.
         x = 1.0 - np.linspace(0.0, 2.0, 9)  # on the boundary of C(t) = {x1 <= 1 - t}
-        x[6] = np.nan
         points = np.column_stack((x, 0.0 * x))
+        for bad in (np.nan, np.inf):
+            broken = points.copy()
+            broken[6, 0] = bad
+            with pytest.raises(ValueError, match="point 6 is not finite"):
+                DiscreteTrajectory(TimeGrid.uniform(2.0, 8), broken, 0, 0.5, np.zeros(9))
         traj = DiscreteTrajectory(TimeGrid.uniform(2.0, 8), points, 0, 0.5, np.zeros(9))
+        flat = DiscreteTrajectory(traj.grid, np.column_stack((points, np.zeros(9))), 0, 0.5,
+                                  np.zeros(9))
         wall = Polytope((HalfSpace((1.0, 0.0), 1.0),), (0.0, 0.0))
-        seen, polytope_bound = [], Polytope._normal_defect
-        monkeypatch.setattr(Polytope, "_normal_defect", lambda self, x, n, R: seen.append(
-            np.isfinite((x, n)).all()) or polytope_bound(self, x, n, R))
         path = LinearPath((0.0, 0.0), (-1.0, 0.0))
         for fam in (sweep_family(), TranslateFamily(wall, path, 2.0)):
-            with pytest.raises(CertificationFailed, match="normal-defect bound nan") as err:
-                certify_steps(fam, traj)
-            assert err.value.step == 6
-            flat = DiscreteTrajectory(traj.grid, np.column_stack((points, np.zeros(9))), 0, 0.5,
-                                      np.zeros(9))
+            assert len(certify_steps(fam, traj)) == 8
             with pytest.raises(DimensionMismatch):
                 certify_steps(fam, flat)
-        assert seen == [True] * 5
+            # solve rejects a non-finite initial point before its first step.
+            for y0 in ((-math.inf, 0.0), (math.nan, 0.0)):
+                with pytest.raises(ValueError, match="initial point must be finite"):
+                    solve(fam, y0, TimeGrid.uniform(2.0, 8), eps_level=0.5)
 
     def test_failure_message_shows_the_tolerance(self, monkeypatch):
         # A tolerance far below every residual fails the first moving step; the
