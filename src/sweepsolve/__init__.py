@@ -55,6 +55,7 @@ from .sets import (
     RigidImage,
     halfspace,
     normal_residual,
+    polytope,
     rotation_matrix_2d,
     sample_points,
 )

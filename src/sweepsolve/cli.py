@@ -68,6 +68,10 @@ def _cmd_excess(args) -> int:
     sa = _load(args.config_a)
     sb = _load(args.config_b)
     s, t = args.t
+    for name, time, scenario in (("S", s, sa), ("T", t, sb)):
+        if not 0.0 <= time <= scenario.horizon:
+            raise SchemaError("--t", f"{name}={time:g} outside [0, {scenario.horizon:g}], "
+                              f"the horizon of {scenario.name}")
     seed = effective_seed(sa)
     est = excess(sa.family.at(s), sb.family.at(t), SamplingBudget(seed=seed))
     print(f"excess of A({s:g}) over B({t:g}): {est.lower:.12g} <= e <= {est.upper:.12g} "

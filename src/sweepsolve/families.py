@@ -55,7 +55,7 @@ from .errors import (
     NoPositiveTau,
     OutOfRange,
 )
-from .geometry import MAX_DYADIC_K, RefinementSchedule, Schema, TimeGrid, readonly
+from .geometry import MAX_DYADIC_K, RefinementSchedule, Schema, TimeGrid, finite, readonly
 from .paths import Path, piece_index
 from .sets import Ball, BallComplement, ProxSet, RigidImage, rotation_matrix_2d, sample_points
 
@@ -195,7 +195,7 @@ class MovingFamily(Schema):
     def _set_r(self, natural_r: float):
         """Check the horizon, then store r: natural_r, or declared_r when it
         lies in (0, natural_r]."""
-        if self.horizon <= 0:
+        if finite(self.horizon) <= 0:
             raise ValueError("horizon must be positive")
         if self.declared_r is not None and not (0.0 < self.declared_r <= natural_r):
             raise ValueError(
@@ -368,12 +368,13 @@ class RigidFamily(MovingFamily):
         return 2
 
     def _slice_fields(self, times):
-        Qs = [readonly(rotation_matrix_2d(a), 2) for a in self.angle(times)]
+        # Each row a read-only view of one checked array per field.
+        Qs = readonly(np.reshape([rotation_matrix_2d(a) for a in self.angle(times)], (-1, 2, 2)), 3)
         U = [self.pivot - Q @ self.pivot for Q in Qs]
         if self.translation is not None:
             U = [u + shift for u, shift in zip(U, self.translation(times))]
         return [(RigidImage, {"base": [self.base] * len(Qs), "rotation": Qs,
-                              "translation": [readonly(u) for u in U]})]
+                              "translation": readonly(np.reshape(U, (-1, 2)), 2)})]
 
     def analytic_rate(self):
         # Chord length under rotation is at most angle * circumradius.
@@ -408,7 +409,7 @@ class PiecewiseFamily(MovingFamily):
     def __post_init__(self):
         if len(self.pieces) < 1:
             raise ValueError("piecewise family needs at least one piece")
-        pieces = tuple((float(u), fam) for u, fam in self.pieces)
+        pieces = tuple((finite(u), fam) for u, fam in self.pieces)
         dims = {fam.dim for _, fam in pieces}
         if len(dims) != 1:
             raise ValueError("piece dimensions differ")
@@ -558,11 +559,13 @@ def validate_analytic_modulus(
     (s, t): a nonpositive value certifies the family's analytic modulus on
     them, and a pair whose excess is only sampled (upper = inf) gives inf.
 
-    The pairs are `pairs` random ones drawn from seed, then, around each
+    The pairs are `pairs` >= 0 random ones drawn from seed, then, around each
     breakpoint t* and for h in T/64, T/16, T/4, the pairs (t*-h, t*) and
     (t*-h, t*+h) clipped to [0, T], where a jump could show.  A sampled pair i
     samples with seed budget.seed + i.
     """
+    if pairs < 0:
+        raise ValueError(f"pairs must be >= 0, got {pairs}")
     omega = family.modulus()
     T = family.horizon
     rng = np.random.default_rng(seed)

@@ -1,6 +1,6 @@
-"""State-space primitives: the vector norm, read-only vector storage, the
-schema-document equality of shapes, paths and families, time grids and nested
-refinement schedules.
+"""State-space primitives: the vector norm, read-only storage of finite
+vectors and of finite numbers, the schema-document equality of shapes, paths
+and families, time grids and nested refinement schedules.
 
 Vectors are plain 1-D float64 numpy arrays.  Time grids used by refinement
 schedules are dyadic subdivisions of [0, T] so that nestedness holds exactly
@@ -18,33 +18,49 @@ import numpy as np
 MAX_DYADIC_K = 24  # the finest supported dyadic grid has 2**MAX_DYADIC_K intervals
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
 def norm(u: np.ndarray) -> float:
     # What np.linalg.norm computes for a 1-D float array, without its overhead,
-    # but 0 only at 0: a u whose squares all underflow is scaled by its max first.
-    s = math.sqrt(u.dot(u))
-    if s or not any(u.tolist()):
-        return s
+    # but to full precision and 0 only at 0: a nonzero u whose sum of squares
+    # is subnormal (lost digits) or 0 (underflow) is scaled by its max first.
+    q = u.dot(u)
+    if not q < _TINY or not any(u.tolist()):
+        return math.sqrt(q)
     m = float(np.abs(u).max())
     return m * norm(u / m)
 
 
 def norms(U: np.ndarray) -> np.ndarray:
     # norm of each row, bit for bit: np.vecdot is each row's u.dot(u), as U @ u
-    # is not, and rows whose squares all underflow go through norm.
-    s = np.sqrt(np.vecdot(U, U))
-    for i in np.flatnonzero((s == 0.0) & U.any(axis=1)):
+    # is not, and nonzero rows whose sum of squares is below _TINY go through norm.
+    q = np.vecdot(U, U)
+    s = np.sqrt(q)
+    for i in np.flatnonzero((q < _TINY) & U.any(axis=1)):
         s[i] = norm(U[i])
     return s
 
 
 def readonly(v, ndim: int = 1) -> np.ndarray:
-    """A read-only float copy of v, an ndim-dimensional array: how shapes,
-    paths and families store vectors (and a rigid image its rotation)."""
+    """A read-only float copy of v, an ndim-dimensional array of finite
+    numbers: how shapes, paths and families store vectors (and a rigid image
+    its rotation)."""
     a = np.array(v, dtype=float)
     if a.ndim != ndim:
         raise ValueError(f"expected a {ndim}-D array of numbers, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"expected finite numbers, got {a[~np.isfinite(a)][0]}")
     a.flags.writeable = False
     return a
+
+
+def finite(x) -> float:
+    """x as a finite float: how shapes, paths and families store numbers."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v}")
+    return v
 
 
 class Schema:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Schema, norm, readonly
+from .geometry import Schema, finite, norm, readonly
 
 
 class Path(Schema):
@@ -54,7 +54,7 @@ class Path(Schema):
 
 
 def _value(v):
-    return float(v) if np.isscalar(v) else readonly(v)
+    return finite(v) if np.isscalar(v) else readonly(v)
 
 
 def _plain(v):
@@ -154,7 +154,7 @@ class PiecewisePath(Path):
     def __post_init__(self):
         if len(self.pieces) < 1:
             raise ValueError("piecewise path needs at least one piece")
-        pieces = tuple((float(u), p) for u, p in self.pieces)
+        pieces = tuple((finite(u), p) for u, p in self.pieces)
         for i in range(1, len(pieces)):
             if pieces[i][0] <= pieces[i - 1][0]:
                 raise ValueError("piece breakpoints must be strictly increasing")

@@ -12,8 +12,12 @@ primitive with r equal to its radius.  Each shape writes its projection,
 which also tests the point, and its normal-defect bound once, over one row
 of a family's field table (_project_fields, _normal_defects); a slice object
 uses its own row, so solve and certify_steps build no slice for any shape.
-Polytopes project by a finite primal active-set solve whose result is
-accepted only after an explicit KKT check.
+A row holds arrays and numbers (and a polytope's factor cache), no shape
+but a rigid image's base: a polytope is its face arrays, normals and
+offsets, each face stored once, with polytope() building one from
+half-spaces.  Polytopes project by a finite primal active-set solve whose
+result is accepted only after an explicit KKT check.  Every stored number
+is finite: a constructor given NaN or an infinity raises ValueError.
 
 Each shape class also owns its schema document (a tag in SHAPES plus
 to_dict/from_dict), its translates by the rows of an array (_moved), its
@@ -39,7 +43,7 @@ from .errors import (
     EmptyIntersection,
     NotAMember,
 )
-from .geometry import Schema, norm, norms, readonly
+from .geometry import Schema, finite, norm, norms, readonly
 
 # Absolute tolerance on the defining inequalities; distances below it snap to 0
 # so the catching-up containment invariant stays testable under rounding.
@@ -47,6 +51,9 @@ CONTAINMENT_TOL = 1e-10
 
 # Tolerance on |normal| - 1 for a half-space normal to count as unit.
 UNIT_NORMAL_TOL = 1e-12
+
+# The smallest normal float: a product below it has lost digits to underflow.
+_TINY = np.finfo(float).tiny
 
 # Margin around the set of each shape's bounding_region.
 _REGION_PAD = 0.5
@@ -260,7 +267,7 @@ class HalfSpace(ProxSet):
         if abs(n - 1.0) > UNIT_NORMAL_TOL:
             raise ValueError(f"half-space normal must be unit (|a|={n!r}); use halfspace()")
         object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", finite(self.offset))
 
     @property
     def dim(self) -> int:
@@ -331,7 +338,7 @@ class HalfSpace(ProxSet):
 
 def halfspace(normal, offset: float) -> HalfSpace:
     """Build a half-space, normalizing the normal (and scaling the offset)."""
-    a = np.asarray(normal, dtype=float)
+    a = readonly(normal)
     n = norm(a)
     if n == 0.0:
         raise ValueError("half-space normal must be nonzero")
@@ -352,10 +359,11 @@ class _Round(ProxSet):
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        radius = finite(self.radius)
+        if radius <= 0:
             raise ValueError(f"{self.noun} radius must be positive")
         object.__setattr__(self, "center", readonly(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", radius)
 
     @property
     def dim(self) -> int:
@@ -372,12 +380,15 @@ class _Round(ProxSet):
         dist = norm(d)
         if cls._sign * (dist - radius) <= tol:
             return y.copy(), 0.0
-        if dist == 0.0:
-            # Only the excluded ball gets its center here: every sphere point
-            # is nearest, so no projection, at distance radius.
-            raise AtSingularity(radius)
         # A ball projects outside points, its complement inside ones: either
         # way the distance is |dist - radius| (the defect; NaN stays NaN).
+        if radius * dist < _TINY:
+            # Only the excluded ball gets its center here: every sphere point
+            # is nearest, so no projection, at distance radius.  Within about
+            # 1e-308 of it, radius * d would underflow and lose its digits.
+            if dist == 0.0:
+                raise AtSingularity(radius)
+            return center + radius * (d / dist), abs(dist - radius)
         return center + radius * d / dist, abs(dist - radius)
 
     def _moved(self, U):
@@ -512,50 +523,55 @@ class Box(ProxSet):
 
 @dataclass(frozen=True, eq=False)
 class Polytope(ProxSet):
-    """Intersection of half-spaces with a stored strictly feasible interior point.
+    """{x : A x <= b} for the unit rows A of normals and b = offsets, with a
+    stored strictly feasible interior point; polytope() builds one from faces.
 
     Projection is a primal active-set solve started at the interior point; the
     result is returned only after the KKT conditions have been checked.
     """
 
     tag = "polytope"
-    faces: tuple
+    normals: np.ndarray
+    offsets: np.ndarray
     interior: np.ndarray
-    _A: np.ndarray = field(init=False, repr=False)
-    _b: np.ndarray = field(init=False, repr=False)
     _max_steps: int = field(init=False, repr=False)
     _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.faces) < 1:
-            raise ValueError("polytope needs at least one face")
-        dims = {f.dim for f in self.faces}
-        if len(dims) != 1:
-            raise ValueError("polytope faces must share a dimension")
-        dim = dims.pop()
-        p = readonly(self.interior)
-        if p.shape != (dim,):
-            raise ValueError("interior point has wrong dimension")
-        worst = max(f.membership_defect(p) for f in self.faces)
+        A, b, p = readonly(self.normals, 2), readonly(self.offsets), readonly(self.interior)
+        m, dim = A.shape
+        if m < 1 or b.shape != (m,) or p.shape != (dim,):
+            raise ValueError("polytope needs m >= 1 normals, m offsets and a point of their dim")
+        if (np.abs(norms(A) - 1.0) > UNIT_NORMAL_TOL).any():
+            raise ValueError("polytope normals must be unit; use polytope()")
+        worst = self._defect((A, b), p)
         if worst >= 0:
             raise ValueError(f"interior point is not strictly feasible (defect {worst:.3e})")
-        m = len(self.faces)
         # Step bound of the active-set solve: between two full steps it adds at
         # most dim faces, and since the objective falls from one full step to
         # the next, each working set (at most dim faces) ends one at most once.
         working_sets = sum(math.comb(m, k) for k in range(min(m, dim) + 1))
-        object.__setattr__(self, "faces", tuple(self.faces))
+        object.__setattr__(self, "normals", A)
+        object.__setattr__(self, "offsets", b)
         object.__setattr__(self, "interior", p)
-        object.__setattr__(self, "_A", readonly([f.normal for f in self.faces], 2))
-        object.__setattr__(self, "_b", readonly([f.offset for f in self.faces]))
         object.__setattr__(self, "_max_steps", (dim + 1) * working_sets)
 
     @property
     def dim(self) -> int:
-        return self.faces[0].dim
+        return self.normals.shape[1]
+
+    @property
+    def faces(self) -> tuple:
+        """The faces as half-spaces, built when asked."""
+        return tuple(HalfSpace(a, b) for a, b in zip(self.normals, self.offsets.tolist()))
+
+    @staticmethod
+    def _defect(fields, y) -> float:
+        """max(A y - b), fields starting with A and b: the membership defect of y."""
+        return float((fields[0] @ y - fields[1]).max())
 
     def membership_defect(self, y):
-        return float(np.max(self._A @ y - self._b))
+        return self._defect(self._row, y)
 
     @classmethod
     def _solve(cls, fields, y):
@@ -570,7 +586,7 @@ class Polytope(ProxSet):
         Returns (x, W, lam): the nearest point, the indices W of its working
         faces and their multipliers lam >= 0, with y - x = A_W^T lam.
         """
-        _, x, A, b, max_steps, _ = fields
+        A, b, x, max_steps, _ = fields
         work: list = []
         for _ in range(max_steps):
             Aw, bw, N, M, P = cls._working_faces(fields, tuple(work))
@@ -599,7 +615,7 @@ class Polytope(ProxSet):
             # Least-norm multipliers at the corrected x: y - x = A_W^T lam.
             lam = M @ (y - x)
             if (lam >= 0.0).all():
-                cls._certify(A, b, y, x, work, Aw, lam)
+                cls._certify(A, b, y, x, Aw, bw, lam)
                 return x, tuple(work), lam
             del work[int(np.argmin(lam))]
         raise DidNotConverge(f"active-set projection exceeded {max_steps} steps for {len(A)} faces")
@@ -611,7 +627,7 @@ class Polytope(ProxSet):
         least-norm multipliers and P = QR^-T maps a face residual back onto
         the faces.  QR, unlike inverting A_W A_W^T, does not square the
         condition number, so faces 1e-9 rad apart still factor."""
-        _, _, A, b, _, factors = fields
+        A, b, _, _, factors = fields
         cached = factors.get(work)
         if cached is None:
             Aw = A[list(work)]
@@ -624,13 +640,12 @@ class Polytope(ProxSet):
             factors[work] = cached
         return cached
 
-    @staticmethod
-    def _certify(A, b, y, x, work, Aw, lam) -> None:
+    @classmethod
+    def _certify(cls, A, b, y, x, Aw, bw, lam) -> None:
         """Check the KKT conditions of x as the projection of y, with multipliers
-        lam on the working faces; raise DidNotConverge when one fails."""
-        residual = A @ x - b
-        infeasible = float(residual.max())
-        off_face = float(np.abs(residual[work]).max(initial=0.0))
+        lam on the working faces Aw x <= bw; raise DidNotConverge when one fails."""
+        infeasible = cls._defect((A, b), x)
+        off_face = float(np.abs(Aw @ x - bw).max(initial=0.0))
         stationarity = norm(y - x - lam @ Aw)
         if (
             infeasible > CONTAINMENT_TOL
@@ -645,8 +660,7 @@ class Polytope(ProxSet):
 
     @classmethod
     def _project_fields(cls, fields, y, tol):
-        _, _, A, b, _, _ = fields
-        if float(np.max(A @ y - b)) <= tol:
+        if cls._defect(fields, y) <= tol:
             return y.copy(), 0.0
         p = cls._solve(fields, y)[0]
         return p, norm(y - p)
@@ -659,10 +673,10 @@ class Polytope(ProxSet):
         # and n = A_W^T lam.  When x + n is a member, lam = 0.  A generator:
         # each row's solve waits until its bound is reached.
         for fields, x, n in zip(zip(*rows.values()), X, N):
-            _, _, A, b, _, _ = fields
+            A, b, _, _, _ = fields
             y = x + n
             work, lam = (), np.zeros(0)
-            if float(np.max(A @ y - b)) > CONTAINMENT_TOL:
+            if cls._defect(fields, y) > CONTAINMENT_TOL:
                 _, work, lam = cls._solve(fields, y)
             Aw, bw = A[list(work)], b[list(work)]
             value = float(lam @ (bw - Aw @ x)) + norm(n - lam @ Aw) * R
@@ -674,7 +688,7 @@ class Polytope(ProxSet):
         direction d = ±(-a_2, a_1), each rate A d counted as <= 0 up to slack.
         Elementwise products (a matrix product may fuse them) make the rate of
         a face along its own direction, or its negation's, exactly 0."""
-        a1, a2 = self._A[:, 0], self._A[:, 1]
+        a1, a2 = self.normals[:, 0], self.normals[:, 1]
         rates = np.outer(a2, a1) - np.outer(a1, a2)  # column k: A d_k
         return bool((rates <= slack).all(axis=0).any() or (rates >= -slack).all(axis=0).any())
 
@@ -687,7 +701,7 @@ class Polytope(ProxSet):
     def unbounded(self) -> bool:
         # At most dim faces always leave a recession direction; in 2-D the
         # rates decide, and a doubtful polytope is not known unbounded.
-        return len(self.faces) <= self.dim or (self.dim == 2 and self._recedes(0.0))
+        return len(self.offsets) <= self.dim or (self.dim == 2 and self._recedes(0.0))
 
     @cached_property
     def _corners(self) -> np.ndarray:
@@ -696,11 +710,11 @@ class Polytope(ProxSet):
         dimensions): its vertices when it is bounded."""
         corners = []
         if self.dim == 2:
-            for pair in itertools.combinations(range(len(self.faces)), 2):
-                A = self._A[list(pair)]
+            for pair in itertools.combinations(range(len(self.offsets)), 2):
+                A = self.normals[list(pair)]
                 if abs(np.linalg.det(A)) < 1e-12:
                     continue
-                v = np.linalg.solve(A, self._b[list(pair)])
+                v = np.linalg.solve(A, self.offsets[list(pair)])
                 if self.membership_defect(v) <= 1e-9:
                     corners.append(v)
         return readonly(np.reshape(corners, (-1, self.dim)), 2)
@@ -709,7 +723,7 @@ class Polytope(ProxSet):
         return self._corners if self.bounded and len(self._corners) else None
 
     def face_normals(self):
-        return self._A
+        return self.normals
 
     def bounding_region(self):
         corners = self._corners
@@ -719,23 +733,29 @@ class Polytope(ProxSet):
         return self.interior - half, self.interior + half
 
     def _moved(self, U):
-        # Same normals, moved offsets and interior point: still strictly feasible.
-        faces, n = [tuple(f.translated(u) for f in self.faces) for u in U], len(U)
-        return {"faces": faces, "interior": readonly(self.interior + U, 2), "_A": [self._A] * n,
-                "_b": [readonly([f.offset for f in row]) for row in faces],
-                "_max_steps": [self._max_steps] * n, "_factors": [{} for _ in U]}
+        # Offsets b_i + <a_i, u> (per-row dots, as a face's translate): still strictly feasible.
+        offsets = readonly(self.offsets + np.vecdot(U[:, None, :], self.normals), 2)
+        return {"normals": [self.normals] * len(U), "offsets": offsets,
+                "interior": readonly(self.interior + U, 2),
+                "_max_steps": [self._max_steps] * len(U), "_factors": [{} for _ in U]}
 
     def to_dict(self):
-        return {
-            "shape": self.tag,
-            "faces": [{"normal": f.normal.tolist(), "offset": f.offset} for f in self.faces],
-            "interior": self.interior.tolist(),
-        }
+        faces = zip(self.normals.tolist(), self.offsets.tolist())
+        return {"shape": self.tag, "faces": [{"normal": a, "offset": b} for a, b in faces],
+                "interior": self.interior.tolist()}
 
     @classmethod
     def from_dict(cls, fields):
-        faces = tuple(halfspace(f.vec("normal"), f.num("offset")) for f in fields.objects("faces"))
-        return cls(faces, fields.vec("interior"))
+        faces = [halfspace(f.vec("normal"), f.num("offset")) for f in fields.objects("faces")]
+        return polytope(faces, fields.vec("interior"))
+
+
+def polytope(faces, interior) -> Polytope:
+    """Build a polytope from half-spaces (see halfspace()) and an interior point."""
+    faces = tuple(faces)
+    if len({f.dim for f in faces}) != 1:
+        raise ValueError("polytope needs at least one face, all of one dimension")
+    return Polytope([f.normal for f in faces], [f.offset for f in faces], interior)
 
 
 class BallComplement(_Round):
@@ -809,8 +829,6 @@ class RigidImage(ProxSet):
         d = self.base.dim
         if Q.shape != (d, d) or u.shape != (d,):
             raise ValueError("rotation/translation dimensions do not match the base")
-        if not (np.isfinite(Q).all() and np.isfinite(u).all()):
-            raise ValueError("rotation and translation must be finite")
         if norm((Q.T @ Q - np.eye(d)).ravel()) > 1e-10:
             raise ValueError("rotation matrix is not orthogonal")
         object.__setattr__(self, "rotation", Q)

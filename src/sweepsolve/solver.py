@@ -60,15 +60,16 @@ class DiscreteTrajectory:
 
     def __post_init__(self):
         nodes = len(self.grid.times)
-        pts = readonly(self.points, 2)
-        if pts.shape[0] != nodes:
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[0] != nodes:
             raise ValueError("points must be a (nodes, dim) array matching the grid")
-        dist = readonly(self.dist_to_set)
-        if dist.shape != (nodes,):
-            raise ValueError("dist_to_set must hold one value per grid node")
         finite = np.isfinite(pts).all(axis=1)
         if not finite.all():
             raise ValueError(f"point {int(np.argmin(finite))} is not finite")
+        pts = readonly(pts, 2)
+        dist = readonly(self.dist_to_set)
+        if dist.shape != (nodes,):
+            raise ValueError("dist_to_set must hold one value per grid node")
         jumps = readonly(np.linalg.norm(np.diff(pts, axis=0), axis=1))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dist_to_set", dist)

@@ -34,8 +34,8 @@ from sweepsolve.sets import (
     BallComplement,
     Box,
     HalfSpace,
-    Polytope,
     halfspace,
+    polytope,
     sample_points,
 )
 from sweepsolve.solver import certify_steps, solve
@@ -48,7 +48,7 @@ def report(criterion: int, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS  {detail}")
 
 
-TRIANGLE = Polytope(
+TRIANGLE = polytope(
     (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
     (0.2, 0.2),
 )

@@ -83,12 +83,18 @@ def test_runtime_error_exits_4(tmp_path, capsys):
     assert main(["excess", "static_ball", str(cfg3), "--t", "0.0", "0.5"]) == 4
 
 
-@pytest.mark.parametrize("times", [("0.0", "nan"), ("nan", "0.5")])
-def test_nan_time_exits_4_at_once(times, capsys):
+@pytest.mark.parametrize("times, named", [
+    (("0.0", "nan"), "T=nan"), (("nan", "0.5"), "S=nan"), (("2.5", "0.5"), "S=2.5"),
+    (("0.0", "-0.5"), "T=-0.5"), (("0.0", "inf"), "T=inf"),
+], ids=["nan-T", "nan-S", "S-past-horizon", "negative-T", "infinite-T"])
+def test_time_outside_the_horizon_is_config_error(times, named, capsys):
+    # Each time is checked against its own scenario's horizon (both 2.0 here)
+    # before any slice is built, NaN included.
     start = time.perf_counter()
-    assert main(["excess", "sweep_halfspace", "moving_obstacle", "--t", *times]) == 4
+    assert main(["excess", "sweep_halfspace", "moving_obstacle", "--t", *times]) == 3
     assert time.perf_counter() - start < 5.0
-    assert "outside" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --t: ") and named in err and "outside" in err
 
 
 def test_excess_command(capsys):

@@ -29,6 +29,7 @@ from sweepsolve.sets import (
     Polytope,
     RigidImage,
     halfspace,
+    polytope,
     rotation_matrix_2d,
 )
 
@@ -114,9 +115,9 @@ class TestExcess:
         assert eAC <= eAB + eBC + 1e-12
 
     def test_triangle_inequality_on_sampled_triples(self):
-        from sweepsolve.sets import Polytope, halfspace
+        from sweepsolve.sets import halfspace, polytope
 
-        tri = Polytope(
+        tri = polytope(
             (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
             (0.2, 0.2),
         )
@@ -201,7 +202,7 @@ class TestSlices:
                                (2.0, TranslateFamily(plane, still, 2.0))))
         assert fam.at(1.0) == plane
         # Every probe along a face normal is a member: the ball lies inside.
-        triangle = Polytope(
+        triangle = polytope(
             (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
             (0.2, 0.2),
         )
@@ -220,7 +221,7 @@ class TestSlices:
                              (2.0, TranslateFamily(box, still, 2.0))))
 
     def test_jump_from_a_triangle_into_a_ball_admitted_and_back_rejected(self):
-        triangle = Polytope(
+        triangle = polytope(
             (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
             (0.2, 0.2),
         )
@@ -237,7 +238,7 @@ class TestSlices:
 
     def test_jump_between_equal_slices_admitted(self):
         # Polytopes have no closed-form excess; equal slices need none.
-        triangle = Polytope(
+        triangle = polytope(
             (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
             (0.2, 0.2),
         )
@@ -280,6 +281,13 @@ class TestModulus:
         a_cont = validate_analytic_modulus(drift_nojump_family(), pairs=50, seed=3)
         assert abs(a_jump - a_cont) <= 1e-9
 
+    def test_a_negative_pair_count_is_rejected(self):
+        # -inf would read as a certificate over no pair; pairs=0 audits only
+        # the breakpoint pairs, of which sweep_family has none.
+        with pytest.raises(ValueError, match="pairs must be >= 0, got -3"):
+            validate_analytic_modulus(sweep_family(), pairs=-3)
+        assert validate_analytic_modulus(sweep_family(), pairs=0) == -math.inf
+
     def test_audit_covers_pairs_straddling_a_jump(self, monkeypatch):
         # With no random pairs only the breakpoint pairs are audited.
         fam = drift_jump_family()
@@ -290,10 +298,10 @@ class TestModulus:
     def test_modulus_certificate_needs_an_upper_bound_on_every_pair(self):
         # A translating wedge over a later slice is left to sampling, whose
         # upper bound is inf; the rotating triangle's pairs are all exact.
-        wedge = Polytope((HalfSpace((1.0, 0.0), 0.0), HalfSpace((0.0, 1.0), 0.0)), (-1.0, -1.0))
+        wedge = polytope((HalfSpace((1.0, 0.0), 0.0), HalfSpace((0.0, 1.0), 0.0)), (-1.0, -1.0))
         drift = TranslateFamily(wedge, LinearPath((0.0, 0.0), (1.0, 0.0)), 1.0)
         assert validate_analytic_modulus(drift, pairs=3) == math.inf
-        triangle = Polytope(
+        triangle = polytope(
             (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
             (0.2, 0.2),
         )
@@ -444,8 +452,8 @@ def test_rigid_family_derives_its_rate_and_rejects_unbounded_bases():
     assert fam.analytic_rate() == distance
     assert np.linalg.norm(point - pivot) == distance
     edge = HalfSpace((1.0, 0.0), 0.5)
-    wedge = Polytope((HalfSpace((1.0, 0.0), 0.0), HalfSpace((0.0, 1.0), 0.0)), (-1.0, -1.0))
-    for base in (edge, Polytope((edge,), (0.0, 0.0)), wedge, BallComplement((0.0, 0.0), 0.5)):
+    wedge = polytope((HalfSpace((1.0, 0.0), 0.0), HalfSpace((0.0, 1.0), 0.0)), (-1.0, -1.0))
+    for base in (edge, polytope((edge,), (0.0, 0.0)), wedge, BallComplement((0.0, 0.0), 0.5)):
         with pytest.raises(ValueError, match=f"the {base.tag} base is unbounded"):
             RigidFamily(base, LinearPath(0.0, 1.0), (0.0, 0.0), 1.0)
 
@@ -483,7 +491,7 @@ def _rigid_bases(draw):
     if area < 0:
         pts = pts[::-1]
     faces = tuple(halfspace(n, off) for n, off in _ccw_faces(pts))
-    return Polytope(faces, pts.mean(axis=0)), pts, None
+    return polytope(faces, pts.mean(axis=0)), pts, None
 
 
 @settings(max_examples=80, deadline=None)
@@ -601,6 +609,9 @@ def test_a_rigid_ball_centered_on_a_half_plane_has_its_witness_on_the_far_side(a
 # A ball 1e-12 off B's center: the excess, about 1e-12, is below the snap of
 # B.distance, so the witness is compared through the unsnapped distance.
 @example((Ball((0.0, 1e-12), 1.0), None, np.array([0.0, 1e-12])), (0.0, 0.0), 1.0)
+# A ball 1e-158 off B's center: |c|^2 is subnormal, so a norm taken as
+# sqrt(c.c) is 8e-9 short and the witness lands 8e-9 outside the ball.
+@example((Ball((0.0, 1e-158), 1.0), None, np.array([0.0, 1e-158])), (0.0, 0.0), 1.0)
 def test_a_ball_box_or_polygon_over_a_ball_against_the_oracle(based, c, rho):
     # A's farthest point from the center is deepest outside the ball.
     base, vertices, center = based
@@ -632,13 +643,13 @@ def _unbounded_shapes(draw):
         return BallComplement(c, R), None, lambda t: c + t * n
     if kind == "wedge":
         Q, u = rotation_matrix_2d(angle), np.array([draw(st.floats(-1.0, 1.0)), 0.5])
-        wedge = Polytope((HalfSpace((1.0, 0.0), 0.0), HalfSpace((0.0, 1.0), 0.0)), (-1.0, -1.0))
+        wedge = polytope((HalfSpace((1.0, 0.0), 0.0), HalfSpace((0.0, 1.0), 0.0)), (-1.0, -1.0))
         faces = [(tuple(Q @ a), float((Q @ a) @ u)) for a in np.eye(2)]
         return (RigidImage(wedge, Q, u), lambda y: oracles.polygon_distance(faces, y),
                 lambda t: Q @ (-t * np.ones(2) / math.sqrt(2.0)) + u)
     side = np.array([-n[1], n[0]])
     faces = [(tuple(n), 1.0), (tuple(-n), 1.0), (tuple(side), 1.0)]
-    slab = Polytope(tuple(halfspace(a, b) for a, b in faces), (0.0, 0.0))
+    slab = polytope(tuple(halfspace(a, b) for a, b in faces), (0.0, 0.0))
     return slab, lambda y: oracles.polygon_distance(faces, y), lambda t: -t * side
 
 
@@ -675,7 +686,7 @@ def test_any_shape_over_a_ball_complement_against_the_oracle(a, c, R):
 def _families_with(horizon=1.0, declared_r=None):
     """One family of each class, with the given horizon and declared r."""
     centre = ConstantPath((0.0, 0.0))
-    square = Polytope(
+    square = polytope(
         (HalfSpace((0.0, -1.0), 0.0), HalfSpace((-1.0, 0.0), 0.0), HalfSpace((1.0, 0.0), 1.0),
          HalfSpace((0.0, 1.0), 1.0)),
         (0.5, 0.5),
@@ -719,6 +730,59 @@ def test_every_family_rejects_a_nonpositive_horizon(kind):
             _families_with(horizon=horizon)[kind]()
 
 
+_UNIT_SQUARE = polytope((halfspace((0.0, -1.0), 0.0), halfspace((-1.0, 0.0), 0.0),
+                         halfspace((1.0, 0.0), 1.0), halfspace((0.0, 1.0), 1.0)), (0.5, 0.5))
+_STILL = ConstantPath((0.0, 0.0))
+# One builder per stored number, putting v into one vector or scalar field,
+# and a finite v with which it builds.
+_NUMBER_FIELDS = {
+    "halfspace-normal": (lambda v: HalfSpace((1.0, v), 1.0), 0.0),
+    "halfspace-built-normal": (lambda v: halfspace((v, 1.0), 1.0), 0.5),
+    "halfspace-offset": (lambda v: HalfSpace((1.0, 0.0), v), 0.5),
+    "ball-center": (lambda v: Ball((v, 0.0), 1.0), 0.5),
+    "ball-radius": (lambda v: Ball((0.0, 0.0), v), 0.5),
+    "complement-center": (lambda v: BallComplement((0.0, v), 1.0), 0.5),
+    "complement-radius": (lambda v: BallComplement((0.0, 0.0), v), 0.5),
+    "box-lo": (lambda v: Box((v, 0.0), (1.0, 1.0)), 0.5),
+    "box-hi": (lambda v: Box((0.0, 0.0), (1.0, v)), 0.5),
+    "polytope-normals": (lambda v: Polytope(((1.0, v),), (1.0,), (0.0, 0.0)), 0.0),
+    "polytope-offsets": (lambda v: Polytope(((1.0, 0.0),), (v,), (0.0, 0.0)), 0.5),
+    "polytope-interior": (lambda v: polytope(_UNIT_SQUARE.faces, (v, 0.5)), 0.5),
+    "rigid-image-rotation": (
+        lambda v: RigidImage(_UNIT_SQUARE, ((1.0, 0.0), (0.0, v)), (0.0, 0.0)), 1.0),
+    "rigid-image-translation": (lambda v: RigidImage(_UNIT_SQUARE, np.eye(2), (0.0, v)), 0.5),
+    "constant-path-value": (lambda v: ConstantPath(v), 0.5),
+    "constant-path-vector": (lambda v: ConstantPath((0.0, v)), 0.5),
+    "linear-path-value": (lambda v: LinearPath(v, 1.0), 0.5),
+    "linear-path-rate": (lambda v: LinearPath(1.0, v), 0.5),
+    "linear-path-vector-rate": (lambda v: LinearPath((0.0, 0.0), (v, 0.0)), 0.5),
+    "piecewise-path-until": (lambda v: PiecewisePath(((v, ConstantPath(1.0)),)), 0.5),
+    "translate-horizon": (lambda v: TranslateFamily(Ball((0.0, 0.0), 1.0), _STILL, v), 0.5),
+    "radius-schedule-horizon": (
+        lambda v: RadiusFamily(_STILL, ConstantPath(1.0), False, v), 0.5),
+    "radius-schedule-rate": (
+        lambda v: RadiusFamily(_STILL, LinearPath(1.0, v), False, 1.0), 0.5),
+    "rigid-pivot": (
+        lambda v: RigidFamily(_UNIT_SQUARE, LinearPath(0.0, 1.0), (v, 0.5), 1.0), 0.5),
+    "rigid-horizon": (
+        lambda v: RigidFamily(_UNIT_SQUARE, LinearPath(0.0, 1.0), (0.5, 0.5), v), 0.5),
+    "piecewise-until": (lambda v: PiecewiseFamily(
+        ((v, RadiusFamily(_STILL, ConstantPath(1.0), False, 1.0)),)), 0.5),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(_NUMBER_FIELDS))
+def test_non_finite_numbers_are_rejected_where_they_are_stored(name, value):
+    # Schema documents reject them field by field; the Python constructors do
+    # too, so that no slice holds a NaN (a NaN interior point made every
+    # point a member) and no modulus drops one (max(0.0, nan) is 0.0).
+    build, finite = _NUMBER_FIELDS[name]
+    build(finite)
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
+
+
 def test_min_radius_sees_the_knots_of_nested_pieces():
     # The inner kink at t = 1 takes the radius to -0.5; the outer path has no knot there.
     inner = PiecewisePath(((1.0, LinearPath(1.0, -1.5)), (2.0, LinearPath(-2.0, 1.5))))
@@ -731,7 +795,7 @@ def test_min_radius_sees_the_knots_of_nested_pieces():
 
 
 def _drifting_rigid():
-    triangle = Polytope((halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0),
+    triangle = polytope((halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0),
                          halfspace((1.0, 1.0), 1.0)), (0.25, 0.25))
     drift = PiecewisePath(((0.5, LinearPath((0.0, 0.0), (1.0, 0.5))),
                            (1.0, LinearPath((1.0, 0.5), (-1.0, -0.5)))))
@@ -772,7 +836,7 @@ def test_slices_equal_the_slices_at_each_time(kind, draws):
 
 
 _SLANTED = LinearPath((0.1, -0.2), (1.0 / 3.0, -0.7))
-_TRIANGLE = Polytope((halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0),
+_TRIANGLE = polytope((halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0),
                       halfspace((1.0, 1.0), 1.0)), (0.25, 0.25))
 # Every family kind, and a translate of every shape along a slanted path, on
 # which a matrix product over the rows would round some offsets differently.

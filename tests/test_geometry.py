@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sweepsolve.geometry import RefinementSchedule, TimeGrid, norm
+from sweepsolve.geometry import RefinementSchedule, TimeGrid, norm, norms
 
 
 def test_vector_basics():
@@ -12,6 +12,9 @@ def test_vector_basics():
     assert norm(np.array([1e-200, 0.0])) == 1e-200
     assert norm(np.array([-3e-200, 4e-200])) == pytest.approx(5e-200, rel=1e-15)
     assert norm(np.array([5e-324])) == 5e-324
+    # A subnormal sum of squares has lost digits: the norm is still exact here.
+    assert norm(np.array([0.0, 1e-158])) == 1e-158
+    assert norms(np.array([[0.0, 1e-158], [3.0, 4.0]])).tolist() == [1e-158, 5.0]
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))

@@ -23,7 +23,7 @@ from sweepsolve.scenarios import (
     serialize_scenario,
     shape_from_dict,
 )
-from sweepsolve.sets import Ball, BallComplement, HalfSpace, Polytope, halfspace
+from sweepsolve.sets import Ball, BallComplement, HalfSpace, halfspace, polytope
 
 
 def test_list_builtins_has_required_entries():
@@ -276,7 +276,7 @@ def test_non_object_section_is_schema_error():
 
 
 # One instance of every registered path form and family kind, keyed by tag.
-TRIANGLE = Polytope(
+TRIANGLE = polytope(
     (halfspace((0.0, -1.0), 0.0), halfspace((-1.0, 0.0), 0.0), halfspace((1.0, 1.0), 1.0)),
     (0.2, 0.2),
 )

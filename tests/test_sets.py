@@ -29,13 +29,14 @@ from sweepsolve.sets import (
     RigidImage,
     halfspace,
     normal_residual,
+    polytope,
     rotation_matrix_2d,
     sample_points,
 )
 
 import oracles
 
-TRIANGLE = Polytope(
+TRIANGLE = polytope(
     (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
     (0.2, 0.2),
 )
@@ -96,6 +97,10 @@ def test_complement_center_is_singular():
         assert np.array_equal(p, (math.copysign(1.0, offset), 0.0)) and d == 1.0
     p, d = bc.project_with_distance((3e-200, -4e-200))
     assert np.allclose(p, (0.6, -0.8), rtol=0.0, atol=1e-15) and d == 1.0
+    # radius * d underflows at a subnormal offset: the projection still lies
+    # on the sphere, not at |d| / |d| = 1 from the center.
+    p, d = BallComplement((0.0, 0.0), 1.25).project_with_distance((0.0, 5e-324))
+    assert np.array_equal(p, (0.0, 1.25)) and d == 1.25
 
 
 def test_containment_snapping():
@@ -112,7 +117,11 @@ VECTOR_FIELDS = [
     pytest.param("center", lambda v: BallComplement(v, 1.0), (0.5, -0.5), id="complement"),
     pytest.param("lo", lambda v: Box(v, (2.0, 2.0)), (0.0, 1.0), id="box-lo"),
     pytest.param("hi", lambda v: Box((-1.0, -1.0), v), (0.0, 1.0), id="box-hi"),
-    pytest.param("interior", lambda v: Polytope(TRIANGLE.faces, v), (0.2, 0.3), id="polytope"),
+    pytest.param("interior", lambda v: polytope(TRIANGLE.faces, v), (0.2, 0.3), id="polytope"),
+    pytest.param("normals", lambda v: Polytope(v, TRIANGLE.offsets, TRIANGLE.interior),
+                 tuple(map(tuple, TRIANGLE.normals.tolist())), id="polytope-normals"),
+    pytest.param("offsets", lambda v: Polytope(TRIANGLE.normals, v, TRIANGLE.interior),
+                 (0.0, 0.0, 2.0), id="polytope-offsets"),
     pytest.param("rotation", lambda v: RigidImage(TRIANGLE, v, (0.0, 0.0)),
                  ((0.0, -1.0), (1.0, 0.0)), id="rigid-rotation"),
     pytest.param("translation", lambda v: RigidImage(TRIANGLE, np.eye(2), v), (1.0, -2.0),
@@ -146,7 +155,7 @@ def test_vector_fields_must_have_their_dimension():
     (BallComplement((0.0, 0.0), 1.0), BallComplement((0.5, 0.0), 1.0)),
     (Box((0.0, 0.0), (1.0, 1.0)), Box((0.0, -1.0), (1.0, 1.0))),
     (Box((0.0, 0.0), (1.0, 1.0)), Box((0.0, 0.0), (2.0, 1.0))),
-    (TRIANGLE, Polytope(TRIANGLE.faces, (0.2, 0.3))),
+    (TRIANGLE, polytope(TRIANGLE.faces, (0.2, 0.3))),
     (RigidImage(TRIANGLE, np.eye(2), (0.0, 0.0)),
      RigidImage(TRIANGLE, np.diag([1.0, -1.0]), (0.0, 0.0))),
     (RigidImage(TRIANGLE, np.eye(2), (0.0, 0.0)), RigidImage(TRIANGLE, np.eye(2), (0.0, 1.0))),
@@ -171,18 +180,36 @@ def test_halfspace_normalization():
 
 def test_polytope_requires_strict_interior():
     with pytest.raises(ValueError):
-        Polytope((halfspace((1.0, 0.0), 0.0),), (0.0, 0.0))
+        polytope((halfspace((1.0, 0.0), 0.0),), (0.0, 0.0))
+
+
+def test_polytope_face_arrays_are_checked():
+    # polytope() stores each half-space's normal and offset as one row of the
+    # arrays, and faces gives them back; the arrays themselves are checked.
+    faces = [{"normal": f.normal.tolist(), "offset": f.offset} for f in TRIANGLE.faces]
+    assert faces == TRIANGLE.to_dict()["faces"]
+    assert polytope(TRIANGLE.faces, TRIANGLE.interior) == TRIANGLE
+    with pytest.raises(ValueError, match="must be unit"):
+        Polytope(((2.0, 0.0),), (1.0,), (0.0, 0.0))
+    for normals, offsets, interior in ((TRIANGLE.normals, (0.0, 0.0), (0.2, 0.2)),
+                                       (TRIANGLE.normals, TRIANGLE.offsets, (0.2, 0.2, 0.2)),
+                                       (np.zeros((0, 2)), (), (0.0, 0.0))):
+        with pytest.raises(ValueError, match="m >= 1 normals, m offsets"):
+            Polytope(normals, offsets, interior)
+    for faces in ((), (halfspace((1.0, 0.0), 1.0), halfspace((1.0, 0.0, 0.0), 1.0))):
+        with pytest.raises(ValueError, match="at least one face, all of one dimension"):
+            polytope(faces, (0.0, 0.0))
 
 
 def test_polytope_projection_budget():
-    # The active-set step bound is derived from the face count; a solve that
+    # The active-set step bound is derived from the face count, (dim + 1) times
+    # the 1 + 3 + 3 working sets of at most 2 of the 3 faces; a solve that
     # exhausts it raises instead of returning an uncertified point.
-    poly = Polytope(TRIANGLE.faces, TRIANGLE.interior)
-    # The projection reads _max_steps from the cached row, made at its first use.
-    assert "_row" not in vars(poly)
-    object.__setattr__(poly, "_max_steps", 1)
+    normals, offsets, interior, max_steps, _ = TRIANGLE._row
+    assert max_steps == 21
+    row = (normals, offsets, interior, 1, {})
     with pytest.raises(DidNotConverge, match="exceeded 1 steps"):
-        poly.project((1.0, 1.0))
+        Polytope._project_fields(row, np.array([1.0, 1.0]), sets_mod.CONTAINMENT_TOL)
 
 
 def test_polytope_projection_uncertified_raises(monkeypatch):
@@ -363,7 +390,7 @@ def _bit_case(tag, angle, shift, size, off):
     elif tag == "polytope":
         faces = (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0),
                  halfspace((1.0, 1.0), size))
-        shape = Polytope(faces, (0.2 * size, 0.2 * size)).translated(center)
+        shape = polytope(faces, (0.2 * size, 0.2 * size)).translated(center)
         y0 = center + 5.0 * u
     elif tag == "rigid_halfspace":
         base = HalfSpace(u, shift)
@@ -537,7 +564,7 @@ def test_polytope_agrees_with_box_closed_form():
         halfspace((0.0, 1.0), 2.0),
         halfspace((0.0, -1.0), 0.0),
     )
-    poly = Polytope(faces, (0.2, 1.0))
+    poly = polytope(faces, (0.2, 1.0))
     box = Box((-0.5, 0.0), (1.0, 2.0))
     rng = np.random.default_rng(12)
     for _ in range(25):
@@ -556,7 +583,7 @@ def test_polytope_projection_drops_a_crossed_face():
         halfspace((1.0, 0.0), 2.0),
         halfspace((0.0, -1.0), 2.0),
     )
-    poly = Polytope(faces, (-1.8, -1.8))
+    poly = polytope(faces, (-1.8, -1.8))
     for x in (0.1, 0.5, 1.0):
         assert np.linalg.norm(poly.project((x, 2.0)) - (x, 0.5)) <= 1e-12
 
@@ -566,7 +593,7 @@ def test_polytope_agrees_with_cube_closed_form():
     lo, hi = np.array([-0.5, 0.0, -1.0]), np.array([1.0, 2.0, 0.25])
     faces = tuple(halfspace(tuple(e), h) for e, h in zip(np.eye(3), hi))
     faces += tuple(halfspace(tuple(-e), -l) for e, l in zip(np.eye(3), lo))
-    poly = Polytope(faces, (0.2, 1.0, -0.3))
+    poly = polytope(faces, (0.2, 1.0, -0.3))
     box = Box(tuple(lo), tuple(hi))
     rng = np.random.default_rng(13)
     for _ in range(25):
@@ -659,15 +686,15 @@ def test_step_size_equals_distance():
 _INV5 = 1 / math.sqrt(5)
 DEGENERATE = {
     "quadrant": (
-        Polytope((halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0)), (1.0, 1.0)),
+        polytope((halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0)), (1.0, 1.0)),
         (((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0)),
     ),
     "duplicated_face": (
-        Polytope(TRIANGLE.faces + (halfspace((1.0, 1.0), 1.0),), (0.2, 0.2)),
+        polytope(TRIANGLE.faces + (halfspace((1.0, 1.0), 1.0),), (0.2, 0.2)),
         oracles.TRIANGLE_FACES + (oracles.TRIANGLE_FACES[2],),
     ),
     "redundant_face": (
-        Polytope(TRIANGLE.faces + (halfspace((2.0, 1.0), 2.0),), (0.2, 0.2)),
+        polytope(TRIANGLE.faces + (halfspace((2.0, 1.0), 2.0),), (0.2, 0.2)),
         oracles.TRIANGLE_FACES + (((2 * _INV5, _INV5), 2 * _INV5),),
     ),
 }
@@ -814,6 +841,35 @@ def test_to_dict_round_trip(tag):
     assert back == shape
 
 
+def _held(value):
+    """value and every item of the tuples, lists and dicts it holds."""
+    yield value
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _held(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _held(item)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_moved_rows_hold_no_shape_but_a_rigid_image_base(tag):
+    # A row of the field table holds arrays, numbers and a polytope's factor
+    # cache, so building it builds no slice, nor a face of one; the one shape
+    # a row may hold is the rigid image's base, shared by every row.
+    assert set(TAGS) == set(sets_mod.SHAPES)
+    shape = SHAPE_BY_TAG[tag]
+    rows = shape._moved(np.array([[0.1, 0.2], [0.3, -0.4], [0.0, 0.0]]))
+    assert list(rows) == list(shape.__dataclass_fields__)
+    for name, values in rows.items():
+        assert len(values) == 3
+        shapes = [v for v in _held(list(values)) if isinstance(v, sets_mod.ProxSet)]
+        if (tag, name) == ("rigid_image", "base"):
+            assert all(v is shape.base for v in shapes) and len(shapes) == 3
+        else:
+            assert shapes == [], name
+
+
 def _refuse(self):
     raise AssertionError("translated ran a shape constructor's checks")
 
@@ -870,7 +926,7 @@ def test_circumradius_about_against_brute_force(tag, pivot):
 
 
 def test_circumradius_of_a_polytope_without_vertices():
-    half_plane = Polytope((halfspace((1.0, 0.0), 0.0),), (-1.0, 0.0))
+    half_plane = polytope((halfspace((1.0, 0.0), 0.0),), (-1.0, 0.0))
     assert half_plane.farthest_from(np.zeros(2)) is None
 
 
@@ -883,7 +939,7 @@ def test_circumradius_of_a_polytope_without_vertices():
     pytest.param((((1, 0), 1), ((-1, 0), 1), ((0, 1), 1)), (0, 0), False, id="three-face-slab"),
 ])
 def test_circumradius_is_finite_exactly_for_bounded_polytopes(faces, interior, bounded):
-    shape = Polytope(tuple(halfspace(a, b) for a, b in faces), interior)
+    shape = polytope(tuple(halfspace(a, b) for a, b in faces), interior)
     pivot = np.array([0.5, 0.5])
     far = shape.farthest_from(pivot)
     if bounded:
@@ -974,11 +1030,11 @@ def test_half_spaces_parallel_only_up_to_rounding_have_no_closed_form():
 
 
 @pytest.mark.parametrize("B, expected, far", [
-    pytest.param(Polytope((halfspace((1.0, 0.0), 0.0),), (-1.0, 0.0)), 0.3, None, id="one-face"),
+    pytest.param(polytope((halfspace((1.0, 0.0), 0.0),), (-1.0, 0.0)), 0.3, None, id="one-face"),
     # Members of A far from B: up the face x_2 <= 0, or left past x_1 >= -1.
-    pytest.param(Polytope((halfspace((1.0, 0.0), 0.0), halfspace((0.0, 1.0), 0.0)), (-1.0, -1.0)),
+    pytest.param(polytope((halfspace((1.0, 0.0), 0.0), halfspace((0.0, 1.0), 0.0)), (-1.0, -1.0)),
                  math.inf, (0.0, 1e9), id="wedge"),
-    pytest.param(Polytope((halfspace((1.0, 0.0), 0.0), halfspace((-1.0, 0.0), 1.0)), (-0.5, 0.0)),
+    pytest.param(polytope((halfspace((1.0, 0.0), 0.0), halfspace((-1.0, 0.0), 1.0)), (-0.5, 0.0)),
                  math.inf, (-1e9, 0.0), id="strip"),
     pytest.param(RigidImage(HalfSpace((1.0, 0.0), 0.0), rotation_matrix_2d(0.3), (0.0, 0.0)),
                  math.inf, (0.0, 1e9), id="rotated-halfspace"),
@@ -1000,8 +1056,8 @@ def test_a_half_space_over_an_unbounded_convex_set_is_exact(B, expected, far):
 
 def test_leftover_pairs_are_sampled_lower_bounds():
     # An unbounded polyhedron over an unbounded convex set, and a 3-D polytope.
-    wedge = Polytope((halfspace((1.0, 0.0), 0.0), halfspace((0.0, 1.0), 0.0)), (-1.0, -1.0))
-    cube = Polytope(tuple(halfspace(a, 1.0) for a in np.vstack([np.eye(3), -np.eye(3)])),
+    wedge = polytope((halfspace((1.0, 0.0), 0.0), halfspace((0.0, 1.0), 0.0)), (-1.0, -1.0))
+    cube = polytope(tuple(halfspace(a, 1.0) for a in np.vstack([np.eye(3), -np.eye(3)])),
                     (0.0, 0.0, 0.0))
     budget = SamplingBudget(count=20, hill_steps=5, seed=3)
     for A, B in ((wedge, halfspace((1.0, 1.0), 0.5)), (cube, Ball((0.0, 0.0, 0.0), 1.0))):
@@ -1019,7 +1075,7 @@ def test_rigid_image_rejects_non_finite_motion():
 
 # Two faces about 1e-9 rad apart meet at the origin; their Gram matrix is
 # singular in double precision, so the working faces are factored by QR.
-NEAR_PARALLEL = Polytope(
+NEAR_PARALLEL = polytope(
     (halfspace((0.0, 1.0), 0.0), halfspace((1e-9, 1.0), 0.0), halfspace((-1.0, 0.0), 1.0)),
     (-0.5, -0.5),
 )
@@ -1268,11 +1324,11 @@ def _box_defect(lo, hi, x, n, R):
     return value + sets_mod._rounding(len(x), norm(n) * R * len(x))
 
 
-def _polytope_defect(faces, interior, A, b, max_steps, factors, x, n, R):
-    y = x + n
+def _polytope_defect(normals, offsets, interior, max_steps, factors, x, n, R):
+    A, b, y = normals, offsets, x + n
     work, lam = (), np.zeros(0)
     if float(np.max(A @ y - b)) > sets_mod.CONTAINMENT_TOL:
-        _, work, lam = Polytope._solve((faces, interior, A, b, max_steps, factors), y)
+        _, work, lam = Polytope._solve((A, b, interior, max_steps, factors), y)
     Aw, bw = A[list(work)], b[list(work)]
     value = float(lam @ (bw - Aw @ x)) + norm(n - lam @ Aw) * R
     scale = norm(n) * R + float(lam.sum()) * (R + norm(x) + float(np.abs(bw).sum()))

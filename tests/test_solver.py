@@ -26,6 +26,7 @@ from sweepsolve.sets import (
     ProxSet,
     RigidImage,
     halfspace,
+    polytope,
     rotation_matrix_2d,
 )
 from sweepsolve.solver import (
@@ -53,7 +54,7 @@ def obstacle_family(horizon=2.0):
     )
 
 
-TRIANGLE = Polytope(
+TRIANGLE = polytope(
     (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
     (0.2, 0.2),
 )
@@ -544,17 +545,17 @@ class TestCertification:
         # solve steps, and certify_steps bounds, from the rows of the field
         # table on every shape: solve builds only its initial slice, which
         # tests y0, and certify_steps only the slices of its audited steps.
-        # A polytope translate's row holds its moved faces, which the table
-        # builds as half-spaces: fields of the row, not slices.
+        # Every ProxSet counts: a polytope translate's row holds arrays, not
+        # half-space faces.
         from_valid = ProxSet._from_valid.__func__
         built = []
         monkeypatch.setattr(ProxSet, "_from_valid", classmethod(
             lambda cls, fields: built.append(cls) or from_valid(cls, fields)))
 
         def slices_built():
-            slices = [cls for cls in built if cls is not HalfSpace]
+            count = len(built)
             built.clear()
-            return len(slices)
+            return count
 
         traj = solve(family, y0, TimeGrid.uniform(2.0, 64), eps_level=0.5)
         assert slices_built() == 1
@@ -587,7 +588,7 @@ class TestCertification:
         # that raises at step 6 must not hide the failure of step 5, whose
         # x5 = -0.4 lies inside C(t5) = {x1 <= -0.25}, so that its bound is
         # positive: the bounds of a piece are made one step at a time.
-        wall = Polytope((HalfSpace((1.0, 0.0), 1.0),), (0.0, 0.0))
+        wall = polytope((HalfSpace((1.0, 0.0), 1.0),), (0.0, 0.0))
         fam = TranslateFamily(wall, LinearPath((0.0, 0.0), (-1.0, 0.0)), 2.0)
         x = np.array([1.0, 0.75, 0.5, 0.25, 0.0, -0.4, -0.5, -0.75, -1.0])
         traj = DiscreteTrajectory(TimeGrid.uniform(2.0, 8), np.column_stack((x, 0.0 * x)),
@@ -619,7 +620,7 @@ class TestCertification:
         traj = DiscreteTrajectory(TimeGrid.uniform(2.0, 8), points, 0, 0.5, np.zeros(9))
         flat = DiscreteTrajectory(traj.grid, np.column_stack((points, np.zeros(9))), 0, 0.5,
                                   np.zeros(9))
-        wall = Polytope((HalfSpace((1.0, 0.0), 1.0),), (0.0, 0.0))
+        wall = polytope((HalfSpace((1.0, 0.0), 1.0),), (0.0, 0.0))
         path = LinearPath((0.0, 0.0), (-1.0, 0.0))
         for fam in (sweep_family(), TranslateFamily(wall, path, 2.0)):
             assert len(certify_steps(fam, traj)) == 8
