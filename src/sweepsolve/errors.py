@@ -64,7 +64,7 @@ class TubeViolation(SweepError):
 
 
 class CertificationFailed(SweepError):
-    """A step's normal-defect bound (or, in an audit, a sampled residual)
+    """A step's normal-defect bound (or, in an audit, the audited residual)
     exceeds the limit tol it must stay within."""
 
     def __init__(self, step: int, value: float, tol: float, what: str = "normal-defect bound"):

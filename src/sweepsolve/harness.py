@@ -121,7 +121,7 @@ def check_constraint(residuals) -> CheckResult:
 def check_normal(family: MovingFamily, traj: DiscreteTrajectory, seed: int) -> CheckResult:
     """Normal-cone certificates of every moving step of traj: the margin is
     CERTIFICATION_TOL minus the worst closed-form defect bound; the note adds the
-    sampled audit of the bounds."""
+    audit of the bounds, exact (over vertices) or sampled."""
     try:
         certs = certify_steps(family, traj, seed=seed)
     except CertificationFailed as err:
@@ -130,11 +130,11 @@ def check_normal(family: MovingFamily, traj: DiscreteTrajectory, seed: int) -> C
     audits = [c.audit for c in certs if c.audit is not None]
     note = f"worst defect bound {worst:.3e} over {len(certs)} moving steps"
     if audits:
-        note += (
-            f"; audit: worst sampled residual "
-            f"{max(a.worst_residual for a in audits):.3e} on {len(audits)} steps, "
-            f"{sum(a.samples for a in audits)} samples"
-        )
+        kinds = sorted({a.kind for a in audits})  # "exact", "sampled" or both
+        counts = " and ".join(f"{sum(a.samples for a in audits if a.kind == kind)} "
+                              f"{'vertices' if kind == 'exact' else 'samples'}" for kind in kinds)
+        note += (f"; audit: worst {' and '.join(kinds)} residual "
+                 f"{max(a.worst_residual for a in audits):.3e} on {len(audits)} steps, {counts}")
     return CheckResult("normal", "pass", CERTIFICATION_TOL - worst, note)
 
 

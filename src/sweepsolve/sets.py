@@ -5,9 +5,9 @@ excluded-ball center has no unique nearest point, and projecting it raises
 AtSingularity), containment via the defining inequalities, whose defect at a
 member is exactly minus its distance to the complement, a closed-form upper
 bound of the normal-cone defect of a candidate normal (normal_defect), and
-seeded member sampling, which serves only the residual that audits those
-bounds and the sampled excess lower bounds.  Convex shapes carry r = inf and
-bypass curvature terms entirely; the ball complement is the nonconvex
+seeded member sampling, which serves only the audit of those bounds off 2-D
+polyhedra (window_residual) and sampled excess bounds.  Convex shapes: r = inf,
+no curvature terms at all; the ball complement is the nonconvex
 primitive with r equal to its radius.  Each shape writes its projection,
 which also tests the point, and its normal-defect bound once, over one row
 of a family's field table (_project_fields, _normal_defects); a slice object
@@ -23,8 +23,9 @@ Each shape class also owns its schema document (a tag in SHAPES plus
 to_dict/from_dict), its translates by the rows of an array (_moved), its
 rules for bounds of the excess of one shape over another (excess_of on the
 shape the excess is taken over, _excess_over_convex on the shape it is
-taken of), and its farthest point from a given point (farthest_from), known
-only for a bounded shape.
+taken of), its faces in the world frame where it is polyhedral
+(inequalities), and its farthest point from a given point (farthest_from),
+known only for a bounded shape.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     EmptyIntersection,
     NotAMember,
 )
-from .geometry import Schema, finite, norm, norms, readonly
+from .geometry import _TINY, Schema, finite, norm, norms, readonly
 
 # Absolute tolerance on the defining inequalities; distances below it snap to 0
 # so the catching-up containment invariant stays testable under rounding.
@@ -51,9 +52,6 @@ CONTAINMENT_TOL = 1e-10
 
 # Tolerance on |normal| - 1 for a half-space normal to count as unit.
 UNIT_NORMAL_TOL = 1e-12
-
-# The smallest normal float: a product below it has lost digits to underflow.
-_TINY = np.finfo(float).tiny
 
 # Margin around the set of each shape's bounding_region.
 _REGION_PAD = 0.5
@@ -74,6 +72,17 @@ def _rounding(dim: int, scale: float) -> float:
 
 def _max(a, b):
     return np.where(b > a, b, a)  # max(a, b) elementwise, NaN and -0.0 as max returns them
+
+
+def _line_corners(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """(k, 2) array of the pairwise intersections of the lines a_i x = b_i in
+    the plane (pairs with |det| < 1e-12 skipped) where A x <= b holds up to
+    tol: the vertices of {A x <= b} when it is bounded.  The batched solve
+    gives each pair's vertex bit for bit as a solve of that pair alone."""
+    pairs = np.array(list(itertools.combinations(range(len(b)), 2)), dtype=int).reshape(-1, 2)
+    pairs = pairs[np.abs(np.linalg.det(A[pairs])) >= 1e-12]
+    V = np.linalg.solve(A[pairs], b[pairs][..., None])[..., 0]
+    return V[(V @ A.T - b <= tol).all(axis=1)]
 
 
 class ProxSet(Schema):
@@ -129,10 +138,10 @@ class ProxSet(Schema):
         set, or None when the set is not known to be one."""
         return None
 
-    def face_normals(self) -> np.ndarray:
-        """(k, dim) array of the unit outward normals of the faces, whose
-        half-spaces meet in the set when k >= 1."""
-        return np.zeros((0, self.dim))
+    def inequalities(self):
+        """(A, b), the set as {x : A x <= b} in the world frame, the rows of A
+        its faces' unit outward normals; None where it is not known as such."""
+        return None
 
     def excess_of(self, A: "ProxSet"):
         """(lower, upper, witness) with lower <= e(A, self) <= upper and the
@@ -296,8 +305,8 @@ class HalfSpace(ProxSet):
             value = lam * (b - np.vecdot(A, X)) + norms(N - lam[:, None] * A) * R
             return value + _rounding(A.shape[1], norms(N) * (R + np.abs(b) + norms(X)))
 
-    def face_normals(self):
-        return self.normal[None, :]
+    def inequalities(self):
+        return self.normal[None, :], np.array([self.offset])
 
     def boundary_anchor(self) -> np.ndarray:
         return self.offset * self.normal
@@ -326,7 +335,7 @@ class HalfSpace(ProxSet):
         # normal equal to n: other is {<n, x> <= min offset}, as far from
         # the boundary anchor as from any point of self's boundary.  Normals
         # that differ by about rounding: parallel or not is unknown.
-        normals = other.face_normals()
+        normals, _ = other.inequalities() or (np.zeros((0, self.dim)), None)
         if other.bounded or (normals @ self.normal < 1.0 - 1e-12).any():
             return math.inf, math.inf, np.full(self.dim, math.nan)
         if len(normals) and (normals == self.normal).all():
@@ -453,7 +462,7 @@ class Ball(_Round):
         # points along other's face normals and +-e_i; d(., other) is 1-Lipschitz,
         # so d + radius bounds it above.  Exact for one face: (<n, c> + radius - b)^+;
         # and 0 when every probe is a member, for then the ball lies in other.
-        normals = other.face_normals()
+        normals, _ = other.inequalities() or (np.zeros((0, self.dim)), None)
         dirs = np.vstack([normals, np.eye(self.dim), -np.eye(self.dim)])
         far = c + self.radius * (dirs / np.linalg.norm(dirs, axis=1)[:, None])
         dists = [other._distance(x, 0.0) for x in far]
@@ -481,12 +490,12 @@ class Box(ProxSet):
         return len(self.lo)
 
     def membership_defect(self, y):
-        return float(np.max(np.maximum(self.lo - y, y - self.hi)))
+        return float(np.maximum(self.lo - y, y - self.hi).max())
 
     @staticmethod
     def _project_fields(fields, y, tol):
         lo, hi = fields
-        if float(np.max(np.maximum(lo - y, y - hi))) <= tol:
+        if float(np.maximum(lo - y, y - hi).max()) <= tol:
             return y.copy(), 0.0
         p = np.clip(y, lo, hi)
         return p, norm(y - p)
@@ -517,8 +526,8 @@ class Box(ProxSet):
     def vertices(self):
         return np.array(list(itertools.product(*zip(self.lo, self.hi))))
 
-    def face_normals(self):
-        return np.vstack([np.eye(self.dim), -np.eye(self.dim)])
+    def inequalities(self):
+        return np.vstack([np.eye(self.dim), -np.eye(self.dim)]), np.concatenate([self.hi, -self.lo])
 
 
 @dataclass(frozen=True, eq=False)
@@ -643,14 +652,13 @@ class Polytope(ProxSet):
     @classmethod
     def _certify(cls, A, b, y, x, Aw, bw, lam) -> None:
         """Check the KKT conditions of x as the projection of y, with multipliers
-        lam on the working faces Aw x <= bw; raise DidNotConverge when one fails."""
+        lam >= 0 on the working faces Aw x <= bw; raise DidNotConverge on a failure."""
         infeasible = cls._defect((A, b), x)
         off_face = float(np.abs(Aw @ x - bw).max(initial=0.0))
         stationarity = norm(y - x - lam @ Aw)
         if (
             infeasible > CONTAINMENT_TOL
             or off_face > CONTAINMENT_TOL
-            or (lam < 0.0).any()
             or stationarity > CONTAINMENT_TOL * max(1.0, norm(y - x))
         ):
             raise DidNotConverge(
@@ -668,19 +676,32 @@ class Polytope(ProxSet):
     @classmethod
     def _normal_defects(cls, rows, X, N, R):
         # For any lam >= 0 on faces W, every member has
-        # <n, z-x> <= lam^T (b_W - A_W x) + |n - A_W^T lam| R.  The multipliers
-        # of the projection of x + n serve: for a true normal it is x itself
-        # and n = A_W^T lam.  When x + n is a member, lam = 0.  A generator:
-        # each row's solve waits until its bound is reached.
+        # <n, z-x> <= lam^T (b_W - A_W x) + |n - A_W^T lam| R.  For a true
+        # normal the 1 to dim faces W active at x serve, lam = M n.  Where they
+        # fail (dependent, lam < 0, or n off their span by more than the rounding
+        # of n = x_prev - x, on the scale of |x| + |n|), the multipliers of the
+        # projection of x + n do (lam = 0 for a member).  A generator: each
+        # row's solve waits until its bound is reached.
         for fields, x, n in zip(zip(*rows.values()), X, N):
             A, b, _, _, _ = fields
-            y = x + n
-            work, lam = (), np.zeros(0)
-            if cls._defect(fields, y) > CONTAINMENT_TOL:
-                _, work, lam = cls._solve(fields, y)
-            Aw, bw = A[list(work)], b[list(work)]
-            value = float(lam @ (bw - Aw @ x)) + norm(n - lam @ Aw) * R
-            scale = norm(n) * R + float(lam.sum()) * (R + norm(x) + float(np.abs(bw).sum()))
+            work = tuple(np.flatnonzero(b - A @ x <= CONTAINMENT_TOL).tolist())
+            x_norm, n_norm, off = norm(x), norm(n), math.inf
+            if 0 < len(work) <= len(x):
+                try:
+                    Aw, bw, _, M, _ = cls._working_faces(fields, work)
+                except DidNotConverge:  # dependent faces
+                    pass
+                else:
+                    lam = M @ n
+                    off = norm(n - lam @ Aw) if (lam >= 0.0).all() else math.inf
+            if not off <= _rounding(len(x), x_norm + n_norm):
+                work, lam = (), np.zeros(0)
+                if cls._defect(fields, x + n) > CONTAINMENT_TOL:
+                    _, work, lam = cls._solve(fields, x + n)
+                Aw, bw = A[list(work)], b[list(work)]
+                off = norm(n - lam @ Aw)
+            value = float(lam @ (bw - Aw @ x)) + off * R
+            scale = n_norm * R + float(lam.sum()) * (R + x_norm + float(np.abs(bw).sum()))
             yield value + _rounding(len(x), scale)
 
     def _recedes(self, slack: float) -> bool:
@@ -705,25 +726,16 @@ class Polytope(ProxSet):
 
     @cached_property
     def _corners(self) -> np.ndarray:
-        """Read-only (k, dim) array of the feasible pairwise face
-        intersections of a 2-D polytope, enumerated once (k = 0 in other
-        dimensions): its vertices when it is bounded."""
-        corners = []
-        if self.dim == 2:
-            for pair in itertools.combinations(range(len(self.offsets)), 2):
-                A = self.normals[list(pair)]
-                if abs(np.linalg.det(A)) < 1e-12:
-                    continue
-                v = np.linalg.solve(A, self.offsets[list(pair)])
-                if self.membership_defect(v) <= 1e-9:
-                    corners.append(v)
+        """Read-only (k, dim) array of _line_corners of a 2-D polytope, once
+        (k = 0 in other dimensions): its vertices when it is bounded."""
+        corners = _line_corners(self.normals, self.offsets, 1e-9) if self.dim == 2 else ()
         return readonly(np.reshape(corners, (-1, self.dim)), 2)
 
     def vertices(self):
         return self._corners if self.bounded and len(self._corners) else None
 
-    def face_normals(self):
-        return self.normals
+    def inequalities(self):
+        return self.normals, self.offsets
 
     def bounding_region(self):
         corners = self._corners
@@ -846,8 +858,12 @@ class RigidImage(ProxSet):
     def bounded(self) -> bool:
         return self.base.bounded
 
-    def face_normals(self):
-        return self.base.face_normals() @ self.rotation.T
+    def inequalities(self):
+        # Q w + u with A w <= b: (A Q^T) z <= b + (A Q^T) u; None with the base's.
+        faces = self.base.inequalities()
+        if faces is not None:
+            A = faces[0] @ self.rotation.T
+            return A, faces[1] + A @ self.translation
 
     @staticmethod
     def _pull(rotation, translation, y):
@@ -920,10 +936,12 @@ def rotation_matrix_2d(angle: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalResidualReport:
-    """Worst hypo-monotonicity defect of a candidate normal over sampled members."""
+    """Worst hypo-monotonicity defect of a candidate normal over sampled
+    members, or, of kind "exact", over the vertices where it peaks (window_residual)."""
 
     worst_residual: float
-    samples: int
+    samples: int  # the members it was taken at: the vertices when exact
+    kind: str = "sampled"
 
 
 def normal_residual(s: ProxSet, x, n, z_samples) -> NormalResidualReport:
@@ -932,16 +950,14 @@ def normal_residual(s: ProxSet, x, n, z_samples) -> NormalResidualReport:
     A nonpositive worst residual is consistent with n being a proximal normal
     at x.  Raises NotAMember when x (or any sample) fails containment.
     """
-    z = np.asarray(z_samples, dtype=float)
-    if z.ndim == 1:
-        z = z[None, :]
+    z = np.atleast_2d(np.asarray(z_samples, dtype=float))
     for zi in z:
         if not s.contains(zi):
             raise NotAMember(f"sample has containment defect {s.membership_defect(zi):.3e}")
     return _normal_residual(s, x, n, z)
 
 
-def _normal_residual(s: ProxSet, x, n, z) -> NormalResidualReport:
+def _normal_residual(s: ProxSet, x, n, z, kind: str = "sampled") -> NormalResidualReport:
     """normal_residual with the rows of z taken as members unchecked: x alone is tested."""
     x = np.asarray(x, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -950,7 +966,20 @@ def _normal_residual(s: ProxSet, x, n, z) -> NormalResidualReport:
     diffs = np.asarray(z, dtype=float) - x
     # With r = inf the curvature term is exactly 0.
     residuals = diffs @ n - (norm(n) / (2.0 * s.r)) * np.einsum("ij,ij->i", diffs, diffs)
-    return NormalResidualReport(float(residuals.max()), len(z))
+    return NormalResidualReport(float(residuals.max()), len(z), kind)
+
+
+def window_residual(s: ProxSet, x, n, halfwidth: float, count: int, seed: int):
+    """The residual of n at x over the members of s in the window x +-
+    halfwidth.  Exact for a 2-D polyhedral s: with r = inf it is linear, so
+    it peaks at a vertex of s and the window.  Else over count samples."""
+    faces = s.inequalities() if s.dim == 2 else None
+    if faces is not None:
+        A = np.vstack([faces[0], np.eye(2), -np.eye(2)])
+        b = np.concatenate([faces[1], x + halfwidth, halfwidth - x])
+        tol = _rounding(2, 3.0 * float(np.abs(b).max()))  # of a_i v - b_i: |v|_inf <= max|b|
+        return _normal_residual(s, x, n, _line_corners(A, b, tol), "exact")
+    return _normal_residual(s, x, n, sample_points(s, (x - halfwidth, x + halfwidth), count, seed))
 
 
 def sample_points(s: ProxSet, region, count: int, seed: int) -> list:

@@ -6,9 +6,11 @@ to the slice.  solve projects from each row of the family's field table:
 no shape builds a slice object for a step.  Certification re-checks that
 normal-cone membership a posteriori: each slice bounds the
 hypo-monotonicity defect of the step vector from above in closed form
-(ProxSet.normal_defect, over each piece of the same table at once), and the
-verdict rests on that bound.  Sampled residuals, lower bounds of the same
-defect, only audit the bounds on NORMAL_AUDIT_STEPS steps, the only slices built.
+(ProxSet.normal_defect, over each piece of the same table at once; a
+polytope's from the faces active at the new iterate, with no second solve),
+and the verdict rests on that bound.  The residual over the window, exact on
+a 2-D polyhedral slice and a sampled lower bound on any other, audits the
+bounds on NORMAL_AUDIT_STEPS steps, the only slices built.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
 )
 from .families import MovingFamily
 from .geometry import TimeGrid, readonly
-from .sets import CONTAINMENT_TOL, NormalResidualReport, _normal_residual, sample_points
+from .sets import CONTAINMENT_TOL, NormalResidualReport, window_residual
 
 # Rounding slack of the strict jump bound eps and of each step's excess bound.
 JUMP_EPS_SLACK = 1e-12
@@ -190,7 +192,7 @@ def affine_interpolant(traj: DiscreteTrajectory) -> AffineFunction:
 class StepCertificate:
     """Per-step evidence that the step vector is an inward proximal normal:
     an upper bound of its normal-cone defect at the new iterate and, on
-    audited steps, the sampled residual, which must not exceed it."""
+    audited steps, the audited residual, which must not exceed it."""
 
     j: int
     distance_moved: float
@@ -216,10 +218,10 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory, seed: int = 0)
     shape._normal_defects call per piece of family.slice_fields.
     Step by step, CertificationFailed is raised when a bound is not <=
     CERTIFICATION_TOL (NaN included), a projection bug, then when the step
-    moved beyond the modulus.  The sampled residual over NORMAL_AUDIT_SAMPLES
-    members of the same window audits NORMAL_AUDIT_STEPS steps, the only
-    slices built: the one with the largest bound and others drawn from seed.
-    An audited residual above its bound raises CertificationFailed too.
+    moved beyond the modulus.  sets.window_residual, exact on a 2-D polyhedral
+    slice and else over NORMAL_AUDIT_SAMPLES samples, audits NORMAL_AUDIT_STEPS
+    steps, the only slices built: the largest bound's and others drawn from
+    seed.  An audited residual above its bound raises CertificationFailed too.
     """
     if traj.dim != family.dim:
         raise DimensionMismatch(f"expected dim {family.dim}, got shape {(traj.dim,)}")
@@ -248,13 +250,12 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory, seed: int = 0)
     for k, slice_t in zip(audited, family.slices(times[moving[audited]])):
         cert = certificates[k]
         x = traj.points[cert.j]
-        region = (x - NORMAL_WINDOW, x + NORMAL_WINDOW)
-        z = sample_points(slice_t, region, NORMAL_AUDIT_SAMPLES, seed + cert.j)
-        audit = _normal_residual(slice_t, x, traj.points[cert.j - 1] - x, z)
+        audit = window_residual(slice_t, x, traj.points[cert.j - 1] - x, NORMAL_WINDOW,
+                                NORMAL_AUDIT_SAMPLES, seed + cert.j)
         if not audit.worst_residual <= cert.defect_bound:
             raise CertificationFailed(
                 cert.j, audit.worst_residual, cert.defect_bound,
-                what="sampled residual (the defect bound is unsound)",
+                what=f"{audit.kind} residual (the defect bound is unsound)",
             )
         certificates[k] = replace(cert, audit=audit)
     return certificates

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from sweepsolve.families import TranslateFamily
+from sweepsolve.families import PiecewiseFamily, TranslateFamily
 from sweepsolve.geometry import TimeGrid
 from sweepsolve.harness import INNER_BALL_TOL, check_normal, run, scenario_schedule
 from sweepsolve.paths import LinearPath
-from sweepsolve.sets import HalfSpace, ProxSet
+from sweepsolve.sets import Ball, HalfSpace, ProxSet
 from sweepsolve.solver import NORMAL_AUDIT_STEPS, solve
 from sweepsolve.scenarios import builtin_text, load_builtin, parse_scenario
 
@@ -240,12 +240,24 @@ def _sweep_trajectory():
 
 
 def test_normal_check_reports_bound_and_audit():
+    # A half-space slice is audited exactly, at the 4 vertices of the slice
+    # in each step's window; a ball by 60 samples a step; the note of a
+    # family with both kinds of slice counts each.
     fam, traj = _sweep_trajectory()
     check = check_normal(fam, traj, seed=0)
     assert check.verdict == "pass"
     assert 1e-6 - 1e-13 <= check.margin <= 1e-6
     assert "over 32 moving steps" in check.note
-    assert "on 4 steps, 240 samples" in check.note
+    assert "worst exact residual" in check.note and "on 4 steps, 16 vertices" in check.note
+    path, grid = LinearPath((0.0, 0.0), (-1.0, 0.0)), TimeGrid.uniform(2.0, 64)
+    ball = TranslateFamily(Ball((0.0, 0.0), 1.0), path, 2.0)
+    note = check_normal(ball, solve(ball, (1.0, 0.0), grid, eps_level=0.1), seed=0).note
+    assert "worst sampled residual" in note and "on 4 steps, 240 samples" in note
+    wall = TranslateFamily(HalfSpace((1.0, 0.0), 1.0), path, 2.0)
+    both = PiecewiseFamily(((1.0, ball), (2.0, wall)))
+    note = check_normal(both, solve(both, (1.0, 0.0), grid, eps_level=0.1), seed=0).note
+    assert "worst exact and sampled residual" in note
+    assert "on 4 steps, 12 vertices and 60 samples" in note
 
 
 def test_failed_audit_is_a_fail_naming_the_step(monkeypatch):

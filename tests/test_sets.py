@@ -19,7 +19,7 @@ from sweepsolve.families import RigidFamily, SamplingBudget, TranslateFamily, ex
 from sweepsolve.geometry import norm
 from sweepsolve.paths import LinearPath
 from sweepsolve.scenarios import shape_from_dict
-from sweepsolve.solver import CERTIFICATION_TOL
+from sweepsolve.solver import CERTIFICATION_TOL, NORMAL_WINDOW
 from sweepsolve.sets import (
     Ball,
     BallComplement,
@@ -1264,9 +1264,69 @@ def test_complement_bound_covers_samples_outside_the_window():
             assert bc.normal_defect(x, n, halfwidth) >= residual
 
 
-def test_polytope_normal_defect_uses_the_solve_multipliers(monkeypatch):
+_ANGLE = st.floats(0.0, 2.0 * math.pi)
+_POINT = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).map(np.array)
+
+
+def _unit(angle):
+    return np.array([math.cos(angle), math.sin(angle)])
+
+
+@st.composite
+def _polyhedral_audits(draw):
+    """(shape, x, n): a 2-D half-space, box or polytope around a point, or a
+    rigid image of one, with x the projection of a random point (on the
+    boundary when that point is outside) and a vector n.  A polytope has 1 to
+    6 faces whose normals are at least about 0.12 rad apart (sixths of a turn
+    jittered by 0.2), so no pair of its faces is nearly parallel."""
+    kind = draw(st.sampled_from(("halfspace", "box", "polytope")))
+    center = draw(_POINT)
+    if kind == "halfspace":
+        normal = _unit(draw(_ANGLE))
+        shape = halfspace(normal, float(normal @ center))
+    elif kind == "box":
+        widths = draw(st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)).map(np.array))
+        shape = Box(center - widths, center + widths)
+    else:
+        sixths = draw(st.sets(st.integers(0, 11), min_size=1, max_size=6))
+        faces = []
+        for i in sorted(sixths):
+            normal = _unit(i * math.pi / 6.0 + draw(st.floats(-0.2, 0.2)))
+            faces.append(halfspace(normal, float(normal @ center) + draw(st.floats(0.01, 5.0))))
+        shape = polytope(faces, center)
+    if draw(st.booleans()):
+        shape = RigidImage(shape, rotation_matrix_2d(draw(_ANGLE)), draw(_POINT))
+    x = shape.project(2.0 * draw(_POINT))
+    n = draw(_POINT) * draw(st.sampled_from((1e-3, 0.1, 1.0)))
+    return shape, x, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polyhedral_audits())
+@example((TRIANGLE, np.array([1.0, 0.0]), np.array([0.01 * SQRT2_INV, 0.01 * (SQRT2_INV - 1.0)])))
+def test_exact_audit_lies_between_the_sampled_residual_and_the_bound(case):
+    # The residual at the vertices of slice and window is its maximum over the
+    # window's members: at most the closed-form bound over the wider ball of
+    # radius NORMAL_WINDOW sqrt(2), and at least the residual at every sampled
+    # member that lies in the window, up to the rounding of the residuals,
+    # 64 eps |n| (1 + |x| + NORMAL_WINDOW) (the worst seen is about 1 eps).
+    shape, x, n = case
+    halfwidth = NORMAL_WINDOW
+    audit = sets_mod.window_residual(shape, x, n, halfwidth, 60, seed=0)
+    assert audit.kind == "exact" and audit.samples >= 3  # vertices, none sampled
+    exact = audit.worst_residual
+    assert exact <= shape.normal_defect(x, n, halfwidth)
+    lo, hi = x - halfwidth, x + halfwidth
+    z = [q for q in sample_points(shape, (lo, hi), 60, seed=0) if ((lo <= q) & (q <= hi)).all()]
+    sampled = sets_mod._normal_residual(shape, x, n, z).worst_residual
+    allowance = 64 * np.finfo(float).eps * norm(n) * (1.0 + norm(x) + halfwidth)
+    assert exact >= sampled - allowance
+
+
+def test_polytope_normal_defect_uses_the_active_face_multipliers(monkeypatch):
     # At the vertex (1, 0) the normal cone is spanned by (0, -1) and (1, 1):
-    # their sum is a normal, certified by the two multipliers of one solve.
+    # their sum is a normal, certified by the multipliers of the two faces
+    # active there, with no solve.
     calls = []
     solve_once = Polytope._solve
 
@@ -1277,12 +1337,16 @@ def test_polytope_normal_defect_uses_the_solve_multipliers(monkeypatch):
     monkeypatch.setattr(Polytope, "_solve", staticmethod(counting))
     n = np.array([0.0, -1.0]) + np.array([1.0, 1.0]) / math.sqrt(2.0)
     assert TRIANGLE.normal_defect((1.0, 0.0), 0.01 * n, 3.0) <= 1e-14
-    assert len(calls) == 1
+    assert calls == []
     # x + n inside the set: lam = 0 and the bound is |n| R, with no solve.
-    calls.clear()
     bound = TRIANGLE.normal_defect((0.5, 0.5), (-0.1, -0.1), 3.0)
     assert bound == pytest.approx(0.1 * math.sqrt(2.0) * 3.0 * math.sqrt(2.0))
     assert calls == []
+    # n off the span of the one face active at (0.5, 0): one solve at x + n,
+    # which lands on that face with lam = 0.05, leaving |n - lam a| R.
+    bound = TRIANGLE.normal_defect((0.5, 0.0), (0.05, -0.05), 3.0)
+    assert bound == pytest.approx(0.05 * 3.0 * math.sqrt(2.0))
+    assert len(calls) == 1
 
 
 # The scalar bounds that _normal_defects evaluates over rows, one row at a
@@ -1325,10 +1389,22 @@ def _box_defect(lo, hi, x, n, R):
 
 
 def _polytope_defect(normals, offsets, interior, max_steps, factors, x, n, R):
+    # The least-norm multipliers of the faces active at x where they fit n,
+    # else those of the projection of x + n (none when it is a member).
     A, b, y = normals, offsets, x + n
-    work, lam = (), np.zeros(0)
-    if float(np.max(A @ y - b)) > sets_mod.CONTAINMENT_TOL:
-        _, work, lam = Polytope._solve((A, b, interior, max_steps, factors), y)
+    fields = (A, b, interior, max_steps, factors)
+    work = tuple(np.flatnonzero(b - A @ x <= sets_mod.CONTAINMENT_TOL).tolist())
+    lam = None
+    if 0 < len(work) <= len(x):
+        try:
+            lam = Polytope._working_faces(fields, work)[3] @ n
+        except DidNotConverge:
+            pass
+    allowance = sets_mod._rounding(len(x), norm(x) + norm(n))
+    if lam is None or not (lam >= 0.0).all() or norm(n - lam @ A[list(work)]) > allowance:
+        work, lam = (), np.zeros(0)
+        if float(np.max(A @ y - b)) > sets_mod.CONTAINMENT_TOL:
+            _, work, lam = Polytope._solve(fields, y)
     Aw, bw = A[list(work)], b[list(work)]
     value = float(lam @ (bw - Aw @ x)) + norm(n - lam @ Aw) * R
     scale = norm(n) * R + float(lam.sum()) * (R + norm(x) + float(np.abs(bw).sum()))
@@ -1399,9 +1475,13 @@ def _same_bits(a, b):
           np.array([[0.0, 0.0]]), np.array([[1.0, -0.0]]), 3.0))
 @example((BallComplement, {"center": [np.array([0.5, 0.5])], "radius": [0.25]},
           np.array([[0.5, 0.5]]), np.array([[-0.0, 1e-160]]), 3.0))
-# A normal at the vertex (1, 0), certified by two multipliers of one solve.
-@example((Polytope, {name: [getattr(TRIANGLE, name)] for name in TRIANGLE.__dataclass_fields__},
-          np.array([[1.0, 0.0]]), np.array([[0.01 * SQRT2_INV, 0.01 * (SQRT2_INV - 1.0)]]), 3.0))
+# A normal at the vertex (1, 0), certified by the multipliers of its two
+# active faces; then, at (0.5, 0) on one face, a vector off its span and an
+# inward one, both bounded from the projection of x + n.
+@example((Polytope, {name: [getattr(TRIANGLE, name)] * 3 for name in TRIANGLE.__dataclass_fields__},
+          np.array([[1.0, 0.0], [0.5, 0.0], [0.5, 0.0]]),
+          np.array([[0.01 * SQRT2_INV, 0.01 * (SQRT2_INV - 1.0)], [0.05, -0.05], [0.0, 0.1]]),
+          3.0))
 def test_closed_form_normal_defects_match_the_scalar_bounds_bit_for_bit(case):
     # Every shape's bound over rows against its per-step body.  The closed
     # forms get non-finite rows too, and must propagate inf and NaN as the

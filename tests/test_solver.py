@@ -15,7 +15,9 @@ from sweepsolve.errors import (
 )
 from sweepsolve.families import PiecewiseFamily, RadiusFamily, RigidFamily, TranslateFamily
 from sweepsolve.geometry import RefinementSchedule, TimeGrid
+from sweepsolve.harness import scenario_schedule
 from sweepsolve.paths import ConstantPath, LinearPath
+from sweepsolve.scenarios import load_builtin
 from sweepsolve.sets import (
     CONTAINMENT_TOL,
     Ball,
@@ -83,6 +85,22 @@ def test_polytope_step_solves_once(family, monkeypatch):
     assert len(calls) == 1
     assert family.at(1.0).contains(traj.points[1])
     assert traj.jump_norms[0] > 0.0
+
+
+def test_bundled_polytope_certificates_make_no_active_set_solve(monkeypatch):
+    # Each moving step's bound comes from the multipliers of the faces active
+    # at the new iterate: at most one solve per moving step, fallbacks
+    # included, and none at all on the rotating triangle's finest level.
+    scenario = load_builtin("polytope_rotation")
+    study = converge_study(scenario.family, scenario.y0, scenario_schedule(scenario))
+    calls = []
+    solve_once = Polytope._solve
+    monkeypatch.setattr(Polytope, "_solve", staticmethod(
+        lambda fields, y: calls.append(y) or solve_once(fields, y)))
+    certs = certify_steps(scenario.family, study.trajectories[-1])
+    assert len(certs) == 210
+    assert len(calls) <= len(certs)
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize(
@@ -584,11 +602,12 @@ class TestCertification:
             with pytest.raises(CertificationFailed, match=what) as err:
                 certify_steps(fam, traj)
             assert err.value.step == step
-        # A polytope's bound solves for its multipliers at each step; a solve
+        # A polytope whose faces active at x are dependent (the wall, twice)
+        # falls back to a solve for its multipliers at each step; a solve
         # that raises at step 6 must not hide the failure of step 5, whose
         # x5 = -0.4 lies inside C(t5) = {x1 <= -0.25}, so that its bound is
         # positive: the bounds of a piece are made one step at a time.
-        wall = polytope((HalfSpace((1.0, 0.0), 1.0),), (0.0, 0.0))
+        wall = polytope((HalfSpace((1.0, 0.0), 1.0),) * 2, (0.0, 0.0))
         fam = TranslateFamily(wall, LinearPath((0.0, 0.0), (-1.0, 0.0)), 2.0)
         x = np.array([1.0, 0.75, 0.5, 0.25, 0.0, -0.4, -0.5, -0.75, -1.0])
         traj = DiscreteTrajectory(TimeGrid.uniform(2.0, 8), np.column_stack((x, 0.0 * x)),
