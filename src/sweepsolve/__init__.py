@@ -65,7 +65,6 @@ from .solver import (
     affine_interpolant,
     certify_steps,
     solve,
-    step_interpolant,
     write_trajectory_csv,
 )
 from .variation import (

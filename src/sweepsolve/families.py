@@ -28,12 +28,12 @@ which checks the times once and evaluates each path once on the whole array.
 Its rows list the fields in the shape's dataclass order, the order in which
 ProxSet._from_valid builds a slice from a row (slices(times) does so for
 each row, and at(t) is slices over one time), and in which the shape's
-_project_fields and _normal_defects, which solve and certify_steps call,
-read a row.  No shape's checks run: the family checked its base and paths
-once, and moving them keeps them valid (a translate keeps a unit normal, a
-box's lo < hi and a polytope's strictly feasible interior point, a radius
-stays above the schedule's checked minimum, rotation_matrix_2d is
-orthogonal).
+_project_fields, _defects and _normal_defects, which solve and
+certify_steps call, read a row; a rigid family's rows share its base.  No
+shape's checks run: the family checked its base and paths once, and moving
+them keeps them valid (a translate keeps a unit normal, a box's lo < hi and
+a polytope's strictly feasible interior point, a radius stays above the
+schedule's checked minimum, a rotation_matrix_2d is orthogonal).
 
 Each schema family class owns its schema document (a kind tag in FAMILIES
 plus to_dict/from_dict): a new family kind is one class plus one entry there.
@@ -57,7 +57,7 @@ from .errors import (
 )
 from .geometry import MAX_DYADIC_K, RefinementSchedule, Schema, TimeGrid, finite, readonly
 from .paths import Path, piece_index
-from .sets import Ball, BallComplement, ProxSet, RigidImage, rotation_matrix_2d, sample_points
+from .sets import Ball, BallComplement, ProxSet, RigidImage, sample_points
 
 # Admissible discontinuities may only expand the set: an upper bound of the
 # excess of the left slice over the right slice must vanish to this tolerance.
@@ -368,13 +368,14 @@ class RigidFamily(MovingFamily):
         return 2
 
     def _slice_fields(self, times):
-        # Each row a read-only view of one checked array per field.
-        Qs = readonly(np.reshape([rotation_matrix_2d(a) for a in self.angle(times)], (-1, 2, 2)), 3)
-        U = [self.pivot - Q @ self.pivot for Q in Qs]
+        # Read-only arrays, each row rounding as rotation_matrix_2d and Q @ pivot do.
+        turns = [(math.cos(a), math.sin(a)) for a in self.angle(times).tolist()]
+        Qs = readonly(np.reshape([(c, -s, s, c) for c, s in turns], (-1, 2, 2)), 3)
+        U = self.pivot - np.matmul(Qs, self.pivot)
         if self.translation is not None:
-            U = [u + shift for u, shift in zip(U, self.translation(times))]
+            U += np.reshape(self.translation(times), U.shape)
         return [(RigidImage, {"base": [self.base] * len(Qs), "rotation": Qs,
-                              "translation": readonly(np.reshape(U, (-1, 2)), 2)})]
+                              "translation": readonly(U, 2)})]
 
     def analytic_rate(self):
         # Chord length under rotation is at most angle * circumradius.

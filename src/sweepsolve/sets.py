@@ -1,23 +1,24 @@
 """Static prox-regular set primitives.
 
-Each shape supports exact distance, single-valued projection (only the
-excluded-ball center has no unique nearest point, and projecting it raises
-AtSingularity), containment via the defining inequalities, whose defect at a
-member is exactly minus its distance to the complement, a closed-form upper
-bound of the normal-cone defect of a candidate normal (normal_defect), and
-seeded member sampling, which serves only the audit of those bounds off 2-D
-polyhedra (window_residual) and sampled excess bounds.  Convex shapes: r = inf,
-no curvature terms at all; the ball complement is the nonconvex
-primitive with r equal to its radius.  Each shape writes its projection,
-which also tests the point, and its normal-defect bound once, over one row
-of a family's field table (_project_fields, _normal_defects); a slice object
-uses its own row, so solve and certify_steps build no slice for any shape.
+Each shape supports exact distance, single-valued projection (the
+excluded-ball center has none, and projecting it raises AtSingularity),
+containment via the defining inequalities, whose defect at a member is
+exactly minus its distance to the complement, a closed-form upper bound of
+the normal-cone defect of a candidate normal (normal_defect), and seeded
+member sampling, which serves only the audit of those bounds off 2-D
+polyhedra (window_residual) and sampled excess bounds.  Convex shapes have
+r = inf and no curvature terms; the ball complement is the nonconvex
+primitive, with r its radius.  Each shape writes its projection, which also
+tests the point, once over one row of a family's field table
+(_project_fields), and its membership defects and normal-defect bounds once
+over a piece's rows (_defects, _normal_defects), bit for bit per row; a
+slice is its own one-row piece, so solve and certify_steps build no slice.
 A row holds arrays and numbers (and a polytope's factor cache), no shape
 but a rigid image's base: a polytope is its face arrays, normals and
 offsets, each face stored once, with polytope() building one from
-half-spaces.  Polytopes project by a finite primal active-set solve whose
-result is accepted only after an explicit KKT check.  Every stored number
-is finite: a constructor given NaN or an infinity raises ValueError.
+half-spaces, and projects by a finite primal active-set solve accepted only
+after an explicit KKT check.  Every stored number is finite: a constructor
+given NaN or an infinity raises ValueError.
 
 Each shape class also owns its schema document (a tag in SHAPES plus
 to_dict/from_dict), its translates by the rows of an array (_moved), its
@@ -100,13 +101,17 @@ class ProxSet(Schema):
     bounded = False
     unbounded = False
 
-    def membership_defect(self, y: np.ndarray) -> float:
-        """Worst violation of the defining inequalities (<= 0 means inside).
+    def membership_defect(self, y) -> float:
+        """Worst violation of the defining inequalities (<= 0 means inside),
+        _defects on this slice's row.  At a member y it is exactly minus the
+        distance from y to the complement, so the open ball B_rho(y) lies in
+        the set iff rho + defect <= 0."""
+        return float(self._defects(self._rows, np.reshape(y, (1, self.dim)))[0])
 
-        At a member y it is exactly minus the distance from y to the
-        complement, so the open ball B_rho(y) lies in the set iff
-        rho + defect <= 0.
-        """
+    @classmethod
+    def _defects(cls, rows, P: np.ndarray) -> np.ndarray:
+        """The membership defect of each row of P on the slice of the same row
+        of slice_fields' rows: bit for bit the one _project_fields tests."""
         raise NotImplementedError
 
     def bounding_region(self):
@@ -196,8 +201,7 @@ class ProxSet(Schema):
 
     def _normal_defect(self, x: np.ndarray, n: np.ndarray, R: float) -> float:
         """The one-row _normal_defects, on this slice's row."""
-        rows = dict(zip(self.__dataclass_fields__, ([value] for value in self._row)))
-        return float(next(iter(self._normal_defects(rows, x[None], n[None], R))))
+        return float(next(iter(self._normal_defects(self._rows, x[None], n[None], R))))
 
     @classmethod
     def _normal_defects(cls, rows, X: np.ndarray, N: np.ndarray, R: float):
@@ -243,6 +247,11 @@ class ProxSet(Schema):
         """The field values in dataclass field order: the slice's row of slice_fields."""
         return tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
+    @cached_property
+    def _rows(self) -> dict:
+        """The slice's row as a one-row piece of slice_fields: field name -> [value]."""
+        return {name: [value] for name, value in zip(self.__dataclass_fields__, self._row)}
+
     @classmethod
     def _from_valid(cls, fields) -> "ProxSet":
         """The instance whose field values are fields, in dataclass field order
@@ -282,8 +291,9 @@ class HalfSpace(ProxSet):
     def dim(self) -> int:
         return len(self.normal)
 
-    def membership_defect(self, y):
-        return float(self.normal @ y) - self.offset
+    @staticmethod
+    def _defects(rows, P):
+        return np.vecdot(np.reshape(rows["normal"], P.shape), P) - np.array(rows["offset"])
 
     @staticmethod
     def _project_fields(fields, y, tol):
@@ -378,8 +388,10 @@ class _Round(ProxSet):
     def dim(self) -> int:
         return len(self.center)
 
-    def membership_defect(self, y):
-        return self._sign * (norm(y - self.center) - self.radius)
+    @classmethod
+    def _defects(cls, rows, P):
+        centers, radii = np.reshape(rows["center"], P.shape), np.array(rows["radius"])
+        return cls._sign * (norms(P - centers) - radii)
 
     @classmethod
     def _project_fields(cls, fields, y, tol):
@@ -489,8 +501,10 @@ class Box(ProxSet):
     def dim(self) -> int:
         return len(self.lo)
 
-    def membership_defect(self, y):
-        return float(np.maximum(self.lo - y, y - self.hi).max())
+    @staticmethod
+    def _defects(rows, P):
+        lo, hi = np.reshape(rows["lo"], P.shape), np.reshape(rows["hi"], P.shape)
+        return np.maximum(lo - P, P - hi).max(axis=1)
 
     @staticmethod
     def _project_fields(fields, y, tol):
@@ -579,8 +593,13 @@ class Polytope(ProxSet):
         """max(A y - b), fields starting with A and b: the membership defect of y."""
         return float((fields[0] @ y - fields[1]).max())
 
-    def membership_defect(self, y):
-        return self._defect(self._row, y)
+    @staticmethod
+    def _defects(rows, P):
+        # One stacked matmul: each row's A y, bit for bit as _defect's (P @ A.T is not).
+        if not len(P):
+            return np.zeros(0)
+        A, b = np.asarray(rows["normals"]), np.asarray(rows["offsets"])
+        return (np.matmul(A, P[:, :, None])[..., 0] - b).max(axis=1)
 
     @classmethod
     def _solve(cls, fields, y):
@@ -881,9 +900,6 @@ class RigidImage(ProxSet):
         lower, upper, witness = bounds
         return lower, upper, Q @ witness + self.translation
 
-    def membership_defect(self, y):
-        return self.base.membership_defect(self._pull(self.rotation, self.translation, y))
-
     def _distance(self, y, tol=CONTAINMENT_TOL):
         return self.base._distance(self._pull(self.rotation, self.translation, y), tol)
 
@@ -894,14 +910,31 @@ class RigidImage(ProxSet):
         # Every shape puts a non-member above tol >= 0: d = 0.0 is a member, kept bit for bit.
         return (y.copy(), 0.0) if d == 0.0 else (rotation @ p + translation, d)
 
+    @staticmethod
+    def _pulls(rows, X, *vectors):
+        """The base that a piece's rows share, its row once per row, V = X - u and
+        Q^T v for each row v of V and of vectors, rounded as Q.T @ v alone is."""
+        base, V = rows["base"][0], X - np.reshape(rows["translation"], X.shape)
+        Qt = np.reshape(rows["rotation"], (-1, base.dim, base.dim)).transpose(0, 2, 1)
+        base_rows = {name: value * len(V) for name, value in base._rows.items()}
+        return base, base_rows, V, *(np.matmul(Qt, W[:, :, None])[..., 0] for W in (V, *vectors))
+
+    @classmethod
+    def _defects(cls, rows, P):
+        if not len(P):
+            return np.zeros(0)
+        base, base_rows, _, pulled = cls._pulls(rows, P)
+        return base._defects(base_rows, pulled)
+
     @classmethod
     def _normal_defects(cls, rows, X, N, R):
-        # The rotation keeps inner products and the Euclidean window radius:
-        # each row's bound is its base's at the pulled-back x and n.
-        for (base, rotation, translation), x, n in zip(zip(*rows.values()), X, N):
-            value = base._normal_defect(cls._pull(rotation, translation, x), rotation.T @ n, R)
-            pulled = norm(n) * (R + norm(x - translation)) * (1.0 + R / base.r)
-            yield value + _rounding(base.dim, pulled)
+        # The rotation keeps inner products and the Euclidean window radius: each
+        # row's bound is its base's at the pulled-back x and n, made as lazily.
+        if not len(X):
+            return ()
+        base, base_rows, V, x, n = cls._pulls(rows, X, N)
+        extra = _rounding(base.dim, norms(N) * (R + norms(V)) * (1.0 + R / base.r))
+        return (bound + e for bound, e in zip(base._normal_defects(base_rows, x, n, R), extra))
 
     def bounding_region(self):
         corners = np.array(list(itertools.product(*zip(*self.base.bounding_region()))))

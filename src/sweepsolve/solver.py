@@ -2,11 +2,11 @@
 
 Each step projects the previous iterate onto the next slice, so the step
 vector is (minus) a proximal normal there and its length equals the distance
-to the slice.  solve projects from each row of the family's field table:
-no shape builds a slice object for a step.  Certification re-checks that
-normal-cone membership a posteriori: each slice bounds the
-hypo-monotonicity defect of the step vector from above in closed form
-(ProxSet.normal_defect, over each piece of the same table at once; a
+to the slice.  solve projects once per row of the family's field table and
+reads residuals from each piece's array defects, building no slice object.
+Certification re-checks that normal-cone membership a posteriori: each slice
+bounds the hypo-monotonicity defect of the step vector from above in closed
+form (ProxSet.normal_defect, over each piece of the same table at once; a
 polytope's from the faces active at the new iterate, with no second solve),
 and the verdict rests on that bound.  The residual over the window, exact on
 a 2-D polyhedral slice and a sampled lower bound on any other, audits the
@@ -49,8 +49,8 @@ class DiscreteTrajectory:
     and consecutive points differ by strictly less than eps_level.
 
     dist_to_set[j] is the distance from points[j] to the slice at times[j],
-    recorded by the solver at the slice it projected onto.  jump_norms[j-1]
-    is |points[j] - points[j-1]|, computed once here.  Every point is finite.
+    0.0 where the solver read that row's array defect at most CONTAINMENT_TOL.
+    jump_norms[j-1] is |points[j] - points[j-1]|.  Every point is finite.
     """
 
     grid: TimeGrid
@@ -92,15 +92,11 @@ class DiscreteTrajectory:
         return float(np.sum(self.jump_norms))
 
 
-def solve(
-    family: MovingFamily,
-    y0,
-    grid: TimeGrid,
-    eps_level: float,
-    level: int = 0,
-) -> DiscreteTrajectory:
+def solve(family: MovingFamily, y0, grid: TimeGrid, eps_level: float,
+          level: int = 0) -> DiscreteTrajectory:
     """Run the catching-up recursion y_j = P_{C(t_j)}(y_{j-1}) along the grid,
-    one shape._project_fields call per row of family.slice_fields.
+    one shape._project_fields call per row of family.slice_fields; the
+    residuals come from one shape._defects call per piece.
 
     Raises ValueError for a non-finite y0, InfeasibleInitialPoint when y0
     lies outside the initial slice and TubeViolation(j) when an iterate is at
@@ -124,6 +120,7 @@ def solve(
     y, j = y0, 0
     for shape, rows in family.slice_fields(grid.times[1:]):
         project = shape._project_fields  # looked up once: a classmethod binds on each access
+        start = j + 1
         for fields in zip(*rows.values()):
             j += 1
             try:
@@ -134,58 +131,32 @@ def solve(
             if d >= r:
                 raise TubeViolation(j, d, r)
             y = points[j] = p
-            if d != 0.0:
-                dist_to_set[j] = project(fields, y, CONTAINMENT_TOL)[1]
-    return DiscreteTrajectory(
-        grid=grid, points=points, level=level, eps_level=eps_level, dist_to_set=dist_to_set
-    )
+            dist_to_set[j] = d  # nonzero marks a moved step until its residual is read
+        # A residual is 0.0 where the row's defect is <= CONTAINMENT_TOL, as in _project_fields.
+        dist, P = dist_to_set[start:j + 1], points[start:j + 1]
+        inside = shape._defects(rows, P) <= CONTAINMENT_TOL
+        for k in np.flatnonzero((dist != 0.0) & ~inside).tolist():
+            dist[k] = project([values[k] for values in rows.values()], P[k], CONTAINMENT_TOL)[1]
+        dist[inside] = 0.0
+    return DiscreteTrajectory(grid=grid, points=points, level=level, eps_level=eps_level,
+                              dist_to_set=dist_to_set)
 
 
-def _evaluate(times: np.ndarray, t, last: int, value):
-    """value(ts, idx) at t, a time or an array of times within [times[0],
-    times[-1]]: ts is t as a 1-D array and idx[k] the last node at or before
-    ts[k], clipped to [0, last].  A scalar t gives a single value."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < times[0]) or np.any(ts > times[-1]):
-        raise OutOfRange("evaluation outside the trajectory span")
-    idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, last)
-    out = value(ts, idx)
-    return out if np.ndim(t) else out[0]
+def affine_interpolant(traj: DiscreteTrajectory):
+    """The continuous piecewise-affine interpolant through (times[j],
+    points[j]): a function of a time, or of an array of times, in the span."""
+    times, values = traj.grid.times, traj.points
 
+    def interpolant(t):
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.any(ts < times[0]) or np.any(ts > times[-1]):
+            raise OutOfRange("evaluation outside the trajectory span")
+        idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
+        frac = (ts - times[idx]) / (times[idx + 1] - times[idx])
+        out = values[idx] + frac[:, None] * (values[idx + 1] - values[idx])
+        return out if np.ndim(t) else out[0]
 
-@dataclass(frozen=True, eq=False)
-class StepFunction:
-    """Right-continuous step interpolant: the value on [t_{j-1}, t_j) is
-    points[j-1], and the final point at the right endpoint."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, t):
-        return _evaluate(self.times, t, len(self.times) - 1, lambda ts, idx: self.values[idx])
-
-
-@dataclass(frozen=True, eq=False)
-class AffineFunction:
-    """Continuous piecewise-affine interpolant through (times[j], values[j])."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, t):
-        def value(ts, idx):
-            frac = (ts - self.times[idx]) / (self.times[idx + 1] - self.times[idx])
-            return self.values[idx] + frac[:, None] * (self.values[idx + 1] - self.values[idx])
-
-        return _evaluate(self.times, t, len(self.times) - 2, value)
-
-
-def step_interpolant(traj: DiscreteTrajectory) -> StepFunction:
-    return StepFunction(traj.grid.times, traj.points)
-
-
-def affine_interpolant(traj: DiscreteTrajectory) -> AffineFunction:
-    return AffineFunction(traj.grid.times, traj.points)
+    return interpolant
 
 
 @dataclass(frozen=True)

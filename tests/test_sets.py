@@ -799,13 +799,14 @@ def test_every_registered_shape_has_a_case():
 
 # The hooks ProxSet leaves abstract, with the number of arguments after self
 # (or cls, for a class method).
-_ABSTRACT_HOOKS = {"membership_defect": 1, "_project_fields": 3, "_normal_defects": 4,
+_ABSTRACT_HOOKS = {"_defects": 2, "_project_fields": 3, "_normal_defects": 4,
                    "bounding_region": 0, "_moved": 1, "to_dict": 0, "from_dict": 1}
 
 # The operations ProxSet writes once over a slice's own row, and the classes
 # allowed to define each: a rigid image measures through its base, sparing
 # the excess rules a push-forward per vertex.
 _ROW_OPERATIONS = {"_project_with_distance": {sets_mod.ProxSet},
+                   "membership_defect": {sets_mod.ProxSet},
                    "_normal_defect": {sets_mod.ProxSet},
                    "_distance": {sets_mod.ProxSet, RigidImage}}
 
@@ -1516,3 +1517,84 @@ def test_normal_defects_equal_the_per_slice_bounds(family):
     # A piece of a piecewise family may hold no moving step.
     [(cls, rows)] = family.slice_fields(times[:0])
     assert list(cls._normal_defects(rows, X[:0], N[:0], 3.0)) == []
+
+
+def _scalar_membership(shape, y):
+    """The membership defect of y as each shape wrote it per slice, before
+    the row hook: the reference _defects must match bit for bit."""
+    if isinstance(shape, RigidImage):
+        return _scalar_membership(shape.base, shape.rotation.T @ (y - shape.translation))
+    if isinstance(shape, HalfSpace):
+        return float(shape.normal @ y) - shape.offset
+    if isinstance(shape, Box):
+        return float(np.maximum(shape.lo - y, y - shape.hi).max())
+    if isinstance(shape, Polytope):
+        return float((shape.normals @ y - shape.offsets).max())
+    return shape._sign * (norm(y - shape.center) - shape.radius)
+
+
+# Bounded 2-D bases of the rigid-image rows, by case.
+_RIGID_BASES = {"rigid_image": TRIANGLE, "rigid_box": Box((-0.5, 0.0), (1.0, 0.4)),
+                "rigid_ball": Ball((0.3, -0.2), 0.8)}
+
+
+@st.composite
+def _membership_rows(draw):
+    """(shape class, rows, P): k = 0 to 5 rows of one piece, either the
+    _moved rows of a shape of every registered class (translates of the
+    triangle for the polytope) or a rigid family's rows of the triangle, a
+    box or a ball, and points near them, some far out or not finite."""
+    case = draw(st.sampled_from(sorted(sets_mod.SHAPES) + ["rigid_box", "rigid_ball"]))
+    k = draw(st.integers(0, 5))
+    dim = 2 if case == "polytope" or case in _RIGID_BASES else draw(st.integers(1, 3))
+    coord = st.floats(-1e3, 1e3)
+    vectors = st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=k, max_size=k)
+    U = np.reshape(draw(vectors), (k, dim))
+    if case in _RIGID_BASES:
+        angle, spin, pivot, drift = (draw(st.floats(-4.0, 4.0)) for _ in range(4))
+        family = RigidFamily(_RIGID_BASES[case], LinearPath(angle, spin), (pivot, -pivot), 1.0,
+                             translation=LinearPath((0.0, drift), (drift, 1.0)))
+        times = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+        [(cls, rows)] = family.slice_fields(times)
+    else:
+        cls = sets_mod.SHAPES[case]
+        if cls is HalfSpace:
+            shape = halfspace(draw(st.lists(coord, min_size=dim, max_size=dim).filter(
+                lambda a: norm(np.array(a)) > 1e-3)), draw(coord))
+        elif cls is Box:
+            shape = Box(np.zeros(dim), draw(st.lists(st.floats(1e-3, 1e3), min_size=dim,
+                                                    max_size=dim)))
+        elif cls is Polytope:
+            shape = TRIANGLE
+        else:
+            shape = cls(np.zeros(dim), draw(st.floats(1e-3, 1e3)))
+        rows = shape._moved(U)
+    # Points at each row's translate, offset by up to 1e3, exactly 0 (a
+    # center), about 1e-160 (underflowing squares) or by a non-finite value.
+    offset = st.one_of(st.floats(-1e3, 1e3), st.floats(1e-162, 1e-158),
+                       st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf)))
+    offsets = st.lists(st.lists(offset, min_size=dim, max_size=dim), min_size=k, max_size=k)
+    return cls, rows, U + np.reshape(draw(offsets), (k, dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_membership_rows())
+def test_row_defects_are_the_per_slice_defects_bit_for_bit(case):
+    # solve reads each piece's residuals from _defects: each row's value must
+    # be the slice's membership_defect and the defect that _project_fields
+    # tests against its tol, bit for bit, NaN where it is NaN.
+    cls, rows, P = case
+    with np.errstate(all="ignore"):  # inf - inf and inf * 0 give NaN, as per slice
+        defects = cls._defects(rows, P)
+        slices = [cls._from_valid(row) for row in zip(*rows.values())]
+        assert defects.shape == (len(P),)
+        assert _same_bits(defects, [s.membership_defect(p) for s, p in zip(slices, P)])
+        assert _same_bits(defects, [_scalar_membership(s, p) for s, p in zip(slices, P)])
+    for row, p, d in zip(zip(*rows.values()), P, defects.tolist()):
+        if 0.0 <= d < 1e6:  # a finite non-member: _project_fields tests it against tol = d
+            assert cls._project_fields(row, p, d)[1] == 0.0
+            if d > 0.0:
+                try:
+                    assert cls._project_fields(row, p, math.nextafter(d, 0.0))[1] > 0.0
+                except AtSingularity:  # an excluded-ball center, at distance its radius
+                    pass

@@ -36,7 +36,6 @@ from sweepsolve.solver import (
     affine_interpolant,
     certify_steps,
     solve,
-    step_interpolant,
     write_trajectory_csv,
 )
 from sweepsolve.variation import converge_study
@@ -109,9 +108,9 @@ def test_bundled_polytope_certificates_make_no_active_set_solve(monkeypatch):
 )
 def test_a_moved_step_evaluates_membership_once(family, y0, monkeypatch):
     # A closed-form shape tests and projects the iterate from one evaluation
-    # of its defining inequality, in _project_fields: one call per step, and
-    # one more per moved step, its recorded residual; an unmoved step makes
-    # none.  y0's containment check calls membership_defect instead.
+    # of its defining inequality, in _project_fields: one call per step.  The
+    # moved steps' residuals come from one _defects call per piece, and y0's
+    # containment check calls membership_defect.
     cls = type(family.at(0.0))
     calls = []
     project = cls._project_fields
@@ -120,7 +119,30 @@ def test_a_moved_step_evaluates_membership_once(family, y0, monkeypatch):
     traj = solve(family, y0, TimeGrid.uniform(family.horizon, 64), eps_level=0.05)
     moved = int(np.any(np.diff(traj.points, axis=0) != 0.0, axis=1).sum())
     assert 0 < moved < 64
-    assert len(calls) == 64 + moved
+    assert len(calls) == 64
+
+
+def test_bundled_polytope_steps_project_once_and_bound_per_piece(monkeypatch):
+    # On the rotating triangle, solve projects once per step, and
+    # certify_steps bounds each piece of moving steps in one
+    # RigidImage._normal_defects call, with no one-row base bound per step.
+    scenario = load_builtin("polytope_rotation")
+    grid = scenario_schedule(scenario).grids[-1]
+    calls = {"_project_fields": 0, "_normal_defects": 0, "_normal_defect": 0}
+
+    def count(owner, name, wrap=staticmethod):
+        hook = getattr(owner, name)
+        monkeypatch.setattr(owner, name, wrap(
+            lambda *args: calls.__setitem__(name, calls[name] + 1) or hook(*args)))
+
+    count(RigidImage, "_project_fields")
+    count(RigidImage, "_normal_defects")
+    count(ProxSet, "_normal_defect", wrap=lambda method: method)
+    traj = solve(scenario.family, scenario.y0, grid, eps_level=1.0)
+    assert calls["_project_fields"] == len(grid.times) - 1
+    assert len(certify_steps(scenario.family, traj)) == 210
+    assert calls["_normal_defects"] == len(scenario.family.slice_fields(grid.times[1:])) == 1
+    assert calls["_normal_defect"] == 0
 
 
 @pytest.mark.parametrize(
@@ -130,8 +152,12 @@ def test_a_moved_step_evaluates_membership_once(family, y0, monkeypatch):
         (sweep_family(), (0.0, 0.0), 0.05),
         (RigidFamily(TRIANGLE, LinearPath(0.0, 1.0), (1.0 / 3, 1.0 / 3), horizon=1.0),
          (0.1, 0.8), 0.5),
+        (TranslateFamily(TRIANGLE, LinearPath((0.0, 0.0), (0.7, 0.3)), horizon=1.0),
+         (0.0, 0.5), 0.5),
+        (TranslateFamily(BallComplement((-1.0, 0.05), 0.5), LinearPath((0.0, 0.0), (1.0, 0.0)),
+                         horizon=2.0), (0.0, 0.0), 0.05),
     ],
-    ids=["obstacle", "sweep", "rotating_triangle"],
+    ids=["obstacle", "sweep", "rotating_triangle", "translated_triangle", "moving_hole"],
 )
 def test_dist_to_set_matches_independent_recomputation(family, y0, eps_level):
     # The solver records each node's distance at the slice it projected onto;
@@ -142,6 +168,25 @@ def test_dist_to_set_matches_independent_recomputation(family, y0, eps_level):
     assert traj.variation_total > 0.0
     for j, t in enumerate(traj.grid.times):
         assert traj.dist_to_set[j] == family.at(float(t)).distance(traj.points[j])
+
+
+@pytest.mark.parametrize(
+    "family, y0",
+    [(obstacle_family(), (0.0, 0.1)),
+     (RigidFamily(TRIANGLE, LinearPath(0.0, 1.0), (1.0 / 3, 1.0 / 3), horizon=1.0), (0.1, 0.8))],
+    ids=["obstacle", "rotating_triangle"],
+)
+def test_residuals_above_the_row_defects_take_the_scalar_projection(family, y0, monkeypatch):
+    # With every array defect of a piece at inf, each moved step's residual
+    # comes from the scalar _project_fields: the same bytes as the array path
+    # gives.  y0's containment check, one row, keeps the true defect.
+    grid = TimeGrid.uniform(family.horizon, 64)
+    expected = solve(family, y0, grid, eps_level=0.5).dist_to_set
+    [(cls, _)] = family.slice_fields(grid.times[1:])
+    defects = cls._defects
+    monkeypatch.setattr(cls, "_defects", staticmethod(
+        lambda rows, P: defects(rows, P) if len(P) == 1 else np.full(len(P), np.inf)))
+    assert solve(family, y0, grid, eps_level=0.5).dist_to_set.tobytes() == expected.tobytes()
 
 
 def test_jump_norms_are_stored_read_only():
@@ -448,15 +493,6 @@ class TestInterpolants:
             grid=grid, points=pts, level=0, eps_level=1.5, dist_to_set=np.zeros(3)
         )
 
-    def test_step_values(self):
-        y = step_interpolant(self.make())
-        assert np.allclose(y(0.0), (0.0, 0.0))
-        assert np.allclose(y(1.0 - 1e-12), (0.0, 0.0))
-        assert np.allclose(y(1.0), (1.0, 0.0))
-        assert np.allclose(y(2.0), (1.0, 1.0))
-        with pytest.raises(OutOfRange):
-            y(2.5)
-
     def test_affine_values(self):
         x = affine_interpolant(self.make())
         assert np.allclose(x(0.5), (0.5, 0.0))
@@ -464,15 +500,18 @@ class TestInterpolants:
         assert np.allclose(x(2.0), (1.0, 1.0))
         many = x(np.array([0.0, 0.25, 2.0]))
         assert many.shape == (3, 2)
+        with pytest.raises(OutOfRange):
+            x(2.5)
 
     def test_gap_below_eps_on_sweep(self):
         fam = sweep_family()
         grid = TimeGrid.uniform(2.0, 128)
         traj = solve(fam, (0.0, 0.0), grid, eps_level=0.05)
-        y = step_interpolant(traj)
         x = affine_interpolant(traj)
         ts = np.linspace(0.0, 2.0, 1000)
-        gap = max(np.linalg.norm(x(float(t)) - y(float(t))) for t in ts)
+        # The step value on [t_{j-1}, t_j) is points[j-1], the last point at the end.
+        steps = traj.points[np.searchsorted(grid.times, ts, "right") - 1]
+        gap = max(np.linalg.norm(x(float(t)) - y) for t, y in zip(ts, steps))
         assert gap < traj.eps_level
 
 

@@ -182,13 +182,12 @@ class TestConvergeStudy:
         fam = sweep_family()
         sched = build_schedule(fam, 2.0, 0.1, 0.5, 4)
         rep = converge_study(fam, (0.0, 0.0), sched)
-        from sweepsolve.solver import step_interpolant
-
         for traj in rep.trajectories:
             x = affine_interpolant(traj)
-            y = step_interpolant(traj)
             ts = np.linspace(0.0, 2.0, 500)
-            gap = max(np.linalg.norm(x(float(t)) - y(float(t))) for t in ts)
+            # The step value on [t_{j-1}, t_j) is points[j-1], the last point at the end.
+            steps = traj.points[np.searchsorted(traj.grid.times, ts, "right") - 1]
+            gap = max(np.linalg.norm(x(float(t)) - y) for t, y in zip(ts, steps))
             assert gap < traj.eps_level
 
     def test_variation_lower_semicontinuity(self):
