@@ -102,8 +102,8 @@ class ProxSet(Schema):
     unbounded = False
 
     def membership_defect(self, y) -> float:
-        """Worst violation of the defining inequalities (<= 0 means inside),
-        _defects on this slice's row.  At a member y it is exactly minus the
+        """Worst violation of the defining inequalities (<= 0 means inside), as
+        _defects gives it on this slice's row.  At a member y it is exactly minus the
         distance from y to the complement, so the open ball B_rho(y) lies in
         the set iff rho + defect <= 0."""
         return float(self._defects(self._rows, np.reshape(y, (1, self.dim)))[0])
@@ -929,7 +929,7 @@ class RigidImage(ProxSet):
     @classmethod
     def _normal_defects(cls, rows, X, N, R):
         # The rotation keeps inner products and the Euclidean window radius: each
-        # row's bound is its base's at the pulled-back x and n, made as lazily.
+        # row's bound is its base's at the pulled-back x and n, made when the base's is.
         if not len(X):
             return ()
         base, base_rows, V, x, n = cls._pulls(rows, X, N)

@@ -348,6 +348,8 @@ def _old_project(shape, y, tol):
         dist = sets_mod.norm(d)
         if dist == 0.0:
             raise AtSingularity(shape.radius)
+        if shape.radius * dist < sets_mod._TINY:  # radius * d would underflow: scale d first
+            return shape.center + shape.radius * (d / dist), abs(dist - shape.radius)
         return shape.center + shape.radius * d / dist, abs(dist - shape.radius)
     if isinstance(shape, Box):
         p = np.clip(y, shape.lo, shape.hi)
@@ -423,8 +425,11 @@ def _bit_case(tag, angle, shift, size, off):
 @example("rigid_ball_complement", 0.0, 2.0, 0.0, 1.0, -1e-10)
 @example("rigid_ball_complement", sets_mod.CONTAINMENT_TOL, 0.0, 0.0, 0.109375, 0.109375)
 @example("rigid_polytope", sets_mod.CONTAINMENT_TOL, 0.8, 0.3, 1.0, -1e-10)
-# The pull-back lands within underflow of the excluded-ball center, not on it.
+# The pull-back lands within underflow of the excluded-ball center, not on it,
+# and within about 1e-308 of it, where radius * (y - center) would underflow.
 @example("rigid_ball_complement", sets_mod.CONTAINMENT_TOL, 0.0, 4.084586445182003e-191,
+         0.109375, 0.109375)
+@example("rigid_ball_complement", sets_mod.CONTAINMENT_TOL, 0.0, 2.225073858507203e-309,
          0.109375, 0.109375)
 # A non-member whose distance to the base polytope underflows when squared.
 @example("rigid_polytope", 0.0, -1.0, 0.0, 1.0, 7.123514596902229e-172)
