@@ -264,7 +264,7 @@ class ProxSet(Schema):
     @classmethod
     def _project_fields(cls, fields, y: np.ndarray, tol: float) -> tuple:
         """(projection, distance) of y on the slice of fields, one row of
-        slice_fields (solve's one call per step): a copy of y at distance 0
+        slice_fields (solve's call per unskipped step): a copy of y at distance 0
         where the membership defect is at most tol (with tol = 0.0, where every
         defining inequality holds), else above tol."""
         raise NotImplementedError
@@ -327,9 +327,10 @@ class HalfSpace(ProxSet):
         return anchor - half, anchor + half
 
     def _moved(self, U):
-        # The shared normal is still unit.  A per-row <normal, u>: U @ normal rounds differently.
+        # The shared normal is still unit.  Per-row dots, each as normal.dot(u)
+        # alone: U @ normal (a matmul) rounds differently.
         return {"normal": [self.normal] * len(U),
-                "offset": [self.offset + float(self.normal.dot(u)) for u in U]}
+                "offset": (self.offset + np.vecdot(U, self.normal)).tolist()}
 
     def to_dict(self):
         return {"shape": self.tag, "normal": self.normal.tolist(), "offset": self.offset}

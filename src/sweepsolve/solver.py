@@ -2,8 +2,8 @@
 
 Each step projects the previous iterate onto the next slice, so the step
 vector is (minus) a proximal normal there and its length equals the distance
-to the slice.  solve projects once per row of the family's field table and
-reads residuals from each piece's array defects, building no slice object.
+to the slice.  solve projects per moved step of the family's field table,
+skips runs at rest and reads residuals by array defects, building no slice.
 Certification re-checks that normal-cone membership a posteriori: each slice
 bounds the hypo-monotonicity defect of the step vector from above in closed
 form (ProxSet.normal_defect, over each piece of the same table at once; a
@@ -16,6 +16,7 @@ bounds on NORMAL_AUDIT_STEPS steps, the only slices built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -41,6 +42,8 @@ CERTIFICATION_TOL = 1e-6
 NORMAL_AUDIT_STEPS = 4
 NORMAL_AUDIT_SAMPLES = 60
 NORMAL_WINDOW = 3.0
+# Most rows per array defect call of solve: resting-run blocks (from 8, doubling) and residuals.
+DEFECT_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,16 +95,38 @@ class DiscreteTrajectory:
         return float(np.sum(self.jump_norms))
 
 
+def _row_defects(shape, rows, lo: int, P: np.ndarray) -> np.ndarray:
+    """shape._defects of P on a piece's rows lo to lo + len(P), DEFECT_BLOCK_ROWS a call."""
+    cuts = [*range(0, len(P), DEFECT_BLOCK_ROWS), len(P)]
+    return np.concatenate([np.zeros(0)] + [
+        shape._defects({name: values[lo + a:lo + b] for name, values in rows.items()}, P[a:b])
+        for a, b in zip(cuts, cuts[1:])])
+
+
+def _resting_rows(shape, rows, k: int, y: np.ndarray) -> int:
+    """How many rows of a piece from row k on hold y (defect <= CONTAINMENT_TOL, not
+    NaN), in blocks doubling from 8 rows to DEFECT_BLOCK_ROWS: a short run costs little."""
+    n, lo, size = len(next(iter(rows.values()))), k, 8
+    while lo < n:
+        Y = np.broadcast_to(y, (min(size, n - lo), len(y)))
+        held = _row_defects(shape, rows, lo, Y) <= CONTAINMENT_TOL
+        if not held.all():
+            return lo + int(np.argmin(held)) - k
+        lo, size = lo + len(Y), min(2 * size, DEFECT_BLOCK_ROWS)
+    return n - k
+
+
 def solve(family: MovingFamily, y0, grid: TimeGrid, eps_level: float,
           level: int = 0) -> DiscreteTrajectory:
-    """Run the catching-up recursion y_j = P_{C(t_j)}(y_{j-1}) along the grid,
-    one shape._project_fields call per row of family.slice_fields; the
-    residuals come from one shape._defects call per piece.
+    """Run the catching-up recursion y_j = P_{C(t_j)}(y_{j-1}) along the rows
+    of family.slice_fields: a shape._project_fields call per moved step, and
+    after a step that rests, a _resting_rows test that copies y over the rows
+    ahead whose slices hold it, as their projections would.
 
-    Raises ValueError for a non-finite y0, InfeasibleInitialPoint when y0
-    lies outside the initial slice and TubeViolation(j) when an iterate is at
-    distance >= r from the next slice (the grid is too coarse for this
-    family; refinement is the caller's call).
+    Raises ValueError for a non-finite y0, DimensionMismatch for one of
+    another length, InfeasibleInitialPoint for one outside the initial slice
+    and TubeViolation(j) when an iterate is at distance >= r from the next
+    slice (the grid is too coarse for this family; refinement is the caller's).
     """
     y0 = np.asarray(y0, dtype=float)
     if grid.t_first != 0.0:
@@ -110,9 +135,11 @@ def solve(family: MovingFamily, y0, grid: TimeGrid, eps_level: float,
         raise ValueError("the grid extends beyond the family horizon")
     if not np.isfinite(y0).all():
         raise ValueError("the initial point must be finite")
-    first = family.at(grid.t_first)
-    if not first.contains(y0):  # checks y0's dimension, and so every iterate's
-        raise InfeasibleInitialPoint(first.membership_defect(y0))
+    if y0.shape != (family.dim,):  # y0's dimension, and so every iterate's
+        raise DimensionMismatch(f"expected dim {family.dim}, got shape {y0.shape}")
+    defect = float(_row_defects(*family.slice_fields(grid.times[:1])[0], 0, y0[None])[0])
+    if not defect <= CONTAINMENT_TOL:  # y0's defect on the t = 0 row, NaN included
+        raise InfeasibleInitialPoint(defect)
     r = family.r
     points = np.empty((len(grid.times), len(y0)))
     dist_to_set = np.zeros(len(grid.times))  # 0 at members: y0 and every unmoved iterate
@@ -120,8 +147,8 @@ def solve(family: MovingFamily, y0, grid: TimeGrid, eps_level: float,
     y, j = y0, 0
     for shape, rows in family.slice_fields(grid.times[1:]):
         project = shape._project_fields  # looked up once: a classmethod binds on each access
-        start = j + 1
-        for fields in zip(*rows.values()):
+        start, table = j + 1, zip(*rows.values())
+        for fields in table:
             j += 1
             try:
                 p, d = project(fields, y, CONTAINMENT_TOL)
@@ -132,9 +159,14 @@ def solve(family: MovingFamily, y0, grid: TimeGrid, eps_level: float,
                 raise TubeViolation(j, d, r)
             y = points[j] = p
             dist_to_set[j] = d  # nonzero marks a moved step until its residual is read
+            if d == 0.0:  # y rests, and so it does on the rows ahead that hold it
+                rest = _resting_rows(shape, rows, j + 1 - start, y)
+                points[j + 1:j + 1 + rest] = y
+                j += rest
+                next(islice(table, rest, rest), None)  # skips those rows
         # A residual is 0.0 where the row's defect is <= CONTAINMENT_TOL, as in _project_fields.
         dist, P = dist_to_set[start:j + 1], points[start:j + 1]
-        inside = shape._defects(rows, P) <= CONTAINMENT_TOL
+        inside = _row_defects(shape, rows, 0, P) <= CONTAINMENT_TOL
         for k in np.flatnonzero((dist != 0.0) & ~inside).tolist():
             dist[k] = project([values[k] for values in rows.values()], P[k], CONTAINMENT_TOL)[1]
         dist[inside] = 0.0

@@ -190,15 +190,15 @@ def test_report_values_reproducible_from_csvs(tmp_path):
         assert max(dists) == pytest.approx(d["constraint_residual"], abs=1e-12)
 
 
-def test_run_builds_each_slice_once(tmp_path, monkeypatch):
-    # Residuals and CSVs read the distances solve recorded.  solve steps
-    # through the rows of each family's field table, and neither a closed-form
-    # shape nor a rigid image builds a slice object for a row, so with the
-    # constraint and Cauchy checks solve builds one slice per level, the
-    # initial one that tests y0.  The normal check bounds the moving steps of
-    # the finest level from the same table, again building no slice on either
-    # scenario; only the audit builds the slices of its NORMAL_AUDIT_STEPS
-    # steps.  Every slice is made by _from_valid.
+def test_run_builds_only_the_audited_slices(tmp_path, monkeypatch):
+    # Residuals and CSVs read the distances solve recorded.  solve tests y0
+    # and steps through the rows of each family's field table, and neither a
+    # closed-form shape nor a rigid image builds a slice object for a row, so
+    # with the constraint and Cauchy checks no level builds a slice.  The
+    # normal check bounds the moving steps of the finest level from the same
+    # table, again building no slice on either scenario; only the audit
+    # builds the slices of its NORMAL_AUDIT_STEPS steps.  Every slice is made
+    # by _from_valid.
     for name, checks in (("sweep_halfspace", ["constraint", "cauchy"]),
                          ("sweep_halfspace", ["constraint", "cauchy", "normal"]),
                          ("polytope_rotation", ["constraint", "cauchy", "normal"])):
@@ -216,7 +216,8 @@ def test_run_builds_each_slice_once(tmp_path, monkeypatch):
         out = tmp_path / f"{name}_{len(checks)}"
         report = run(scenario, out, levels=4)
         monkeypatch.undo()
-        expected = len(report.level_rows)
+        assert len(report.level_rows) == 4
+        expected = 0
         if "normal" in checks:
             finest = (out / f"{name}_level3.csv").read_text().splitlines()[1:]
             moving = sum(float(line.split(",")[-2]) != 0.0 for line in finest)

@@ -901,6 +901,28 @@ def test_translated_moves_every_distance(tag, monkeypatch):
         assert p.tobytes() == q.tobytes() and d == e
 
 
+_scaled_floats = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e-300, 1e-300),
+                           st.floats(-1e300, 1e300), st.sampled_from((0.0, -0.0, 5e-324)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim),
+    st.floats(-1e3, 1e3),
+    st.lists(st.lists(_scaled_floats, min_size=dim, max_size=dim), min_size=1, max_size=8))))
+def test_halfspace_moved_offsets_are_the_per_row_dots_bit_for_bit(case):
+    # _moved reads every row's <normal, u> from one np.vecdot: each offset is
+    # offset + float(normal.dot(u)), as for that u alone, tiny and huge u too.
+    a, offset, U = case
+    assume(norm(np.asarray(a)) > 1e-3)
+    wall = halfspace(a, offset)
+    U = np.array(U, dtype=float)
+    with np.errstate(over="ignore"):  # a huge u may overflow to inf, on both sides
+        expected = [wall.offset + float(wall.normal.dot(u)) for u in U]
+        offsets = wall._moved(U)["offset"]
+    assert [float.hex(o) for o in offsets] == [float.hex(e) for e in expected]
+
+
 def _brute_circumradius(shape, p):
     """Largest distance from p over the corners, vertices or a fine boundary sampling."""
     if isinstance(shape, Box):

@@ -16,7 +16,7 @@ from sweepsolve.errors import (
 from sweepsolve.families import PiecewiseFamily, RadiusFamily, RigidFamily, TranslateFamily
 from sweepsolve.geometry import RefinementSchedule, TimeGrid
 from sweepsolve.harness import scenario_schedule
-from sweepsolve.paths import ConstantPath, LinearPath
+from sweepsolve.paths import ConstantPath, LinearPath, PiecewisePath
 from sweepsolve.scenarios import load_builtin
 from sweepsolve.sets import (
     CONTAINMENT_TOL,
@@ -102,30 +102,60 @@ def test_bundled_polytope_certificates_make_no_active_set_solve(monkeypatch):
     assert len(calls) == 0
 
 
-@pytest.mark.parametrize(
-    "family, y0", [(sweep_family(), (0.0, 0.0)), (obstacle_family(), (0.0, 0.1))],
-    ids=["sweep", "obstacle"],
-)
-def test_a_moved_step_evaluates_membership_once(family, y0, monkeypatch):
-    # A closed-form shape tests and projects the iterate from one evaluation
-    # of its defining inequality, in _project_fields: one call per step.  The
-    # moved steps' residuals come from one _defects call per piece, and y0's
-    # containment check calls membership_defect.
-    cls = type(family.at(0.0))
+def _resting_runs(traj) -> int:
+    """The number of maximal runs of consecutive steps that leave the iterate in place."""
+    rest = traj.jump_norms == 0.0
+    return int(rest[0]) + int(np.count_nonzero(rest[1:] & ~rest[:-1]))
+
+
+def _count_project_fields(cls, monkeypatch) -> list:
     calls = []
     project = cls._project_fields
     monkeypatch.setattr(cls, "_project_fields",
                         staticmethod(lambda *args: calls.append(1) or project(*args)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "family, y0", [(sweep_family(), (0.0, 0.0)), (obstacle_family(), (0.0, 0.1))],
+    ids=["sweep", "obstacle"],
+)
+def test_project_fields_runs_once_per_moved_step_and_resting_run(family, y0, monkeypatch):
+    # A closed-form shape tests and projects the iterate from one evaluation
+    # of its defining inequality, in _project_fields: one call per moved
+    # step.  A step that rests starts its run: the rest of the run comes from
+    # _defects on the rows ahead, as do the moved steps' residuals, and y0's
+    # containment check reads _defects on the t = 0 row.
+    calls = _count_project_fields(type(family.at(0.0)), monkeypatch)
     traj = solve(family, y0, TimeGrid.uniform(family.horizon, 64), eps_level=0.05)
     moved = int(np.any(np.diff(traj.points, axis=0) != 0.0, axis=1).sum())
     assert 0 < moved < 64
-    assert len(calls) == 64
+    assert len(calls) == moved + _resting_runs(traj) < 64
 
 
-def test_bundled_polytope_steps_project_once_and_bound_per_piece(monkeypatch):
-    # On the rotating triangle, solve projects once per step, and
-    # certify_steps bounds each piece of moving steps in one
-    # RigidImage._normal_defects call, with no one-row base bound per step.
+def test_bundled_sweep_projects_per_moved_step_and_run_building_no_slice(monkeypatch):
+    # On the finest grid of the bundled sweep, the wall first leaves the
+    # iterate at rest for 1024 steps and then pushes it on every step: 1025
+    # projections of 2048 steps, and no slice object built.
+    scenario = load_builtin("sweep_halfspace")
+    grid = scenario_schedule(scenario).grids[-1]
+    calls = _count_project_fields(HalfSpace, monkeypatch)
+    from_valid = ProxSet._from_valid.__func__
+    built = []
+    monkeypatch.setattr(ProxSet, "_from_valid", classmethod(
+        lambda cls, fields: built.append(cls) or from_valid(cls, fields)))
+    traj = solve(scenario.family, scenario.y0, grid, eps_level=1.0)
+    moved = int(np.count_nonzero(traj.jump_norms))
+    assert (len(grid.times) - 1, moved, _resting_runs(traj)) == (2048, 1024, 1)
+    assert len(calls) == moved + 1 == 1025
+    assert built == []
+
+
+def test_bundled_polytope_steps_project_per_moved_step_and_run_and_bound_per_piece(monkeypatch):
+    # On the rotating triangle, solve projects once per moved step and once
+    # per resting run (210 and 1 of 256 steps), and certify_steps bounds each
+    # piece of moving steps in one RigidImage._normal_defects call, with no
+    # one-row base bound per step.
     scenario = load_builtin("polytope_rotation")
     grid = scenario_schedule(scenario).grids[-1]
     calls = {"_project_fields": 0, "_normal_defects": 0, "_normal_defect": 0}
@@ -139,7 +169,8 @@ def test_bundled_polytope_steps_project_once_and_bound_per_piece(monkeypatch):
     count(RigidImage, "_normal_defects")
     count(ProxSet, "_normal_defect", wrap=lambda method: method)
     traj = solve(scenario.family, scenario.y0, grid, eps_level=1.0)
-    assert calls["_project_fields"] == len(grid.times) - 1
+    assert len(grid.times) - 1 == 256 and _resting_runs(traj) == 1
+    assert calls["_project_fields"] == int(np.count_nonzero(traj.jump_norms)) + 1 == 211
     assert len(certify_steps(scenario.family, traj)) == 210
     assert calls["_normal_defects"] == len(scenario.family.slice_fields(grid.times[1:])) == 1
     assert calls["_normal_defect"] == 0
@@ -448,6 +479,125 @@ def test_tube_violations_match_the_default_loop(family, y0, grid):
     assert len(with_kernel) == 3 and with_kernel == with_slices
 
 
+def _row_loop(family, y0, grid):
+    """The catching-up loop with one _project_fields call per row of the field
+    table, and a moved step's residual from one more call at the new iterate."""
+    points, dists, y = [np.asarray(y0, dtype=float)], [0.0], np.asarray(y0, dtype=float)
+    for cls, rows in family.slice_fields(grid.times[1:]):
+        for fields in zip(*rows.values()):
+            y, d = cls._project_fields(fields, y, CONTAINMENT_TOL)
+            points.append(y)
+            dists.append(0.0 if d == 0.0 else cls._project_fields(fields, y, CONTAINMENT_TOL)[1])
+    return np.array(points), np.array(dists)
+
+
+_CAP = solver_mod.DEFECT_BLOCK_ROWS
+_RUN_LENGTHS = (1, 7, 8, 9, _CAP - 1, _CAP, _CAP + 1)
+_KINDS = ("halfspace", "ball", "ball_complement", "box", "triangle", "rigid")
+
+
+def _stop_and_go(kind, unit, segments):
+    """A half-space, ball, ball complement, box or triangle translate, or the
+    triangle turning, that moves by unit / 64 (turns by 1/64 rad) per unit
+    step on each ("move", steps) segment and stands still on each ("rest",
+    steps) one.  Returns the family, the grid of unit steps and the runs the
+    family stands still as (first step, length).  Dyadic rates keep every
+    node's position exact, so the family stands still for exactly those steps."""
+    rate = np.asarray(unit) / 64.0 if kind != "rigid" else 1.0 / 64.0
+    pieces, at, t, resting = [], 0.0 * rate, 0, []
+    for what, steps in segments:
+        if what == "rest":
+            pieces.append((float(t + steps), ConstantPath(at)))
+            resting.append((t + 1, steps))
+        else:
+            pieces.append((float(t + steps), LinearPath(at - t * rate, rate)))
+            at = at + steps * rate
+        t += steps
+    path = PiecewisePath(tuple(pieces))
+    if kind == "rigid":
+        family = RigidFamily(TRIANGLE, path, (1.0 / 3, 1.0 / 3), float(t))
+    else:
+        base = {"halfspace": HalfSpace((1.0, 0.0), 1.0), "ball": Ball((0.0, 0.0), 1.0),
+                "ball_complement": BallComplement((0.0, 0.0), 1.0),
+                "box": Box((-1.0, -1.0), (1.0, 1.0)), "triangle": TRIANGLE}[kind]
+        family = TranslateFamily(base, path, float(t))
+    return family, TimeGrid(np.arange(t + 1.0)), resting
+
+
+def _check_against_the_row_loop(family, y0, grid, resting):
+    traj = solve(family, y0, grid, eps_level=1.0)
+    points, dists = _row_loop(family, y0, grid)
+    assert traj.points.tobytes() == points.tobytes()
+    assert traj.dist_to_set.tobytes() == dists.tobytes()
+    if isinstance(family.at(0.0), HalfSpace):  # the wall pushes y0 on every moving step
+        rest = np.flatnonzero(traj.jump_norms == 0.0) + 1
+        assert rest.tolist() == [j for first, steps in resting
+                                 for j in range(first, first + steps)]
+
+
+@st.composite
+def resting_runs(draw):
+    """_stop_and_go with one to three runs at rest of drawn lengths, before
+    the first move, between moves of one to three steps and after the last,
+    as drawn, and with a member initial point (the half-space's on its
+    boundary, where the wall pushes it)."""
+    runs = draw(st.lists(st.sampled_from(_RUN_LENGTHS) | st.integers(1, 40),
+                         min_size=1, max_size=3))
+    segments = []
+    for length in runs:
+        segments += [("move", draw(st.integers(1, 3))), ("rest", length)]
+    segments.append(("move", draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        segments.pop(0)  # a run at rest before the first move
+    if draw(st.booleans()):
+        segments.pop()  # and one after the last
+    kind = draw(st.sampled_from(_KINDS))
+    unit = (-1.0, 0.0) if kind == "halfspace" else draw(st.sampled_from(
+        [(-1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, -1.0)]))
+    family, grid, resting = _stop_and_go(kind, unit, segments)
+    point = draw(_vectors) if kind != "halfspace" else (1.0, 0.0)
+    assume(point != (0.0, 0.0))  # the excluded ball's center projects nowhere
+    return family, family.at(0.0).project(point), grid, resting
+
+
+@settings(max_examples=40, deadline=None)
+@given(resting_runs())
+def test_skipped_resting_runs_match_one_projection_per_row(case):
+    # solve copies the iterate over each run of rows whose slices hold it, from
+    # blocks of _defects doubling from 8 rows to DEFECT_BLOCK_ROWS: the same
+    # points and distances, bit for bit, as projecting on every row.
+    _check_against_the_row_loop(*case)
+
+
+@pytest.mark.parametrize("length", _RUN_LENGTHS)
+@pytest.mark.parametrize("kind", _KINDS)
+def test_resting_runs_of_every_block_length_match_the_row_loop(kind, length):
+    # Runs at rest at the start, in the middle and at the end, each one row
+    # around a block size: bit for bit as projecting on every row.
+    family, grid, resting = _stop_and_go(kind, (-1.0, 0.0), [
+        ("rest", length), ("move", 2), ("rest", length), ("move", 2), ("rest", length)])
+    y0 = family.at(0.0).project((1.0, 0.5))
+    _check_against_the_row_loop(family, y0, grid, resting)
+
+
+def test_y0_is_tested_on_the_t0_row():
+    # solve tests y0 on the t = 0 row of the field table: the defect it
+    # reports is the initial slice's membership_defect, and a y0 of another
+    # length is a DimensionMismatch.
+    grid = TimeGrid.uniform(1.0, 4)
+    for fam, outside in (
+            (TranslateFamily(TRIANGLE, LinearPath((0.0, 0.0), (0.5, 0.0)), 1.0), (2.0, 2.0)),
+            (RigidFamily(TRIANGLE, LinearPath(0.0, 1.0), (1.0 / 3, 1.0 / 3), horizon=1.0),
+             (2.0, 2.0)),
+            (obstacle_family(), (-1.0, 0.1))):
+        with pytest.raises(InfeasibleInitialPoint) as err:
+            solve(fam, outside, grid, eps_level=1.0)
+        assert err.value.defect == fam.at(0.0).membership_defect(outside) > 0.0
+        for y0 in ((0.1,), (0.1, 0.1, 0.1)):
+            with pytest.raises(DimensionMismatch, match="expected dim 2"):
+                solve(fam, y0, grid, eps_level=1.0)
+
+
 def test_jump_bound_enforced():
     fam = sweep_family()
     grid = TimeGrid.uniform(2.0, 10)  # jumps of 0.2 per step once engaged
@@ -600,8 +750,8 @@ class TestCertification:
     ], ids=["box", "polytope", "piecewise"])
     def test_steps_and_bounds_build_no_slice(self, family, y0, monkeypatch):
         # solve steps, and certify_steps bounds, from the rows of the field
-        # table on every shape: solve builds only its initial slice, which
-        # tests y0, and certify_steps only the slices of its audited steps.
+        # table on every shape: solve builds no slice, testing y0 on the
+        # t = 0 row, and certify_steps only the slices of its audited steps.
         # Every ProxSet counts: a polytope translate's row holds arrays, not
         # half-space faces.
         from_valid = ProxSet._from_valid.__func__
@@ -615,7 +765,7 @@ class TestCertification:
             return count
 
         traj = solve(family, y0, TimeGrid.uniform(2.0, 64), eps_level=0.5)
-        assert slices_built() == 1
+        assert slices_built() == 0
         certs = certify_steps(family, traj)
         audited = sum(c.audit is not None for c in certs)
         assert len(certs) > audited == solver_mod.NORMAL_AUDIT_STEPS
