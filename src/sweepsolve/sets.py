@@ -327,9 +327,9 @@ class HalfSpace(ProxSet):
         return anchor - half, anchor + half
 
     def _moved(self, U):
-        # The shared normal is still unit.  Per-row dots, each as normal.dot(u)
-        # alone: U @ normal (a matmul) rounds differently.
-        return {"normal": [self.normal] * len(U),
+        # The shared normal, still unit, as a read-only view of it per row.  Per-row
+        # dots, each as normal.dot(u) alone: U @ normal (a matmul) rounds differently.
+        return {"normal": np.broadcast_to(self.normal, U.shape),
                 "offset": (self.offset + np.vecdot(U, self.normal)).tolist()}
 
     def to_dict(self):
@@ -767,8 +767,8 @@ class Polytope(ProxSet):
     def _moved(self, U):
         # Offsets b_i + <a_i, u> (per-row dots, as a face's translate): still strictly feasible.
         offsets = readonly(self.offsets + np.vecdot(U[:, None, :], self.normals), 2)
-        return {"normals": [self.normals] * len(U), "offsets": offsets,
-                "interior": readonly(self.interior + U, 2),
+        return {"normals": np.broadcast_to(self.normals, (len(U), *self.normals.shape)),
+                "offsets": offsets, "interior": readonly(self.interior + U, 2),
                 "_max_steps": [self._max_steps] * len(U), "_factors": [{} for _ in U]}
 
     def to_dict(self):

@@ -3,7 +3,7 @@
 Each step projects the previous iterate onto the next slice, so the step
 vector is (minus) a proximal normal there and its length equals the distance
 to the slice.  solve projects per moved step of the family's field table,
-skips runs at rest and reads residuals by array defects, building no slice.
+skips runs at rest and reads moved rows' residuals by array defects, no slice built.
 Certification re-checks that normal-cone membership a posteriori: each slice
 bounds the hypo-monotonicity defect of the step vector from above in closed
 form (ProxSet.normal_defect, over each piece of the same table at once; a
@@ -52,7 +52,7 @@ class DiscreteTrajectory:
     and consecutive points differ by strictly less than eps_level.
 
     dist_to_set[j] is the distance from points[j] to the slice at times[j],
-    0.0 where the solver read that row's array defect at most CONTAINMENT_TOL.
+    0.0 where the solver found that row's defect at most CONTAINMENT_TOL.
     jump_norms[j-1] is |points[j] - points[j-1]|.  Every point is finite.
     """
 
@@ -164,12 +164,13 @@ def solve(family: MovingFamily, y0, grid: TimeGrid, eps_level: float,
                 points[j + 1:j + 1 + rest] = y
                 j += rest
                 next(islice(table, rest, rest), None)  # skips those rows
-        # A residual is 0.0 where the row's defect is <= CONTAINMENT_TOL, as in _project_fields.
+        # Moved rows, by runs a to b: 0.0 at a defect <= CONTAINMENT_TOL, else the scalar distance.
         dist, P = dist_to_set[start:j + 1], points[start:j + 1]
-        inside = _row_defects(shape, rows, 0, P) <= CONTAINMENT_TOL
-        for k in np.flatnonzero((dist != 0.0) & ~inside).tolist():
+        edges = np.flatnonzero(np.diff(dist != 0.0, prepend=False, append=False)).tolist()
+        for a, b in zip(edges[::2], edges[1::2]):
+            dist[a:b][_row_defects(shape, rows, a, P[a:b]) <= CONTAINMENT_TOL] = 0.0
+        for k in np.flatnonzero(dist).tolist():
             dist[k] = project([values[k] for values in rows.values()], P[k], CONTAINMENT_TOL)[1]
-        dist[inside] = 0.0
     return DiscreteTrajectory(grid=grid, points=points, level=level, eps_level=eps_level,
                               dist_to_set=dist_to_set)
 
@@ -269,8 +270,7 @@ def write_trajectory_csv(traj: DiscreteTrajectory, path) -> None:
     header = "t," + ",".join(f"x_{i}" for i in range(traj.dim)) + ",jump_norm,dist_to_set"
     arriving = np.concatenate(([0.0], traj.jump_norms))
     table = np.column_stack((traj.grid.times, traj.points, arriving, traj.dist_to_set))
-    # %-formatting and format() share Python's float formatter: same bytes.
-    row = ",".join(["%.17g"] * table.shape[1])
-    lines = [header] + [row % tuple(cells) for cells in table.tolist()]
+    # One %-call for the table; %-formatting and format() share Python's float formatter.
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))

@@ -39,18 +39,18 @@ def _y_to_px(y, lo, hi):
 
 def write_trajectory_svg(path, traj) -> None:
     """One polyline per state coordinate against time."""
-    times = traj.grid.times
-    pts = traj.points
+    times, pts = traj.grid.times, traj.points
     y_lo = float(pts.min())
     y_hi = float(pts.max())
     if y_hi - y_lo < 1e-12:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     lines = _header(f"trajectory level {traj.level} ({traj.dim} coordinates)")
-    xs = _x_to_px(times, times[0], times[-1]).tolist()
+    xs = _x_to_px(times, times[0], times[-1])
     for i in range(traj.dim):
         color = PALETTE[i % len(PALETTE)]
-        ys = _y_to_px(pts[:, i], y_lo, y_hi).tolist()
-        coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in zip(xs, ys))
+        xy = xs.repeat(2)  # x_0, y_0, x_1, ...: one %-call formats them as _f does
+        xy[1::2] = _y_to_px(pts[:, i], y_lo, y_hi)
+        coords = ("%.6g,%.6g " * len(xs) % tuple(xy.tolist()))[:-1]
         lines.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         lines.append(
             f'<text x="{WIDTH - MARGIN + 4}" y="{MARGIN + 16 * i + 12}" font-family="monospace" '

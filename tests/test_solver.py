@@ -176,6 +176,26 @@ def test_bundled_polytope_steps_project_per_moved_step_and_run_and_bound_per_pie
     assert calls["_normal_defect"] == 0
 
 
+@pytest.mark.parametrize("name, rows, moved", [("sweep_halfspace", 3065, 1024),
+                                               ("moving_obstacle", 2542, 1173),
+                                               ("polytope_rotation", 267, 210)])
+def test_bundled_solves_read_row_defects_on_probed_and_moved_rows_only(name, rows, moved,
+                                                                      monkeypatch):
+    # A work count: the rows that solve passes to _row_defects on a bundled
+    # finest grid.  y0's check and the resting-run probes test one point on
+    # many rows (a broadcast, stride-0 array); the residual pass reads the
+    # iterates of the moved steps only, one row each, and not the resting rows.
+    scenario = load_builtin(name)
+    grid = scenario_schedule(scenario).grids[-1]
+    calls, row_defects = [], solver_mod._row_defects
+    monkeypatch.setattr(solver_mod, "_row_defects", lambda shape, table, lo, P: calls.append(
+        (len(P), P.strides[0] == 0)) or row_defects(shape, table, lo, P))
+    traj = solve(scenario.family, scenario.y0, grid, eps_level=1.0)
+    assert sum(n for n, _ in calls) == rows
+    residual = sum(n for n, probe in calls if not probe)
+    assert residual == int(np.count_nonzero(traj.jump_norms)) == moved
+
+
 @pytest.mark.parametrize(
     "family, y0, eps_level",
     [
