@@ -61,7 +61,7 @@ from .sets import (
 )
 from .solver import (
     DiscreteTrajectory,
-    StepCertificate,
+    StepCertificates,
     affine_interpolant,
     certify_steps,
     solve,

@@ -85,14 +85,10 @@ def _cmd_verify(args) -> int:
         raise SchemaError("--level", f"expected a level index >= 0, got {args.level}")
     scenario = _load(args.config)
     schedule = scenario_schedule(scenario, args.level + 1)
-    traj = solve(
-        scenario.family, scenario.y0, schedule.grids[args.level],
-        schedule.eps[args.level], level=args.level,
-    )
-    checks = [
-        check_constraint(traj.dist_to_set),
-        check_normal(scenario.family, traj, effective_seed(scenario)),
-    ]
+    traj = solve(scenario.family, scenario.y0, schedule.grids[args.level],
+                 schedule.eps[args.level], level=args.level)
+    checks = [check_constraint(traj.dist_to_set),
+              check_normal(scenario.family, traj, effective_seed(scenario))]
     print(f"level {args.level}: eps={schedule.eps[args.level]:.6g} "
           f"intervals={schedule.grids[args.level].n_intervals}")
     for check in checks:
@@ -107,15 +103,12 @@ def _cmd_list(_args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sweepsolve",
-        description="Catching-up solver and verification harness for prox-regular sweeping processes",
-    )
+    parser = argparse.ArgumentParser(prog="sweepsolve", description=(
+        "Catching-up solver and verification harness for prox-regular sweeping processes"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser(
-        "solve", aliases=["converge"], help="run a scenario end to end and write artifacts"
-    )
+    p_solve = sub.add_parser("solve", aliases=["converge"],
+                             help="run a scenario end to end and write artifacts")
     p_solve.add_argument("config", help="builtin name or config file path")
     p_solve.add_argument("--out", default="out", help="output directory")
     p_solve.add_argument("--levels", type=int, default=None, help="override schedule level count")

@@ -19,6 +19,8 @@ image of a ball complement as B) are sampled, a lower bound with upper = inf.
 Families built from the declared path forms carry an analytic linear modulus
 omega(delta) = rate * delta, an upper bound that sets the schedule step
 lengths; validate_analytic_modulus certifies it against excess upper bounds.
+A Modulus takes one delta or an array of them (certify_steps' one call per
+trajectory), elementwise as each scalar call rounds.
 An inner ball is checked by one exact depth evaluation per slice (a member's
 depth is minus its membership defect) at INNER_BALL_TIMES times; between
 them it is not checked.
@@ -29,7 +31,9 @@ Its rows list the fields in the shape's dataclass order, the order in which
 ProxSet._from_valid builds a slice from a row (slices(times) does so for
 each row, and at(t) is slices over one time), and in which the shape's
 _project_fields, _defects and _normal_defects, which solve and
-certify_steps call, read a row; a rigid family's rows share its base.  No
+certify_steps call, read a row.  What the rows share is stored once: a
+rigid family's base, a translate's arrays that do not move as read-only
+views of one array, and a polytope translate's factor cache.  No
 shape's checks run: the family checked its base and paths once, and moving
 them keeps them valid (a translate keeps a unit normal, a box's lo < hi and
 a polytope's strictly feasible interior point, a radius stays above the
@@ -159,10 +163,12 @@ class Modulus:
         if not self.rate >= 0.0:
             raise ModulusUnavailable(f"continuity rate {self.rate!r} is not a nonnegative number")
 
-    def __call__(self, delta: float) -> float:
-        if delta <= 0:
-            return 0.0
-        return float(self.rate * min(delta, self.horizon))
+    def __call__(self, delta):
+        """omega(delta), 0 where delta <= 0, elementwise over an array of deltas."""
+        with np.errstate(invalid="ignore"):  # 0 * -inf at a delta <= 0, whose value is 0
+            omega = np.where(np.less_equal(delta, 0.0), 0.0,
+                             self.rate * np.minimum(delta, self.horizon))
+        return omega if np.ndim(delta) else float(omega)
 
     def largest_delta_below(self, eps: float) -> float:
         """The horizon when omega(horizon) < eps, else the largest float
@@ -579,9 +585,10 @@ def validate_analytic_modulus(
     times = np.unique(np.ravel(forward))  # every slice built once, by one slice_fields call
     at = dict(zip(times.tolist(), family.slices(times)))
     worst = -math.inf
-    for i, (s, t) in enumerate(forward):
+    allowed = omega(np.array([t - s for s, t in forward], dtype=float)).tolist()
+    for i, ((s, t), bound) in enumerate(zip(forward, allowed)):
         if t <= s:
             continue
         est = excess(at[s], at[t], replace(b, seed=b.seed + i))
-        worst = max(worst, est.upper - omega(t - s) * (1.0 + 1e-6))
+        worst = max(worst, est.upper - bound * (1.0 + 1e-6))
     return worst

@@ -129,10 +129,8 @@ class TimeGrid:
         return np.array_equal(self.times, other.times)
 
     def __repr__(self):
-        return (
-            f"TimeGrid({self.n_intervals} intervals on "
-            f"[{self.t_first:g}, {self.t_last:g}], mesh={self.mesh:.3g})"
-        )
+        return (f"TimeGrid({self.n_intervals} intervals on "
+                f"[{self.t_first:g}, {self.t_last:g}], mesh={self.mesh:.3g})")
 
 
 @dataclass(frozen=True)

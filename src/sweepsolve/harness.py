@@ -83,14 +83,9 @@ class RunReport:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "horizon": self.horizon,
-            "levels": list(self.level_rows),
-            "checks": [c.to_json_dict() for c in self.checks],
-            "bounds": self.bounds,
-            "notes": list(self.notes),
-        }
+        return {"scenario": self.scenario, "horizon": self.horizon,
+                "levels": list(self.level_rows), "checks": [c.to_json_dict() for c in self.checks],
+                "bounds": self.bounds, "notes": list(self.notes)}
 
 
 def effective_seed(scenario: Scenario) -> int:
@@ -120,14 +115,15 @@ def check_constraint(residuals) -> CheckResult:
 
 def check_normal(family: MovingFamily, traj: DiscreteTrajectory, seed: int) -> CheckResult:
     """Normal-cone certificates of every moving step of traj: the margin is
-    CERTIFICATION_TOL minus the worst closed-form defect bound; the note adds the
-    audit of the bounds, exact (over vertices) or sampled."""
+    CERTIFICATION_TOL minus the worst closed-form defect bound (the largest of
+    the record's bounds, 0.0 with no moving step); the note adds the audit
+    of the bounds, exact (over vertices) or sampled."""
     try:
         certs = certify_steps(family, traj, seed=seed)
     except CertificationFailed as err:
         return CheckResult("normal", "fail", err.tol - err.value, str(err))
-    worst = max((c.defect_bound for c in certs), default=0.0)
-    audits = [c.audit for c in certs if c.audit is not None]
+    worst = float(certs.bounds.max()) if len(certs) else 0.0
+    audits = list(certs.audits.values())
     note = f"worst defect bound {worst:.3e} over {len(certs)} moving steps"
     if audits:
         kinds = sorted({a.kind for a in audits})  # "exact", "sampled" or both
@@ -186,14 +182,9 @@ def _check_cone_bound(scenario: Scenario, report, seed, bounds: dict) -> CheckRe
         params = choose_cone_params(schedule.r, R, d, omega, eps_candidates=schedule.eps)
     except (NoPositiveTau, NoFeasibleEps) as err:
         return CheckResult("cone_bound", "inapplicable", None, str(err))
-    n_bar = next(
-        (
-            n
-            for n in range(schedule.levels)
-            if schedule.eps[n] <= params.eps_bar and schedule.delta[n] < params.tau / 2.0
-        ),
-        None,
-    )
+    n_bar = next((n for n in range(schedule.levels)
+                  if schedule.eps[n] <= params.eps_bar and schedule.delta[n] < params.tau / 2.0),
+                 None)
     if n_bar is None:
         return CheckResult(
             "cone_bound", "inapplicable", None,
@@ -205,16 +196,8 @@ def _check_cone_bound(scenario: Scenario, report, seed, bounds: dict) -> CheckRe
         return CheckResult("cone_bound", "inapplicable", None, str(err))
     margins = [bound - report.variations[n] for n in range(n_bar, schedule.levels)]
     worst = min(margins)
-    bounds["cone"] = {
-        "bound": bound,
-        "lambda": params.lam,
-        "tau": params.tau,
-        "eps_bar": params.eps_bar,
-        "n_bar": n_bar,
-        "R": R,
-        "d": d,
-        "r": schedule.r,
-    }
+    bounds["cone"] = {"bound": bound, "lambda": params.lam, "tau": params.tau,
+                      "eps_bar": params.eps_bar, "n_bar": n_bar, "R": R, "d": d, "r": schedule.r}
     return CheckResult(
         "cone_bound", "pass" if worst >= 0 else "fail", worst,
         f"min margin {worst:.3e} over levels {n_bar}..{schedule.levels - 1}",

@@ -222,9 +222,8 @@ def parse_scenario(text: str) -> Scenario:
     if family.dim != dim:
         raise SchemaError("scenario.family", f"family dim {family.dim} != scenario dim {dim}")
     if abs(family.horizon - horizon) > HORIZON_TOL:
-        raise SchemaError(
-            "scenario.family", f"family horizon {family.horizon} != scenario horizon {horizon}"
-        )
+        raise SchemaError("scenario.family",
+                          f"family horizon {family.horizon} != scenario horizon {horizon}")
 
     sched = f.part("schedule")
     schedule = ScheduleParams(
@@ -270,32 +269,17 @@ def parse_scenario(text: str) -> Scenario:
     if not initial.contains(y0):
         raise InfeasibleInitialPoint(initial.membership_defect(np.array(y0)))
 
-    return Scenario(
-        name=name,
-        description=description,
-        y0=y0,
-        seed=seed,
-        family=family,
-        schedule=schedule,
-        checks=tuple(checks_doc),
-        ball_params=ball_params,
-        cone_params=cone_params,
-    )
+    return Scenario(name=name, description=description, y0=y0, seed=seed, family=family,
+                    schedule=schedule, checks=tuple(checks_doc), ball_params=ball_params,
+                    cone_params=cone_params)
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical JSON document, records written by their fields; parse(serialize(s)) == s."""
-    doc: dict = {
-        "name": scenario.name,
-        "description": scenario.description,
-        "dim": scenario.dim,
-        "horizon": scenario.horizon,
-        "y0": list(scenario.y0),
-        "seed": scenario.seed,
-        "family": scenario.family.to_dict(),
-        "schedule": asdict(scenario.schedule),
-        "checks": list(scenario.checks),
-    }
+    doc: dict = {"name": scenario.name, "description": scenario.description,
+                 "dim": scenario.dim, "horizon": scenario.horizon, "y0": list(scenario.y0),
+                 "seed": scenario.seed, "family": scenario.family.to_dict(),
+                 "schedule": asdict(scenario.schedule), "checks": list(scenario.checks)}
     params = {"ball": scenario.ball_params, "cone": scenario.cone_params}
     bp = {key: asdict(p) for key, p in params.items() if p is not None}
     if bp:
@@ -303,14 +287,8 @@ def serialize_scenario(scenario: Scenario) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-BUILTIN_NAMES = (
-    "static_ball",
-    "sweep_halfspace",
-    "shrinking_ball_inner_cert",
-    "moving_obstacle",
-    "polytope_rotation",
-    "jump_expansion",
-)
+BUILTIN_NAMES = ("static_ball", "sweep_halfspace", "shrinking_ball_inner_cert",
+                 "moving_obstacle", "polytope_rotation", "jump_expansion")
 
 
 def builtin_text(name: str) -> str:
@@ -325,8 +303,4 @@ def load_builtin(name: str) -> Scenario:
 
 def list_builtins() -> list:
     """(name, one-line description) for every bundled scenario."""
-    out = []
-    for name in BUILTIN_NAMES:
-        doc = json.loads(builtin_text(name))
-        out.append((name, doc.get("description", "")))
-    return out
+    return [(name, json.loads(builtin_text(name)).get("description", "")) for name in BUILTIN_NAMES]

@@ -13,8 +13,9 @@ tests the point, once over one row of a family's field table
 (_project_fields), and its membership defects and normal-defect bounds once
 over a piece's rows (_defects, _normal_defects), bit for bit per row; a
 slice is its own one-row piece, so solve and certify_steps build no slice.
-A row holds arrays and numbers (and a polytope's factor cache), no shape
-but a rigid image's base: a polytope is its face arrays, normals and
+A row holds arrays and numbers (and a polytope's factor cache, shared by
+its translates, as is each array that does not move, a read-only view), no
+shape but a rigid image's base: a polytope is its face arrays, normals and
 offsets, each face stored once, with polytope() building one from
 half-spaces, and projects by a finite primal active-set solve accepted only
 after an explicit KKT check.  Every stored number is finite: a constructor
@@ -69,6 +70,13 @@ _DEFECT_ROUNDING = 8 * np.finfo(float).eps
 
 def _rounding(dim: int, scale: float) -> float:
     return _DEFECT_ROUNDING * (dim + 2) * scale
+
+
+def _repeat(value, k: int):
+    """value once per row of k rows: a read-only view of an array, else a list."""
+    if isinstance(value, np.ndarray):
+        return np.broadcast_to(value, (k, *value.shape))
+    return [value] * k
 
 
 def _max(a, b):
@@ -205,9 +213,10 @@ class ProxSet(Schema):
 
     @classmethod
     def _normal_defects(cls, rows, X: np.ndarray, N: np.ndarray, R: float):
-        """Iterable of normal_defect's bounds (R the window's radius) at x, n, the
-        rows of X, N, on the slice of each row of slice_fields' rows: certify_steps'
-        one call per piece.  A bound that can raise is made when iterated to."""
+        """normal_defect's bounds (R the window's radius) at x, n, the rows of X, N,
+        on the slice of each row of slice_fields' rows: certify_steps' one call per
+        piece.  An array, or where a bound can raise, a generator over the rows
+        that makes it when iterated to."""
         raise NotImplementedError
 
     def _vector(self, y) -> np.ndarray:
@@ -329,7 +338,7 @@ class HalfSpace(ProxSet):
     def _moved(self, U):
         # The shared normal, still unit, as a read-only view of it per row.  Per-row
         # dots, each as normal.dot(u) alone: U @ normal (a matmul) rounds differently.
-        return {"normal": np.broadcast_to(self.normal, U.shape),
+        return {"normal": _repeat(self.normal, len(U)),
                 "offset": (self.offset + np.vecdot(U, self.normal)).tolist()}
 
     def to_dict(self):
@@ -415,7 +424,7 @@ class _Round(ProxSet):
 
     def _moved(self, U):
         # The radius, still positive, is kept.
-        return {"center": readonly(self.center + U, 2), "radius": [self.radius] * len(U)}
+        return {"center": readonly(self.center + U, 2), "radius": _repeat(self.radius, len(U))}
 
     def to_dict(self):
         return {"shape": self.tag, "center": self.center.tolist(), "radius": self.radius}
@@ -618,7 +627,7 @@ class Polytope(ProxSet):
         A, b, x, max_steps, _ = fields
         work: list = []
         for _ in range(max_steps):
-            Aw, bw, N, M, P = cls._working_faces(fields, tuple(work))
+            Aw, N, M, P = cls._working_faces(fields, tuple(work))
             r = y - x
             # The step drops the part of r in the span of the working faces,
             # so x stays on them.
@@ -639,7 +648,7 @@ class Polytope(ProxSet):
                 continue
             # A long step loses about eps * |y - x| to cancellation across the
             # working faces; put x back on them.
-            x = x + step
+            x, bw = x + step, b[work]
             x = x - P @ (Aw @ x - bw)
             # Least-norm multipliers at the corrected x: y - x = A_W^T lam.
             lam = M @ (y - x)
@@ -651,12 +660,14 @@ class Polytope(ProxSet):
 
     @staticmethod
     def _working_faces(fields, work: tuple):
-        """(A_W, b_W, N, M, P) for the faces W, cached per W.  From A_W^T = QR:
+        """(A_W, N, M, P) for the faces W, which depend on A alone: cached per W
+        in the factor cache that the translates of one polytope share, which
+        read their own b_W from the row.  From A_W^T = QR:
         N = I - QQ^T projects onto their null space, M = R^-1 Q^T gives the
         least-norm multipliers and P = QR^-T maps a face residual back onto
         the faces.  QR, unlike inverting A_W A_W^T, does not square the
         condition number, so faces 1e-9 rad apart still factor."""
-        A, b, _, _, factors = fields
+        A, _, _, _, factors = fields
         cached = factors.get(work)
         if cached is None:
             Aw = A[list(work)]
@@ -665,8 +676,7 @@ class Polytope(ProxSet):
             if len(work) and diag.min() <= _SPAN_EPS * diag.max():
                 raise DidNotConverge(f"faces {list(work)} are numerically dependent")
             Rinv = np.linalg.inv(R)
-            cached = (Aw, b[list(work)], np.eye(A.shape[1]) - Q @ Q.T, Rinv @ Q.T, Q @ Rinv.T)
-            factors[work] = cached
+            cached = factors[work] = (Aw, np.eye(A.shape[1]) - Q @ Q.T, Rinv @ Q.T, Q @ Rinv.T)
         return cached
 
     @classmethod
@@ -693,36 +703,59 @@ class Polytope(ProxSet):
         p = cls._solve(fields, y)[0]
         return p, norm(y - p)
 
+    @staticmethod
+    def _face_bounds(Aw, bw, lam, X, N, R):
+        """(bound, |n - A_W^T lam|) at each row x, n of X, N from the faces A_W,
+        with that row's offsets b_W and multipliers lam (rows of bw and lam):
+        one stacked product per term, each row rounded as alone."""
+        off = norms(N - np.matmul(lam[:, None], Aw)[:, 0])
+        value = np.matmul(lam[:, None], (bw - np.matmul(Aw, X[:, :, None])[..., 0])[..., None])
+        scale = norms(N) * R + lam.sum(axis=1) * (R + norms(X) + np.abs(bw).sum(axis=1))
+        return value[:, 0, 0] + off * R + _rounding(X.shape[1], scale), off
+
     @classmethod
     def _normal_defects(cls, rows, X, N, R):
         # For any lam >= 0 on faces W, every member has
         # <n, z-x> <= lam^T (b_W - A_W x) + |n - A_W^T lam| R.  For a true
-        # normal the 1 to dim faces W active at x serve, lam = M n.  Where they
-        # fail (dependent, lam < 0, or n off their span by more than the rounding
-        # of n = x_prev - x, on the scale of |x| + |n|), the multipliers of the
-        # projection of x + n do (lam = 0 for a member).  A generator: each
-        # row's solve waits until its bound is reached.
-        for fields, x, n in zip(zip(*rows.values()), X, N):
-            A, b, _, _, _ = fields
-            work = tuple(np.flatnonzero(b - A @ x <= CONTAINMENT_TOL).tolist())
-            x_norm, n_norm, off = norm(x), norm(n), math.inf
-            if 0 < len(work) <= len(x):
-                try:
-                    Aw, bw, _, M, _ = cls._working_faces(fields, work)
-                except DidNotConverge:  # dependent faces
-                    pass
-                else:
-                    lam = M @ n
-                    off = norm(n - lam @ Aw) if (lam >= 0.0).all() else math.inf
-            if not off <= _rounding(len(x), x_norm + n_norm):
-                work, lam = (), np.zeros(0)
-                if cls._defect(fields, x + n) > CONTAINMENT_TOL:
-                    _, work, lam = cls._solve(fields, x + n)
-                Aw, bw = A[list(work)], b[list(work)]
-                off = norm(n - lam @ Aw)
-            value = float(lam @ (bw - Aw @ x)) + off * R
-            scale = n_norm * R + float(lam.sum()) * (R + x_norm + float(np.abs(bw).sum()))
-            yield value + _rounding(len(x), scale)
+        # normal the 1 to dim faces W active at x serve, lam = M n: all the rows
+        # with one W at once, as a piece's rows share A and its factor cache.
+        # Where they fail (dependent, lam < 0, or n off their span by more than
+        # the rounding of n = x_prev - x, on the scale of |x| + |n|), the
+        # multipliers of the projection of x + n do (lam = 0 for a member).
+        if not len(X):
+            return np.zeros(0)
+        A, b = np.asarray(rows["normals"]), np.asarray(rows["offsets"])  # views when shared
+        first = next(zip(*rows.values()))
+        faces, group = np.unique(b - np.matmul(A, X[:, :, None])[..., 0] <= CONTAINMENT_TOL,
+                                 axis=0, return_inverse=True)
+        bounds, fit, dim = np.zeros(len(X)), np.zeros(len(X), dtype=bool), X.shape[1]
+        for i, work in enumerate(np.flatnonzero(face_set).tolist() for face_set in faces):
+            if not 0 < len(work) <= dim:
+                continue
+            try:
+                Aw, _, M, _ = cls._working_faces(first, tuple(work))
+            except DidNotConverge:  # dependent faces
+                continue
+            g = np.flatnonzero(group == i)
+            lam = np.matmul(M, N[g, :, None])[..., 0]
+            bounds[g], off = cls._face_bounds(Aw, b[g][:, work], lam, X[g], N[g], R)
+            fit[g] = (lam >= 0.0).all(axis=1) & (off <= _rounding(dim, norms(X[g]) + norms(N[g])))
+        return bounds if fit.all() else cls._solved_bounds(rows, X, N, R, bounds, fit)
+
+    @classmethod
+    def _solved_bounds(cls, rows, X, N, R, bounds, fit):
+        """The rows' bounds in order: those that fit their active faces from
+        bounds, each other from the projection of x + n, solved when reached."""
+        done = 0
+        for k in np.flatnonzero(~fit).tolist():
+            yield from bounds[done:k]
+            fields, done = tuple(values[k] for values in rows.values()), k + 1
+            work, lam = (), np.zeros(0)
+            if cls._defect(fields, X[k] + N[k]) > CONTAINMENT_TOL:
+                _, work, lam = cls._solve(fields, X[k] + N[k])
+            Aw, bw = fields[0][list(work)], fields[1][list(work)][None]
+            yield cls._face_bounds(Aw, bw, lam[None], X[k:done], N[k:done], R)[0][0]
+        yield from bounds[done:]
 
     def _recedes(self, slack: float) -> bool:
         """Whether a nonempty 2-D polytope is unbounded: iff A d <= 0 for a face
@@ -765,11 +798,13 @@ class Polytope(ProxSet):
         return self.interior - half, self.interior + half
 
     def _moved(self, U):
-        # Offsets b_i + <a_i, u> (per-row dots, as a face's translate): still strictly feasible.
+        # Offsets b_i + <a_i, u> (per-row dots, as a face's translate): still strictly
+        # feasible.  The factors of the faces depend on A alone: one cache for all rows.
         offsets = readonly(self.offsets + np.vecdot(U[:, None, :], self.normals), 2)
-        return {"normals": np.broadcast_to(self.normals, (len(U), *self.normals.shape)),
-                "offsets": offsets, "interior": readonly(self.interior + U, 2),
-                "_max_steps": [self._max_steps] * len(U), "_factors": [{} for _ in U]}
+        return {"normals": _repeat(self.normals, len(U)), "offsets": offsets,
+                "interior": readonly(self.interior + U, 2),
+                "_max_steps": _repeat(self._max_steps, len(U)),
+                "_factors": _repeat(self._factors, len(U))}
 
     def to_dict(self):
         faces = zip(self.normals.tolist(), self.offsets.tolist())
@@ -913,11 +948,12 @@ class RigidImage(ProxSet):
 
     @staticmethod
     def _pulls(rows, X, *vectors):
-        """The base that a piece's rows share, its row once per row, V = X - u and
-        Q^T v for each row v of V and of vectors, rounded as Q.T @ v alone is."""
+        """The base that a piece's rows share, its row once per row (an array
+        field as a read-only view), V = X - u and Q^T v for each row v of V and
+        of vectors, rounded as Q.T @ v alone is."""
         base, V = rows["base"][0], X - np.reshape(rows["translation"], X.shape)
         Qt = np.reshape(rows["rotation"], (-1, base.dim, base.dim)).transpose(0, 2, 1)
-        base_rows = {name: value * len(V) for name, value in base._rows.items()}
+        base_rows = {name: _repeat(value, len(V)) for name, (value,) in base._rows.items()}
         return base, base_rows, V, *(np.matmul(Qt, W[:, :, None])[..., 0] for W in (V, *vectors))
 
     @classmethod
@@ -932,10 +968,11 @@ class RigidImage(ProxSet):
         # The rotation keeps inner products and the Euclidean window radius: each
         # row's bound is its base's at the pulled-back x and n, made when the base's is.
         if not len(X):
-            return ()
+            return np.zeros(0)
         base, base_rows, V, x, n = cls._pulls(rows, X, N)
         extra = _rounding(base.dim, norms(N) * (R + norms(V)) * (1.0 + R / base.r))
-        return (bound + e for bound, e in zip(base._normal_defects(base_rows, x, n, R), extra))
+        bounds = base._normal_defects(base_rows, x, n, R)  # a generator's rows each as made
+        return bounds + extra if isinstance(bounds, np.ndarray) else map(np.add, bounds, extra)
 
     def bounding_region(self):
         corners = np.array(list(itertools.product(*zip(*self.base.bounding_region()))))
@@ -943,7 +980,7 @@ class RigidImage(ProxSet):
         return moved.min(axis=0), moved.max(axis=0)
 
     def _moved(self, U):
-        return {"base": [self.base] * len(U), "rotation": [self.rotation] * len(U),
+        return {"base": _repeat(self.base, len(U)), "rotation": _repeat(self.rotation, len(U)),
                 "translation": readonly(self.translation + U, 2)}
 
     def to_dict(self):
@@ -1039,11 +1076,12 @@ def sample_points(s: ProxSet, region, count: int, seed: int) -> list:
         raise ValueError("region must be a nonempty axis-aligned box of matching dimension")
     rng = np.random.default_rng(seed)
     points: list = []
-    while len(points) < count:
-        try:
-            points.append(s._project_with_distance(lo + rng.random(s.dim) * (hi - lo))[0])
-        except AtSingularity:
-            continue
-    if not any(np.all((lo <= q) & (q <= hi)) for q in points):
+    while len(points) < count:  # the draws still missing, in one call: the same stream
+        for y in lo + rng.random((count - len(points), s.dim)) * (hi - lo):
+            try:
+                points.append(s._project_with_distance(y)[0])
+            except AtSingularity:
+                continue
+    if not ((lo <= points) & (points <= hi)).all(axis=1).any():
         raise EmptyIntersection(f"none of {count} samples lies in the window")
     return points

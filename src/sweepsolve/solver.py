@@ -7,15 +7,17 @@ skips runs at rest and reads moved rows' residuals by array defects, no slice bu
 Certification re-checks that normal-cone membership a posteriori: each slice
 bounds the hypo-monotonicity defect of the step vector from above in closed
 form (ProxSet.normal_defect, over each piece of the same table at once; a
-polytope's from the faces active at the new iterate, with no second solve),
-and the verdict rests on that bound.  The residual over the window, exact on
-a 2-D polyhedral slice and a sampled lower bound on any other, audits the
-bounds on NORMAL_AUDIT_STEPS steps, the only slices built.
+polytope's from the faces active at the new iterate, by groups of rows with
+the same faces, with no second solve), and the verdict rests on that bound.
+certify_steps returns one record of arrays over the moving steps.  The
+residual over the window, exact on a 2-D polyhedral slice and a sampled lower
+bound on any other, audits the bounds on NORMAL_AUDIT_STEPS steps, the only
+slices built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .families import MovingFamily
 from .geometry import TimeGrid, readonly
-from .sets import CONTAINMENT_TOL, NormalResidualReport, window_residual
+from .sets import CONTAINMENT_TOL, window_residual
 
 # Rounding slack of the strict jump bound eps and of each step's excess bound.
 JUMP_EPS_SLACK = 1e-12
@@ -192,77 +194,81 @@ def affine_interpolant(traj: DiscreteTrajectory):
     return interpolant
 
 
-@dataclass(frozen=True)
-class StepCertificate:
-    """Per-step evidence that the step vector is an inward proximal normal:
-    an upper bound of its normal-cone defect at the new iterate and, on
-    audited steps, the audited residual, which must not exceed it."""
+@dataclass(frozen=True, eq=False)
+class StepCertificates:
+    """Evidence that each moving step vector is an inward proximal normal, as read-only
+    arrays over the moving steps in order: the step j, the distance moved, its allowance
+    omega(t_j - t_{j-1}) and the upper bound of its normal-cone defect at x_j.  audits
+    maps each audited step j to its residual report, at most its bound.  len() counts."""
 
-    j: int
-    distance_moved: float
-    excess_bound_used: float
-    defect_bound: float
-    audit: NormalResidualReport | None = None
+    steps: np.ndarray
+    moved: np.ndarray
+    allowed: np.ndarray
+    bounds: np.ndarray
+    audits: dict
 
-    def __post_init__(self):
-        if self.distance_moved > self.excess_bound_used * (1.0 + JUMP_EPS_SLACK):
-            raise CertificationFailed(
-                self.j, self.distance_moved, self.excess_bound_used,
-                what="distance moved (the modulus is unsound)",
-            )
+    def __len__(self) -> int:
+        return len(self.steps)
 
 
-def certify_steps(family: MovingFamily, traj: DiscreteTrajectory, seed: int = 0) -> list:
+def certify_steps(family: MovingFamily, traj: DiscreteTrajectory,
+                  seed: int = 0) -> StepCertificates:
     """Certify -step_vector as a proximal normal of the slice at every nonzero step.
 
     Zero steps are skipped (the zero vector lies in every normal cone).  Each
     moving step's verdict comes from the slice's normal_defect, a sound
     closed-form upper bound of the defect over members in the window
     x +- NORMAL_WINDOW with the slice's finite r, from one
-    shape._normal_defects call per piece of family.slice_fields.
-    Step by step, CertificationFailed is raised when a bound is not <=
-    CERTIFICATION_TOL (NaN included), a projection bug, then when the step
-    moved beyond the modulus.  sets.window_residual, exact on a 2-D polyhedral
-    slice and else over NORMAL_AUDIT_SAMPLES samples, audits NORMAL_AUDIT_STEPS
-    steps, the only slices built: the largest bound's and others drawn from
-    seed.  An audited residual above its bound raises CertificationFailed too.
+    shape._normal_defects call per piece of family.slice_fields: an array,
+    or a generator over rows where a polytope row needs a solve, made only
+    after every earlier step has passed.  CertificationFailed names the first
+    step whose bound is not <= CERTIFICATION_TOL (NaN included), a projection
+    bug, or whose move exceeds the modulus at its time step, the bound first.
+    sets.window_residual, exact on a 2-D polyhedral slice and else over
+    NORMAL_AUDIT_SAMPLES samples, audits NORMAL_AUDIT_STEPS steps, the only
+    slices built: the largest bound's and others drawn from seed.  An audited
+    residual above its bound raises CertificationFailed too.
     """
     if traj.dim != family.dim:
         raise DimensionMismatch(f"expected dim {family.dim}, got shape {(traj.dim,)}")
-    omega = family.modulus()
     times = traj.grid.times
-    moving = np.flatnonzero(traj.jump_norms) + 1
-    X, N = traj.points[moving], traj.points[moving - 1] - traj.points[moving]
+    steps = np.flatnonzero(traj.jump_norms) + 1
+    moved, allowed = traj.jump_norms[steps - 1], family.modulus()(times[steps] - times[steps - 1])
+    over = moved > allowed * (1.0 + JUMP_EPS_SLACK)
+    X, N = traj.points[steps], traj.points[steps - 1] - traj.points[steps]
     R = NORMAL_WINDOW * np.sqrt(traj.dim)  # as normal_defect's halfwidth * math.sqrt(dim)
-    certificates = []
-    for shape, rows in family.slice_fields(times[moving]):
-        piece = slice(len(certificates), len(certificates) + len(next(iter(rows.values()))))
-        bounds = shape._normal_defects(rows, X[piece], N[piece], R)
-        for j, bound in zip(moving[piece].tolist(), bounds):  # each bound made when reached
-            if not (bound := float(bound)) <= CERTIFICATION_TOL:
-                raise CertificationFailed(j, bound, CERTIFICATION_TOL)
-            excess = omega(float(times[j]) - float(times[j - 1]))
-            certificates.append(StepCertificate(j, float(traj.jump_norms[j - 1]), excess, bound))
-    if not certificates:
-        return certificates
-    worst = max(range(len(certificates)), key=lambda k: certificates[k].defect_bound)
-    others = [k for k in range(len(certificates)) if k != worst]
-    drawn = np.random.default_rng(seed).choice(
-        others, size=min(NORMAL_AUDIT_STEPS - 1, len(others)), replace=False
-    )
-    audited = sorted({worst, *drawn.tolist()})
-    for k, slice_t in zip(audited, family.slices(times[moving[audited]])):
-        cert = certificates[k]
-        x = traj.points[cert.j]
-        audit = window_residual(slice_t, x, traj.points[cert.j - 1] - x, NORMAL_WINDOW,
-                                NORMAL_AUDIT_SAMPLES, seed + cert.j)
-        if not audit.worst_residual <= cert.defect_bound:
-            raise CertificationFailed(
-                cert.j, audit.worst_residual, cert.defect_bound,
-                what=f"{audit.kind} residual (the defect bound is unsound)",
-            )
-        certificates[k] = replace(cert, audit=audit)
-    return certificates
+    bounds, done = np.empty(len(steps)), 0
+    for shape, rows in family.slice_fields(times[steps]):
+        end = done + len(next(iter(rows.values())))
+        found = shape._normal_defects(rows, X[done:end], N[done:end], R)
+        # A generator's rows one at a time (zip makes each a 1-tuple), each checked when made.
+        for chunk in (found,) if isinstance(found, np.ndarray) else zip(found):
+            a, done = done, done + len(chunk)
+            bounds[a:done] = chunk
+            failed = np.flatnonzero(~(bounds[a:done] <= CERTIFICATION_TOL) | over[a:done])
+            if len(failed):
+                k = a + int(failed[0])
+                if not bounds[k] <= CERTIFICATION_TOL:
+                    raise CertificationFailed(int(steps[k]), float(bounds[k]), CERTIFICATION_TOL)
+                raise CertificationFailed(int(steps[k]), float(moved[k]), float(allowed[k]),
+                                          what="distance moved (the modulus is unsound)")
+    audits = {}
+    if len(steps):
+        worst = int(np.argmax(bounds))
+        others = np.delete(np.arange(len(steps)), worst)
+        drawn = np.random.default_rng(seed).choice(
+            others, size=min(NORMAL_AUDIT_STEPS - 1, len(others)), replace=False)
+        audited = sorted({worst, *drawn.tolist()})
+        for k, slice_t in zip(audited, family.slices(times[steps[audited]])):
+            j, x = int(steps[k]), traj.points[steps[k]]
+            audits[j] = audit = window_residual(slice_t, x, traj.points[j - 1] - x, NORMAL_WINDOW,
+                                                NORMAL_AUDIT_SAMPLES, seed + j)
+            if not audit.worst_residual <= bounds[k]:
+                raise CertificationFailed(j, audit.worst_residual, float(bounds[k]), what=(
+                    f"{audit.kind} residual (the defect bound is unsound)"))
+    for values in (steps, moved, allowed, bounds):
+        values.flags.writeable = False
+    return StepCertificates(steps, moved, allowed, bounds, audits)
 
 
 def write_trajectory_csv(traj: DiscreteTrajectory, path) -> None:

@@ -90,21 +90,15 @@ def cone_variation_bound(params: ConeBoundParams, horizon: float) -> float:
         raise InapplicableBound("d must be at least lambda*R/2 for a nonnegative numerator")
     denom = params.lam * params.r * params.R - params.alpha**2
     if denom <= 0:
-        raise InapplicableBound(
-            f"alpha^2={params.alpha**2:.6g} >= lambda*r*R={params.lam * params.r * params.R:.6g}"
-        )
+        raise InapplicableBound(f"alpha^2={params.alpha**2:.6g} >= "
+                                f"lambda*r*R={params.lam * params.r * params.R:.6g}")
     windows = math.ceil(2.0 * horizon / params.tau)
     per_window = params.r * (params.d**2 - half_rho**2) / denom
     return windows * (per_window + params.eps_bar)
 
 
-def choose_cone_params(
-    r: float,
-    R: float,
-    d: float,
-    omega: Modulus,
-    eps_candidates,
-) -> ConeBoundParams:
+def choose_cone_params(r: float, R: float, d: float, omega: Modulus,
+                       eps_candidates) -> ConeBoundParams:
     """Pick lambda = 0.9*r*R/(d+R/2)^2 (capped below 1), tau from the
     inner-ball persistence recipe with rho0 = lam*R, rho = lam*R/2, and the
     largest feasible tolerance among eps_candidates."""
@@ -201,9 +195,6 @@ def converge_study(family: MovingFamily, y0, schedule: RefinementSchedule) -> Co
             raise
         wall.append(time.perf_counter() - start)
         trajectories.append(traj)
-    return ConvergenceReport(
-        schedule=schedule,
-        trajectories=tuple(trajectories),
-        sup_diffs=tuple(sup_norm_gap(b, a) for a, b in zip(trajectories, trajectories[1:])),
-        wall_seconds=tuple(wall),
-    )
+    gaps = tuple(sup_norm_gap(b, a) for a, b in zip(trajectories, trajectories[1:]))
+    return ConvergenceReport(schedule=schedule, trajectories=tuple(trajectories),
+                             sup_diffs=gaps, wall_seconds=tuple(wall))

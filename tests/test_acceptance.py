@@ -149,11 +149,11 @@ def test_criterion_4_discrete_inclusion_certificates():
             level=schedule.levels - 1,
         )
         certs = certify_steps(scenario.family, finest, seed=0)
-        worst = max((c.defect_bound for c in certs), default=0.0)
+        worst = float(certs.bounds.max()) if len(certs) else 0.0
         assert worst <= 1e-6, f"{name}: worst defect bound {worst}"
-        for c in certs:
-            if c.audit is not None:
-                assert c.audit.worst_residual <= c.defect_bound, f"{name}: step {c.j}"
+        bound = dict(zip(certs.steps.tolist(), certs.bounds.tolist()))
+        for j, audit in certs.audits.items():
+            assert audit.worst_residual <= bound[j], f"{name}: step {j}"
         worst_by_scenario[name] = worst
     summary = ", ".join(f"{k}={v:.1e}" for k, v in worst_by_scenario.items())
     report(4, f"worst hypo-monotonicity defect bounds: {summary}")

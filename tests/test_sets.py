@@ -1425,7 +1425,7 @@ def _polytope_defect(normals, offsets, interior, max_steps, factors, x, n, R):
     lam = None
     if 0 < len(work) <= len(x):
         try:
-            lam = Polytope._working_faces(fields, work)[3] @ n
+            lam = Polytope._working_faces(fields, work)[2] @ n
         except DidNotConverge:
             pass
     allowance = sets_mod._rounding(len(x), norm(x) + norm(n))

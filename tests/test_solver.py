@@ -13,11 +13,17 @@ from sweepsolve.errors import (
     OutOfRange,
     TubeViolation,
 )
-from sweepsolve.families import PiecewiseFamily, RadiusFamily, RigidFamily, TranslateFamily
+from sweepsolve.families import (
+    Modulus,
+    PiecewiseFamily,
+    RadiusFamily,
+    RigidFamily,
+    TranslateFamily,
+)
 from sweepsolve.geometry import RefinementSchedule, TimeGrid
 from sweepsolve.harness import scenario_schedule
 from sweepsolve.paths import ConstantPath, LinearPath, PiecewisePath
-from sweepsolve.scenarios import load_builtin
+from sweepsolve.scenarios import list_builtins, load_builtin
 from sweepsolve.sets import (
     CONTAINMENT_TOL,
     Ball,
@@ -685,47 +691,57 @@ class TestInterpolants:
         assert gap < traj.eps_level
 
 
+def _bound_by_step(certs) -> dict:
+    """Step j -> its defect bound, from a certificate record."""
+    return dict(zip(certs.steps.tolist(), certs.bounds.tolist()))
+
+
 class TestCertification:
     def test_static_trajectory_empty(self):
         fam = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
         traj = solve(fam, (0.5, 0.0), TimeGrid.uniform(1.0, 8), eps_level=0.1)
-        assert certify_steps(fam, traj) == []
+        certs = certify_steps(fam, traj)
+        assert len(certs) == 0
+        assert all(len(v) == 0 for v in (certs.steps, certs.moved, certs.allowed, certs.bounds))
+        assert certs.audits == {}
 
     def test_sweep_normals_parallel_to_wall(self):
         fam = sweep_family()
         traj = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 100), eps_level=0.05)
         certs = certify_steps(fam, traj, seed=2)
         assert certs
-        for c in certs:
-            assert c.defect_bound <= 1e-9
-            assert c.audit is None or c.audit.worst_residual <= c.defect_bound
-            n = traj.points[c.j - 1] - traj.points[c.j]
-            assert abs(n[1]) <= 1e-12  # aligned with the wall normal
-            assert c.distance_moved <= c.excess_bound_used * (1 + 1e-12)
+        assert (certs.bounds <= 1e-9).all()
+        bound = _bound_by_step(certs)
+        assert all(a.worst_residual <= bound[j] for j, a in certs.audits.items())
+        n = traj.points[certs.steps - 1] - traj.points[certs.steps]
+        assert (np.abs(n[:, 1]) <= 1e-12).all()  # aligned with the wall normal
+        assert (certs.moved <= certs.allowed * (1 + 1e-12)).all()
 
     def test_obstacle_finite_r_residuals(self):
         fam = obstacle_family()
         traj = solve(fam, (0.0, 0.1), TimeGrid.uniform(2.0, 400), eps_level=0.01)
         certs = certify_steps(fam, traj, seed=3)
         assert certs
-        assert max(c.defect_bound for c in certs) <= 1e-8
-        audits = [c for c in certs if c.audit is not None]
-        assert len(audits) == solver_mod.NORMAL_AUDIT_STEPS
-        assert all(c.audit.worst_residual <= c.defect_bound for c in audits)
-        assert all(c.audit.samples == solver_mod.NORMAL_AUDIT_SAMPLES for c in audits)
+        assert certs.bounds.max() <= 1e-8
+        bound = _bound_by_step(certs)
+        assert len(certs.audits) == solver_mod.NORMAL_AUDIT_STEPS
+        assert all(a.worst_residual <= bound[j] for j, a in certs.audits.items())
+        assert all(a.samples == solver_mod.NORMAL_AUDIT_SAMPLES for a in certs.audits.values())
 
     def test_audit_covers_the_worst_bound_and_seeded_steps(self):
         fam = sweep_family()
         traj = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 100), eps_level=0.05)
         certs = certify_steps(fam, traj, seed=5)
-        audited = [c.j for c in certs if c.audit is not None]
+        audited = list(certs.audits)
         assert len(audited) == solver_mod.NORMAL_AUDIT_STEPS
-        worst = max(certs, key=lambda c: c.defect_bound)
-        assert worst.audit is not None
-        assert [c.j for c in certify_steps(fam, traj, seed=5) if c.audit] == audited
+        assert audited == sorted(audited)
+        worst = int(certs.steps[max(range(len(certs)), key=lambda k: certs.bounds[k])])
+        assert worst in certs.audits
+        assert list(certify_steps(fam, traj, seed=5).audits) == audited
         # With fewer moving steps than the audit size, every step is audited.
         short = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 2), eps_level=1.5)
-        assert all(c.audit is not None for c in certify_steps(fam, short))
+        certs = certify_steps(fam, short)
+        assert list(certs.audits) == certs.steps.tolist()
 
     def test_the_audit_tests_only_each_audited_iterate(self, monkeypatch):
         # sample_points returns members: the audit tests x once per step.
@@ -735,7 +751,7 @@ class TestCertification:
         contains = ProxSet.contains
         monkeypatch.setattr(ProxSet, "contains", lambda s, y: tested.append(1) or contains(s, y))
         certs = certify_steps(fam, traj, seed=3)
-        audited = sum(c.audit is not None for c in certs)
+        audited = len(certs.audits)
         assert audited == solver_mod.NORMAL_AUDIT_STEPS
         assert len(tested) == audited
 
@@ -756,7 +772,7 @@ class TestCertification:
         fam = PiecewiseFamily(((1.0, still), (2.0, sweep)))
         traj = solve(fam, (0.5, 0.0), TimeGrid.uniform(2.0, 16), eps_level=0.5)
         certs = certify_steps(fam, traj)
-        assert [c.j for c in certs] == list(range(13, 17))
+        assert certs.steps.tolist() == list(range(13, 17))
 
     @pytest.mark.parametrize("family, y0", [
         (TranslateFamily(Box((0.0, 0.0), (1.0, 1.0)), LinearPath((0.0, 0.0), (0.5, 0.25)), 2.0),
@@ -787,11 +803,12 @@ class TestCertification:
         traj = solve(family, y0, TimeGrid.uniform(2.0, 64), eps_level=0.5)
         assert slices_built() == 0
         certs = certify_steps(family, traj)
-        audited = sum(c.audit is not None for c in certs)
+        audited = len(certs.audits)
         assert len(certs) > audited == solver_mod.NORMAL_AUDIT_STEPS
         assert slices_built() == audited
         if isinstance(family, PiecewiseFamily):
-            assert {type(family.at(float(traj.grid.times[c.j]))) for c in certs} == {Polytope, Box}
+            steps = certs.steps.tolist()
+            assert {type(family.at(float(traj.grid.times[j]))) for j in steps} == {Polytope, Box}
 
     def test_failures_name_the_first_failing_step_bound_first(self, monkeypatch):
         # The bounds of a piece come from one call, but each step is still
@@ -869,6 +886,51 @@ class TestCertification:
             certify_steps(fam, traj, seed=1)
         assert err.value.tol == -1e3
         assert "exceeds -1.000e+03" in str(err.value)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in list_builtins()])
+def test_allowed_moves_are_the_scalar_modulus_bit_for_bit(name):
+    # The record's allowances come from one array call of the modulus: on
+    # every step of the finest bundled grid that is each step's own scalar
+    # call, and the scalar call is rate * min(delta, horizon), 0 at delta <= 0.
+    scenario = load_builtin(name)
+    schedule = scenario_schedule(scenario)
+    grid = schedule.grids[-1]
+    omega = scenario.family.modulus()
+    deltas = np.diff(grid.times)
+    scalar = [omega(d) for d in deltas.tolist()]
+    assert omega(deltas).view(np.int64).tolist() == np.array(scalar).view(np.int64).tolist()
+    assert scalar == [omega.rate * min(d, omega.horizon) for d in deltas.tolist()]
+    traj = solve(scenario.family, scenario.y0, grid, schedule.eps[-1])
+    certs = certify_steps(scenario.family, traj)
+    expected = [scalar[j - 1] for j in certs.steps.tolist()]
+    assert np.array(expected).view(np.int64).tolist() == certs.allowed.view(np.int64).tolist()
+    assert certs.moved.tolist() == traj.jump_norms[certs.steps - 1].tolist()
+    assert not any(v.flags.writeable for v in (certs.steps, certs.moved, certs.allowed,
+                                                 certs.bounds))
+    for modulus in (omega, Modulus(1.0, 0.0), Modulus(2.0, 3.5)):
+        at_most_0 = np.array([0.0, -0.0, -1e-300, -2.0, -math.inf])
+        assert [modulus(d) for d in at_most_0.tolist()] == [0.0] * 5
+        assert np.signbit(modulus(at_most_0)).tolist() == [False] * 5
+        assert modulus(at_most_0).tolist() == [0.0] * 5
+    # Beyond the horizon omega stays at rate * horizon.
+    assert Modulus(2.0, 3.5)(np.array([1.0, 2.0, 5.0])).tolist() == [3.5, 7.0, 7.0]
+
+
+def test_translated_polytope_rows_share_one_factor_cache(monkeypatch):
+    # The rows of a translate share the face normals, so solve and
+    # certify_steps factor each working set once between them, not once per row.
+    triangle = polytope(TRIANGLE.faces, TRIANGLE.interior)  # an empty factor cache
+    family = TranslateFamily(triangle, LinearPath((0.0, 0.0), (0.5, 0.0)), 2.0)
+    factored, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args: factored.append(1) or qr(a, *args))
+    working_sets, working_faces = set(), Polytope._working_faces
+    monkeypatch.setattr(Polytope, "_working_faces", staticmethod(
+        lambda fields, work: working_sets.add(work) or working_faces(fields, work)))
+    traj = solve(family, (0.0, 0.9), TimeGrid.uniform(2.0, 64), eps_level=0.5)
+    certs = certify_steps(family, traj)
+    assert len(certs) > solver_mod.NORMAL_AUDIT_STEPS
+    assert 0 < len(factored) <= len(working_sets)
 
 
 def test_csv_format_and_determinism(tmp_path):
