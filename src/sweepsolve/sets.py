@@ -16,10 +16,11 @@ slice is its own one-row piece, so solve and certify_steps build no slice.
 A row holds arrays and numbers (and a polytope's factor cache, shared by
 its translates, as is each array that does not move, a read-only view), no
 shape but a rigid image's base: a polytope is its face arrays, normals and
-offsets, each face stored once, with polytope() building one from
-half-spaces, and projects by a finite primal active-set solve accepted only
-after an explicit KKT check.  Every stored number is finite: a constructor
-given NaN or an infinity raises ValueError.
+offsets, each face stored once (polytope() builds one from half-spaces), its
+interior point and that point's slacks b - A p, the start of its finite
+primal active-set solve, which returns the point with its distance only
+after a KKT check that lets NaN through, as every shape's projection does.
+A constructor given NaN or an infinity raises ValueError.
 
 Each shape class also owns its schema document (a tag in SHAPES plus
 to_dict/from_dict), its translates by the rows of an array (_moved), its
@@ -81,6 +82,15 @@ def _repeat(value, k: int):
 
 def _max(a, b):
     return np.where(b > a, b, a)  # max(a, b) elementwise, NaN and -0.0 as max returns them
+
+
+def _peak(values, start: float = -math.inf) -> float:
+    """ndarray.max(initial=start) of a short list (NaN if one is), without its wrapper."""
+    for v in values:
+        if v != v:
+            return v
+        start = v if v > start else start
+    return start
 
 
 def _line_corners(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -559,14 +569,15 @@ class Polytope(ProxSet):
     """{x : A x <= b} for the unit rows A of normals and b = offsets, with a
     stored strictly feasible interior point; polytope() builds one from faces.
 
-    Projection is a primal active-set solve started at the interior point; the
-    result is returned only after the KKT conditions have been checked.
+    Projection is a primal active-set solve from the interior point p, whose
+    slack b - A p is stored (_slack), and returns only a KKT-checked point.
     """
 
     tag = "polytope"
     normals: np.ndarray
     offsets: np.ndarray
     interior: np.ndarray
+    _slack: tuple = field(init=False, repr=False)
     _max_steps: int = field(init=False, repr=False)
     _factors: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -577,9 +588,9 @@ class Polytope(ProxSet):
             raise ValueError("polytope needs m >= 1 normals, m offsets and a point of their dim")
         if (np.abs(norms(A) - 1.0) > UNIT_NORMAL_TOL).any():
             raise ValueError("polytope normals must be unit; use polytope()")
-        worst = self._defect((A, b), p)
-        if worst >= 0:
-            raise ValueError(f"interior point is not strictly feasible (defect {worst:.3e})")
+        slack = b - A @ p
+        if not slack.min() > 0.0:
+            raise ValueError(f"interior point is not strictly feasible (defect {-slack.min():.3e})")
         # Step bound of the active-set solve: between two full steps it adds at
         # most dim faces, and since the objective falls from one full step to
         # the next, each working set (at most dim faces) ends one at most once.
@@ -587,6 +598,7 @@ class Polytope(ProxSet):
         object.__setattr__(self, "normals", A)
         object.__setattr__(self, "offsets", b)
         object.__setattr__(self, "interior", p)
+        object.__setattr__(self, "_slack", tuple(slack.tolist()))
         object.__setattr__(self, "_max_steps", (dim + 1) * working_sets)
 
     @property
@@ -599,13 +611,8 @@ class Polytope(ProxSet):
         return tuple(HalfSpace(a, b) for a, b in zip(self.normals, self.offsets.tolist()))
 
     @staticmethod
-    def _defect(fields, y) -> float:
-        """max(A y - b), fields starting with A and b: the membership defect of y."""
-        return float((fields[0] @ y - fields[1]).max())
-
-    @staticmethod
     def _defects(rows, P):
-        # One stacked matmul: each row's A y, bit for bit as _defect's (P @ A.T is not).
+        # One stacked matmul: each row's A y, bit for bit as A @ y alone (P @ A.T is not).
         if not len(P):
             return np.zeros(0)
         A, b = np.asarray(rows["normals"]), np.asarray(rows["offsets"])
@@ -619,12 +626,12 @@ class Polytope(ProxSet):
         to y on the faces of the working set and stops at the first face it
         would cross, which joins the set.  At that nearest point a face with
         a negative multiplier leaves the set; when none has one, the KKT
-        conditions hold and are checked before x is returned.
+        conditions are checked before x is returned, and let NaN through.
 
-        Returns (x, W, lam): the nearest point, the indices W of its working
-        faces and their multipliers lam >= 0, with y - x = A_W^T lam.
+        Returns (x, |y - x|, W, lam): the nearest point, its distance, the
+        indices W of its working faces and their multipliers lam >= 0.
         """
-        A, b, x, max_steps, _ = fields
+        A, b, x, slack, max_steps, _ = fields
         work: list = []
         for _ in range(max_steps):
             Aw, N, M, P = cls._working_faces(fields, tuple(work))
@@ -637,7 +644,7 @@ class Polytope(ProxSet):
             # only rounding in its rate and must not block.
             floor = _SPAN_EPS * math.sqrt(float(r @ r))
             alpha, blocking = 1.0, -1
-            for i, (rate_i, slack_i) in enumerate(zip(rate.tolist(), (b - A @ x).tolist())):
+            for i, (rate_i, slack_i) in enumerate(zip(rate.tolist(), slack)):
                 if rate_i > floor and i not in work:
                     ratio = max(slack_i, 0.0) / rate_i
                     if ratio < alpha:
@@ -645,17 +652,26 @@ class Polytope(ProxSet):
             if blocking >= 0:
                 x = x + alpha * step
                 work.append(blocking)
-                continue
-            # A long step loses about eps * |y - x| to cancellation across the
-            # working faces; put x back on them.
-            x, bw = x + step, b[work]
-            x = x - P @ (Aw @ x - bw)
-            # Least-norm multipliers at the corrected x: y - x = A_W^T lam.
-            lam = M @ (y - x)
-            if (lam >= 0.0).all():
-                cls._certify(A, b, y, x, Aw, bw, lam)
-                return x, tuple(work), lam
-            del work[int(np.argmin(lam))]
+            else:
+                # A long step loses about eps * |y - x| to cancellation across
+                # the working faces; put x back on them.
+                x, bw = x + step, b[work]
+                x = x - P @ (Aw @ x - bw)
+                d = y - x
+                lam = M @ d  # least-norm multipliers at the corrected x: d = A_W^T lam
+                if all(v >= 0.0 for v in lam.tolist()):
+                    # A_W x is read on its own: far out, rows of A x round apart from it.
+                    infeasible = _peak((A @ x - b).tolist())
+                    off_face = _peak([abs(v) for v in (Aw @ x - bw).tolist()], 0.0)
+                    dist, stationarity = norm(d), norm(d - lam @ Aw)
+                    if (infeasible > CONTAINMENT_TOL or off_face > CONTAINMENT_TOL
+                            or stationarity > CONTAINMENT_TOL * max(1.0, dist)):
+                        raise DidNotConverge(f"projection failed its KKT check (infeasibility "
+                                             f"{infeasible:.3e}, off-face {off_face:.3e}, "
+                                             f"stationarity {stationarity:.3e})")
+                    return x, dist, tuple(work), lam
+                del work[int(np.argmin(lam))]
+            slack = (b - A @ x).tolist()
         raise DidNotConverge(f"active-set projection exceeded {max_steps} steps for {len(A)} faces")
 
     @staticmethod
@@ -667,7 +683,7 @@ class Polytope(ProxSet):
         least-norm multipliers and P = QR^-T maps a face residual back onto
         the faces.  QR, unlike inverting A_W A_W^T, does not square the
         condition number, so faces 1e-9 rad apart still factor."""
-        A, _, _, _, factors = fields
+        A, factors = fields[0], fields[-1]
         cached = factors.get(work)
         if cached is None:
             Aw = A[list(work)]
@@ -680,28 +696,10 @@ class Polytope(ProxSet):
         return cached
 
     @classmethod
-    def _certify(cls, A, b, y, x, Aw, bw, lam) -> None:
-        """Check the KKT conditions of x as the projection of y, with multipliers
-        lam >= 0 on the working faces Aw x <= bw; raise DidNotConverge on a failure."""
-        infeasible = cls._defect((A, b), x)
-        off_face = float(np.abs(Aw @ x - bw).max(initial=0.0))
-        stationarity = norm(y - x - lam @ Aw)
-        if (
-            infeasible > CONTAINMENT_TOL
-            or off_face > CONTAINMENT_TOL
-            or stationarity > CONTAINMENT_TOL * max(1.0, norm(y - x))
-        ):
-            raise DidNotConverge(
-                f"projection failed its KKT check (infeasibility {infeasible:.3e}, "
-                f"off-face {off_face:.3e}, stationarity {stationarity:.3e})"
-            )
-
-    @classmethod
     def _project_fields(cls, fields, y, tol):
-        if cls._defect(fields, y) <= tol:
+        if all(v <= tol for v in (fields[0] @ y - fields[1]).tolist()):  # NaN: a non-member
             return y.copy(), 0.0
-        p = cls._solve(fields, y)[0]
-        return p, norm(y - p)
+        return cls._solve(fields, y)[:2]
 
     @staticmethod
     def _face_bounds(Aw, bw, lam, X, N, R):
@@ -751,8 +749,8 @@ class Polytope(ProxSet):
             yield from bounds[done:k]
             fields, done = tuple(values[k] for values in rows.values()), k + 1
             work, lam = (), np.zeros(0)
-            if cls._defect(fields, X[k] + N[k]) > CONTAINMENT_TOL:
-                _, work, lam = cls._solve(fields, X[k] + N[k])
+            if float((fields[0] @ (X[k] + N[k]) - fields[1]).max()) > CONTAINMENT_TOL:
+                _, _, work, lam = cls._solve(fields, X[k] + N[k])
             Aw, bw = fields[0][list(work)], fields[1][list(work)][None]
             yield cls._face_bounds(Aw, bw, lam[None], X[k:done], N[k:done], R)[0][0]
         yield from bounds[done:]
@@ -800,9 +798,11 @@ class Polytope(ProxSet):
     def _moved(self, U):
         # Offsets b_i + <a_i, u> (per-row dots, as a face's translate): still strictly
         # feasible.  The factors of the faces depend on A alone: one cache for all rows.
+        # Each slack b - A p from one stacked matmul, rounded as that row's alone.
+        A, P = _repeat(self.normals, len(U)), readonly(self.interior + U, 2)
         offsets = readonly(self.offsets + np.vecdot(U[:, None, :], self.normals), 2)
-        return {"normals": _repeat(self.normals, len(U)), "offsets": offsets,
-                "interior": readonly(self.interior + U, 2),
+        slack = (offsets - np.matmul(A, P[:, :, None])[..., 0]).tolist()
+        return {"normals": A, "offsets": offsets, "interior": P, "_slack": list(map(tuple, slack)),
                 "_max_steps": _repeat(self._max_steps, len(U)),
                 "_factors": _repeat(self._factors, len(U))}
 
@@ -942,7 +942,7 @@ class RigidImage(ProxSet):
     @staticmethod
     def _project_fields(fields, y, tol):
         base, rotation, translation = fields
-        p, d = base._project_with_distance(RigidImage._pull(rotation, translation, y), tol)
+        p, d = base._project_fields(base._row, RigidImage._pull(rotation, translation, y), tol)
         # Every shape puts a non-member above tol >= 0: d = 0.0 is a member, kept bit for bit.
         return (y.copy(), 0.0) if d == 0.0 else (rotation @ p + translation, d)
 

@@ -4,7 +4,10 @@ distances to polygons, balls and ball complements, the scalar play closed
 form, and boundary-sampling excess.
 
 Membership tests are re-implemented here directly from shape parameters so
-the oracles share nothing with the code under test.
+the oracles share nothing with the code under test.  The one exception is the
+frozen polytope projection (reference_polytope_solve), a reference for
+rounding rather than an oracle for distance: it keeps an earlier form of the
+library's active-set solve, which the current one must match bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from sweepsolve.errors import DidNotConverge
+from sweepsolve.geometry import norm
 
 
 def grid(domain, n):
@@ -178,3 +184,69 @@ def cloud_excess(points, distance):
     """Max of distance over points of A: a lower bound of the excess of A,
     equal to it when the points include where the supremum is attained."""
     return max(distance(p) for p in points)
+
+
+# The polytope projection as Polytope._solve wrote it with a separate KKT
+# check (_certify) after the loop, the slack at every pass from its own
+# A x - b, each check a numpy reduction, and the distance recomputed from the
+# returned point.  Factors are made afresh per pass, as the solve's cache
+# makes them once.
+_SPAN_EPS = 64 * np.finfo(float).eps
+_CONTAINMENT_TOL = 1e-10
+
+
+def _reference_faces(A, work):
+    Aw = A[list(work)]
+    Q, R = np.linalg.qr(Aw.T)
+    diag = np.abs(np.diag(R))
+    if len(work) and diag.min() <= _SPAN_EPS * diag.max():
+        raise DidNotConverge(f"faces {list(work)} are numerically dependent")
+    Rinv = np.linalg.inv(R)
+    return Aw, np.eye(A.shape[1]) - Q @ Q.T, Rinv @ Q.T, Q @ Rinv.T
+
+
+def _reference_certify(A, b, y, x, Aw, bw, lam):
+    infeasible = float((A @ x - b).max())
+    off_face = float(np.abs(Aw @ x - bw).max(initial=0.0))
+    stationarity = norm(y - x - lam @ Aw)
+    if (infeasible > _CONTAINMENT_TOL or off_face > _CONTAINMENT_TOL
+            or stationarity > _CONTAINMENT_TOL * max(1.0, norm(y - x))):
+        raise DidNotConverge("projection failed its KKT check")
+
+
+def reference_polytope_solve(A, b, x, max_steps, y):
+    """(x, W, lam): the nearest point of {A x <= b} to y from the start x, its
+    working faces and their multipliers, or DidNotConverge."""
+    work: list = []
+    for _ in range(max_steps):
+        Aw, N, M, P = _reference_faces(A, tuple(work))
+        r = y - x
+        step = N @ r
+        rate = A @ step
+        floor = _SPAN_EPS * math.sqrt(float(r @ r))
+        alpha, blocking = 1.0, -1
+        for i, (rate_i, slack_i) in enumerate(zip(rate.tolist(), (b - A @ x).tolist())):
+            if rate_i > floor and i not in work:
+                ratio = max(slack_i, 0.0) / rate_i
+                if ratio < alpha:
+                    alpha, blocking = ratio, i
+        if blocking >= 0:
+            x = x + alpha * step
+            work.append(blocking)
+            continue
+        x, bw = x + step, b[work]
+        x = x - P @ (Aw @ x - bw)
+        lam = M @ (y - x)
+        if (lam >= 0.0).all():
+            _reference_certify(A, b, y, x, Aw, bw, lam)
+            return x, tuple(work), lam
+        del work[int(np.argmin(lam))]
+    raise DidNotConverge(f"active-set projection exceeded {max_steps} steps")
+
+
+def reference_polytope_project(A, b, x, max_steps, y, tol):
+    """(projection, distance) of y: y itself where max(A y - b) <= tol."""
+    if float((A @ y - b).max()) <= tol:
+        return y.copy(), 0.0
+    p = reference_polytope_solve(A, b, x, max_steps, y)[0]
+    return p, norm(y - p)

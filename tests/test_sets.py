@@ -14,6 +14,7 @@ from sweepsolve.errors import (
     DimensionMismatch,
     EmptyIntersection,
     NotAMember,
+    SweepError,
 )
 from sweepsolve.families import RigidFamily, SamplingBudget, TranslateFamily, excess
 from sweepsolve.geometry import norm
@@ -205,9 +206,9 @@ def test_polytope_projection_budget():
     # The active-set step bound is derived from the face count, (dim + 1) times
     # the 1 + 3 + 3 working sets of at most 2 of the 3 faces; a solve that
     # exhausts it raises instead of returning an uncertified point.
-    normals, offsets, interior, max_steps, _ = TRIANGLE._row
+    normals, offsets, interior, slack, max_steps, _ = TRIANGLE._row
     assert max_steps == 21
-    row = (normals, offsets, interior, 1, {})
+    row = (normals, offsets, interior, slack, 1, {})
     with pytest.raises(DidNotConverge, match="exceeded 1 steps"):
         Polytope._project_fields(row, np.array([1.0, 1.0]), sets_mod.CONTAINMENT_TOL)
 
@@ -218,6 +219,174 @@ def test_polytope_projection_uncertified_raises(monkeypatch):
     monkeypatch.setattr(sets_mod, "_SPAN_EPS", math.inf)
     with pytest.raises(DidNotConverge, match="KKT"):
         TRIANGLE.project((1.0, 1.0))
+
+
+def _perturb_face_factors(monkeypatch, perturb):
+    # The factors (A_W, N, M, P) of the triangle's face x + y <= 1, W = (2,),
+    # pass through perturb; the empty working set keeps its own.
+    working_faces = Polytope._working_faces
+
+    def faces(fields, work):
+        factors = working_faces(fields, work)
+        return perturb(*factors) if work == (2,) else factors
+
+    monkeypatch.setattr(Polytope, "_working_faces", staticmethod(faces))
+
+
+def test_polytope_projection_off_its_face_raises(monkeypatch):
+    # With N = I the second pass steps straight to y = (1, 1), which leaves
+    # the whole face residual 1/sqrt(2) to P, and 1.5 P overshoots it: x ends
+    # at (0.25, 0.25), feasible and with y - x along the face normal, but
+    # 1/(2 sqrt(2)) inside the face it was to lie on.
+    _perturb_face_factors(monkeypatch, lambda Aw, N, M, P: (Aw, np.eye(2), M, 1.5 * P))
+    with pytest.raises(DidNotConverge, match=r"infeasibility -2\.500e-01, off-face 3\.536e-01, "
+                                             r"stationarity \d\.\d{3}e-1[5-7]\)"):
+        TRIANGLE.project((1.0, 1.0))
+
+
+def test_polytope_projection_off_stationarity_raises(monkeypatch):
+    # Halved multipliers leave x = (0.5, 0.5) on its face and feasible, but
+    # y - x - lam A_W = (0.25, 0.25) away from stationary.
+    _perturb_face_factors(monkeypatch, lambda Aw, N, M, P: (Aw, N, 0.5 * M, P))
+    with pytest.raises(DidNotConverge, match=r"infeasibility 0\.000e\+00, off-face 0\.000e\+00, "
+                                             r"stationarity 3\.536e-01\)"):
+        TRIANGLE.project((1.0, 1.0))
+
+
+def test_polytope_projection_of_non_finite_points():
+    # As every shape's projection, the KKT check lets NaN through: a NaN
+    # coordinate gives NaN, and an infinite one inf and NaN (I @ r holds
+    # 0 * inf), each at distance NaN.  A finite point far out still fails
+    # the check, its squared length overflowing the blocking floor to inf.
+    with np.errstate(all="ignore"):
+        p, d = TRIANGLE.project_with_distance((math.nan, 0.0))
+        assert np.isnan(p).all() and math.isnan(d)
+        p, d = TRIANGLE.project_with_distance((math.inf, 0.0))
+        assert p[0] == math.inf and math.isnan(p[1]) and math.isnan(d)
+        with pytest.raises(DidNotConverge, match="KKT"):
+            TRIANGLE.project_with_distance((1e300, 1e300))
+
+
+@st.composite
+def _polytope_projections(draw):
+    """(polytope, U, motion, budget, y, tol): a random 2-D or 3-D polytope,
+    some with two faces 1e-9 rad apart; the rows U of a _moved table of its
+    translates (one factor cache), or a rigid motion (Q, u) of it, or neither;
+    a step budget of 1 or 2 in place of its own (None: its own, always under a
+    motion); and a point inside, on a face, at a vertex, far out (up to 1e300)
+    or not finite."""
+    dim = draw(st.integers(2, 3))
+    vector = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(np.array)
+    normals = draw(st.lists(vector.filter(lambda a: norm(a) > 0.1), min_size=1, max_size=6))
+    if draw(st.booleans()):  # a near-parallel twin of the first face
+        a = normals[0] / norm(normals[0])
+        normals.append(a + 1e-9 * np.roll(a, 1) * (1.0, -1.0, 0.0)[:dim])
+    normals = [a / norm(a) for a in normals]
+    interior = 2.0 * draw(vector)
+    margins = draw(st.lists(st.floats(1e-3, 2.0), min_size=len(normals), max_size=len(normals)))
+    shape = Polytope(normals, [a @ interior + m for a, m in zip(normals, margins)], interior)
+    A, b = shape.normals, shape.offsets
+    z = interior + draw(st.sampled_from((0.01, 1.0, 3.0))) * draw(vector)
+    where = draw(st.sampled_from(("inside", "face", "vertex", "far", "non-finite")))
+    if where == "face":
+        i = draw(st.integers(0, len(b) - 1))
+        z = z - (A[i] @ z - b[i]) * A[i]
+    elif where == "vertex" and len(b) >= dim:
+        faces = draw(st.permutations(range(len(b))))[:dim]
+        with np.errstate(all="ignore"):  # subnormal normals
+            if abs(np.linalg.det(A[faces])) > 1e-6:
+                z = np.linalg.solve(A[faces], b[faces])
+    elif where == "far":
+        z = interior + 10.0 ** draw(st.sampled_from((2, 5, 8, 150, 300))) * draw(vector)
+    U = motion = None
+    kind = draw(st.sampled_from(("plain", "translates", "rigid")))
+    if kind == "translates":
+        U = np.array(draw(st.lists(vector, min_size=1, max_size=4)))
+    elif kind == "rigid":
+        Q = (rotation_matrix_2d(draw(st.floats(-4.0, 4.0))) if dim == 2
+             else np.linalg.qr(np.array([draw(vector) for _ in range(3)]) + 3.0 * np.eye(3))[0])
+        motion = (Q, draw(vector))
+        z = Q @ z + motion[1]
+    if where == "non-finite":
+        z[draw(st.integers(0, dim - 1))] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    budget = None if motion else draw(st.sampled_from((None, None, 1, 2)))
+    return shape, U, motion, budget, z, draw(st.sampled_from((sets_mod.CONTAINMENT_TOL, 0.0)))
+
+
+@pytest.mark.parametrize("values", [[], [1.0], [-math.inf], [1.0, math.nan, 3.0],
+                                    [3.0, 1.0, math.nan], [math.nan, math.inf]])
+@pytest.mark.parametrize("start", [-math.inf, 0.0])
+def test_peak_is_ndarray_max(values, start):
+    # The KKT check's reduction over a short list: NaN wherever it stands.
+    if values or start == 0.0:
+        expected = np.max(np.array(values), initial=start)
+        assert _same_bits([sets_mod._peak(values, start)], [expected])
+        assert _same_bits([sets_mod._peak(values[::-1], start)], [expected])
+
+
+_QUADRANT = Polytope([[1.0, 0.0], [0.0, 1.0]], (1.0, 1.0), (0.0, 0.0))
+
+
+def _outcome(call):
+    """The type of the error that call raises, else the bytes of what it returns."""
+    try:
+        values = call()
+    except SweepError as err:
+        return type(err)
+    return [v if isinstance(v, tuple) else np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def _reference_solve(A, b, p, max_steps, y):
+    x, work, lam = oracles.reference_polytope_solve(A, b, p, max_steps, y)
+    return x, norm(y - x), work, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polytope_projections())
+@example((TRIANGLE, None, None, None, np.array([3.0, -1.0]), sets_mod.CONTAINMENT_TOL))
+# 1e8 out, the off-face residual is rounding near the tolerance, and a row of
+# A x rounds apart from A_W x: the check must read A_W x itself.
+@example((Polytope([[0.0, 0.0, 1.0], [math.cos(0.015), math.sin(0.015), 0.0]], (1.0, 1.375),
+                   (0.0, 0.0, 0.0)), None, None, None, np.array([0.0, 1e8, 0.0]),
+          sets_mod.CONTAINMENT_TOL))
+@example((TRIANGLE, np.array([[0.5, 0.0], [0.0, -0.5]]), None, 1, np.array([1.0, 1.0]), 0.0))
+# A y - b is [-inf, NaN] at (-inf, 0): NaN makes a non-member.  From (inf, 0)
+# the first step I @ r is (inf, NaN), and NaN passes the check.
+@example((_QUADRANT, None, None, None, np.array([-math.inf, 0.0]), sets_mod.CONTAINMENT_TOL))
+@example((_QUADRANT, None, None, None, np.array([math.inf, 0.0]), sets_mod.CONTAINMENT_TOL))
+@example((TRIANGLE, None, (rotation_matrix_2d(0.4), np.array([0.1, 0.0])), None,
+          np.array([2.0, 2.0]), sets_mod.CONTAINMENT_TOL))
+def test_polytope_projection_matches_the_frozen_reference_bit_for_bit(case):
+    # _project_fields and _solve against the solve as it was written with a
+    # separate KKT check: every iterate, multiplier and distance the same to
+    # the bit, and every failure the same error.  Each row's stored slack is
+    # its own b - A p, bit for bit.
+    shape, U, motion, budget, y, tol = case
+    A, max_steps = shape.normals, budget or shape._max_steps
+    rows = [shape._row] if U is None else list(zip(*shape._moved(U).values()))
+    for row in rows:
+        _, b, p, slack = row[:4]
+        row = (*row[:4], max_steps, row[5])
+        assert type(slack) is tuple and np.array(slack).tobytes() == (b - A @ p).tobytes()
+        with np.errstate(all="ignore"):
+            if motion is None:
+                got = _outcome(lambda: Polytope._project_fields(row, y, tol))
+                want = _outcome(lambda: oracles.reference_polytope_project(A, b, p, max_steps,
+                                                                           y, tol))
+                q = y
+            else:
+                (Q, u), image = motion, RigidImage(shape, *motion)
+                q = Q.T @ (y - u)
+                got = _outcome(lambda: RigidImage._project_fields(image._row, y, tol))
+
+                def pushed():
+                    x, d = oracles.reference_polytope_project(A, b, p, max_steps, q, tol)
+                    return (y.copy(), 0.0) if d == 0.0 else (Q @ x + u, d)
+
+                want = _outcome(pushed)
+            assert got == want
+            assert (_outcome(lambda: Polytope._solve(row, q))
+                    == _outcome(lambda: _reference_solve(A, b, p, max_steps, q)))
 
 
 def test_polytope_projection_solves_once(monkeypatch):
@@ -1416,11 +1585,11 @@ def _box_defect(lo, hi, x, n, R):
     return value + sets_mod._rounding(len(x), norm(n) * R * len(x))
 
 
-def _polytope_defect(normals, offsets, interior, max_steps, factors, x, n, R):
+def _polytope_defect(normals, offsets, interior, slack, max_steps, factors, x, n, R):
     # The least-norm multipliers of the faces active at x where they fit n,
     # else those of the projection of x + n (none when it is a member).
     A, b, y = normals, offsets, x + n
-    fields = (A, b, interior, max_steps, factors)
+    fields = (A, b, interior, slack, max_steps, factors)
     work = tuple(np.flatnonzero(b - A @ x <= sets_mod.CONTAINMENT_TOL).tolist())
     lam = None
     if 0 < len(work) <= len(x):
@@ -1432,7 +1601,7 @@ def _polytope_defect(normals, offsets, interior, max_steps, factors, x, n, R):
     if lam is None or not (lam >= 0.0).all() or norm(n - lam @ A[list(work)]) > allowance:
         work, lam = (), np.zeros(0)
         if float(np.max(A @ y - b)) > sets_mod.CONTAINMENT_TOL:
-            _, work, lam = Polytope._solve(fields, y)
+            _, _, work, lam = Polytope._solve(fields, y)
     Aw, bw = A[list(work)], b[list(work)]
     value = float(lam @ (bw - Aw @ x)) + norm(n - lam @ Aw) * R
     scale = norm(n) * R + float(lam.sum()) * (R + norm(x) + float(np.abs(bw).sum()))

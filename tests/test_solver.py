@@ -21,7 +21,7 @@ from sweepsolve.families import (
     TranslateFamily,
 )
 from sweepsolve.geometry import RefinementSchedule, TimeGrid
-from sweepsolve.harness import scenario_schedule
+from sweepsolve.harness import run, scenario_schedule
 from sweepsolve.paths import ConstantPath, LinearPath, PiecewisePath
 from sweepsolve.scenarios import list_builtins, load_builtin
 from sweepsolve.sets import (
@@ -106,6 +106,28 @@ def test_bundled_polytope_certificates_make_no_active_set_solve(monkeypatch):
     assert len(certs) == 210
     assert len(calls) <= len(certs)
     assert len(calls) == 0
+
+
+def test_bundled_polytope_run_solves_416_times_in_two_passes_each(monkeypatch, tmp_path):
+    # A work count, pinned: one run() of the rotating triangle makes 416
+    # active-set solves, each of two passes (W empty, then the one face it
+    # stops at), counted as the factor lookups inside a solve.  A change that
+    # moves either count re-pins it here.
+    passes, lookups = [], []
+    solve_once, working_faces = Polytope._solve, Polytope._working_faces
+
+    def solve(fields, y):
+        start = len(lookups)
+        result = solve_once(fields, y)
+        passes.append(len(lookups) - start)
+        return result
+
+    monkeypatch.setattr(Polytope, "_solve", staticmethod(solve))
+    monkeypatch.setattr(Polytope, "_working_faces", staticmethod(
+        lambda fields, work: lookups.append(work) or working_faces(fields, work)))
+    run(load_builtin("polytope_rotation"), tmp_path)
+    assert len(passes) == 416
+    assert set(passes) == {2}
 
 
 def _resting_runs(traj) -> int:
