@@ -137,9 +137,9 @@ def excess(A: ProxSet, B: ProxSet, budget: SamplingBudget | None = None) -> Exce
     (B.excess_of(A)), else a sampled lower bound (member sampling plus local
     hill-climbing, as the budget sets).
 
-    The rules take each shape's one projection and distance with tol = 0.0,
-    no CONTAINMENT_TOL snap: a point is at distance 0 only where it meets every
-    defining inequality, so upper carries no containment allowance.
+    The rules take each shape's one projection and distances with tol = 0.0
+    (_distances), no CONTAINMENT_TOL snap: a point is at distance 0 only where
+    it meets every defining inequality, so upper carries no containment allowance.
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"excess between dim {A.dim} and dim {B.dim}")

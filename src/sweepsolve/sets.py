@@ -26,9 +26,12 @@ Each shape class also owns its schema document (a tag in SHAPES plus
 to_dict/from_dict), its translates by the rows of an array (_moved), its
 rules for bounds of the excess of one shape over another (excess_of on the
 shape the excess is taken over, _excess_over_convex on the shape it is
-taken of), its faces in the world frame where it is polyhedral
-(inequalities), and its farthest point from a given point (farthest_from),
-known only for a bounded shape.
+taken of), the distances with tol = 0.0 those rules read, of a set of
+points at once (_distances: a bounded polygon's from its corners and the
+points' feet on its face lines in one array pass, with no active-set solve),
+its faces in the world frame where it is polyhedral (inequalities), and its
+farthest point from a given point (farthest_from), known only for a bounded
+shape.
 """
 
 from __future__ import annotations
@@ -180,7 +183,7 @@ class ProxSet(Schema):
         bounded one."""
         verts = self.vertices()
         if verts is not None:
-            dists = [other._distance(v, 0.0) for v in verts]
+            dists = other._distances(verts)
             k = int(np.argmax(dists))
             return dists[k], dists[k], verts[k]
         if self.unbounded and other.bounded:
@@ -250,6 +253,13 @@ class ProxSet(Schema):
             return self._project_with_distance(y, tol)[1]
         except AtSingularity as err:
             return err.distance
+
+    def _distances(self, P: np.ndarray) -> np.ndarray:
+        """Array of the distances with tol = 0.0 of the finite rows of P, the
+        excess rules' one call per set of points: _distance(v, 0.0) per row,
+        unless the shape has an array pass (a bounded polygon's, each value
+        the distance to a point of it; a rigid image's pull to its base's)."""
+        return np.array([self._distance(v, 0.0) for v in P], dtype=float)
 
     def project(self, y) -> np.ndarray:
         return self.project_with_distance(y)[0]
@@ -347,9 +357,10 @@ class HalfSpace(ProxSet):
 
     def _moved(self, U):
         # The shared normal, still unit, as a read-only view of it per row.  Per-row
-        # dots, each as normal.dot(u) alone: U @ normal (a matmul) rounds differently.
-        return {"normal": _repeat(self.normal, len(U)),
-                "offset": (self.offset + np.vecdot(U, self.normal)).tolist()}
+        # dots, each as normal.dot(u) alone: U @ normal (a matmul) rounds differently,
+        # and in 1-D np.vecdot adds the one product to +0.0, which drops a -0.0.
+        dots = np.vecdot(U, self.normal) if self.dim > 1 else U[:, 0] * self.normal[0]
+        return {"normal": _repeat(self.normal, len(U)), "offset": (self.offset + dots).tolist()}
 
     def to_dict(self):
         return {"shape": self.tag, "normal": self.normal.tolist(), "offset": self.offset}
@@ -497,7 +508,7 @@ class Ball(_Round):
         normals, _ = other.inequalities() or (np.zeros((0, self.dim)), None)
         dirs = np.vstack([normals, np.eye(self.dim), -np.eye(self.dim)])
         far = c + self.radius * (dirs / np.linalg.norm(dirs, axis=1)[:, None])
-        dists = [other._distance(x, 0.0) for x in far]
+        dists = other._distances(far)
         k = int(np.argmax(dists))
         exact = len(normals) == 1 or (len(normals) > 1 and dists[k] == 0.0)
         return dists[k], dists[k] if exact else d + self.radius, far[k]
@@ -785,6 +796,25 @@ class Polytope(ProxSet):
     def vertices(self):
         return self._corners if self.bounded and len(self._corners) else None
 
+    def _distances(self, P):
+        # A bounded polygon's nearest point to v is v, a corner, or the foot
+        # v - (s_i / |a_i|^2) a_i on a face line that meets every face up to
+        # its rounding, at |s_i| / |a_i|: each a point of the polygon (an upper
+        # bound, as the excess rules need), and none nearer than a face's half-
+        # plane, s_i / |a_i|.  The slacks s = A v - b round as _project_fields'.
+        if self.vertices() is None:
+            return super()._distances(P)
+        A, b = self.normals, self.offsets
+        s, lengths = np.matmul(A, P[:, :, None])[..., 0] - b, np.sqrt(np.vecdot(A, A))
+        feet = P[:, None, :] - (s / lengths**2)[:, :, None] * A
+        tol = _rounding(2, np.abs(P).sum(axis=1) + float(np.abs(b).max()))  # |foot| <= 2|v| + |b|
+        kept = (np.matmul(feet, A.T) - b <= tol[:, None, None]).all(axis=2)
+        D = P[:, None, :] - self._corners
+        dists = np.minimum(np.where(kept, np.abs(s) / lengths, math.inf).min(axis=1),
+                           np.hypot(D[..., 0], D[..., 1]).min(axis=1))
+        dists = np.maximum(dists, (s / lengths).max(axis=1))
+        return np.where((s <= 0.0).all(axis=1), 0.0, dists)
+
     def inequalities(self):
         return self.normals, self.offsets
 
@@ -938,6 +968,11 @@ class RigidImage(ProxSet):
 
     def _distance(self, y, tol=CONTAINMENT_TOL):
         return self.base._distance(self._pull(self.rotation, self.translation, y), tol)
+
+    def _distances(self, P):
+        # Every row pulled back by one stacked matmul, each rounded as _pull's alone.
+        pulled = np.matmul(self.rotation.T, (P - self.translation)[:, :, None])[..., 0]
+        return self.base._distances(pulled)
 
     @staticmethod
     def _project_fields(fields, y, tol):

@@ -21,6 +21,7 @@ from sweepsolve.families import (
     validate_analytic_modulus,
 )
 from sweepsolve.paths import ConstantPath, LinearPath, PiecewisePath
+from sweepsolve.scenarios import load_builtin
 from sweepsolve.sets import (
     Ball,
     BallComplement,
@@ -134,6 +135,21 @@ class TestExcess:
             assert est.lower == est.upper == pytest.approx(oracle, abs=1e-12)
             e[x + y] = est.lower
         assert e["AC"] <= e["AB"] + e["BC"] + 1e-12
+
+    def test_a_box_far_out_over_the_triangle_is_the_oracle_excess(self):
+        # About 5e21 out, the active-set projection of the box's vertices
+        # misses its absolute KKT tolerance and raises DidNotConverge; the
+        # polygon's distances take no projection.
+        triangle = polytope(
+            (halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0), halfspace((1.0, 1.0), 1.0)),
+            (0.2, 0.2),
+        )
+        lo = np.array([3.7122741773625883e21, 3.827571602707609e21])
+        box = Box(lo, lo + 1e-3 * np.abs(lo))
+        est = excess(box, triangle)
+        oracle = oracles.cloud_excess(
+            box.vertices(), lambda v: oracles.polygon_distance(oracles.TRIANGLE_FACES, v))
+        assert (est.lower, est.upper, est.method) == (oracle, oracle, "analytic")
 
     def test_sampled_lower_bound_is_honest(self):
         A, B = Ball((0.0, 0.0), 2.0), Ball((0.3, 0.1), 1.0)
@@ -307,6 +323,20 @@ class TestModulus:
         )
         spin = RigidFamily(triangle, LinearPath(0.0, 0.5), (1 / 3, 1 / 3), 1.0)
         assert validate_analytic_modulus(spin, pairs=20) <= 0.0
+
+    def test_bundled_rotating_triangle_audit_makes_no_active_set_solve(self, monkeypatch):
+        # Each pair's excess is the largest vertex distance to the later
+        # triangle, one array pass per pair: 0 solves (3 per pair, 150 in
+        # all, when each distance was a projection), and the value it gave
+        # then, up to rounding.
+        solves = []
+        solve = Polytope._solve
+        monkeypatch.setattr(Polytope, "_solve", staticmethod(
+            lambda fields, y: solves.append(y) or solve(fields, y)))
+        family = load_builtin("polytope_rotation").family
+        worst = validate_analytic_modulus(family, pairs=50)
+        assert solves == []
+        assert worst == pytest.approx(-0.0003211282267126256, rel=0.0, abs=1e-15)
 
     def test_validate_analytic_modulus(self):
         # 200 random forward pairs per family; sampled excess never exceeds

@@ -924,6 +924,114 @@ def test_polygon_distance_oracle(faces, y, expected):
     assert oracles.polygon_distance(faces, y) == pytest.approx(expected, abs=1e-15)
 
 
+@st.composite
+def _polygon_distance_rows(draw):
+    """(shape, faces, P): a bounded polygon of 3 to 7 faces whose unit normals
+    lie around a center (k-ths of a turn jittered by a fifth of one, so the
+    normals leave no gap of pi), or a rigid image of one, with faces its
+    (normal, offset) pairs in the world frame, and 1 to 6 points, each inside,
+    on a face line, at a vertex or up to 1e3 out."""
+    center = draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).map(np.array))
+    k = draw(st.integers(3, 7))
+    faces = []
+    for i in range(k):
+        a = 2.0 * math.pi * (i + draw(st.floats(-0.2, 0.2))) / k
+        normal = (math.cos(a), math.sin(a))
+        faces.append((normal, normal[0] * center[0] + normal[1] * center[1]
+                      + draw(st.floats(0.01, 3.0))))
+    shape = polytope([halfspace(a, b) for a, b in faces], center)
+    assert shape.vertices() is not None
+    if draw(st.booleans()):
+        Q = rotation_matrix_2d(draw(st.floats(-3.2, 3.2)))
+        u = draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).map(np.array))
+        shape = RigidImage(shape, Q, u)
+        faces = [(tuple(Q @ a), b + float((Q @ a) @ u)) for a, b in faces]
+        center = Q @ center + u
+    A, b = (np.array(v, dtype=float) for v in zip(*faces))
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        v = center + np.array([draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))]) \
+            * draw(st.sampled_from((1e-2, 1.0, 10.0, 1e3)))
+        where = draw(st.sampled_from(("point", "face", "vertex")))
+        if where == "face":
+            i = draw(st.integers(0, k - 1))
+            v = v - (A[i] @ v - b[i]) * A[i]
+        elif where == "vertex":
+            i, j = draw(st.permutations(range(k)))[:2]
+            if abs(np.linalg.det(A[[i, j]])) > 1e-6:
+                v = np.linalg.solve(A[[i, j]], b[[i, j]])
+        points.append(v)
+    return shape, faces, np.array(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polygon_distance_rows())
+# On the line x = 0 and 1e-17 below the face y >= 0: the foot on x = 0 is v
+# itself, inside every face up to rounding, yet v is no member.
+@example((TRIANGLE, oracles.TRIANGLE_FACES, np.array([[0.0, -1e-17], [0.0, 0.5]])))
+def test_polygon_distances_are_the_oracle_distances(case):
+    # The excess rules read a polygon's distances from one array pass:
+    # within rounding of the oracle's, and exactly 0 where, and only where,
+    # every defining inequality holds, as _defects tests it.  The allowance
+    # is 1e-15 of the size of <a, v> - b: the oracle's world-frame faces are
+    # rounded too, and the active-set solve is off by up to about 1.8e-15 of
+    # |v| alone.  Where the oracle reads 0 it has only found v within its
+    # 1e-12 of every face, and a face point made from a far one may be 1e-14 out.
+    shape, faces, P = case
+    dists = shape._distances(P)
+    assert dists.shape == (len(P),)
+    offsets = max(abs(b) for _, b in faces)
+    for v, d in zip(P, dists.tolist()):
+        oracle, size = oracles.polygon_distance(faces, v), max(1.0, np.abs(v).max() + offsets)
+        assert abs(d - oracle) <= (1e-15 if oracle > 0.0 else 1e-11) * size
+    members = np.array([shape.membership_defect(v) <= 0.0 for v in P])
+    assert ((dists == 0.0) == members).all()
+    assert all(shape._distance(v, 0.0) == 0.0 for v in P[members])
+
+
+@st.composite
+def _solved_distance_rows(draw):
+    """(shape, P): a polytope that keeps the active-set solve, 2-D with its
+    normals within less than a half-turn (unbounded) or 3-D, or a rigid image
+    of a 2-D one, and 1 to 5 points near it or up to 1e8 out."""
+    dim = draw(st.integers(2, 3))
+    if dim == 2:
+        spread = draw(st.sampled_from((0.5, 0.9)))  # of a half-turn
+        angles = draw(st.lists(st.floats(0.0, spread * math.pi), min_size=1, max_size=4))
+        turn = draw(st.floats(-3.2, 3.2))
+        normals = [(math.cos(a + turn), math.sin(a + turn)) for a in angles]
+    else:
+        vector = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array)
+        normals = [a / norm(a) for a in draw(st.lists(vector.filter(lambda a: norm(a) > 0.1),
+                                                      min_size=1, max_size=5))]
+    center = np.array(draw(st.tuples(*[st.floats(-2.0, 2.0)] * dim)))
+    shape = polytope([halfspace(a, float(np.array(a) @ center) + draw(st.floats(0.01, 2.0)))
+                      for a in normals], center)
+    assume(shape.vertices() is None)
+    if dim == 2 and draw(st.booleans()):
+        shape = RigidImage(shape, rotation_matrix_2d(draw(st.floats(-3.2, 3.2))),
+                           np.array(draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))))
+    offsets = st.tuples(*[st.floats(-1.0, 1.0)] * dim).map(np.array)
+    scale = st.sampled_from((1e-2, 1.0, 10.0, 1e3, 1e8))
+    k = draw(st.integers(1, 5))
+    return shape, np.array([center + draw(offsets) * draw(scale) for _ in range(k)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_solved_distance_rows())
+def test_solved_polytope_distances_are_the_per_row_distances_bit_for_bit(case):
+    # Off a bounded polygon, _distances is _distance(v, 0.0) per row (a rigid
+    # image's rows pulled back as each alone): the same bits, or the same error.
+    shape, P = case
+    try:
+        expected = [shape._distance(v, 0.0) for v in P]
+    except DidNotConverge:
+        with pytest.raises(DidNotConverge):
+            shape._distances(P)
+        return
+    assert _same_bits(shape._distances(P), expected)
+
+
 # One instance of every registered shape class, keyed by its schema tag.
 SHAPE_BY_TAG = {
     "halfspace": halfspace((1.0, 2.0), 0.5),
@@ -1079,6 +1187,7 @@ _scaled_floats = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e-300, 1e-300),
     st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim),
     st.floats(-1e3, 1e3),
     st.lists(st.lists(_scaled_floats, min_size=dim, max_size=dim), min_size=1, max_size=8))))
+@example(([1.0], -0.0, [[-0.0]]))  # in 1-D, -0.0 + -0.0 * 1.0 is -0.0
 def test_halfspace_moved_offsets_are_the_per_row_dots_bit_for_bit(case):
     # _moved reads every row's <normal, u> from one np.vecdot: each offset is
     # offset + float(normal.dot(u)), as for that u alone, tiny and huge u too.
