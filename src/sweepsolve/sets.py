@@ -582,6 +582,8 @@ class Polytope(ProxSet):
 
     Projection is a primal active-set solve from the interior point p, whose
     slack b - A p is stored (_slack), and returns only a KKT-checked point.
+    Space-dimension products use ndarray.dot, @'s bits without matmul's
+    dispatch; @ stays where the inner dimension can be 1 (working faces).
     """
 
     tag = "polytope"
@@ -645,19 +647,21 @@ class Polytope(ProxSet):
         A, b, x, slack, max_steps, _ = fields
         work: list = []
         for _ in range(max_steps):
-            Aw, N, M, P = cls._working_faces(fields, tuple(work))
+            Aw, N, M, P, idx = cls._working_faces(fields, tuple(work))
             r = y - x
             # The step drops the part of r in the span of the working faces,
             # so x stays on them.
-            step = N @ r
-            rate = A @ step
+            step = N.dot(r)
+            rate = A.dot(step)
             # A face whose normal lies in the span of the working faces sees
             # only rounding in its rate and must not block.
-            floor = _SPAN_EPS * math.sqrt(float(r @ r))
+            floor = _SPAN_EPS * math.sqrt(float(r.dot(r)))
             alpha, blocking = 1.0, -1
-            for i, (rate_i, slack_i) in enumerate(zip(rate.tolist(), slack)):
+            for i, rate_i in enumerate(rate.tolist()):
                 if rate_i > floor and i not in work:
-                    ratio = max(slack_i, 0.0) / rate_i
+                    if slack is None:
+                        slack = (b - A.dot(x)).tolist()
+                    ratio = max(slack[i], 0.0) / rate_i
                     if ratio < alpha:
                         alpha, blocking = ratio, i
             if blocking >= 0:
@@ -666,14 +670,14 @@ class Polytope(ProxSet):
             else:
                 # A long step loses about eps * |y - x| to cancellation across
                 # the working faces; put x back on them.
-                x, bw = x + step, b[work]
-                x = x - P @ (Aw @ x - bw)
+                x, bw = x + step, b[idx]
+                x = x - P @ (Aw.dot(x) - bw)
                 d = y - x
-                lam = M @ d  # least-norm multipliers at the corrected x: d = A_W^T lam
+                lam = M.dot(d)  # least-norm multipliers at the corrected x: d = A_W^T lam
                 if all(v >= 0.0 for v in lam.tolist()):
                     # A_W x is read on its own: far out, rows of A x round apart from it.
-                    infeasible = _peak((A @ x - b).tolist())
-                    off_face = _peak([abs(v) for v in (Aw @ x - bw).tolist()], 0.0)
+                    infeasible = _peak((A.dot(x) - b).tolist())
+                    off_face = _peak([abs(v) for v in (Aw.dot(x) - bw).tolist()], 0.0)
                     dist, stationarity = norm(d), norm(d - lam @ Aw)
                     if (infeasible > CONTAINMENT_TOL or off_face > CONTAINMENT_TOL
                             or stationarity > CONTAINMENT_TOL * max(1.0, dist)):
@@ -682,33 +686,34 @@ class Polytope(ProxSet):
                                              f"stationarity {stationarity:.3e})")
                     return x, dist, tuple(work), lam
                 del work[int(np.argmin(lam))]
-            slack = (b - A @ x).tolist()
+            slack = None
         raise DidNotConverge(f"active-set projection exceeded {max_steps} steps for {len(A)} faces")
 
     @staticmethod
     def _working_faces(fields, work: tuple):
-        """(A_W, N, M, P) for the faces W, which depend on A alone: cached per W
-        in the factor cache that the translates of one polytope share, which
-        read their own b_W from the row.  From A_W^T = QR:
-        N = I - QQ^T projects onto their null space, M = R^-1 Q^T gives the
-        least-norm multipliers and P = QR^-T maps a face residual back onto
-        the faces.  QR, unlike inverting A_W A_W^T, does not square the
-        condition number, so faces 1e-9 rad apart still factor."""
+        """(A_W, N, M, P, W) for the faces W, which depend on A alone: cached
+        per W in the factor cache that the translates of one polytope share,
+        which read their own b_W from the row through the index array W.  From
+        A_W^T = QR: N = I - QQ^T projects onto their null space, M = R^-1 Q^T
+        gives the least-norm multipliers and P = QR^-T maps a face residual
+        back onto the faces.  QR, unlike inverting A_W A_W^T, does not square
+        the condition number, so faces 1e-9 rad apart still factor."""
         A, factors = fields[0], fields[-1]
         cached = factors.get(work)
         if cached is None:
-            Aw = A[list(work)]
+            idx = np.array(work, dtype=np.intp)
+            Aw = A[idx]
             Q, R = np.linalg.qr(Aw.T)
             diag = np.abs(np.diag(R))
             if len(work) and diag.min() <= _SPAN_EPS * diag.max():
                 raise DidNotConverge(f"faces {list(work)} are numerically dependent")
             Rinv = np.linalg.inv(R)
-            cached = factors[work] = (Aw, np.eye(A.shape[1]) - Q @ Q.T, Rinv @ Q.T, Q @ Rinv.T)
+            cached = factors[work] = (Aw, np.eye(A.shape[1]) - Q @ Q.T, Rinv @ Q.T, Q @ Rinv.T, idx)
         return cached
 
     @classmethod
     def _project_fields(cls, fields, y, tol):
-        if all(v <= tol for v in (fields[0] @ y - fields[1]).tolist()):  # NaN: a non-member
+        if all(v <= tol for v in (fields[0].dot(y) - fields[1]).tolist()):  # NaN: a non-member
             return y.copy(), 0.0
         return cls._solve(fields, y)[:2]
 
@@ -742,7 +747,7 @@ class Polytope(ProxSet):
             if not 0 < len(work) <= dim:
                 continue
             try:
-                Aw, _, M, _ = cls._working_faces(first, tuple(work))
+                Aw, _, M, _, _ = cls._working_faces(first, tuple(work))
             except DidNotConverge:  # dependent faces
                 continue
             g = np.flatnonzero(group == i)
@@ -952,7 +957,7 @@ class RigidImage(ProxSet):
 
     @staticmethod
     def _pull(rotation, translation, y):
-        return rotation.T @ (y - translation)
+        return rotation.T.dot(y - translation)
 
     def _excess_over_convex(self, other):
         # e(Q K + u, B) = e(K, Q^T (B - u)): the base's rule over other moved
@@ -979,6 +984,7 @@ class RigidImage(ProxSet):
         base, rotation, translation = fields
         p, d = base._project_fields(base._row, RigidImage._pull(rotation, translation, y), tol)
         # Every shape puts a non-member above tol >= 0: d = 0.0 is a member, kept bit for bit.
+        # Q @ p, as Q.dot(p) in 1-D is -0.0 at Q = -1, p = +0.0.
         return (y.copy(), 0.0) if d == 0.0 else (rotation @ p + translation, d)
 
     @staticmethod

@@ -13,6 +13,7 @@ library's active-set solve, which the current one must match bit for bit.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -99,10 +100,12 @@ def refine_local(member_fn, y, p0, window, iters=40):
 def polygon_distance(faces, y):
     """Exact distance from y to the 2-D convex polyhedron {x: <a, x> <= b}.
 
-    The nearest point is y itself, the foot of y on one face line, or a vertex
-    where two face lines cross, so the distance is the smallest over those
-    candidates that satisfy every face up to rounding (1e-12, relative to the
-    scale of the face and the candidate).
+    y is a member, at distance 0, when every <a, y> <= b holds in exact
+    rational arithmetic (fractions.Fraction of the stored floats).  Else the
+    nearest point is the foot of y on one face line or a vertex where two face
+    lines cross, so the distance is the smallest over those candidates that
+    satisfy every face up to rounding (1e-12, relative to the scale of the face
+    and the candidate): a computed foot or crossing is itself rounded.
 
     It computes in Python floats, which overflow to inf without a warning:
     two nearly parallel face lines cross near 1e269 or beyond, and a crossing
@@ -110,13 +113,17 @@ def polygon_distance(faces, y):
     """
     y = tuple(float(v) for v in y)
     lines = [(tuple(float(v) for v in a), float(b)) for a, b in faces]
+    if all(map(math.isfinite, y)) and all(
+            Fraction(a[0]) * Fraction(y[0]) + Fraction(a[1]) * Fraction(y[1]) <= Fraction(b)
+            for a, b in lines):
+        return 0.0
 
     def feasible(c):
         return all(a[0] * c[0] + a[1] * c[1] - b
                    <= 1e-12 * (1.0 + abs(b) + math.hypot(*a) * math.hypot(*c))
                    for a, b in lines)
 
-    candidates = [y]
+    candidates = []
     for a, b in lines:
         step = (a[0] * y[0] + a[1] * y[1] - b) / (a[0] * a[0] + a[1] * a[1])
         candidates.append((y[0] - step * a[0], y[1] - step * a[1]))

@@ -222,7 +222,7 @@ def test_polytope_projection_uncertified_raises(monkeypatch):
 
 
 def _perturb_face_factors(monkeypatch, perturb):
-    # The factors (A_W, N, M, P) of the triangle's face x + y <= 1, W = (2,),
+    # The factors (A_W, N, M, P, W) of the triangle's face x + y <= 1, W = (2,),
     # pass through perturb; the empty working set keeps its own.
     working_faces = Polytope._working_faces
 
@@ -238,7 +238,7 @@ def test_polytope_projection_off_its_face_raises(monkeypatch):
     # the whole face residual 1/sqrt(2) to P, and 1.5 P overshoots it: x ends
     # at (0.25, 0.25), feasible and with y - x along the face normal, but
     # 1/(2 sqrt(2)) inside the face it was to lie on.
-    _perturb_face_factors(monkeypatch, lambda Aw, N, M, P: (Aw, np.eye(2), M, 1.5 * P))
+    _perturb_face_factors(monkeypatch, lambda Aw, N, M, P, W: (Aw, np.eye(2), M, 1.5 * P, W))
     with pytest.raises(DidNotConverge, match=r"infeasibility -2\.500e-01, off-face 3\.536e-01, "
                                              r"stationarity \d\.\d{3}e-1[5-7]\)"):
         TRIANGLE.project((1.0, 1.0))
@@ -247,7 +247,7 @@ def test_polytope_projection_off_its_face_raises(monkeypatch):
 def test_polytope_projection_off_stationarity_raises(monkeypatch):
     # Halved multipliers leave x = (0.5, 0.5) on its face and feasible, but
     # y - x - lam A_W = (0.25, 0.25) away from stationary.
-    _perturb_face_factors(monkeypatch, lambda Aw, N, M, P: (Aw, N, 0.5 * M, P))
+    _perturb_face_factors(monkeypatch, lambda Aw, N, M, P, W: (Aw, N, 0.5 * M, P, W))
     with pytest.raises(DidNotConverge, match=r"infeasibility 0\.000e\+00, off-face 0\.000e\+00, "
                                              r"stationarity 3\.536e-01\)"):
         TRIANGLE.project((1.0, 1.0))
@@ -269,13 +269,15 @@ def test_polytope_projection_of_non_finite_points():
 
 @st.composite
 def _polytope_projections(draw):
-    """(polytope, U, motion, budget, y, tol): a random 2-D or 3-D polytope,
-    some with two faces 1e-9 rad apart; the rows U of a _moved table of its
+    """(polytope, U, motion, budget, y, tol): a random 1-D, 2-D or 3-D
+    polytope (in 1-D an interval or a half-line, where every product over the
+    space dimension has an inner dimension of 1), some with two faces 1e-9
+    rad apart (parallel in 1-D); the rows U of a _moved table of its
     translates (one factor cache), or a rigid motion (Q, u) of it, or neither;
     a step budget of 1 or 2 in place of its own (None: its own, always under a
     motion); and a point inside, on a face, at a vertex, far out (up to 1e300)
     or not finite."""
-    dim = draw(st.integers(2, 3))
+    dim = draw(st.integers(1, 3))
     vector = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(np.array)
     normals = draw(st.lists(vector.filter(lambda a: norm(a) > 0.1), min_size=1, max_size=6))
     if draw(st.booleans()):  # a near-parallel twin of the first face
@@ -303,8 +305,11 @@ def _polytope_projections(draw):
     if kind == "translates":
         U = np.array(draw(st.lists(vector, min_size=1, max_size=4)))
     elif kind == "rigid":
-        Q = (rotation_matrix_2d(draw(st.floats(-4.0, 4.0))) if dim == 2
-             else np.linalg.qr(np.array([draw(vector) for _ in range(3)]) + 3.0 * np.eye(3))[0])
+        if dim == 1:  # a reflection, or none
+            Q = np.array([[draw(st.sampled_from((1.0, -1.0)))]])
+        else:
+            Q = (rotation_matrix_2d(draw(st.floats(-4.0, 4.0))) if dim == 2
+                 else np.linalg.qr(np.array([draw(vector) for _ in range(3)]) + 3.0 * np.eye(3))[0])
         motion = (Q, draw(vector))
         z = Q @ z + motion[1]
     if where == "non-finite":
@@ -322,6 +327,54 @@ def test_peak_is_ndarray_max(values, start):
         expected = np.max(np.array(values), initial=start)
         assert _same_bits([sets_mod._peak(values, start)], [expected])
         assert _same_bits([sets_mod._peak(values[::-1], start)], [expected])
+
+
+_DOT_ENTRIES = st.one_of(st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                                          -5e-324, 2.2250738585072014e-308, 1.0, -1.0)),
+                         st.floats())
+
+
+@st.composite
+def _dot_operands(draw):
+    """(M, v): a matrix of 1 to 6 rows, or the transposed view of a square one
+    (as a rotation's), or a vector, each with an inner dimension of 2 or 3,
+    and a vector of that length; entries often ±0, ±inf, NaN or subnormal."""
+    k = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(("matrix", "transposed", "vector")))
+    rows = {"matrix": draw(st.integers(1, 6)), "transposed": k, "vector": 1}[kind]
+    M = np.array(draw(st.lists(_DOT_ENTRIES, min_size=rows * k, max_size=rows * k)))
+    if kind != "vector":
+        M = M.reshape(rows, k).T if kind == "transposed" else M.reshape(rows, k)
+    return M, np.array(draw(st.lists(_DOT_ENTRIES, min_size=k, max_size=k)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dot_operands())
+@example((np.array([[math.inf, 1.0], [math.inf, 1.0]]), np.array([0.0, 1.0])))
+@example((np.array([[-0.0, -0.0]]), np.array([1.0, 1.0])))
+@example((np.array([5e-324, 1.0]), np.array([-5e-324, -0.0])))
+def test_dot_is_matmul_bit_for_bit_on_an_inner_dimension_of_two_or_three(operands):
+    # The polytope solve and a rigid image's pull-back take ndarray.dot for
+    # their products over the space dimension, without matmul's dispatch: the
+    # same bits, NaN payloads and signs of zero included.
+    M, v = operands
+    with np.errstate(all="ignore"):
+        assert np.asarray(M.dot(v)).tobytes() == np.asarray(M @ v).tobytes()
+
+
+@pytest.mark.parametrize("M, v, by_matmul, by_dot", [
+    ([[math.inf], [math.inf]], [0.0], [math.nan, math.nan], [0.0, 0.0]),
+    ([[-0.0]], [1.0], [0.0], [-0.0]),
+    ([[-1.0]], [0.0], [0.0], [-0.0]),
+    ([[5e-324], [1.0]], [-5e-324], [0.0, -5e-324], [-0.0, -5e-324]),
+])
+def test_dot_is_not_matmul_on_an_inner_dimension_of_one(M, v, by_matmul, by_dot):
+    # Where a product's inner dimension is 1 (the working-face count of a
+    # one-face solve, or the space dimension of an interval), the two differ:
+    # P @ (A_W x - b_W), lam @ A_W and a rigid image's Q @ p keep matmul.
+    M, v = np.array(M), np.array(v)
+    with np.errstate(all="ignore"):
+        assert _same_bits(M @ v, by_matmul) and _same_bits(M.dot(v), by_dot)
 
 
 _QUADRANT = Polytope([[1.0, 0.0], [0.0, 1.0]], (1.0, 1.0), (0.0, 0.0))
@@ -356,6 +409,10 @@ def _reference_solve(A, b, p, max_steps, y):
 @example((_QUADRANT, None, None, None, np.array([math.inf, 0.0]), sets_mod.CONTAINMENT_TOL))
 @example((TRIANGLE, None, (rotation_matrix_2d(0.4), np.array([0.1, 0.0])), None,
           np.array([2.0, 2.0]), sets_mod.CONTAINMENT_TOL))
+# The half-line x <= 0 turned by Q = -1 and moved by -0.0: (-1).dot(+0.0) is
+# -0.0 where -1 @ +0.0 is +0.0, so the point mapped back reads -0.0 + -0.0.
+@example((Polytope([[1.0]], [0.0], [-1.0]), None, (np.array([[-1.0]]), np.array([-0.0])), None,
+          np.array([-2.0]), sets_mod.CONTAINMENT_TOL))
 def test_polytope_projection_matches_the_frozen_reference_bit_for_bit(case):
     # _project_fields and _solve against the solve as it was written with a
     # separate KKT check: every iterate, multiplier and distance the same to
@@ -975,15 +1032,15 @@ def test_polygon_distances_are_the_oracle_distances(case):
     # every defining inequality holds, as _defects tests it.  The allowance
     # is 1e-15 of the size of <a, v> - b: the oracle's world-frame faces are
     # rounded too, and the active-set solve is off by up to about 1.8e-15 of
-    # |v| alone.  Where the oracle reads 0 it has only found v within its
-    # 1e-12 of every face, and a face point made from a far one may be 1e-14 out.
+    # |v| alone.  The oracle decides membership exactly, so a face point made
+    # from a far one, which may lie 1e-14 out, has its own small distance.
     shape, faces, P = case
     dists = shape._distances(P)
     assert dists.shape == (len(P),)
     offsets = max(abs(b) for _, b in faces)
     for v, d in zip(P, dists.tolist()):
         oracle, size = oracles.polygon_distance(faces, v), max(1.0, np.abs(v).max() + offsets)
-        assert abs(d - oracle) <= (1e-15 if oracle > 0.0 else 1e-11) * size
+        assert abs(d - oracle) <= 1e-15 * size
     members = np.array([shape.membership_defect(v) <= 0.0 for v in P])
     assert ((dists == 0.0) == members).all()
     assert all(shape._distance(v, 0.0) == 0.0 for v in P[members])
