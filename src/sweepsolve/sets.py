@@ -582,8 +582,9 @@ class Polytope(ProxSet):
 
     Projection is a primal active-set solve from the interior point p, whose
     slack b - A p is stored (_slack), and returns only a KKT-checked point.
-    Space-dimension products use ndarray.dot, @'s bits without matmul's
-    dispatch; @ stays where the inner dimension can be 1 (working faces).
+    Products over the space dimension use ndarray.dot, @'s bits without
+    matmul's dispatch; on an inner dimension of 1 the two can differ, so @
+    stays on products over the working faces and on every product in 1-D.
     """
 
     tag = "polytope"
@@ -645,22 +646,23 @@ class Polytope(ProxSet):
         indices W of its working faces and their multipliers lam >= 0.
         """
         A, b, x, slack, max_steps, _ = fields
+        dot = np.ndarray.dot if len(x) > 1 else np.matmul
         work: list = []
         for _ in range(max_steps):
-            Aw, N, M, P, idx = cls._working_faces(fields, tuple(work))
+            Aw, N, M, P = cls._working_faces(fields, tuple(work))
             r = y - x
             # The step drops the part of r in the span of the working faces,
             # so x stays on them.
-            step = N.dot(r)
-            rate = A.dot(step)
+            step = dot(N, r)
+            rate = dot(A, step)
             # A face whose normal lies in the span of the working faces sees
             # only rounding in its rate and must not block.
-            floor = _SPAN_EPS * math.sqrt(float(r.dot(r)))
+            floor = _SPAN_EPS * math.sqrt(float(dot(r, r)))
             alpha, blocking = 1.0, -1
             for i, rate_i in enumerate(rate.tolist()):
                 if rate_i > floor and i not in work:
                     if slack is None:
-                        slack = (b - A.dot(x)).tolist()
+                        slack = (b - dot(A, x)).tolist()
                     ratio = max(slack[i], 0.0) / rate_i
                     if ratio < alpha:
                         alpha, blocking = ratio, i
@@ -670,14 +672,14 @@ class Polytope(ProxSet):
             else:
                 # A long step loses about eps * |y - x| to cancellation across
                 # the working faces; put x back on them.
-                x, bw = x + step, b[idx]
-                x = x - P @ (Aw.dot(x) - bw)
+                x, bw = x + step, b[work]
+                x = x - P @ (dot(Aw, x) - bw)
                 d = y - x
-                lam = M.dot(d)  # least-norm multipliers at the corrected x: d = A_W^T lam
+                lam = dot(M, d)  # least-norm multipliers at the corrected x: d = A_W^T lam
                 if all(v >= 0.0 for v in lam.tolist()):
                     # A_W x is read on its own: far out, rows of A x round apart from it.
-                    infeasible = _peak((A.dot(x) - b).tolist())
-                    off_face = _peak([abs(v) for v in (Aw.dot(x) - bw).tolist()], 0.0)
+                    infeasible = _peak((dot(A, x) - b).tolist())
+                    off_face = _peak([abs(v) for v in (dot(Aw, x) - bw).tolist()], 0.0)
                     dist, stationarity = norm(d), norm(d - lam @ Aw)
                     if (infeasible > CONTAINMENT_TOL or off_face > CONTAINMENT_TOL
                             or stationarity > CONTAINMENT_TOL * max(1.0, dist)):
@@ -691,29 +693,29 @@ class Polytope(ProxSet):
 
     @staticmethod
     def _working_faces(fields, work: tuple):
-        """(A_W, N, M, P, W) for the faces W, which depend on A alone: cached
-        per W in the factor cache that the translates of one polytope share,
-        which read their own b_W from the row through the index array W.  From
-        A_W^T = QR: N = I - QQ^T projects onto their null space, M = R^-1 Q^T
-        gives the least-norm multipliers and P = QR^-T maps a face residual
-        back onto the faces.  QR, unlike inverting A_W A_W^T, does not square
-        the condition number, so faces 1e-9 rad apart still factor."""
+        """(A_W, N, M, P) for the faces W, which depend on A alone: cached per W
+        in the factor cache that the translates of one polytope share, which
+        read their own b_W from the row.  From A_W^T = QR:
+        N = I - QQ^T projects onto their null space, M = R^-1 Q^T gives the
+        least-norm multipliers and P = QR^-T maps a face residual back onto
+        the faces.  QR, unlike inverting A_W A_W^T, does not square the
+        condition number, so faces 1e-9 rad apart still factor."""
         A, factors = fields[0], fields[-1]
         cached = factors.get(work)
         if cached is None:
-            idx = np.array(work, dtype=np.intp)
-            Aw = A[idx]
+            Aw = A[list(work)]
             Q, R = np.linalg.qr(Aw.T)
             diag = np.abs(np.diag(R))
             if len(work) and diag.min() <= _SPAN_EPS * diag.max():
                 raise DidNotConverge(f"faces {list(work)} are numerically dependent")
             Rinv = np.linalg.inv(R)
-            cached = factors[work] = (Aw, np.eye(A.shape[1]) - Q @ Q.T, Rinv @ Q.T, Q @ Rinv.T, idx)
+            cached = factors[work] = (Aw, np.eye(A.shape[1]) - Q @ Q.T, Rinv @ Q.T, Q @ Rinv.T)
         return cached
 
     @classmethod
     def _project_fields(cls, fields, y, tol):
-        if all(v <= tol for v in (fields[0].dot(y) - fields[1]).tolist()):  # NaN: a non-member
+        # NaN: a non-member.  Each row is only compared with tol, so dot serves in 1-D too.
+        if all(v <= tol for v in (fields[0].dot(y) - fields[1]).tolist()):
             return y.copy(), 0.0
         return cls._solve(fields, y)[:2]
 
@@ -747,7 +749,7 @@ class Polytope(ProxSet):
             if not 0 < len(work) <= dim:
                 continue
             try:
-                Aw, _, M, _, _ = cls._working_faces(first, tuple(work))
+                Aw, _, M, _ = cls._working_faces(first, tuple(work))
             except DidNotConverge:  # dependent faces
                 continue
             g = np.flatnonzero(group == i)
@@ -957,7 +959,8 @@ class RigidImage(ProxSet):
 
     @staticmethod
     def _pull(rotation, translation, y):
-        return rotation.T.dot(y - translation)
+        z = y - translation
+        return rotation.T.dot(z) if len(z) > 1 else rotation.T @ z  # see Polytope on dot
 
     def _excess_over_convex(self, other):
         # e(Q K + u, B) = e(K, Q^T (B - u)): the base's rule over other moved

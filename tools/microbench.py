@@ -1,6 +1,6 @@
 """Per-shape micro-benchmarks of sweepsolve's projection, distance and excess layers.
 
-    python3 tools/microbench.py [--number N] [--repeat R]
+    python3 tools/microbench.py
 
 Run it from a source checkout: it imports sweepsolve from the checkout's
 src/ directory.  It prints one JSON line with
@@ -14,12 +14,11 @@ src/ directory.  It prints one JSON line with
   the shapes' rules, with no sampling;
 
 and the interpreter, numpy and machine it ran on.  Each figure is the best of
-R timed runs of N calls (N / 8 calls of _distances on the block).
+5 timed runs of 2000 calls (250 calls of _distances on the block).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -42,6 +41,8 @@ from sweepsolve.sets import (  # noqa: E402
     polytope,
     rotation_matrix_2d,
 )
+
+NUMBER, REPEAT = 2000, 5
 
 TRIANGLE = polytope((halfspace((-1.0, 0.0), 0.0), halfspace((0.0, -1.0), 0.0),
                      halfspace((1.0, 1.0), 1.0)), (0.2, 0.2))
@@ -75,40 +76,27 @@ PAIRS = {
 }
 
 
-def best_us(call, number: int, repeat: int) -> float:
-    return min(timeit.Timer(call).repeat(repeat, number)) / number * 1e6
+def best_us(call, number: int = NUMBER) -> float:
+    return min(timeit.Timer(call).repeat(REPEAT, number)) / number * 1e6
 
 
-def measure(number: int, repeat: int) -> dict:
+def measure() -> dict:
     project = {}
     for tag, (shape, member, outside) in CASES.items():
         row, kind = shape._row, SHAPES[tag]
         project[tag] = {
-            name: round(best_us(lambda y=np.array(y): kind._project_fields(row, y, 1e-10),
-                                number, repeat), 3)
+            name: round(best_us(lambda y=np.array(y): kind._project_fields(row, y, 1e-10)), 3)
             for name, y in (("member", member), ("non_member", outside))}
     block = np.random.default_rng(0).uniform(-2.0, 2.0, (64, 2))
     distances = {
-        tag: round(best_us(lambda s=shape: s._distances(block), max(1, number // 8), repeat)
-                   / len(block), 3)
+        tag: round(best_us(lambda s=shape: s._distances(block), NUMBER // 8) / len(block), 3)
         for tag, (shape, _, _) in CASES.items()}
-    pairs = {name: round(best_us(lambda a=a, b=b: excess(a, b), number, repeat), 3)
+    pairs = {name: round(best_us(lambda a=a, b=b: excess(a, b)), 3)
              for name, (a, b) in PAIRS.items()}
     return {"project_us": project, "distances_us_per_row": distances, "excess_us": pairs,
-            "number": number, "repeat": repeat, "python": platform.python_version(),
+            "number": NUMBER, "repeat": REPEAT, "python": platform.python_version(),
             "numpy": np.__version__, "machine": platform.machine(), "cpus": os.cpu_count()}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--number", type=int, default=2000, help="calls per timed run")
-    parser.add_argument("--repeat", type=int, default=5, help="timed runs; the best is kept")
-    args = parser.parse_args(argv)
-    if args.number < 1 or args.repeat < 1:
-        parser.error("--number and --repeat must be >= 1")
-    print(json.dumps(measure(args.number, args.repeat)))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    print(json.dumps(measure()))
