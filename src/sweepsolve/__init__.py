@@ -27,7 +27,6 @@ from .families import (
     PiecewiseFamily,
     RadiusFamily,
     RigidFamily,
-    SamplingBudget,
     TranslateFamily,
     build_schedule,
     compute_tau,

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .errors import InfeasibleInitialPoint, SchemaError, SweepError
-from .families import SamplingBudget, excess
+from .families import excess
 from .harness import check_constraint, check_normal, effective_seed, run, scenario_schedule
 from .scenarios import list_builtins, load_builtin, parse_scenario
 from .solver import solve
@@ -72,8 +72,8 @@ def _cmd_excess(args) -> int:
         if not 0.0 <= time <= scenario.horizon:
             raise SchemaError("--t", f"{name}={time:g} outside [0, {scenario.horizon:g}], "
                               f"the horizon of {scenario.name}")
-    seed = effective_seed(sa)
-    est = excess(sa.family.at(s), sb.family.at(t), SamplingBudget(seed=seed))
+    effective_seed(sa)  # nothing is sampled; a malformed SWEEP_SEED still exits 3
+    est = excess(sa.family.at(s), sb.family.at(t))
     print(f"excess of A({s:g}) over B({t:g}): {est.lower:.12g} <= e <= {est.upper:.12g} "
           f"[{est.method}]")
     print("witness: [" + ", ".join(f"{float(x):.12g}" for x in est.witness) + "]")

@@ -12,18 +12,20 @@ only its own; over any other convex B for a box, a bounded 2-D polytope, a
 ball whose center lies outside B, a ball inside a polyhedral B or with its
 center in a half-space, and an unbounded set over a bounded one; and for
 rigid images of these.  Any other ball whose center lies in B gets a
-two-sided bound.  Only the pairs left (another unbounded polyhedron over an
+two-sided bound.  The pairs left (another unbounded polyhedron over an
 unbounded convex set; a half-space over a B whose face normals agree with
 its own only up to rounding; a polytope in dimension 3 or more; a rigid
-image of a ball complement as B) are sampled, a lower bound with upper = inf.
+image of a ball complement as B) get lower <= e(A, B) <= inf, lower the
+largest distance from B of A's vertices, or of A's point nearest the origin
+where they are not known: a deterministic bound, nothing is sampled.
 Families built from the declared path forms carry an analytic linear modulus
 omega(delta) = rate * delta, an upper bound that sets the schedule step
 lengths; validate_analytic_modulus certifies it against excess upper bounds.
 A Modulus takes one delta or an array of them (certify_steps' one call per
 trajectory), elementwise as each scalar call rounds.
-An inner ball is checked by one exact depth evaluation per slice (a member's
-depth is minus its membership defect) at INNER_BALL_TIMES times; between
-them it is not checked.
+An inner ball is checked by exact depth evaluations (a member's depth is
+minus its membership defect) at INNER_BALL_TIMES times, one _defects call
+per piece of their rows; between them it is not checked.
 
 Every slice comes from one field table, MovingFamily.slice_fields(times),
 which checks the times once and evaluates each path once on the whole array.
@@ -48,12 +50,11 @@ declared_r against the family's natural r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    AtSingularity,
     DimensionMismatch,
     ModulusUnavailable,
     NoPositiveTau,
@@ -61,7 +62,7 @@ from .errors import (
 )
 from .geometry import MAX_DYADIC_K, RefinementSchedule, Schema, TimeGrid, finite, readonly
 from .paths import Path, piece_index
-from .sets import Ball, BallComplement, ProxSet, RigidImage, sample_points
+from .sets import Ball, BallComplement, ProxSet, RigidImage
 
 # Admissible discontinuities may only expand the set: an upper bound of the
 # excess of the left slice over the right slice must vanish to this tolerance.
@@ -83,7 +84,10 @@ CONVEX_R_CAP = 1e9
 
 @dataclass(frozen=True)
 class SamplingBudget:
-    """Member draws and hill-climbing steps of a sampled excess, and its seed."""
+    """Member draws, hill-climbing steps and seed of an excess sampler that
+    no longer exists: nothing reads it.  The benchmark still builds one and
+    passes it to excess and validate_analytic_modulus, so the class and
+    their budget parameters stay until the benchmark stops passing them."""
 
     count: int = 160
     hill_steps: int = 40
@@ -100,8 +104,7 @@ class SamplingBudget:
 class ExcessEstimate:
     """lower <= e(A, B) <= upper, with a witness: a point of A at distance
     lower from B (NaN where lower is inf).  method is "analytic" when
-    lower == upper, "interval" for a two-sided bound and "sampled" for a
-    sampled lower bound, whose upper is inf."""
+    lower == upper, else "interval" (upper = inf where no rule applies)."""
 
     lower: float
     upper: float
@@ -109,33 +112,11 @@ class ExcessEstimate:
     method: str
 
 
-def _sampled_excess(A: ProxSet, B: ProxSet, budget: SamplingBudget) -> ExcessEstimate:
-    region = A.bounding_region()
-    pts = sample_points(A, region, budget.count, budget.seed)
-    dists = [B.distance(p) for p in pts]
-    best_i = int(np.argmax(dists))
-    best, x = dists[best_i], pts[best_i]
-    rng = np.random.default_rng(budget.seed + 1)
-    lo, hi = np.asarray(region[0], float), np.asarray(region[1], float)
-    scale = float(np.mean(hi - lo)) / 8.0
-    for _ in range(budget.hill_steps):
-        try:
-            prop = A.project(x + scale * rng.standard_normal(A.dim))
-        except AtSingularity:
-            scale *= 0.7
-            continue
-        d = B.distance(prop)
-        if d > best:
-            best, x = d, prop
-        else:
-            scale *= 0.9
-    return ExcessEstimate(float(best), math.inf, x, "sampled")
-
-
 def excess(A: ProxSet, B: ProxSet, budget: SamplingBudget | None = None) -> ExcessEstimate:
     """One-sided excess of A over B as an interval: the shapes' rules
-    (B.excess_of(A)), else a sampled lower bound (member sampling plus local
-    hill-climbing, as the budget sets).
+    (B.excess_of(A)), else [lower, inf], lower the largest distance from B
+    of finitely many points of A: its vertices, or where they are not known,
+    its point nearest the origin.  budget is not read (see SamplingBudget).
 
     The rules take each shape's one projection and distances with tol = 0.0
     (_distances), no CONTAINMENT_TOL snap: a point is at distance 0 only where
@@ -144,11 +125,15 @@ def excess(A: ProxSet, B: ProxSet, budget: SamplingBudget | None = None) -> Exce
     if A.dim != B.dim:
         raise DimensionMismatch(f"excess between dim {A.dim} and dim {B.dim}")
     bounds = B.excess_of(A)
-    if bounds is not None:
-        lower, upper, witness = bounds
-        method = "analytic" if lower == upper else "interval"
-        return ExcessEstimate(float(lower), float(upper), witness, method)
-    return _sampled_excess(A, B, budget or SamplingBudget())
+    if bounds is None:
+        P = A.vertices()
+        P = A._nearest(np.zeros(A.dim))[0][None] if P is None else P
+        dists = B._distances(P)
+        k = int(np.argmax(dists))
+        bounds = dists[k], math.inf, P[k]
+    lower, upper, witness = bounds
+    method = "analytic" if lower == upper else "interval"
+    return ExcessEstimate(float(lower), float(upper), witness, method)
 
 
 @dataclass(frozen=True)
@@ -430,7 +415,7 @@ class PiecewiseFamily(MovingFamily):
         object.__setattr__(self, "pieces", pieces)
         self._set_r(min(fam.r for _, fam in pieces))
         for (t_star, left), (_, right) in zip(pieces, pieces[1:]):
-            # Only an upper bound admits a jump: a sampled excess has none.
+            # Only a finite upper bound admits a jump: a pair no rule covers has none.
             a, b = left.at(min(t_star, left.horizon)), right.at(t_star)
             if a == b:
                 continue
@@ -549,11 +534,16 @@ def build_schedule(
 
 def verify_inner_ball(family: MovingFamily, w, rho: float) -> float:
     """Max of rho + membership_defect(w) over INNER_BALL_TIMES evenly spaced
-    times of [0, horizon].  Each term is exact in space: it is <= 0 iff the
-    open ball B_rho(w) lies in that slice."""
+    times of [0, horizon], from one _defects call per piece of their rows
+    (no slice is built), each row's defect the slice's bit for bit.  Each
+    term is exact in space: it is <= 0 iff the open ball B_rho(w) lies in
+    that slice."""
     w = np.asarray(w, dtype=float)
-    times = np.linspace(0.0, family.horizon, INNER_BALL_TIMES)
-    return max(rho + s.membership_defect(w) for s in family.slices(times))
+    worst = -math.inf
+    for cls, rows in family.slice_fields(np.linspace(0.0, family.horizon, INNER_BALL_TIMES)):
+        P = np.broadcast_to(w, (len(next(iter(rows.values()))), family.dim))
+        worst = max(worst, float((rho + cls._defects(rows, P)).max(initial=-math.inf)))
+    return worst
 
 
 def validate_analytic_modulus(
@@ -564,12 +554,12 @@ def validate_analytic_modulus(
 ) -> float:
     """Max of the excess upper bound - omega(t-s)*(1+1e-6) over forward pairs
     (s, t): a nonpositive value certifies the family's analytic modulus on
-    them, and a pair whose excess is only sampled (upper = inf) gives inf.
+    them, and a pair that no excess rule covers (upper = inf) gives inf.
 
     The pairs are `pairs` >= 0 random ones drawn from seed, then, around each
     breakpoint t* and for h in T/64, T/16, T/4, the pairs (t*-h, t*) and
-    (t*-h, t*+h) clipped to [0, T], where a jump could show.  A sampled pair i
-    samples with seed budget.seed + i.
+    (t*-h, t*+h) clipped to [0, T], where a jump could show.  budget is not
+    read (see SamplingBudget).
     """
     if pairs < 0:
         raise ValueError(f"pairs must be >= 0, got {pairs}")
@@ -581,14 +571,12 @@ def validate_analytic_modulus(
         for h in (T / 64.0, T / 16.0, T / 4.0):
             s = max(t_star - h, 0.0)
             forward += [(s, t_star), (s, min(t_star + h, T))]
-    b = budget or SamplingBudget(count=48, hill_steps=20)
     times = np.unique(np.ravel(forward))  # every slice built once, by one slice_fields call
     at = dict(zip(times.tolist(), family.slices(times)))
     worst = -math.inf
     allowed = omega(np.array([t - s for s, t in forward], dtype=float)).tolist()
-    for i, ((s, t), bound) in enumerate(zip(forward, allowed)):
+    for (s, t), bound in zip(forward, allowed):
         if t <= s:
             continue
-        est = excess(at[s], at[t], replace(b, seed=b.seed + i))
-        worst = max(worst, est.upper - bound * (1.0 + 1e-6))
+        worst = max(worst, excess(at[s], at[t]).upper - bound * (1.0 + 1e-6))
     return worst

@@ -6,7 +6,7 @@ containment via the defining inequalities, whose defect at a member is
 exactly minus its distance to the complement, a closed-form upper bound of
 the normal-cone defect of a candidate normal (normal_defect), and seeded
 member sampling, which serves only the audit of those bounds off 2-D
-polyhedra (window_residual) and sampled excess bounds.  Convex shapes have
+polyhedra (window_residual).  Convex shapes have
 r = inf and no curvature terms; the ball complement is the nonconvex
 primitive, with r its radius.  Each shape writes its projection, which also
 tests the point, once over one row of a family's field table
@@ -58,9 +58,6 @@ CONTAINMENT_TOL = 1e-10
 
 # Tolerance on |normal| - 1 for a half-space normal to count as unit.
 UNIT_NORMAL_TOL = 1e-12
-
-# Margin around the set of each shape's bounding_region.
-_REGION_PAD = 0.5
 
 # Relative rounding floor for the active-set step: a face whose rate along the
 # step is below this share of |y - x| is parallel to the working faces.
@@ -133,10 +130,6 @@ class ProxSet(Schema):
     def _defects(cls, rows, P: np.ndarray) -> np.ndarray:
         """The membership defect of each row of P on the slice of the same row
         of slice_fields' rows: bit for bit the one _project_fields tests."""
-        raise NotImplementedError
-
-    def bounding_region(self):
-        """Axis-aligned window enclosing (a representative part of) the set."""
         raise NotImplementedError
 
     def translated(self, u: np.ndarray) -> "ProxSet":
@@ -261,6 +254,17 @@ class ProxSet(Schema):
         the distance to a point of it; a rigid image's pull to its base's)."""
         return np.array([self._distance(v, 0.0) for v in P], dtype=float)
 
+    def _nearest(self, y: np.ndarray) -> tuple:
+        """(point, distance) of _project_with_distance(y, 0.0), and at the
+        center of the set's own excluded ball, where every point of its
+        sphere is nearest, the radius and the projection of a step of half
+        of it off y, which is still inside that ball, so on the sphere."""
+        try:
+            return self._project_with_distance(y, 0.0)
+        except AtSingularity as err:
+            d = err.distance
+            return self._project_with_distance(y + 0.5 * d * np.eye(self.dim)[0], 0.0)[0], d
+
     def project(self, y) -> np.ndarray:
         return self.project_with_distance(y)[0]
 
@@ -349,11 +353,6 @@ class HalfSpace(ProxSet):
 
     def boundary_anchor(self) -> np.ndarray:
         return self.offset * self.normal
-
-    def bounding_region(self):
-        anchor = self.boundary_anchor()
-        half = 1.0 + _REGION_PAD
-        return anchor - half, anchor + half
 
     def _moved(self, U):
         # The shared normal, still unit, as a read-only view of it per row.  Per-row
@@ -461,10 +460,6 @@ class Ball(_Round):
     _sign = 1.0
     bounded = True
 
-    def bounding_region(self):
-        half = self.radius + _REGION_PAD
-        return self.center - half, self.center + half
-
     @classmethod
     def _normal_defects(cls, rows, X, N, R):
         # With u = (x-c)/|x-c|, every member has <u, z-x> <= radius - |x-c|, so
@@ -544,9 +539,6 @@ class Box(ProxSet):
             return y.copy(), 0.0
         p = np.clip(y, lo, hi)
         return p, norm(y - p)
-
-    def bounding_region(self):
-        return self.lo - _REGION_PAD, self.hi + _REGION_PAD
 
     @classmethod
     def _normal_defects(cls, rows, X, N, R):
@@ -825,13 +817,6 @@ class Polytope(ProxSet):
     def inequalities(self):
         return self.normals, self.offsets
 
-    def bounding_region(self):
-        corners = self._corners
-        if len(corners):
-            return corners.min(axis=0) - _REGION_PAD, corners.max(axis=0) + _REGION_PAD
-        half = 1.0 + _REGION_PAD
-        return self.interior - half, self.interior + half
-
     def _moved(self, U):
         # Offsets b_i + <a_i, u> (per-row dots, as a face's translate): still strictly
         # feasible.  The factors of the faces depend on A alone: one cache for all rows.
@@ -874,10 +859,6 @@ class BallComplement(_Round):
     def r(self) -> float:
         return self.radius
 
-    def bounding_region(self):
-        half = 2.5 * self.radius + _REGION_PAD
-        return self.center - half, self.center + half
-
     @classmethod
     def _normal_defects(cls, rows, X, N, R):
         # With u = (c-x)/d, d = |c-x|, every member (|z-c| >= radius) has
@@ -901,15 +882,7 @@ class BallComplement(_Round):
     def excess_of(self, A):
         # d(x, self) = (radius - |x - center|)^+ peaks at the point of A
         # nearest the center: (radius - d(center, A))^+ is exact.
-        c = self.center
-        try:
-            x, d = A._project_with_distance(c, 0.0)
-        except AtSingularity as err:
-            # c is the center of A's own excluded ball: d is its radius, and
-            # every point of the sphere is nearest, so a step of d/2 off c,
-            # still inside that ball, picks one.
-            d = err.distance
-            x = A._project_with_distance(c + 0.5 * d * np.eye(self.dim)[0], 0.0)[0]
+        x, d = A._nearest(self.center)
         value = max(self.radius - d, 0.0)
         return value, value, x
 
@@ -1017,11 +990,6 @@ class RigidImage(ProxSet):
         extra = _rounding(base.dim, norms(N) * (R + norms(V)) * (1.0 + R / base.r))
         bounds = base._normal_defects(base_rows, x, n, R)  # a generator's rows each as made
         return bounds + extra if isinstance(bounds, np.ndarray) else map(np.add, bounds, extra)
-
-    def bounding_region(self):
-        corners = np.array(list(itertools.product(*zip(*self.base.bounding_region()))))
-        moved = corners @ self.rotation.T + self.translation
-        return moved.min(axis=0), moved.max(axis=0)
 
     def _moved(self, U):
         return {"base": _repeat(self.base, len(U)), "rotation": _repeat(self.rotation, len(U)),

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from sweepsolve.families import (
     PiecewiseFamily,
     RadiusFamily,
     RigidFamily,
+    INNER_BALL_TIMES,
     TAU_MARGIN,
-    SamplingBudget,
     TranslateFamily,
     build_schedule,
     compute_tau,
@@ -28,6 +29,7 @@ from sweepsolve.sets import (
     Box,
     HalfSpace,
     Polytope,
+    ProxSet,
     RigidImage,
     halfspace,
     polytope,
@@ -123,10 +125,9 @@ class TestExcess:
             (0.2, 0.2),
         )
         shifts = {"A": np.zeros(2), "B": np.array([0.1, 0.0]), "C": np.array([0.2, 0.1])}
-        budget = SamplingBudget(count=200, hill_steps=40, seed=9)
         e = {}
         for x, y in ("AC", "AB", "BC"):
-            est = excess(tri.translated(shifts[x]), tri.translated(shifts[y]), budget)
+            est = excess(tri.translated(shifts[x]), tri.translated(shifts[y]))
             # The vertex rule is exact: the oracle's largest vertex distance.
             later = [(a, b + float(np.dot(a, shifts[y]))) for a, b in oracles.TRIANGLE_FACES]
             corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) + shifts[x]
@@ -150,19 +151,6 @@ class TestExcess:
         oracle = oracles.cloud_excess(
             box.vertices(), lambda v: oracles.polygon_distance(oracles.TRIANGLE_FACES, v))
         assert (est.lower, est.upper, est.method) == (oracle, oracle, "analytic")
-
-    def test_sampled_lower_bound_is_honest(self):
-        A, B = Ball((0.0, 0.0), 2.0), Ball((0.3, 0.1), 1.0)
-        exact = excess(A, B).lower
-        sampled = excess(A, B, SamplingBudget(count=200, seed=5))
-        # force the generic path
-        from sweepsolve.families import _sampled_excess
-
-        est = _sampled_excess(A, B, SamplingBudget(count=200, seed=5))
-        assert est.lower <= exact + 1e-12
-        assert est.lower >= exact - 0.05
-        assert B.distance(est.witness) == pytest.approx(est.lower, abs=1e-12)
-        assert sampled.method == "analytic"
 
 
 class TestSlices:
@@ -285,14 +273,13 @@ class TestModulus:
 
     def test_sampled_omega_matches_analytic_for_sweep(self):
         fam = sweep_family()
-        budget = SamplingBudget(count=32, hill_steps=10)
-        sampled = max(excess(fam.at(s), fam.at(s + 0.25), budget).lower
+        sampled = max(excess(fam.at(s), fam.at(s + 0.25)).lower
                       for s in np.linspace(0.0, 1.75, 64))
         assert sampled == pytest.approx(fam.modulus()(0.25), abs=1e-9)
 
     def test_sampled_jump_equality(self):
         # Same pairs and seeds, the breakpoint pairs included: the outward
-        # jump leaves the worst sampled excess minus omega unchanged.
+        # jump leaves the worst excess upper bound minus omega unchanged.
         a_jump = validate_analytic_modulus(drift_jump_family(), pairs=50, seed=3)
         a_cont = validate_analytic_modulus(drift_nojump_family(), pairs=50, seed=3)
         assert abs(a_jump - a_cont) <= 1e-9
@@ -312,8 +299,8 @@ class TestModulus:
         assert validate_analytic_modulus(fam, pairs=0) > 0.0
 
     def test_modulus_certificate_needs_an_upper_bound_on_every_pair(self):
-        # A translating wedge over a later slice is left to sampling, whose
-        # upper bound is inf; the rotating triangle's pairs are all exact.
+        # A translating wedge over a later slice has no rule, so its upper
+        # bound is inf; the rotating triangle's pairs are all exact.
         wedge = polytope((HalfSpace((1.0, 0.0), 0.0), HalfSpace((0.0, 1.0), 0.0)), (-1.0, -1.0))
         drift = TranslateFamily(wedge, LinearPath((0.0, 0.0), (1.0, 0.0)), 1.0)
         assert validate_analytic_modulus(drift, pairs=3) == math.inf
@@ -339,7 +326,7 @@ class TestModulus:
         assert worst == pytest.approx(-0.0003211282267126256, rel=0.0, abs=1e-15)
 
     def test_validate_analytic_modulus(self):
-        # 200 random forward pairs per family; sampled excess never exceeds
+        # 200 random forward pairs per family; the excess upper bound never exceeds
         # the declared linear modulus beyond a 1e-6 relative allowance.
         for fam in (sweep_family(), drift_jump_family()):
             assert validate_analytic_modulus(fam, pairs=200, seed=2) <= 1e-9
@@ -472,6 +459,22 @@ class TestInnerBall:
         # B_0.5((0.5001, 0)) crosses the face x = 1 of [-1, 1]^2 by 1e-4.
         fam = TranslateFamily(Box((-1.0, -1.0), (1.0, 1.0)), ConstantPath((0.0, 0.0)), 1.0)
         assert verify_inner_ball(fam, (0.5001, 0.0), 0.5) == pytest.approx(1e-4, abs=1e-12)
+
+    def test_depth_is_read_from_rows_with_no_slice_built(self, monkeypatch):
+        # One _defects call per piece over slice_fields' rows, each row's
+        # defect the slice's bit for bit: the bundled inner ball's value, and
+        # the per-slice maximum on a family of two pieces, with no slice built.
+        scenario, fam = load_builtin("shrinking_ball_inner_cert"), drift_jump_family()
+        built = []
+        from_valid = ProxSet._from_valid.__func__
+        monkeypatch.setattr(ProxSet, "_from_valid", classmethod(
+            lambda cls, fields: built.append(cls) or from_valid(cls, fields)))
+        w, rho = scenario.ball_params.w, scenario.ball_params.rho
+        assert verify_inner_ball(scenario.family, w, rho) == -0.09999999999999998
+        value = verify_inner_ball(fam, (0.05, 0.02), 0.3)
+        assert built == []
+        times = np.linspace(0.0, fam.horizon, INNER_BALL_TIMES)
+        assert value == max(0.3 + s.membership_defect((0.05, 0.02)) for s in fam.slices(times))
 
 
 def test_rigid_family_derives_its_rate_and_rejects_unbounded_bases():
@@ -711,6 +714,82 @@ def test_any_shape_over_a_ball_complement_against_the_oracle(a, c, R):
     if isinstance(cloud, np.ndarray):  # a bounded A: its boundary points
         depth = oracles.cloud_excess(cloud, lambda y: oracles.complement_distance(c, R, y))
         assert depth <= est.upper + 1e-9
+
+
+@st.composite
+def _leftover_pairs(draw):
+    """(A, B, the oracle's e(A, B), its distance to A, its distance to B) for
+    a pair that no excess rule covers: half-planes whose normals agree only
+    up to rounding (excess inf), a moved wedge or a slab over a half-plane
+    (inf where a ray of A climbs B's normal, else A's largest corner
+    distance), a 3-D box as a polytope over a 3-D ball (its largest corner
+    distance), or any shape over a rigid image of a ball complement (the
+    excluded ball's radius less its center's distance to A)."""
+    kind = draw(st.sampled_from(["near_parallel", "unbounded_polygon", "cube", "complement"]))
+    angle = draw(st.floats(-3.2, 3.2))
+    if kind == "near_parallel":
+        turn = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-15.0, -7.0))
+        A = halfspace((math.cos(angle), math.sin(angle)), draw(st.floats(-1.0, 1.0)))
+        B = halfspace((math.cos(angle + turn), math.sin(angle + turn)), draw(st.floats(-1.0, 1.0)))
+        assume((A.normal != B.normal).any())
+        return (A, B, math.inf, lambda y: oracles.polygon_distance([(A.normal, A.offset)], y),
+                lambda y: oracles.polygon_distance([(B.normal, B.offset)], y))
+    if kind == "unbounded_polygon":
+        m, c = (math.cos(angle), math.sin(angle)), draw(st.floats(-1.0, 1.0))
+        n = rotation_matrix_2d(draw(st.floats(-3.2, 3.2)))[:, 0]
+        if draw(st.booleans()):  # the wedge x, y <= 0 turned by Q and moved to u
+            Q = rotation_matrix_2d(draw(st.floats(-3.2, 3.2)))
+            u = np.array([draw(st.floats(-1.0, 1.0)), 0.5])
+            wedge = polytope((HalfSpace((1.0, 0.0), 0.0), HalfSpace((0.0, 1.0), 0.0)), (-1.0, -1.0))
+            A, corners, rays = RigidImage(wedge, Q, u), [u], [-Q[:, 0], -Q[:, 1]]
+            faces = [(tuple(Q @ a), float((Q @ a) @ u)) for a in np.eye(2)]
+        else:  # the slab |<n, x>| <= 1 closed on the side <s, x> <= 1
+            side = np.array([-n[1], n[0]])
+            faces = [(tuple(n), 1.0), (tuple(-n), 1.0), (tuple(side), 1.0)]
+            A = polytope(tuple(halfspace(a, b) for a, b in faces), (0.0, 0.0))
+            corners, rays = [side + n, side - n], [-side]
+        climbs = max(float(np.dot(m, r)) for r in rays) > 0.0
+        oracle = math.inf if climbs else oracles.cloud_excess(
+            corners, lambda v: oracles.polygon_distance([(m, c)], v))
+        return (A, halfspace(m, c), oracle, lambda y: oracles.polygon_distance(faces, y),
+                lambda y: oracles.polygon_distance([(m, c)], y))
+    if kind == "cube":
+        coord = st.floats(-1.0, 1.0)
+        lo = np.array([draw(coord) for _ in range(3)])
+        hi = lo + [draw(st.floats(0.1, 1.5)) for _ in range(3)]
+        A = polytope(tuple(halfspace(a, b) for a, b in zip(np.vstack([np.eye(3), -np.eye(3)]),
+                                                            np.concatenate([hi, -lo]))),
+                     (lo + hi) / 2.0)
+        center, R = np.array([draw(coord) for _ in range(3)]), draw(st.floats(0.1, 2.0))
+        corners = list(itertools.product(*zip(lo, hi)))
+        return (A, Ball(center, R),
+                oracles.cloud_excess(corners, lambda v: oracles.ball_distance(center, R, v)),
+                lambda y: math.dist(y, np.clip(y, lo, hi)),
+                lambda y: oracles.ball_distance(center, R, y))
+    A, a_distance = draw(st.one_of(_oracle_shapes(), _oracle_shapes(rigid=True), _halfspaces(),
+                                   _unbounded_shapes()))[:2]
+    if a_distance is None:  # a ball complement
+        a_distance = lambda y: oracles.complement_distance(A.center, A.radius, y)  # noqa: E731
+    c = np.array([draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))])
+    R, Q = draw(st.floats(0.1, 2.0)), rotation_matrix_2d(angle)
+    u = np.array([draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+    moved = Q @ c + u
+    return (A, RigidImage(BallComplement(c, R), Q, u), max(R - a_distance(moved), 0.0), a_distance,
+            lambda y: oracles.complement_distance(moved, R, y))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_leftover_pairs())
+def test_a_pair_no_rule_covers_has_a_deterministic_lower_bound_against_the_oracle(pair):
+    # lower is the distance from B of a point of A, the witness: a vertex, or
+    # the point of A nearest the origin.  Nothing is sampled.
+    A, B, oracle, a_distance, b_distance = pair
+    est = excess(A, B)
+    assert est.method == "interval" and est.upper == math.inf
+    assert 0.0 <= est.lower <= oracle + 1e-9
+    assert a_distance(est.witness) <= 1e-9
+    assert b_distance(est.witness) == pytest.approx(est.lower, abs=1e-9)
+    assert excess(A, B).witness.tolist() == est.witness.tolist()
 
 
 def _families_with(horizon=1.0, declared_r=None):

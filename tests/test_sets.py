@@ -16,10 +16,11 @@ from sweepsolve.errors import (
     NotAMember,
     SweepError,
 )
+from sweepsolve import families as families_mod
 from sweepsolve.families import RigidFamily, SamplingBudget, TranslateFamily, excess
 from sweepsolve.geometry import norm
 from sweepsolve.paths import LinearPath
-from sweepsolve.scenarios import shape_from_dict
+from sweepsolve.scenarios import list_builtins, load_builtin, shape_from_dict
 from sweepsolve.solver import CERTIFICATION_TOL, NORMAL_WINDOW
 from sweepsolve.sets import (
     Ball,
@@ -1141,7 +1142,7 @@ def test_every_registered_shape_has_a_case():
 # The hooks ProxSet leaves abstract, with the number of arguments after self
 # (or cls, for a class method).
 _ABSTRACT_HOOKS = {"_defects": 2, "_project_fields": 3, "_normal_defects": 4,
-                   "bounding_region": 0, "_moved": 1, "to_dict": 0, "from_dict": 1}
+                   "_moved": 1, "to_dict": 0, "from_dict": 1}
 
 # The operations ProxSet writes once over a slice's own row, and the classes
 # allowed to define each: a rigid image measures through its base, sparing
@@ -1321,7 +1322,7 @@ def test_excess_method_for_same_type_pairs(tag):
     shape = SHAPE_BY_TAG[tag]
     # A translate keeps half-spaces parallel and boxes of equal extents.
     shift = np.array([0.2, 0.1])
-    est = excess(shape, shape.translated(shift), SamplingBudget(count=20, hill_steps=5, seed=3))
+    est = excess(shape, shape.translated(shift))
     assert est.method == "analytic"
     assert est.lower == est.upper
     if tag in ("polytope", "rigid_image"):
@@ -1340,7 +1341,7 @@ _ORACLE_PAIRS = [("ball", "box"), ("box", "polytope"), ("ball", "ball_complement
 def test_excess_method_for_every_pair(a, b):
     """Every ordered pair has an exact rule; none is sampled."""
     A, B = SHAPE_BY_TAG[a], SHAPE_BY_TAG[b]
-    est = excess(A, B, SamplingBudget(count=20, hill_steps=5, seed=3))
+    est = excess(A, B)
     assert est.method == "analytic"
     assert est.lower == est.upper
     if (a, b) == ("ball", "halfspace"):
@@ -1389,9 +1390,8 @@ def test_half_spaces_that_are_not_parallel_are_infinitely_far(normal):
 
 def test_half_spaces_parallel_only_up_to_rounding_have_no_closed_form():
     # 1e-7 rad apart: once counted parallel, with excess 0 where it is inf.
-    est = excess(HalfSpace((1.0, 0.0), 0.0), halfspace((1.0, 1e-7), 5.0),
-                 SamplingBudget(count=20, hill_steps=5, seed=3))
-    assert est.method == "sampled" and est.upper == math.inf
+    est = excess(HalfSpace((1.0, 0.0), 0.0), halfspace((1.0, 1e-7), 5.0))
+    assert est.method == "interval" and est.upper == math.inf
 
 
 @pytest.mark.parametrize("B, expected, far", [
@@ -1406,7 +1406,7 @@ def test_half_spaces_parallel_only_up_to_rounding_have_no_closed_form():
 ])
 def test_a_half_space_over_an_unbounded_convex_set_is_exact(B, expected, far):
     A = HalfSpace((1.0, 0.0), 0.3)
-    est = excess(A, B, SamplingBudget(count=20, hill_steps=5, seed=3))
+    est = excess(A, B)
     assert est.method == "analytic" and est.lower == est.upper
     assert est.lower == pytest.approx(expected, abs=1e-12)
     if far is not None:
@@ -1419,16 +1419,64 @@ def test_a_half_space_over_an_unbounded_convex_set_is_exact(B, expected, far):
             0.3, abs=1e-12)
 
 
-def test_leftover_pairs_are_sampled_lower_bounds():
-    # An unbounded polyhedron over an unbounded convex set, and a 3-D polytope.
+def test_leftover_pairs_are_deterministic_lower_bounds():
+    # An unbounded polyhedron over an unbounded convex set (the wedge lies in
+    # the half-plane: excess 0), and a 3-D polytope, the cube, whose corners
+    # are sqrt(3) - 1 out of the unit ball.  No rule covers either: the lower
+    # end is the distance of the cube's point nearest the origin, 0.
     wedge = polytope((halfspace((1.0, 0.0), 0.0), halfspace((0.0, 1.0), 0.0)), (-1.0, -1.0))
     cube = polytope(tuple(halfspace(a, 1.0) for a in np.vstack([np.eye(3), -np.eye(3)])),
                     (0.0, 0.0, 0.0))
-    budget = SamplingBudget(count=20, hill_steps=5, seed=3)
-    for A, B in ((wedge, halfspace((1.0, 1.0), 0.5)), (cube, Ball((0.0, 0.0, 0.0), 1.0))):
-        est = excess(A, B, budget)
-        assert est.method == "sampled"
-        assert 0.0 <= est.lower <= est.upper == math.inf
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    for A, B, oracle in (
+            (wedge, halfspace((1.0, 1.0), 0.5), 0.0),
+            (cube, Ball((0.0, 0.0, 0.0), 1.0),
+             oracles.cloud_excess(corners, lambda v: oracles.ball_distance(np.zeros(3), 1.0, v)))):
+        est = excess(A, B)
+        assert est.method == "interval" and est.upper == math.inf
+        assert 0.0 <= est.lower <= oracle
+        assert A.contains(est.witness) and B._distance(est.witness, 0.0) == est.lower
+    assert excess(cube, Ball((0.0, 0.0, 0.0), 1.0)).lower == 0.0
+
+
+def test_an_excluded_center_at_the_origin_gives_a_point_of_its_sphere():
+    # The leftover pairs read A's point nearest the origin; a ball complement
+    # centered there has none, so the rule steps off the center, as
+    # BallComplement.excess_of does at the center of an excluded ball.
+    A = BallComplement((0.0, 0.0), 0.5)
+    B = RigidImage(BallComplement((0.2, 0.0), 1.0), rotation_matrix_2d(0.3), (0.0, 0.1))
+    est = excess(A, B)
+    assert est.method == "interval" and est.upper == math.inf
+    assert est.witness.tolist() == [0.5, 0.0]
+    c = rotation_matrix_2d(0.3) @ np.array([0.2, 0.0]) + np.array([0.0, 0.1])
+    assert est.lower == pytest.approx(oracles.complement_distance(c, 1.0, (0.5, 0.0)), abs=1e-15)
+
+
+def test_no_excess_path_samples(monkeypatch):
+    # sample_points serves only the normal audit: every excess, the pairs no
+    # rule covers included, each bundled family's modulus audit and the jump
+    # check of jump_expansion (run as its family is built) draw nothing.
+    sampled = []
+    monkeypatch.setattr(sets_mod, "sample_points", lambda *args: sampled.append(args))
+    assert not hasattr(families_mod, "sample_points")
+    leftover = [
+        (polytope((halfspace((1.0, 0.0), 0.0), halfspace((0.0, 1.0), 0.0)), (-1.0, -1.0)),
+         halfspace((1.0, 1.0), 0.5)),
+        (polytope(tuple(halfspace(a, 1.0) for a in np.vstack([np.eye(3), -np.eye(3)])),
+                  (0.0, 0.0, 0.0)), Ball((0.0, 0.0, 0.0), 1.0)),
+        (HalfSpace((1.0, 0.0), 0.0), halfspace((1.0, 1e-7), 5.0)),
+        *((A, RigidImage(BallComplement((0.2, 0.0), 1.0), rotation_matrix_2d(0.3), (0.0, 0.1)))
+          for A in SHAPE_BY_TAG.values()),
+    ]
+    pairs = [*itertools.product(SHAPE_BY_TAG.values(), repeat=2), *leftover]
+    assert all(excess(A, B).method in ("analytic", "interval") for A, B in pairs)
+    assert [excess(A, B).method for A, B in leftover] == ["interval"] * len(leftover)
+    for name, _ in list_builtins():
+        assert families_mod.validate_analytic_modulus(load_builtin(name).family, pairs=20) <= 1e-9
+    jumps, excess_of = [], families_mod.excess
+    monkeypatch.setattr(families_mod, "excess", lambda A, B: jumps.append(B) or excess_of(A, B))
+    load_builtin("jump_expansion")
+    assert len(jumps) == 1 and sampled == []
 
 
 def test_rigid_image_rejects_non_finite_motion():
@@ -1502,6 +1550,19 @@ DEPTH_MASKS = {
         _Q07[0, 0] * (X - 0.4) + _Q07[1, 0] * (Y + 0.1),
         _Q07[0, 1] * (X - 0.4) + _Q07[1, 1] * (Y + 0.1), oracles.TRIANGLE_FACES),
 }
+# The window of each shape whose points w the test draws: around a ball or a
+# box by 0.5, around the triangle's corners, a rotated copy's bounding box,
+# 1.5 around the half-plane's boundary anchor and 2.5 radii plus 0.5 around
+# the excluded ball.
+DEPTH_WINDOWS = {
+    "halfspace": ((-1.4, -1.3), (1.6, 1.7)),
+    "ball": ((-1.0, -1.5), (1.6, 1.1)),
+    "box": ((-1.0, -0.5), (1.5, 0.9)),
+    "polytope": ((-0.5, -0.5), (1.5, 1.5)),
+    "ball_complement": ((-1.9, -1.8), (2.1, 2.2)),
+    "rigid_image": ((-0.9487476244987808, -0.8045299372610898),
+                    (1.869372124545578, 2.013589811783269)),
+}
 _DEPTH_GRID = oracles.grid(((-4.0, -4.0), (4.0, 4.0)), 801)
 _DEPTH_COMPLEMENTS: dict = {}
 
@@ -1514,7 +1575,7 @@ def test_depth_is_minus_the_membership_defect(tag, u, v):
     # mask lie in the complement, so their distance is never below the depth,
     # and one of them lies within a cell diagonal of the nearest point.
     shape = SHAPE_BY_TAG[tag]
-    lo, hi = shape.bounding_region()
+    lo, hi = map(np.array, DEPTH_WINDOWS[tag])
     w = lo + np.array([u, v]) * (hi - lo)
     depth = -shape.membership_defect(w)
     assume(depth >= 0.0)

@@ -11,7 +11,8 @@ src/ directory.  It prints one JSON line with
 - distances_us_per_row: microseconds per row of one _distances call of each
   of those shapes on a block of 64 points around it;
 - excess_us: microseconds per excess(A, B) of a few pairs, each answered by
-  the shapes' rules, with no sampling;
+  the shapes' rules, or for a pair that none covers (a 3-D cube over a ball)
+  by the deterministic [lower, inf], with no sampling;
 
 and the interpreter, numpy and machine it ran on.  Each figure is the best of
 5 timed runs of 2000 calls (250 calls of _distances on the block).
@@ -66,13 +67,18 @@ CASES = {
 }
 assert CASES.keys() == SHAPES.keys()
 
-# Name -> (A, B) of excess(A, B): each pair has a rule, exact or an interval.
+# Name -> (A, B) of excess(A, B): each pair but the cube over the ball has a
+# rule, exact or an interval; that one gets [lower, inf] from the cube's point
+# nearest the origin.
+CUBE = polytope(tuple(halfspace(a, 1.0) for a in np.vstack([np.eye(3), -np.eye(3)])),
+                (0.0, 0.0, 0.0))
 PAIRS = {
     "rigid_triangle_over_rigid_triangle": (RigidImage(TRIANGLE, rotation_matrix_2d(0.45), SHIFT),
                                            CASES["rigid_image"][0]),
     "box_over_triangle": (Box((0.5, 0.5), (1.5, 1.0)), TRIANGLE),
     "ball_over_triangle": (Ball((0.3, 0.3), 0.5), TRIANGLE),
     "ball_over_ball": (Ball((0.3, 0.0), 1.0), Ball((0.0, 0.0), 1.0)),
+    "cube_over_ball_3d": (CUBE, Ball((0.0, 0.0, 0.0), 1.0)),
 }
 
 
