@@ -5,15 +5,13 @@ comes from the study's ConvergenceReport: it is what each check reads, and it
 writes both the "levels" rows and the "convergence" arrays of report.json.
 
 Check verdicts are "pass", "fail" or "inapplicable"; an inapplicable bound is
-never reported as a pass.  All sampling seeds derive from the scenario seed,
-overridable through the SWEEP_SEED environment variable.
+never reported as a pass.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -88,19 +86,6 @@ class RunReport:
                 "bounds": self.bounds, "notes": list(self.notes)}
 
 
-def effective_seed(scenario: Scenario) -> int:
-    env = os.environ.get("SWEEP_SEED")
-    if env is None:
-        return scenario.seed
-    try:
-        seed = int(env)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise SchemaError("SWEEP_SEED", f"expected a nonnegative integer, got {env!r}")
-    return seed
-
-
 def check_constraint(residuals) -> CheckResult:
     """Worst of the given node distances to their slices against CONSTRAINT_TOL."""
     worst = float(max(residuals))
@@ -113,13 +98,13 @@ def check_constraint(residuals) -> CheckResult:
     )
 
 
-def check_normal(family: MovingFamily, traj: DiscreteTrajectory, seed: int) -> CheckResult:
+def check_normal(family: MovingFamily, traj: DiscreteTrajectory) -> CheckResult:
     """Normal-cone certificates of every moving step of traj: the margin is
     CERTIFICATION_TOL minus the worst closed-form defect bound (the largest of
     the record's bounds, 0.0 with no moving step); the note adds the audit
     of the bounds, exact (over vertices) or sampled."""
     try:
-        certs = certify_steps(family, traj, seed=seed)
+        certs = certify_steps(family, traj)
     except CertificationFailed as err:
         return CheckResult("normal", "fail", err.tol - err.value, str(err))
     worst = float(certs.bounds.max()) if len(certs) else 0.0
@@ -134,7 +119,7 @@ def check_normal(family: MovingFamily, traj: DiscreteTrajectory, seed: int) -> C
     return CheckResult("normal", "pass", CERTIFICATION_TOL - worst, note)
 
 
-def _check_ball_bound(scenario: Scenario, report, seed, bounds: dict) -> CheckResult:
+def _check_ball_bound(scenario: Scenario, report, bounds: dict) -> CheckResult:
     if scenario.ball_params is None:
         return CheckResult("ball_bound", "inapplicable", None, "no inner ball declared")
     w, rho = scenario.ball_params.w, scenario.ball_params.rho
@@ -172,7 +157,7 @@ def _check_ball_bound(scenario: Scenario, report, seed, bounds: dict) -> CheckRe
     )
 
 
-def _check_cone_bound(scenario: Scenario, report, seed, bounds: dict) -> CheckResult:
+def _check_cone_bound(scenario: Scenario, report, bounds: dict) -> CheckResult:
     if scenario.cone_params is None:
         return CheckResult("cone_bound", "inapplicable", None, "no interior cone declared")
     schedule = report.schedule
@@ -223,16 +208,15 @@ def _check_cauchy(report) -> CheckResult:
     return CheckResult("cauchy", verdict, 2.0 * head - tail, note)
 
 
-# Every check of a run: (scenario, convergence report, effective seed, bounds to
-# fill in report.json) -> CheckResult.  The schedule is the report's own.
+# Every check of a run: (scenario, convergence report, bounds to fill in
+# report.json) -> CheckResult.  The schedule is the report's own.
 CHECKS = {
-    "constraint": lambda scenario, report, seed, bounds: check_constraint(
-        report.constraint_residuals),
-    "normal": lambda scenario, report, seed, bounds: check_normal(
-        scenario.family, report.trajectories[-1], seed),
+    "constraint": lambda scenario, report, bounds: check_constraint(report.constraint_residuals),
+    "normal": lambda scenario, report, bounds: check_normal(scenario.family,
+                                                            report.trajectories[-1]),
     "ball_bound": _check_ball_bound,
     "cone_bound": _check_cone_bound,
-    "cauchy": lambda scenario, report, seed, bounds: _check_cauchy(report),
+    "cauchy": lambda scenario, report, bounds: _check_cauchy(report),
 }
 
 
@@ -256,13 +240,12 @@ def run(
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise SchemaError("--out", f"cannot create the output directory: {err}") from err
-    seed = effective_seed(scenario)
     report = converge_study(scenario.family, scenario.y0, scenario_schedule(scenario, levels))
     for n, traj in enumerate(report.trajectories):
         write_trajectory_csv(traj, out / f"{scenario.name}_level{n}.csv")
 
     bounds: dict = {}
-    checks = [CHECKS[name](scenario, report, seed, bounds) for name in scenario.checks]
+    checks = [CHECKS[name](scenario, report, bounds) for name in scenario.checks]
 
     notes = []
     breakpoints = scenario.family.breakpoints()

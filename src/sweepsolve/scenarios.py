@@ -50,7 +50,7 @@ class Scenario:
     name: str
     description: str
     y0: tuple  # floats, as _Fields.vec reads them
-    seed: int
+    seed: int  # validated and written back; nothing in a run reads it
     family: MovingFamily
     schedule: ScheduleParams
     checks: tuple

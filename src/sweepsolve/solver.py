@@ -12,7 +12,8 @@ the same faces, with no second solve), and the verdict rests on that bound.
 certify_steps returns one record of arrays over the moving steps.  The
 residual over the window, exact on a 2-D polyhedral slice and a sampled lower
 bound on any other, audits the bounds on NORMAL_AUDIT_STEPS steps, the only
-slices built.
+slices built; the steps and the samples are drawn from fixed seeds, so a
+certificate is a function of the family and the trajectory alone.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from .sets import CONTAINMENT_TOL, window_residual
 JUMP_EPS_SLACK = 1e-12
 
 CERTIFICATION_TOL = 1e-6
-# Moving steps whose defect bound is audited against sampled members, the
-# members sampled per audited step, and the halfwidth of the window x +- it
-# around the new iterate x that bounds and audits cover.
+# Moving steps whose defect bound is audited against sampled members (the
+# largest bound's and others drawn by default_rng(0)), the members sampled per
+# audited step j (seeded by j), and the halfwidth of the window x +- it around
+# the new iterate x that bounds and audits cover.
 NORMAL_AUDIT_STEPS = 4
 NORMAL_AUDIT_SAMPLES = 60
 NORMAL_WINDOW = 3.0
@@ -211,8 +213,7 @@ class StepCertificates:
         return len(self.steps)
 
 
-def certify_steps(family: MovingFamily, traj: DiscreteTrajectory,
-                  seed: int = 0) -> StepCertificates:
+def certify_steps(family: MovingFamily, traj: DiscreteTrajectory) -> StepCertificates:
     """Certify -step_vector as a proximal normal of the slice at every nonzero step.
 
     Zero steps are skipped (the zero vector lies in every normal cone).  Each
@@ -226,8 +227,9 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory,
     bug, or whose move exceeds the modulus at its time step, the bound first.
     sets.window_residual, exact on a 2-D polyhedral slice and else over
     NORMAL_AUDIT_SAMPLES samples, audits NORMAL_AUDIT_STEPS steps, the only
-    slices built: the largest bound's and others drawn from seed.  An audited
-    residual above its bound raises CertificationFailed too.
+    slices built: the largest bound's and others drawn by default_rng(0), step j
+    sampled with seed j.  An audited residual above its bound raises
+    CertificationFailed too.
     """
     if traj.dim != family.dim:
         raise DimensionMismatch(f"expected dim {family.dim}, got shape {(traj.dim,)}")
@@ -256,13 +258,13 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory,
     if len(steps):
         worst = int(np.argmax(bounds))
         others = np.delete(np.arange(len(steps)), worst)
-        drawn = np.random.default_rng(seed).choice(
+        drawn = np.random.default_rng(0).choice(
             others, size=min(NORMAL_AUDIT_STEPS - 1, len(others)), replace=False)
         audited = sorted({worst, *drawn.tolist()})
         for k, slice_t in zip(audited, family.slices(times[steps[audited]])):
             j, x = int(steps[k]), traj.points[steps[k]]
             audits[j] = audit = window_residual(slice_t, x, traj.points[j - 1] - x, NORMAL_WINDOW,
-                                                NORMAL_AUDIT_SAMPLES, seed + j)
+                                                NORMAL_AUDIT_SAMPLES, j)
             if not audit.worst_residual <= bounds[k]:
                 raise CertificationFailed(j, audit.worst_residual, float(bounds[k]), what=(
                     f"{audit.kind} residual (the defect bound is unsound)"))

@@ -23,8 +23,7 @@ def workloads(monkeypatch):
 
 
 @pytest.mark.parametrize("workload", ["rotating_polytope", "closed_form_suite", "excess_audit"])
-def test_one_pass_has_no_failures(workload, workloads, tmp_path, monkeypatch):
-    monkeypatch.delenv("SWEEP_SEED", raising=False)
+def test_one_pass_has_no_failures(workload, workloads, tmp_path):
     inputs = workloads.parse(workload, SEED, workloads.generate(workload, SEED))
     result = workloads.run_pass(inputs, tmp_path)
     assert result.failures == []

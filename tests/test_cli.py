@@ -131,37 +131,36 @@ def test_verify_negative_level_is_config_error(level, capsys):
     assert "check" not in captured.out
 
 
-def test_non_integer_seed_is_config_error(monkeypatch, capsys):
-    monkeypatch.setenv("SWEEP_SEED", "abc")
-    assert main(["verify", "static_ball"]) == 3
-    assert "SWEEP_SEED" in capsys.readouterr().err
-
-
-def _negative_seed_scenario(tmp_path) -> str:
+def _seed_scenario(tmp_path, seed) -> str:
     doc = json.loads(builtin_text("sweep_halfspace"))
-    doc["seed"] = -1
-    cfg = tmp_path / "negative_seed.json"
+    doc["seed"] = seed
+    cfg = tmp_path / "seed.json"
     cfg.write_text(json.dumps(doc))
     return str(cfg)
 
 
-@pytest.mark.parametrize("argv, env_seed, field", [
-    (lambda tmp: ["solve", _negative_seed_scenario(tmp), "--out", str(tmp / "out")], None,
-     "scenario.seed"),
-    (lambda tmp: ["solve", "sweep_halfspace", "--out", str(tmp)], "-5", "SWEEP_SEED"),
-    (lambda tmp: ["verify", "sweep_halfspace"], "-5", "SWEEP_SEED"),
-    (lambda tmp: ["excess", "static_ball", "sweep_halfspace", "--t", "0", "1"], "-5",
-     "SWEEP_SEED"),
-], ids=["document", "solve", "verify", "excess"])
-def test_negative_seed_is_config_error(argv, env_seed, field, tmp_path, monkeypatch, capsys):
-    if env_seed is None:
-        monkeypatch.delenv("SWEEP_SEED", raising=False)
-    else:
-        monkeypatch.setenv("SWEEP_SEED", env_seed)
-    assert main(argv(tmp_path)) == 3
+def _assert_seed_config_error(capsys) -> None:
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
-    assert field in err and "Traceback" not in err
+    assert "scenario.seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [1.5, "abc"])
+def test_non_integer_seed_is_config_error(seed, tmp_path, capsys):
+    # A run reads no seed, but the document's seed key is still validated.
+    assert main(["verify", _seed_scenario(tmp_path, seed)]) == 3
+    _assert_seed_config_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda cfg, tmp: ["solve", cfg, "--out", str(tmp / "out")],
+    lambda cfg, tmp: ["verify", cfg],
+    lambda cfg, tmp: ["excess", "static_ball", cfg, "--t", "0", "1"],
+], ids=["document", "verify", "excess"])
+def test_negative_seed_is_config_error(argv, tmp_path, capsys):
+    # Every command that loads a document rejects a negative seed key.
+    assert main(argv(_seed_scenario(tmp_path, -1), tmp_path)) == 3
+    _assert_seed_config_error(capsys)
 
 
 @pytest.mark.parametrize("levels", ["0", "-2"])

@@ -112,8 +112,7 @@ def report_verdicts(name: str, out_dir: Path) -> dict:
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_report_verdicts_match_golden(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("SWEEP_SEED", raising=False)
+def test_report_verdicts_match_golden(name, tmp_path):
     recorded = json.loads(REPORT_DIGESTS.read_text("utf-8"))
     assert report_verdicts(name, tmp_path) == recorded[name]
 

@@ -128,8 +128,7 @@ def test_svg_artifacts(tmp_path):
         assert root.tag.endswith("svg")
 
 
-def test_csv_determinism_across_runs(tmp_path, monkeypatch):
-    monkeypatch.setenv("SWEEP_SEED", "123")
+def test_csv_determinism_across_runs(tmp_path):
     scenario = load_builtin("jump_expansion")
     run(scenario, tmp_path / "a")
     run(scenario, tmp_path / "b")
@@ -139,10 +138,26 @@ def test_csv_determinism_across_runs(tmp_path, monkeypatch):
         assert fa == fb
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("SWEEP_SEED", "7")
-    report = run(load_builtin("static_ball"), tmp_path)
-    assert not report.failed
+@pytest.mark.parametrize("name", ["shrinking_ball_inner_cert", "moving_obstacle",
+                                  "jump_expansion"])
+def test_a_run_reads_no_seed(name, tmp_path, monkeypatch):
+    # The solution is unique, so what a run reports is a function of the
+    # scenario alone: neither the document's seed nor the environment moves
+    # a verdict, a margin, a note (the sampled audits' included) or a CSV byte.
+    outcomes = []
+    for seed, env in ((0, None), (7, "abc")):
+        if env is None:
+            monkeypatch.delenv("SWEEP_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SWEEP_SEED", env)
+        doc = json.loads(builtin_text(name))
+        doc["seed"] = seed
+        out = tmp_path / str(seed)
+        report = run(parse_scenario(json.dumps(doc)), out)
+        checks = [(c.name, c.verdict, c.margin, c.note) for c in report.checks]
+        outcomes.append((checks, [(out / f"{name}_level{n}.csv").read_bytes()
+                                  for n in range(len(report.level_rows))]))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3])
@@ -245,18 +260,18 @@ def test_normal_check_reports_bound_and_audit():
     # in each step's window; a ball by 60 samples a step; the note of a
     # family with both kinds of slice counts each.
     fam, traj = _sweep_trajectory()
-    check = check_normal(fam, traj, seed=0)
+    check = check_normal(fam, traj)
     assert check.verdict == "pass"
     assert 1e-6 - 1e-13 <= check.margin <= 1e-6
     assert "over 32 moving steps" in check.note
     assert "worst exact residual" in check.note and "on 4 steps, 16 vertices" in check.note
     path, grid = LinearPath((0.0, 0.0), (-1.0, 0.0)), TimeGrid.uniform(2.0, 64)
     ball = TranslateFamily(Ball((0.0, 0.0), 1.0), path, 2.0)
-    note = check_normal(ball, solve(ball, (1.0, 0.0), grid, eps_level=0.1), seed=0).note
+    note = check_normal(ball, solve(ball, (1.0, 0.0), grid, eps_level=0.1)).note
     assert "worst sampled residual" in note and "on 4 steps, 240 samples" in note
     wall = TranslateFamily(HalfSpace((1.0, 0.0), 1.0), path, 2.0)
     both = PiecewiseFamily(((1.0, ball), (2.0, wall)))
-    note = check_normal(both, solve(both, (1.0, 0.0), grid, eps_level=0.1), seed=0).note
+    note = check_normal(both, solve(both, (1.0, 0.0), grid, eps_level=0.1)).note
     assert "worst exact and sampled residual" in note
     assert "on 4 steps, 12 vertices and 60 samples" in note
 
@@ -266,7 +281,7 @@ def test_failed_audit_is_a_fail_naming_the_step(monkeypatch):
     monkeypatch.setattr(HalfSpace, "_normal_defects",
                         classmethod(lambda cls, rows, X, N, R: np.full(len(X), -1.0)))
     fam, traj = _sweep_trajectory()
-    check = check_normal(fam, traj, seed=0)
+    check = check_normal(fam, traj)
     assert check.verdict == "fail"
     assert check.note.startswith("step ")
     assert "unsound" in check.note

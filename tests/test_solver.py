@@ -730,7 +730,7 @@ class TestCertification:
     def test_sweep_normals_parallel_to_wall(self):
         fam = sweep_family()
         traj = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 100), eps_level=0.05)
-        certs = certify_steps(fam, traj, seed=2)
+        certs = certify_steps(fam, traj)
         assert certs
         assert (certs.bounds <= 1e-9).all()
         bound = _bound_by_step(certs)
@@ -742,7 +742,7 @@ class TestCertification:
     def test_obstacle_finite_r_residuals(self):
         fam = obstacle_family()
         traj = solve(fam, (0.0, 0.1), TimeGrid.uniform(2.0, 400), eps_level=0.01)
-        certs = certify_steps(fam, traj, seed=3)
+        certs = certify_steps(fam, traj)
         assert certs
         assert certs.bounds.max() <= 1e-8
         bound = _bound_by_step(certs)
@@ -753,13 +753,13 @@ class TestCertification:
     def test_audit_covers_the_worst_bound_and_seeded_steps(self):
         fam = sweep_family()
         traj = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 100), eps_level=0.05)
-        certs = certify_steps(fam, traj, seed=5)
+        certs = certify_steps(fam, traj)
         audited = list(certs.audits)
         assert len(audited) == solver_mod.NORMAL_AUDIT_STEPS
         assert audited == sorted(audited)
         worst = int(certs.steps[max(range(len(certs)), key=lambda k: certs.bounds[k])])
         assert worst in certs.audits
-        assert list(certify_steps(fam, traj, seed=5).audits) == audited
+        assert list(certify_steps(fam, traj).audits) == audited
         # With fewer moving steps than the audit size, every step is audited.
         short = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 2), eps_level=1.5)
         certs = certify_steps(fam, short)
@@ -772,7 +772,7 @@ class TestCertification:
         tested = []
         contains = ProxSet.contains
         monkeypatch.setattr(ProxSet, "contains", lambda s, y: tested.append(1) or contains(s, y))
-        certs = certify_steps(fam, traj, seed=3)
+        certs = certify_steps(fam, traj)
         audited = len(certs.audits)
         assert audited == solver_mod.NORMAL_AUDIT_STEPS
         assert len(tested) == audited
@@ -905,7 +905,7 @@ class TestCertification:
         fam = sweep_family()
         traj = solve(fam, (0.0, 0.0), TimeGrid.uniform(2.0, 8), eps_level=0.5)
         with pytest.raises(CertificationFailed) as err:
-            certify_steps(fam, traj, seed=1)
+            certify_steps(fam, traj)
         assert err.value.tol == -1e3
         assert "exceeds -1.000e+03" in str(err.value)
 
