@@ -10,9 +10,10 @@ polyhedra (window_residual).  Convex shapes have
 r = inf and no curvature terms; the ball complement is the nonconvex
 primitive, with r its radius.  Each shape writes its projection, which also
 tests the point, once over one row of a family's field table
-(_project_fields), and its membership defects and normal-defect bounds once
-over a piece's rows (_defects, _normal_defects), bit for bit per row; a
-slice is its own one-row piece, so solve and certify_steps build no slice.
+(_project_fields, stepped along a block of rows by _steps, in 2-D Python floats
+on a half-space or round shape), and its membership defects and normal-defect
+bounds once over a piece's rows (_defects, _normal_defects), bit for bit per
+row; a slice is its own one-row piece, so solve and certify_steps build no slice.
 A row holds arrays and numbers (and a polytope's factor cache, shared by
 its translates, as is each array that does not move, a read-only view), no
 shape but a rigid image's base: a polytope is its face arrays, normals and
@@ -297,10 +298,23 @@ class ProxSet(Schema):
     @classmethod
     def _project_fields(cls, fields, y: np.ndarray, tol: float) -> tuple:
         """(projection, distance) of y on the slice of fields, one row of
-        slice_fields (solve's call per unskipped step): a copy of y at distance 0
+        slice_fields (each row that _steps steps): a copy of y at distance 0
         where the membership defect is at most tol (with tol = 0.0, where every
         defining inequality holds), else above tol."""
         raise NotImplementedError
+
+    @classmethod
+    def _steps(cls, rows, y: np.ndarray, tol: float, r: float, P: list, D: list) -> None:
+        """solve's steps from y over rows, a block of slice_fields' rows: each row's
+        _project_fields point and distance appended to P, D up to one at rest (0.0) or >= r.
+        A 2-D half-space or round shape does the same operations in Python floats but the dot,
+        which stays numpy's: a 2-D ndarray.dot is fma(a1, b1, a0 * b0), and 3.11 lacks math.fma."""
+        for fields in zip(*rows.values()):
+            y, d = cls._project_fields(fields, y, tol)
+            P.append(y)
+            D.append(d)
+            if d == 0.0 or d >= r:
+                return
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,6 +352,20 @@ class HalfSpace(ProxSet):
         if excess <= tol:
             return y.copy(), 0.0
         return y - excess * normal, excess
+
+    @classmethod
+    def _steps(cls, rows, y, tol, r, P, D):
+        if len(y) != 2:
+            return super()._steps(rows, y, tol, r, P, D)
+        (y0, y1), (a, b) = y.tolist(), np.empty((2, 2))
+        for (n0, n1), offset in zip(np.asarray(rows["normal"]).tolist(), rows["offset"]):
+            a[0], a[1], b[0], b[1] = n0, n1, y0, y1
+            d = float(a.dot(b)) - offset
+            d, y0, y1 = (0.0, y0, y1) if d <= tol else (d, y0 - d * n0, y1 - d * n1)
+            P.append((y0, y1))
+            D.append(d)
+            if d == 0.0 or d >= r:
+                return
 
     @classmethod
     def _normal_defects(cls, rows, X, N, R):
@@ -441,6 +469,28 @@ class _Round(ProxSet):
                 raise AtSingularity(radius)
             return center + radius * (d / dist), abs(dist - radius)
         return center + radius * d / dist, abs(dist - radius)
+
+    @classmethod
+    def _steps(cls, rows, y, tol, r, P, D):
+        if len(y) != 2:
+            return super()._steps(rows, y, tol, r, P, D)
+        (y0, y1), g, tiny = y.tolist(), np.empty(2), float(_TINY)
+        for (c0, c1), radius in zip(np.asarray(rows["center"]).tolist(), rows["radius"]):
+            g0, g1 = g[0], g[1] = y0 - c0, y1 - c1
+            dist = norm(g)
+            d = abs(dist - radius)
+            if cls._sign * (dist - radius) <= tol:
+                d = 0.0
+            elif dist == 0.0:
+                raise AtSingularity(radius)
+            elif radius * dist < tiny:
+                y0, y1 = c0 + radius * (g0 / dist), c1 + radius * (g1 / dist)
+            else:
+                y0, y1 = c0 + radius * g0 / dist, c1 + radius * g1 / dist
+            P.append((y0, y1))
+            D.append(d)
+            if d == 0.0 or d >= r:
+                return
 
     def _moved(self, U):
         # The radius, still positive, is kept.

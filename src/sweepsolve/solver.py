@@ -2,7 +2,7 @@
 
 Each step projects the previous iterate onto the next slice, so the step
 vector is (minus) a proximal normal there and its length equals the distance
-to the slice.  solve projects per moved step of the family's field table,
+to the slice.  solve steps the family's field table by the shapes' _steps,
 skips runs at rest and reads moved rows' residuals by array defects, no slice built.
 Certification re-checks that normal-cone membership a posteriori: each slice
 bounds the hypo-monotonicity defect of the step vector from above in closed
@@ -19,7 +19,6 @@ certificate is a function of the family and the trajectory alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -46,7 +45,7 @@ CERTIFICATION_TOL = 1e-6
 NORMAL_AUDIT_STEPS = 4
 NORMAL_AUDIT_SAMPLES = 60
 NORMAL_WINDOW = 3.0
-# Most rows per array defect call of solve: resting-run blocks (from 8, doubling) and residuals.
+# Most rows per block of solve: _steps and resting-run blocks (from 8, doubling), residuals.
 DEFECT_BLOCK_ROWS = 1024
 
 
@@ -123,7 +122,7 @@ def _resting_rows(shape, rows, k: int, y: np.ndarray) -> int:
 def solve(family: MovingFamily, y0, grid: TimeGrid, eps_level: float,
           level: int = 0) -> DiscreteTrajectory:
     """Run the catching-up recursion y_j = P_{C(t_j)}(y_{j-1}) along the rows
-    of family.slice_fields: a shape._project_fields call per moved step, and
+    of family.slice_fields: shape._steps over blocks of rows while y moves, and
     after a step that rests, a _resting_rows test that copies y over the rows
     ahead whose slices hold it, as their projections would.
 
@@ -147,34 +146,30 @@ def solve(family: MovingFamily, y0, grid: TimeGrid, eps_level: float,
     r = family.r
     points = np.empty((len(grid.times), len(y0)))
     dist_to_set = np.zeros(len(grid.times))  # 0 at members: y0 and every unmoved iterate
-    points[0] = y0
-    y, j = y0, 0
+    points[0], j = y0, 0
     for shape, rows in family.slice_fields(grid.times[1:]):
-        project = shape._project_fields  # looked up once: a classmethod binds on each access
-        start, table = j + 1, zip(*rows.values())
-        for fields in table:
-            j += 1
+        start, end, size = j + 1, j + len(next(iter(rows.values()))), 8
+        while j < end:  # blocks of the rows from k, doubling from 8 rows while y moves
+            k, P, D = j + 1 - start, [], []
             try:
-                p, d = project(fields, y, CONTAINMENT_TOL)
-            except AtSingularity as err:
-                # Only an excluded-ball center gets here, at distance radius >= r.
-                raise TubeViolation(j, err.distance, r) from err
-            if d >= r:
-                raise TubeViolation(j, d, r)
-            y = points[j] = p
-            dist_to_set[j] = d  # nonzero marks a moved step until its residual is read
-            if d == 0.0:  # y rests, and so it does on the rows ahead that hold it
-                rest = _resting_rows(shape, rows, j + 1 - start, y)
-                points[j + 1:j + 1 + rest] = y
-                j += rest
-                next(islice(table, rest, rest), None)  # skips those rows
+                shape._steps({name: values[k:k + size] for name, values in rows.items()},
+                             points[j], CONTAINMENT_TOL, r, P, D)
+            except AtSingularity as err:  # an excluded-ball center, at distance radius >= r
+                raise TubeViolation(j + len(D) + 1, err.distance, r) from err
+            if D[-1] >= r:
+                raise TubeViolation(j + len(D), D[-1], r)
+            points[j + 1:j + 1 + len(D)], dist_to_set[j + 1:j + 1 + len(D)] = P, D
+            j += len(D)  # if y rests, so it does on the rows ahead that hold it:
+            rest = _resting_rows(shape, rows, k + len(D), points[j]) if D[-1] == 0.0 else 0
+            points[j + 1:j + 1 + rest] = points[j]
+            j, size = j + rest, 8 if D[-1] == 0.0 else min(2 * size, DEFECT_BLOCK_ROWS)
         # Moved rows, by runs a to b: 0.0 at a defect <= CONTAINMENT_TOL, else the scalar distance.
         dist, P = dist_to_set[start:j + 1], points[start:j + 1]
         edges = np.flatnonzero(np.diff(dist != 0.0, prepend=False, append=False)).tolist()
         for a, b in zip(edges[::2], edges[1::2]):
             dist[a:b][_row_defects(shape, rows, a, P[a:b]) <= CONTAINMENT_TOL] = 0.0
         for k in np.flatnonzero(dist).tolist():
-            dist[k] = project([values[k] for values in rows.values()], P[k], CONTAINMENT_TOL)[1]
+            dist[k] = shape._project_fields([v[k] for v in rows.values()], P[k], CONTAINMENT_TOL)[1]
     return DiscreteTrajectory(grid=grid, points=points, level=level, eps_level=eps_level,
                               dist_to_set=dist_to_set)
 
@@ -186,7 +181,7 @@ def affine_interpolant(traj: DiscreteTrajectory):
 
     def interpolant(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(ts < times[0]) or np.any(ts > times[-1]):
+        if not ((ts >= times[0]) & (ts <= times[-1])).all():  # NaN included
             raise OutOfRange("evaluation outside the trajectory span")
         idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
         frac = (ts - times[idx]) / (times[idx + 1] - times[idx])

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -136,38 +137,43 @@ def _resting_runs(traj) -> int:
     return int(rest[0]) + int(np.count_nonzero(rest[1:] & ~rest[:-1]))
 
 
-def _count_project_fields(cls, monkeypatch) -> list:
-    calls = []
-    project = cls._project_fields
-    monkeypatch.setattr(cls, "_project_fields",
-                        staticmethod(lambda *args: calls.append(1) or project(*args)))
-    return calls
+def _count_steps(cls, monkeypatch) -> list:
+    """The distance of each row that cls._steps steps, one entry per row."""
+    rows, steps = [], cls._steps
+
+    def counting(rows_, y, tol, r, P, D):
+        try:
+            steps(rows_, y, tol, r, P, D)
+        finally:
+            rows.extend(D)
+    monkeypatch.setattr(cls, "_steps", staticmethod(counting))
+    return rows
 
 
 @pytest.mark.parametrize(
     "family, y0", [(sweep_family(), (0.0, 0.0)), (obstacle_family(), (0.0, 0.1))],
     ids=["sweep", "obstacle"],
 )
-def test_project_fields_runs_once_per_moved_step_and_resting_run(family, y0, monkeypatch):
+def test_steps_project_once_per_moved_step_and_resting_run(family, y0, monkeypatch):
     # A closed-form shape tests and projects the iterate from one evaluation
-    # of its defining inequality, in _project_fields: one call per moved
-    # step.  A step that rests starts its run: the rest of the run comes from
+    # of its defining inequality, one row of _steps: one row per moved step.
+    # A step that rests starts its run: the rest of the run comes from
     # _defects on the rows ahead, as do the moved steps' residuals, and y0's
     # containment check reads _defects on the t = 0 row.
-    calls = _count_project_fields(type(family.at(0.0)), monkeypatch)
+    stepped = _count_steps(type(family.at(0.0)), monkeypatch)
     traj = solve(family, y0, TimeGrid.uniform(family.horizon, 64), eps_level=0.05)
     moved = int(np.any(np.diff(traj.points, axis=0) != 0.0, axis=1).sum())
     assert 0 < moved < 64
-    assert len(calls) == moved + _resting_runs(traj) < 64
+    assert len(stepped) == moved + _resting_runs(traj) < 64
 
 
 def test_bundled_sweep_projects_per_moved_step_and_run_building_no_slice(monkeypatch):
     # On the finest grid of the bundled sweep, the wall first leaves the
     # iterate at rest for 1024 steps and then pushes it on every step: 1025
-    # projections of 2048 steps, and no slice object built.
+    # rows stepped of 2048, and no slice object built.
     scenario = load_builtin("sweep_halfspace")
     grid = scenario_schedule(scenario).grids[-1]
-    calls = _count_project_fields(HalfSpace, monkeypatch)
+    stepped = _count_steps(HalfSpace, monkeypatch)
     from_valid = ProxSet._from_valid.__func__
     built = []
     monkeypatch.setattr(ProxSet, "_from_valid", classmethod(
@@ -175,7 +181,7 @@ def test_bundled_sweep_projects_per_moved_step_and_run_building_no_slice(monkeyp
     traj = solve(scenario.family, scenario.y0, grid, eps_level=1.0)
     moved = int(np.count_nonzero(traj.jump_norms))
     assert (len(grid.times) - 1, moved, _resting_runs(traj)) == (2048, 1024, 1)
-    assert len(calls) == moved + 1 == 1025
+    assert len(stepped) == moved + 1 == 1025
     assert built == []
 
 
@@ -628,6 +634,146 @@ def test_resting_runs_of_every_block_length_match_the_row_loop(kind, length):
     _check_against_the_row_loop(family, y0, grid, resting)
 
 
+def _stepped(step, rows, y, tol, r) -> tuple:
+    """step(rows, y, tol, r, P, D) from the first row, started again after
+    each row where it stops at the last point, until the rows run out or an
+    excluded-ball center raises AtSingularity: the points' and distances'
+    bytes and that center's distance, or None."""
+    n, P, D, at = len(next(iter(rows.values()))), [], [], None
+    while len(D) < n and at is None:
+        try:
+            step({name: values[len(D):] for name, values in rows.items()}, y, tol, r, P, D)
+        except AtSingularity as err:
+            at = err.distance
+        y = np.array(P[-1], dtype=float) if P else y
+    return np.array(P, dtype=float).tobytes(), np.array(D).tobytes(), at
+
+
+def _kernel_matches_the_row_loop(cls, rows, y, tol, r) -> tuple:
+    y = np.asarray(y, dtype=float)
+    row_loop = functools.partial(ProxSet._steps.__func__, cls)  # one _project_fields per row
+    outcome = _stepped(cls._steps, rows, y, tol, r)
+    assert outcome == _stepped(row_loop, rows, y, tol, r)
+    return outcome
+
+
+_SCALES = (1.0, 1e-160, 1e-310)
+
+
+@st.composite
+def stepping_rows(draw):
+    """A half-space, ball or ball complement class; 1 to 40 rows of its fields
+    in 1, 2 or 3 dimensions (mostly 2), each coordinate non-dyadic or +-0.0 and
+    scaled by 1, 1e-160 or 1e-310, so that gaps' sums of squares can be
+    subnormal or 0 and radius * dist below the smallest normal float; an
+    iterate, a tolerance and an r."""
+    cls = draw(st.sampled_from([HalfSpace, Ball, BallComplement]))
+    dim, n, scale = draw(st.sampled_from([2, 2, 2, 1, 3])), draw(st.integers(1, 40)), draw(
+        st.sampled_from(_SCALES))
+    zeros = st.sampled_from([0.0, -0.0])
+    coord = st.one_of(*[st.floats(-2.0, 2.0).map(lambda v: v * scale)] * 4, zeros)
+
+    def points(k, coordinate=coord):
+        return np.array(draw(st.lists(st.tuples(*[coordinate] * dim), min_size=k, max_size=k)),
+                        dtype=float).reshape(k, dim)
+
+    if cls is HalfSpace:  # unit normals, one shared or one per row, +-0.0 on an axis
+        axes = [(1.0, -0.0), (-0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)] if dim == 2 else [(1.0,) * dim]
+        unit = st.floats(-1.0, -0.1) | st.floats(0.1, 1.0)
+        normals = points(1 if draw(st.booleans()) else n, unit)
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        if draw(st.integers(0, 4)) == 0:
+            normals[:] = draw(st.sampled_from(axes))
+        offsets, y = points(n)[:, 0], points(1)[0]
+        if draw(st.booleans()):  # a wall pushing y by small steps: d = <n, y> - offset cancels
+            offsets = float(normals[0] @ y) - np.cumsum(np.abs(offsets)) / 64.0
+        rows = {"normal": np.broadcast_to(normals, (n, dim)), "offset": offsets.tolist()}
+    else:
+        rscale = draw(st.sampled_from([1.0, scale]))
+        rows = {"center": points(n),
+                "radius": [draw(st.floats(0.05, 2.0)) * rscale for _ in range(n)]}
+        y = points(1)[0]
+    tol = draw(st.sampled_from([CONTAINMENT_TOL, 0.0]))
+    return cls, rows, y, tol, draw(st.just(math.inf) | st.floats(0.05, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stepping_rows())
+def test_steps_are_the_project_fields_row_loop_bit_for_bit(case):
+    # The 2-D half-space and round kernels step in Python floats with numpy's
+    # fused dot; every other dimension takes the default row loop.
+    _kernel_matches_the_row_loop(*case)
+
+
+@pytest.mark.parametrize("cls, rows, y", [
+    # -0.0 coordinates and normals: the signs of zero survive as in the row loop.
+    (HalfSpace, {"normal": np.array([[-0.0, 1.0], [0.6, -0.8]]), "offset": [0.25, -0.3]},
+     (-0.0, 0.5)),
+    (Ball, {"center": np.array([[-0.0, 0.0], [0.0, -0.0]]), "radius": [0.1, 0.3]},
+     (-0.0, -0.7)),
+    # <n, y> where numpy's 2-D dot, fma(n1, y1, n0 * y0), and n0 * y0 + n1 * y1 differ.
+    (HalfSpace, {"normal": np.array([[-0.2485154474460193, 0.9686279328930716]]),
+                 "offset": [-0.05]}, (-1.9601817567708322, -0.5398153689669174)),
+    # |y - c| where the square roots of the two sums of squares differ.
+    (BallComplement, {"center": np.array([[0.0, 0.0]]), "radius": [2.0]}, (0.023643, 0.900927)),
+    # A gap whose sum of squares is subnormal: norm's rescale by the largest coordinate.
+    (BallComplement, {"center": np.array([[0.0, 0.0]]), "radius": [0.5]}, (3e-162, -4e-162)),
+    # radius * dist below the smallest normal float, dist not 0: c + rho * (d / dist).
+    (BallComplement, {"center": np.array([[0.0, 0.0]]), "radius": [1e-160]}, (3e-170, 4e-170)),
+], ids=["negative_zero_halfspace", "negative_zero_ball", "fused_dot", "fused_norm",
+        "subnormal_gap", "tiny_rho_dist"])
+def test_steps_match_the_row_loop_on_edge_cases(cls, rows, y):
+    _, dists, at = _kernel_matches_the_row_loop(cls, rows, y, CONTAINMENT_TOL, math.inf)
+    assert at is None and len(np.frombuffer(dists)) == len(next(iter(rows.values())))
+
+
+def test_an_excluded_center_mid_piece_raises_after_the_rows_before_it():
+    # A hole that pushes the iterate on four rows, then whose center lands on
+    # it on the fifth: the same four rows and AtSingularity in both loops.
+    y, centers = np.array([0.1, 0.3]), []
+    for k in range(5):
+        center = y + (0.07 * k - 0.3, 0.11) if k < 4 else y.copy()
+        centers.append(center)
+        if k < 4:
+            y = BallComplement._project_fields((center, 0.5), y, CONTAINMENT_TOL)[0]
+    rows = {"center": np.array(centers), "radius": [0.5] * 5}
+    _, dists, at = _kernel_matches_the_row_loop(BallComplement, rows, (0.1, 0.3),
+                                                CONTAINMENT_TOL, math.inf)
+    assert at == 0.5 and len(np.frombuffer(dists)) == 4 and 0.0 not in np.frombuffer(dists)
+
+
+def test_an_excluded_center_after_a_resting_run_is_the_same_tube_violation(monkeypatch):
+    # The hole reaches y0 at step 9 of 16 on one piece, after eight steps at
+    # rest: TubeViolation(9, radius, r) from the kernel and the row loop alike.
+    family = TranslateFamily(BallComplement((-9.0, 0.0), 0.5),
+                             LinearPath((0.0, 0.0), (1.0, 0.0)), 16.0)
+    outcomes = []
+    for row_loop in (False, True):
+        if row_loop:
+            monkeypatch.setattr(BallComplement, "_steps", classmethod(ProxSet._steps.__func__))
+        with pytest.raises(TubeViolation) as err:
+            solve(family, (0.0, 0.0), TimeGrid.uniform(16.0, 16), eps_level=2.0)
+        outcomes.append((err.value.step, err.value.distance, err.value.radius))
+    assert outcomes == [(9, 0.5, 0.5)] * 2
+
+
+@pytest.mark.parametrize("name", ["static_ball", "sweep_halfspace", "shrinking_ball_inner_cert",
+                                  "moving_obstacle", "jump_expansion"])
+def test_bundled_closed_form_solves_step_without_project_fields(name, monkeypatch):
+    # Every level of each bundled 2-D closed-form scenario steps through the
+    # float kernels: no row reaches _project_fields or the default row loop.
+    def fail(*args):
+        raise AssertionError("a 2-D closed-form step left the float kernel")
+
+    for cls in (HalfSpace, Ball, BallComplement):
+        monkeypatch.setattr(cls, "_project_fields", staticmethod(fail))
+    monkeypatch.setattr(ProxSet, "_steps", classmethod(fail))
+    scenario = load_builtin(name)
+    schedule = scenario_schedule(scenario)
+    study = converge_study(scenario.family, scenario.y0, schedule)
+    assert len(study.trajectories) == schedule.levels
+
+
 def test_y0_is_tested_on_the_t0_row():
     # solve tests y0 on the t = 0 row of the field table: the defect it
     # reports is the initial slice's membership_defect, and a y0 of another
@@ -700,6 +846,12 @@ class TestInterpolants:
         assert many.shape == (3, 2)
         with pytest.raises(OutOfRange):
             x(2.5)
+
+    @pytest.mark.parametrize("t", [math.nan, [0.5, math.nan], -0.5, [0.5, 2.5]])
+    def test_affine_rejects_times_outside_the_span_nan_included(self, t):
+        # As slice_fields does: NaN lies in no span.
+        with pytest.raises(OutOfRange):
+            affine_interpolant(self.make())(t)
 
     def test_gap_below_eps_on_sweep(self):
         fam = sweep_family()

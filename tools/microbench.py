@@ -13,9 +13,12 @@ src/ directory.  It prints one JSON line with
 - excess_us: microseconds per excess(A, B) of a few pairs, each answered by
   the shapes' rules, or for a pair that none covers (a 3-D cube over a ball)
   by the deterministic [lower, inf], with no sampling;
+- step_us: microseconds per moved step of one _steps call, solve's stepping
+  kernel, over the 4096 rows of a 2-D half-space, ball and ball complement
+  translate that moves the iterate on every row;
 
 and the interpreter, numpy and machine it ran on.  Each figure is the best of
-5 timed runs of 2000 calls (250 calls of _distances on the block).
+5 timed runs of 2000 calls (250 calls of _distances on the block, 10 of _steps).
 """
 
 from __future__ import annotations
@@ -82,6 +85,26 @@ PAIRS = {
 }
 
 
+# Tag -> (shape, its motion per row, an iterate on its boundary): a wall
+# pushing the iterate, a ball dragging it and a hole pushing it, every row.
+STEP_ROWS = 4096
+STEPPERS = {
+    "halfspace": (halfspace((1.0, 0.0), 0.0), (-1e-3, 0.0), (0.0, 0.5)),
+    "ball": (Ball((0.0, 0.0), 1.0), (1e-3, 0.0), (-1.0, 0.0)),
+    "ball_complement": (BallComplement((0.0, 0.0), 0.5), (1e-3, 0.0), (0.5, 0.0)),
+}
+
+
+def step_us(shape, rate, y) -> float:
+    """Microseconds per moved step of _steps over STEP_ROWS rows of the
+    shape moving by rate per row, from y: every row moves the iterate."""
+    rows = shape._moved(np.arange(1.0, STEP_ROWS + 1.0)[:, None] * np.array(rate))
+    y, D = np.array(y), []
+    type(shape)._steps(rows, y, 1e-10, np.inf, [], D)
+    assert len(D) == STEP_ROWS and min(D) > 0.0
+    return best_us(lambda: type(shape)._steps(rows, y, 1e-10, np.inf, [], []), 10) / STEP_ROWS
+
+
 def best_us(call, number: int = NUMBER) -> float:
     return min(timeit.Timer(call).repeat(REPEAT, number)) / number * 1e6
 
@@ -99,7 +122,9 @@ def measure() -> dict:
         for tag, (shape, _, _) in CASES.items()}
     pairs = {name: round(best_us(lambda a=a, b=b: excess(a, b)), 3)
              for name, (a, b) in PAIRS.items()}
+    steps = {tag: round(step_us(*case), 3) for tag, case in STEPPERS.items()}
     return {"project_us": project, "distances_us_per_row": distances, "excess_us": pairs,
+            "step_us": steps,
             "number": NUMBER, "repeat": REPEAT, "python": platform.python_version(),
             "numpy": np.__version__, "machine": platform.machine(), "cpus": os.cpu_count()}
 
