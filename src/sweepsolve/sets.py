@@ -66,12 +66,14 @@ _SPAN_EPS = 64 * np.finfo(float).eps
 
 # Rounding allowance of a normal-defect bound, per dimension and per unit of
 # the magnitudes that enter it: each bound is a few dot products, norms and
-# differences, each off by at most about dim * eps times their size.
-_DEFECT_ROUNDING = 8 * np.finfo(float).eps
+# differences, each off by at most about dim * eps times their size.  Below the
+# normal range a product, quotient or root is off by up to ulp(0) / 2 whatever its
+# size, which a bound scales by at most R + 1 <= 16 (dim <= 25): a floor per dimension.
+_DEFECT_ROUNDING, _UNDERFLOW_ROUNDING = 8 * np.finfo(float).eps, 8 * math.ulp(0.0)
 
 
 def _rounding(dim: int, scale: float) -> float:
-    return _DEFECT_ROUNDING * (dim + 2) * scale
+    return _DEFECT_ROUNDING * (dim + 2) * scale + (dim + 2) * _UNDERFLOW_ROUNDING
 
 
 def _repeat(value, k: int):

@@ -2,8 +2,9 @@
 
 Each step projects the previous iterate onto the next slice, so the step
 vector is (minus) a proximal normal there and its length equals the distance
-to the slice.  solve steps the family's field table by the shapes' _steps,
-skips runs at rest and reads moved rows' residuals by array defects, no slice built.
+to the slice.  solve walks each piece of the family's field table in blocks
+of rows that step (the shapes' _steps) or rest, no slice built, and reads the
+residuals of each block's moved rows by one array defect call.
 Certification re-checks that normal-cone membership a posteriori: each slice
 bounds the hypo-monotonicity defect of the step vector from above in closed
 form (ProxSet.normal_defect, over each piece of the same table at once; a
@@ -45,7 +46,8 @@ CERTIFICATION_TOL = 1e-6
 NORMAL_AUDIT_STEPS = 4
 NORMAL_AUDIT_SAMPLES = 60
 NORMAL_WINDOW = 3.0
-# Most rows per block of solve: _steps and resting-run blocks (from 8, doubling), residuals.
+# Most rows of one block of solve, stepping or resting: a block of 8 rows doubles
+# up to this while it does what the last one did, and is 8 again when that switches.
 DEFECT_BLOCK_ROWS = 1024
 
 
@@ -98,33 +100,14 @@ class DiscreteTrajectory:
         return float(np.sum(self.jump_norms))
 
 
-def _row_defects(shape, rows, lo: int, P: np.ndarray) -> np.ndarray:
-    """shape._defects of P on a piece's rows lo to lo + len(P), DEFECT_BLOCK_ROWS a call."""
-    cuts = [*range(0, len(P), DEFECT_BLOCK_ROWS), len(P)]
-    return np.concatenate([np.zeros(0)] + [
-        shape._defects({name: values[lo + a:lo + b] for name, values in rows.items()}, P[a:b])
-        for a, b in zip(cuts, cuts[1:])])
-
-
-def _resting_rows(shape, rows, k: int, y: np.ndarray) -> int:
-    """How many rows of a piece from row k on hold y (defect <= CONTAINMENT_TOL, not
-    NaN), in blocks doubling from 8 rows to DEFECT_BLOCK_ROWS: a short run costs little."""
-    n, lo, size = len(next(iter(rows.values()))), k, 8
-    while lo < n:
-        Y = np.broadcast_to(y, (min(size, n - lo), len(y)))
-        held = _row_defects(shape, rows, lo, Y) <= CONTAINMENT_TOL
-        if not held.all():
-            return lo + int(np.argmin(held)) - k
-        lo, size = lo + len(Y), min(2 * size, DEFECT_BLOCK_ROWS)
-    return n - k
-
-
 def solve(family: MovingFamily, y0, grid: TimeGrid, eps_level: float,
           level: int = 0) -> DiscreteTrajectory:
-    """Run the catching-up recursion y_j = P_{C(t_j)}(y_{j-1}) along the rows
-    of family.slice_fields: shape._steps over blocks of rows while y moves, and
-    after a step that rests, a _resting_rows test that copies y over the rows
-    ahead whose slices hold it, as their projections would.
+    """Run the catching-up recursion y_j = P_{C(t_j)}(y_{j-1}) along the rows of
+    family.slice_fields, one block of rows at a time: shape._steps steps y over
+    a block and one shape._defects call reads its moved rows' residuals; after
+    a rest, one shape._defects call tests y over a block and y is copied over
+    the rows whose slices hold it, as their projections would.  Blocks double
+    from 8 rows up to DEFECT_BLOCK_ROWS while each does what the last one did.
 
     Raises ValueError for a non-finite y0, DimensionMismatch for one of
     another length, InfeasibleInitialPoint for one outside the initial slice
@@ -140,36 +123,41 @@ def solve(family: MovingFamily, y0, grid: TimeGrid, eps_level: float,
         raise ValueError("the initial point must be finite")
     if y0.shape != (family.dim,):  # y0's dimension, and so every iterate's
         raise DimensionMismatch(f"expected dim {family.dim}, got shape {y0.shape}")
-    defect = float(_row_defects(*family.slice_fields(grid.times[:1])[0], 0, y0[None])[0])
+    shape, rows = family.slice_fields(grid.times[:1])[0]
+    defect = float(shape._defects(rows, y0[None])[0])
     if not defect <= CONTAINMENT_TOL:  # y0's defect on the t = 0 row, NaN included
         raise InfeasibleInitialPoint(defect)
     r = family.r
     points = np.empty((len(grid.times), len(y0)))
-    dist_to_set = np.zeros(len(grid.times))  # 0 at members: y0 and every unmoved iterate
+    dist_to_set = np.zeros(len(grid.times))  # 0 at members: y0 and every resting iterate
     points[0], j = y0, 0
     for shape, rows in family.slice_fields(grid.times[1:]):
-        start, end, size = j + 1, j + len(next(iter(rows.values()))), 8
-        while j < end:  # blocks of the rows from k, doubling from 8 rows while y moves
-            k, P, D = j + 1 - start, [], []
-            try:
-                shape._steps({name: values[k:k + size] for name, values in rows.items()},
-                             points[j], CONTAINMENT_TOL, r, P, D)
-            except AtSingularity as err:  # an excluded-ball center, at distance radius >= r
-                raise TubeViolation(j + len(D) + 1, err.distance, r) from err
-            if D[-1] >= r:
-                raise TubeViolation(j + len(D), D[-1], r)
-            points[j + 1:j + 1 + len(D)], dist_to_set[j + 1:j + 1 + len(D)] = P, D
-            j += len(D)  # if y rests, so it does on the rows ahead that hold it:
-            rest = _resting_rows(shape, rows, k + len(D), points[j]) if D[-1] == 0.0 else 0
-            points[j + 1:j + 1 + rest] = points[j]
-            j, size = j + rest, 8 if D[-1] == 0.0 else min(2 * size, DEFECT_BLOCK_ROWS)
-        # Moved rows, by runs a to b: 0.0 at a defect <= CONTAINMENT_TOL, else the scalar distance.
-        dist, P = dist_to_set[start:j + 1], points[start:j + 1]
-        edges = np.flatnonzero(np.diff(dist != 0.0, prepend=False, append=False)).tolist()
-        for a, b in zip(edges[::2], edges[1::2]):
-            dist[a:b][_row_defects(shape, rows, a, P[a:b]) <= CONTAINMENT_TOL] = 0.0
-        for k in np.flatnonzero(dist).tolist():
-            dist[k] = shape._project_fields([v[k] for v in rows.values()], P[k], CONTAINMENT_TOL)[1]
+        start, end, size, rests = j + 1, j + len(next(iter(rows.values()))), 8, False
+        while j < end:  # one block of the piece's rows from row k, nodes j + 1 on
+            k = j + 1 - start
+            block = {name: values[k:k + size] for name, values in rows.items()}
+            if rests:  # y stays up to the first row whose slice does not hold it
+                Y = np.broadcast_to(points[j], (min(size, end - j), len(y0)))
+                n = int(np.argmin(np.append(shape._defects(block, Y) <= CONTAINMENT_TOL, False)))
+                points[j + 1:j + 1 + n], again = points[j], n == len(Y)
+            else:
+                P, D = [], []
+                try:
+                    shape._steps(block, points[j], CONTAINMENT_TOL, r, P, D)
+                except AtSingularity as err:  # an excluded-ball center, at distance radius >= r
+                    raise TubeViolation(j + len(D) + 1, err.distance, r) from err
+                if D[-1] >= r:
+                    raise TubeViolation(j + len(D), D[-1], r)
+                n, m, again = len(D), len(D) - (D[-1] == 0.0), D[-1] != 0.0
+                points[j + 1:j + 1 + n], X = P, points[j + 1:j + 1 + m]
+                # The m moved rows, all but a final resting one: 0.0 at a defect
+                # <= CONTAINMENT_TOL, else (NaN included) the scalar distance.
+                moved = {name: values[:m] for name, values in block.items()}
+                for i in np.flatnonzero(~(shape._defects(moved, X) <= CONTAINMENT_TOL)).tolist():
+                    dist_to_set[j + 1 + i] = shape._project_fields(
+                        [v[i] for v in moved.values()], X[i], CONTAINMENT_TOL)[1]
+            # again: the next block does what this one did, on twice the rows; else the other, on 8.
+            j, size, rests = j + n, min(2 * size, DEFECT_BLOCK_ROWS) if again else 8, rests == again
     return DiscreteTrajectory(grid=grid, points=points, level=level, eps_level=eps_level,
                               dist_to_set=dist_to_set)
 

@@ -1730,6 +1730,7 @@ def _polyhedral_audits(draw):
 @settings(max_examples=150, deadline=None)
 @given(_polyhedral_audits())
 @example((TRIANGLE, np.array([1.0, 0.0]), np.array([0.01 * SQRT2_INV, 0.01 * (SQRT2_INV - 1.0)])))
+@example((Polytope([[1.0, 0.0]], [2.0], (0.0, 0.0)), np.zeros(2), np.array([5e-324, 5e-324])))
 def test_exact_audit_lies_between_the_sampled_residual_and_the_bound(case):
     # The residual at the vertices of slice and window is its maximum over the
     # window's members: at most the closed-form bound over the wider ball of

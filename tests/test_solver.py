@@ -210,24 +210,28 @@ def test_bundled_polytope_steps_project_per_moved_step_and_run_and_bound_per_pie
     assert calls["_normal_defect"] == 0
 
 
-@pytest.mark.parametrize("name, rows, moved", [("sweep_halfspace", 3065, 1024),
-                                               ("moving_obstacle", 2542, 1173),
-                                               ("polytope_rotation", 267, 210)])
-def test_bundled_solves_read_row_defects_on_probed_and_moved_rows_only(name, rows, moved,
-                                                                      monkeypatch):
-    # A work count: the rows that solve passes to _row_defects on a bundled
-    # finest grid.  y0's check and the resting-run probes test one point on
-    # many rows (a broadcast, stride-0 array); the residual pass reads the
-    # iterates of the moved steps only, one row each, and not the resting rows.
+@pytest.mark.parametrize("name, rows, moved, blocks", [("sweep_halfspace", 3065, 1024, 18),
+                                                       ("moving_obstacle", 2542, 1173, 23),
+                                                       ("polytope_rotation", 267, 210, 10)])
+def test_bundled_solves_read_defects_on_probed_and_moved_rows_only(name, rows, moved, blocks,
+                                                                   monkeypatch):
+    # A work count: the rows and calls that solve passes to the piece class's
+    # _defects on a bundled finest grid.  y0's check and the resting blocks
+    # test one point on many rows (a broadcast, stride-0 array); each stepping
+    # block reads the iterates of its moved steps only, one row each, and not
+    # the resting rows.  The calls pin the block sizes: blocks that stopped
+    # doubling would make more.
     scenario = load_builtin(name)
     grid = scenario_schedule(scenario).grids[-1]
-    calls, row_defects = [], solver_mod._row_defects
-    monkeypatch.setattr(solver_mod, "_row_defects", lambda shape, table, lo, P: calls.append(
-        (len(P), P.strides[0] == 0)) or row_defects(shape, table, lo, P))
+    [(cls, _)] = scenario.family.slice_fields(grid.times)
+    calls, defects = [], cls._defects
+    monkeypatch.setattr(cls, "_defects", staticmethod(lambda table, P: calls.append(
+        (len(P), P.strides[0] == 0)) or defects(table, P)))
     traj = solve(scenario.family, scenario.y0, grid, eps_level=1.0)
     assert sum(n for n, _ in calls) == rows
     residual = sum(n for n, probe in calls if not probe)
     assert residual == int(np.count_nonzero(traj.jump_norms)) == moved
+    assert len(calls) == blocks
 
 
 @pytest.mark.parametrize(
@@ -256,21 +260,29 @@ def test_dist_to_set_matches_independent_recomputation(family, y0, eps_level):
 
 
 @pytest.mark.parametrize(
-    "family, y0",
-    [(obstacle_family(), (0.0, 0.1)),
-     (RigidFamily(TRIANGLE, LinearPath(0.0, 1.0), (1.0 / 3, 1.0 / 3), horizon=1.0), (0.1, 0.8))],
-    ids=["obstacle", "rotating_triangle"],
+    "family, y0, residuals",
+    [(obstacle_family(), (0.0, 0.1), 0),
+     (RigidFamily(TRIANGLE, LinearPath(0.0, 1.0), (1.0 / 3, 1.0 / 3), horizon=1.0), (0.1, 0.8),
+      0),
+     (TranslateFamily(halfspace((3.0, 4.0), 5e6), LinearPath((0.0, 0.0), (-1.0, -0.7)),
+                      horizon=1.0), (6e5, 8e5), 15)],
+    ids=["obstacle", "rotating_triangle", "far_wall"],
 )
-def test_residuals_above_the_row_defects_take_the_scalar_projection(family, y0, monkeypatch):
-    # With every array defect of a piece at inf, each moved step's residual
-    # comes from the scalar _project_fields: the same bytes as the array path
-    # gives.  y0's containment check, one row, keeps the true defect.
+@pytest.mark.parametrize("fill", [np.inf, np.nan], ids=["inf", "nan"])
+def test_residuals_above_the_row_defects_take_the_scalar_projection(family, y0, residuals,
+                                                                    fill, monkeypatch):
+    # With every array defect of a piece at inf or NaN, each moved step's
+    # residual comes from the scalar _project_fields: the same bytes as the
+    # array path gives.  y0's containment check, one row, keeps the true defect.
+    # The far wall's iterates round by about 1e-10 (|y| ~ 1e6), so some moved
+    # rows keep a residual above CONTAINMENT_TOL, which a NaN read as 0.0 would drop.
     grid = TimeGrid.uniform(family.horizon, 64)
     expected = solve(family, y0, grid, eps_level=0.5).dist_to_set
+    assert np.count_nonzero(expected) == residuals
     [(cls, _)] = family.slice_fields(grid.times[1:])
     defects = cls._defects
     monkeypatch.setattr(cls, "_defects", staticmethod(
-        lambda rows, P: defects(rows, P) if len(P) == 1 else np.full(len(P), np.inf)))
+        lambda rows, P: defects(rows, P) if len(P) == 1 else np.full(len(P), fill)))
     assert solve(family, y0, grid, eps_level=0.5).dist_to_set.tobytes() == expected.tobytes()
 
 

@@ -16,9 +16,14 @@ src/ directory.  It prints one JSON line with
 - step_us: microseconds per moved step of one _steps call, solve's stepping
   kernel, over the 4096 rows of a 2-D half-space, ball and ball complement
   translate that moves the iterate on every row;
+- walk_us_per_row: microseconds per row of one solve call over the 4096 unit
+  steps of a 2-D half-space, ball complement and triangle translate that
+  moves for 64 steps, then stands still for 64, and so on: solve's walk over
+  both kinds of block, stepping and resting;
 
 and the interpreter, numpy and machine it ran on.  Each figure is the best of
-5 timed runs of 2000 calls (250 calls of _distances on the block, 10 of _steps).
+5 timed runs of 2000 calls (250 calls of _distances on the block, 10 of _steps
+and of solve).
 """
 
 from __future__ import annotations
@@ -34,7 +39,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sweepsolve.families import excess  # noqa: E402
+from sweepsolve.families import TranslateFamily, excess  # noqa: E402
+from sweepsolve.geometry import TimeGrid  # noqa: E402
+from sweepsolve.paths import ConstantPath, LinearPath, PiecewisePath  # noqa: E402
 from sweepsolve.sets import (  # noqa: E402
     SHAPES,
     Ball,
@@ -45,6 +52,7 @@ from sweepsolve.sets import (  # noqa: E402
     polytope,
     rotation_matrix_2d,
 )
+from sweepsolve.solver import solve  # noqa: E402
 
 NUMBER, REPEAT = 2000, 5
 
@@ -105,6 +113,33 @@ def step_us(shape, rate, y) -> float:
     return best_us(lambda: type(shape)._steps(rows, y, 1e-10, np.inf, [], []), 10) / STEP_ROWS
 
 
+# Tag -> (shape, its motion per moving step, an iterate on its boundary): the
+# same pushes, at a dyadic rate so that each resting run's rows are exactly
+# the last moved row's and the iterate rests on all of them.
+WALK_ROWS, WALK_RUN = 4096, 64
+WALKERS = {
+    "halfspace": (halfspace((1.0, 0.0), 0.0), (-1.0 / 64, 0.0), (0.0, 0.5)),
+    "ball_complement": (BallComplement((0.0, 0.0), 0.5), (1.0 / 64, 0.0), (0.5, 0.0)),
+    "triangle": (TRIANGLE, (1.0 / 64, 0.0), (0.0, 0.25)),
+}
+
+
+def walk_us_per_row(shape, rate, y) -> float:
+    """Microseconds per row of solve over WALK_ROWS unit steps of the shape
+    moving by rate per step for WALK_RUN steps, then standing still for
+    WALK_RUN, and so on, from y: half the rows step, half rest."""
+    rate, at, pieces = np.array(rate), np.zeros(2), []
+    for t in range(0, WALK_ROWS, 2 * WALK_RUN):
+        pieces.append((float(t + WALK_RUN), LinearPath(at - t * rate, rate)))
+        at = at + WALK_RUN * rate
+        pieces.append((float(t + 2 * WALK_RUN), ConstantPath(at)))
+    family = TranslateFamily(shape, PiecewisePath(tuple(pieces)), float(WALK_ROWS))
+    grid = TimeGrid(np.arange(WALK_ROWS + 1.0))
+    traj = solve(family, y, grid, eps_level=1.0)
+    assert np.count_nonzero(traj.jump_norms) == WALK_ROWS // 2
+    return best_us(lambda: solve(family, y, grid, eps_level=1.0), 10) / WALK_ROWS
+
+
 def best_us(call, number: int = NUMBER) -> float:
     return min(timeit.Timer(call).repeat(REPEAT, number)) / number * 1e6
 
@@ -123,8 +158,9 @@ def measure() -> dict:
     pairs = {name: round(best_us(lambda a=a, b=b: excess(a, b)), 3)
              for name, (a, b) in PAIRS.items()}
     steps = {tag: round(step_us(*case), 3) for tag, case in STEPPERS.items()}
+    walks = {tag: round(walk_us_per_row(*case), 3) for tag, case in WALKERS.items()}
     return {"project_us": project, "distances_us_per_row": distances, "excess_us": pairs,
-            "step_us": steps,
+            "step_us": steps, "walk_us_per_row": walks,
             "number": NUMBER, "repeat": REPEAT, "python": platform.python_version(),
             "numpy": np.__version__, "machine": platform.machine(), "cpus": os.cpu_count()}
 
