@@ -19,8 +19,8 @@ image of a ball complement as B) get lower <= e(A, B) <= inf, lower the
 largest distance from B of A's vertices, or of A's point nearest the origin
 where they are not known: a deterministic bound, nothing is sampled.
 Families built from the declared path forms carry an analytic linear modulus
-omega(delta) = rate * delta, an upper bound that sets the schedule step
-lengths; validate_analytic_modulus certifies it against excess upper bounds.
+omega(delta) = rate * delta from their paths' piece rates, an upper bound that
+sets the schedule step lengths; validate_analytic_modulus certifies it.
 A Modulus takes one delta or an array of them (certify_steps' one call per
 trajectory), elementwise as each scalar call rounds.
 An inner ball is checked by exact depth evaluations (a member's depth is
@@ -28,15 +28,16 @@ minus its membership defect) at INNER_BALL_TIMES times, one _defects call
 per piece of their rows; between them it is not checked.
 
 Every slice comes from one field table, MovingFamily.slice_fields(times),
-which checks the times once and evaluates each path once on the whole array.
-Its rows list the fields in the shape's dataclass order, the order in which
+which checks the times once and evaluates each path once on the whole array;
+a piece that holds no time is left out, so each piece holds a row.  Its rows
+list the fields in the shape's dataclass order, the order in which
 ProxSet._from_valid builds a slice from a row (slices(times) does so for
 each row, and at(t) is slices over one time), and in which the shape's
-_project_fields, _defects and _normal_defects, which solve and
-certify_steps call, read a row.  What the rows share is stored once: a
-rigid family's base, a translate's arrays that do not move as read-only
-views of one array, and a polytope translate's factor cache.  No
-shape's checks run: the family checked its base and paths once, and moving
+_project_fields, _defects and _normal_defects, which solve and certify_steps
+call, read a row.  What the rows share is stored once: a rigid family's
+base, a translate's arrays that do not move as read-only views of one array,
+and a polytope translate's factor cache.  No shape's checks run: the family
+checked its base and the shapes of its paths and pivot once, and moving
 them keeps them valid (a translate keeps a unit normal, a box's lo < hi and
 a polytope's strictly feasible interior point, a radius stays above the
 schedule's checked minimum, a rotation_matrix_2d is orthogonal).
@@ -195,6 +196,16 @@ class MovingFamily(Schema):
         r = natural_r if self.declared_r is None else float(self.declared_r)
         object.__setattr__(self, "_r", r)
 
+    @staticmethod
+    def _check_shapes(**fields):
+        """Raise ValueError at the first field, a path (its value at 0) or a point, not None
+        and not of the shape given with it: () for a number, (d,) for d coordinates."""
+        for name, (value, shape) in fields.items():
+            found = np.shape(value(0.0) if isinstance(value, Path) else value)
+            if value is not None and found != shape:
+                want = "a number" if shape == () else f"{shape[0]} coordinates"
+                raise ValueError(f"{name}: expected {want}, got shape {found}")
+
     def at(self, t: float) -> ProxSet:
         return next(self.slices((t,)))
 
@@ -206,20 +217,20 @@ class MovingFamily(Schema):
 
     def slice_fields(self, times) -> list:
         """The slices at times, a nondecreasing 1-D array within [0, horizon],
-        as (shape class, rows) for each piece of the family in time order,
-        rows mapping each field name to its values, one per time in the
-        piece.  OutOfRange, for a time outside the horizon (NaN included) or
-        out of order, is raised here."""
+        as (shape class, rows) for each piece of the family that holds a time,
+        in time order, rows mapping each field name to its values, one per
+        time in the piece: a piece always holds a row.  OutOfRange, for a time
+        outside the horizon (NaN included) or out of order, is raised here."""
         ts = np.asarray(times, dtype=float)
         inside = (ts >= 0.0) & (ts <= self.horizon)
         if not inside.all():
             raise OutOfRange(f"t={ts[~inside][0]} outside [0, {self.horizon}]")
         if (ts[1:] < ts[:-1]).any():
             raise OutOfRange("slice times must be nondecreasing")
-        return self._slice_fields(ts)
+        return self._slice_fields(ts) if len(ts) else []
 
     def _slice_fields(self, times: np.ndarray) -> list:
-        """slice_fields at checked times, each path evaluated on the whole array."""
+        """slice_fields at checked times, at least one, each path evaluated once."""
         raise NotImplementedError
 
     def analytic_rate(self) -> float:
@@ -258,6 +269,7 @@ class TranslateFamily(MovingFamily):
     declared_r: float | None = None
 
     def __post_init__(self):
+        self._check_shapes(path=(self.path, (self.base.dim,)))
         self._set_r(self.base.r)
 
     @property
@@ -265,8 +277,7 @@ class TranslateFamily(MovingFamily):
         return self.base.dim
 
     def _slice_fields(self, times):
-        U = np.reshape(self.path(times), (len(times), self.dim))
-        return [(type(self.base), self.base._moved(U))]
+        return [(type(self.base), self.base._moved(self.path(times)))]  # (len(times), dim)
 
     def analytic_rate(self):
         return self.path.max_speed()
@@ -292,6 +303,7 @@ class RadiusFamily(MovingFamily):
     declared_r: float | None = None
 
     def __post_init__(self):
+        self._check_shapes(radius=(self.radius, ()))
         if self._min_radius() <= 0:
             raise ValueError("radius schedule must stay positive on the horizon")
         self._set_r(self._min_radius() if self.complement else math.inf)
@@ -311,11 +323,8 @@ class RadiusFamily(MovingFamily):
 
     def analytic_rate(self):
         # Excess grows when a ball shrinks, or when an excluded ball grows.
-        if self.complement:
-            radial = max(0.0, self.radius.max_signed_rate())
-        else:
-            radial = max(0.0, -self.radius.min_signed_rate())
-        return self.center.max_speed() + radial
+        rates = self.radius.rates()
+        return self.center.max_speed() + max(0.0, max(rates) if self.complement else -min(rates))
 
     def _doc_fields(self):
         return {"center": self.center.to_dict(), "radius": self.radius.to_dict(),
@@ -348,6 +357,8 @@ class RigidFamily(MovingFamily):
             raise ValueError("rigid families are implemented for dim 2")
         self._set_r(self.base.r)
         object.__setattr__(self, "pivot", readonly(self.pivot))
+        self._check_shapes(angle=(self.angle, ()), pivot=(self.pivot, (2,)),
+                           translation=(self.translation, (2,)))
         far = self.base.farthest_from(self.pivot)
         if far is None:
             raise ValueError(f"the {self.base.tag} base is unbounded or has no derived "
@@ -364,16 +375,14 @@ class RigidFamily(MovingFamily):
         Qs = readonly(np.reshape([(c, -s, s, c) for c, s in turns], (-1, 2, 2)), 3)
         U = self.pivot - np.matmul(Qs, self.pivot)
         if self.translation is not None:
-            U += np.reshape(self.translation(times), U.shape)
+            U += self.translation(times)
         return [(RigidImage, {"base": [self.base] * len(Qs), "rotation": Qs,
                               "translation": readonly(U, 2)})]
 
     def analytic_rate(self):
         # Chord length under rotation is at most angle * circumradius.
-        rate = self.angle.max_speed() * self._circum
-        if self.translation is not None:
-            rate += self.translation.max_speed()
-        return rate
+        drift = 0.0 if self.translation is None else self.translation.max_speed()
+        return self.angle.max_speed() * self._circum + drift
 
     def _doc_fields(self):
         doc = {"base": self.base.to_dict(), "angle": self.angle.to_dict(),
@@ -438,7 +447,7 @@ class PiecewiseFamily(MovingFamily):
         return tuple(u for u, _ in self.pieces[:-1])
 
     def _slice_fields(self, times):
-        # Each piece checks its own times.
+        # Each piece checks its own times, and leaves itself out when it holds none.
         which = piece_index(self.pieces, times)
         return [piece for i, (_, fam) in enumerate(self.pieces)
                 for piece in fam.slice_fields(times[which == i])]
@@ -542,7 +551,7 @@ def verify_inner_ball(family: MovingFamily, w, rho: float) -> float:
     worst = -math.inf
     for cls, rows in family.slice_fields(np.linspace(0.0, family.horizon, INNER_BALL_TIMES)):
         P = np.broadcast_to(w, (len(next(iter(rows.values()))), family.dim))
-        worst = max(worst, float((rho + cls._defects(rows, P)).max(initial=-math.inf)))
+        worst = max(worst, float((rho + cls._defects(rows, P)).max()))
     return worst
 
 

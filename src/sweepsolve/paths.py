@@ -2,7 +2,8 @@
 
 Only constant, linear (a + b*t) and continuous piecewise-linear paths are
 supported, so every moving family built from them carries a certified
-one-sided continuity rate.
+one-sided continuity rate, read from the rate of each analytic piece
+(rates).  Every value of a path has the shape of its value at 0.
 
 Each path class also owns its schema document: a form tag in PATHS plus
 to_dict/from_dict, so a new path form is one class plus one entry there.
@@ -28,15 +29,13 @@ class Path(Schema):
         first axis by the same float operations as the scalar call."""
         raise NotImplementedError
 
+    def rates(self) -> tuple:
+        """The rate of each analytic piece in time order: a number for a
+        scalar path, a read-only vector for a vector one, 0.0 for a constant."""
+        raise NotImplementedError
+
     def max_speed(self) -> float:
-        raise NotImplementedError
-
-    def max_signed_rate(self) -> float:
-        """Largest (most positive) instantaneous rate; scalar paths only."""
-        raise NotImplementedError
-
-    def min_signed_rate(self) -> float:
-        raise NotImplementedError
+        return max(abs(r) if isinstance(r, float) else norm(r) for r in self.rates())
 
     def knots(self) -> tuple:
         """Times where the path may change its rate; () for one analytic piece."""
@@ -82,14 +81,8 @@ class ConstantPath(Path):
             return self.value
         return np.broadcast_to(self.value, np.shape(t) + np.shape(self.value))
 
-    def max_speed(self):
-        return 0.0
-
-    def max_signed_rate(self):
-        return 0.0
-
-    def min_signed_rate(self):
-        return 0.0
+    def rates(self):
+        return (0.0,)
 
     def to_dict(self):
         return {"form": self.form, "value": _plain(self.value)}
@@ -109,10 +102,8 @@ class LinearPath(Path):
 
     def __post_init__(self):
         v, r = _value(self.value), _value(self.rate)
-        if isinstance(v, float) != isinstance(r, float):
-            raise ValueError("value and rate must both be scalars or both vectors")
-        if np.shape(v) != np.shape(r):
-            raise ValueError("value and rate dimensions differ")
+        if np.shape(v) != np.shape(r):  # a number has shape (), a vector (d,)
+            raise ValueError("value and rate differ in shape")
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "rate", r)
 
@@ -121,16 +112,8 @@ class LinearPath(Path):
         values += self.value  # in place: one array per call, as a + b == b + a
         return values
 
-    def max_speed(self):
-        return abs(self.rate) if isinstance(self.rate, float) else norm(self.rate)
-
-    def max_signed_rate(self):
-        if not isinstance(self.rate, float):
-            raise ValueError("signed rate is defined for scalar paths only")
-        return self.rate
-
-    def min_signed_rate(self):
-        return self.max_signed_rate()
+    def rates(self):
+        return (self.rate,)
 
     def to_dict(self):
         return {"form": self.form, "value": _plain(self.value), "rate": _plain(self.rate)}
@@ -159,10 +142,11 @@ class PiecewisePath(Path):
             if pieces[i][0] <= pieces[i - 1][0]:
                 raise ValueError("piece breakpoints must be strictly increasing")
             t_star = pieces[i - 1][0]
-            left = np.atleast_1d(pieces[i - 1][1](t_star))
-            right = np.atleast_1d(pieces[i][1](t_star))
-            if norm(left - right) > 1e-9:
-                raise ValueError(f"path discontinuity {norm(left - right):.3e} at t={t_star}")
+            left, right = pieces[i - 1][1](t_star), pieces[i][1](t_star)
+            if np.shape(left) != np.shape(right):
+                raise ValueError(f"piece values differ in shape at t={t_star}")
+            if (gap := norm(np.atleast_1d(left - right))) > 1e-9:
+                raise ValueError(f"path discontinuity {gap:.3e} at t={t_star}")
         object.__setattr__(self, "pieces", pieces)
 
     def __call__(self, t):
@@ -175,14 +159,8 @@ class PiecewisePath(Path):
         out[np.concatenate(parts)] = values
         return out
 
-    def max_speed(self):
-        return max(p.max_speed() for _, p in self.pieces)
-
-    def max_signed_rate(self):
-        return max(p.max_signed_rate() for _, p in self.pieces)
-
-    def min_signed_rate(self):
-        return min(p.min_signed_rate() for _, p in self.pieces)
+    def rates(self):
+        return tuple(rate for _, p in self.pieces for rate in p.rates())
 
     def knots(self):
         inner = (k for _, p in self.pieces for k in p.knots())

@@ -12,8 +12,8 @@ primitive, with r its radius.  Each shape writes its projection, which also
 tests the point, once over one row of a family's field table
 (_project_fields, stepped along a block of rows by _steps, in 2-D Python floats
 on a half-space or round shape), and its membership defects and normal-defect
-bounds once over a piece's rows (_defects, _normal_defects), bit for bit per
-row; a slice is its own one-row piece, so solve and certify_steps build no slice.
+bounds once over a piece's rows, one or more (_defects, _normal_defects), bit for
+bit per row; a slice is its own one-row piece: solve and certify_steps build none.
 A row holds arrays and numbers (and a polytope's factor cache, shared by
 its translates, as is each array that does not move, a read-only view), no
 shape but a rigid image's base: a polytope is its face arrays, normals and
@@ -214,10 +214,7 @@ class ProxSet(Schema):
         x, n = self._vector(x), self._vector(n)
         if not (np.isfinite(x).all() and np.isfinite(n).all()):
             return math.nan
-        return float(self._normal_defect(x, n, halfwidth * math.sqrt(self.dim)))
-
-    def _normal_defect(self, x: np.ndarray, n: np.ndarray, R: float) -> float:
-        """The one-row _normal_defects, on this slice's row."""
+        R = halfwidth * math.sqrt(self.dim)  # the one-row _normal_defects, on this slice's row
         return float(next(iter(self._normal_defects(self._rows, x[None], n[None], R))))
 
     @classmethod
@@ -243,8 +240,8 @@ class ProxSet(Schema):
         return self._distance(self._vector(y))
 
     def _distance(self, y: np.ndarray, tol: float = CONTAINMENT_TOL) -> float:
-        """The distance of _project_with_distance(y, tol), and at an
-        excluded-ball center, which has no projection, its radius."""
+        """The distance of _project_with_distance(y, tol) (a rigid image's, its base's at the
+        pulled-back y), and at an excluded-ball center, which has no projection, its radius."""
         try:
             return self._project_with_distance(y, tol)[1]
         except AtSingularity as err:
@@ -671,8 +668,6 @@ class Polytope(ProxSet):
     @staticmethod
     def _defects(rows, P):
         # One stacked matmul: each row's A y, bit for bit as A @ y alone (P @ A.T is not).
-        if not len(P):
-            return np.zeros(0)
         A, b = np.asarray(rows["normals"]), np.asarray(rows["offsets"])
         return (np.matmul(A, P[:, :, None])[..., 0] - b).max(axis=1)
 
@@ -782,8 +777,6 @@ class Polytope(ProxSet):
         # Where they fail (dependent, lam < 0, or n off their span by more than
         # the rounding of n = x_prev - x, on the scale of |x| + |n|), the
         # multipliers of the projection of x + n do (lam = 0 for a member).
-        if not len(X):
-            return np.zeros(0)
         A, b = np.asarray(rows["normals"]), np.asarray(rows["offsets"])  # views when shared
         first = next(zip(*rows.values()))
         faces, group = np.unique(b - np.matmul(A, X[:, :, None])[..., 0] <= CONTAINMENT_TOL,
@@ -999,9 +992,6 @@ class RigidImage(ProxSet):
         lower, upper, witness = bounds
         return lower, upper, Q @ witness + self.translation
 
-    def _distance(self, y, tol=CONTAINMENT_TOL):
-        return self.base._distance(self._pull(self.rotation, self.translation, y), tol)
-
     def _distances(self, P):
         # Every row pulled back by one stacked matmul, each rounded as _pull's alone.
         pulled = np.matmul(self.rotation.T, (P - self.translation)[:, :, None])[..., 0]
@@ -1027,8 +1017,6 @@ class RigidImage(ProxSet):
 
     @classmethod
     def _defects(cls, rows, P):
-        if not len(P):
-            return np.zeros(0)
         base, base_rows, _, pulled = cls._pulls(rows, P)
         return base._defects(base_rows, pulled)
 
@@ -1036,8 +1024,6 @@ class RigidImage(ProxSet):
     def _normal_defects(cls, rows, X, N, R):
         # The rotation keeps inner products and the Euclidean window radius: each
         # row's bound is its base's at the pulled-back x and n, made when the base's is.
-        if not len(X):
-            return np.zeros(0)
         base, base_rows, V, x, n = cls._pulls(rows, X, N)
         extra = _rounding(base.dim, norms(N) * (R + norms(V)) * (1.0 + R / base.r))
         bounds = base._normal_defects(base_rows, x, n, R)  # a generator's rows each as made

@@ -4,7 +4,7 @@ Each step projects the previous iterate onto the next slice, so the step
 vector is (minus) a proximal normal there and its length equals the distance
 to the slice.  solve walks each piece of the family's field table in blocks
 of rows that step (the shapes' _steps) or rest, no slice built, and reads the
-residuals of each block's moved rows by one array defect call.
+residuals of each block's moved rows, if any, by one array defect call.
 Certification re-checks that normal-cone membership a posteriori: each slice
 bounds the hypo-monotonicity defect of the step vector from above in closed
 form (ProxSet.normal_defect, over each piece of the same table at once; a
@@ -104,10 +104,11 @@ def solve(family: MovingFamily, y0, grid: TimeGrid, eps_level: float,
           level: int = 0) -> DiscreteTrajectory:
     """Run the catching-up recursion y_j = P_{C(t_j)}(y_{j-1}) along the rows of
     family.slice_fields, one block of rows at a time: shape._steps steps y over
-    a block and one shape._defects call reads its moved rows' residuals; after
-    a rest, one shape._defects call tests y over a block and y is copied over
-    the rows whose slices hold it, as their projections would.  Blocks double
-    from 8 rows up to DEFECT_BLOCK_ROWS while each does what the last one did.
+    a block and one shape._defects call reads its moved rows' residuals (no call
+    where its only row rests); after a rest, one shape._defects call tests y
+    over a block and y is copied over the rows whose slices hold it, as their
+    projections would.  Blocks double from 8 rows up to DEFECT_BLOCK_ROWS while
+    each does what the last one did.
 
     Raises ValueError for a non-finite y0, DimensionMismatch for one of
     another length, InfeasibleInitialPoint for one outside the initial slice
@@ -150,10 +151,11 @@ def solve(family: MovingFamily, y0, grid: TimeGrid, eps_level: float,
                     raise TubeViolation(j + len(D), D[-1], r)
                 n, m, again = len(D), len(D) - (D[-1] == 0.0), D[-1] != 0.0
                 points[j + 1:j + 1 + n], X = P, points[j + 1:j + 1 + m]
-                # The m moved rows, all but a final resting one: 0.0 at a defect
-                # <= CONTAINMENT_TOL, else (NaN included) the scalar distance.
+                # The m moved rows, all but a final resting one (no call for none): 0.0
+                # at a defect <= CONTAINMENT_TOL, else (NaN included) the scalar distance.
                 moved = {name: values[:m] for name, values in block.items()}
-                for i in np.flatnonzero(~(shape._defects(moved, X) <= CONTAINMENT_TOL)).tolist():
+                held = shape._defects(moved, X) <= CONTAINMENT_TOL if m else np.ones(0, bool)
+                for i in np.flatnonzero(~held).tolist():
                     dist_to_set[j + 1 + i] = shape._project_fields(
                         [v[i] for v in moved.values()], X[i], CONTAINMENT_TOL)[1]
             # again: the next block does what this one did, on twice the rows; else the other, on 8.

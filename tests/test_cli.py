@@ -253,6 +253,45 @@ def test_rigid_motion_of_an_unbounded_base_exits_3(base, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _linear(value, rate):
+    return {"form": "linear", "value": value, "rate": rate}
+
+
+# A family field of the wrong shape: (bundled scenario, field, value, the error's start).
+_WRONG_SHAPES = {
+    "path_3d": ("sweep_halfspace", "path", _linear([0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]),
+                "scenario.family: path: expected 2 coordinates"),
+    "path_scalar": ("sweep_halfspace", "path", _linear(0.0, -1.0),
+                    "scenario.family: path: expected 2 coordinates"),
+    "path_pieces": ("sweep_halfspace", "path", {"form": "piecewise", "pieces": [
+        {"until": 1.0, "path": _linear(0.0, 0.0)}, {"until": 2.0, "path": _linear([0.0, 0.0],
+                                                                                   [0.0, 0.0])}]},
+        "scenario.family.path: piece values differ in shape"),
+    "pivot_1d": ("polytope_rotation", "pivot", [0.5],
+                 "scenario.family: pivot: expected 2 coordinates"),
+    "translation_3d": ("polytope_rotation", "translation", _linear([0.0] * 3, [0.1] * 3),
+                       "scenario.family: translation: expected 2 coordinates"),
+    "translation_scalar": ("polytope_rotation", "translation", _linear(0.0, 0.1),
+                           "scenario.family: translation: expected 2 coordinates"),
+    "angle_vector": ("polytope_rotation", "angle", _linear([0.0, 0.0], [0.5, 0.5]),
+                     "scenario.family: angle: expected a number"),
+    "radius_vector": ("shrinking_ball_inner_cert", "radius", _linear([1.0, 1.0], [-0.4, -0.4]),
+                      "scenario.family: radius: expected a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_SHAPES))
+def test_a_family_field_of_the_wrong_shape_exits_3_naming_it(case, tmp_path, capsys):
+    name, key, value, shown = _WRONG_SHAPES[case]
+    doc = json.loads(builtin_text(name))
+    doc["family"][key] = value
+    cfg = tmp_path / f"{case}.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {shown}") and err.count("\n") == 1
+
+
 def test_horizon_within_rounding_of_the_family_runs_like_the_bundled_scenario(tmp_path):
     doc = json.loads(builtin_text("sweep_halfspace"))
     doc["horizon"] = 2.0000000000001

@@ -344,7 +344,22 @@ class TestModulus:
         (TranslateFamily(Ball((0.0, 0.0), 1.0),
                          PiecewisePath(((0.5, LinearPath((0.0, 0.0), (1.0, 0.0))),
                                         (1.0, LinearPath((0.5, -1.0), (0.0, 2.0))))), 1.0), 2.0),
-    ], ids=["ball", "ball_complement", "translate"])
+        # A ball growing at 0.9, then shrinking at 0.4: only the shrinking counts.
+        (RadiusFamily(ConstantPath((0.0, 0.0)),
+                      PiecewisePath(((0.5, LinearPath(1.0, 0.9)), (1.0, LinearPath(1.65, -0.4)))),
+                      False, 1.0), 0.4),
+        # An excluded ball shrinking at 0.9, then growing at 0.3: only the growing counts.
+        (RadiusFamily(ConstantPath((0.0, 0.0)),
+                      PiecewisePath(((0.5, LinearPath(1.0, -0.9)), (1.0, LinearPath(0.4, 0.3)))),
+                      True, 1.0), 0.3),
+        # A ball growing at 0.9, then, in a nested piecewise path, shrinking at 0.6
+        # and growing at 0.1.
+        (RadiusFamily(ConstantPath((0.0, 0.0)), PiecewisePath((
+            (0.5, LinearPath(1.0, 0.9)),
+            (1.0, PiecewisePath(((0.75, LinearPath(1.75, -0.6)), (1.0, LinearPath(1.225, 0.1))))),
+        )), False, 1.0), 0.6),
+    ], ids=["ball", "ball_complement", "translate", "ball_grows_fast",
+            "ball_complement_shrinks_fast", "nested"])
     def test_rate_of_a_piecewise_path_is_its_fastest_piece(self, fam, rate):
         assert fam.analytic_rate() == rate
         assert validate_analytic_modulus(fam, pairs=50) <= 0.0
@@ -1005,6 +1020,24 @@ def test_slices_check_every_time_before_building_one(kind):
         assert built == []
 
 
+@pytest.mark.parametrize("kind", sorted(FIELD_FAMILIES))
+def test_a_family_given_no_times_has_no_piece(kind):
+    # A piece always holds a row: no _defects or _normal_defects call gets none.
+    assert FIELD_FAMILIES[kind]().slice_fields(np.zeros(0)) == []
+
+
+def test_a_piece_that_gets_no_time_is_left_out():
+    # The middle piece, itself piecewise, covers [1, 2), where no time falls.
+    def ball(radius, horizon):
+        return RadiusFamily(ConstantPath((0.0, 0.0)), ConstantPath(radius), False, horizon)
+
+    middle = PiecewiseFamily(((1.5, ball(1.5, 1.5)), (2.0, ball(1.5, 2.0))))
+    fam = PiecewiseFamily(((1.0, ball(1.0, 1.0)), (2.0, middle), (3.0, ball(2.0, 3.0))))
+    pieces = fam.slice_fields([0.0, 0.5, 2.5, 3.0])
+    assert [rows["radius"] for _, rows in pieces] == [[1.0, 1.0], [2.0, 2.0]]
+    assert [rows["radius"] for _, rows in fam.slice_fields([1.25])] == [[1.5]]
+
+
 PATH_FORMS = {
     "constant_scalar": ConstantPath(0.5),
     "constant_vector": ConstantPath((1.0, -2.0)),
@@ -1029,3 +1062,15 @@ def test_a_path_on_an_array_matches_each_time(form, draws):
     assert values.shape == (len(ts),) + np.shape(path(0.0))
     for t, v in zip(ts.tolist(), values):
         assert np.asarray(v).tobytes() == np.asarray(path(t), dtype=float).tobytes()
+
+
+def test_a_path_states_the_rate_of_each_piece_once():
+    # A constant path's rate is 0.0, a vector path's rates are its vector rates,
+    # and the speed is the largest size among them.
+    assert PATH_FORMS["constant_vector"].rates() == (0.0,)
+    assert PATH_FORMS["piecewise_scalar"].rates() == (-1.0, 1.0, -1.0)
+    vector = PATH_FORMS["piecewise_vector"]
+    assert [np.shape(rate) for rate in vector.rates()] == [(2,), ()]
+    assert vector.max_speed() == math.sqrt(1.25)
+    with pytest.raises(ValueError, match="piece values differ in shape at t=0.5"):
+        PiecewisePath(((0.5, ConstantPath(0.0)), (1.0, ConstantPath((0.0, 0.0)))))

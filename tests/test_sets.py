@@ -1145,12 +1145,11 @@ _ABSTRACT_HOOKS = {"_defects": 2, "_project_fields": 3, "_normal_defects": 4,
                    "_moved": 1, "to_dict": 0, "from_dict": 1}
 
 # The operations ProxSet writes once over a slice's own row, and the classes
-# allowed to define each: a rigid image measures through its base, sparing
-# the excess rules a push-forward per vertex.
+# allowed to define each.
 _ROW_OPERATIONS = {"_project_with_distance": {sets_mod.ProxSet},
                    "membership_defect": {sets_mod.ProxSet},
-                   "_normal_defect": {sets_mod.ProxSet},
-                   "_distance": {sets_mod.ProxSet, RigidImage}}
+                   "normal_defect": {sets_mod.ProxSet},
+                   "_distance": {sets_mod.ProxSet}}
 
 
 def test_every_registered_shape_defines_every_abstract_hook():
@@ -1940,9 +1939,8 @@ def test_normal_defects_equal_the_per_slice_bounds(family):
     bounds = list(cls._normal_defects(rows, X, N, 3.0 * math.sqrt(2.0)))
     expected = [s.normal_defect(x, n, 3.0) for s, x, n in zip(family.slices(times), X, N)]
     assert _same_bits(bounds, expected)
-    # A piece of a piecewise family may hold no moving step.
-    [(cls, rows)] = family.slice_fields(times[:0])
-    assert list(cls._normal_defects(rows, X[:0], N[:0], 3.0)) == []
+    # A piece of a piecewise family with no moving step is left out.
+    assert family.slice_fields(times[:0]) == []
 
 
 def _scalar_membership(shape, y):
@@ -1966,12 +1964,12 @@ _RIGID_BASES = {"rigid_image": TRIANGLE, "rigid_box": Box((-0.5, 0.0), (1.0, 0.4
 
 @st.composite
 def _membership_rows(draw):
-    """(shape class, rows, P): k = 0 to 5 rows of one piece, either the
+    """(shape class, rows, P): k = 1 to 5 rows of one piece, either the
     _moved rows of a shape of every registered class (translates of the
     triangle for the polytope) or a rigid family's rows of the triangle, a
     box or a ball, and points near them, some far out or not finite."""
     case = draw(st.sampled_from(sorted(sets_mod.SHAPES) + ["rigid_box", "rigid_ball"]))
-    k = draw(st.integers(0, 5))
+    k = draw(st.integers(1, 5))
     dim = 2 if case == "polytope" or case in _RIGID_BASES else draw(st.integers(1, 3))
     coord = st.floats(-1e3, 1e3)
     vectors = st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=k, max_size=k)
