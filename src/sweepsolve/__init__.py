@@ -67,7 +67,6 @@ from .solver import (
     write_trajectory_csv,
 )
 from .variation import (
-    ConeBoundParams,
     ConvergenceReport,
     ball_variation_bound,
     choose_cone_params,

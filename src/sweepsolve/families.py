@@ -77,9 +77,8 @@ HORIZON_TOL = 1e-12
 # Evenly spaced times of [0, horizon] at which verify_inner_ball checks depth.
 INNER_BALL_TIMES = 50
 
-# Large finite stand-in for r = inf, used when validating schedules and inside
-# the variation-bound formulas of convex scenarios (the bounds shrink as r
-# grows, so the cap is conservative).
+# Large finite stand-in for r = inf inside the variation-bound formulas of
+# convex scenarios (the bounds shrink as r grows, so the cap is conservative).
 CONVEX_R_CAP = 1e9
 
 
@@ -159,7 +158,10 @@ class Modulus:
     def largest_delta_below(self, eps: float) -> float:
         """The horizon when omega(horizon) < eps, else the largest float
         x <= eps / rate with rate * x < eps: strictly below, as the schedule
-        and the persistence horizon both need omega(x) < eps."""
+        and the persistence horizon both need omega(x) < eps.  An eps that is
+        not positive (underflowed to 0) raises ModulusUnavailable."""
+        if not eps > 0:
+            raise ModulusUnavailable(f"no step length keeps the modulus below eps={eps!r}")
         if self.rate * self.horizon < eps:
             return self.horizon
         x = eps / self.rate
@@ -499,6 +501,8 @@ def build_schedule(
 ) -> RefinementSchedule:
     """Nested dyadic refinement schedule for the family on [0, horizon].
 
+    The one check of the recipe: levels >= 1, ratio in (0, 1), the horizon
+    within the family's and 0 < eps0 < family.r (inf for a convex family).
     eps follows the geometric template eps0 * ratio**n; each step length
     delta[n] is the largest one whose modulus stays below eps[n], halved once
     as a safety margin (except when the whole horizon already certifies), and
@@ -536,8 +540,6 @@ def build_schedule(
         delta=tuple(deltas),
         grids=grids,
         r=min(family.r, CONVEX_R_CAP),
-        eps0=eps0,
-        ratio=ratio,
     )
 
 

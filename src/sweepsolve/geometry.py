@@ -139,34 +139,22 @@ class RefinementSchedule:
 
     eps[n] bounds every catching-up jump at level n; delta[n] is a step length
     certified against the family's one-sided continuity; grids[n] has mesh
-    <= delta[n] and its nodes are a subset of grids[n+1]'s.  eps follows a
-    geometric template eps0 * ratio**n, hence sums to a finite value.
+    <= delta[n] and its nodes are a subset of grids[n+1]'s; r is the
+    prox-regularity constant of the variation bounds.  build_schedule makes
+    the tolerances and checks their recipe.
     """
 
     eps: tuple
     delta: tuple
     grids: tuple
     r: float
-    eps0: float
-    ratio: float
 
     def __post_init__(self):
-        if len(self.eps) != len(self.delta) or len(self.eps) != len(self.grids):
-            raise ValueError("eps, delta and grids must have equal lengths")
-        if len(self.eps) < 1:
-            raise ValueError("a schedule needs at least one level")
-        if not (0.0 < self.ratio < 1.0):
-            raise ValueError("eps ratio must lie in (0, 1)")
-        for n, e in enumerate(self.eps):
-            if not (0.0 < e < self.r):
-                raise ValueError(f"eps[{n}]={e} violates 0 < eps < r={self.r}")
-            if n > 0 and not e < self.eps[n - 1]:
-                raise ValueError("eps must be strictly decreasing")
-            if not math.isclose(e, self.eps0 * self.ratio**n, rel_tol=1e-12):
-                raise ValueError("eps must follow the geometric template")
+        if not len(self.eps) == len(self.delta) == len(self.grids) >= 1:
+            raise ValueError("eps, delta and grids need one entry per level, at least one")
+        if not all(b < a for a, b in zip(self.eps, self.eps[1:])):
+            raise ValueError("eps must be strictly decreasing")
         for n, (d, g) in enumerate(zip(self.delta, self.grids)):
-            if d <= 0:
-                raise ValueError(f"delta[{n}] must be positive")
             if g.mesh > d:
                 raise ValueError(f"grids[{n}].mesh={g.mesh} exceeds delta[{n}]={d}")
         for n in range(len(self.grids) - 1):

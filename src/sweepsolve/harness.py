@@ -164,25 +164,25 @@ def _check_cone_bound(scenario: Scenario, report, bounds: dict) -> CheckResult:
     R, d = scenario.cone_params.R, scenario.cone_params.d
     omega = scenario.family.modulus()
     try:
-        params = choose_cone_params(schedule.r, R, d, omega, eps_candidates=schedule.eps)
+        lam, tau, eps_bar = choose_cone_params(schedule.r, R, d, omega,
+                                               eps_candidates=schedule.eps)
     except (NoPositiveTau, NoFeasibleEps) as err:
         return CheckResult("cone_bound", "inapplicable", None, str(err))
     n_bar = next((n for n in range(schedule.levels)
-                  if schedule.eps[n] <= params.eps_bar and schedule.delta[n] < params.tau / 2.0),
-                 None)
+                  if schedule.eps[n] <= eps_bar and schedule.delta[n] < tau / 2.0), None)
     if n_bar is None:
         return CheckResult(
             "cone_bound", "inapplicable", None,
             "no schedule level satisfies the smallness conditions (eps and delta)",
         )
     try:
-        bound = cone_variation_bound(params, scenario.horizon)
+        bound = cone_variation_bound(schedule.r, R, d, lam, tau, eps_bar, scenario.horizon)
     except InapplicableBound as err:
         return CheckResult("cone_bound", "inapplicable", None, str(err))
     margins = [bound - report.variations[n] for n in range(n_bar, schedule.levels)]
     worst = min(margins)
-    bounds["cone"] = {"bound": bound, "lambda": params.lam, "tau": params.tau,
-                      "eps_bar": params.eps_bar, "n_bar": n_bar, "R": R, "d": d, "r": schedule.r}
+    bounds["cone"] = {"bound": bound, "lambda": lam, "tau": tau, "eps_bar": eps_bar,
+                      "n_bar": n_bar, "R": R, "d": d, "r": schedule.r}
     return CheckResult(
         "cone_bound", "pass" if worst >= 0 else "fail", worst,
         f"min margin {worst:.3e} over levels {n_bar}..{schedule.levels - 1}",

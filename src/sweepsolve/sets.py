@@ -127,7 +127,7 @@ class ProxSet(Schema):
         _defects gives it on this slice's row.  At a member y it is exactly minus the
         distance from y to the complement, so the open ball B_rho(y) lies in
         the set iff rho + defect <= 0."""
-        return float(self._defects(self._rows, np.reshape(y, (1, self.dim)))[0])
+        return float(self._defects(self._rows, self._vector(y)[None])[0])
 
     @classmethod
     def _defects(cls, rows, P: np.ndarray) -> np.ndarray:
@@ -137,7 +137,7 @@ class ProxSet(Schema):
 
     def translated(self, u: np.ndarray) -> "ProxSet":
         """The same shape moved by u: the one row of _moved."""
-        moved = self._moved(np.reshape(u, (1, self.dim)))
+        moved = self._moved(self._vector(u)[None])
         return self._from_valid([values[0] for values in moved.values()])
 
     def _moved(self, U: np.ndarray) -> dict:
@@ -234,7 +234,7 @@ class ProxSet(Schema):
         return y
 
     def contains(self, y) -> bool:
-        return self.membership_defect(self._vector(y)) <= CONTAINMENT_TOL
+        return self.membership_defect(y) <= CONTAINMENT_TOL
 
     def distance(self, y) -> float:
         return self._distance(self._vector(y))

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InapplicableBound, NoFeasibleEps, TubeViolation
+from .errors import InapplicableBound, NoFeasibleEps, NoPositiveTau, TubeViolation
 from .families import Modulus, MovingFamily, compute_tau
 from .geometry import RefinementSchedule, norm
 from .solver import DiscreteTrajectory, affine_interpolant, solve
@@ -53,58 +53,42 @@ def ball_variation_bound(r: float, y0, w, rho: float, slack: float) -> float:
     return max(r * (dist**2 - rho**2) / denom, 0.0)
 
 
-@dataclass(frozen=True)
-class ConeBoundParams:
-    """Inputs of the interior-cone variation bound."""
-
-    r: float
-    R: float
-    d: float
-    lam: float
-    tau: float
-    eps_bar: float
-
-    def __post_init__(self):
-        if min(self.r, self.R, self.d) <= 0:
-            raise ValueError("r, R, d must be positive")
-        if not (0.0 < self.lam < 1.0):
-            raise ValueError("lambda must lie in (0, 1)")
-        if self.eps_bar < 0:
-            raise ValueError("eps_bar must be nonnegative")
-
-    @property
-    def alpha(self) -> float:
-        return self.lam * self.d + self.lam * self.R / 2.0 + self.eps_bar
-
-
-def cone_variation_bound(params: ConeBoundParams, horizon: float) -> float:
-    """ceil(2T/tau) * ( r*(d^2 - (lam*R/2)^2) / (lam*r*R - alpha^2) + eps_bar )."""
+def cone_variation_bound(r: float, R: float, d: float, lam: float, tau: float,
+                         eps_bar: float, horizon: float) -> float:
+    """ceil(2T/tau) * (r*(d^2 - (lam*R/2)^2) / (lam*r*R - alpha^2) + eps_bar), with
+    alpha = lam*d + lam*R/2 + eps_bar, at choose_cone_params' (lam, tau, eps_bar)."""
     if horizon == 0.0:
         return 0.0
-    if params.tau <= 0:
+    if tau <= 0:
         raise InapplicableBound("tau must be positive")
-    if params.lam * (params.d + params.R / 2.0) ** 2 >= params.r * params.R:
+    if lam * (d + R / 2.0) ** 2 >= r * R:
         raise InapplicableBound("lambda*(d + R/2)^2 must stay below r*R")
-    half_rho = params.lam * params.R / 2.0
-    if params.d < half_rho:
+    half_rho = lam * R / 2.0
+    if d < half_rho:
         raise InapplicableBound("d must be at least lambda*R/2 for a nonnegative numerator")
-    denom = params.lam * params.r * params.R - params.alpha**2
+    alpha = lam * d + lam * R / 2.0 + eps_bar
+    denom = lam * r * R - alpha**2
     if denom <= 0:
-        raise InapplicableBound(f"alpha^2={params.alpha**2:.6g} >= "
-                                f"lambda*r*R={params.lam * params.r * params.R:.6g}")
-    windows = math.ceil(2.0 * horizon / params.tau)
-    per_window = params.r * (params.d**2 - half_rho**2) / denom
-    return windows * (per_window + params.eps_bar)
+        raise InapplicableBound(f"alpha^2={alpha**2:.6g} >= lambda*r*R={lam * r * R:.6g}")
+    windows = math.ceil(2.0 * horizon / tau)
+    per_window = r * (d**2 - half_rho**2) / denom
+    return windows * (per_window + eps_bar)
 
 
 def choose_cone_params(r: float, R: float, d: float, omega: Modulus,
-                       eps_candidates) -> ConeBoundParams:
-    """Pick lambda = 0.9*r*R/(d+R/2)^2 (capped below 1), tau from the
-    inner-ball persistence recipe with rho0 = lam*R, rho = lam*R/2, and the
-    largest feasible tolerance among eps_candidates."""
+                       eps_candidates) -> tuple:
+    """(lam, tau, eps_bar): lam = 0.9*r*R/(d+R/2)^2 (capped below 1), tau from
+    the inner-ball persistence recipe with rho0 = lam*R, rho = lam*R/2, and
+    eps_bar the largest feasible tolerance among eps_candidates.  A lam*R/2
+    that is not a positive finite number raises NoPositiveTau."""
     if min(r, R, d) <= 0:
         raise ValueError("r, R, d must be positive")
-    lam = min(0.9 * r * R / (d + R / 2.0) ** 2, 0.99)
+    try:
+        lam = min(0.9 * r * R / (d + R / 2.0) ** 2, 0.99)
+    except OverflowError:  # (d + R/2)^2 overflows, so lam underflows to 0
+        lam = 0.0
+    if not 0.0 < lam * R / 2.0 < math.inf:
+        raise NoPositiveTau(f"lambda*R/2={lam * R / 2.0:.3g} is no positive finite radius")
     tau = compute_tau(omega, r, lam * R, lam * R / 2.0)
     headroom = math.sqrt(lam * r * R) - lam * (d + R / 2.0)
     eps_max = min(r / 2.0, headroom)
@@ -113,7 +97,7 @@ def choose_cone_params(r: float, R: float, d: float, omega: Modulus,
     feasible = [e for e in eps_candidates if 0.0 < e < eps_max]
     if not feasible:
         raise NoFeasibleEps(f"no candidate tolerance lies below the feasibility cap {eps_max:.6g}")
-    return ConeBoundParams(r=r, R=R, d=d, lam=lam, tau=tau, eps_bar=max(feasible))
+    return lam, tau, max(feasible)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,7 @@ from sweepsolve import harness
 from sweepsolve.cli import main
 from sweepsolve.errors import CertificationFailed
 from sweepsolve.families import RadiusFamily, RigidFamily
-from sweepsolve.scenarios import builtin_text
+from sweepsolve.scenarios import BUILTIN_NAMES, builtin_text
 from sweepsolve.solver import CERTIFICATION_TOL
 
 
@@ -290,6 +294,148 @@ def test_a_family_field_of_the_wrong_shape_exits_3_naming_it(case, tmp_path, cap
     assert main(["verify", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {shown}") and err.count("\n") == 1
+
+
+def _mutated(tmp_path, name: str, mutate) -> str:
+    """Path of a file holding bundled document name as mutate(doc) leaves it
+    (or as it returns it, when it returns a document)."""
+    doc = json.loads(builtin_text(name))
+    doc = mutate(doc) or doc
+    cfg = tmp_path / f"{name}_mutated.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+def _set(*keys, value):
+    """A mutation setting the field at keys (object keys and array indices)."""
+    def mutate(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return mutate
+
+
+def _path_pieces(second_until, second_value):
+    """sweep_halfspace's path as two linear pieces at its rate, the second one
+    (value + rate*t, from second_value at t = 0) ending at second_until."""
+    return {"form": "piecewise", "pieces": [
+        {"until": 1.0, "path": _linear([0.0, 0.0], [-1.0, 0.0])},
+        {"until": second_until, "path": _linear(second_value, [-1.0, 0.0])}]}
+
+
+# A configuration error per raise of the document reader that no other test
+# reaches: (bundled scenario, mutation, the start of the one-line error).
+_CONFIG_ERRORS = {
+    "not_an_object": ("static_ball", lambda doc: [doc], "document: expected a JSON object"),
+    "empty_name": ("static_ball", _set("name", value=""), "scenario.name: "),
+    "dim_0": ("static_ball", _set("dim", value=0), "scenario.dim: "),
+    "horizon_0": ("static_ball", _set("horizon", value=0), "scenario.horizon: "),
+    "y0_length": ("static_ball", _set("y0", value=[0.5]), "scenario.y0: "),
+    "family_horizon": ("sweep_halfspace", _set("family", "horizon", value=1.5),
+                       "scenario.family: family horizon 1.5 != scenario horizon 2.0"),
+    "ratio_1": ("static_ball", _set("schedule", "ratio", value=1), "scenario.schedule.ratio: "),
+    "levels_0": ("static_ball", _set("schedule", "levels", value=0),
+                 "scenario.schedule.levels: "),
+    "checks_not_a_list": ("static_ball", _set("checks", value="constraint"), "scenario.checks: "),
+    "ball_rho_0": ("shrinking_ball_inner_cert", _set("bound_params", "ball", "rho", value=0),
+                   "scenario.bound_params.ball.rho: "),
+    "ball_w_length": ("shrinking_ball_inner_cert",
+                      _set("bound_params", "ball", "w", value=[0.0]),
+                      "scenario.bound_params.ball.w: "),
+    "cone_R_0": ("moving_obstacle", _set("bound_params", "cone", "R", value=0),
+                 "scenario.bound_params.cone: R and d must be positive"),
+    "family_untils": ("jump_expansion", _set("family", "pieces", 1, "until", value=0.5),
+                      "scenario.family: piece breakpoints must be strictly increasing"),
+    "family_piece_dims": ("jump_expansion",
+                          _set("family", "pieces", 1, "family", "center",
+                               value=_linear([0.0, 0.0, 0.0], [0.1, 0.0, 0.0])),
+                          "scenario.family: piece dimensions differ"),
+    "family_piece_short": ("jump_expansion",
+                           _set("family", "pieces", 1, "family", "horizon", value=1.5),
+                           "scenario.family: piece family horizon does not cover its interval"),
+    "path_untils": ("sweep_halfspace", _set("family", "path", value=_path_pieces(0.5, [0.0, 0.0])),
+                    "scenario.family.path: piece breakpoints must be strictly increasing"),
+    "path_gap": ("sweep_halfspace", _set("family", "path", value=_path_pieces(2.0, [1.0, 0.0])),
+                 "scenario.family.path: path discontinuity 1.000e+00 at t=1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
+def test_a_configuration_error_exits_3_naming_its_field(case, tmp_path, capsys):
+    name, mutate, shown = _CONFIG_ERRORS[case]
+    assert main(["verify", _mutated(tmp_path, name, mutate)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {shown}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, eps0", [("static_ball", 1e20), ("sweep_halfspace", 5e9)])
+def test_a_convex_family_takes_any_positive_eps0(name, eps0, tmp_path):
+    cfg = _mutated(tmp_path, name, _set("schedule", "eps0", value=eps0))
+    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_a_tolerance_that_underflows_exits_4(tmp_path, capsys):
+    # eps0 * ratio**2 is 0.0: no step of the static ball's rate-0 modulus
+    # stays below it.
+    cfg = _mutated(tmp_path, "static_ball", _set("schedule", "ratio", value=1e-320))
+    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == ("runtime error: no step length keeps the modulus "
+                                       "below eps=0.0\n")
+
+
+def test_a_tolerance_that_underflows_at_a_tiny_rate_exits_4_without_hanging(tmp_path):
+    # In a subprocess: should the step search below eps = 0.0 loop at a
+    # positive rate, the timeout fails the test instead of hanging the suite.
+    def tiny_rate(doc):
+        doc["family"]["path"] = _linear([0.0, 0.0], [1e-300, 0.0])
+        doc["schedule"]["ratio"] = 1e-200
+    cfg = _mutated(tmp_path, "static_ball", tiny_rate)
+    pythonpath = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    done = subprocess.run([sys.executable, "-m", "sweepsolve.cli", "solve", cfg,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert done.returncode == 4
+    assert done.stderr == "runtime error: no step length keeps the modulus below eps=0.0\n"
+
+
+@pytest.mark.parametrize("R", [1e308, 1e-320])
+def test_a_cone_radius_out_of_float_range_is_an_inapplicable_bound(R, tmp_path, capsys):
+    # lambda*R/2 is 0: (d + R/2)^2 overflows at 1e308, the product underflows at 1e-320.
+    cfg = _mutated(tmp_path, "moving_obstacle", _set("bound_params", "cone", "R", value=R))
+    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "check cone_bound: inapplicable" in capsys.readouterr().out
+
+
+def _extreme_fields():
+    """(bundled scenario, key path) of every eps0, ratio, cone R and d and ball
+    rho that a bundled document carries."""
+    fields = [("schedule", "eps0"), ("schedule", "ratio"), ("bound_params", "cone", "R"),
+              ("bound_params", "cone", "d"), ("bound_params", "ball", "rho")]
+    found = []
+    for name in BUILTIN_NAMES:
+        doc = json.loads(builtin_text(name))
+        for keys in fields:
+            obj = doc
+            for key in keys[:-1]:
+                obj = obj.get(key, {})
+            if keys[-1] in obj:
+                found.append((name, keys))
+    return found
+
+
+@pytest.mark.parametrize("value", [0, -1, 1e-320, 1e308])
+@pytest.mark.parametrize("name, keys", _extreme_fields(),
+                         ids=lambda v: v if isinstance(v, str) else ".".join(v))
+def test_an_extreme_value_exits_with_a_documented_code(name, keys, value, tmp_path):
+    """A regression net: solve on a bundled document with one field at an
+    extreme value exits 0, 2, 3 or 4, under the CLI's default warning filter."""
+    cfg = _mutated(tmp_path, name, _set(*keys, value=value))
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("default")
+        code = main(["solve", cfg, "--out", str(tmp_path / "out")])
+    assert code in (0, 2, 3, 4)
 
 
 def test_horizon_within_rounding_of_the_family_runs_like_the_bundled_scenario(tmp_path):

@@ -407,7 +407,7 @@ class TestBuildSchedule:
         sched = build_schedule(fam, 2.0, 0.1, 0.5, 3)
         for n, d in enumerate(sched.delta):
             assert d == pytest.approx(0.05 * 2.0**-n, rel=1e-9)
-        # convex family: r = inf capped to 1e9 for schedule validation only
+        # convex family: r = inf, capped to 1e9 for the variation-bound formulas
         assert sched.r == 1e9
 
     def test_static_delta_is_horizon(self):
@@ -434,6 +434,20 @@ class TestBuildSchedule:
         for rate in (float("nan"), -1.0):
             with pytest.raises(ModulusUnavailable):
                 Modulus(1.0, rate)
+
+    def test_a_tolerance_that_is_not_positive_has_no_step(self):
+        # eps0 * ratio**2 underflows to 0.0 at ratio 1e-320: at rate 0 the
+        # step search divided 0 by 0, at a positive rate it never ended.
+        for rate in (0.0, 1e-300, 1.0):
+            with pytest.raises(ModulusUnavailable):
+                Modulus(1.0, rate).largest_delta_below(0.0)
+        static = TranslateFamily(Ball((0.0, 0.0), 1.0), ConstantPath((0.0, 0.0)), 1.0)
+        with pytest.raises(ModulusUnavailable):
+            build_schedule(static, 1.0, 0.1, 1e-320, 3)
+
+    def test_a_convex_family_takes_any_positive_eps0(self):
+        sched = build_schedule(sweep_family(), 2.0, 1e20, 0.5, 3)
+        assert sched.eps == (1e20, 5e19, 2.5e19) and sched.r == 1e9
 
     def test_tie_keeps_step_strictly_below_eps(self):
         # omega(0.5) == eps0 exactly: the step must stay strictly below it,

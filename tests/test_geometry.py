@@ -51,7 +51,7 @@ def _schedule(eps0=0.1, ratio=0.5, levels=3, horizon=1.0, r=1.0):
     eps = tuple(eps0 * ratio**n for n in range(levels))
     delta = tuple(e / 2 for e in eps)
     grids = tuple(TimeGrid.dyadic(horizon, 5 + n) for n in range(levels))
-    return RefinementSchedule(eps=eps, delta=delta, grids=grids, r=r, eps0=eps0, ratio=ratio)
+    return RefinementSchedule(eps=eps, delta=delta, grids=grids, r=r)
 
 
 def test_schedule_valid():
@@ -60,27 +60,16 @@ def test_schedule_valid():
     assert s.horizon == 1.0
 
 
-def test_schedule_rejects_eps_at_or_above_r():
-    with pytest.raises(ValueError):
-        _schedule(eps0=1.0, r=1.0)
-
-
 def test_schedule_rejects_coarse_mesh():
     eps = (0.1, 0.05)
     grids = (TimeGrid.dyadic(1.0, 1), TimeGrid.dyadic(1.0, 2))
     with pytest.raises(ValueError):
-        RefinementSchedule(eps=eps, delta=(0.05, 0.025), grids=grids, r=1.0, eps0=0.1, ratio=0.5)
+        RefinementSchedule(eps=eps, delta=(0.05, 0.025), grids=grids, r=1.0)
 
 
 def test_schedule_rejects_non_nested():
     eps = (0.1, 0.05)
     grids = (TimeGrid.uniform(1.0, 3), TimeGrid.uniform(1.0, 4))
     with pytest.raises(ValueError):
-        RefinementSchedule(eps=eps, delta=(0.5, 0.3), grids=grids, r=1.0, eps0=0.1, ratio=0.5)
+        RefinementSchedule(eps=eps, delta=(0.5, 0.3), grids=grids, r=1.0)
 
-
-def test_schedule_rejects_non_geometric():
-    eps = (0.1, 0.03)
-    grids = (TimeGrid.dyadic(1.0, 4), TimeGrid.dyadic(1.0, 5))
-    with pytest.raises(ValueError):
-        RefinementSchedule(eps=eps, delta=(0.1, 0.05), grids=grids, r=1.0, eps0=0.1, ratio=0.5)

@@ -82,6 +82,18 @@ def test_dimension_mismatch():
         Ball((0.0, 0.0), 1.0).distance((1.0, 2.0, 3.0))
 
 
+@pytest.mark.parametrize("tag", sorted(sets_mod.SHAPES))
+@pytest.mark.parametrize("point", [(0.1, 0.2, 0.3), [(0.1, 0.2)], 0.1],
+                         ids=["3-vector", "row", "scalar"])
+def test_a_point_of_another_shape_is_a_dimension_mismatch(tag, point):
+    # Every operation on a point reads it through _vector.
+    shape = SHAPE_BY_TAG[tag]
+    for operation in (shape.contains, shape.distance, shape.membership_defect, shape.translated,
+                      lambda y: shape.normal_defect(y, (1.0, 0.0), 0.1)):
+        with pytest.raises(DimensionMismatch):
+            operation(point)
+
+
 def test_complement_radius_is_its_prox_constant():
     bc = BallComplement((0.3, -0.1), 0.7)
     assert bc.r == bc.radius == 0.7

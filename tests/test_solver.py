@@ -384,7 +384,7 @@ def test_iterate_a_tube_radius_from_the_next_slice_is_a_tube_violation():
         solve(growing_hole(), (1.0, 0.0), TimeGrid.uniform(1.0, 1), eps_level=0.4)
     assert (err.value.step, err.value.distance, err.value.radius) == (1, 1.0, 0.5)
     one_interval = RefinementSchedule(eps=(0.4,), delta=(1.0,), grids=(TimeGrid.dyadic(1.0, 0),),
-                                      r=0.5, eps0=0.4, ratio=0.5)
+                                      r=0.5)
     with pytest.raises(TubeViolation) as err:
         converge_study(growing_hole(), (1.0, 0.0), one_interval)
     assert err.value.level == 0

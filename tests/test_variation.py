@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sweepsolve.errors import InapplicableBound, NoFeasibleEps, TubeViolation
+from sweepsolve.errors import InapplicableBound, NoFeasibleEps, NoPositiveTau, TubeViolation
 from sweepsolve.families import (
     Modulus,
     RadiusFamily,
@@ -16,7 +16,6 @@ from sweepsolve.paths import ConstantPath, LinearPath
 from sweepsolve.sets import Ball, HalfSpace
 from sweepsolve.solver import DiscreteTrajectory, affine_interpolant, solve
 from sweepsolve.variation import (
-    ConeBoundParams,
     ball_variation_bound,
     choose_cone_params,
     cone_variation_bound,
@@ -116,51 +115,57 @@ class TestBallBound:
 class TestConeBound:
     def test_frozen_arithmetic_example(self):
         # r=1, R=1, d=0.6, lam=0.8, eps=0.01, tau=0.2, T=1
-        p = ConeBoundParams(r=1.0, R=1.0, d=0.6, lam=0.8, tau=0.2, eps_bar=0.01)
         alpha = 0.8 * 0.6 + 0.4 + 0.01
         expected = 10 * (1.0 * (0.36 - 0.16) / (0.8 - alpha**2) + 0.01)
-        assert cone_variation_bound(p, 1.0) == pytest.approx(expected, rel=1e-12)
+        bound = cone_variation_bound(1.0, 1.0, 0.6, lam=0.8, tau=0.2, eps_bar=0.01, horizon=1.0)
+        assert bound == pytest.approx(expected, rel=1e-12)
 
     def test_d_below_half_rho_inapplicable(self):
-        p = ConeBoundParams(r=1.0, R=1.0, d=0.3, lam=0.8, tau=0.2, eps_bar=0.0)
         with pytest.raises(InapplicableBound):
-            cone_variation_bound(p, 1.0)
+            cone_variation_bound(1.0, 1.0, 0.3, lam=0.8, tau=0.2, eps_bar=0.0, horizon=1.0)
 
     def test_single_window(self):
-        p = ConeBoundParams(r=1.0, R=1.0, d=0.6, lam=0.8, tau=4.0, eps_bar=0.0)
         alpha = 0.8 * 0.6 + 0.4
         expected = 1 * (1.0 * (0.36 - 0.16) / (0.8 - alpha**2))
-        assert cone_variation_bound(p, 1.0) == pytest.approx(expected, rel=1e-12)
+        bound = cone_variation_bound(1.0, 1.0, 0.6, lam=0.8, tau=4.0, eps_bar=0.0, horizon=1.0)
+        assert bound == pytest.approx(expected, rel=1e-12)
 
     def test_zero_horizon(self):
-        p = ConeBoundParams(r=1.0, R=1.0, d=0.6, lam=0.8, tau=0.2, eps_bar=0.0)
-        assert cone_variation_bound(p, 0.0) == 0.0
+        assert cone_variation_bound(1.0, 1.0, 0.6, lam=0.8, tau=0.2, eps_bar=0.0,
+                                    horizon=0.0) == 0.0
 
 
 class TestChooseConeParams:
     def test_frozen_lambda(self):
         omega = Modulus(1.0, 0.4)
-        p = choose_cone_params(1.0, 1.0, 0.6, omega, eps_candidates=(0.01,))
-        assert p.lam == pytest.approx(0.9 / 1.21, rel=1e-12)
-        assert abs(p.lam - 0.7438) < 1e-4
+        lam, _, _ = choose_cone_params(1.0, 1.0, 0.6, omega, eps_candidates=(0.01,))
+        assert lam == pytest.approx(0.9 / 1.21, rel=1e-12)
+        assert abs(lam - 0.7438) < 1e-4
 
     def test_lambda_clamped(self):
         omega = Modulus(1.0, 0.001)
-        p = choose_cone_params(100.0, 10.0, 0.5, omega, eps_candidates=(0.01,))
-        assert p.lam == 0.99
+        lam, _, _ = choose_cone_params(100.0, 10.0, 0.5, omega, eps_candidates=(0.01,))
+        assert lam == 0.99
 
     def test_static_tau_is_horizon(self):
         omega = Modulus(3.0, 0.0)
-        p = choose_cone_params(1.0, 1.0, 0.6, omega, eps_candidates=(0.01,))
-        assert p.tau == 3.0
+        _, tau, _ = choose_cone_params(1.0, 1.0, 0.6, omega, eps_candidates=(0.01,))
+        assert tau == 3.0
 
     def test_candidates_selection(self):
         omega = Modulus(1.0, 0.1)
         eps = (0.4, 0.2, 0.08, 0.04, 0.02)
-        p = choose_cone_params(1.0, 1.0, 0.6, omega, eps_candidates=eps)
-        headroom = math.sqrt(p.lam * 1.0) - p.lam * 1.1
-        assert p.eps_bar == max(e for e in eps if e < min(0.5, headroom))
-        assert p.eps_bar == 0.04
+        lam, _, eps_bar = choose_cone_params(1.0, 1.0, 0.6, omega, eps_candidates=eps)
+        headroom = math.sqrt(lam * 1.0) - lam * 1.1
+        assert eps_bar == max(e for e in eps if e < min(0.5, headroom))
+        assert eps_bar == 0.04
+
+    @pytest.mark.parametrize("R", [1e308, 1e-320])
+    def test_a_radius_out_of_float_range_has_no_tau(self, R):
+        # lambda*R/2 is 0: (d + R/2)^2 overflows at 1e308 (lambda reads 0),
+        # lambda*R underflows at 1e-320.
+        with pytest.raises(NoPositiveTau, match="lambda\\*R/2=0 "):
+            choose_cone_params(0.5, R, 1.1, Modulus(2.0, 1.0), eps_candidates=(0.1,))
 
     def test_no_feasible_candidate(self):
         omega = Modulus(1.0, 0.1)
@@ -214,8 +219,6 @@ class TestConvergeStudy:
             delta=(1.0,),
             grids=(TimeGrid.dyadic(2.0, 1),),
             r=0.05,
-            eps0=0.04,
-            ratio=0.5,
         )
         with pytest.raises(TubeViolation) as err:
             converge_study(fam, (0.0, 0.0), coarse)
