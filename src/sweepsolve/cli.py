@@ -72,6 +72,8 @@ def _cmd_excess(args) -> int:
         if not 0.0 <= time <= scenario.horizon:
             raise SchemaError("--t", f"{name}={time:g} outside [0, {scenario.horizon:g}], "
                               f"the horizon of {scenario.name}")
+    if sb.dim != sa.dim:
+        raise SchemaError("config_b", f"{args.config_b} has dim {sb.dim}, {args.config_a} {sa.dim}")
     est = excess(sa.family.at(s), sb.family.at(t))
     print(f"excess of A({s:g}) over B({t:g}): {est.lower:.12g} <= e <= {est.upper:.12g} "
           f"[{est.method}]")

@@ -51,6 +51,7 @@ declared_r against the family's natural r.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,10 +165,15 @@ class Modulus:
             raise ModulusUnavailable(f"no step length keeps the modulus below eps={eps!r}")
         if self.rate * self.horizon < eps:
             return self.horizon
-        x = eps / self.rate
-        while self.rate * x >= eps:
-            x = math.nextafter(x, 0.0)
-        return x
+        # Bisection over the bit patterns of the floats in [0, eps / rate], which
+        # order as their values do: rate * x rounds monotonically in x, so at most
+        # 64 steps find the largest x, however small rate * x is.
+        lo, hi = 0, struct.unpack("<q", struct.pack("<d", eps / self.rate))[0] + 1
+        while hi - lo > 1:  # rate * x < eps at lo (x = 0 included), not at hi
+            mid = (lo + hi) // 2
+            x = struct.unpack("<d", struct.pack("<q", mid))[0]
+            lo, hi = (lo, mid) if self.rate * x >= eps else (mid, hi)
+        return struct.unpack("<d", struct.pack("<q", lo))[0]
 
 
 class MovingFamily(Schema):

@@ -37,6 +37,7 @@ shape.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -215,14 +216,13 @@ class ProxSet(Schema):
         if not (np.isfinite(x).all() and np.isfinite(n).all()):
             return math.nan
         R = halfwidth * math.sqrt(self.dim)  # the one-row _normal_defects, on this slice's row
-        return float(next(iter(self._normal_defects(self._rows, x[None], n[None], R))))
+        return float(self._normal_defects(self._rows, x[None], n[None], R)[0])
 
     @classmethod
-    def _normal_defects(cls, rows, X: np.ndarray, N: np.ndarray, R: float):
+    def _normal_defects(cls, rows, X: np.ndarray, N: np.ndarray, R: float) -> np.ndarray:
         """normal_defect's bounds (R the window's radius) at x, n, the rows of X, N,
-        on the slice of each row of slice_fields' rows: certify_steps' one call per
-        piece.  An array, or where a bound can raise, a generator over the rows
-        that makes it when iterated to."""
+        on the slice of each row of slice_fields' rows, as one array: certify_steps'
+        one call per piece."""
         raise NotImplementedError
 
     def _vector(self, y) -> np.ndarray:
@@ -776,7 +776,8 @@ class Polytope(ProxSet):
         # with one W at once, as a piece's rows share A and its factor cache.
         # Where they fail (dependent, lam < 0, or n off their span by more than
         # the rounding of n = x_prev - x, on the scale of |x| + |n|), the
-        # multipliers of the projection of x + n do (lam = 0 for a member).
+        # multipliers of the projection of x + n do, or lam = 0 (the bound |n| R)
+        # for a member or where that projection does not converge.
         A, b = np.asarray(rows["normals"]), np.asarray(rows["offsets"])  # views when shared
         first = next(zip(*rows.values()))
         faces, group = np.unique(b - np.matmul(A, X[:, :, None])[..., 0] <= CONTAINMENT_TOL,
@@ -793,22 +794,14 @@ class Polytope(ProxSet):
             lam = np.matmul(M, N[g, :, None])[..., 0]
             bounds[g], off = cls._face_bounds(Aw, b[g][:, work], lam, X[g], N[g], R)
             fit[g] = (lam >= 0.0).all(axis=1) & (off <= _rounding(dim, norms(X[g]) + norms(N[g])))
-        return bounds if fit.all() else cls._solved_bounds(rows, X, N, R, bounds, fit)
-
-    @classmethod
-    def _solved_bounds(cls, rows, X, N, R, bounds, fit):
-        """The rows' bounds in order: those that fit their active faces from
-        bounds, each other from the projection of x + n, solved when reached."""
-        done = 0
         for k in np.flatnonzero(~fit).tolist():
-            yield from bounds[done:k]
-            fields, done = tuple(values[k] for values in rows.values()), k + 1
-            work, lam = (), np.zeros(0)
-            if float((fields[0] @ (X[k] + N[k]) - fields[1]).max()) > CONTAINMENT_TOL:
-                _, _, work, lam = cls._solve(fields, X[k] + N[k])
+            fields, work, lam = tuple(values[k] for values in rows.values()), (), np.zeros(0)
+            with contextlib.suppress(DidNotConverge):
+                if float((fields[0] @ (X[k] + N[k]) - fields[1]).max()) > CONTAINMENT_TOL:
+                    _, _, work, lam = cls._solve(fields, X[k] + N[k])
             Aw, bw = fields[0][list(work)], fields[1][list(work)][None]
-            yield cls._face_bounds(Aw, bw, lam[None], X[k:done], N[k:done], R)[0][0]
-        yield from bounds[done:]
+            bounds[k] = cls._face_bounds(Aw, bw, lam[None], X[k:k + 1], N[k:k + 1], R)[0][0]
+        return bounds
 
     def _recedes(self, slack: float) -> bool:
         """Whether a nonempty 2-D polytope is unbounded: iff A d <= 0 for a face
@@ -1023,11 +1016,10 @@ class RigidImage(ProxSet):
     @classmethod
     def _normal_defects(cls, rows, X, N, R):
         # The rotation keeps inner products and the Euclidean window radius: each
-        # row's bound is its base's at the pulled-back x and n, made when the base's is.
+        # row's bound is its base's at the pulled-back x and n.
         base, base_rows, V, x, n = cls._pulls(rows, X, N)
         extra = _rounding(base.dim, norms(N) * (R + norms(V)) * (1.0 + R / base.r))
-        bounds = base._normal_defects(base_rows, x, n, R)  # a generator's rows each as made
-        return bounds + extra if isinstance(bounds, np.ndarray) else map(np.add, bounds, extra)
+        return base._normal_defects(base_rows, x, n, R) + extra
 
     def _moved(self, U):
         return {"base": _repeat(self.base, len(U)), "rotation": _repeat(self.rotation, len(U)),

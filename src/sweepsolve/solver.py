@@ -204,12 +204,11 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory) -> StepCertifi
     Zero steps are skipped (the zero vector lies in every normal cone).  Each
     moving step's verdict comes from the slice's normal_defect, a sound
     closed-form upper bound of the defect over members in the window
-    x +- NORMAL_WINDOW with the slice's finite r, from one
-    shape._normal_defects call per piece of family.slice_fields: an array,
-    or a generator over rows where a polytope row needs a solve, made only
-    after every earlier step has passed.  CertificationFailed names the first
-    step whose bound is not <= CERTIFICATION_TOL (NaN included), a projection
-    bug, or whose move exceeds the modulus at its time step, the bound first.
+    x +- NORMAL_WINDOW with the slice's finite r, from one array
+    shape._normal_defects per piece of family.slice_fields.  Once every bound
+    is made, CertificationFailed names the first step whose bound is not
+    <= CERTIFICATION_TOL (NaN included), a projection bug, or whose move
+    exceeds the modulus at its time step, the bound first.
     sets.window_residual, exact on a 2-D polyhedral slice and else over
     NORMAL_AUDIT_SAMPLES samples, audits NORMAL_AUDIT_STEPS steps, the only
     slices built: the largest bound's and others drawn by default_rng(0), step j
@@ -226,19 +225,15 @@ def certify_steps(family: MovingFamily, traj: DiscreteTrajectory) -> StepCertifi
     R = NORMAL_WINDOW * np.sqrt(traj.dim)  # as normal_defect's halfwidth * math.sqrt(dim)
     bounds, done = np.empty(len(steps)), 0
     for shape, rows in family.slice_fields(times[steps]):
-        end = done + len(next(iter(rows.values())))
-        found = shape._normal_defects(rows, X[done:end], N[done:end], R)
-        # A generator's rows one at a time (zip makes each a 1-tuple), each checked when made.
-        for chunk in (found,) if isinstance(found, np.ndarray) else zip(found):
-            a, done = done, done + len(chunk)
-            bounds[a:done] = chunk
-            failed = np.flatnonzero(~(bounds[a:done] <= CERTIFICATION_TOL) | over[a:done])
-            if len(failed):
-                k = a + int(failed[0])
-                if not bounds[k] <= CERTIFICATION_TOL:
-                    raise CertificationFailed(int(steps[k]), float(bounds[k]), CERTIFICATION_TOL)
-                raise CertificationFailed(int(steps[k]), float(moved[k]), float(allowed[k]),
-                                          what="distance moved (the modulus is unsound)")
+        piece = slice(done, done + len(next(iter(rows.values()))))
+        bounds[piece], done = shape._normal_defects(rows, X[piece], N[piece], R), piece.stop
+    failed = np.flatnonzero(~(bounds <= CERTIFICATION_TOL) | over)
+    if len(failed):  # the first failing step, its bound checked before its move
+        k = int(failed[0])
+        if not bounds[k] <= CERTIFICATION_TOL:
+            raise CertificationFailed(int(steps[k]), float(bounds[k]), CERTIFICATION_TOL)
+        raise CertificationFailed(int(steps[k]), float(moved[k]), float(allowed[k]),
+                                  what="distance moved (the modulus is unsound)")
     audits = {}
     if len(steps):
         worst = int(np.argmax(bounds))

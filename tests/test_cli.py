@@ -76,7 +76,14 @@ def test_unreadable_input_or_output_exits_3(case, tmp_path, capsys):
     assert err.startswith("configuration error: ") and err.count("\n") == 1
 
 
-def test_runtime_error_exits_4(tmp_path, capsys):
+def test_runtime_error_exits_4(capsys):
+    # Level 40 of a unit-speed sweep would need a grid finer than 2^24 intervals.
+    assert main(["verify", "sweep_halfspace", "--level", "40"]) == 4
+    assert capsys.readouterr().err.startswith("runtime error: level ")
+
+
+def test_excess_between_dimensions_is_a_config_error(tmp_path, capsys):
+    # Checked with the times, before any slice is built, naming the second config.
     doc = json.loads(builtin_text("static_ball"))
     doc["dim"] = 3
     doc["y0"] = [0.5, 0.0, 0.0]
@@ -84,7 +91,9 @@ def test_runtime_error_exits_4(tmp_path, capsys):
     doc["family"]["path"]["value"] = [0.0, 0.0, 0.0]
     cfg3 = tmp_path / "static3.json"
     cfg3.write_text(json.dumps(doc))
-    assert main(["excess", "static_ball", str(cfg3), "--t", "0.0", "0.5"]) == 4
+    assert main(["excess", "static_ball", str(cfg3), "--t", "0.0", "0.5"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"configuration error: config_b: {cfg3} has dim 3, static_ball 2\n"
 
 
 @pytest.mark.parametrize("times, named", [
@@ -383,6 +392,15 @@ def test_a_tolerance_that_underflows_exits_4(tmp_path, capsys):
                                        "below eps=0.0\n")
 
 
+def _solve_in_a_subprocess(cfg, out, timeout: float):
+    """sweepsolve solve cfg --out out in a child interpreter on this checkout's
+    sources: a hang raises TimeoutExpired instead of stalling the suite."""
+    pythonpath = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    return subprocess.run([sys.executable, "-m", "sweepsolve.cli", "solve", cfg, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 def test_a_tolerance_that_underflows_at_a_tiny_rate_exits_4_without_hanging(tmp_path):
     # In a subprocess: should the step search below eps = 0.0 loop at a
     # positive rate, the timeout fails the test instead of hanging the suite.
@@ -390,13 +408,20 @@ def test_a_tolerance_that_underflows_at_a_tiny_rate_exits_4_without_hanging(tmp_
         doc["family"]["path"] = _linear([0.0, 0.0], [1e-300, 0.0])
         doc["schedule"]["ratio"] = 1e-200
     cfg = _mutated(tmp_path, "static_ball", tiny_rate)
-    pythonpath = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    done = subprocess.run([sys.executable, "-m", "sweepsolve.cli", "solve", cfg,
-                           "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=10)
+    done = _solve_in_a_subprocess(cfg, tmp_path / "out", timeout=10)
     assert done.returncode == 4
     assert done.stderr == "runtime error: no step length keeps the modulus below eps=0.0\n"
+
+
+def test_a_subnormal_tolerance_at_a_tiny_rate_exits_within_a_second(tmp_path):
+    # Level 2's tolerance 0.1 * 1e-320 at rate 1e-300: the step search that
+    # went down one ulp at a time ran about 10**13 times.  In a subprocess,
+    # so that a hang fails the test instead of the suite.
+    def tiny_rate(doc):
+        doc["family"]["path"] = _linear([0.0, 0.0], [1e-300, 0.0])
+        doc["schedule"]["ratio"] = 1e-160
+    cfg = _mutated(tmp_path, "static_ball", tiny_rate)
+    assert _solve_in_a_subprocess(cfg, tmp_path / "out", timeout=1.0).returncode in (0, 4)
 
 
 @pytest.mark.parametrize("R", [1e308, 1e-320])

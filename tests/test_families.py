@@ -271,6 +271,24 @@ class TestModulus:
         for d in (0.1, 0.25, 0.5):
             assert abs(jump(d) - cont(d)) <= 1e-9
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, exclude_min=True, allow_infinity=False),
+           st.floats(0.0, exclude_min=True, allow_infinity=False))
+    @example(1.0, 0.1)
+    @example(3.0, 1e-300)
+    @example(1e-300, 5e-324)
+    def test_step_search_gives_the_one_ulp_loop_s_step(self, rate, eps):
+        # The loop that stepped down one ulp at a time from eps / rate, capped
+        # at 10**4 steps: where it ends, the search ends on its x, bit for bit.
+        x = eps / rate
+        for _ in range(10**4):
+            if not rate * x >= eps:
+                break
+            x = math.nextafter(x, 0.0)
+        assume(not rate * x >= eps)
+        found = Modulus(math.inf, rate).largest_delta_below(eps)
+        assert found == x and math.copysign(1.0, found) == 1.0
+
     def test_sampled_omega_matches_analytic_for_sweep(self):
         fam = sweep_family()
         sampled = max(excess(fam.at(s), fam.at(s + 0.25)).lower

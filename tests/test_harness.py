@@ -7,8 +7,9 @@ from sweepsolve.families import PiecewiseFamily, TranslateFamily
 from sweepsolve.geometry import TimeGrid
 from sweepsolve.harness import INNER_BALL_TOL, check_normal, run, scenario_schedule
 from sweepsolve.paths import LinearPath
-from sweepsolve.sets import Ball, HalfSpace, ProxSet
-from sweepsolve.solver import NORMAL_AUDIT_STEPS, solve
+from sweepsolve.errors import DidNotConverge
+from sweepsolve.sets import Ball, HalfSpace, Polytope, ProxSet, polytope
+from sweepsolve.solver import NORMAL_AUDIT_STEPS, DiscreteTrajectory, solve
 from sweepsolve.scenarios import builtin_text, load_builtin, parse_scenario
 
 
@@ -286,3 +287,23 @@ def test_failed_audit_is_a_fail_naming_the_step(monkeypatch):
     assert check.note.startswith("step ")
     assert "unsound" in check.note
     assert check.margin < 0
+
+
+def test_a_certificate_projection_that_does_not_converge_is_a_check_result(monkeypatch):
+    # The wall twice: its two active faces are dependent, so every step's bound
+    # projects x + n.  Where that solve raises, the bound takes lam = 0, |n| R,
+    # and the normal check fails at the first step instead of raising.
+    wall = polytope((HalfSpace((1.0, 0.0), 1.0),) * 2, (0.0, 0.0))
+    fam = TranslateFamily(wall, LinearPath((0.0, 0.0), (-1.0, 0.0)), 2.0)
+    x = 1.0 - np.linspace(0.0, 2.0, 9)  # each x_j the projection of x_{j-1}
+    traj = DiscreteTrajectory(TimeGrid.uniform(2.0, 8), np.column_stack((x, 0.0 * x)),
+                              0, 0.5, np.zeros(9))
+    assert check_normal(fam, traj).verdict == "pass"
+
+    def fail(fields, y):
+        raise DidNotConverge("the active-set solve did not converge")
+
+    monkeypatch.setattr(Polytope, "_solve", staticmethod(fail))
+    check = check_normal(fam, traj)
+    assert check.verdict == "fail" and check.note.startswith("step 1: normal-defect bound")
+    assert check.margin == pytest.approx(1e-6 - 0.25 * 3.0 * np.sqrt(2.0))

@@ -1828,7 +1828,8 @@ def _box_defect(lo, hi, x, n, R):
 
 def _polytope_defect(normals, offsets, interior, slack, max_steps, factors, x, n, R):
     # The least-norm multipliers of the faces active at x where they fit n,
-    # else those of the projection of x + n (none when it is a member).
+    # else those of the projection of x + n (none when it is a member, or
+    # when that projection does not converge: lam = 0).
     A, b, y = normals, offsets, x + n
     fields = (A, b, interior, slack, max_steps, factors)
     work = tuple(np.flatnonzero(b - A @ x <= sets_mod.CONTAINMENT_TOL).tolist())
@@ -1842,7 +1843,10 @@ def _polytope_defect(normals, offsets, interior, slack, max_steps, factors, x, n
     if lam is None or not (lam >= 0.0).all() or norm(n - lam @ A[list(work)]) > allowance:
         work, lam = (), np.zeros(0)
         if float(np.max(A @ y - b)) > sets_mod.CONTAINMENT_TOL:
-            _, _, work, lam = Polytope._solve(fields, y)
+            try:
+                _, _, work, lam = Polytope._solve(fields, y)
+            except DidNotConverge:
+                pass
     Aw, bw = A[list(work)], b[list(work)]
     value = float(lam @ (bw - Aw @ x)) + norm(n - lam @ Aw) * R
     scale = norm(n) * R + float(lam.sum()) * (R + norm(x) + float(np.abs(bw).sum()))
@@ -1920,6 +1924,12 @@ def _same_bits(a, b):
           np.array([[1.0, 0.0], [0.5, 0.0], [0.5, 0.0]]),
           np.array([[0.01 * SQRT2_INV, 0.01 * (SQRT2_INV - 1.0)], [0.05, -0.05], [0.0, 0.1]]),
           3.0))
+# The same vector off the face's span, on a row whose solve may take only
+# one step of the two it needs: it raises DidNotConverge, and the bound
+# takes lam = 0, |n| R plus its rounding.
+@example((Polytope, {name: [1 if name == "_max_steps" else getattr(TRIANGLE, name)]
+                     for name in TRIANGLE.__dataclass_fields__},
+          np.array([[0.5, 0.0]]), np.array([[0.05, -0.05]]), 3.0))
 def test_closed_form_normal_defects_match_the_scalar_bounds_bit_for_bit(case):
     # Every shape's bound over rows against its per-step body.  The closed
     # forms get non-finite rows too, and must propagate inf and NaN as the
@@ -1928,7 +1938,14 @@ def test_closed_form_normal_defects_match_the_scalar_bounds_bit_for_bit(case):
     with np.errstate(all="ignore"):  # the scalar bounds warn on inf - inf
         expected = [_SCALAR_DEFECTS[cls](*row, x, n, R)
                     for row, x, n in zip(zip(*rows.values()), X, N)]
-    assert _same_bits(list(cls._normal_defects(rows, X, N, R)), expected)
+    bounds = cls._normal_defects(rows, X, N, R)
+    assert type(bounds) is np.ndarray and bounds.shape == (len(X),)
+    assert _same_bits(bounds, expected)
+    if cls is Polytope and rows["_max_steps"] == [1]:
+        with pytest.raises(DidNotConverge):
+            Polytope._solve(next(zip(*rows.values())), X[0] + N[0])
+        lam_0 = norm(N[0]) * R
+        assert _same_bits(bounds, [lam_0 + sets_mod._rounding(2, lam_0)])
 
 
 def _defect_families():
@@ -1940,15 +1957,16 @@ def _defect_families():
 
 @pytest.mark.parametrize("family", list(_defect_families()), ids=lambda f: f.kind)
 def test_normal_defects_equal_the_per_slice_bounds(family):
-    # certify_steps' one call per piece against each slice's normal_defect,
-    # the same hook on the slice's own row: a bound may not depend on the
-    # other rows of its piece.
+    # certify_steps' one call per piece, one array of a bound per row on every
+    # class in sets.SHAPES, against each slice's normal_defect, the same hook
+    # on the slice's own row: a bound may not depend on the other rows of its piece.
     rng = np.random.default_rng(5)
     times = np.linspace(0.0, 2.0, 9)
     X, N = rng.normal(size=(9, 2)), 0.1 * rng.normal(size=(9, 2))
     X[1] = family.at(times[1]).project(X[1])
     [(cls, rows)] = family.slice_fields(times)
-    bounds = list(cls._normal_defects(rows, X, N, 3.0 * math.sqrt(2.0)))
+    bounds = cls._normal_defects(rows, X, N, 3.0 * math.sqrt(2.0))
+    assert type(bounds) is np.ndarray and bounds.shape == (len(X),)
     expected = [s.normal_defect(x, n, 3.0) for s, x, n in zip(family.slices(times), X, N)]
     assert _same_bits(bounds, expected)
     # A piece of a piecewise family with no moving step is left out.

@@ -20,10 +20,14 @@ src/ directory.  It prints one JSON line with
   steps of a 2-D half-space, ball complement and triangle translate that
   moves for 64 steps, then stands still for 64, and so on: solve's walk over
   both kinds of block, stepping and resting;
+- certify_us_per_step: microseconds per moving step of one certify_steps
+  call over the 4096 unit steps of a 2-D half-space, ball complement and
+  triangle translate that moves the iterate on every step: its closed-form
+  bounds of every step, one array per piece, plus the audit of 4 steps;
 
 and the interpreter, numpy and machine it ran on.  Each figure is the best of
-5 timed runs of 2000 calls (250 calls of _distances on the block, 10 of _steps
-and of solve).
+5 timed runs of 2000 calls (250 calls of _distances on the block, 10 of _steps,
+of solve and of certify_steps).
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from sweepsolve.sets import (  # noqa: E402
     polytope,
     rotation_matrix_2d,
 )
-from sweepsolve.solver import solve  # noqa: E402
+from sweepsolve.solver import certify_steps, solve  # noqa: E402
 
 NUMBER, REPEAT = 2000, 5
 
@@ -140,6 +144,19 @@ def walk_us_per_row(shape, rate, y) -> float:
     return best_us(lambda: solve(family, y, grid, eps_level=1.0), 10) / WALK_ROWS
 
 
+CERTIFY_ROWS = 4096
+
+
+def certify_us_per_step(shape, rate, y) -> float:
+    """Microseconds per moving step of certify_steps over the CERTIFY_ROWS
+    unit steps of the shape moving by rate per step, from y: a walker's push
+    on every step, none resting."""
+    family = TranslateFamily(shape, LinearPath((0.0, 0.0), rate), float(CERTIFY_ROWS))
+    traj = solve(family, y, TimeGrid(np.arange(CERTIFY_ROWS + 1.0)), eps_level=1.0)
+    assert len(certify_steps(family, traj)) == CERTIFY_ROWS
+    return best_us(lambda: certify_steps(family, traj), 10) / CERTIFY_ROWS
+
+
 def best_us(call, number: int = NUMBER) -> float:
     return min(timeit.Timer(call).repeat(REPEAT, number)) / number * 1e6
 
@@ -159,8 +176,9 @@ def measure() -> dict:
              for name, (a, b) in PAIRS.items()}
     steps = {tag: round(step_us(*case), 3) for tag, case in STEPPERS.items()}
     walks = {tag: round(walk_us_per_row(*case), 3) for tag, case in WALKERS.items()}
+    certify = {tag: round(certify_us_per_step(*case), 3) for tag, case in WALKERS.items()}
     return {"project_us": project, "distances_us_per_row": distances, "excess_us": pairs,
-            "step_us": steps, "walk_us_per_row": walks,
+            "step_us": steps, "walk_us_per_row": walks, "certify_us_per_step": certify,
             "number": NUMBER, "repeat": REPEAT, "python": platform.python_version(),
             "numpy": np.__version__, "machine": platform.machine(), "cpus": os.cpu_count()}
 
